@@ -235,11 +235,15 @@ def cmd_verify_thermo(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     n_thermo = cfg.get_int("thermo", "n_samples", 50)
     n_pair = cfg.get_int("entropy_pair", "n_samples", 100)
     fd_step = cfg.get_float("entropy_pair", "fd_step", 1e-5)
-    if fd_step <= 0:
-        raise ConfigError("[entropy_pair] fd_step must be positive")
 
-    rep_h = verify_hypotheses(eos, domain, n_thermo)
-    rep_p = verify_entropy_pair(eos, domain, n_pair, fd_step, seed=cfg.seed)
+    try:
+        rep_h = verify_hypotheses(eos, domain, n_thermo)
+    except ValueError as exc:
+        raise ConfigError(f"[thermo] {exc}") from exc
+    try:
+        rep_p = verify_entropy_pair(eos, domain, n_pair, fd_step, seed=cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(f"[entropy_pair] {exc}") from exc
 
     report = Report("verify-thermo", cfg.config_hash, cfg.seed,
                     sections=[rep_h, rep_p])
@@ -429,6 +433,8 @@ def cmd_nonlinear_run(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     fit_t_min = cfg.get_float("nonlinear", "fit_t_min", 20.0)
     if dt <= 0 or t_final <= 0:
         raise ConfigError("[nonlinear] dt and t_final must be positive")
+    if sample_every < 1:
+        raise ConfigError("[nonlinear] sample_every must be >= 1")
     if amplitude < 0 or width <= 0:
         raise ConfigError("[nonlinear] amplitude >= 0 and width > 0 required")
     for f in fields:

@@ -22,7 +22,6 @@ trailing shape (..., 3, 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,9 +30,6 @@ from .reports import Check, CheckReport
 from .thermo import Domain, EquationOfState, State
 
 __all__ = [
-    "EntropyPair",
-    "NsfMaps",
-    "entropy_pair",
     "f0",
     "f1",
     "visc_matrix",
@@ -98,34 +94,32 @@ def visc_matrix(eos: EquationOfState, state: State) -> np.ndarray:
     return mat3([[z, z, z], [z, mu, z], [z, mu * u, al]])
 
 
-def jac_f0(eos: EquationOfState, state: State) -> np.ndarray:
-    """Jacobian of f0 with respect to the primitive state (rho, u, theta)."""
+def _jac_f0_entries(eos: EquationOfState, state: State):
+    """(rho, u, a31, a33, zeros, ones) with jac_f0 = [[1,0,0],[u,rho,0],[a31,rho u,a33]]."""
     rho, u, theta = np.asarray(state.rho), np.asarray(state.u), state.theta
-    e = eos.e(rho, theta)
-    e_r = eos.e_rho(rho, theta)
-    e_t = eos.e_theta(rho, theta)
-    z = np.zeros_like(rho * 1.0)
-    one = np.ones_like(rho * 1.0)
-    return mat3([
-        [one, z, z],
-        [u, rho, z],
-        [e + 0.5 * u ** 2 + rho * e_r, rho * u, rho * e_t],
-    ])
+    a31 = (eos.epsilon(rho, theta, state.rho_x) + 0.5 * u ** 2
+           + rho * eos.epsilon_rho(rho, theta, state.rho_x))
+    a33 = rho * eos.epsilon_theta(rho, theta, state.rho_x)
+    return rho, u, a31, a33, np.zeros_like(rho * 1.0), np.ones_like(rho * 1.0)
+
+
+def jac_f0(eos: EquationOfState, state: State) -> np.ndarray:
+    """Jacobian D_U F0(U, U_x) at the state's rho_x; D_U f0 when rho_x = 0.
+
+    Lower triangular, det = rho^2 epsilon_theta > 0 (kappa_thth <= 0 keeps
+    epsilon_theta positive at every density gradient).
+    """
+    rho, u, a31, a33, z, one = _jac_f0_entries(eos, state)
+    return mat3([[one, z, z], [u, rho, z], [a31, rho * u, a33]])
 
 
 def jac_f0_inv(eos: EquationOfState, state: State) -> np.ndarray:
-    """Closed-form inverse of jac_f0 (lower triangular, det = rho^2 e_theta > 0)."""
-    rho, u, theta = np.asarray(state.rho), np.asarray(state.u), state.theta
-    e = eos.e(rho, theta)
-    e_r = eos.e_rho(rho, theta)
-    e_t = eos.e_theta(rho, theta)
-    z = np.zeros_like(rho * 1.0)
-    one = np.ones_like(rho * 1.0)
-    det3 = rho * e_t
+    """Closed-form inverse of jac_f0 (lower triangular)."""
+    rho, u, a31, a33, z, one = _jac_f0_entries(eos, state)
     return mat3([
         [one, z, z],
         [-u / rho, 1.0 / rho, z],
-        [(0.5 * u ** 2 - e - rho * e_r) / det3, -u / det3, 1.0 / det3],
+        [(u ** 2 - a31) / a33, -u / a33, 1.0 / a33],
     ])
 
 
@@ -148,67 +142,10 @@ def jac_f1(eos: EquationOfState, state: State) -> np.ndarray:
     ])
 
 
-def entropy_density(eos: EquationOfState, state: State) -> np.ndarray:
-    """Mathematical entropy E = -rho eta (strictly convex in conserved variables)."""
-    return -np.asarray(state.rho) * np.asarray(eos.eta(state.rho, state.theta))
-
-
 def entropy_flux(eos: EquationOfState, state: State) -> np.ndarray:
     """Entropy flux Theta = -rho u eta."""
     return (-np.asarray(state.rho) * np.asarray(state.u)
             * np.asarray(eos.eta(state.rho, state.theta)))
-
-
-@dataclass(frozen=True)
-class EntropyPair:
-    """Entropy / entropy-flux pair bound to a closure."""
-
-    eos: EquationOfState
-
-    def E(self, state: State) -> np.ndarray:
-        return entropy_density(self.eos, state)
-
-    def Theta(self, state: State) -> np.ndarray:
-        return entropy_flux(self.eos, state)
-
-
-def entropy_pair(eos: EquationOfState) -> EntropyPair:
-    return EntropyPair(eos)
-
-
-@dataclass(frozen=True)
-class NsfMaps:
-    """All maps of the standard system bound to one closure.
-
-    Convenience facade over the module functions; useful when the same
-    closure is threaded through many evaluations.
-    """
-
-    eos: EquationOfState
-
-    def f0(self, state: State) -> np.ndarray:
-        return f0(self.eos, state)
-
-    def f1(self, state: State) -> np.ndarray:
-        return f1(self.eos, state)
-
-    def Gvisc(self, state: State) -> np.ndarray:
-        return visc_matrix(self.eos, state)
-
-    def jac_f0(self, state: State) -> np.ndarray:
-        return jac_f0(self.eos, state)
-
-    def jac_f0_inv(self, state: State) -> np.ndarray:
-        return jac_f0_inv(self.eos, state)
-
-    def jac_f1(self, state: State) -> np.ndarray:
-        return jac_f1(self.eos, state)
-
-    def Z(self, state: State) -> np.ndarray:
-        return z_map(self.eos, state)
-
-    def jac_Z(self, state: State) -> np.ndarray:
-        return jac_z(self.eos, state)
 
 
 def z_map(eos: EquationOfState, state: State) -> np.ndarray:
@@ -246,8 +183,10 @@ def jac_z(eos: EquationOfState, state: State) -> np.ndarray:
 def hessian_entropy(eos: EquationOfState, state: State) -> np.ndarray:
     """Hessian of the entropy in conserved variables, D_V^2 E = (D_U Z)(D_U f0)^{-1}.
 
-    Symmetric positive definite at every admissible state.
+    Symmetric positive definite at every admissible state.  The standard
+    entropy has no gradient part, so the state's rho_x is ignored.
     """
+    state = State(state.rho, state.u, state.theta)
     return jac_z(eos, state) @ jac_f0_inv(eos, state)
 
 
@@ -328,6 +267,8 @@ def verify_entropy_pair(eos: EquationOfState, domain: Domain,
     Theta.  ``flux_fn`` overrides the convective flux used in (d) (negative
     controls); everything else is analytic.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
     rng = np.random.default_rng(seed)

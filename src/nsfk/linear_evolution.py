@@ -38,7 +38,6 @@ __all__ = [
     "geometric_nodes",
     "gaussian_profile",
     "zero_mass_gaussian_profile",
-    "propagate_mode",
     "weighted_norm",
     "evolve_and_fit",
     "verify_pointwise",
@@ -143,6 +142,25 @@ def zero_mass_gaussian_profile(nodes: Optional[np.ndarray] = None,
     return SpectralProfile(nodes, weights, modes)
 
 
+def _eigensystem(generators: np.ndarray, cond_threshold: float):
+    """(lam, V, V^{-1}, bad) with G = V diag(lam) V^{-1} for a stack (..., 3, 3).
+
+    ``bad`` flags ill-conditioned V; there V is the identity and callers use
+    :func:`_expm_stack` instead.
+    """
+    lam, vecs = np.linalg.eig(generators)
+    cond = (np.linalg.norm(vecs, axis=(-2, -1))
+            * np.linalg.norm(np.linalg.pinv(vecs), axis=(-2, -1)))
+    bad = cond > cond_threshold
+    vecs = np.where(bad[..., None, None], np.eye(3), vecs)
+    return lam, vecs, np.linalg.inv(vecs), bad
+
+
+def _expm_stack(generators: np.ndarray, t: float) -> np.ndarray:
+    """exp(-t G_k) by scaling and squaring for a stack (m, 3, 3)."""
+    return np.array([expm(-t * g) for g in generators])
+
+
 class ModePropagator:
     """Precomputed eigendecompositions of M(i xi) over a node set.
 
@@ -155,13 +173,8 @@ class ModePropagator:
                  cond_threshold: float = 1e4):
         self.xi_nodes = np.asarray(xi_nodes, dtype=float)
         self.generators = evolution_symbol(coeffs, self.xi_nodes)
-        lam, vecs = np.linalg.eig(self.generators)
-        cond = (np.linalg.norm(vecs, axis=(-2, -1))
-                * np.linalg.norm(np.linalg.pinv(vecs), axis=(-2, -1)))
-        self.bad = cond > cond_threshold
-        self.lam = lam
-        self.vecs = vecs
-        self.vecs_inv = np.linalg.inv(np.where(self.bad[:, None, None], np.eye(3), vecs))
+        self.lam, self.vecs, self.vecs_inv, self.bad = _eigensystem(
+            self.generators, cond_threshold)
 
     def propagate(self, modes: np.ndarray, t: float) -> np.ndarray:
         """Evolve all modes to time t (t >= 0)."""
@@ -172,16 +185,10 @@ class ModePropagator:
         coeff = np.einsum("kij,kj->ki", self.vecs_inv, modes)
         out = np.einsum("kij,kj->ki", self.vecs, np.exp(-self.lam * t) * coeff)
         if np.any(self.bad):
-            for k in np.flatnonzero(self.bad):
-                out[k] = expm(-t * self.generators[k]) @ modes[k]
+            out[self.bad] = np.einsum("kij,kj->ki",
+                                      _expm_stack(self.generators[self.bad], t),
+                                      modes[self.bad])
         return out
-
-
-def propagate_mode(coeffs: EquilibriumCoefficients, mode, xi: float,
-                   t: float) -> np.ndarray:
-    """exp(-t M(i xi)) applied to a single complex 3-vector."""
-    prop = ModePropagator(coeffs, np.atleast_1d(float(xi)))
-    return prop.propagate(np.asarray(mode, dtype=complex)[None, :], float(t))[0]
 
 
 def matrix_exponentials(generators: np.ndarray, t: float,
@@ -192,19 +199,10 @@ def matrix_exponentials(generators: np.ndarray, t: float,
     eigenvector matrix is ill-conditioned.
     """
     gen = np.asarray(generators)
-    lam, vecs = np.linalg.eig(gen)
-    cond = (np.linalg.norm(vecs, axis=(-2, -1))
-            * np.linalg.norm(np.linalg.pinv(vecs), axis=(-2, -1)))
-    bad = cond > cond_threshold
-    vecs_safe = np.where(bad[..., None, None], np.eye(3), vecs)
-    out = np.einsum("...ij,...j,...jk->...ik", vecs_safe,
-                    np.exp(-lam * t), np.linalg.inv(vecs_safe))
+    lam, vecs, vecs_inv, bad = _eigensystem(gen, cond_threshold)
+    out = np.einsum("...ij,...j,...jk->...ik", vecs, np.exp(-lam * t), vecs_inv)
     if np.any(bad):
-        flat_out = out.reshape(-1, 3, 3)
-        flat_gen = gen.reshape(-1, 3, 3)
-        for idx in np.flatnonzero(bad.ravel()):
-            flat_out[idx] = expm(-t * flat_gen[idx])
-        out = flat_out.reshape(out.shape)
+        out[bad] = _expm_stack(gen[bad], t)
     return out
 
 

@@ -145,7 +145,8 @@ def rhs(eos: EquationOfState, field: StateField) -> tuple[np.ndarray, np.ndarray
     """Time derivative (rho_t, u_t, theta_t) of the primitive fields.
 
     The conservation-law right sides are assembled as single divergence terms
-    (one spectral derivative of the dealiased total flux per equation), then
+    (one spectral derivative of the dealiased ``symbols.total_flux`` per
+    equation), then
     converted to primitive rates through the conserved-quantity Jacobian.
     At a constant field the result is identically zero.
     """
@@ -157,26 +158,12 @@ def rhs(eos: EquationOfState, field: StateField) -> tuple[np.ndarray, np.ndarray
     u_x = g.deriv(u)
     theta_x = g.deriv(theta)
 
-    p = np.asarray(eos.p(rho, theta))
-    mu = np.asarray(eos.mu(rho, theta))
-    alpha = np.asarray(eos.alpha(rho, theta))
-    k = np.asarray(eos.k(rho, theta))
-    k_r = np.asarray(eos.k_rho(rho, theta))
-    k_t = np.asarray(eos.k_theta(rho, theta))
+    flux1, flux2, flux3 = sym.total_flux(eos, rho, u, theta, rho_x, rho_xx,
+                                         u_x, theta_x)
     eps = np.asarray(eos.epsilon(rho, theta, rho_x))
     eps_r = np.asarray(eos.epsilon_rho(rho, theta, rho_x))
     eps_t = np.asarray(eos.epsilon_theta(rho, theta, rho_x))
     m = np.asarray(eos.grad_energy(rho, theta))
-
-    k_x = k_r * rho_x + k_t * theta_x
-    K = k * rho * rho_xx + rho * k_x * rho_x - 0.5 * k_r * rho * rho_x ** 2 \
-        - 0.5 * k * rho_x ** 2
-    w = -k * rho * rho_x * u_x
-
-    flux1 = -rho * u
-    flux2 = -(rho * u ** 2 + p) + mu * u_x + K
-    flux3 = (-(rho * u * (eps + 0.5 * u ** 2) + p * u)
-             + alpha * theta_x + mu * u * u_x + u * K + w)
 
     mask = g.dealias_mask
     f1h = np.fft.rfft(flux1) * mask

@@ -5,7 +5,8 @@ The full system in conservation form reads
     F0(U, U_x)_t + F1(U, U_x)_x = (G(U) U_x)_x + (H(U) U_xx)_x + g(U, U_x)_x,
 
 where the conserved quantities F0 = (rho, rho u, rho(epsilon + u^2/2)) carry
-the density gradient through the non-standard internal energy.  Around a
+the density gradient through the non-standard internal energy; the flux
+-F1 + G U_x + H U_xx + g is written once, in ``total_flux``.  Around a
 constant equilibrium Ubar the perturbation variables
 
     W = (D_U f0(Ubar))^{-1} (F0(U, U_x) - F0(Ubar, 0))
@@ -47,14 +48,11 @@ __all__ = [
     "conserved_quantities",
     "gamma0",
     "gamma1",
+    "total_flux",
     "flux_and_tensors",
-    "korteweg_stress",
-    "d_u_F0",
-    "d_u_F0_inv",
     "d_ux_F0",
     "w_variables",
     "nonlinear_terms",
-    "annihilated_dispersion_term",
     "equilibrium_coefficients",
     "symbol_triplet",
     "evolution_symbol",
@@ -65,9 +63,9 @@ __all__ = [
 class ExtendedState:
     """State plus the spatial gradients entering the conservation form.
 
-    Only the third density gradient is ever needed (the matching bracket in
-    the nonlinear terms is annihilated before u_xxx or theta_xxx could
-    appear).  Fields may be scalars or broadcast-compatible arrays.
+    Nothing reads rho_xxx: the bracket that would carry it is annihilated
+    (see :func:`nonlinear_terms`).  Fields may be scalars or
+    broadcast-compatible arrays.
     """
 
     rho: ArrayLike
@@ -126,87 +124,52 @@ class FluxTensors(NamedTuple):
     gtilde: np.ndarray
 
 
+def _korteweg_entries(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x):
+    """Entries H[1,0] = h = k rho, H[2,0] = h u and g~ = (0, g2, g3).
+
+    The capillary stress is K = h rho_xx + g2 and g3 = u g2 + w carries the
+    interstitial work flux w = -k rho rho_x u_x.
+    """
+    k = eos.k(rho, theta)
+    h = k * rho
+    g2 = (0.5 * rho * rho_x ** 2 * eos.k_rho(rho, theta)
+          + rho * rho_x * theta_x * eos.k_theta(rho, theta) - 0.5 * k * rho_x ** 2)
+    g3 = u * g2 - h * rho_x * u_x
+    return h, g2, g3
+
+
+def total_flux(eos: EquationOfState, rho, u, theta, rho_x, rho_xx, u_x,
+               theta_x) -> tuple:
+    """Components of -F1 + G U_x + H U_xx + g~, whose x-derivative is F0_t.
+
+    Builds no (..., 3, 3) tensor, so it serves the solver's hot path.
+    """
+    h, g2, g3 = _korteweg_entries(eos, rho, u, theta, rho_x, u_x, theta_x)
+    p = eos.p(rho, theta)
+    eps = eos.epsilon(rho, theta, rho_x)
+    stress = eos.mu(rho, theta) * u_x + h * rho_xx        # (G U_x + H U_xx)_2
+    return (-rho * u,
+            -(rho * u ** 2 + p) + stress + g2,
+            (-(rho * u * (eps + 0.5 * u ** 2) + p * u)
+             + eos.alpha(rho, theta) * theta_x + u * stress + g3))
+
+
 def flux_and_tensors(eos: EquationOfState, ext: ExtendedState) -> FluxTensors:
     """Convective flux F1, dissipation tensors G, H, and the quadratic flux g.
 
     H(U) has nonzero entries only at (2,1) = k rho and (3,1) = k rho u; the
-    first component of g is identically zero and g = O(|U_x|^2).
+    first component of g is identically zero and g = O(|U_x|^2).  The H and
+    g entries are those of :func:`total_flux`.
     """
-    rho = np.asarray(ext.rho, dtype=float)
-    u = np.asarray(ext.u, dtype=float)
-    rx = np.asarray(ext.rho_x, dtype=float)
-    tx = np.asarray(ext.theta_x, dtype=float)
-    ux = np.asarray(ext.u_x, dtype=float)
+    h, g2, g3 = _korteweg_entries(eos, ext.rho, ext.u, ext.theta, ext.rho_x,
+                                  ext.u_x, ext.theta_x)
 
     F1c = cx.f1(eos, ext.state) + gamma1(eos, ext)
     G = cx.visc_matrix(eos, ext.state)
-
-    k = eos.k(ext.rho, ext.theta)
-    k_r = eos.k_rho(ext.rho, ext.theta)
-    k_t = eos.k_theta(ext.rho, ext.theta)
-    z = np.zeros_like(rho * 1.0)
-    H = mat3([[z, z, z], [k * rho, z, z], [k * rho * u, z, z]])
-
-    g2 = 0.5 * rho * rx ** 2 * k_r + rho * rx * tx * k_t - 0.5 * k * rx ** 2
-    g3 = u * g2 - rho * rx * ux * k
+    z = np.zeros_like(h * 1.0)
+    H = mat3([[z, z, z], [h, z, z], [h * ext.u, z, z]])
     gt = vec3([np.zeros_like(g2), g2, g3])
     return FluxTensors(F1=F1c, G=G, H=H, gtilde=gt)
-
-
-def korteweg_stress(eos: EquationOfState, ext: ExtendedState) -> tuple:
-    """Capillary stress K and interstitial work flux w.
-
-    K = k rho rho_xx + rho k_x rho_x - (1/2) k_rho rho rho_x^2 - (1/2) k rho_x^2,
-    with k_x = k_rho rho_x + k_theta theta_x, and w = -k rho rho_x u_x.
-    """
-    rho = np.asarray(ext.rho, dtype=float)
-    rx = np.asarray(ext.rho_x, dtype=float)
-    k = eos.k(ext.rho, ext.theta)
-    k_r = eos.k_rho(ext.rho, ext.theta)
-    k_t = eos.k_theta(ext.rho, ext.theta)
-    k_x = k_r * rx + k_t * np.asarray(ext.theta_x, dtype=float)
-    K = (k * rho * np.asarray(ext.rho_xx, dtype=float) + rho * k_x * rx
-         - 0.5 * k_r * rho * rx ** 2 - 0.5 * k * rx ** 2)
-    w = -k * rho * rx * np.asarray(ext.u_x, dtype=float)
-    return K, w
-
-
-def d_u_F0(eos: EquationOfState, ext: ExtendedState) -> np.ndarray:
-    """Jacobian of F0(U, U_x) in the state variables U only.
-
-    Lower triangular with determinant rho^2 epsilon_theta > 0 (the thermal
-    stability hypothesis kappa_thth <= 0 keeps epsilon_theta positive for
-    every density gradient).
-    """
-    rho = np.asarray(ext.rho, dtype=float)
-    u = np.asarray(ext.u, dtype=float)
-    eps = eos.epsilon(ext.rho, ext.theta, ext.rho_x)
-    eps_r = eos.epsilon_rho(ext.rho, ext.theta, ext.rho_x)
-    eps_t = eos.epsilon_theta(ext.rho, ext.theta, ext.rho_x)
-    z = np.zeros_like(rho * 1.0)
-    one = np.ones_like(rho * 1.0)
-    return mat3([
-        [one, z, z],
-        [u, rho, z],
-        [eps + 0.5 * u ** 2 + rho * eps_r, rho * u, rho * eps_t],
-    ])
-
-
-def d_u_F0_inv(eos: EquationOfState, ext: ExtendedState) -> np.ndarray:
-    """Closed-form inverse of d_u_F0 (lower triangular)."""
-    rho = np.asarray(ext.rho, dtype=float)
-    u = np.asarray(ext.u, dtype=float)
-    eps = eos.epsilon(ext.rho, ext.theta, ext.rho_x)
-    eps_r = eos.epsilon_rho(ext.rho, ext.theta, ext.rho_x)
-    eps_t = eos.epsilon_theta(ext.rho, ext.theta, ext.rho_x)
-    z = np.zeros_like(rho * 1.0)
-    one = np.ones_like(rho * 1.0)
-    det3 = rho * eps_t
-    return mat3([
-        [one, z, z],
-        [-u / rho, 1.0 / rho, z],
-        [(0.5 * u ** 2 - eps - rho * eps_r) / det3, -u / det3, 1.0 / det3],
-    ])
 
 
 def d_ux_F0(eos: EquationOfState, ext: ExtendedState) -> np.ndarray:
@@ -216,10 +179,6 @@ def d_ux_F0(eos: EquationOfState, ext: ExtendedState) -> np.ndarray:
     m = eos.grad_energy(ext.rho, ext.theta)
     z = np.zeros_like(rho * rx)
     return mat3([[z, z, z], [z, z, z], [2.0 * rho * m * rx, z, z]])
-
-
-def _ubar_ext(ubar: State) -> ExtendedState:
-    return ExtendedState(rho=ubar.rho, u=ubar.u, theta=ubar.theta)
 
 
 def w_variables(eos: EquationOfState, ubar: State, ext: ExtendedState) -> np.ndarray:
@@ -234,50 +193,30 @@ def w_variables(eos: EquationOfState, ubar: State, ext: ExtendedState) -> np.nda
     return mv(jinv, delta)
 
 
-def annihilated_dispersion_term(eos: EquationOfState, ubar: State,
-                                ext: ExtendedState) -> np.ndarray:
-    """Bracket term -Hbar (D_U f0(Ubar))^{-1} [dx(D_U F0) U_x + D_Ux F0 U_xxx + dx(D_Ux F0) U_xx].
-
-    The prefactor Hbar (D_U f0)^{-1} has its only nonzero column first, so
-    the product depends on the bracket's first component alone.  The first
-    row of D_U F0 is the constant (1, 0, 0) and the first row of D_Ux F0
-    vanishes, hence that component is identically zero and so is the whole
-    term.  It is evaluated from those row formulas (not assumed) so callers
-    can assert the cancellation.
-    """
-    rho = np.asarray(ext.rho, dtype=float)
-    shape = np.broadcast_shapes(rho.shape, np.asarray(ext.rho_x).shape,
-                                np.asarray(ext.rho_xxx).shape)
-    # first row of dx(D_U F0) is d/dx (1, 0, 0) = 0; first rows of D_Ux F0
-    # and dx(D_Ux F0) are zero, so the bracket's first component is exactly
-    bracket1 = np.zeros(shape)
-
-    kbar = float(np.asarray(eos.k(ubar.rho, ubar.theta)))
-    rhob, ub = float(np.asarray(ubar.rho)), float(np.asarray(ubar.u))
-    # Hbar (D_U f0(Ubar))^{-1} = [[0,0,0],[k rho,0,0],[k rho u,0,0]]
-    out = np.zeros(shape + (3,))
-    out[..., 1] = -kbar * rhob * bracket1
-    out[..., 2] = -kbar * rhob * ub * bracket1
-    return out
-
-
 def nonlinear_terms(eos: EquationOfState, ubar: State,
                     ext: ExtendedState) -> np.ndarray:
     """Quadratic right-hand side N of the perturbation system W_t = A W + dx N.
 
     Assembles the flux remainder, the viscosity remainder, the capillarity
-    remainder (including the annihilated third-gradient bracket) and the
-    quadratic flux g, symmetrized by L = (D_U f0)^T D_V^2 E (D_U f0)^{-1} at
-    the equilibrium and premultiplied by A0^{-1}.  The first component
-    vanishes identically (continuity has no nonlinear remainder in these
-    variables) and the whole term is O(|U - Ubar|^2 + |U_x|^2 + ...).
+    remainder and the quadratic flux g, symmetrized by
+    L = (D_U f0)^T D_V^2 E (D_U f0)^{-1} at the equilibrium and premultiplied
+    by A0^{-1}.  The first component vanishes identically (continuity has no
+    nonlinear remainder in these variables) and the whole term is
+    O(|U - Ubar|^2 + |U_x|^2 + ...).
+
+    The capillarity remainder has no third-gradient part: the bracket
+    -Hbar (D_U f0(Ubar))^{-1} [dx(D_U F0) U_x + D_Ux F0 U_xxx + dx(D_Ux F0) U_xx]
+    is annihilated.  The prefactor's only nonzero column is the first, so
+    only the bracket's first component matters; the first row of D_U F0 is
+    the constant (1, 0, 0) and the first row of D_Ux F0 vanishes, hence that
+    component is identically zero.
     """
     ubar0 = State(ubar.rho, ubar.u, ubar.theta)
     jac0_bar = cx.jac_f0(eos, ubar0)
     jac0_bar_inv = cx.jac_f0_inv(eos, ubar0)
     jac1_bar = cx.jac_f1(eos, ubar0)
     g_bar = cx.visc_matrix(eos, ubar0)
-    h_bar = flux_and_tensors(eos, _ubar_ext(ubar0)).H
+    h_bar = flux_and_tensors(eos, ExtendedState(ubar.rho, ubar.u, ubar.theta)).H
     f0_bar = cx.f0(eos, ubar0)
     f1_bar = cx.f1(eos, ubar0)
 
@@ -287,8 +226,8 @@ def nonlinear_terms(eos: EquationOfState, ubar: State,
 
     F0c = conserved_quantities(eos, ext)
     tensors = flux_and_tensors(eos, ext)
-    dF0 = d_u_F0(eos, ext)
-    dF0_inv = d_u_F0_inv(eos, ext)
+    dF0 = cx.jac_f0(eos, ext.state)
+    dF0_inv = cx.jac_f0_inv(eos, ext.state)
 
     # flux remainder r = -(F1 - F1bar) + Jf1bar Jf0bar^{-1} (F0 - F0bar)
     r = -(tensors.F1 - f1_bar) + mv(jac1_bar @ jac0_bar_inv, F0c - f0_bar)
@@ -301,9 +240,8 @@ def nonlinear_terms(eos: EquationOfState, ubar: State,
     dux = mv(d_ux_F0(eos, ext), ext.grad2)
     i1 = -mv(g_bar @ jac0_bar_inv, dux)
     i2 = mv((tensors.H @ dF0_inv - h_bar @ jac0_bar_inv) @ dF0, ext.grad2)
-    i3 = annihilated_dispersion_term(eos, ubar, ext)
 
-    n_tilde = mv(L, r + r_visc + i1 + i2 + i3 + tensors.gtilde)
+    n_tilde = mv(L, r + r_visc + i1 + i2 + tensors.gtilde)
     # A0 is diagonal: divide componentwise
     diag = np.stack([a0_bar[0, 0], a0_bar[1, 1], a0_bar[2, 2]])
     return n_tilde / diag

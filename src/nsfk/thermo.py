@@ -42,10 +42,6 @@ __all__ = [
     "Domain",
     "State",
     "ideal_gas_eos",
-    "nonstandard_energy",
-    "nonstandard_entropy",
-    "nonstandard_free_energy",
-    "modified_capillarity",
     "verify_hypotheses",
 ]
 
@@ -296,26 +292,6 @@ def ideal_gas_eos(R: float, gamma: float, kappa0: float,
         mu=Coefficient.constant(mu0),
         alpha=Coefficient.constant(alpha0),
     )
-
-
-def nonstandard_energy(eos: EquationOfState, state: State) -> ArrayLike:
-    """epsilon = e(rho, theta) + (kappa - theta kappa_theta) rho_x^2."""
-    return eos.epsilon(state.rho, state.theta, state.rho_x)
-
-
-def nonstandard_entropy(eos: EquationOfState, state: State) -> ArrayLike:
-    """s = eta(rho, theta) - kappa_theta rho_x^2."""
-    return eos.s(state.rho, state.theta, state.rho_x)
-
-
-def nonstandard_free_energy(eos: EquationOfState, state: State) -> ArrayLike:
-    """Psi = psi(rho, theta) + kappa rho_x^2."""
-    return eos.free_energy(state.rho, state.theta, state.rho_x)
-
-
-def modified_capillarity(eos: EquationOfState, state: State) -> ArrayLike:
-    """Relabeled capillarity coefficient k = 2 rho kappa(rho, theta)."""
-    return eos.k(state.rho, state.theta)
 
 
 def _worst(values: np.ndarray, rho: np.ndarray, theta: np.ndarray,

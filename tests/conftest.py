@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nsfk.symbols import equilibrium_coefficients
-from nsfk.thermo import Domain, State, ideal_gas_eos
+from nsfk.thermo import Coefficient, Domain, EquationOfState, State, ideal_gas_eos
 
 GAMMA = 5.0 / 3.0
 
@@ -17,6 +17,27 @@ def ref_eos():
 def nsf_eos():
     """Capillarity-free sub-case (kappa0 = 0)."""
     return ideal_gas_eos(1.0, GAMMA, 0.0, 1.0, 1.0)
+
+
+@pytest.fixture(scope="session")
+def sqrt_kappa_eos(ref_eos):
+    """Reference gas with kappa = sqrt(theta): kappa > 0, kappa_thth < 0.
+
+    Unlike a constant kappa it makes k_theta and grad_energy_theta nonzero.
+    """
+    def zero(r, th):
+        return 0.0 * np.asarray(r, dtype=float) * np.asarray(th, dtype=float)
+
+    kappa = Coefficient(
+        f=lambda r, th: np.sqrt(th) + zero(r, th),
+        d_r=zero,
+        d_t=lambda r, th: 0.5 / np.sqrt(th) + zero(r, th),
+        d_rr=zero,
+        d_rt=zero,
+        d_tt=lambda r, th: -0.25 * np.asarray(th, dtype=float) ** -1.5 + zero(r, th),
+    )
+    return EquationOfState(psi=ref_eos.psi, kappa=kappa, mu=ref_eos.mu,
+                           alpha=ref_eos.alpha)
 
 
 @pytest.fixture(scope="session")

@@ -101,6 +101,23 @@ class TestConfigValidation:
             cfg.get_float("closure", "missing_key")
         assert cfg.get_float("closure", "missing_key", 7.0) == 7.0
 
+    @pytest.mark.parametrize("command,old,new", [
+        ("nonlinear-run", "sample_every = 50", "sample_every = 0"),
+        ("verify-thermo", "[thermo]\nn_samples = 20", "[thermo]\nn_samples = 0"),
+        ("verify-thermo", "[entropy_pair]\nn_samples = 25",
+         "[entropy_pair]\nn_samples = 0"),
+    ], ids=["sample_every", "thermo_n_samples", "entropy_pair_n_samples"])
+    def test_bad_sample_counts_rejected(self, config_file, tmp_path, capsys,
+                                        command, old, new):
+        path = config_file()
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--quiet"])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_unknown_command_usage_error(self, config_file):
         assert main(["frobnicate", "--config", str(config_file())]) == 2
 

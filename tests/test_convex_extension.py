@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nsfk import convex_extension as cx
+from nsfk import symbols as sym
 from nsfk.thermo import State
 
 
@@ -50,6 +51,23 @@ class TestMapsAndJacobians:
             expected = rho ** 2 * float(np.asarray(ref_eos.e_theta(rho, theta)))
             assert det == pytest.approx(expected, rel=1e-12)
             assert det > 0
+
+    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
+    def test_gradient_jacobian_matches_finite_differences(self, request, closure,
+                                                          domain, rng):
+        # jac_f0 at rho_x != 0 is D_U F0(U, U_x) of the capillary system
+        eos = request.getfixturevalue(closure)
+        states = domain.sample_states(20, rng)
+        for i in range(20):
+            rho_x = float(np.asarray(states.rho_x)[i])
+            s = State(float(np.asarray(states.rho)[i]),
+                      float(np.asarray(states.u)[i]),
+                      float(np.asarray(states.theta)[i]), rho_x)
+            J = cx.jac_f0(eos, s)
+            J_fd = fd_jacobian(lambda st: sym.conserved_quantities(
+                eos, sym.ExtendedState(st.rho, st.u, st.theta, rho_x=rho_x)), s)
+            assert np.abs(J - J_fd).max() <= 1e-6 * max(1.0, np.abs(J_fd).max())
+            assert np.abs(J @ cx.jac_f0_inv(eos, s) - np.eye(3)).max() <= 1e-12
 
 
 class TestZMap:
@@ -148,26 +166,13 @@ class TestVerifyEntropyPair:
         with pytest.raises(ValueError):
             cx.verify_entropy_pair(ref_eos, domain, fd_step=0.0)
 
+    def test_rejects_bad_sample_count(self, ref_eos, domain):
+        with pytest.raises(ValueError):
+            cx.verify_entropy_pair(ref_eos, domain, n_samples=0)
 
-class TestEntropyPairObject:
+
+class TestEntropyFlux:
     def test_values(self, ref_eos):
-        pair = cx.entropy_pair(ref_eos)
-        s = State(1.0, 2.0, 1.0)
-        # E = -rho eta = -1.5, Theta = u E at (1, 2, 1)
-        assert pair.E(s) == pytest.approx(-1.5, abs=1e-14)
-        assert pair.Theta(s) == pytest.approx(-3.0, abs=1e-14)
-
-
-class TestNsfMapsFacade:
-    def test_matches_module_functions(self, ref_eos):
-        maps = cx.NsfMaps(ref_eos)
-        s = State(1.2, 0.4, 0.9)
-        assert np.allclose(maps.f0(s), cx.f0(ref_eos, s))
-        assert np.allclose(maps.f1(s), cx.f1(ref_eos, s))
-        assert np.allclose(maps.Z(s), cx.z_map(ref_eos, s))
-        assert np.allclose(maps.jac_Z(s), cx.jac_z(ref_eos, s))
-        prod = maps.jac_f0(s) @ maps.jac_f0_inv(s)
-        assert np.abs(prod - np.eye(3)).max() <= 1e-12
-        assert np.linalg.det(maps.jac_f0(s)) > 0
-        assert np.allclose(maps.Gvisc(s), cx.visc_matrix(ref_eos, s))
-        assert np.allclose(maps.jac_f1(s), cx.jac_f1(ref_eos, s))
+        # Theta = -rho u eta = -2 * 1.5 at (1, 2, 1)
+        assert cx.entropy_flux(ref_eos, State(1.0, 2.0, 1.0)) == pytest.approx(
+            -3.0, abs=1e-14)

@@ -60,13 +60,13 @@ class TestProfiles:
 
 class TestPropagation:
     def test_time_zero_identity(self, ref_coeffs):
-        mode = np.array([1.0 + 2.0j, -0.5j, 0.25])
-        out = lin.propagate_mode(ref_coeffs, mode, 3.0, 0.0)
+        mode = np.array([[1.0 + 2.0j, -0.5j, 0.25]])
+        out = lin.ModePropagator(ref_coeffs, np.array([3.0])).propagate(mode, 0.0)
         assert np.all(out == mode)
 
     def test_zero_frequency_frozen(self, ref_coeffs):
-        mode = np.array([0.3, 1.0 - 1.0j, -2.0])
-        out = lin.propagate_mode(ref_coeffs, mode, 0.0, 17.0)
+        mode = np.array([[0.3, 1.0 - 1.0j, -2.0]])
+        out = lin.ModePropagator(ref_coeffs, np.array([0.0])).propagate(mode, 17.0)
         assert np.abs(out - mode).max() <= 1e-14
 
     def test_negative_time_rejected(self, ref_coeffs):
@@ -107,11 +107,22 @@ class TestPropagation:
                 assert np.all(log_ratio <= np.log(10.0))
 
     def test_matrix_exponentials_against_scipy(self, ref_coeffs):
+        # threshold 0 flags every matrix, forcing the scaling-and-squaring path
         from scipy.linalg import expm
         gen = sym.evolution_symbol(ref_coeffs, np.array([0.7, 3.0]))
-        ours = lin.matrix_exponentials(gen, 0.9)
-        for k in range(2):
-            assert np.abs(ours[k] - expm(-0.9 * gen[k])).max() <= 1e-12
+        for cond_threshold in (1e4, 0.0):
+            ours = lin.matrix_exponentials(gen, 0.9, cond_threshold)
+            for k in range(2):
+                assert np.abs(ours[k] - expm(-0.9 * gen[k])).max() <= 1e-12
+
+    def test_expm_fallback_matches_eigen_path(self, ref_coeffs, small_nodes):
+        nodes, weights = small_nodes
+        prof = lin.gaussian_profile(nodes, weights)
+        eig = lin.ModePropagator(ref_coeffs, nodes)
+        fallback = lin.ModePropagator(ref_coeffs, nodes, cond_threshold=0.0)
+        assert np.all(fallback.bad)
+        assert np.abs(eig.propagate(prof.modes, 2.0)
+                      - fallback.propagate(prof.modes, 2.0)).max() <= 1e-10
 
 
 class TestWeightedNorm:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from nsfk import convex_extension as cx
 from nsfk import nonlinear_solver as nls
+from nsfk import symbols as sym
 from nsfk.thermo import State, ideal_gas_eos
 
 
@@ -75,6 +77,42 @@ class TestRhs:
         for got, want in ((rho_t, rho_t_fd), (u_t, u_t_fd), (theta_t, theta_t_fd)):
             scale = max(1.0, np.abs(want).max())
             assert np.abs(got - want).max() <= 1e-6 * scale
+
+    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
+    def test_matches_tensor_form(self, request, closure, small_grid):
+        # jac_f0(U, rho_x) U_t + d_ux_F0 (U_t)_x = dx[-F1 + G U_x + H U_xx + g~]
+        eos = request.getfixturevalue(closure)
+        g = small_grid
+        f = smooth_field(g, amp=0.1)
+        rates = np.stack(nls.rhs(eos, f), axis=-1)
+        rates_x = np.stack([g.deriv(r) for r in rates.T], axis=-1)
+        ext = f.extended()
+        lhs = (cx.mv(cx.jac_f0(eos, ext.state), rates)
+               + cx.mv(sym.d_ux_F0(eos, ext), rates_x))
+        t = sym.flux_and_tensors(eos, ext)
+        flux = -t.F1 + cx.mv(t.G, ext.grad) + cx.mv(t.H, ext.grad2) + t.gtilde
+        div = np.stack([g.deriv(flux[:, i], dealias=True) for i in range(3)], axis=-1)
+        assert np.abs(lhs - div).max() <= 1e-12 * np.abs(div).max()
+
+    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
+    def test_linearisation_is_minus_evolution_symbol(self, request, closure,
+                                                     small_grid):
+        # the identity behind IntegratingFactorRK4's integrating factor:
+        # rhs(Ubar + delta cos(k x) e_j) has Fourier coefficient -M(i k) e_j
+        eos = request.getfixturevalue(closure)
+        g = small_grid
+        ubar = State(1.0, 0.3, 1.2)
+        coeffs = sym.equilibrium_coefficients(eos, ubar)
+        delta = 1e-7
+        for m in (1, 5, 40):
+            M = sym.evolution_symbol(coeffs, g.k[m])
+            for j in range(3):
+                fields = [np.full(g.n, v) for v in (ubar.rho, ubar.u, ubar.theta)]
+                fields[j] = fields[j] + delta * np.cos(g.k[m] * g.x)
+                rates = nls.rhs(eos, nls.StateField(g, *fields))
+                column = np.array([np.fft.rfft(r)[m] for r in rates])
+                column /= delta * g.n / 2
+                assert np.abs(column + M[:, j]).max() <= 1e-6 * np.abs(M).max()
 
 
 class TestSteppers:

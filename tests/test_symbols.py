@@ -78,9 +78,12 @@ class TestFluxAndTensors:
 
 
 class TestKortewegStress:
+    """K and w read off total_flux: flux2 = -(rho u^2 + p) + mu u_x + K and,
+    at rest, flux3 = alpha theta_x + w."""
+
     def test_zero_at_rest(self, ref_eos):
-        K, w = sym.korteweg_stress(ref_eos, sym.ExtendedState(1.0, 0.0, 1.0))
-        assert K == 0.0 and w == 0.0
+        flux = sym.total_flux(ref_eos, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        assert flux[1] + ref_eos.p(1.0, 1.0) == 0.0 and flux[2] == 0.0
 
     def test_constant_k_value(self):
         # kappa = 1/(2 rho) gives k = 1 with k_rho = k_theta = 0; then
@@ -96,16 +99,15 @@ class TestKortewegStress:
         base = ideal_gas_eos(1.0, 5.0 / 3.0, 1.0, 1.0, 1.0)
         eos = EquationOfState(psi=base.psi, kappa=kap, mu=base.mu, alpha=base.alpha)
         assert float(np.asarray(eos.k_rho(1.0, 1.0))) == pytest.approx(0.0, abs=1e-15)
-        ext = sym.ExtendedState(rho=1.0, u=0.0, theta=1.0,
-                                rho_x=1.0, rho_xx=1.0, theta_x=0.0)
-        K, w = sym.korteweg_stress(eos, ext)
-        assert K == pytest.approx(0.5, abs=1e-14)
+        flux = sym.total_flux(eos, 1.0, 0.0, 1.0, rho_x=1.0, rho_xx=1.0,
+                              u_x=0.0, theta_x=0.0)
+        assert flux[1] + eos.p(1.0, 1.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_work_flux_sign(self, ref_eos):
-        plus = sym.korteweg_stress(ref_eos, sym.ExtendedState(
-            1.0, 0.0, 1.0, rho_x=0.4, u_x=0.3))[1]
-        minus = sym.korteweg_stress(ref_eos, sym.ExtendedState(
-            1.0, 0.0, 1.0, rho_x=0.4, u_x=-0.3))[1]
+        plus = sym.total_flux(ref_eos, 1.0, 0.0, 1.0, rho_x=0.4, rho_xx=0.0,
+                              u_x=0.3, theta_x=0.0)[2]
+        minus = sym.total_flux(ref_eos, 1.0, 0.0, 1.0, rho_x=0.4, rho_xx=0.0,
+                               u_x=-0.3, theta_x=0.0)[2]
         assert plus == pytest.approx(-minus, abs=1e-15)
         assert plus < 0
 
@@ -151,10 +153,16 @@ class TestNonlinearTerms:
         assert n.shape == (1000, 3)
         assert np.abs(n[:, 0]).max() <= 1e-13
 
-    def test_annihilated_bracket_is_zero(self, ref_eos, ref_equilibrium, rng):
+    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
+    def test_bracket_first_rows_are_exact(self, request, closure, rng):
+        # the third-gradient bracket is annihilated because these rows are
+        # exactly constant at every density gradient (see nonlinear_terms)
+        eos = request.getfixturevalue(closure)
         ext = random_extended(rng, 200)
-        term = sym.annihilated_dispersion_term(ref_eos, ref_equilibrium, ext)
-        assert np.abs(term).max() == 0.0
+        assert np.all(np.asarray(ext.rho_x) != 0.0)
+        jac = cx.jac_f0(eos, ext.state)
+        assert np.all(jac[:, 0, :] == [1.0, 0.0, 0.0])
+        assert np.all(sym.d_ux_F0(eos, ext)[:, 0, :] == 0.0)
 
     def test_quadratic_amplitude_scaling(self, ref_eos, ref_equilibrium):
         # smooth profile V = (sin x, cos x, sin 2x) with analytic derivatives

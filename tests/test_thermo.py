@@ -7,17 +7,11 @@ from nsfk.thermo import (
     Coefficient,
     Domain,
     EquationOfState,
-    State,
     ideal_gas_eos,
-    modified_capillarity,
-    nonstandard_energy,
-    nonstandard_entropy,
-    nonstandard_free_energy,
     verify_hypotheses,
 )
 
 interior = st.floats(min_value=0.3, max_value=2.5)
-velocity = st.floats(min_value=-2.0, max_value=2.0)
 gradient = st.floats(min_value=-1.5, max_value=1.5)
 
 
@@ -90,33 +84,28 @@ class TestAnalyticDerivatives:
 
 class TestNonstandardPotentials:
     def test_energy_without_gradient_is_standard(self, ref_eos):
-        s = State(1.3, 0.4, 0.9, rho_x=0.0)
-        assert nonstandard_energy(ref_eos, s) == pytest.approx(
+        assert ref_eos.epsilon(1.3, 0.9, 0.0) == pytest.approx(
             float(np.asarray(ref_eos.e(1.3, 0.9))), abs=1e-15)
 
     def test_energy_with_gradient(self, ref_eos):
         # constant kappa: eps = e + kappa0 rho_x^2 = 1.5 + 1 = 2.5 by hand
-        s = State(1.0, 0.0, 1.0, rho_x=1.0)
-        assert nonstandard_energy(ref_eos, s) == pytest.approx(2.5, abs=1e-14)
+        assert ref_eos.epsilon(1.0, 1.0, 1.0) == pytest.approx(2.5, abs=1e-14)
 
     def test_energy_gradient_term_cancels_for_linear_kappa(self, ref_eos):
         # kappa = kappa0 theta: kappa - theta kappa_theta = 0 identically
         eos = EquationOfState(psi=ref_eos.psi, kappa=kappa_linear_in_theta(0.7),
                               mu=ref_eos.mu, alpha=ref_eos.alpha)
         for rho_x in (0.0, 0.5, 2.0):
-            s = State(1.2, 0.1, 0.8, rho_x=rho_x)
-            assert nonstandard_energy(eos, s) == pytest.approx(
+            assert eos.epsilon(1.2, 0.8, rho_x) == pytest.approx(
                 float(np.asarray(eos.e(1.2, 0.8))), abs=1e-14)
 
     def test_entropy_without_gradient(self, ref_eos):
-        s = State(1.1, -0.3, 1.4, rho_x=0.0)
-        assert nonstandard_entropy(ref_eos, s) == pytest.approx(
+        assert ref_eos.s(1.1, 1.4, 0.0) == pytest.approx(
             float(np.asarray(ref_eos.eta(1.1, 1.4))), abs=1e-15)
 
     def test_entropy_constant_kappa(self, ref_eos):
         # kappa_theta = 0: s = eta for any gradient
-        s = State(1.1, 0.0, 1.4, rho_x=3.0)
-        assert nonstandard_entropy(ref_eos, s) == pytest.approx(
+        assert ref_eos.s(1.1, 1.4, 3.0) == pytest.approx(
             float(np.asarray(ref_eos.eta(1.1, 1.4))), abs=1e-15)
 
     def test_entropy_affine_kappa(self, ref_eos):
@@ -136,39 +125,41 @@ class TestNonstandardPotentials:
         )
         eos = EquationOfState(psi=ref_eos.psi, kappa=kap, mu=ref_eos.mu,
                               alpha=ref_eos.alpha)
-        s = State(1.0, 0.0, 1.5, rho_x=0.8)
         expected = float(np.asarray(eos.eta(1.0, 1.5))) + (kappa0 / theta_star) * 0.8 ** 2
-        assert nonstandard_entropy(eos, s) == pytest.approx(expected, abs=1e-14)
+        assert eos.s(1.0, 1.5, 0.8) == pytest.approx(expected, abs=1e-14)
 
-    @given(rho=interior, u=velocity, theta=interior, rho_x=gradient)
+    @given(rho=interior, theta=interior, rho_x=gradient)
     @settings(max_examples=100, deadline=None)
-    def test_legendre_identity(self, ref_eos, rho, u, theta, rho_x):
+    def test_legendre_identity(self, ref_eos, rho, theta, rho_x):
         # eps = Psi + theta s to machine precision
-        s = State(rho, u, theta, rho_x)
-        eps = nonstandard_energy(ref_eos, s)
-        psi = nonstandard_free_energy(ref_eos, s)
-        ent = nonstandard_entropy(ref_eos, s)
+        eps = ref_eos.epsilon(rho, theta, rho_x)
+        psi = ref_eos.free_energy(rho, theta, rho_x)
+        ent = ref_eos.s(rho, theta, rho_x)
         assert abs(eps - (psi + theta * ent)) <= 1e-12 * max(1.0, abs(eps))
 
 
 class TestModifiedCapillarity:
     def test_values(self, ref_eos):
-        assert modified_capillarity(ref_eos, State(1.0, 0.0, 1.0)) == pytest.approx(2.0)
-        assert modified_capillarity(ref_eos, State(2.0, 0.0, 1.0)) == pytest.approx(4.0)
+        assert ref_eos.k(1.0, 1.0) == pytest.approx(2.0)
+        assert ref_eos.k(2.0, 1.0) == pytest.approx(4.0)
         eos_half = ideal_gas_eos(1.0, 5.0 / 3.0, 0.5, 1.0, 1.0)
-        assert modified_capillarity(eos_half, State(3.0, 0.0, 1.0)) == pytest.approx(3.0)
+        assert eos_half.k(3.0, 1.0) == pytest.approx(3.0)
 
     @given(rho=interior, theta=interior)
     @settings(max_examples=30, deadline=None)
     def test_linearity_in_rho(self, ref_eos, rho, theta):
-        s1 = modified_capillarity(ref_eos, State(rho, 0.0, theta))
-        s2 = modified_capillarity(ref_eos, State(2 * rho, 0.0, theta))
+        s1 = ref_eos.k(rho, theta)
+        s2 = ref_eos.k(2 * rho, theta)
         assert s2 == pytest.approx(2 * s1, rel=1e-13)
 
 
 class TestVerifyHypotheses:
     def test_ideal_gas_passes(self, ref_eos, domain):
         report = verify_hypotheses(ref_eos, domain, 50)
+        assert report.passed, report.to_text()
+
+    def test_sqrt_kappa_closure_passes(self, sqrt_kappa_eos, domain):
+        report = verify_hypotheses(sqrt_kappa_eos, domain, 50)
         assert report.passed, report.to_text()
 
     def test_convex_kappa_fails_stability(self, ref_eos, domain):
