@@ -13,6 +13,13 @@ spatial derivatives are spectral; every flux is written in divergence form so
 the discrete mass, momentum and total-energy integrals are conserved up to
 time-integration error.  Products are dealiased with the 2/3 rule.
 
+Both steppers advance the dealiased rfft coefficients of (rho, u, theta):
+``rhs`` maps that (3, K) spectrum to the spectrum of the rates with four
+batched transforms (seven fields and gradients back to the grid, the three
+fluxes forward, the four conservation-law rates back, the two primitive
+rates forward), so an integrating-factor step costs 4.5 transform calls per
+right-hand-side evaluation, packing and unpacking included.
+
 The default time stepper is an integrating-factor RK4 (Lawson scheme; see
 Cox & Matthews, J. Comput. Phys. 176 (2002) and Kassam & Trefethen, SIAM J.
 Sci. Comput. 26 (2005) for the exponential-integrator family): the
@@ -28,11 +35,13 @@ the non-standard internal energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
+from . import convex_extension as cx
 from . import symbols as sym
 from .fitting import PowerLawFit, fit_power_law
 from .linear_evolution import matrix_exponentials
@@ -61,9 +70,23 @@ class StepRejected(RuntimeError):
     """A time step produced a field outside the admissible domain."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _apply(e: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-mode product e(k) v(k) of (3, 3, K) matrices and a (3, K) spectrum."""
+    return (e * v).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Equispaced periodic grid on [0, L) with rfft workspace."""
+    """Equispaced periodic grid on [0, L) with rfft workspace.
+
+    ``k``, ``ik`` and ``dealias_mask`` are computed on first use and cached
+    read-only.
+    """
 
     n: int
     length: float
@@ -82,25 +105,26 @@ class SpectralGrid:
     def x(self) -> np.ndarray:
         return np.arange(self.n) * self.dx
 
-    @property
+    @cached_property
     def k(self) -> np.ndarray:
         """rfft wavenumbers 2 pi m / L, m = 0..n/2."""
-        return 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
+        return _read_only(2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx))
 
-    @property
+    @cached_property
+    def ik(self) -> np.ndarray:
+        """Spectral first derivative i k."""
+        return _read_only(1j * self.k)
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         # 2/3 rule: keep rfft bins m <= n/3
-        m = np.arange(self.n // 2 + 1)
-        return m <= self.n // 3
+        return _read_only(np.arange(self.n // 2 + 1) <= self.n // 3)
 
     def deriv(self, f: np.ndarray, order: int = 1, dealias: bool = False) -> np.ndarray:
         fh = np.fft.rfft(f)
         if dealias:
             fh = fh * self.dealias_mask
-        return np.fft.irfft((1j * self.k) ** order * fh, n=self.n)
-
-    def dealias(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(np.fft.rfft(f) * self.dealias_mask, n=self.n)
+        return np.fft.irfft(self.ik ** order * fh, n=self.n)
 
     def integral(self, f: np.ndarray) -> float:
         """Exact quadrature of a band-limited periodic function."""
@@ -130,55 +154,56 @@ class StateField:
     def extended(self) -> ExtendedState:
         """Spectral gradients bundled for the pointwise symbol machinery."""
         g = self.grid
+        fh = np.fft.rfft(np.stack([self.rho, self.u, self.theta]))
+        rho_x, u_x, theta_x, rho_xx, u_xx, theta_xx = np.fft.irfft(
+            np.concatenate([g.ik * fh, g.ik ** 2 * fh]), n=g.n)
         return ExtendedState(
             rho=self.rho, u=self.u, theta=self.theta,
-            rho_x=g.deriv(self.rho), u_x=g.deriv(self.u), theta_x=g.deriv(self.theta),
-            rho_xx=g.deriv(self.rho, 2), u_xx=g.deriv(self.u, 2),
-            theta_xx=g.deriv(self.theta, 2), rho_xxx=g.deriv(self.rho, 3),
+            rho_x=rho_x, u_x=u_x, theta_x=theta_x,
+            rho_xx=rho_xx, u_xx=u_xx, theta_xx=theta_xx,
         )
+
+    def spectrum(self) -> np.ndarray:
+        """Dealiased (3, K) rfft of (rho, u, theta), the state ``rhs`` acts on."""
+        fh = np.fft.rfft(np.stack([self.rho, self.u, self.theta]))
+        return fh * self.grid.dealias_mask
 
     def copy(self) -> "StateField":
         return StateField(self.grid, self.rho.copy(), self.u.copy(), self.theta.copy())
 
 
-def rhs(eos: EquationOfState, field: StateField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Time derivative (rho_t, u_t, theta_t) of the primitive fields.
+def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
+    """Spectrum of the primitive rates (rho_t, u_t, theta_t).
 
-    The conservation-law right sides are assembled as single divergence terms
-    (one spectral derivative of the dealiased ``symbols.total_flux`` per
-    equation), then
+    ``fh`` is the dealiased (3, K) rfft of (rho, u, theta) (see
+    ``StateField.spectrum``); the result is the (3, K) rfft of the rates,
+    exactly zero above the 2/3 cutoff.  The conservation-law right sides are
+    the spectral derivatives of the dealiased ``symbols.total_flux``; they are
     converted to primitive rates through the conserved-quantity Jacobian.
-    At a constant field the result is identically zero.
+    The closure is evaluated once, and the four ``np.fft`` calls are batched:
+    one irfft of (rho, u, theta, rho_x, rho_xx, u_x, theta_x), one rfft of
+    the three fluxes, one irfft of (rho_t, rho_xt, r2, r3) and one rfft of
+    (u_t, theta_t).  At a constant field the result is identically zero.
     """
-    g = field.grid
-    rho, u, theta = field.rho, field.u, field.theta
+    ik, mask = grid.ik, grid.dealias_mask
+    rho_xh = ik * fh[0]
+    rho, u, theta, rho_x, rho_xx, u_x, theta_x = np.fft.irfft(
+        np.stack([fh[0], fh[1], fh[2], rho_xh, ik * rho_xh, ik * fh[1], ik * fh[2]]),
+        n=grid.n)
 
-    rho_x = g.deriv(rho)
-    rho_xx = g.deriv(rho, 2)
-    u_x = g.deriv(u)
-    theta_x = g.deriv(theta)
+    eps = eos.epsilon(rho, theta, rho_x)
+    flux = sym._total_flux(eos, eps, rho, u, theta, rho_x, rho_xx, u_x, theta_x)
+    # spectra of the conservation-law right sides dx(flux); the first is rho_t
+    rh = np.fft.rfft(np.stack(flux)) * (ik * mask)
+    rho_t, rho_xt, r2, r3 = np.fft.irfft(np.stack([rh[0], ik * rh[0], rh[1], rh[2]]),
+                                         n=grid.n)
 
-    flux1, flux2, flux3 = sym.total_flux(eos, rho, u, theta, rho_x, rho_xx,
-                                         u_x, theta_x)
-    eps = np.asarray(eos.epsilon(rho, theta, rho_x))
-    eps_r = np.asarray(eos.epsilon_rho(rho, theta, rho_x))
-    eps_t = np.asarray(eos.epsilon_theta(rho, theta, rho_x))
-    m = np.asarray(eos.grad_energy(rho, theta))
-
-    mask = g.dealias_mask
-    f1h = np.fft.rfft(flux1) * mask
-    ik = 1j * g.k
-    r1 = np.fft.irfft(ik * f1h, n=g.n)
-    rho_xt = np.fft.irfft(ik ** 2 * f1h, n=g.n)  # d/dx of rho_t, same spectrum
-    r2 = np.fft.irfft(ik * (np.fft.rfft(flux2) * mask), n=g.n)
-    r3 = np.fft.irfft(ik * (np.fft.rfft(flux3) * mask), n=g.n)
-
-    rho_t = r1
     u_t = (r2 - u * rho_t) / rho
-    a31 = eps + 0.5 * u ** 2 + rho * eps_r
-    theta_t = (r3 - 2.0 * rho * m * rho_x * rho_xt
-               - a31 * rho_t - rho * u * u_t) / (rho * eps_t)
-    return rho_t, u_t, theta_t
+    a31 = eps + 0.5 * u ** 2 + rho * eos.epsilon_rho(rho, theta, rho_x)
+    a33 = rho * eos.epsilon_theta(rho, theta, rho_x)
+    theta_t = (r3 - 2.0 * rho * eos.grad_energy(rho, theta) * rho_x * rho_xt
+               - a31 * rho_t - rho * u * u_t) / a33
+    return np.concatenate([rh[:1], np.fft.rfft(np.stack([u_t, theta_t])) * mask])
 
 
 class IntegratingFactorRK4:
@@ -189,7 +214,8 @@ class IntegratingFactorRK4:
     exp(-h M(i k)) are assembled once from the symbol machinery.  The
     nonlinear remainder (full right side minus the linearization) is the
     only term advanced by quadrature, which removes the dispersive dt ~ dx^3
-    restriction of fully explicit stepping.
+    restriction of fully explicit stepping.  The stages are dealiased (3, K)
+    spectra.
     """
 
     def __init__(self, eos: EquationOfState, equilibrium: State,
@@ -207,37 +233,28 @@ class IntegratingFactorRK4:
                               float(np.asarray(equilibrium.theta))])
         coeffs = equilibrium_coefficients(eos, equilibrium)
         gen = evolution_symbol(coeffs, grid.k)       # (K, 3, 3)
-        self.generators = gen
-        self.e_full = matrix_exponentials(gen, self.dt)
-        self.e_half = matrix_exponentials(gen, 0.5 * self.dt)
+        # kept as (3, 3, K), the layout _apply takes
+        self.generators, self.e_full, self.e_half = (
+            np.ascontiguousarray(np.moveaxis(a, 0, -1))
+            for a in (gen, matrix_exponentials(gen, self.dt),
+                      matrix_exponentials(gen, 0.5 * self.dt)))
 
-    # -- packing ------------------------------------------------------------
+    # -- packing: the stages hold the spectrum of U - Ubar, whose roundoff
+    # stays at the scale of the perturbation ------------------------------
 
     def _pack(self, f: StateField) -> np.ndarray:
-        out = np.empty((self.grid.n // 2 + 1, 3), dtype=complex)
-        out[:, 0] = np.fft.rfft(f.rho - self.ubar[0])
-        out[:, 1] = np.fft.rfft(f.u - self.ubar[1])
-        out[:, 2] = np.fft.rfft(f.theta - self.ubar[2])
-        return out
+        du = np.stack([f.rho, f.u, f.theta]) - self.ubar[:, None]
+        return np.fft.rfft(du) * self.grid.dealias_mask
 
     def _unpack(self, uh: np.ndarray) -> StateField:
-        n = self.grid.n
-        mask = self.grid.dealias_mask
-        rho = np.fft.irfft(uh[:, 0] * mask, n=n) + self.ubar[0]
-        u = np.fft.irfft(uh[:, 1] * mask, n=n) + self.ubar[1]
-        theta = np.fft.irfft(uh[:, 2] * mask, n=n) + self.ubar[2]
+        rho, u, theta = np.fft.irfft(uh, n=self.grid.n) + self.ubar[:, None]
         return StateField(self.grid, rho, u, theta)
 
     def _nonlinear(self, uh: np.ndarray) -> np.ndarray:
-        """rfft of the full right side minus the linear part (-M uh)."""
-        f = self._unpack(uh)
-        rho_t, u_t, theta_t = rhs(self.eos, f)
-        nh = np.empty_like(uh)
-        nh[:, 0] = np.fft.rfft(rho_t)
-        nh[:, 1] = np.fft.rfft(u_t)
-        nh[:, 2] = np.fft.rfft(theta_t)
-        nh += np.einsum("kij,kj->ki", self.generators, uh)
-        return nh
+        """Spectrum of the full right side minus the linear part (-M uh)."""
+        fh = uh.copy()
+        fh[:, 0] += self.grid.n * self.ubar          # the mode-0 sum of Ubar
+        return rhs(self.eos, self.grid, fh) + _apply(self.generators, uh)
 
     def step(self, f: StateField) -> StateField:
         if self.dt == 0.0:
@@ -245,14 +262,14 @@ class IntegratingFactorRK4:
         dt = self.dt
         e1, e2 = self.e_full, self.e_half
         u0 = self._pack(f)
-        mv = lambda e, v: np.einsum("kij,kj->ki", e, v)
+        e1u0 = _apply(e1, u0)
+        v = _apply(e2, u0)
 
         n1 = self._nonlinear(u0)
-        v = mv(e2, u0)
-        n2 = self._nonlinear(v + 0.5 * dt * mv(e2, n1))
+        n2 = self._nonlinear(v + 0.5 * dt * _apply(e2, n1))
         n3 = self._nonlinear(v + 0.5 * dt * n2)
-        n4 = self._nonlinear(mv(e1, u0) + dt * mv(e2, n3))
-        u1 = mv(e1, u0) + (dt / 6.0) * (mv(e1, n1) + 2.0 * mv(e2, n2 + n3) + n4)
+        n4 = self._nonlinear(e1u0 + dt * _apply(e2, n3))
+        u1 = e1u0 + (dt / 6.0) * (_apply(e1, n1) + 2.0 * _apply(e2, n2 + n3) + n4)
 
         out = self._unpack(u1)
         out.validate(self.rho_min, self.theta_min)
@@ -289,24 +306,14 @@ class ClassicalRK4:
     def step(self, f: StateField) -> StateField:
         if self.dt == 0.0:
             return f.copy()
-        dt = self.dt
-        g = self.grid
-
-        def add(fld, rates, scale):
-            return StateField(g, fld.rho + scale * rates[0],
-                              fld.u + scale * rates[1],
-                              fld.theta + scale * rates[2])
-
-        k1 = rhs(self.eos, f)
-        k2 = rhs(self.eos, add(f, k1, 0.5 * dt))
-        k3 = rhs(self.eos, add(f, k2, 0.5 * dt))
-        k4 = rhs(self.eos, add(f, k3, dt))
-        out = StateField(
-            g,
-            g.dealias(f.rho + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])),
-            g.dealias(f.u + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])),
-            g.dealias(f.theta + dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])),
-        )
+        dt, eos, g = self.dt, self.eos, self.grid
+        u0 = f.spectrum()
+        k1 = rhs(eos, g, u0)
+        k2 = rhs(eos, g, u0 + 0.5 * dt * k1)
+        k3 = rhs(eos, g, u0 + 0.5 * dt * k2)
+        k4 = rhs(eos, g, u0 + dt * k3)
+        u1 = u0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out = StateField(g, *np.fft.irfft(u1, n=g.n))
         out.validate(self.rho_min, self.theta_min)
         return out
 
@@ -376,11 +383,18 @@ class WDiagnostics:
     max_n1: float            # first component of the quadratic terms
     max_n: float             # largest component magnitude of the quadratic terms
     nonlinear_scale: float   # flux magnitude used to normalize max_n1
+    ext: ExtendedState       # the field and the spectral gradients used
 
 
 def w_diagnostics(eos: EquationOfState, equilibrium: State,
                   f: StateField) -> WDiagnostics:
-    """Perturbation variables, norm equivalence ratio, and quadratic-term residuals."""
+    """Perturbation variables, norm equivalence ratio, and quadratic-term residuals.
+
+    The gradients come from one batched transform.  The flux tensors of the
+    field are evaluated once, inside ``nonlinear_terms``; the normalizing
+    scale takes the convective flux F1 = f1 + Gamma1 from its two closed-form
+    parts.
+    """
     ext = f.extended()
     w = sym.w_variables(eos, equilibrium, ext)        # (n, 3)
     n_terms = sym.nonlinear_terms(eos, equilibrium, ext)
@@ -390,12 +404,12 @@ def w_diagnostics(eos: EquationOfState, equilibrium: State,
                          f.u - float(np.asarray(equilibrium.u)),
                          f.theta - float(np.asarray(equilibrium.theta)))
     ratio = norm_w / norm_u if norm_u > 0 else None
-    tensors = sym.flux_and_tensors(eos, ext)
-    scale = max(float(np.abs(tensors.F1).max()), 1.0)
+    F1 = cx.f1(eos, ext.state) + sym.gamma1(eos, ext)
+    scale = max(float(np.abs(F1).max()), 1.0)
     return WDiagnostics(w=w.T, norm_w=norm_w, norm_u=norm_u, ratio=ratio,
                         max_n1=float(np.abs(n_terms[:, 0]).max()),
                         max_n=float(np.abs(n_terms).max()),
-                        nonlinear_scale=scale)
+                        nonlinear_scale=scale, ext=ext)
 
 
 @dataclass
@@ -452,17 +466,17 @@ class DiagnosticsLedger:
 
 
 def _sample(eos, equilibrium, f: StateField):
+    """Ledger values of one field: the conserved integrals read off F0, the
+    entropy integral and the ``w_diagnostics`` of the same gradients."""
     g = f.grid
-    rho, u, theta = f.rho, f.u, f.theta
-    rho_x = g.deriv(rho)
-    eps = np.asarray(eos.epsilon(rho, theta, rho_x))
-    s = np.asarray(eos.s(rho, theta, rho_x))
     diag = w_diagnostics(eos, equilibrium, f)
+    ext = diag.ext
+    mass, momentum, energy = sym.conserved_quantities(eos, ext).T
     return (
-        g.integral(rho),
-        g.integral(rho * u),
-        g.integral(rho * (eps + 0.5 * u ** 2)),
-        g.integral(rho * s),
+        g.integral(mass),
+        g.integral(momentum),
+        g.integral(energy),
+        g.integral(f.rho * eos.s(f.rho, f.theta, ext.rho_x)),
         diag.norm_u,
         diag.norm_w,
         diag.ratio if diag.ratio is not None else np.nan,
@@ -485,6 +499,8 @@ def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec
     """
     if dt <= 0:
         raise ValueError("run requires dt > 0")
+    if sample_every < 1:
+        raise ValueError("sample_every must be >= 1")
     grid = SpectralGrid(n=n, length=length)
     f = initial_field(grid, equilibrium, perturbation)
     f.validate(rho_min, theta_min)

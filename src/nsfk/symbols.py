@@ -29,6 +29,7 @@ All operations broadcast over array-valued extended states.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -63,9 +64,7 @@ __all__ = [
 class ExtendedState:
     """State plus the spatial gradients entering the conservation form.
 
-    Nothing reads rho_xxx: the bracket that would carry it is annihilated
-    (see :func:`nonlinear_terms`).  Fields may be scalars or
-    broadcast-compatible arrays.
+    Fields may be scalars or broadcast-compatible arrays.
     """
 
     rho: ArrayLike
@@ -77,7 +76,6 @@ class ExtendedState:
     rho_xx: ArrayLike = 0.0
     u_xx: ArrayLike = 0.0
     theta_xx: ArrayLike = 0.0
-    rho_xxx: ArrayLike = 0.0
 
     @property
     def state(self) -> State:
@@ -144,9 +142,15 @@ def total_flux(eos: EquationOfState, rho, u, theta, rho_x, rho_xx, u_x,
 
     Builds no (..., 3, 3) tensor, so it serves the solver's hot path.
     """
+    return _total_flux(eos, eos.epsilon(rho, theta, rho_x), rho, u, theta,
+                       rho_x, rho_xx, u_x, theta_x)
+
+
+def _total_flux(eos: EquationOfState, eps, rho, u, theta, rho_x, rho_xx, u_x,
+                theta_x) -> tuple:
+    """:func:`total_flux` at a given internal energy eps = epsilon(rho, theta, rho_x)."""
     h, g2, g3 = _korteweg_entries(eos, rho, u, theta, rho_x, u_x, theta_x)
     p = eos.p(rho, theta)
-    eps = eos.epsilon(rho, theta, rho_x)
     stress = eos.mu(rho, theta) * u_x + h * rho_xx        # (G U_x + H U_xx)_2
     return (-rho * u,
             -(rho * u ** 2 + p) + stress + g2,
@@ -181,16 +185,57 @@ def d_ux_F0(eos: EquationOfState, ext: ExtendedState) -> np.ndarray:
     return mat3([[z, z, z], [z, z, z], [2.0 * rho * m * rx, z, z]])
 
 
+@dataclass(frozen=True)
+class _EquilibriumTerms:
+    """Constant matrices of :func:`w_variables` and :func:`nonlinear_terms`.
+
+    jac0_inv = (D_U f0(Ubar))^{-1}; the three maps are Jf1bar, Gbar and Hbar
+    each times jac0_inv; L is the symmetrizer and a0_diag the diagonal of A0.
+    """
+
+    jac0_inv: np.ndarray
+    f0: np.ndarray
+    f1: np.ndarray
+    flux_map: np.ndarray
+    visc_map: np.ndarray
+    cap_map: np.ndarray
+    L: np.ndarray
+    a0_diag: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _equilibrium_terms_at(eos: EquationOfState, rho: float, u: float,
+                          theta: float) -> _EquilibriumTerms:
+    ubar = State(rho, u, theta)
+    jac0 = cx.jac_f0(eos, ubar)
+    jac0_inv = cx.jac_f0_inv(eos, ubar)
+    h_bar = flux_and_tensors(eos, ExtendedState(rho, u, theta)).H
+    a0_bar, _, _ = cx.coefficient_matrices(eos, ubar)
+    return _EquilibriumTerms(
+        jac0_inv=jac0_inv, f0=cx.f0(eos, ubar), f1=cx.f1(eos, ubar),
+        flux_map=cx.jac_f1(eos, ubar) @ jac0_inv,
+        visc_map=cx.visc_matrix(eos, ubar) @ jac0_inv,
+        cap_map=h_bar @ jac0_inv,
+        # symmetrizing factor L = (D_U f0)^T (D_U Z) (D_U f0)^{-1}
+        L=jac0.T @ cx.jac_z(eos, ubar) @ jac0_inv,
+        a0_diag=np.stack([a0_bar[0, 0], a0_bar[1, 1], a0_bar[2, 2]]))
+
+
+def _equilibrium_terms(eos: EquationOfState, ubar: State) -> _EquilibriumTerms:
+    """Built once per (closure, equilibrium) pair and reused across calls."""
+    return _equilibrium_terms_at(eos, float(np.asarray(ubar.rho)),
+                                 float(np.asarray(ubar.u)),
+                                 float(np.asarray(ubar.theta)))
+
+
 def w_variables(eos: EquationOfState, ubar: State, ext: ExtendedState) -> np.ndarray:
     """Perturbation variables W = (D_U f0(Ubar))^{-1} (F0(U,U_x) - F0(Ubar,0)).
 
     The first component is exactly rho - rhobar and the second is
     rho (u - ubar) / rhobar; all higher corrections sit in the third slot.
     """
-    ubar0 = State(ubar.rho, ubar.u, ubar.theta)
-    jinv = cx.jac_f0_inv(eos, ubar0)
-    delta = conserved_quantities(eos, ext) - cx.f0(eos, ubar0)
-    return mv(jinv, delta)
+    c = _equilibrium_terms(eos, ubar)
+    return mv(c.jac0_inv, conserved_quantities(eos, ext) - c.f0)
 
 
 def nonlinear_terms(eos: EquationOfState, ubar: State,
@@ -202,7 +247,8 @@ def nonlinear_terms(eos: EquationOfState, ubar: State,
     L = (D_U f0)^T D_V^2 E (D_U f0)^{-1} at the equilibrium and premultiplied
     by A0^{-1}.  The first component vanishes identically (continuity has no
     nonlinear remainder in these variables) and the whole term is
-    O(|U - Ubar|^2 + |U_x|^2 + ...).
+    O(|U - Ubar|^2 + |U_x|^2 + ...).  The equilibrium matrices are built once
+    per (closure, equilibrium) pair.
 
     The capillarity remainder has no third-gradient part: the bracket
     -Hbar (D_U f0(Ubar))^{-1} [dx(D_U F0) U_x + D_Ux F0 U_xxx + dx(D_Ux F0) U_xx]
@@ -211,40 +257,26 @@ def nonlinear_terms(eos: EquationOfState, ubar: State,
     the constant (1, 0, 0) and the first row of D_Ux F0 vanishes, hence that
     component is identically zero.
     """
-    ubar0 = State(ubar.rho, ubar.u, ubar.theta)
-    jac0_bar = cx.jac_f0(eos, ubar0)
-    jac0_bar_inv = cx.jac_f0_inv(eos, ubar0)
-    jac1_bar = cx.jac_f1(eos, ubar0)
-    g_bar = cx.visc_matrix(eos, ubar0)
-    h_bar = flux_and_tensors(eos, ExtendedState(ubar.rho, ubar.u, ubar.theta)).H
-    f0_bar = cx.f0(eos, ubar0)
-    f1_bar = cx.f1(eos, ubar0)
-
-    # symmetrizing factor L = (D_U f0)^T (D_U Z) (D_U f0)^{-1}, a constant matrix
-    L = jac0_bar.T @ cx.jac_z(eos, ubar0) @ jac0_bar_inv
-    a0_bar, _, _ = cx.coefficient_matrices(eos, ubar0)
-
+    c = _equilibrium_terms(eos, ubar)
     F0c = conserved_quantities(eos, ext)
     tensors = flux_and_tensors(eos, ext)
     dF0 = cx.jac_f0(eos, ext.state)
-    dF0_inv = cx.jac_f0_inv(eos, ext.state)
 
     # flux remainder r = -(F1 - F1bar) + Jf1bar Jf0bar^{-1} (F0 - F0bar)
-    r = -(tensors.F1 - f1_bar) + mv(jac1_bar @ jac0_bar_inv, F0c - f0_bar)
+    r = -(tensors.F1 - c.f1) + mv(c.flux_map, F0c - c.f0)
 
-    # viscosity remainder R U_x = [G(U) DF0^{-1} - Gbar Jf0bar^{-1}] DF0 U_x
-    Rmat = (tensors.G @ dF0_inv - g_bar @ jac0_bar_inv) @ dF0
-    r_visc = mv(Rmat, ext.grad)
+    # viscosity remainder [G(U) DF0^{-1} - Gbar Jf0bar^{-1}] DF0 U_x, with
+    # DF0^{-1} DF0 = I multiplied out
+    r_visc = mv(tensors.G, ext.grad) - mv(c.visc_map, mv(dF0, ext.grad))
 
-    # capillarity remainder
+    # capillarity remainder, multiplied out the same way
     dux = mv(d_ux_F0(eos, ext), ext.grad2)
-    i1 = -mv(g_bar @ jac0_bar_inv, dux)
-    i2 = mv((tensors.H @ dF0_inv - h_bar @ jac0_bar_inv) @ dF0, ext.grad2)
+    i1 = -mv(c.visc_map, dux)
+    i2 = mv(tensors.H, ext.grad2) - mv(c.cap_map, mv(dF0, ext.grad2))
 
-    n_tilde = mv(L, r + r_visc + i1 + i2 + tensors.gtilde)
+    n_tilde = mv(c.L, r + r_visc + i1 + i2 + tensors.gtilde)
     # A0 is diagonal: divide componentwise
-    diag = np.stack([a0_bar[0, 0], a0_bar[1, 1], a0_bar[2, 2]])
-    return n_tilde / diag
+    return n_tilde / c.a0_diag
 
 
 @dataclass(frozen=True)

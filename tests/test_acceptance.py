@@ -208,7 +208,6 @@ def test_criterion_11_nonlinearity_order(ref_eos, ref_equilibrium):
             theta_x=2 * d * np.cos(2 * x),
             rho_xx=-d * np.sin(x), u_xx=-d * np.cos(x),
             theta_xx=-4 * d * np.sin(2 * x),
-            rho_xxx=-d * np.cos(x),
         )
         norms.append(np.abs(sym.nonlinear_terms(ref_eos, ref_equilibrium, ext)).max())
     fit = fit_power_law(deltas, np.array(norms))

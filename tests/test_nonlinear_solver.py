@@ -21,6 +21,11 @@ def smooth_field(grid, amp=0.05):
     return nls.StateField(grid, rho, u, theta)
 
 
+def physical_rates(eos, f):
+    """(rho_t, u_t, theta_t) on the grid from the spectral right side."""
+    return np.fft.irfft(nls.rhs(eos, f.grid, f.spectrum()), n=f.grid.n)
+
+
 class TestGrid:
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):
@@ -37,17 +42,34 @@ class TestGrid:
         f = np.exp(np.sin(2 * np.pi * small_grid.x / small_grid.length))
         assert abs(small_grid.integral(small_grid.deriv(f))) <= 1e-13
 
+    @pytest.mark.parametrize("name", ["k", "ik", "dealias_mask"])
+    def test_spectral_arrays_cached_read_only(self, name):
+        grid = nls.SpectralGrid(n=64, length=10.0)
+        arr = getattr(grid, name)
+        assert getattr(grid, name) is arr
+        with pytest.raises(ValueError):
+            arr[1] = arr[0]
+
 
 class TestRhs:
     def test_equilibrium_is_stationary(self, ref_eos, small_grid):
         f = nls.initial_field(small_grid, State(1.0, 0.0, 1.0),
                               nls.PerturbationSpec(amplitude=0.0))
-        rates = nls.rhs(ref_eos, f)
+        rates = physical_rates(ref_eos, f)
         assert max(np.abs(r).max() for r in rates) == 0.0
+
+    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
+    def test_rates_vanish_above_the_cutoff(self, request, closure, small_grid):
+        eos = request.getfixturevalue(closure)
+        f = smooth_field(small_grid, amp=0.1)
+        rates = nls.rhs(eos, small_grid, f.spectrum())
+        assert rates.shape == (3, small_grid.n // 2 + 1)
+        assert np.any(rates[:, small_grid.dealias_mask] != 0.0)
+        assert np.all(rates[:, ~small_grid.dealias_mask] == 0.0)
 
     def test_mass_rate_integrates_to_zero(self, ref_eos, small_grid):
         f = smooth_field(small_grid)
-        rho_t, _, _ = nls.rhs(ref_eos, f)
+        rho_t, _, _ = physical_rates(ref_eos, f)
         assert abs(small_grid.integral(rho_t)) <= 1e-13
 
     def test_euler_limit_against_finite_differences(self, small_grid):
@@ -73,7 +95,7 @@ class TestRhs:
         u_t_fd = -u * fd(u) - fd(p) / rho
         theta_t_fd = -u * fd(theta) - theta * p_t / (rho * e_t) * fd(u)
 
-        rho_t, u_t, theta_t = nls.rhs(eos, f)
+        rho_t, u_t, theta_t = physical_rates(eos, f)
         for got, want in ((rho_t, rho_t_fd), (u_t, u_t_fd), (theta_t, theta_t_fd)):
             scale = max(1.0, np.abs(want).max())
             assert np.abs(got - want).max() <= 1e-6 * scale
@@ -84,7 +106,7 @@ class TestRhs:
         eos = request.getfixturevalue(closure)
         g = small_grid
         f = smooth_field(g, amp=0.1)
-        rates = np.stack(nls.rhs(eos, f), axis=-1)
+        rates = np.stack(physical_rates(eos, f), axis=-1)
         rates_x = np.stack([g.deriv(r) for r in rates.T], axis=-1)
         ext = f.extended()
         lhs = (cx.mv(cx.jac_f0(eos, ext.state), rates)
@@ -109,9 +131,8 @@ class TestRhs:
             for j in range(3):
                 fields = [np.full(g.n, v) for v in (ubar.rho, ubar.u, ubar.theta)]
                 fields[j] = fields[j] + delta * np.cos(g.k[m] * g.x)
-                rates = nls.rhs(eos, nls.StateField(g, *fields))
-                column = np.array([np.fft.rfft(r)[m] for r in rates])
-                column /= delta * g.n / 2
+                rates = nls.rhs(eos, g, nls.StateField(g, *fields).spectrum())
+                column = rates[:, m] / (delta * g.n / 2)
                 assert np.abs(column + M[:, j]).max() <= 1e-6 * np.abs(M).max()
 
 
@@ -136,6 +157,9 @@ class TestSteppers:
         with pytest.raises(ValueError):
             nls.run(ref_eos, State(1.0, 0.0, 1.0), nls.PerturbationSpec(),
                     t_final=1.0, dt=0.0, length=50.0, n=128)
+        with pytest.raises(ValueError, match="sample_every must be >= 1"):
+            nls.run(ref_eos, State(1.0, 0.0, 1.0), nls.PerturbationSpec(),
+                    t_final=1.0, dt=0.05, length=50.0, n=64, sample_every=0)
 
     @pytest.mark.parametrize("scheme", ["if-rk4", "rk4"])
     def test_zero_dt_is_identity(self, ref_eos, small_grid, scheme):
@@ -253,6 +277,41 @@ class TestWDiagnostics:
         diag = nls.w_diagnostics(ref_eos, State(1.0, 0.0, 1.0), f)
         assert diag.ratio is None
         assert diag.norm_w == 0.0
+
+
+class TestSample:
+    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
+    def test_matches_definitional_path(self, request, closure, small_grid):
+        # the ten ledger values of one sample, rebuilt term by term from the
+        # public symbol functions
+        eos = request.getfixturevalue(closure)
+        g = small_grid
+        ubar = State(1.1, 0.2, 0.9)
+        rng = np.random.default_rng(7)
+        x = 2 * np.pi * g.x / g.length
+        fields = [c + sum(0.03 * rng.standard_normal() * np.cos(m * x + rng.uniform(0, 6))
+                          for m in range(1, 6))
+                  for c in (ubar.rho, ubar.u, ubar.theta)]
+        f = nls.StateField(g, *fields)
+        got = nls._sample(eos, ubar, f)
+
+        ext = f.extended()
+        rho, u, theta = f.rho, f.u, f.theta
+        eps = eos.epsilon(rho, theta, ext.rho_x)
+        w = sym.w_variables(eos, ubar, ext)
+        n_terms = sym.nonlinear_terms(eos, ubar, ext)
+        norm_w = nls.triple_norm(g, w[:, 0], w[:, 1], w[:, 2])
+        norm_u = nls.triple_norm(g, rho - ubar.rho, u - ubar.u, theta - ubar.theta)
+        f1 = sym.flux_and_tensors(eos, ext).F1
+        want = (g.integral(rho), g.integral(rho * u),
+                g.integral(rho * (eps + 0.5 * u ** 2)),
+                g.integral(rho * eos.s(rho, theta, ext.rho_x)),
+                norm_u, norm_w, norm_w / norm_u,
+                np.abs(n_terms[:, 0]).max(), np.abs(n_terms).max(),
+                max(np.abs(f1).max(), 1.0))
+        assert len(got) == len(want) == 10
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-13 * abs(b)
 
 
 class TestPerturbations:

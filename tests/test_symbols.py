@@ -20,7 +20,7 @@ def random_extended(rng, n):
         rho_x=rng.uniform(-1, 1, n), u_x=rng.uniform(-1, 1, n),
         theta_x=rng.uniform(-1, 1, n),
         rho_xx=rng.uniform(-1, 1, n), u_xx=rng.uniform(-1, 1, n),
-        theta_xx=rng.uniform(-1, 1, n), rho_xxx=rng.uniform(-1, 1, n),
+        theta_xx=rng.uniform(-1, 1, n),
     )
 
 
@@ -177,12 +177,46 @@ class TestNonlinearTerms:
                 theta_x=2 * d * np.cos(2 * x),
                 rho_xx=-d * np.sin(x), u_xx=-d * np.cos(x),
                 theta_xx=-4 * d * np.sin(2 * x),
-                rho_xxx=-d * np.cos(x),
             )
             n = sym.nonlinear_terms(ref_eos, ref_equilibrium, ext)
             norms.append(np.abs(n).max())
         fit = fit_power_law(deltas, np.array(norms))
         assert 1.9 <= fit.exponent <= 2.1
+
+
+    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
+    def test_equilibrium_cache_follows_the_equilibrium(self, request, closure, rng):
+        # alternating equilibria against the matrix form evaluated from
+        # scratch: a cache that ignored the equilibrium would hand the
+        # second one the first one's matrices
+        eos = request.getfixturevalue(closure)
+        ext = random_extended(rng, 50)
+        for ubar in (State(1.0, 0.0, 1.0), State(1.3, 0.2, 0.8)) * 2:
+            n_terms = sym.nonlinear_terms(eos, ubar, ext)
+            fresh = definitional_nonlinear_terms(eos, ubar, ext)
+            assert np.abs(n_terms - fresh).max() <= 1e-13 * np.abs(fresh).max()
+            w = sym.w_variables(eos, ubar, ext)
+            fresh = cx.mv(cx.jac_f0_inv(eos, ubar),
+                          sym.conserved_quantities(eos, ext) - cx.f0(eos, ubar))
+            assert np.abs(w - fresh).max() <= 1e-13 * np.abs(fresh).max()
+
+
+def definitional_nonlinear_terms(eos, ubar, ext):
+    """nonlinear_terms in its matrix form, every equilibrium matrix rebuilt."""
+    jac0, jac0_inv = cx.jac_f0(eos, ubar), cx.jac_f0_inv(eos, ubar)
+    g_bar = cx.visc_matrix(eos, ubar)
+    h_bar = sym.flux_and_tensors(eos, sym.ExtendedState(ubar.rho, ubar.u, ubar.theta)).H
+    L = jac0.T @ cx.jac_z(eos, ubar) @ jac0_inv
+    t = sym.flux_and_tensors(eos, ext)
+    dF0, dF0_inv = cx.jac_f0(eos, ext.state), cx.jac_f0_inv(eos, ext.state)
+    r = -(t.F1 - cx.f1(eos, ubar)) + cx.mv(cx.jac_f1(eos, ubar) @ jac0_inv,
+                                           sym.conserved_quantities(eos, ext)
+                                           - cx.f0(eos, ubar))
+    r_visc = cx.mv((t.G @ dF0_inv - g_bar @ jac0_inv) @ dF0, ext.grad)
+    i1 = -cx.mv(g_bar @ jac0_inv, cx.mv(sym.d_ux_F0(eos, ext), ext.grad2))
+    i2 = cx.mv((t.H @ dF0_inv - h_bar @ jac0_inv) @ dF0, ext.grad2)
+    a0 = cx.coefficient_matrices(eos, ubar)[0]
+    return cx.mv(L, r + r_visc + i1 + i2 + t.gtilde) / np.diag(a0)
 
 
 class TestEquilibriumCoefficients:
