@@ -163,15 +163,6 @@ class GenuineCouplingReport:
     failures: list = field(default_factory=list)  # (xi, kernel vector) pairs
     n_xi: int = 0
 
-    def to_text(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        txt = (f"== genuine coupling ==\n  [{status}] min margin "
-               f"{self.min_margin:.6e} at xi = {self.worst_xi:.6g} "
-               f"({self.n_xi} grid points)")
-        for xi, vec in self.failures[:5]:
-            txt += f"\n  offending xi = {xi:.6g}, kernel vector {np.array2string(vec, precision=4)}"
-        return txt
-
 
 def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callable,
                           xi_grid: Sequence[float],
@@ -271,15 +262,6 @@ class FriedrichsReport:
     symmetrizer: Optional[np.ndarray]
     min_eig: float
     certificate: str
-
-    def to_text(self) -> str:
-        head = "feasible" if self.feasible else "infeasible"
-        txt = (f"== Friedrichs symmetrizer search ==\n  result: {head} "
-               f"(constraint nullspace dimension {self.nullspace_dim})\n"
-               f"  {self.certificate}")
-        if self.symmetrizer is not None:
-            txt += f"\n  S = {np.array2string(self.symmetrizer, precision=6)}"
-        return txt
 
 
 def friedrichs_search(a0: np.ndarray, d_matrices: Sequence[np.ndarray],
@@ -438,14 +420,6 @@ class CompensatingCertificate:
     passed: bool
     n_xi: int
 
-    def to_text(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return ("== compensating certificate ==\n"
-                f"  [{status}] eps = {self.eps:.12g}, gamma_bar = {self.gamma_bar:.12g}\n"
-                f"  min lambda_min([K A]^s + B) = {self.min_eig:.12g} over {self.n_xi} xi\n"
-                f"  sup|K| = {self.sup_K:.12g}, sup|xi K| = {self.sup_xiK:.12g}\n"
-                f"  [K A]^s off-diagonal residual = {self.off_diagonal_residual:.3e}")
-
 
 def verify_certificate(coeffs: EquilibriumCoefficients,
                        eps: Optional[float] = None,
@@ -506,15 +480,6 @@ class DissipativityType:
     sigma: np.ndarray = field(repr=False, default=None)
     violations: list = field(default_factory=list)
 
-    def to_text(self) -> str:
-        status = "PASS" if self.strictly_dissipative else "FAIL"
-        return ("== spectral bound ==\n"
-                f"  [{status}] strict dissipativity on {self.xi.size} modes\n"
-                f"  type fit (p, q) = ({self.p:.4f}, {self.q:.4f}), c0 = {self.c0:.6g}, "
-                f"log-residual {self.residual:.3e}\n"
-                f"  classification: {self.classification}\n"
-                f"  uniform modal bound: Re lambda <= -{self.c0_uniform:.6g} xi^2")
-
 
 def _classify(p: float, q: float, tol: float = 0.05) -> str:
     if abs(p - q) <= tol:
@@ -522,10 +487,14 @@ def _classify(p: float, q: float, tol: float = 0.05) -> str:
     return "regularity-gain" if p > q else "regularity-loss"
 
 
+SMALL_XI_WINDOW = (1e-3, 1e-1)
+LARGE_XI_WINDOW = (1e1, 1e3)
+
+
 def spectral_bound(coeffs: EquilibriumCoefficients,
                    xi_grid: Optional[np.ndarray] = None,
-                   small_window: tuple[float, float] = (1e-3, 1e-1),
-                   large_window: tuple[float, float] = (1e1, 1e3)) -> DissipativityType:
+                   small_window: tuple[float, float] = SMALL_XI_WINDOW,
+                   large_window: tuple[float, float] = LARGE_XI_WINDOW) -> DissipativityType:
     """Max real part of the eigenvalues of -M(i xi) and the (p, q) type fit.
 
     sigma(xi) < 0 for xi != 0 is strict dissipativity.  The exponents are
@@ -586,15 +555,6 @@ class LyapunovReport:
     inconclusive: bool = False
     reason: str = ""
     violations: list = field(default_factory=list)
-
-    def to_text(self) -> str:
-        if self.inconclusive:
-            return f"== Lyapunov functional ==\n  [INCONCLUSIVE] {self.reason}"
-        status = "PASS" if self.passed else "FAIL"
-        return ("== Lyapunov functional ==\n"
-                f"  [{status}] dY/dt + c0 xi^2 Y <= 0 with c0 = {self.c0:.6g}, "
-                f"delta = {self.delta}\n"
-                f"  worst slack = {self.worst_slack:.3e}, max |Im Y| = {self.max_imag:.3e}")
 
 
 def lyapunov_check(coeffs: EquilibriumCoefficients,

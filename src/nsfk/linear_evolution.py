@@ -57,8 +57,9 @@ def geometric_nodes(n_nodes: int = 4096, xi_max: float = 200.0,
     n_half = n_nodes // 2
     if n_half < 2:
         raise ValueError("need at least 4 nodes")
-    if h0 * n_half >= xi_max:
-        raise ValueError("h0 too large for the requested range")
+    if not 0 < h0 < xi_max / n_half:
+        raise ValueError(f"need 0 < h0 < xi_max / {n_half}; got h0 = {h0:g}, "
+                         f"xi_max = {xi_max:g}")
 
     def reach(log_r):
         # solved in log space; clip to dodge overflow far from the root
@@ -67,6 +68,9 @@ def geometric_nodes(n_nodes: int = 4096, xi_max: float = 200.0,
         r = np.exp(log_r)
         return h0 * np.expm1(n_half * log_r) / (r - 1.0) - xi_max
 
+    if reach(0.7) < 0:
+        raise ValueError(f"{2 * n_half} nodes cannot grade from h0 = {h0:g} "
+                         f"out to xi_max = {xi_max:g}")
     ratio = float(np.exp(brentq(reach, 1e-15, 0.7, xtol=1e-16, rtol=8.9e-16)))
 
     j = np.arange(0, n_half + 1, dtype=float)
@@ -259,7 +263,7 @@ def evolve_and_fit(coeffs: EquilibriumCoefficients, initial: SpectralProfile,
                         (1.0 + fit_window[0], 1.0 + fit_window[1]))
     return DecayFit(exponent=fit.exponent, amplitude=fit.amplitude,
                     residual=fit.residual, t_window=fit_window,
-                    flagged=fit.residual > residual_tol,
+                    flagged=not fit.residual <= residual_tol,  # nan flags too
                     times=times, norms=norms)
 
 
@@ -273,14 +277,6 @@ class PointwiseReport:
     worst_t: float
     passed: bool
     n_samples: int
-
-    def to_text(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return ("== pointwise modal decay ==\n"
-                f"  [{status}] E(t) <= C exp(-2 c0 xi^2 t) E(0) with c0 = {self.c0:.6g}\n"
-                f"  observed C = {self.observed_constant:.6g} "
-                f"(worst at xi = {self.worst_xi:.4g}, t = {self.worst_t:.4g}; "
-                f"{self.n_samples} samples)")
 
 
 def verify_pointwise(coeffs: EquilibriumCoefficients, xi_grid, t_grid,

@@ -61,6 +61,8 @@ __all__ = [
     "make_stepper",
     "initial_field",
     "run",
+    "sample_times",
+    "wrap_time",
     "w_diagnostics",
     "triple_norm",
 ]
@@ -92,8 +94,8 @@ class SpectralGrid:
     length: float
 
     def __post_init__(self):
-        if self.n & (self.n - 1):
-            raise ValueError("grid size must be a power of two")
+        if self.n < 2 or self.n & (self.n - 1):
+            raise ValueError("grid size must be a power of two >= 2")
         if self.length <= 0:
             raise ValueError("domain length must be positive")
 
@@ -337,14 +339,16 @@ class PerturbationSpec:
     center: Optional[float] = None   # default: mid-domain
     wavenumber: float = 1.0          # carrier for wave_packet
 
+    def __post_init__(self):
+        if self.shape not in ("gaussian", "wave_packet"):
+            raise ValueError(f"unknown perturbation shape {self.shape!r}")
+
     def profile(self, x: np.ndarray, length: float) -> np.ndarray:
         c = 0.5 * length if self.center is None else self.center
         bump = np.exp(-((x - c) / self.width) ** 2)
         if self.shape == "gaussian":
             return self.amplitude * bump
-        if self.shape == "wave_packet":
-            return self.amplitude * bump * np.cos(self.wavenumber * (x - c))
-        raise ValueError(f"unknown perturbation shape {self.shape!r}")
+        return self.amplitude * bump * np.cos(self.wavenumber * (x - c))
 
 
 def initial_field(grid: SpectralGrid, equilibrium: State,
@@ -486,6 +490,21 @@ def _sample(eos, equilibrium, f: StateField):
     )
 
 
+def sample_times(t_final: float, dt: float, sample_every: int) -> np.ndarray:
+    """Times of the ledger rows of a ``run`` that is not aborted: t = 0,
+    every ``sample_every``-th step and the last step."""
+    n_steps = int(round(t_final / dt))
+    steps = np.arange(0, n_steps + 1)
+    return steps[(steps % sample_every == 0) | (steps == n_steps)] * dt
+
+
+def wrap_time(eos: EquationOfState, equilibrium: State, length: float) -> float:
+    """L / (2 c_sound): when periodic images reach the perturbation's centre."""
+    coeffs = equilibrium_coefficients(eos, equilibrium)
+    speed = abs(coeffs.u) + coeffs.sound_speed()
+    return length / (2.0 * speed) if speed > 0 else np.inf
+
+
 def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec,
         t_final: float, dt: float, length: float = 400.0, n: int = 4096,
         scheme: str = "if-rk4", sample_every: int = 50,
@@ -506,10 +525,6 @@ def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec
     f.validate(rho_min, theta_min)
     stepper = make_stepper(scheme, eos, equilibrium, grid, dt,
                            rho_min=rho_min, theta_min=theta_min)
-    coeffs = equilibrium_coefficients(eos, equilibrium)
-    speed = abs(coeffs.u) + coeffs.sound_speed()
-    wrap_time = length / (2.0 * speed) if speed > 0 else np.inf
-
     n_steps = int(round(t_final / dt))
     records = [(0.0, *_sample(eos, equilibrium, f))]
     aborted = None
@@ -530,4 +545,4 @@ def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec
         norm_w=np.array(cols[6]), ratio=np.array(cols[7]),
         max_n1=np.array(cols[8]), max_n=np.array(cols[9]),
         nonlinear_scale=np.array(cols[10]),
-        wrap_time=wrap_time, aborted=aborted)
+        wrap_time=wrap_time(eos, equilibrium, length), aborted=aborted)

@@ -1,3 +1,7 @@
+import configparser
+import csv
+import math
+import re
 import textwrap
 
 import pytest
@@ -78,6 +82,44 @@ def config_file(tmp_path):
     return write
 
 
+def set_keys(path, section, values):
+    """Rewrite ``key = value`` lines of one section of the config at ``path``."""
+    head, body = path.read_text().split(f"[{section}]\n", 1)
+    end = body.find("\n[")
+    end = len(body) if end < 0 else end
+    block = body[:end]
+    for key, value in values.items():
+        block, n = re.subn(rf"(?m)^{key} =.*$", f"{key} = {value}", block)
+        assert n == 1, key
+    path.write_text(f"{head}[{section}]\n{block}{body[end:]}")
+
+
+BAD_VALUES = [
+    ("analyze-symbol", "symbol", {"eps": "5"}),
+    ("analyze-symbol", "symbol", {"lyapunov_delta": "-1"}),
+    ("analyze-symbol", "symbol", {"cert_n_xi": "0"}),
+    ("analyze-symbol", "symbol", {"cert_n_xi": "-1"}),
+    ("analyze-symbol", "symbol", {"cert_xi_max": "0"}),
+    ("analyze-symbol", "symbol", {"xi_min": "1"}),
+    ("analyze-symbol", "symbol", {"xi_max": "1"}),
+    ("analyze-symbol", "symbol", {"xi_max": "nan"}),
+    ("linear-decay", "linear", {"n_nodes": "2"}),
+    ("linear-decay", "linear", {"xi_cap": "-1"}),
+    ("linear-decay", "linear", {"xi_cap": "0"}),
+    ("linear-decay", "linear", {"h0": "0"}),
+    ("linear-decay", "linear", {"h0": "-1"}),
+    ("linear-decay", "linear", {"h0": "1.0"}),
+    ("linear-decay", "linear", {"ell": "-1"}),
+    ("nonlinear-run", "nonlinear", {"n": "1000"}),
+    ("nonlinear-run", "nonlinear", {"length": "-5"}),
+    ("nonlinear-run", "nonlinear", {"scheme": "foo"}),
+    ("nonlinear-run", "nonlinear", {"shape": "square"}),
+    ("nonlinear-run", "nonlinear", {"fields": ","}),
+    ("nonlinear-run", "nonlinear", {"t_final": "1", "fit_t_min": "2"}),
+    ("nonlinear-run", "nonlinear", {"t_final": "inf"}),
+]
+
+
 class TestConfigValidation:
     def test_missing_file(self, tmp_path, capsys):
         code = main(["verify-thermo", "--config", str(tmp_path / "nope.ini"),
@@ -118,6 +160,53 @@ class TestConfigValidation:
         assert code == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,section,values", BAD_VALUES,
+        ids=["-".join(f"{k}={v}" for k, v in values.items())
+             for _, _, values in BAD_VALUES])
+    def test_bad_values_rejected(self, config_file, tmp_path, capsys,
+                                 command, section, values):
+        path = config_file()
+        set_keys(path, section, values)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--quiet"])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_malformed_profile_csv_rejected(self, config_file, tmp_path, capsys):
+        csv_path = tmp_path / "profile.csv"
+        csv_path.write_text("xi,re1\n0.0,1.0\n1.0,0.5\n")
+        path = config_file()
+        set_keys(path, "linear", {"profile": f"csv\nprofile_csv = {csv_path}"})
+        code = main(["linear-decay", "--config", str(path), "--out",
+                     str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        assert "config error: [linear] profile_csv" in capsys.readouterr().err
+
+    def test_numeric_sweep_never_raises(self, config_file, tmp_path):
+        # every numeric [symbol] / [linear] key at 0, -1 and 1: a verdict or a
+        # config error, never an exception out of main
+        parser = configparser.ConfigParser()
+        parser.read_string(BASE.format(kappa0="1.0", amplitude="1e-2"))
+        escaped = []
+        for command, section in (("analyze-symbol", "symbol"),
+                                 ("linear-decay", "linear")):
+            keys = [k for k, v in parser[section].items()
+                    if v == "" or re.fullmatch(r"[-+.\de]+", v)]
+            for key in keys:
+                for value in ("0", "-1", "1"):
+                    path = config_file()
+                    set_keys(path, section, {key: value})
+                    try:
+                        code = main([command, "--config", str(path), "--out",
+                                     str(tmp_path / "o"), "--quiet"])
+                    except Exception as exc:  # noqa: BLE001 -- collected below
+                        escaped.append(f"{key} = {value}: {exc!r}")
+                        continue
+                    if code not in (0, 1, 2):
+                        escaped.append(f"{key} = {value}: exit {code}")
+        assert not escaped, escaped
+
     def test_unknown_command_usage_error(self, config_file):
         assert main(["frobnicate", "--config", str(config_file())]) == 2
 
@@ -148,6 +237,27 @@ class TestAnalyzeSymbol:
             a = (outs[0] / fname).read_bytes()
             b = (outs[1] / fname).read_bytes()
             assert a == b, f"{fname} not byte-identical"
+
+    @pytest.mark.parametrize("kappa0", ["1.0", "0.0"], ids=["ref", "nsf"])
+    def test_summary_rows_carry_margins(self, config_file, tmp_path, kappa0):
+        out = tmp_path / "sym"
+        assert main(["analyze-symbol", "--config", str(config_file(kappa0=kappa0)),
+                     "--out", str(out), "--quiet"]) == 0
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["report"] for r in rows] == [
+            "genuine coupling", "Friedrichs symmetrizability",
+            "compensating certificate", "spectral bound", "Lyapunov functional"]
+        assert all(r["check"] != "overall" and r["passed"] == "1" for r in rows)
+        inconclusive = "inconclusive:" in (out / "report.txt").read_text()
+        for r in rows:
+            if r["report"] == "Lyapunov functional" and inconclusive:
+                continue
+            assert math.isfinite(float(r["observed"])), r
+            if r["report"] != "Friedrichs symmetrizability":
+                assert math.isfinite(float(r["tolerance"])), r
+        # the capillarity-free Lyapunov check is the inconclusive one
+        assert inconclusive == (kappa0 == "0.0")
 
     def test_nsf_reports_friedrichs_feasible(self, config_file, tmp_path):
         out = tmp_path / "nsf"

@@ -37,6 +37,16 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             lin.geometric_nodes(n_nodes=64, xi_max=1e-4, h0=1e-4)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"h0": 0.0}, "need 0 < h0"),
+        ({"h0": -1.0}, "need 0 < h0"),
+        ({"xi_max": -1.0}, "need 0 < h0"),
+        ({"n_nodes": 4}, "cannot grade"),
+    ])
+    def test_bad_grading_has_a_message(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            lin.geometric_nodes(**kwargs)
+
 
 class TestProfiles:
     def test_gaussian_hermitian(self, small_nodes):
@@ -157,6 +167,16 @@ class TestDecayFits:
         times = np.logspace(-1, 4, 31)
         fit = lin.evolve_and_fit(ref_coeffs, prof, times, 0, (1e2, 1e4))
         assert fit.exponent <= -0.7
+
+    def test_non_finite_fit_is_flagged(self, ref_coeffs, small_nodes):
+        # xi^(2 ell) with ell < 0 is infinite at the xi = 0 node: the norm is
+        # infinite and the fit residual nan, which must not read as reliable
+        prof = lin.gaussian_profile(*small_nodes)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fit = lin.evolve_and_fit(ref_coeffs, prof, np.logspace(-1, 4, 11),
+                                     -1, (1e2, 1e4))
+        assert not np.isfinite(fit.residual)
+        assert fit.flagged
 
     def test_times_must_increase(self, ref_coeffs, small_nodes):
         prof = lin.gaussian_profile(*small_nodes)

@@ -200,6 +200,17 @@ class TestSteppers:
 
 
 class TestRun:
+    @pytest.mark.parametrize("t_final,sample_every", [(0.5, 5), (0.55, 3), (0.0, 4)])
+    def test_sample_times_and_wrap_time_match_the_ledger(self, ref_eos, t_final,
+                                                         sample_every):
+        ubar = State(1.0, 0.0, 1.0)
+        led = nls.run(ref_eos, ubar, nls.PerturbationSpec(amplitude=1e-3),
+                      t_final=t_final, dt=0.05, length=50.0, n=64,
+                      sample_every=sample_every)
+        np.testing.assert_array_equal(
+            nls.sample_times(t_final, 0.05, sample_every), led.times)
+        assert nls.wrap_time(ref_eos, ubar, 50.0) == led.wrap_time
+
     def test_zero_amplitude_trivial(self, ref_eos):
         led = nls.run(ref_eos, State(1.0, 0.0, 1.0),
                       nls.PerturbationSpec(amplitude=0.0),
