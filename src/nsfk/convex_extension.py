@@ -66,7 +66,9 @@ def vec3(entries, extra_shape=()) -> np.ndarray:
 
 
 def mv(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """Batched matrix-vector product on trailing dimensions."""
+    """Batched matrix-vector product; a constant (3, 3) matrix uses matmul (faster)."""
+    if matrix.ndim == 2:
+        return vector @ matrix.T
     return np.einsum("...ij,...j->...i", matrix, vector)
 
 
@@ -90,7 +92,7 @@ def visc_matrix(eos: EquationOfState, state: State) -> np.ndarray:
     rho, u, theta = state.rho, np.asarray(state.u), state.theta
     mu = eos.mu(rho, theta)
     al = eos.alpha(rho, theta)
-    z = np.zeros_like(np.asarray(mu, dtype=float))
+    z = np.zeros(np.broadcast(rho, theta).shape)
     return mat3([[z, z, z], [z, mu, z], [z, mu * u, al]])
 
 

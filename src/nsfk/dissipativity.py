@@ -170,49 +170,49 @@ def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callab
                           margin_tol: float = 1e-10) -> GenuineCouplingReport:
     """Check that no kernel vector of B(xi) solves (rho A0 + A(xi)) V = 0.
 
-    For each grid xi != 0 an orthonormal kernel basis of the symmetric
-    positive semi-definite B(xi) is extracted by an eigendecomposition with
-    relative threshold ``rank_rtol``; for each kernel vector V the pair
-    {A0 V, A(xi) V} must have rank two.  The margin is the second singular
-    value of the column-normalized pair [A0 V/|A0 V|, A(xi) V/|A(xi) V|]
-    (1 for orthogonal directions, 0 for a rank drop), which keeps the
-    measure scale-invariant under the xi^2 growth of A(xi).
+    The symbols are evaluated once on the grid points xi != 0 and broadcast to
+    (N, 3, 3).  One batched eigendecomposition of the symmetric positive
+    semi-definite B(xi) gives its kernel (relative threshold ``rank_rtol``;
+    every unit vector where B(xi) = 0); for each kernel vector V the pair
+    {A0 V, A(xi) V} must have rank two.  The margin is the smaller singular
+    value of the normalized pair [a, b] = [A0 V/|A0 V|, A(xi) V/|A(xi) V|]
+    (1 if orthogonal, 0 at a rank drop, invariant under the xi^2 growth of
+    A(xi)), taken in the closed form |a - s b|/sqrt(2), s = +1 if a.b >= 0
+    else -1: equal to sqrt(1 - |a.b|) but accurate down to roundoff near a
+    rank drop.  A zero A(xi) V has margin 0, a zero A0 V otherwise margin 1.
     """
-    min_margin = np.inf
-    worst_xi = np.nan
-    failures = []
-    n = 0
-    for xi in np.asarray(xi_grid, dtype=float):
-        if xi == 0.0:
-            continue
-        n += 1
-        b = np.asarray(b_of_xi(xi), dtype=float)
-        evals, evecs = np.linalg.eigh(0.5 * (b + b.T))
-        lam_max = float(np.abs(evals).max())
-        if lam_max == 0.0:
-            kernel = np.eye(3)
-        else:
-            kernel = evecs[:, np.abs(evals) <= rank_rtol * lam_max]
-        a0 = np.asarray(a0_of_xi(xi), dtype=float)
-        a = np.asarray(a_of_xi(xi), dtype=float)
-        for idx in range(kernel.shape[1]):
-            v = kernel[:, idx]
-            a0v, av = a0 @ v, a @ v
-            n0, na = np.linalg.norm(a0v), np.linalg.norm(av)
-            if na == 0.0:
-                margin = 0.0          # rho = 0 solves (rho A0 + A) V = 0
-            elif n0 == 0.0:
-                margin = 1.0          # no rho can cancel a nonzero A V
-            else:
-                pair = np.stack([a0v / n0, av / na], axis=1)
-                margin = float(np.linalg.svd(pair, compute_uv=False)[1])
-            if margin < min_margin:
-                min_margin, worst_xi = margin, float(xi)
-            if margin <= margin_tol:
-                failures.append((float(xi), v.copy()))
-    passed = not failures and np.isfinite(min_margin)
-    return GenuineCouplingReport(passed=passed, min_margin=min_margin,
-                                 worst_xi=worst_xi, failures=failures, n_xi=n)
+    xi = np.asarray(xi_grid, dtype=float)
+    xi = xi[xi != 0.0]
+    shape = xi.shape + (3, 3)
+    b = np.broadcast_to(np.asarray(b_of_xi(xi), dtype=float), shape)
+    b = b + np.swapaxes(b, -1, -2)
+    b *= 0.5
+    evals, v = np.linalg.eigh(b)
+    evals = np.abs(evals)
+    lam_max = evals.max(axis=-1, keepdims=True)
+    kernel = evals <= rank_rtol * lam_max              # all three where B = 0
+    v[lam_max[:, 0] == 0.0] = np.eye(3)
+    a0v = np.broadcast_to(np.asarray(a0_of_xi(xi), dtype=float), shape) @ v
+    av = np.broadcast_to(np.asarray(a_of_xi(xi), dtype=float), shape) @ v
+    n0 = np.linalg.norm(a0v, axis=-2)
+    na = np.linalg.norm(av, axis=-2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a0v /= n0[:, None, :]
+        av /= na[:, None, :]
+        s = np.where(np.einsum("nij,nij->nj", a0v, av) >= 0.0, 1.0, -1.0)
+        av *= s[:, None, :]
+        a0v -= av                                       # a - s b, in place
+        margin = np.linalg.norm(a0v, axis=-2) / np.sqrt(2.0)
+    margin = np.where(na == 0.0, 0.0, np.where(n0 == 0.0, 1.0, margin))
+    margin[~kernel] = np.inf
+    min_margin = float(margin.min(initial=np.inf))
+    worst_xi = (float(xi[np.argmin(margin) // 3]) if np.isfinite(min_margin)
+                else np.nan)
+    failures = [(float(xi[i]), v[i, :, j].copy())
+                for i, j in zip(*np.nonzero(margin <= margin_tol))]
+    return GenuineCouplingReport(
+        passed=bool(not failures and np.isfinite(min_margin)),
+        min_margin=min_margin, worst_xi=worst_xi, failures=failures, n_xi=xi.size)
 
 
 def check_genuine_coupling(triplet, xi_grid) -> GenuineCouplingReport:

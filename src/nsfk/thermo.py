@@ -46,17 +46,6 @@ __all__ = [
 ]
 
 
-def _as_field(value: float) -> Callable[[ArrayLike, ArrayLike], np.ndarray]:
-    """Constant coefficient broadcast over (rho, theta)."""
-
-    def f(rho, theta):
-        rho = np.asarray(rho, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        return np.full(np.broadcast_shapes(rho.shape, theta.shape), float(value))
-
-    return f
-
-
 @dataclass(frozen=True)
 class Coefficient:
     """Smooth scalar coefficient of (rho, theta) with analytic partials.
@@ -79,8 +68,9 @@ class Coefficient:
 
     @classmethod
     def constant(cls, value: float) -> "Coefficient":
-        zero = _as_field(0.0)
-        return cls(_as_field(value), zero, zero, zero, zero, zero)
+        """Constant coefficient: every call returns the float, whatever the shapes."""
+        value = float(value)
+        return cls(lambda rho, theta: value, *[lambda rho, theta: 0.0] * 5)
 
 
 @dataclass(frozen=True)
@@ -296,11 +286,10 @@ def ideal_gas_eos(R: float, gamma: float, kappa0: float,
 
 def _worst(values: np.ndarray, rho: np.ndarray, theta: np.ndarray,
            minimize: bool) -> tuple[float, tuple[float, float]]:
-    """Extremal value of a sampled condition and the state where it occurs."""
+    """Extremal value of a condition sampled (or constant) on the grid and its state."""
+    values = np.broadcast_to(np.asarray(values, dtype=float), np.shape(rho))
     idx = int(np.argmin(values)) if minimize else int(np.argmax(values))
-    flat_r = np.ravel(np.broadcast_to(rho, values.shape))
-    flat_t = np.ravel(np.broadcast_to(theta, values.shape))
-    return float(np.ravel(values)[idx]), (float(flat_r[idx]), float(flat_t[idx]))
+    return float(values.flat[idx]), (float(rho.flat[idx]), float(theta.flat[idx]))
 
 
 def verify_hypotheses(eos: EquationOfState, domain: Domain,
@@ -324,20 +313,19 @@ def verify_hypotheses(eos: EquationOfState, domain: Domain,
                             tolerance=0.0,
                             detail=f"worst at (rho, theta) = {at}"))
 
-    positivity("viscosity mu > 0", np.asarray(eos.mu(rho, theta)))
-    positivity("heat conductivity alpha > 0", np.asarray(eos.alpha(rho, theta)))
-    positivity("capillarity kappa > 0", np.asarray(eos.kappa(rho, theta)))
+    positivity("viscosity mu > 0", eos.mu(rho, theta))
+    positivity("heat conductivity alpha > 0", eos.alpha(rho, theta))
+    positivity("capillarity kappa > 0", eos.kappa(rho, theta))
 
-    ktt = np.asarray(eos.kappa.d_tt(rho, theta))
-    worst, at = _worst(ktt, rho, theta, minimize=False)
+    worst, at = _worst(eos.kappa.d_tt(rho, theta), rho, theta, minimize=False)
     checks.append(Check(name="thermal stability kappa_thth <= 0",
                         passed=bool(worst <= 0), observed=-worst, tolerance=0.0,
                         detail=f"max kappa_thth = {worst:.3e} at {at}"))
 
-    positivity("Weyl p > 0", np.asarray(eos.p(rho, theta)))
-    positivity("Weyl p_rho > 0", np.asarray(eos.p_rho(rho, theta)))
-    positivity("Weyl p_theta > 0", np.asarray(eos.p_theta(rho, theta)))
-    positivity("Weyl e_theta > 0", np.asarray(eos.e_theta(rho, theta)))
+    positivity("Weyl p > 0", eos.p(rho, theta))
+    positivity("Weyl p_rho > 0", eos.p_rho(rho, theta))
+    positivity("Weyl p_theta > 0", eos.p_theta(rho, theta))
+    positivity("Weyl e_theta > 0", eos.e_theta(rho, theta))
 
     # compatibility of the derived potentials (consequences of the First Law)
     res_e = eos.e_rho(rho, theta) - (eos.p(rho, theta)

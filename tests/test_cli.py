@@ -4,6 +4,7 @@ import math
 import re
 import textwrap
 
+import numpy as np
 import pytest
 
 from nsfk.cli import ConfigError, RunConfig, main
@@ -120,6 +121,32 @@ BAD_VALUES = [
 ]
 
 
+def _numeric_sweep(config_file, tmp_path, command, section, base=None):
+    """Run ``command`` with each numeric key of ``section`` at 0, -1 and 1.
+
+    ``base`` overrides keys of the section first.  Returns the runs that
+    raised out of main or exited with a code other than 0, 1 or 2.
+    """
+    parser = configparser.ConfigParser()
+    parser.read_string(BASE.format(kappa0="1.0", amplitude="1e-2"))
+    keys = [k for k, v in parser[section].items()
+            if v == "" or re.fullmatch(r"[-+.\de]+", v)]
+    escaped = []
+    for key in keys:
+        for value in ("0", "-1", "1"):
+            path = config_file()
+            set_keys(path, section, {**(base or {}), key: value})
+            try:
+                code = main([command, "--config", str(path), "--out",
+                             str(tmp_path / "o"), "--quiet"])
+            except Exception as exc:  # noqa: BLE001 -- collected by the caller
+                escaped.append(f"{key} = {value}: {exc!r}")
+                continue
+            if code not in (0, 1, 2):
+                escaped.append(f"{key} = {value}: exit {code}")
+    return escaped
+
+
 class TestConfigValidation:
     def test_missing_file(self, tmp_path, capsys):
         code = main(["verify-thermo", "--config", str(tmp_path / "nope.ini"),
@@ -186,25 +213,18 @@ class TestConfigValidation:
     def test_numeric_sweep_never_raises(self, config_file, tmp_path):
         # every numeric [symbol] / [linear] key at 0, -1 and 1: a verdict or a
         # config error, never an exception out of main
-        parser = configparser.ConfigParser()
-        parser.read_string(BASE.format(kappa0="1.0", amplitude="1e-2"))
         escaped = []
         for command, section in (("analyze-symbol", "symbol"),
                                  ("linear-decay", "linear")):
-            keys = [k for k, v in parser[section].items()
-                    if v == "" or re.fullmatch(r"[-+.\de]+", v)]
-            for key in keys:
-                for value in ("0", "-1", "1"):
-                    path = config_file()
-                    set_keys(path, section, {key: value})
-                    try:
-                        code = main([command, "--config", str(path), "--out",
-                                     str(tmp_path / "o"), "--quiet"])
-                    except Exception as exc:  # noqa: BLE001 -- collected below
-                        escaped.append(f"{key} = {value}: {exc!r}")
-                        continue
-                    if code not in (0, 1, 2):
-                        escaped.append(f"{key} = {value}: exit {code}")
+            escaped += _numeric_sweep(config_file, tmp_path, command, section)
+        assert not escaped, escaped
+
+    def test_nonlinear_numeric_sweep_never_raises(self, config_file, tmp_path):
+        # the same sweep over [nonlinear], on a 64-point grid for 20 steps
+        small = {"length": "20.0", "n": "64", "dt": "0.05", "t_final": "1.0",
+                 "sample_every": "5", "fit_t_min": "0.5"}
+        escaped = _numeric_sweep(config_file, tmp_path, "nonlinear-run",
+                                 "nonlinear", small)
         assert not escaped, escaped
 
     def test_unknown_command_usage_error(self, config_file):
@@ -292,14 +312,7 @@ class TestLinearDecay:
         assert "exponent" in report
 
     def test_custom_csv_profile(self, config_file, tmp_path):
-        import numpy as np
-        xi = np.linspace(-40.0, 40.0, 801)
-        shape = np.exp(-xi ** 2)
-        rows = ["xi,re1,im1,re2,im2,re3,im3"]
-        for x, s in zip(xi, shape):
-            rows.append(f"{x},{s},0.0,{s},0.0,{s},0.0")
-        csv_path = tmp_path / "profile.csv"
-        csv_path.write_text("\n".join(rows) + "\n")
+        csv_path = _profile_csv(tmp_path, lambda xi: np.exp(-xi ** 2))
         cfg = config_file()
         cfg.write_text(cfg.read_text().replace(
             "profile = gaussian", f"profile = csv\nprofile_csv = {csv_path}"))
@@ -309,6 +322,51 @@ class TestLinearDecay:
         assert code == 0
         report = (out / "report.txt").read_text()
         assert "exponent" in report
+
+    def test_slow_decay_fails(self, config_file, tmp_path):
+        # |xi|^(-2/5) near xi = 0 decays like t^(-1/20), slower than the
+        # predicted t^(-1/4) by more than the 0.05 gate: a well-fitted FAIL
+        csv_path = _profile_csv(tmp_path,
+                                lambda xi: np.abs(xi) ** -0.4 * np.exp(-xi ** 2))
+        cfg = config_file()
+        set_keys(cfg, "linear", {"profile": f"csv\nprofile_csv = {csv_path}"})
+        out = tmp_path / "slow"
+        code = main(["linear-decay", "--config", str(cfg), "--out", str(out),
+                     "--quiet"])
+        assert code == 1
+        with open(out / "summary.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["passed"] == "0"
+        assert float(row["tolerance"]) == pytest.approx(-0.2)
+        assert float(row["observed"]) == pytest.approx(-0.05, abs=0.01)
+        assert "overall: FAIL" in (out / "report.txt").read_text()
+
+    def test_faster_decay_passes(self, config_file, tmp_path):
+        # zero-mass data decays faster than the predicted upper bound
+        cfg = config_file()
+        set_keys(cfg, "linear", {"profile": "zero-mass-gaussian"})
+        out = tmp_path / "fast"
+        assert main(["linear-decay", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 0
+        with open(out / "summary.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert float(row["observed"]) < -0.5
+
+
+def _profile_csv(tmp_path, shape):
+    """Profile CSV with all three modes equal to ``shape(xi)``.
+
+    The grid is geometric in |xi| down to 1e-6: a uniform grid through xi = 0
+    keeps a non-decaying mode of weight h shape(0), which plateaus the norm.
+    """
+    pos = np.geomspace(1e-6, 40.0, 1200)
+    xi = np.concatenate([-pos[::-1], pos])
+    rows = ["xi,re1,im1,re2,im2,re3,im3"]
+    rows += [f"{x:.17g},{s:.17g},0.0,{s:.17g},0.0,{s:.17g},0.0"
+             for x, s in zip(xi, shape(xi))]
+    path = tmp_path / "profile.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
 
 
 class TestNonlinearRun:

@@ -139,6 +139,24 @@ class TestCoefficientMatrices:
         assert np.abs(b[..., :, 0]).max() == 0.0
 
 
+class TestVisc:
+    def test_array_state_shape(self, ref_eos, domain, rng):
+        states = domain.sample_states(5, rng)
+        g = cx.visc_matrix(ref_eos, State(states.rho, states.u, states.theta))
+        assert g.shape == (5, 3, 3)
+        assert np.array_equal(g[:, 2, 1], states.u)
+        assert cx.visc_matrix(ref_eos, State(1.0, 0.5, 1.0)).shape == (3, 3)
+
+
+class TestMv:
+    def test_constant_matrix_matches_einsum(self, rng):
+        m = rng.standard_normal((3, 3))
+        for shape in ((3,), (8, 3), (2, 4, 3)):
+            v = rng.standard_normal(shape)
+            want = np.einsum("ij,...j->...i", m, v)
+            np.testing.assert_allclose(cx.mv(m, v), want, rtol=1e-14, atol=1e-15)
+
+
 class TestVerifyEntropyPair:
     def test_ideal_gas_passes(self, ref_eos, domain):
         report = cx.verify_entropy_pair(ref_eos, domain, n_samples=100, seed=3)

@@ -95,6 +95,122 @@ class TestGenuineCoupling:
         assert not rep.passed
         assert rep.failures
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_loop_oracle(self, seed):
+        a0_of_xi, a_of_xi, b_of_xi, grid = _random_triplet(seed)
+        ref = _loop_scan(a0_of_xi, a_of_xi, b_of_xi, grid)
+        rep = dis.genuine_coupling_scan(a0_of_xi, a_of_xi, b_of_xi, grid)
+        assert rep.n_xi == ref.n_xi == np.count_nonzero(grid)
+        assert rep.passed is ref.passed
+        assert rep.min_margin == pytest.approx(ref.min_margin, rel=0, abs=1e-14)
+        if not ref.failures:
+            # failing margins are roundoff, so their argmin is arbitrary
+            np.testing.assert_equal(rep.worst_xi, ref.worst_xi)
+        assert [x for x, _ in rep.failures] == [x for x, _ in ref.failures]
+        for (_, v), (_, w) in zip(rep.failures, ref.failures):
+            np.testing.assert_allclose(v, w, rtol=0, atol=1e-14)
+        # per-point margins, one single-point grid each
+        for xi in grid[grid != 0.0]:
+            got = dis.genuine_coupling_scan(a0_of_xi, a_of_xi, b_of_xi, [xi])
+            want = _loop_scan(a0_of_xi, a_of_xi, b_of_xi, [xi])
+            assert got.min_margin == pytest.approx(want.min_margin, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("d", [1e-12, -1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3])
+    def test_closed_form_margin_matches_svd(self, d):
+        # kernel of B is e1; A0 e1 = e1 and A e1 = (1, d, 0), so the pair is
+        # d away from parallel (antiparallel for a flipped A)
+        for sign in (1.0, -1.0):
+            a = sign * np.array([[1.0, 0.0, 0.0], [d, 1.0, 0.0], [0.0, 0.0, 1.0]])
+            rep = dis.genuine_coupling_scan(
+                lambda xi: np.eye(3), lambda xi: a,
+                lambda xi: np.diag([0.0, 1.0, 1.0]), [1.0])
+            col = a[:, 0] / np.linalg.norm(a[:, 0])
+            svd = np.linalg.svd(np.stack([[1.0, 0.0, 0.0], col], axis=1),
+                                compute_uv=False)[1]
+            exact = np.sqrt(2.0) * np.sin(0.5 * np.arctan(abs(d)))
+            assert rep.min_margin == pytest.approx(svd, rel=0, abs=1e-15)
+            assert rep.min_margin == pytest.approx(exact, rel=1e-9)
+            assert rep.passed is bool(exact > 1e-10)
+
+    def test_zero_grid_is_vacuous(self, ref_coeffs):
+        rep = dis.check_genuine_coupling(sym.symbol_triplet(ref_coeffs), [0.0, 0.0])
+        assert rep.n_xi == 0
+        assert rep.passed is False
+        assert rep.min_margin == np.inf and np.isnan(rep.worst_xi)
+        assert rep.failures == []
+
+    def test_passed_is_python_bool(self, ref_coeffs):
+        rep = dis.check_genuine_coupling(sym.symbol_triplet(ref_coeffs),
+                                         dis.default_xi_grid(n_per_decade=11))
+        assert rep.passed is True
+
+
+def _loop_scan(a0_of_xi, a_of_xi, b_of_xi, xi_grid, rank_rtol=1e-10,
+               margin_tol=1e-10):
+    """Reference scan: one eigh and one SVD per grid point."""
+    min_margin, worst_xi, failures, n = np.inf, np.nan, [], 0
+    for xi in np.asarray(xi_grid, dtype=float):
+        if xi == 0.0:
+            continue
+        n += 1
+        b = np.asarray(b_of_xi(xi), dtype=float)
+        evals, evecs = np.linalg.eigh(0.5 * (b + b.T))
+        lam_max = float(np.abs(evals).max())
+        if lam_max == 0.0:
+            kernel = np.eye(3)
+        else:
+            kernel = evecs[:, np.abs(evals) <= rank_rtol * lam_max]
+        a0 = np.asarray(a0_of_xi(xi), dtype=float)
+        a = np.asarray(a_of_xi(xi), dtype=float)
+        for idx in range(kernel.shape[1]):
+            v = kernel[:, idx]
+            a0v, av = a0 @ v, a @ v
+            n0, na = np.linalg.norm(a0v), np.linalg.norm(av)
+            if na == 0.0:
+                margin = 0.0
+            elif n0 == 0.0:
+                margin = 1.0
+            else:
+                pair = np.stack([a0v / n0, av / na], axis=1)
+                margin = float(np.linalg.svd(pair, compute_uv=False)[1])
+            if margin < min_margin:
+                min_margin, worst_xi = margin, float(xi)
+            if margin <= margin_tol:
+                failures.append((float(xi), v.copy()))
+    passed = bool(not failures and np.isfinite(min_margin))
+    return dis.GenuineCouplingReport(passed=passed, min_margin=min_margin,
+                                     worst_xi=worst_xi, failures=failures, n_xi=n)
+
+
+def _random_triplet(seed):
+    """Random (A0, A(xi), B(xi), grid) covering the scan's special cases.
+
+    B(xi) = xi^2 R R^T has rank seed % 4, so kernels of dimension 3 (B = 0)
+    down to 0.  Seeds 4-7 set A = 2 A0 (margin 0 on every kernel vector);
+    seeds 8-11 zero a column of A and another of A0, which at B = 0 gives
+    the margins 0 (A V = 0) and 1 (A0 V = 0).  Every grid contains xi = 0.
+    """
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((3, seed % 4))
+    d2 = r @ r.T
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    a0 = q @ np.diag(rng.uniform(0.5, 2.0, 3)) @ q.T
+    d1, d3 = rng.standard_normal((2, 3, 3))
+    if 4 <= seed < 8:
+        d1, d3 = 2.0 * a0, np.zeros((3, 3))
+    elif seed >= 8:
+        d1[:, 0] = d3[:, 0] = 0.0
+        a0[:, 1] = 0.0
+    grid = np.concatenate([[0.0], rng.uniform(-20.0, 20.0, 24), [0.0]])
+
+    def a_of_xi(xi):
+        return d1 + np.asarray(xi, dtype=float)[..., None, None] ** 2 * d3
+
+    def b_of_xi(xi):
+        return np.asarray(xi, dtype=float)[..., None, None] ** 2 * d2
+
+    return (lambda xi: a0), a_of_xi, b_of_xi, grid
+
 
 class TestFriedrichs:
     def test_capillary_system_infeasible(self, ref_coeffs):

@@ -27,6 +27,22 @@ def kappa_linear_in_theta(kappa0: float) -> Coefficient:
     )
 
 
+class TestConstantCoefficient:
+    def test_returns_float_for_arrays(self):
+        c = Coefficient.constant(2)
+        rho, theta = np.ones(7), np.ones((3, 1))
+        for fn in (c, c.d_r, c.d_t, c.d_rr, c.d_rt, c.d_tt):
+            assert type(fn(rho, theta)) is float
+        assert c(rho, theta) == 2.0 and c.d_tt(rho, theta) == 0.0
+
+    def test_verify_hypotheses_reports_grid_state(self, ref_eos, domain):
+        rep = verify_hypotheses(ref_eos, domain, n_samples=4)
+        mu = next(c for c in rep.checks if c.name == "viscosity mu > 0")
+        assert mu.observed == 1.0
+        # the first grid state holds the (tied) minimum
+        assert mu.detail == f"worst at (rho, theta) = {(0.1, 0.1)}"
+
+
 class TestIdealGasValues:
     def test_reference_state(self, ref_eos):
         # by hand: p = R rho theta = 1, e = R theta/(gamma-1) = 1.5
