@@ -8,11 +8,11 @@ analyze-symbol  coupling, Friedrichs search, compensating certificate,
 linear-decay    per-mode semigroup evolution and decay-rate fit
 nonlinear-run   pseudo-spectral integration with diagnostics ledger
 
-Configs are flat INI key-value files with one section per module; every
-numeric field is validated before the computation that reads it, and a bad
-value exits 2 with ``config error:``.  Identical config + seed
-produce byte-identical CSV outputs.  Exit codes: 0 all criteria pass,
-1 criterion failure, 2 usage/config error.
+Configs are flat INI files with one section per module; ``SCHEMA`` declares
+every key.  A subcommand checks every section it reads before it computes
+anything: a bad value or an unknown key exits 2 with ``config error:``.
+Identical config + seed produce byte-identical CSV outputs.  Exit codes:
+0 all criteria pass, 1 criterion failure, 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import os
 import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 
 def _configure_threads() -> None:
@@ -47,9 +48,92 @@ class ConfigError(ValueError):
     """Invalid or missing configuration value."""
 
 
+class Key(NamedTuple):
+    """A config key: parser of its text, default, rule (predicate, message)."""
+    parse: Callable[[str], object]
+    default: object                 # a callable gets the values read before it
+    rule: tuple = ()
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
+def _names(raw: str) -> tuple:
+    return tuple(f.strip() for f in raw.split(",") if f.strip())
+
+
+def _at_least(n):
+    return (lambda v: v >= n, f"must be >= {n}")
+
+
+def _one_of(*names):
+    return (lambda v: v in names, "must be one of " + ", ".join(names))
+
+
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_FIELDS = (lambda v: bool(v) and set(v) <= {"rho", "u", "theta"},
+           "must list one or more of rho, u, theta")
+
+# Every config key, declared once.  Checks that span keys (the xi, eps and fit
+# windows, the rk4 stability bound) stay in the subcommands.
+SCHEMA = {
+    "closure": {
+        "type": Key(str, "ideal_gas", _one_of("ideal_gas")),
+        "R": Key(_finite, 1.0), "gamma": Key(_finite, 5.0 / 3.0),
+        "kappa0": Key(_finite, 1.0), "mu0": Key(_finite, 1.0),
+        "alpha0": Key(_finite, 1.0)},
+    "equilibrium": {
+        "rho": Key(_finite, 1.0, _POSITIVE), "u": Key(_finite, 0.0),
+        "theta": Key(_finite, 1.0, _POSITIVE)},
+    "domain": {
+        "rho_min": Key(_finite, 0.1), "theta_min": Key(_finite, 0.1),
+        "rho_max": Key(_finite, 3.0), "theta_max": Key(_finite, 3.0)},
+    "thermo": {"n_samples": Key(int, 50, _at_least(1))},
+    "entropy_pair": {
+        "n_samples": Key(int, 100, _at_least(1)),
+        "fd_step": Key(_finite, 1e-5, _POSITIVE)},
+    "symbol": {
+        "xi_min": Key(_finite, 1e-3, _POSITIVE), "xi_max": Key(_finite, 1e3),
+        "n_xi": Key(int, 4001, _at_least(10)),
+        "eps": Key(_finite, None),      # None: midpoint of the admissible window
+        "cert_xi_max": Key(_finite, 100.0, _POSITIVE),
+        "cert_n_xi": Key(int, 4001, _at_least(10)),
+        "lyapunov_delta": Key(_finite, 0.05, _POSITIVE)},
+    "linear": {
+        "n_nodes": Key(int, 4096), "xi_cap": Key(_finite, 200.0),
+        "h0": Key(_finite, 1e-4),
+        "profile": Key(str, "gaussian", _one_of(
+            "gaussian", "zero-mass-gaussian", "zero_mass_gaussian", "csv")),
+        "profile_csv": Key(str, None), "ell": Key(_finite, 0.0, _at_least(0)),
+        "t_min": Key(_finite, 0.1, _POSITIVE), "t_max": Key(_finite, 1e4),
+        "n_times": Key(int, 41, _at_least(4)), "fit_t_min": Key(_finite, 1e2),
+        "fit_t_max": Key(_finite, lambda values: values["t_max"])},
+    "nonlinear": {
+        "length": Key(_finite, 400.0), "n": Key(int, 4096),
+        "dt": Key(_finite, 0.02, _POSITIVE), "t_final": Key(_finite, 150.0, _POSITIVE),
+        "scheme": Key(str, "if-rk4", _one_of("if-rk4", "rk4")),
+        "shape": Key(str, "gaussian"), "fields": Key(_names, ("rho",), _FIELDS),
+        "amplitude": Key(_finite, 1e-2, _at_least(0)),
+        "width": Key(_finite, 3.0, _POSITIVE),
+        "sample_every": Key(int, 100, _at_least(1)), "fit_t_min": Key(_finite, 20.0)},
+}
+
+
+def _build(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValueError reported as a config error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where} {exc}") from exc
+
+
 @dataclass
 class RunConfig:
-    """Validated run configuration plus provenance."""
+    """Parsed run configuration plus provenance."""
 
     parser: configparser.ConfigParser
     path: Path
@@ -70,79 +154,46 @@ class RunConfig:
         digest = hashlib.sha256(raw).hexdigest()
         return RunConfig(parser=parser, path=path, config_hash=digest, seed=seed)
 
-    # typed getters with section/field context in error messages -------------
+    def section(self, name: str) -> dict:
+        """Every key of ``[name]`` in SCHEMA, parsed, defaulted and checked.
 
-    def _get(self, section: str, key: str, cast, default=None):
-        try:
-            raw = self.parser.get(section, key)
-        except (configparser.NoSectionError, configparser.NoOptionError):
-            if default is None:
-                raise ConfigError(f"missing [{section}] {key}")
-            return default
-        raw = raw.strip()
-        if raw == "":
-            if default is None:
-                raise ConfigError(f"empty value for [{section}] {key}")
-            return default
-        try:
-            value = cast(raw)
-            if cast is float and not np.isfinite(value):
-                raise ValueError(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-        return value
-
-    def get_float(self, section, key, default=None) -> float:
-        return self._get(section, key, float, default)
-
-    def get_int(self, section, key, default=None) -> int:
-        return self._get(section, key, int, default)
-
-    def get_str(self, section, key, default=None) -> str:
-        return self._get(section, key, str, default)
-
-    def get_optional_float(self, section, key):
-        sentinel = object()
-        val = self._get(section, key, float, sentinel)
-        return None if val is sentinel else val
-
-    # domain objects ----------------------------------------------------------
+        A blank or missing value takes the default.  An undeclared key is an
+        error; configparser lower-cases names, so ``R`` is read back as ``r``.
+        """
+        keys = SCHEMA[name]
+        if self.parser.has_section(name):
+            unknown = set(self.parser[name]) - {key.lower() for key in keys}
+            if unknown:
+                raise ConfigError(f"unknown key [{name}] {min(unknown)} "
+                                  f"(known: {', '.join(keys)})")
+        values = {}
+        for key, (parse, default, rule) in keys.items():
+            raw = self.parser.get(name, key, fallback="").strip()
+            if raw == "":
+                values[key] = default(values) if callable(default) else default
+                continue
+            try:
+                values[key] = parse(raw)
+                if rule and not rule[0](values[key]):
+                    raise ValueError(rule[1])
+            except ValueError as exc:
+                raise ConfigError(
+                    f"bad value for [{name}] {key}: {raw!r} ({exc})") from exc
+        return values
 
     def closure(self):
         from .thermo import ideal_gas_eos
-        kind = self.get_str("closure", "type", "ideal_gas")
-        if kind != "ideal_gas":
-            raise ConfigError(f"unknown closure type {kind!r}")
-        R = self.get_float("closure", "R", 1.0)
-        gamma = self.get_float("closure", "gamma", 5.0 / 3.0)
-        kappa0 = self.get_float("closure", "kappa0", 1.0)
-        mu0 = self.get_float("closure", "mu0", 1.0)
-        alpha0 = self.get_float("closure", "alpha0", 1.0)
-        try:
-            return ideal_gas_eos(R, gamma, kappa0, mu0, alpha0)
-        except ValueError as exc:
-            raise ConfigError(f"[closure] {exc}") from exc
+        c = self.section("closure")
+        return _build("[closure]", ideal_gas_eos, c["R"], c["gamma"], c["kappa0"],
+                      c["mu0"], c["alpha0"])
 
     def equilibrium(self):
         from .thermo import State
-        rho = self.get_float("equilibrium", "rho", 1.0)
-        u = self.get_float("equilibrium", "u", 0.0)
-        theta = self.get_float("equilibrium", "theta", 1.0)
-        if rho <= 0 or theta <= 0:
-            raise ConfigError("[equilibrium] rho and theta must be positive")
-        return State(rho, u, theta)
+        return State(**self.section("equilibrium"))
 
     def domain(self):
         from .thermo import Domain
-        try:
-            return Domain(
-                rho_min=self.get_float("domain", "rho_min", 0.1),
-                theta_min=self.get_float("domain", "theta_min", 0.1),
-                rho_max=self.get_float("domain", "rho_max", 3.0),
-                theta_max=self.get_float("domain", "theta_max", 3.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[domain] {exc}") from exc
+        return _build("[domain]", Domain, **self.section("domain"))
 
 
 @dataclass
@@ -207,20 +258,12 @@ def cmd_verify_thermo(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     from .convex_extension import verify_entropy_pair
     from .thermo import verify_hypotheses
 
-    eos = cfg.closure()
-    domain = cfg.domain()
-    n_thermo = cfg.get_int("thermo", "n_samples", 50)
-    n_pair = cfg.get_int("entropy_pair", "n_samples", 100)
-    fd_step = cfg.get_float("entropy_pair", "fd_step", 1e-5)
-
-    try:
-        rep_h = verify_hypotheses(eos, domain, n_thermo)
-    except ValueError as exc:
-        raise ConfigError(f"[thermo] {exc}") from exc
-    try:
-        rep_p = verify_entropy_pair(eos, domain, n_pair, fd_step, seed=cfg.seed)
-    except ValueError as exc:
-        raise ConfigError(f"[entropy_pair] {exc}") from exc
+    eos, domain = cfg.closure(), cfg.domain()
+    n_thermo = cfg.section("thermo")["n_samples"]
+    pair = cfg.section("entropy_pair")
+    rep_h = verify_hypotheses(eos, domain, n_thermo)
+    rep_p = verify_entropy_pair(eos, domain, pair["n_samples"], pair["fd_step"],
+                                seed=cfg.seed)
 
     report = Report("verify-thermo", cfg.config_hash, cfg.seed,
                     sections=[rep_h, rep_p])
@@ -235,27 +278,17 @@ def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     from . import dissipativity as dis
     from .symbols import equilibrium_coefficients, symbol_triplet
 
-    eos = cfg.closure()
-    ubar = cfg.equilibrium()
-    coeffs = equilibrium_coefficients(eos, ubar)
-
-    xi_min = cfg.get_float("symbol", "xi_min", 1e-3)
-    xi_max = cfg.get_float("symbol", "xi_max", 1e3)
-    n_xi = cfg.get_int("symbol", "n_xi", 4001)
-    eps = cfg.get_optional_float("symbol", "eps")
-    cert_max = cfg.get_float("symbol", "cert_xi_max", 100.0)
-    cert_n = cfg.get_int("symbol", "cert_n_xi", 4001)
-    delta = cfg.get_float("symbol", "lyapunov_delta", 0.05)
-    if xi_min <= 0 or xi_max <= xi_min or n_xi < 10:
-        raise ConfigError("[symbol] requires 0 < xi_min < xi_max and n_xi >= 10")
-    if cert_max <= 0 or cert_n < 10 or delta <= 0:
-        raise ConfigError("[symbol] requires cert_xi_max > 0, cert_n_xi >= 10 "
-                          "and lyapunov_delta > 0")
-    grid = dis.default_xi_grid(xi_min, xi_max, n_xi)
+    eos, ubar = cfg.closure(), cfg.equilibrium()
+    sym = cfg.section("symbol")
+    eps, cert_max, cert_n = sym["eps"], sym["cert_xi_max"], sym["cert_n_xi"]
+    if sym["xi_max"] <= sym["xi_min"]:
+        raise ConfigError("[symbol] requires xi_min < xi_max")
+    grid = dis.default_xi_grid(sym["xi_min"], sym["xi_max"], sym["n_xi"])
     for lo, hi in (dis.SMALL_XI_WINDOW, dis.LARGE_XI_WINDOW):
         if np.count_nonzero((grid >= lo) & (grid <= hi)) < 2:
             raise ConfigError(f"[symbol] the xi grid needs two points in the "
                               f"spectral fit window [{lo:g}, {hi:g}]")
+    coeffs = equilibrium_coefficients(eos, ubar)
     gamma_bar, eps_lo, eps_hi = dis.compensating_window(coeffs)
     # an empty window is a property of the closure (no dissipation) and is
     # reported as a failed check; an eps outside a non-empty one is a bad input
@@ -269,10 +302,12 @@ def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
     coupling = dis.check_genuine_coupling(symbol_triplet(coeffs), grid)
     offending = ", ".join(f"{x:.6g}" for x, _ in coupling.failures[:5])
+    where = (f"worst xi = {coupling.worst_xi:.6g}" if coupling.min_margin < np.inf
+             else "no kernel of B(xi) on any")
     sections.append(_section(
         "genuine coupling", name="min coupling margin", passed=coupling.passed,
         observed=coupling.min_margin, tolerance=1e-10,
-        detail=(f"worst xi = {coupling.worst_xi:.6g} of {coupling.n_xi} grid points"
+        detail=(f"{where} of {coupling.n_xi} grid points"
                 + (f"; offending xi = {offending}" if offending else ""))))
     constants["coupling_min_margin"] = coupling.min_margin
 
@@ -306,6 +341,9 @@ def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
                     f"{eps_hi:.6g}): no uniform certificate")))
 
     spect = dis.spectral_bound(coeffs, grid)
+    # regularity-gain type (1, 0) with capillarity, standard (1, 1) without
+    target = (1.0, 1.0) if expect_feasible else (1.0, 0.0)
+    deviation = float(np.abs(np.subtract((spect.p, spect.q), target)).max())
     sections.append(_section(
         "spectral bound", name="max sigma over xi != 0",
         passed=spect.strictly_dissipative, observed=float(spect.sigma.max()),
@@ -314,13 +352,16 @@ def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
                 f"c0 = {spect.c0:.6g}, log-residual {spect.residual:.3e}, "
                 f"classification: {spect.classification}, "
                 f"Re lambda <= -{spect.c0_uniform:.6g} xi^2")))
+    sections[-1].checks.append(Check(          # criterion 7's gate of 0.05
+        name="(p, q) deviation from ({:g}, {:g})".format(*target),
+        passed=deviation <= 0.05, observed=deviation, tolerance=0.05))
     if spect.strictly_dissipative:
         constants.update(type_p=spect.p, type_q=spect.q, c0_fit=spect.c0,
                          c0_uniform=spect.c0_uniform,
                          classification=spect.classification)
 
     if have_cert:
-        lyap = dis.lyapunov_check(coeffs, eps, delta, seed=cfg.seed)
+        lyap = dis.lyapunov_check(coeffs, eps, sym["lyapunov_delta"], seed=cfg.seed)
         # an inconclusive check (precondition on delta violated, e.g. the
         # capillarity-free sub-case) is reported but not a criterion failure
         sections.append(_section(
@@ -354,65 +395,41 @@ def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     return 0 if report.passed else 1
 
 
-def _load_profile(cfg: RunConfig, nodes, weights):
-    from .linear_evolution import (SpectralProfile, gaussian_profile,
-                                   zero_mass_gaussian_profile)
-    kind = cfg.get_str("linear", "profile", "gaussian")
-    if kind == "gaussian":
-        return gaussian_profile(nodes, weights)
-    if kind in ("zero-mass-gaussian", "zero_mass_gaussian"):
-        return zero_mass_gaussian_profile(nodes, weights)
-    if kind == "csv":
-        path = Path(cfg.get_str("linear", "profile_csv"))
-        if not path.is_file():
-            raise ConfigError(f"[linear] profile_csv not found: {path}")
-        try:
-            data = np.genfromtxt(path, delimiter=",", names=True)
-            xi = np.asarray(data["xi"], dtype=float)
-            modes = np.stack([
-                data["re1"] + 1j * data["im1"],
-                data["re2"] + 1j * data["im2"],
-                data["re3"] + 1j * data["im3"],
-            ], axis=1)
-            return SpectralProfile(xi, np.gradient(xi), modes)
-        except ValueError as exc:
-            raise ConfigError(f"[linear] profile_csv {path}: {exc}") from exc
-    raise ConfigError(f"[linear] unknown profile {kind!r}")
+def _load_profile(lin: dict, nodes, weights):
+    from . import linear_evolution as le
+    if lin["profile"] == "gaussian":
+        return le.gaussian_profile(nodes, weights)
+    if lin["profile"] != "csv":
+        return le.zero_mass_gaussian_profile(nodes, weights)
+    if lin["profile_csv"] is None:
+        raise ConfigError("missing [linear] profile_csv for profile = csv")
+    path = Path(lin["profile_csv"])
+    if not path.is_file():
+        raise ConfigError(f"[linear] profile_csv not found: {path}")
+    return _build(f"[linear] profile_csv {path}:", le.csv_profile, path)
 
 
 def cmd_linear_decay(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     from .linear_evolution import evolve_and_fit, geometric_nodes
     from .symbols import equilibrium_coefficients
 
-    eos = cfg.closure()
-    coeffs = equilibrium_coefficients(eos, cfg.equilibrium())
-
-    n_nodes = cfg.get_int("linear", "n_nodes", 4096)
-    xi_cap = cfg.get_float("linear", "xi_cap", 200.0)
-    h0 = cfg.get_float("linear", "h0", 1e-4)
-    ell = cfg.get_float("linear", "ell", 0.0)
-    t_min = cfg.get_float("linear", "t_min", 0.1)
-    t_max = cfg.get_float("linear", "t_max", 1e4)
-    n_times = cfg.get_int("linear", "n_times", 41)
-    fit_lo = cfg.get_float("linear", "fit_t_min", 1e2)
-    fit_hi = cfg.get_float("linear", "fit_t_max", t_max)
-    if t_min <= 0 or t_max <= t_min or n_times < 4 or ell < 0:
-        raise ConfigError("[linear] requires 0 < t_min < t_max, n_times >= 4 "
-                          "and ell >= 0")
-    if not (t_min <= fit_lo < fit_hi <= t_max):
-        raise ConfigError("[linear] fit window must sit inside the time range")
-    times = np.logspace(np.log10(t_min), np.log10(t_max), n_times)
+    eos, ubar = cfg.closure(), cfg.equilibrium()
+    lin = cfg.section("linear")
+    ell, t_min, t_max = lin["ell"], lin["t_min"], lin["t_max"]
+    fit_lo, fit_hi = lin["fit_t_min"], lin["fit_t_max"]
+    if not t_min <= fit_lo < fit_hi <= t_max:
+        raise ConfigError("[linear] requires t_min <= fit_t_min < fit_t_max <= t_max")
+    times = np.logspace(np.log10(t_min), np.log10(t_max), lin["n_times"])
     # the same comparison as the fit's window on 1 + t
     if np.count_nonzero((1.0 + times >= 1.0 + fit_lo)
                         & (1.0 + times <= 1.0 + fit_hi)) < 2:
         raise ConfigError("[linear] the fit window holds fewer than two of the "
                           "n_times evaluation times")
-    try:
-        nodes, weights = geometric_nodes(n_nodes, xi_cap, h0)
-    except ValueError as exc:
-        raise ConfigError(f"[linear] {exc}") from exc
+    nodes, weights = _build("[linear]", geometric_nodes, lin["n_nodes"],
+                            lin["xi_cap"], lin["h0"])
+    profile = _load_profile(lin, nodes, weights)
 
-    profile = _load_profile(cfg, nodes, weights)
+    coeffs = equilibrium_coefficients(eos, ubar)
     fit = evolve_and_fit(coeffs, profile, times, ell, (fit_lo, fit_hi))
 
     predicted = -(ell / 2.0 + 0.25)
@@ -423,7 +440,8 @@ def cmd_linear_decay(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
                    name=f"decay exponent at ell={ell:g} (predicted {predicted:g})",
                    passed=not fit.flagged and fit.exponent <= bound,
                    observed=fit.exponent, tolerance=bound,
-                   detail=f"residual {fit.residual:.3e}, window {fit.t_window}")
+                   detail=(f"residual {fit.residual:.3e}, window {fit.t_window}, "
+                           f"xi = 0 share of the final norm^2 {fit.zero_share:.3g}"))
     write_csv(out_dir / "decay.csv", ["t", "norm"],
               [{"t": float(t), "norm": float(nm)}
                for t, nm in zip(fit.times, fit.norms)])
@@ -440,40 +458,14 @@ def cmd_nonlinear_run(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     from .nonlinear_solver import (PerturbationSpec, SpectralGrid, make_stepper,
                                    run, sample_times, wrap_time)
 
-    eos = cfg.closure()
-    ubar = cfg.equilibrium()
-    length = cfg.get_float("nonlinear", "length", 400.0)
-    n = cfg.get_int("nonlinear", "n", 4096)
-    dt = cfg.get_float("nonlinear", "dt", 0.02)
-    t_final = cfg.get_float("nonlinear", "t_final", 150.0)
-    scheme = cfg.get_str("nonlinear", "scheme", "if-rk4")
-    amplitude = cfg.get_float("nonlinear", "amplitude", 1e-2)
-    width = cfg.get_float("nonlinear", "width", 3.0)
-    shape = cfg.get_str("nonlinear", "shape", "gaussian")
-    fields = tuple(f.strip() for f in
-                   cfg.get_str("nonlinear", "fields", "rho").split(",") if f.strip())
-    sample_every = cfg.get_int("nonlinear", "sample_every", 100)
-    fit_t_min = cfg.get_float("nonlinear", "fit_t_min", 20.0)
-    if dt <= 0 or t_final <= 0:
-        raise ConfigError("[nonlinear] dt and t_final must be positive")
-    if sample_every < 1:
-        raise ConfigError("[nonlinear] sample_every must be >= 1")
-    if amplitude < 0 or width <= 0:
-        raise ConfigError("[nonlinear] amplitude >= 0 and width > 0 required")
-    if not fields:
-        raise ConfigError("[nonlinear] fields must name at least one field")
-    for f in fields:
-        if f not in ("rho", "u", "theta"):
-            raise ConfigError(f"[nonlinear] unknown perturbed field {f!r}")
-    if scheme not in ("if-rk4", "rk4"):
-        raise ConfigError(f"[nonlinear] unknown scheme {scheme!r} "
-                          "(expected 'if-rk4' or 'rk4')")
-    try:
-        grid = SpectralGrid(n, length)
-        spec = PerturbationSpec(shape=shape, amplitude=amplitude, width=width,
-                                fields=fields)
-    except ValueError as exc:
-        raise ConfigError(f"[nonlinear] {exc}") from exc
+    eos, ubar = cfg.closure(), cfg.equilibrium()
+    nl = cfg.section("nonlinear")
+    length, n, dt, t_final = nl["length"], nl["n"], nl["dt"], nl["t_final"]
+    scheme, amplitude = nl["scheme"], nl["amplitude"]
+    sample_every, fit_t_min = nl["sample_every"], nl["fit_t_min"]
+    grid = _build("[nonlinear]", SpectralGrid, n, length)
+    spec = _build("[nonlinear]", PerturbationSpec, shape=nl["shape"],
+                  amplitude=amplitude, width=nl["width"], fields=nl["fields"])
     if amplitude > 0:
         # the same window on 1 + t that the decay fit uses after the run
         t = 1.0 + sample_times(t_final, dt, sample_every)

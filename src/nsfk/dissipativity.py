@@ -180,6 +180,8 @@ def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callab
     A(xi)), taken in the closed form |a - s b|/sqrt(2), s = +1 if a.b >= 0
     else -1: equal to sqrt(1 - |a.b|) but accurate down to roundoff near a
     rank drop.  A zero A(xi) V has margin 0, a zero A0 V otherwise margin 1.
+    It passes when no margin is <= ``margin_tol`` on a grid with a xi != 0:
+    a B(xi) nonsingular everywhere has no kernel, and min_margin = inf.
     """
     xi = np.asarray(xi_grid, dtype=float)
     xi = xi[xi != 0.0]
@@ -211,7 +213,7 @@ def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callab
     failures = [(float(xi[i]), v[i, :, j].copy())
                 for i, j in zip(*np.nonzero(margin <= margin_tol))]
     return GenuineCouplingReport(
-        passed=bool(not failures and np.isfinite(min_margin)),
+        passed=bool(not failures and xi.size > 0),
         min_margin=min_margin, worst_xi=worst_xi, failures=failures, n_xi=xi.size)
 
 

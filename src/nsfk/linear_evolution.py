@@ -14,8 +14,8 @@ density one extra derivative.  For integrable initial data with
 What(0) != 0 the norm decays like (1 + t)^{-(ell/2 + 1/4)}.
 
 Matrix exponentials use a per-node eigendecomposition with a
-scaling-and-squaring fallback (scipy.linalg.expm) wherever the eigenvector
-matrix is ill-conditioned.
+scaling-and-squaring fallback (scipy.linalg.expm, imported on first use)
+wherever the eigenvector matrix is ill-conditioned.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from .fitting import fit_power_law
 from .symbols import EquilibriumCoefficients, evolution_symbol
@@ -33,15 +31,35 @@ from .symbols import EquilibriumCoefficients, evolution_symbol
 __all__ = [
     "SpectralProfile",
     "DecayFit",
-    "PointwiseReport",
     "ModePropagator",
     "geometric_nodes",
     "gaussian_profile",
     "zero_mass_gaussian_profile",
+    "csv_profile",
     "weighted_norm",
     "evolve_and_fit",
-    "verify_pointwise",
 ]
+
+
+def _grading_ratio(n_half: int, xi_max: float, h0: float) -> float:
+    """Ratio r > 1 with h0 (r^n_half - 1)/(r - 1) = xi_max, bisecting log r."""
+    def reach(log_r):
+        # solved in log space; clip to dodge overflow far from the root
+        if n_half * log_r > 600.0:
+            return 1e300
+        r = np.exp(log_r)
+        return h0 * np.expm1(n_half * log_r) / (r - 1.0) - xi_max
+
+    if reach(0.7) < 0:
+        raise ValueError(f"{2 * n_half} nodes cannot grade from h0 = {h0:g} "
+                         f"out to xi_max = {xi_max:g}")
+    lo, hi = 1e-15, 0.7
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if reach(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return float(np.exp(hi))
 
 
 def geometric_nodes(n_nodes: int = 4096, xi_max: float = 200.0,
@@ -61,17 +79,7 @@ def geometric_nodes(n_nodes: int = 4096, xi_max: float = 200.0,
         raise ValueError(f"need 0 < h0 < xi_max / {n_half}; got h0 = {h0:g}, "
                          f"xi_max = {xi_max:g}")
 
-    def reach(log_r):
-        # solved in log space; clip to dodge overflow far from the root
-        if n_half * log_r > 600.0:
-            return 1e300
-        r = np.exp(log_r)
-        return h0 * np.expm1(n_half * log_r) / (r - 1.0) - xi_max
-
-    if reach(0.7) < 0:
-        raise ValueError(f"{2 * n_half} nodes cannot grade from h0 = {h0:g} "
-                         f"out to xi_max = {xi_max:g}")
-    ratio = float(np.exp(brentq(reach, 1e-15, 0.7, xtol=1e-16, rtol=8.9e-16)))
+    ratio = _grading_ratio(n_half, xi_max, h0)
 
     j = np.arange(0, n_half + 1, dtype=float)
     pos = h0 * (ratio ** j - 1.0) / (ratio - 1.0)
@@ -79,7 +87,6 @@ def geometric_nodes(n_nodes: int = 4096, xi_max: float = 200.0,
     s = np.arange(-n_half, n_half + 1, dtype=float)
     jac = h0 * ratio ** np.abs(s) * np.log(ratio) / (ratio - 1.0)
 
-    n_int = nodes.size - 1  # even by construction
     simpson = np.ones(nodes.size)
     simpson[1:-1:2] = 4.0
     simpson[2:-1:2] = 2.0
@@ -146,6 +153,15 @@ def zero_mass_gaussian_profile(nodes: Optional[np.ndarray] = None,
     return SpectralProfile(nodes, weights, modes)
 
 
+def csv_profile(path) -> SpectralProfile:
+    """Profile from a CSV with columns xi, re1 .. im3; weights np.gradient(xi)."""
+    data = np.genfromtxt(path, delimiter=",", names=True)
+    xi = np.asarray(data["xi"], dtype=float)
+    modes = np.stack([data[f"re{i}"] + 1j * data[f"im{i}"] for i in (1, 2, 3)],
+                     axis=1)
+    return SpectralProfile(xi, np.gradient(xi), modes)
+
+
 def _eigensystem(generators: np.ndarray, cond_threshold: float):
     """(lam, V, V^{-1}, bad) with G = V diag(lam) V^{-1} for a stack (..., 3, 3).
 
@@ -158,6 +174,12 @@ def _eigensystem(generators: np.ndarray, cond_threshold: float):
     bad = cond > cond_threshold
     vecs = np.where(bad[..., None, None], np.eye(3), vecs)
     return lam, vecs, np.linalg.inv(vecs), bad
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on first use: the fallback is rarely taken."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
 
 
 def _expm_stack(generators: np.ndarray, t: float) -> np.ndarray:
@@ -234,6 +256,8 @@ class DecayFit:
     residual: float
     t_window: tuple[float, float]
     flagged: bool = False  # residual above threshold: fit unreliable
+    # share of the final norm^2 on the never-decaying xi = 0 nodes (M(0) = 0)
+    zero_share: float = float("nan")
     times: np.ndarray = field(repr=False, default=None)
     norms: np.ndarray = field(repr=False, default=None)
 
@@ -253,6 +277,8 @@ def evolve_and_fit(coeffs: EquilibriumCoefficients, initial: SpectralProfile,
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     prop = ModePropagator(coeffs, initial.xi_nodes)
+    at_zero = initial.xi_nodes == 0.0
+    frozen = np.sum(initial.weights[at_zero] * modal_energy(initial, ell)[at_zero])
     norms = np.array([
         weighted_norm(initial.with_modes(prop.propagate(initial.modes, t)), ell)
         for t in times
@@ -264,66 +290,5 @@ def evolve_and_fit(coeffs: EquilibriumCoefficients, initial: SpectralProfile,
     return DecayFit(exponent=fit.exponent, amplitude=fit.amplitude,
                     residual=fit.residual, t_window=fit_window,
                     flagged=not fit.residual <= residual_tol,  # nan flags too
+                    zero_share=float(frozen / norms[-1] ** 2),
                     times=times, norms=norms)
-
-
-@dataclass
-class PointwiseReport:
-    """Observed constant in the per-mode bound E(t) <= C exp(-2 c0 xi^2 t) E(0)."""
-
-    c0: float
-    observed_constant: float
-    worst_xi: float
-    worst_t: float
-    passed: bool
-    n_samples: int
-
-
-def verify_pointwise(coeffs: EquilibriumCoefficients, xi_grid, t_grid,
-                     c0: float, n_modes: int = 8, seed: int = 0,
-                     constant_cap: float = 1e3) -> PointwiseReport:
-    """Check the exponential modal bound for random initial modes.
-
-    For each grid xi and random unit mode, the weighted modal energy at every
-    time of ``t_grid`` is compared against exp(-2 c0 xi^2 t) times its initial
-    value; the worst ratio is the observed constant C.  ``c0`` should be a
-    certified uniform modal rate (e.g. slightly below min(-sigma/xi^2) from
-    the spectral bound).
-    """
-    xi = np.asarray(xi_grid, dtype=float)
-    xi = xi[xi != 0.0]
-    t_grid = np.asarray(t_grid, dtype=float)
-    rng = np.random.default_rng(seed)
-    modes0 = rng.standard_normal((n_modes, 3)) + 1j * rng.standard_normal((n_modes, 3))
-    modes0 /= np.linalg.norm(modes0, axis=-1, keepdims=True)
-
-    prop = ModePropagator(coeffs, xi)
-    weight = 1.0 + xi ** 2
-    log_worst = -np.inf
-    worst_xi = worst_t = 0.0
-    count = 0
-    for m in modes0:
-        stacked = np.broadcast_to(m, (xi.size, 3))
-        e0 = weight * np.abs(stacked[:, 0]) ** 2 + np.abs(stacked[:, 1]) ** 2 \
-            + np.abs(stacked[:, 2]) ** 2
-        for t in t_grid:
-            mt = prop.propagate(np.array(stacked), float(t))
-            et = weight * np.abs(mt[:, 0]) ** 2 + np.abs(mt[:, 1]) ** 2 \
-                + np.abs(mt[:, 2]) ** 2
-            # log-space ratio: the exponential factor underflows long before
-            # the modal energy does, and a fully decayed mode passes trivially
-            with np.errstate(divide="ignore"):
-                log_ratio = np.where(
-                    et > 0.0,
-                    np.log(np.maximum(et, 1e-300)) - np.log(e0)
-                    + 2.0 * c0 * xi ** 2 * t,
-                    -np.inf)
-            count += log_ratio.size
-            k = int(np.argmax(log_ratio))
-            if log_ratio[k] > log_worst:
-                log_worst = float(log_ratio[k])
-                worst_xi, worst_t = float(xi[k]), float(t)
-    worst = float(np.exp(log_worst))
-    passed = np.isfinite(worst) and worst < constant_cap
-    return PointwiseReport(c0=c0, observed_constant=worst, worst_xi=worst_xi,
-                           worst_t=worst_t, passed=bool(passed), n_samples=count)

@@ -1,5 +1,6 @@
 import configparser
 import csv
+import dataclasses
 import math
 import re
 import textwrap
@@ -7,7 +8,8 @@ import textwrap
 import numpy as np
 import pytest
 
-from nsfk.cli import ConfigError, RunConfig, main
+from nsfk import dissipativity, thermo
+from nsfk.cli import SCHEMA, ConfigError, RunConfig, main
 
 BASE = """
 [closure]
@@ -121,29 +123,36 @@ BAD_VALUES = [
 ]
 
 
-def _numeric_sweep(config_file, tmp_path, command, section, base=None):
-    """Run ``command`` with each numeric key of ``section`` at 0, -1 and 1.
+# the subcommand that each config section is swept through
+SWEEP_COMMANDS = {"closure": "verify-thermo", "domain": "verify-thermo",
+                  "thermo": "verify-thermo", "entropy_pair": "verify-thermo",
+                  "equilibrium": "analyze-symbol", "symbol": "analyze-symbol",
+                  "linear": "linear-decay", "nonlinear": "nonlinear-run"}
+
+
+def _sweep(tmp_path, section, base=None):
+    """Run the section's command with each SCHEMA key of it at 0, -1 and 1.
 
     ``base`` overrides keys of the section first.  Returns the runs that
     raised out of main or exited with a code other than 0, 1 or 2.
     """
-    parser = configparser.ConfigParser()
-    parser.read_string(BASE.format(kappa0="1.0", amplitude="1e-2"))
-    keys = [k for k, v in parser[section].items()
-            if v == "" or re.fullmatch(r"[-+.\de]+", v)]
     escaped = []
-    for key in keys:
+    for key in SCHEMA[section]:
         for value in ("0", "-1", "1"):
-            path = config_file()
-            set_keys(path, section, {**(base or {}), key: value})
+            parser = configparser.ConfigParser()
+            parser.read_string(BASE.format(kappa0="1.0", amplitude="1e-2"))
+            parser[section].update({**(base or {}), key: value})
+            path = tmp_path / "sweep.ini"
+            with open(path, "w") as fh:
+                parser.write(fh)
             try:
-                code = main([command, "--config", str(path), "--out",
-                             str(tmp_path / "o"), "--quiet"])
+                code = main([SWEEP_COMMANDS[section], "--config", str(path),
+                             "--out", str(tmp_path / "o"), "--quiet"])
             except Exception as exc:  # noqa: BLE001 -- collected by the caller
-                escaped.append(f"{key} = {value}: {exc!r}")
+                escaped.append(f"[{section}] {key} = {value}: {exc!r}")
                 continue
             if code not in (0, 1, 2):
-                escaped.append(f"{key} = {value}: exit {code}")
+                escaped.append(f"[{section}] {key} = {value}: exit {code}")
     return escaped
 
 
@@ -162,13 +171,53 @@ class TestConfigValidation:
         assert code == 2
         assert "gamma" in capsys.readouterr().err
 
-    def test_typed_getters(self, config_file):
+    def test_section(self, config_file, tmp_path):
         cfg = RunConfig.load(config_file())
-        assert cfg.get_float("closure", "R") == 1.0
-        assert cfg.get_int("thermo", "n_samples") == 20
-        with pytest.raises(ConfigError):
-            cfg.get_float("closure", "missing_key")
-        assert cfg.get_float("closure", "missing_key", 7.0) == 7.0
+        closure = cfg.section("closure")
+        assert closure["R"] == 1.0 and closure["type"] == "ideal_gas"
+        assert cfg.section("thermo") == {"n_samples": 20}
+        assert cfg.section("symbol")["eps"] is None         # blank value
+        assert cfg.section("nonlinear")["fields"] == ("rho",)
+        empty = tmp_path / "empty.ini"
+        empty.write_text("")
+        cfg = RunConfig.load(empty)
+        assert cfg.section("linear")["n_nodes"] == 4096
+        assert cfg.section("linear")["fit_t_max"] == cfg.section("linear")["t_max"]
+        assert cfg.section("linear")["profile_csv"] is None
+        for text, message in (("[thermo]\nn_samples = 2.5\n", "n_samples: '2.5'"),
+                              ("[thermo]\nn_samples = 0\n", "must be >= 1"),
+                              ("[closure]\ngamma = nan\n", "gamma: 'nan'"),
+                              ("[closure]\ndT = 0.1\n", "unknown key [closure] dt")):
+            empty.write_text(text)
+            section = text[1:text.index("]")]
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                RunConfig.load(empty).section(section)
+
+    @pytest.mark.parametrize("command,section", [
+        ("verify-thermo", "domain"), ("analyze-symbol", "symbol"),
+        ("linear-decay", "linear"), ("nonlinear-run", "equilibrium")])
+    def test_unknown_key_rejected(self, config_file, tmp_path, capsys, command,
+                                  section):
+        path = config_file()
+        path.write_text(path.read_text().replace(f"[{section}]\n",
+                                                 f"[{section}]\nTypo = 1\n"))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--quiet"])
+        assert code == 2
+        assert f"unknown key [{section}] typo" in capsys.readouterr().err
+
+    def test_entropy_pair_checked_before_hypotheses(self, config_file, tmp_path,
+                                                    capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("verify_hypotheses ran before validation")
+
+        monkeypatch.setattr(thermo, "verify_hypotheses", never)
+        path = config_file()
+        set_keys(path, "entropy_pair", {"fd_step": "0"})
+        code = main(["verify-thermo", "--config", str(path), "--out",
+                     str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        assert "[entropy_pair] fd_step" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,old,new", [
         ("nonlinear-run", "sample_every = 50", "sample_every = 0"),
@@ -210,21 +259,21 @@ class TestConfigValidation:
         assert code == 2
         assert "config error: [linear] profile_csv" in capsys.readouterr().err
 
-    def test_numeric_sweep_never_raises(self, config_file, tmp_path):
-        # every numeric [symbol] / [linear] key at 0, -1 and 1: a verdict or a
+    def test_numeric_sweep_never_raises(self, tmp_path):
+        # every key of every other section at 0, -1 and 1: a verdict or a
         # config error, never an exception out of main
+        assert set(SWEEP_COMMANDS) == set(SCHEMA)
         escaped = []
-        for command, section in (("analyze-symbol", "symbol"),
-                                 ("linear-decay", "linear")):
-            escaped += _numeric_sweep(config_file, tmp_path, command, section)
+        for section in SCHEMA:
+            if section != "nonlinear":
+                escaped += _sweep(tmp_path, section)
         assert not escaped, escaped
 
-    def test_nonlinear_numeric_sweep_never_raises(self, config_file, tmp_path):
+    def test_nonlinear_numeric_sweep_never_raises(self, tmp_path):
         # the same sweep over [nonlinear], on a 64-point grid for 20 steps
         small = {"length": "20.0", "n": "64", "dt": "0.05", "t_final": "1.0",
                  "sample_every": "5", "fit_t_min": "0.5"}
-        escaped = _numeric_sweep(config_file, tmp_path, "nonlinear-run",
-                                 "nonlinear", small)
+        escaped = _sweep(tmp_path, "nonlinear", small)
         assert not escaped, escaped
 
     def test_unknown_command_usage_error(self, config_file):
@@ -267,7 +316,8 @@ class TestAnalyzeSymbol:
             rows = list(csv.DictReader(fh))
         assert [r["report"] for r in rows] == [
             "genuine coupling", "Friedrichs symmetrizability",
-            "compensating certificate", "spectral bound", "Lyapunov functional"]
+            "compensating certificate", "spectral bound", "spectral bound",
+            "Lyapunov functional"]
         assert all(r["check"] != "overall" and r["passed"] == "1" for r in rows)
         inconclusive = "inconclusive:" in (out / "report.txt").read_text()
         for r in rows:
@@ -278,6 +328,30 @@ class TestAnalyzeSymbol:
                 assert math.isfinite(float(r["tolerance"])), r
         # the capillarity-free Lyapunov check is the inconclusive one
         assert inconclusive == (kappa0 == "0.0")
+
+    def test_shifted_type_fails(self, config_file, tmp_path, monkeypatch):
+        # q off by 0.1 from the regularity-gain type (1, 0): only the (p, q)
+        # check fails
+        bound = dissipativity.spectral_bound
+        monkeypatch.setattr(dissipativity, "spectral_bound", lambda *a, **k:
+                            dataclasses.replace(bound(*a, **k), q=bound(*a, **k).q + 0.1))
+        out = tmp_path / "shifted"
+        assert main(["analyze-symbol", "--config", str(config_file()),
+                     "--out", str(out), "--quiet"]) == 1
+        with open(out / "summary.csv", newline="") as fh:
+            failed = [r for r in csv.DictReader(fh) if r["passed"] != "1"]
+        assert [r["check"] for r in failed] == ["(p, q) deviation from (1, 0)"]
+        assert float(failed[0]["observed"]) == pytest.approx(0.1, abs=0.01)
+
+    def test_no_kernel_is_named(self, config_file, tmp_path, monkeypatch):
+        eye = lambda xi: np.eye(3)  # noqa: E731
+        monkeypatch.setattr(dissipativity, "check_genuine_coupling", lambda t, grid:
+                            dissipativity.genuine_coupling_scan(eye, eye, eye, grid))
+        out = tmp_path / "nokernel"
+        assert main(["analyze-symbol", "--config", str(config_file()),
+                     "--out", str(out), "--quiet"]) == 0
+        assert ("no kernel of B(xi) on any of 602 grid points"
+                in (out / "report.txt").read_text())
 
     def test_nsf_reports_friedrichs_feasible(self, config_file, tmp_path):
         out = tmp_path / "nsf"
@@ -322,6 +396,24 @@ class TestLinearDecay:
         assert code == 0
         report = (out / "report.txt").read_text()
         assert "exponent" in report
+
+    def test_uniform_grid_names_the_frozen_mode(self, config_file, tmp_path):
+        # a uniform grid through xi = 0 gives the never-decaying xi = 0 mode
+        # a weight h f(0): it carries the final norm and the fit plateaus
+        xi = np.linspace(-40.0, 40.0, 801)
+        rows = ["xi,re1,im1,re2,im2,re3,im3"] + [
+            f"{x:.17g},{s:.17g},0.0,{s:.17g},0.0,{s:.17g},0.0"
+            for x, s in zip(xi, np.exp(-xi ** 2))]
+        csv_path = tmp_path / "uniform.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        cfg = config_file()
+        set_keys(cfg, "linear", {"profile": f"csv\nprofile_csv = {csv_path}"})
+        out = tmp_path / "uniform"
+        assert main(["linear-decay", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 1
+        share = re.search(r"xi = 0 share of the final norm\^2 (\S+)\]",
+                          (out / "report.txt").read_text())
+        assert float(share.group(1)) >= 0.99
 
     def test_slow_decay_fails(self, config_file, tmp_path):
         # |xi|^(-2/5) near xi = 0 decays like t^(-1/20), slower than the

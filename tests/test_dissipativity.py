@@ -139,6 +139,14 @@ class TestGenuineCoupling:
         assert rep.min_margin == np.inf and np.isnan(rep.worst_xi)
         assert rep.failures == []
 
+    def test_no_kernel_anywhere_passes(self):
+        # B nonsingular on every point: no kernel vector, so coupling holds
+        eye = lambda xi: np.eye(3)  # noqa: E731
+        rep = dis.genuine_coupling_scan(eye, eye, eye, np.linspace(1.0, 5.0, 5))
+        assert rep.passed is True
+        assert rep.n_xi == 5 and rep.failures == []
+        assert rep.min_margin == np.inf
+
     def test_passed_is_python_bool(self, ref_coeffs):
         rep = dis.check_genuine_coupling(sym.symbol_triplet(ref_coeffs),
                                          dis.default_xi_grid(n_per_decade=11))
@@ -177,7 +185,7 @@ def _loop_scan(a0_of_xi, a_of_xi, b_of_xi, xi_grid, rank_rtol=1e-10,
                 min_margin, worst_xi = margin, float(xi)
             if margin <= margin_tol:
                 failures.append((float(xi), v.copy()))
-    passed = bool(not failures and np.isfinite(min_margin))
+    passed = bool(not failures and n > 0)
     return dis.GenuineCouplingReport(passed=passed, min_margin=min_margin,
                                      worst_xi=worst_xi, failures=failures, n_xi=n)
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nsfk
 from nsfk import dissipativity as dis
 from nsfk import linear_evolution as lin
 from nsfk import symbols as sym
@@ -10,6 +16,18 @@ from nsfk.thermo import State, ideal_gas_eos
 @pytest.fixture(scope="module")
 def small_nodes():
     return lin.geometric_nodes(n_nodes=1024, xi_max=200.0, h0=1e-4)
+
+
+def test_import_leaves_scipy_out():
+    # scipy.linalg.expm is imported on first use, and the grading ratio is
+    # found by bisection, so none of the three imports loads scipy's solvers
+    code = ("import sys, nsfk.cli, nsfk.linear_evolution, nsfk.nonlinear_solver; "
+            "print(*sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.linalg', 'scipy.optimize'))))")
+    env = dict(os.environ, PYTHONPATH=str(Path(nsfk.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
 
 
 class TestQuadrature:
@@ -46,6 +64,22 @@ class TestQuadrature:
     def test_bad_grading_has_a_message(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             lin.geometric_nodes(**kwargs)
+
+    @pytest.mark.parametrize("n_nodes,xi_max,h0", [
+        (4096, 200.0, 1e-4), (512, 40.0, 1e-3), (20000, 1e3, 1e-6),
+        (512, 200.0, 1e-4)])
+    def test_grading_ratio_matches_brentq(self, n_nodes, xi_max, h0):
+        from scipy.optimize import brentq
+        n_half = n_nodes // 2
+
+        def reach(log_r):  # oracle: the same reach, solved by brentq
+            if n_half * log_r > 600.0:
+                return 1e300
+            return h0 * np.expm1(n_half * log_r) / (np.exp(log_r) - 1.0) - xi_max
+
+        want = np.exp(brentq(reach, 1e-15, 0.7, xtol=1e-16, rtol=8.9e-16))
+        got = lin._grading_ratio(n_half, xi_max, h0)
+        assert abs(got - want) <= 2 * np.spacing(want)
 
 
 class TestProfiles:
@@ -206,15 +240,6 @@ class TestDecayFits:
 
 
 class TestPointwise:
-    def test_reference_bound(self, ref_coeffs):
-        spect = dis.spectral_bound(ref_coeffs, dis.default_xi_grid(n_per_decade=501))
-        rep = lin.verify_pointwise(ref_coeffs,
-                                   np.linspace(-60, 60, 121),
-                                   np.array([0.0, 0.5, 2.0, 10.0, 50.0]),
-                                   c0=0.9 * spect.c0_uniform, seed=5)
-        assert rep.passed
-        assert rep.observed_constant >= 1.0  # t = 0 ratio is exactly 1
-
     def test_stronger_dissipation_larger_rate(self, ref_coeffs):
         # scaling mu, alpha by 10 speeds up every long-wave mode by ~10 and
         # raises the fitted c0; the uniform min over all xi instead moves to
@@ -227,7 +252,3 @@ class TestPointwise:
         assert strong.c0 > base.c0
         small = np.argmin(np.abs(np.abs(base.xi) - 0.01))
         assert strong.sigma[small] < base.sigma[small] < 0
-        rep = lin.verify_pointwise(coeffs10, np.linspace(-30, 30, 61),
-                                   np.array([0.0, 1.0, 5.0]),
-                                   c0=0.9 * strong.c0_uniform, seed=5)
-        assert rep.passed
