@@ -159,7 +159,15 @@ class RunConfig:
 
         A blank or missing value takes the default.  An undeclared key is an
         error; configparser lower-cases names, so ``R`` is read back as ``r``.
+        So is a section that SCHEMA does not declare, and a ``[DEFAULT]``
+        with keys (configparser would copy them into every section).
         """
+        undeclared = [s for s in self.parser.sections() if s not in SCHEMA]
+        if self.parser.defaults():
+            undeclared.insert(0, self.parser.default_section)
+        if undeclared:
+            raise ConfigError(f"undeclared section [{undeclared[0]}] "
+                              f"(known: {', '.join(SCHEMA)})")
         keys = SCHEMA[name]
         if self.parser.has_section(name):
             unknown = set(self.parser[name]) - {key.lower() for key in keys}
@@ -261,6 +269,12 @@ def cmd_verify_thermo(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     eos, domain = cfg.closure(), cfg.domain()
     n_thermo = cfg.section("thermo")["n_samples"]
     pair = cfg.section("entropy_pair")
+    # sampled states lie in (1.001 min, max): the central differences stay
+    # inside the open domain only for a step below 0.001 min
+    fd_limit = 1e-3 * min(domain.rho_min, domain.theta_min)
+    if not pair["fd_step"] < fd_limit:
+        raise ConfigError(f"[entropy_pair] fd_step = {pair['fd_step']:g} must be "
+                          f"< 0.001 min(rho_min, theta_min) = {fd_limit:g}")
     rep_h = verify_hypotheses(eos, domain, n_thermo)
     rep_p = verify_entropy_pair(eos, domain, pair["n_samples"], pair["fd_step"],
                                 seed=cfg.seed)
@@ -406,7 +420,12 @@ def _load_profile(lin: dict, nodes, weights):
     path = Path(lin["profile_csv"])
     if not path.is_file():
         raise ConfigError(f"[linear] profile_csv not found: {path}")
-    return _build(f"[linear] profile_csv {path}:", le.csv_profile, path)
+    profile = _build(f"[linear] profile_csv {path}:", le.csv_profile, path)
+    # a zero (or nan) norm leaves no decay to fit
+    if not le.weighted_norm(profile, lin["ell"]) > 0:
+        raise ConfigError(f"[linear] profile_csv {path}: the order-{lin['ell']:g} "
+                          f"norm of the profile is not positive")
+    return profile
 
 
 def cmd_linear_decay(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:

@@ -64,7 +64,6 @@ __all__ = [
     "sample_times",
     "wrap_time",
     "w_diagnostics",
-    "triple_norm",
 ]
 
 
@@ -367,15 +366,14 @@ def initial_field(grid: SpectralGrid, equilibrium: State,
     return StateField(grid, rho, u, theta)
 
 
-def triple_norm(grid: SpectralGrid, v1: np.ndarray, v2: np.ndarray,
-                v3: np.ndarray) -> float:
+def _triple_norm(grid: SpectralGrid, v1: np.ndarray, v1_x: np.ndarray,
+                 v2: np.ndarray, v3: np.ndarray) -> float:
     """Discrete anisotropic norm: one extra derivative on the first component.
 
     sqrt( ||v1||^2 + ||v1_x||^2 + ||v2||^2 + ||v3||^2 ), the periodic
     realization of the weighted modal energy used on the linear side.
     """
-    v1x = grid.deriv(v1)
-    return float(np.sqrt(grid.integral(v1 ** 2 + v1x ** 2 + v2 ** 2 + v3 ** 2)))
+    return float(np.sqrt(grid.integral(v1 ** 2 + v1_x ** 2 + v2 ** 2 + v3 ** 2)))
 
 
 @dataclass
@@ -394,19 +392,21 @@ def w_diagnostics(eos: EquationOfState, equilibrium: State,
                   f: StateField) -> WDiagnostics:
     """Perturbation variables, norm equivalence ratio, and quadratic-term residuals.
 
-    The gradients come from one batched transform.  The flux tensors of the
-    field are evaluated once, inside ``nonlinear_terms``; the normalizing
-    scale takes the convective flux F1 = f1 + Gamma1 from its two closed-form
-    parts.
+    The gradients come from ``f.extended()``, one rfft and one irfft, and
+    no other transform is taken: w_0 = rho - rhobar exactly, so both triple
+    norms read the derivative of their first component from ``ext.rho_x``.
+    The flux tensors of the field are evaluated once, inside
+    ``nonlinear_terms``; the normalizing scale takes the convective flux
+    F1 = f1 + Gamma1 from its two closed-form parts.
     """
     ext = f.extended()
     w = sym.w_variables(eos, equilibrium, ext)        # (n, 3)
     n_terms = sym.nonlinear_terms(eos, equilibrium, ext)
     g = f.grid
-    norm_w = triple_norm(g, w[:, 0], w[:, 1], w[:, 2])
-    norm_u = triple_norm(g, f.rho - float(np.asarray(equilibrium.rho)),
-                         f.u - float(np.asarray(equilibrium.u)),
-                         f.theta - float(np.asarray(equilibrium.theta)))
+    norm_w = _triple_norm(g, w[:, 0], ext.rho_x, w[:, 1], w[:, 2])
+    norm_u = _triple_norm(g, f.rho - float(np.asarray(equilibrium.rho)), ext.rho_x,
+                          f.u - float(np.asarray(equilibrium.u)),
+                          f.theta - float(np.asarray(equilibrium.theta)))
     ratio = norm_w / norm_u if norm_u > 0 else None
     F1 = cx.f1(eos, ext.state) + sym.gamma1(eos, ext)
     scale = max(float(np.abs(F1).max()), 1.0)

@@ -95,7 +95,11 @@ class ExtendedState:
 def conserved_quantities(eos: EquationOfState, ext: ExtendedState) -> np.ndarray:
     """F0(U, U_x) = (rho, rho u, rho(epsilon + u^2/2)); equals f0(U) + Gamma0."""
     rho, u = np.asarray(ext.rho, dtype=float), np.asarray(ext.u, dtype=float)
-    eps = eos.epsilon(ext.rho, ext.theta, ext.rho_x)
+    return _conserved(rho, u, eos.epsilon(ext.rho, ext.theta, ext.rho_x))
+
+
+def _conserved(rho, u, eps) -> np.ndarray:
+    """:func:`conserved_quantities` at a given internal energy eps."""
     return vec3([rho, rho * u, rho * (eps + 0.5 * u ** 2)])
 
 
@@ -161,19 +165,25 @@ def _total_flux(eos: EquationOfState, eps, rho, u, theta, rho_x, rho_xx, u_x,
 def flux_and_tensors(eos: EquationOfState, ext: ExtendedState) -> FluxTensors:
     """Convective flux F1, dissipation tensors G, H, and the quadratic flux g.
 
-    H(U) has nonzero entries only at (2,1) = k rho and (3,1) = k rho u; the
-    first component of g is identically zero and g = O(|U_x|^2).  The H and
-    g entries are those of :func:`total_flux`.
+    G(U) has nonzero entries only at (2,2) = mu, (3,2) = mu u and (3,3) =
+    alpha; H(U) only at (2,1) = k rho and (3,1) = k rho u.  The first
+    component of g is identically zero and g = O(|U_x|^2).  The H and g
+    entries are those of :func:`total_flux`.
     """
-    h, g2, g3 = _korteweg_entries(eos, ext.rho, ext.u, ext.theta, ext.rho_x,
-                                  ext.u_x, ext.theta_x)
+    rho, u, theta = (np.asarray(a, dtype=float) for a in (ext.rho, ext.u, ext.theta))
+    h, g2, g3 = _korteweg_entries(eos, rho, u, theta, ext.rho_x, ext.u_x, ext.theta_x)
 
     F1c = cx.f1(eos, ext.state) + gamma1(eos, ext)
-    G = cx.visc_matrix(eos, ext.state)
-    z = np.zeros_like(h * 1.0)
-    H = mat3([[z, z, z], [h, z, z], [h * ext.u, z, z]])
-    gt = vec3([np.zeros_like(g2), g2, g3])
-    return FluxTensors(F1=F1c, G=G, H=H, gtilde=gt)
+    shape = np.broadcast_shapes(rho.shape, u.shape, theta.shape) + (3, 3)
+    mu = eos.mu(rho, theta)
+    G = np.zeros(shape)
+    G[..., 1, 1] = mu
+    G[..., 2, 1] = mu * u
+    G[..., 2, 2] = eos.alpha(rho, theta)
+    H = np.zeros(shape)
+    H[..., 1, 0] = h
+    H[..., 2, 0] = h * u
+    return FluxTensors(F1=F1c, G=G, H=H, gtilde=vec3([0.0, g2, g3]))
 
 
 def d_ux_F0(eos: EquationOfState, ext: ExtendedState) -> np.ndarray:
@@ -242,13 +252,25 @@ def nonlinear_terms(eos: EquationOfState, ubar: State,
                     ext: ExtendedState) -> np.ndarray:
     """Quadratic right-hand side N of the perturbation system W_t = A W + dx N.
 
-    Assembles the flux remainder, the viscosity remainder, the capillarity
-    remainder and the quadratic flux g, symmetrized by
-    L = (D_U f0)^T D_V^2 E (D_U f0)^{-1} at the equilibrium and premultiplied
-    by A0^{-1}.  The first component vanishes identically (continuity has no
-    nonlinear remainder in these variables) and the whole term is
-    O(|U - Ubar|^2 + |U_x|^2 + ...).  The equilibrium matrices are built once
-    per (closure, equilibrium) pair.
+    In matrix form N = A0^{-1} L (r + r_visc + r_cap + g~), symmetrized by
+    L = (D_U f0)^T D_V^2 E (D_U f0)^{-1} at the equilibrium, with
+
+        r      = -(F1 - F1bar) + Jf1bar Jf0bar^{-1} (F0 - F0bar),
+        r_visc = G U_x - Gbar Jf0bar^{-1} D_U F0 U_x,
+        r_cap  = H U_xx - Hbar Jf0bar^{-1} D_U F0 U_xx
+                 - Gbar Jf0bar^{-1} D_Ux F0 U_xx,
+
+    the flux, viscosity and capillarity remainders (the remainders
+    [G(U) (D_U F0)^{-1} - Gbar Jf0bar^{-1}] D_U F0 U_x and its H analogue
+    with (D_U F0)^{-1} D_U F0 = I multiplied out).  The first component
+    vanishes identically (continuity has no nonlinear remainder in these
+    variables) and the whole term is O(|U - Ubar|^2 + |U_x|^2 + ...).
+
+    It is evaluated entrywise: G U_x, H U_xx, D_U F0 U_x, D_U F0 U_xx and
+    D_Ux F0 U_xx are formed from the few nonzero entries of their matrices,
+    with epsilon evaluated once for F0 and D_U F0.  Only the constant
+    equilibrium maps, built once per (closure, equilibrium) pair, are
+    applied as 3x3 matrices.
 
     The capillarity remainder has no third-gradient part: the bracket
     -Hbar (D_U f0(Ubar))^{-1} [dx(D_U F0) U_x + D_Ux F0 U_xxx + dx(D_Ux F0) U_xx]
@@ -258,23 +280,34 @@ def nonlinear_terms(eos: EquationOfState, ubar: State,
     component is identically zero.
     """
     c = _equilibrium_terms(eos, ubar)
-    F0c = conserved_quantities(eos, ext)
-    tensors = flux_and_tensors(eos, ext)
-    dF0 = cx.jac_f0(eos, ext.state)
+    t = flux_and_tensors(eos, ext)
+    rho, u, theta, rho_x, u_x, theta_x, rho_xx, u_xx, theta_xx = (
+        np.asarray(a, dtype=float) for a in (
+            ext.rho, ext.u, ext.theta, ext.rho_x, ext.u_x, ext.theta_x,
+            ext.rho_xx, ext.u_xx, ext.theta_xx))
+    eps = eos.epsilon(rho, theta, rho_x)
+    # D_U F0 = [[1, 0, 0], [u, rho, 0], [a31, rho u, a33]] (cx.jac_f0)
+    a31 = eps + 0.5 * u ** 2 + rho * eos.epsilon_rho(rho, theta, rho_x)
+    a33 = rho * eos.epsilon_theta(rho, theta, rho_x)
+    rho_u = rho * u
 
-    # flux remainder r = -(F1 - F1bar) + Jf1bar Jf0bar^{-1} (F0 - F0bar)
-    r = -(tensors.F1 - c.f1) + mv(c.flux_map, F0c - c.f0)
+    def jac_f0_times(v1, v2, v3):
+        return vec3([v1, u * v1 + rho * v2, a31 * v1 + rho_u * v2 + a33 * v3])
 
-    # viscosity remainder [G(U) DF0^{-1} - Gbar Jf0bar^{-1}] DF0 U_x, with
-    # DF0^{-1} DF0 = I multiplied out
-    r_visc = mv(tensors.G, ext.grad) - mv(c.visc_map, mv(dF0, ext.grad))
+    r = -(t.F1 - c.f1) + mv(c.flux_map, _conserved(rho, u, eps) - c.f0)
 
-    # capillarity remainder, multiplied out the same way
-    dux = mv(d_ux_F0(eos, ext), ext.grad2)
+    G, H = t.G, t.H
+    r_visc = (vec3([0.0, G[..., 1, 1] * u_x,
+                    G[..., 2, 1] * u_x + G[..., 2, 2] * theta_x])
+              - mv(c.visc_map, jac_f0_times(rho_x, u_x, theta_x)))
+
+    # D_Ux F0 has the single entry (3,1) = 2 rho m rho_x (d_ux_F0)
+    dux = vec3([0.0, 0.0, 2.0 * rho * eos.grad_energy(rho, theta) * rho_x * rho_xx])
     i1 = -mv(c.visc_map, dux)
-    i2 = mv(tensors.H, ext.grad2) - mv(c.cap_map, mv(dF0, ext.grad2))
+    i2 = (vec3([0.0, H[..., 1, 0] * rho_xx, H[..., 2, 0] * rho_xx])
+          - mv(c.cap_map, jac_f0_times(rho_xx, u_xx, theta_xx)))
 
-    n_tilde = mv(c.L, r + r_visc + i1 + i2 + tensors.gtilde)
+    n_tilde = mv(c.L, r + r_visc + i1 + i2 + t.gtilde)
     # A0 is diagonal: divide componentwise
     return n_tilde / c.a0_diag
 

@@ -106,6 +106,8 @@ BAD_VALUES = [
     ("analyze-symbol", "symbol", {"xi_min": "1"}),
     ("analyze-symbol", "symbol", {"xi_max": "1"}),
     ("analyze-symbol", "symbol", {"xi_max": "nan"}),
+    ("verify-thermo", "entropy_pair", {"fd_step": "1"}),
+    ("verify-thermo", "entropy_pair", {"fd_step": "1e-4"}),
     ("linear-decay", "linear", {"n_nodes": "2"}),
     ("linear-decay", "linear", {"xi_cap": "-1"}),
     ("linear-decay", "linear", {"xi_cap": "0"}),
@@ -258,6 +260,30 @@ class TestConfigValidation:
                      str(tmp_path / "o"), "--quiet"])
         assert code == 2
         assert "config error: [linear] profile_csv" in capsys.readouterr().err
+
+    def test_zero_norm_profile_csv_rejected(self, config_file, tmp_path, capsys):
+        csv_path = _profile_csv(tmp_path, lambda xi: 0.0 * xi)
+        path = config_file()
+        set_keys(path, "linear", {"profile": f"csv\nprofile_csv = {csv_path}"})
+        code = main(["linear-decay", "--config", str(path), "--out",
+                     str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: [linear] profile_csv" in err
+        assert "norm of the profile is not positive" in err
+
+    @pytest.mark.parametrize("command", ["verify-thermo", "nonlinear-run"])
+    @pytest.mark.parametrize("header,section", [
+        ("[thermoo]\nn_samples = 20\n", "[thermoo]"),
+        ("[DEFAULT]\nfoo = 1\n", "[DEFAULT]")], ids=["misspelt", "default"])
+    def test_undeclared_section_rejected(self, config_file, tmp_path, capsys,
+                                         command, header, section):
+        path = config_file()
+        path.write_text(header + path.read_text())
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--quiet"])
+        assert code == 2
+        assert f"config error: undeclared section {section}" in capsys.readouterr().err
 
     def test_numeric_sweep_never_raises(self, tmp_path):
         # every key of every other section at 0, -1 and 1: a verdict or a

@@ -311,8 +311,8 @@ class TestSample:
         eps = eos.epsilon(rho, theta, ext.rho_x)
         w = sym.w_variables(eos, ubar, ext)
         n_terms = sym.nonlinear_terms(eos, ubar, ext)
-        norm_w = nls.triple_norm(g, w[:, 0], w[:, 1], w[:, 2])
-        norm_u = nls.triple_norm(g, rho - ubar.rho, u - ubar.u, theta - ubar.theta)
+        norm_w = triple_norm(g, w[:, 0], w[:, 1], w[:, 2])
+        norm_u = triple_norm(g, rho - ubar.rho, u - ubar.u, theta - ubar.theta)
         f1 = sym.flux_and_tensors(eos, ext).F1
         want = (g.integral(rho), g.integral(rho * u),
                 g.integral(rho * (eps + 0.5 * u ** 2)),
@@ -323,6 +323,24 @@ class TestSample:
         assert len(got) == len(want) == 10
         for a, b in zip(got, want):
             assert abs(a - b) <= 1e-13 * abs(b)
+
+    def test_two_transforms_per_sample(self, ref_eos, small_grid, monkeypatch):
+        # the gradients come from one batched rfft/irfft pair; both triple
+        # norms reuse them instead of differentiating again
+        calls = []
+        for name in ("rfft", "irfft"):
+            fn = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name,
+                                lambda *a, _fn=fn, _name=name, **kw:
+                                calls.append(_name) or _fn(*a, **kw))
+        nls._sample(ref_eos, State(1.0, 0.0, 1.0), smooth_field(small_grid, amp=0.03))
+        assert sorted(calls) == ["irfft", "rfft"]
+
+
+def triple_norm(grid, v1, v2, v3):
+    """The anisotropic ledger norm with its own spectral derivative of v1."""
+    v1x = grid.deriv(v1)
+    return float(np.sqrt(grid.integral(v1 ** 2 + v1x ** 2 + v2 ** 2 + v3 ** 2)))
 
 
 class TestPerturbations:

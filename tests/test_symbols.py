@@ -76,6 +76,17 @@ class TestFluxAndTensors:
         assert gt[0] == 0.0
         assert gt[2] == pytest.approx(-1.1 * 0.5 * 0.3 * k, abs=1e-14)
 
+    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
+    def test_tensors_match_the_matrix_builders(self, request, closure, rng):
+        # G and H are filled in place; bit for bit the matrices of
+        # cx.visc_matrix and of the first column k rho (0, 1, u)
+        eos = request.getfixturevalue(closure)
+        ext = random_extended(rng, 100)
+        t = sym.flux_and_tensors(eos, ext)
+        assert np.array_equal(t.G, cx.visc_matrix(eos, ext.state))
+        h = eos.k(ext.rho, ext.theta) * ext.rho
+        assert np.array_equal(t.H, cx.mat3([[0, 0, 0], [h, 0, 0], [h * ext.u, 0, 0]]))
+
 
 class TestKortewegStress:
     """K and w read off total_flux: flux2 = -(rho u^2 + p) + mu u_x + K and,
