@@ -45,21 +45,18 @@ __all__ = [
 ]
 
 
-def mat3(entries, extra_shape=()) -> np.ndarray:
+def mat3(entries) -> np.ndarray:
     """Assemble a (..., 3, 3) array from a nested list of broadcastable entries."""
-    shapes = [np.asarray(e).shape for row in entries for e in row]
-    shape = np.broadcast_shapes(*shapes, extra_shape)
-    out = np.zeros(shape + (3, 3))
+    out = np.zeros(np.broadcast(*(e for row in entries for e in row)).shape + (3, 3))
     for i in range(3):
         for j in range(3):
             out[..., i, j] = entries[i][j]
     return out
 
 
-def vec3(entries, extra_shape=()) -> np.ndarray:
+def vec3(entries) -> np.ndarray:
     """Assemble a (..., 3) array from three broadcastable entries."""
-    shape = np.broadcast_shapes(*[np.asarray(e).shape for e in entries], extra_shape)
-    out = np.zeros(shape + (3,))
+    out = np.zeros(np.broadcast(*entries).shape + (3,))
     for i in range(3):
         out[..., i] = entries[i]
     return out

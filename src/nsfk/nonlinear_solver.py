@@ -13,12 +13,17 @@ spatial derivatives are spectral; every flux is written in divergence form so
 the discrete mass, momentum and total-energy integrals are conserved up to
 time-integration error.  Products are dealiased with the 2/3 rule.
 
-Both steppers advance the dealiased rfft coefficients of (rho, u, theta):
-``rhs`` maps that (3, K) spectrum to the spectrum of the rates with four
-batched transforms (seven fields and gradients back to the grid, the three
-fluxes forward, the four conservation-law rates back, the two primitive
-rates forward), so an integrating-factor step costs 4.5 transform calls per
-right-hand-side evaluation, packing and unpacking included.
+Both steppers advance only the retained rfft coefficients m = 0..n//3 of
+(rho, u, theta), a (3, n//3 + 1) spectrum: the 2/3 rule is a slice of each
+forward transform, and each inverse transform pads the spectrum with zeros.
+``rhs`` maps that spectrum to the spectrum of the rates with four batched
+transforms (seven fields and gradients back to the grid, the three fluxes
+forward, the four conservation-law rates back, the two primitive rates
+forward), so an integrating-factor step costs 4.5 transform calls per
+right-hand-side evaluation, packing and unpacking included.  The transforms
+of ``rhs`` read and write one set of buffers held by the grid
+(``SpectralGrid.workspace``): an evaluation allocates only the closure's
+elementwise temporaries and its (3, n//3 + 1) result.
 
 The default time stepper is an integrating-factor RK4 (Lawson scheme; see
 Cox & Matthews, J. Comput. Phys. 176 (2002) and Kassam & Trefethen, SIAM J.
@@ -77,16 +82,38 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _apply(e: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-mode product e(k) v(k) of (3, 3, K) matrices and a (3, K) spectrum."""
+    """Per-mode product e(k) v(k) of (3, 3, m) matrices and a (3, m) spectrum."""
     return (e * v).sum(axis=1)
+
+
+class _RhsWorkspace:
+    """The transform buffers ``rhs`` fills in place on one grid.
+
+    The inverse transforms' inputs ``grad_hat`` and ``rate_hat`` span all
+    n//2 + 1 rfft bins, but only the bins m <= n//3 are ever written: their
+    zero tails make each irfft read the dealiased spectrum without a padded
+    copy.
+    """
+
+    def __init__(self, n: int):
+        bins = n // 2 + 1
+        # rfft of (rho, u, theta, rho_x, rho_xx, u_x, theta_x) and the fields
+        self.grad_hat = np.zeros((7, bins), dtype=complex)
+        self.grad = np.empty((7, n))
+        # rfft of (rho_t, rho_xt, r2, r3) and the rates
+        self.rate_hat = np.zeros((4, bins), dtype=complex)
+        self.rate = np.empty((4, n))
+        # the three fluxes; rows 0 and 1 then hold (u_t, theta_t)
+        self.flux = np.empty((3, n))
+        self.flux_hat = np.empty((3, bins), dtype=complex)
 
 
 @dataclass(frozen=True)
 class SpectralGrid:
     """Equispaced periodic grid on [0, L) with rfft workspace.
 
-    ``k``, ``ik`` and ``dealias_mask`` are computed on first use and cached
-    read-only.
+    ``k`` and ``ik`` are computed on first use and cached read-only; the
+    ``workspace`` of ``rhs`` is created on first use and reused.
     """
 
     n: int
@@ -116,15 +143,20 @@ class SpectralGrid:
         """Spectral first derivative i k."""
         return _read_only(1j * self.k)
 
+    @property
+    def modes(self) -> int:
+        """Number of rfft bins the 2/3 rule retains, m = 0..n//3."""
+        return self.n // 3 + 1
+
     @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        # 2/3 rule: keep rfft bins m <= n/3
-        return _read_only(np.arange(self.n // 2 + 1) <= self.n // 3)
+    def workspace(self) -> _RhsWorkspace:
+        """Transform buffers that every ``rhs`` call on this grid reuses."""
+        return _RhsWorkspace(self.n)
 
     def deriv(self, f: np.ndarray, order: int = 1, dealias: bool = False) -> np.ndarray:
         fh = np.fft.rfft(f)
         if dealias:
-            fh = fh * self.dealias_mask
+            fh[self.modes:] = 0.0
         return np.fft.irfft(self.ik ** order * fh, n=self.n)
 
     def integral(self, f: np.ndarray) -> float:
@@ -165,9 +197,9 @@ class StateField:
         )
 
     def spectrum(self) -> np.ndarray:
-        """Dealiased (3, K) rfft of (rho, u, theta), the state ``rhs`` acts on."""
+        """Retained (3, n//3 + 1) rfft of (rho, u, theta), the state ``rhs`` acts on."""
         fh = np.fft.rfft(np.stack([self.rho, self.u, self.theta]))
-        return fh * self.grid.dealias_mask
+        return fh[:, :self.grid.modes]
 
     def copy(self) -> "StateField":
         return StateField(self.grid, self.rho.copy(), self.u.copy(), self.theta.copy())
@@ -176,35 +208,48 @@ class StateField:
 def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
     """Spectrum of the primitive rates (rho_t, u_t, theta_t).
 
-    ``fh`` is the dealiased (3, K) rfft of (rho, u, theta) (see
-    ``StateField.spectrum``); the result is the (3, K) rfft of the rates,
-    exactly zero above the 2/3 cutoff.  The conservation-law right sides are
-    the spectral derivatives of the dealiased ``symbols.total_flux``; they are
+    ``fh`` is the retained (3, n//3 + 1) rfft of (rho, u, theta) (see
+    ``StateField.spectrum``); the result is the retained (3, n//3 + 1) rfft
+    of the rates, a new array.  The conservation-law right sides are the
+    spectral derivatives of the dealiased ``symbols.total_flux``; they are
     converted to primitive rates through the conserved-quantity Jacobian.
     The closure is evaluated once, and the four ``np.fft`` calls are batched:
     one irfft of (rho, u, theta, rho_x, rho_xx, u_x, theta_x), one rfft of
     the three fluxes, one irfft of (rho_t, rho_xt, r2, r3) and one rfft of
-    (u_t, theta_t).  At a constant field the result is identically zero.
+    (u_t, theta_t).  The transforms read and write ``grid.workspace``, so
+    ``rhs`` is not re-entrant on one grid: two threads must not evaluate it
+    on the same ``SpectralGrid`` at once.  At a constant field the result is
+    identically zero.
     """
-    ik, mask = grid.ik, grid.dealias_mask
-    rho_xh = ik * fh[0]
-    rho, u, theta, rho_x, rho_xx, u_x, theta_x = np.fft.irfft(
-        np.stack([fh[0], fh[1], fh[2], rho_xh, ik * rho_xh, ik * fh[1], ik * fh[2]]),
-        n=grid.n)
+    m, ws = grid.modes, grid.workspace
+    ik = grid.ik[:m]
+    spec = ws.grad_hat
+    spec[:3, :m] = fh
+    np.multiply(ik, fh[0], out=spec[3, :m])
+    np.multiply(ik, spec[3, :m], out=spec[4, :m])
+    np.multiply(ik, fh[1], out=spec[5, :m])
+    np.multiply(ik, fh[2], out=spec[6, :m])
+    rho, u, theta, rho_x, rho_xx, u_x, theta_x = np.fft.irfft(spec, n=grid.n,
+                                                              out=ws.grad)
 
     eps = eos.epsilon(rho, theta, rho_x)
     flux = sym._total_flux(eos, eps, rho, u, theta, rho_x, rho_xx, u_x, theta_x)
     # spectra of the conservation-law right sides dx(flux); the first is rho_t
-    rh = np.fft.rfft(np.stack(flux)) * (ik * mask)
-    rho_t, rho_xt, r2, r3 = np.fft.irfft(np.stack([rh[0], ik * rh[0], rh[1], rh[2]]),
-                                         n=grid.n)
+    flux_hat = np.fft.rfft(np.stack(flux, out=ws.flux), out=ws.flux_hat)
+    rates = ws.rate_hat
+    np.multiply(flux_hat[0, :m], ik, out=rates[0, :m])
+    np.multiply(ik, rates[0, :m], out=rates[1, :m])
+    np.multiply(flux_hat[1:, :m], ik, out=rates[2:, :m])
+    rho_t, rho_xt, r2, r3 = np.fft.irfft(rates, n=grid.n, out=ws.rate)
 
-    u_t = (r2 - u * rho_t) / rho
+    u_t, theta_t = ws.flux[:2]                       # the fluxes are spent
+    np.divide(r2 - u * rho_t, rho, out=u_t)
     a31 = eps + 0.5 * u ** 2 + rho * eos.epsilon_rho(rho, theta, rho_x)
     a33 = rho * eos.epsilon_theta(rho, theta, rho_x)
-    theta_t = (r3 - 2.0 * rho * eos.grad_energy(rho, theta) * rho_x * rho_xt
-               - a31 * rho_t - rho * u * u_t) / a33
-    return np.concatenate([rh[:1], np.fft.rfft(np.stack([u_t, theta_t])) * mask])
+    np.divide(r3 - 2.0 * rho * eos.grad_energy(rho, theta) * rho_x * rho_xt
+              - a31 * rho_t - rho * u * u_t, a33, out=theta_t)
+    return np.concatenate([rates[:1, :m],
+                           np.fft.rfft(ws.flux[:2], out=flux_hat[:2])[:, :m]])
 
 
 class IntegratingFactorRK4:
@@ -215,8 +260,10 @@ class IntegratingFactorRK4:
     exp(-h M(i k)) are assembled once from the symbol machinery.  The
     nonlinear remainder (full right side minus the linearization) is the
     only term advanced by quadrature, which removes the dispersive dt ~ dx^3
-    restriction of fully explicit stepping.  The stages are dealiased (3, K)
-    spectra.
+    restriction of fully explicit stepping.  The stages are retained
+    (3, n//3 + 1) spectra, and ``generators``, ``e_full`` and ``e_half`` are
+    (3, 3, n//3 + 1): the modes the 2/3 rule removes are never stored.  The
+    stages are fresh arrays; only ``rhs`` uses the grid's workspace.
     """
 
     def __init__(self, eos: EquationOfState, equilibrium: State,
@@ -233,8 +280,8 @@ class IntegratingFactorRK4:
                               float(np.asarray(equilibrium.u)),
                               float(np.asarray(equilibrium.theta))])
         coeffs = equilibrium_coefficients(eos, equilibrium)
-        gen = evolution_symbol(coeffs, grid.k)       # (K, 3, 3)
-        # kept as (3, 3, K), the layout _apply takes
+        gen = evolution_symbol(coeffs, grid.k[:grid.modes])   # (modes, 3, 3)
+        # kept as (3, 3, modes), the layout _apply takes
         self.generators, self.e_full, self.e_half = (
             np.ascontiguousarray(np.moveaxis(a, 0, -1))
             for a in (gen, matrix_exponentials(gen, self.dt),
@@ -245,7 +292,7 @@ class IntegratingFactorRK4:
 
     def _pack(self, f: StateField) -> np.ndarray:
         du = np.stack([f.rho, f.u, f.theta]) - self.ubar[:, None]
-        return np.fft.rfft(du) * self.grid.dealias_mask
+        return np.fft.rfft(du)[:, :self.grid.modes]
 
     def _unpack(self, uh: np.ndarray) -> StateField:
         rho, u, theta = np.fft.irfft(uh, n=self.grid.n) + self.ubar[:, None]
@@ -299,8 +346,7 @@ class ClassicalRK4:
 
     def stability_limit(self) -> float:
         coeffs = equilibrium_coefficients(self.eos, self.equilibrium)
-        k_eff = self.grid.k[self.grid.dealias_mask]
-        gen = evolution_symbol(coeffs, k_eff[-1:])
+        gen = evolution_symbol(coeffs, self.grid.k[self.grid.n // 3])
         radius = float(np.abs(np.linalg.eigvals(gen)).max())
         return 2.8 / radius if radius > 0 else np.inf
 

@@ -21,6 +21,31 @@ def smooth_field(grid, amp=0.05):
     return nls.StateField(grid, rho, u, theta)
 
 
+def masked_rhs(eos, grid, fh):
+    """Reference right side on all n//2 + 1 rfft bins, the 2/3 rule as a mask.
+
+    The same arithmetic as ``nls.rhs``, but on full-width spectra that carry
+    the removed modes as zeros; ``fh`` is the masked rfft of the field.
+    """
+    ik = grid.ik
+    mask = np.arange(grid.n // 2 + 1) <= grid.n // 3
+    rho_xh = ik * fh[0]
+    rho, u, theta, rho_x, rho_xx, u_x, theta_x = np.fft.irfft(
+        np.stack([fh[0], fh[1], fh[2], rho_xh, ik * rho_xh, ik * fh[1], ik * fh[2]]),
+        n=grid.n)
+    eps = eos.epsilon(rho, theta, rho_x)
+    flux = sym._total_flux(eos, eps, rho, u, theta, rho_x, rho_xx, u_x, theta_x)
+    rh = np.fft.rfft(np.stack(flux)) * (ik * mask)
+    rho_t, rho_xt, r2, r3 = np.fft.irfft(np.stack([rh[0], ik * rh[0], rh[1], rh[2]]),
+                                         n=grid.n)
+    u_t = (r2 - u * rho_t) / rho
+    a31 = eps + 0.5 * u ** 2 + rho * eos.epsilon_rho(rho, theta, rho_x)
+    a33 = rho * eos.epsilon_theta(rho, theta, rho_x)
+    theta_t = (r3 - 2.0 * rho * eos.grad_energy(rho, theta) * rho_x * rho_xt
+               - a31 * rho_t - rho * u * u_t) / a33
+    return np.concatenate([rh[:1], np.fft.rfft(np.stack([u_t, theta_t])) * mask])
+
+
 def physical_rates(eos, f):
     """(rho_t, u_t, theta_t) on the grid from the spectral right side."""
     return np.fft.irfft(nls.rhs(eos, f.grid, f.spectrum()), n=f.grid.n)
@@ -42,7 +67,7 @@ class TestGrid:
         f = np.exp(np.sin(2 * np.pi * small_grid.x / small_grid.length))
         assert abs(small_grid.integral(small_grid.deriv(f))) <= 1e-13
 
-    @pytest.mark.parametrize("name", ["k", "ik", "dealias_mask"])
+    @pytest.mark.parametrize("name", ["k", "ik"])
     def test_spectral_arrays_cached_read_only(self, name):
         grid = nls.SpectralGrid(n=64, length=10.0)
         arr = getattr(grid, name)
@@ -61,11 +86,28 @@ class TestRhs:
     @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
     def test_rates_vanish_above_the_cutoff(self, request, closure, small_grid):
         eos = request.getfixturevalue(closure)
-        f = smooth_field(small_grid, amp=0.1)
-        rates = nls.rhs(eos, small_grid, f.spectrum())
-        assert rates.shape == (3, small_grid.n // 2 + 1)
-        assert np.any(rates[:, small_grid.dealias_mask] != 0.0)
-        assert np.all(rates[:, ~small_grid.dealias_mask] == 0.0)
+        # rhs keeps only the modes m <= n/3; padded with zeros they equal,
+        # bit for bit, the full-width right side with the 2/3 rule as a mask
+        g = small_grid
+        f = smooth_field(g, amp=0.1)
+        rates = nls.rhs(eos, g, f.spectrum())
+        assert rates.shape == (3, g.n // 3 + 1)
+        assert np.all(np.any(rates != 0.0, axis=1))
+        mask = np.arange(g.n // 2 + 1) <= g.n // 3
+        full = masked_rhs(eos, g, np.fft.rfft(np.stack([f.rho, f.u, f.theta])) * mask)
+        assert np.all(full[:, ~mask] == 0.0)
+        padded = np.zeros_like(full)
+        padded[:, mask] = rates
+        assert np.array_equal(padded, full)
+
+    def test_result_is_not_aliased_to_the_workspace(self, ref_eos, small_grid):
+        # rhs reuses the grid's transform buffers; a result must survive the
+        # next call on the same grid
+        a, b = smooth_field(small_grid, amp=0.1), smooth_field(small_grid, amp=0.03)
+        rates_a = nls.rhs(ref_eos, small_grid, a.spectrum())
+        nls.rhs(ref_eos, small_grid, b.spectrum())
+        fresh = nls.SpectralGrid(n=small_grid.n, length=small_grid.length)
+        assert np.array_equal(rates_a, nls.rhs(ref_eos, fresh, a.spectrum()))
 
     def test_mass_rate_integrates_to_zero(self, ref_eos, small_grid):
         f = smooth_field(small_grid)
@@ -148,6 +190,34 @@ class TestSteppers:
             assert np.abs(out.rho - 1.0).max() <= 1e-14
             assert np.abs(out.u).max() <= 1e-14
             assert np.abs(out.theta - 1.0).max() <= 1e-14
+
+    def test_integrating_factors_cover_the_retained_modes(self, ref_eos, small_grid):
+        stepper = nls.make_stepper("if-rk4", ref_eos, State(1.0, 0.0, 1.0),
+                                   small_grid, 1e-3)
+        for name in ("generators", "e_full", "e_half"):
+            assert getattr(stepper, name).shape == (3, 3, small_grid.n // 3 + 1)
+
+    def test_steppers_sharing_a_grid_match_separate_grids(self, ref_eos):
+        # interleaved steps of both schemes on one grid (one rhs workspace)
+        # give the same fields, bit for bit, as each scheme on its own grid
+        ubar = State(1.0, 0.0, 1.0)
+        spec = nls.PerturbationSpec(amplitude=5e-2, width=4.0)
+
+        def interleave(grid_if, grid_rk):
+            steppers = [nls.make_stepper(scheme, ref_eos, ubar, grid, 0.01)
+                        for scheme, grid in (("if-rk4", grid_if), ("rk4", grid_rk))]
+            fields = [nls.initial_field(s.grid, ubar, spec) for s in steppers]
+            for _ in range(5):
+                fields = [s.step(f) for s, f in zip(steppers, fields)]
+            return fields
+
+        shared = nls.SpectralGrid(n=128, length=50.0)
+        together = interleave(shared, shared)
+        apart = interleave(nls.SpectralGrid(n=128, length=50.0),
+                           nls.SpectralGrid(n=128, length=50.0))
+        for f, g in zip(together, apart):
+            for name in ("rho", "u", "theta"):
+                assert np.array_equal(getattr(f, name), getattr(g, name))
 
     def test_invalid_inputs(self, ref_eos, small_grid):
         with pytest.raises(ValueError):
