@@ -79,7 +79,7 @@ _FIELDS = (lambda v: bool(v) and set(v) <= {"rho", "u", "theta"},
            "must list one or more of rho, u, theta")
 
 # Every config key, declared once.  Checks that span keys (the xi, eps and fit
-# windows, the rk4 stability bound) stay in the subcommands.
+# windows) stay in the subcommands.
 SCHEMA = {
     "closure": {
         "type": Key(str, "ideal_gas", _one_of("ideal_gas")),
@@ -107,7 +107,7 @@ SCHEMA = {
         "n_nodes": Key(int, 4096), "xi_cap": Key(_finite, 200.0),
         "h0": Key(_finite, 1e-4),
         "profile": Key(str, "gaussian", _one_of(
-            "gaussian", "zero-mass-gaussian", "zero_mass_gaussian", "csv")),
+            "gaussian", "zero-mass-gaussian", "csv")),
         "profile_csv": Key(str, None), "ell": Key(_finite, 0.0, _at_least(0)),
         "t_min": Key(_finite, 0.1, _POSITIVE), "t_max": Key(_finite, 1e4),
         "n_times": Key(int, 41, _at_least(4)), "fit_t_min": Key(_finite, 1e2),
@@ -115,7 +115,7 @@ SCHEMA = {
     "nonlinear": {
         "length": Key(_finite, 400.0), "n": Key(int, 4096),
         "dt": Key(_finite, 0.02, _POSITIVE), "t_final": Key(_finite, 150.0, _POSITIVE),
-        "scheme": Key(str, "if-rk4", _one_of("if-rk4", "rk4")),
+        "scheme": Key(str, "if-rk4", _one_of("if-rk4")),
         "shape": Key(str, "gaussian"), "fields": Key(_names, ("rho",), _FIELDS),
         "amplitude": Key(_finite, 1e-2, _at_least(0)),
         "width": Key(_finite, 3.0, _POSITIVE),
@@ -241,7 +241,6 @@ class Report:
                 for s in self.sections for row in s.rows()]
 
     def write(self, out_dir: Path, quiet: bool) -> None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         text = self.to_text()
         (out_dir / "report.txt").write_text(text)
         write_csv(out_dir / "summary.csv",
@@ -474,15 +473,15 @@ def cmd_linear_decay(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
 
 def cmd_nonlinear_run(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
-    from .nonlinear_solver import (PerturbationSpec, SpectralGrid, make_stepper,
-                                   run, sample_times, wrap_time)
+    from .nonlinear_solver import (PerturbationSpec, SpectralGrid, run,
+                                   sample_times, wrap_time)
 
     eos, ubar = cfg.closure(), cfg.equilibrium()
     nl = cfg.section("nonlinear")
     length, n, dt, t_final = nl["length"], nl["n"], nl["dt"], nl["t_final"]
-    scheme, amplitude = nl["scheme"], nl["amplitude"]
+    amplitude = nl["amplitude"]
     sample_every, fit_t_min = nl["sample_every"], nl["fit_t_min"]
-    grid = _build("[nonlinear]", SpectralGrid, n, length)
+    _build("[nonlinear]", SpectralGrid, n, length)     # checks n and length
     spec = _build("[nonlinear]", PerturbationSpec, shape=nl["shape"],
                   amplitude=amplitude, width=nl["width"], fields=nl["fields"])
     if amplitude > 0:
@@ -492,14 +491,8 @@ def cmd_nonlinear_run(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
         if np.count_nonzero((t >= 1.0 + fit_t_min) & (t <= hi)) < 2:
             raise ConfigError("[nonlinear] the decay-fit window [fit_t_min, "
                               "wrap time] holds fewer than two ledger samples")
-    if scheme == "rk4":
-        limit = make_stepper("rk4", eos, ubar, grid, dt).stability_limit()
-        if dt > limit:
-            raise ConfigError(
-                f"[nonlinear] dt = {dt} exceeds the explicit stability bound "
-                f"{limit:.3e} for scheme rk4")
 
-    ledger = run(eos, ubar, spec, t_final, dt, length, n, scheme=scheme,
+    ledger = run(eos, ubar, spec, t_final, dt, length, n,
                  sample_every=sample_every)
 
     checks = [Check(name="run completed without blow-up",
@@ -546,6 +539,13 @@ _COMMANDS = {
 }
 
 
+def _seed(raw: str) -> int:
+    """A --seed value: numpy's generators take only integers >= 0."""
+    if not raw.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {raw!r}")
+    return int(raw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nsfk",
@@ -553,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="INI config file")
     parser.add_argument("--out", default="nsfk-out", help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--quiet", action="store_true")
     return parser
 
@@ -567,7 +567,12 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.load(args.config, seed=args.seed)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:      # e.g. --out names an existing file
+            sys.stderr.write(f"nsfk: error: cannot create --out directory "
+                             f"{out_dir}: {exc.strerror}\n")
+            return 2
         return _COMMANDS[args.command](cfg, out_dir, args.quiet)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

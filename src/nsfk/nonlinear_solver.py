@@ -13,7 +13,7 @@ spatial derivatives are spectral; every flux is written in divergence form so
 the discrete mass, momentum and total-energy integrals are conserved up to
 time-integration error.  Products are dealiased with the 2/3 rule.
 
-Both steppers advance only the retained rfft coefficients m = 0..n//3 of
+The time stepper advances only the retained rfft coefficients m = 0..n//3 of
 (rho, u, theta), a (3, n//3 + 1) spectrum: the 2/3 rule is a slice of each
 forward transform, and each inverse transform pads the spectrum with zeros.
 ``rhs`` maps that spectrum to the spectrum of the rates with four batched
@@ -25,12 +25,12 @@ of ``rhs`` read and write one set of buffers held by the grid
 (``SpectralGrid.workspace``): an evaluation allocates only the closure's
 elementwise temporaries and its (3, n//3 + 1) result.
 
-The default time stepper is an integrating-factor RK4 (Lawson scheme; see
+The stepper is an integrating-factor RK4 (Lawson scheme; see
 Cox & Matthews, J. Comput. Phys. 176 (2002) and Kassam & Trefethen, SIAM J.
 Sci. Comput. 26 (2005) for the exponential-integrator family): the
 constant-coefficient linearization is applied exactly per Fourier mode, which
 removes the third-order dispersive stiffness (dt ~ dx^3 for explicit
-stepping).  A classical explicit RK4 stepper is available for cross-checks.
+stepping).
 
 The primitive-variable time derivative is recovered from the conserved-
 variable one through the (lower-triangular, always invertible) Jacobian of
@@ -62,8 +62,6 @@ __all__ = [
     "StepRejected",
     "rhs",
     "IntegratingFactorRK4",
-    "ClassicalRK4",
-    "make_stepper",
     "initial_field",
     "run",
     "sample_times",
@@ -324,55 +322,6 @@ class IntegratingFactorRK4:
         return out
 
 
-class ClassicalRK4:
-    """Fully explicit fourth-order Runge-Kutta stepper.
-
-    Subject to the dispersive stability restriction; ``stability_limit``
-    estimates the largest admissible dt from the spectral radius of the
-    linearized symbol at the highest retained wavenumber.
-    """
-
-    def __init__(self, eos: EquationOfState, equilibrium: State,
-                 grid: SpectralGrid, dt: float,
-                 rho_min: float = 0.0, theta_min: float = 0.0):
-        if dt < 0:
-            raise ValueError("dt must be nonnegative")
-        self.eos = eos
-        self.grid = grid
-        self.dt = float(dt)
-        self.rho_min = rho_min
-        self.theta_min = theta_min
-        self.equilibrium = equilibrium
-
-    def stability_limit(self) -> float:
-        coeffs = equilibrium_coefficients(self.eos, self.equilibrium)
-        gen = evolution_symbol(coeffs, self.grid.k[self.grid.n // 3])
-        radius = float(np.abs(np.linalg.eigvals(gen)).max())
-        return 2.8 / radius if radius > 0 else np.inf
-
-    def step(self, f: StateField) -> StateField:
-        if self.dt == 0.0:
-            return f.copy()
-        dt, eos, g = self.dt, self.eos, self.grid
-        u0 = f.spectrum()
-        k1 = rhs(eos, g, u0)
-        k2 = rhs(eos, g, u0 + 0.5 * dt * k1)
-        k3 = rhs(eos, g, u0 + 0.5 * dt * k2)
-        k4 = rhs(eos, g, u0 + dt * k3)
-        u1 = u0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out = StateField(g, *np.fft.irfft(u1, n=g.n))
-        out.validate(self.rho_min, self.theta_min)
-        return out
-
-
-def make_stepper(scheme: str, eos, equilibrium, grid, dt, **kw):
-    if scheme == "if-rk4":
-        return IntegratingFactorRK4(eos, equilibrium, grid, dt, **kw)
-    if scheme == "rk4":
-        return ClassicalRK4(eos, equilibrium, grid, dt, **kw)
-    raise ValueError(f"unknown scheme {scheme!r} (expected 'if-rk4' or 'rk4')")
-
-
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Localized initial perturbation added to the constant state."""
@@ -553,7 +502,7 @@ def wrap_time(eos: EquationOfState, equilibrium: State, length: float) -> float:
 
 def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec,
         t_final: float, dt: float, length: float = 400.0, n: int = 4096,
-        scheme: str = "if-rk4", sample_every: int = 50,
+        sample_every: int = 50,
         rho_min: float = 0.0, theta_min: float = 0.0) -> DiagnosticsLedger:
     """Integrate a localized perturbation and record the diagnostics ledger.
 
@@ -569,8 +518,8 @@ def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec
     grid = SpectralGrid(n=n, length=length)
     f = initial_field(grid, equilibrium, perturbation)
     f.validate(rho_min, theta_min)
-    stepper = make_stepper(scheme, eos, equilibrium, grid, dt,
-                           rho_min=rho_min, theta_min=theta_min)
+    stepper = IntegratingFactorRK4(eos, equilibrium, grid, dt,
+                                   rho_min=rho_min, theta_min=theta_min)
     n_steps = int(round(t_final / dt))
     records = [(0.0, *_sample(eos, equilibrium, f))]
     aborted = None

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Optional
 
 
@@ -60,8 +59,6 @@ class CheckReport:
 
 def write_csv(path, fieldnames: Iterable[str], rows: Iterable[dict]) -> None:
     """Deterministic CSV writer; floats printed with 17 significant digits."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         fieldnames = list(fieldnames)

@@ -115,9 +115,11 @@ BAD_VALUES = [
     ("linear-decay", "linear", {"h0": "-1"}),
     ("linear-decay", "linear", {"h0": "1.0"}),
     ("linear-decay", "linear", {"ell": "-1"}),
+    ("linear-decay", "linear", {"profile": "zero_mass_gaussian"}),
     ("nonlinear-run", "nonlinear", {"n": "1000"}),
     ("nonlinear-run", "nonlinear", {"length": "-5"}),
     ("nonlinear-run", "nonlinear", {"scheme": "foo"}),
+    ("nonlinear-run", "nonlinear", {"scheme": "rk4"}),
     ("nonlinear-run", "nonlinear", {"shape": "square"}),
     ("nonlinear-run", "nonlinear", {"fields": ","}),
     ("nonlinear-run", "nonlinear", {"t_final": "1", "fit_t_min": "2"}),
@@ -304,6 +306,24 @@ class TestConfigValidation:
 
     def test_unknown_command_usage_error(self, config_file):
         assert main(["frobnicate", "--config", str(config_file())]) == 2
+
+    @pytest.mark.parametrize("command", ["verify-thermo", "analyze-symbol",
+                                         "linear-decay", "nonlinear-run"])
+    def test_negative_seed_usage_error(self, config_file, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        code = main([command, "--config", str(config_file()), "--out", str(out),
+                     "--seed", "-1", "--quiet"])
+        assert code == 2
+        assert "argument --seed: must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_naming_a_file_usage_error(self, config_file, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(["verify-thermo", "--config", str(config_file()),
+                     "--out", str(taken), "--quiet"])
+        assert code == 2
+        assert f"cannot create --out directory {taken}" in capsys.readouterr().err
 
 
 class TestVerifyThermo:
@@ -502,13 +522,3 @@ class TestNonlinearRun:
         code = main(["nonlinear-run", "--config", str(config_file(amplitude="0.0")),
                      "--out", str(out), "--quiet"])
         assert code == 0
-
-    def test_explicit_dt_above_stability_rejected(self, config_file, tmp_path, capsys):
-        cfg_path = config_file()
-        text = cfg_path.read_text().replace("scheme = if-rk4", "scheme = rk4")
-        cfg_path.write_text(text)
-        code = main(["nonlinear-run", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "o"), "--quiet"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "stability" in err and "0.02" in err

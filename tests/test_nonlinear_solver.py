@@ -181,31 +181,29 @@ class TestRhs:
 class TestSteppers:
     def test_equilibrium_fixed_point(self, ref_eos, small_grid):
         ubar = State(1.0, 0.0, 1.0)
-        f = nls.initial_field(small_grid, ubar, nls.PerturbationSpec(amplitude=0.0))
-        for scheme in ("if-rk4", "rk4"):
-            stepper = nls.make_stepper(scheme, ref_eos, ubar, small_grid, 1e-3)
-            out = f
-            for _ in range(5):
-                out = stepper.step(out)
-            assert np.abs(out.rho - 1.0).max() <= 1e-14
-            assert np.abs(out.u).max() <= 1e-14
-            assert np.abs(out.theta - 1.0).max() <= 1e-14
+        out = nls.initial_field(small_grid, ubar, nls.PerturbationSpec(amplitude=0.0))
+        stepper = nls.IntegratingFactorRK4(ref_eos, ubar, small_grid, 1e-3)
+        for _ in range(5):
+            out = stepper.step(out)
+        assert np.abs(out.rho - 1.0).max() <= 1e-14
+        assert np.abs(out.u).max() <= 1e-14
+        assert np.abs(out.theta - 1.0).max() <= 1e-14
 
     def test_integrating_factors_cover_the_retained_modes(self, ref_eos, small_grid):
-        stepper = nls.make_stepper("if-rk4", ref_eos, State(1.0, 0.0, 1.0),
-                                   small_grid, 1e-3)
+        stepper = nls.IntegratingFactorRK4(ref_eos, State(1.0, 0.0, 1.0),
+                                           small_grid, 1e-3)
         for name in ("generators", "e_full", "e_half"):
             assert getattr(stepper, name).shape == (3, 3, small_grid.n // 3 + 1)
 
     def test_steppers_sharing_a_grid_match_separate_grids(self, ref_eos):
-        # interleaved steps of both schemes on one grid (one rhs workspace)
-        # give the same fields, bit for bit, as each scheme on its own grid
+        # interleaved steps of two steppers on one grid (one rhs workspace)
+        # give the same fields, bit for bit, as each stepper on its own grid
         ubar = State(1.0, 0.0, 1.0)
         spec = nls.PerturbationSpec(amplitude=5e-2, width=4.0)
 
-        def interleave(grid_if, grid_rk):
-            steppers = [nls.make_stepper(scheme, ref_eos, ubar, grid, 0.01)
-                        for scheme, grid in (("if-rk4", grid_if), ("rk4", grid_rk))]
+        def interleave(grid_a, grid_b):
+            steppers = [nls.IntegratingFactorRK4(ref_eos, ubar, grid, dt)
+                        for dt, grid in ((0.01, grid_a), (0.005, grid_b))]
             fields = [nls.initial_field(s.grid, ubar, spec) for s in steppers]
             for _ in range(5):
                 fields = [s.step(f) for s, f in zip(steppers, fields)]
@@ -221,9 +219,7 @@ class TestSteppers:
 
     def test_invalid_inputs(self, ref_eos, small_grid):
         with pytest.raises(ValueError):
-            nls.make_stepper("if-rk4", ref_eos, State(1.0, 0.0, 1.0), small_grid, -0.1)
-        with pytest.raises(ValueError):
-            nls.make_stepper("verlet", ref_eos, State(1.0, 0.0, 1.0), small_grid, 0.1)
+            nls.IntegratingFactorRK4(ref_eos, State(1.0, 0.0, 1.0), small_grid, -0.1)
         with pytest.raises(ValueError):
             nls.run(ref_eos, State(1.0, 0.0, 1.0), nls.PerturbationSpec(),
                     t_final=1.0, dt=0.0, length=50.0, n=128)
@@ -231,18 +227,19 @@ class TestSteppers:
             nls.run(ref_eos, State(1.0, 0.0, 1.0), nls.PerturbationSpec(),
                     t_final=1.0, dt=0.05, length=50.0, n=64, sample_every=0)
 
-    @pytest.mark.parametrize("scheme", ["if-rk4", "rk4"])
-    def test_zero_dt_is_identity(self, ref_eos, small_grid, scheme):
+    @pytest.mark.parametrize("stepper_type", [nls.IntegratingFactorRK4],
+                             ids=["if-rk4"])
+    def test_zero_dt_is_identity(self, ref_eos, small_grid, stepper_type):
         f = smooth_field(small_grid, amp=0.02)
-        stepper = nls.make_stepper(scheme, ref_eos, State(1.0, 0.0, 1.0),
-                                   small_grid, 0.0)
+        stepper = stepper_type(ref_eos, State(1.0, 0.0, 1.0), small_grid, 0.0)
         out = stepper.step(f)
         assert np.all(out.rho == f.rho)
         assert np.all(out.u == f.u)
         assert np.all(out.theta == f.theta)
 
-    @pytest.mark.parametrize("scheme", ["if-rk4", "rk4"])
-    def test_fourth_order_convergence(self, ref_eos, scheme):
+    @pytest.mark.parametrize("stepper_type", [nls.IntegratingFactorRK4],
+                             ids=["if-rk4"])
+    def test_fourth_order_convergence(self, ref_eos, stepper_type):
         # self-convergence: halving dt shrinks the error 16x (within 20%)
         ubar = State(1.0, 0.0, 1.0)
         grid = nls.SpectralGrid(n=128, length=50.0)
@@ -251,7 +248,7 @@ class TestSteppers:
         t_final = 0.4
 
         def integrate(dt):
-            stepper = nls.make_stepper(scheme, ref_eos, ubar, grid, dt)
+            stepper = stepper_type(ref_eos, ubar, grid, dt)
             f = f0.copy()
             for _ in range(int(round(t_final / dt))):
                 f = stepper.step(f)
@@ -262,11 +259,6 @@ class TestSteppers:
         err2 = np.abs(integrate(0.01) - ref).max()
         ratio = err1 / err2
         assert 16.0 * 0.8 <= ratio <= 16.0 * 1.25
-
-    def test_rk4_stability_limit_positive(self, ref_eos, small_grid):
-        stepper = nls.make_stepper("rk4", ref_eos, State(1.0, 0.0, 1.0),
-                                   small_grid, 1e-4)
-        assert 0 < stepper.stability_limit() < 1.0
 
 
 class TestRun:
