@@ -473,17 +473,23 @@ def cmd_linear_decay(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
 
 def cmd_nonlinear_run(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
-    from .nonlinear_solver import (PerturbationSpec, SpectralGrid, run,
-                                   sample_times, wrap_time)
+    from .nonlinear_solver import (PerturbationSpec, SpectralGrid, initial_field,
+                                   run, sample_times, wrap_time)
 
     eos, ubar = cfg.closure(), cfg.equilibrium()
     nl = cfg.section("nonlinear")
     length, n, dt, t_final = nl["length"], nl["n"], nl["dt"], nl["t_final"]
     amplitude = nl["amplitude"]
     sample_every, fit_t_min = nl["sample_every"], nl["fit_t_min"]
-    _build("[nonlinear]", SpectralGrid, n, length)     # checks n and length
+    grid = _build("[nonlinear]", SpectralGrid, n, length)
     spec = _build("[nonlinear]", PerturbationSpec, shape=nl["shape"],
                   amplitude=amplitude, width=nl["width"], fields=nl["fields"])
+    field = initial_field(grid, ubar, spec)
+    for name in ("rho", "theta"):      # the admissible set run() steps in
+        low = float(getattr(field, name).min())
+        if not low > 0:
+            raise ConfigError(f"[nonlinear] the initial field leaves the admissible "
+                              f"set: min {name} = {low:.6g} (must be > 0)")
     if amplitude > 0:
         # the same window on 1 + t that the decay fit uses after the run
         t = 1.0 + sample_times(t_final, dt, sample_every)
@@ -520,7 +526,7 @@ def cmd_nonlinear_run(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     rep = CheckReport("nonlinear run", checks)
     write_csv(out_dir / "ledger.csv",
               ["t", "mass", "momentum", "energy", "entropy", "norm_u",
-               "norm_w", "ratio", "max_n1"],
+               "norm_w", "ratio", "max_n1", "max_n", "nonlinear_scale"],
               ledger.rows())
     report = Report("nonlinear-run", cfg.config_hash, cfg.seed, sections=[rep],
                     constants=constants)

@@ -46,7 +46,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import convex_extension as cx
 from . import symbols as sym
 from .fitting import PowerLawFit, fit_power_law
 from .linear_evolution import matrix_exponentials
@@ -380,7 +379,7 @@ class WDiagnostics:
     max_n1: float            # first component of the quadratic terms
     max_n: float             # largest component magnitude of the quadratic terms
     nonlinear_scale: float   # flux magnitude used to normalize max_n1
-    ext: ExtendedState       # the field and the spectral gradients used
+    tensors: sym.FluxTensors  # the closure pass all of the above read
 
 
 def w_diagnostics(eos: EquationOfState, equilibrium: State,
@@ -390,25 +389,25 @@ def w_diagnostics(eos: EquationOfState, equilibrium: State,
     The gradients come from ``f.extended()``, one rfft and one irfft, and
     no other transform is taken: w_0 = rho - rhobar exactly, so both triple
     norms read the derivative of their first component from ``ext.rho_x``.
-    The flux tensors of the field are evaluated once, inside
-    ``nonlinear_terms``; the normalizing scale takes the convective flux
-    F1 = f1 + Gamma1 from its two closed-form parts.
+    The closure is evaluated once, in ``sym.flux_and_tensors``: W, the
+    quadratic terms and the normalizing scale max |F1| all read that pass,
+    which the result carries on for the ledger's integrals.
     """
     ext = f.extended()
-    w = sym.w_variables(eos, equilibrium, ext)        # (n, 3)
-    n_terms = sym.nonlinear_terms(eos, equilibrium, ext)
+    t = sym.flux_and_tensors(eos, ext)
+    w = sym.w_variables(eos, equilibrium, t)          # (n, 3)
+    n_terms = sym.nonlinear_terms(eos, equilibrium, ext, t)
     g = f.grid
     norm_w = _triple_norm(g, w[:, 0], ext.rho_x, w[:, 1], w[:, 2])
     norm_u = _triple_norm(g, f.rho - float(np.asarray(equilibrium.rho)), ext.rho_x,
                           f.u - float(np.asarray(equilibrium.u)),
                           f.theta - float(np.asarray(equilibrium.theta)))
     ratio = norm_w / norm_u if norm_u > 0 else None
-    F1 = cx.f1(eos, ext.state) + sym.gamma1(eos, ext)
-    scale = max(float(np.abs(F1).max()), 1.0)
     return WDiagnostics(w=w.T, norm_w=norm_w, norm_u=norm_u, ratio=ratio,
                         max_n1=float(np.abs(n_terms[:, 0]).max()),
                         max_n=float(np.abs(n_terms).max()),
-                        nonlinear_scale=scale, ext=ext)
+                        nonlinear_scale=max(float(np.abs(t.F1).max()), 1.0),
+                        tensors=t)
 
 
 @dataclass
@@ -460,22 +459,24 @@ class DiagnosticsLedger:
                 "norm_w": float(self.norm_w[i]),
                 "ratio": float(self.ratio[i]),
                 "max_n1": float(self.max_n1[i]),
+                "max_n": float(self.max_n[i]),
+                "nonlinear_scale": float(self.nonlinear_scale[i]),
             })
         return out
 
 
 def _sample(eos, equilibrium, f: StateField):
-    """Ledger values of one field: the conserved integrals read off F0, the
-    entropy integral and the ``w_diagnostics`` of the same gradients."""
+    """Ledger values of one field: the ``w_diagnostics`` of the field and the
+    mass, momentum, energy and entropy integrals of its closure pass."""
     g = f.grid
     diag = w_diagnostics(eos, equilibrium, f)
-    ext = diag.ext
-    mass, momentum, energy = sym.conserved_quantities(eos, ext).T
+    t = diag.tensors
+    mass, momentum, energy = t.F0.T
     return (
         g.integral(mass),
         g.integral(momentum),
         g.integral(energy),
-        g.integral(f.rho * eos.s(f.rho, f.theta, ext.rho_x)),
+        g.integral(t.entropy),
         diag.norm_u,
         diag.norm_w,
         diag.ratio if diag.ratio is not None else np.nan,

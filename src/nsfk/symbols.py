@@ -17,6 +17,9 @@ satisfy a partially symmetric system
 
 with constant matrices A0, A1, B symmetric (A0 > 0, B >= 0) and a
 non-symmetric capillarity matrix C with single entry C[1,0] = k rho / theta.
+Over a sampled field the closure is evaluated once, in ``flux_and_tensors``:
+its result (F0, F1, G, H, g, the nonzero entries of D_U F0 and D_Ux F0, and
+the entropy density) is what ``w_variables`` and ``nonlinear_terms`` take.
 Splitting the constant-coefficient symbol into odd and even parts yields
 
     A(xi) = D1 - xi^2 D3 = A1 + xi^2 C,    B(xi) = -xi^2 D2 = xi^2 B,
@@ -47,8 +50,6 @@ __all__ = [
     "SymbolTriplet",
     "FluxTensors",
     "conserved_quantities",
-    "gamma0",
-    "gamma1",
     "total_flux",
     "flux_and_tensors",
     "d_ux_F0",
@@ -93,7 +94,7 @@ class ExtendedState:
 
 
 def conserved_quantities(eos: EquationOfState, ext: ExtendedState) -> np.ndarray:
-    """F0(U, U_x) = (rho, rho u, rho(epsilon + u^2/2)); equals f0(U) + Gamma0."""
+    """F0(U, U_x) = (rho, rho u, rho(epsilon + u^2/2)) = f0 + (0, 0, rho m rho_x^2)."""
     rho, u = np.asarray(ext.rho, dtype=float), np.asarray(ext.u, dtype=float)
     return _conserved(rho, u, eos.epsilon(ext.rho, ext.theta, ext.rho_x))
 
@@ -103,27 +104,22 @@ def _conserved(rho, u, eps) -> np.ndarray:
     return vec3([rho, rho * u, rho * (eps + 0.5 * u ** 2)])
 
 
-def gamma0(eos: EquationOfState, ext: ExtendedState) -> np.ndarray:
-    """Gradient part of the conserved quantities: (0, 0, rho m rho_x^2)."""
-    rho = np.asarray(ext.rho, dtype=float)
-    rx = np.asarray(ext.rho_x, dtype=float)
-    m = eos.grad_energy(ext.rho, ext.theta)
-    z = np.zeros_like(rho * rx)
-    return vec3([z, z, rho * m * rx ** 2])
-
-
-def gamma1(eos: EquationOfState, ext: ExtendedState) -> np.ndarray:
-    """Gradient part of the convective flux: (0, 0, rho u m rho_x^2)."""
-    g = gamma0(eos, ext).copy()
-    g[..., 2] = g[..., 2] * np.asarray(ext.u, dtype=float)
-    return g
-
-
 class FluxTensors(NamedTuple):
+    """The closure read off one extended state (see :func:`flux_and_tensors`).
+
+    D_U F0 = [[1, 0, 0], [u, rho, 0], [a31, rho u, a33]] (``cx.jac_f0``) and
+    D_Ux F0 has the single entry (3,1) = b31 = 2 rho m rho_x (``d_ux_F0``).
+    """
+
+    F0: np.ndarray
     F1: np.ndarray
     G: np.ndarray
     H: np.ndarray
     gtilde: np.ndarray
+    a31: np.ndarray
+    a33: np.ndarray
+    b31: np.ndarray
+    entropy: np.ndarray      # entropy density rho s
 
 
 def _korteweg_entries(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x):
@@ -163,18 +159,32 @@ def _total_flux(eos: EquationOfState, eps, rho, u, theta, rho_x, rho_xx, u_x,
 
 
 def flux_and_tensors(eos: EquationOfState, ext: ExtendedState) -> FluxTensors:
-    """Convective flux F1, dissipation tensors G, H, and the quadratic flux g.
+    """Everything the W-system reads from the closure, in one pass.
 
-    G(U) has nonzero entries only at (2,2) = mu, (3,2) = mu u and (3,3) =
-    alpha; H(U) only at (2,1) = k rho and (3,1) = k rho u.  The first
-    component of g is identically zero and g = O(|U_x|^2).  The H and g
-    entries are those of :func:`total_flux`.
+    F1 = (rho u, rho u^2 + p, rho u (epsilon + u^2/2) + p u).  G(U) has
+    nonzero entries only at (2,2) = mu, (3,2) = mu u and (3,3) = alpha, H(U)
+    only at (2,1) = k rho and (3,1) = k rho u; the first component of g is
+    identically zero and g = O(|U_x|^2).  The H and g entries are those of
+    :func:`total_flux`.
+
+    Each partial of psi is evaluated once: epsilon, its partials, p and s
+    are formed here with the operations of the ``EquationOfState`` methods,
+    so they agree with those bit for bit.
     """
-    rho, u, theta = (np.asarray(a, dtype=float) for a in (ext.rho, ext.u, ext.theta))
+    rho, u, theta, rho_x = (np.asarray(a, dtype=float)
+                            for a in (ext.rho, ext.u, ext.theta, ext.rho_x))
+    psi, kap = eos.psi, eos.kappa
+    psi_r, psi_t, kap_t = psi.d_r(rho, theta), psi.d_t(rho, theta), kap.d_t(rho, theta)
+    rx2 = rho_x ** 2
+    m = kap(rho, theta) - theta * kap_t            # eos.grad_energy
+    eps = psi(rho, theta) - theta * psi_t + m * rx2
+    eps_rho = (psi_r - theta * psi.d_rt(rho, theta)
+               + (kap.d_r(rho, theta) - theta * kap.d_rt(rho, theta)) * rx2)
+    eps_theta = -theta * psi.d_tt(rho, theta) - theta * kap.d_tt(rho, theta) * rx2
+    p = rho ** 2 * psi_r
     h, g2, g3 = _korteweg_entries(eos, rho, u, theta, ext.rho_x, ext.u_x, ext.theta_x)
 
-    F1c = cx.f1(eos, ext.state) + gamma1(eos, ext)
-    shape = np.broadcast_shapes(rho.shape, u.shape, theta.shape) + (3, 3)
+    shape = np.broadcast(rho, u, theta).shape + (3, 3)
     mu = eos.mu(rho, theta)
     G = np.zeros(shape)
     G[..., 1, 1] = mu
@@ -183,7 +193,12 @@ def flux_and_tensors(eos: EquationOfState, ext: ExtendedState) -> FluxTensors:
     H = np.zeros(shape)
     H[..., 1, 0] = h
     H[..., 2, 0] = h * u
-    return FluxTensors(F1=F1c, G=G, H=H, gtilde=vec3([0.0, g2, g3]))
+    return FluxTensors(
+        F0=_conserved(rho, u, eps),
+        F1=vec3([rho * u, rho * u ** 2 + p, rho * u * (eps + 0.5 * u ** 2) + p * u]),
+        G=G, H=H, gtilde=vec3([0.0, g2, g3]),
+        a31=eps + 0.5 * u ** 2 + rho * eps_rho, a33=rho * eps_theta,
+        b31=2.0 * rho * m * rho_x, entropy=rho * (-psi_t - kap_t * rx2))
 
 
 def d_ux_F0(eos: EquationOfState, ext: ExtendedState) -> np.ndarray:
@@ -238,18 +253,20 @@ def _equilibrium_terms(eos: EquationOfState, ubar: State) -> _EquilibriumTerms:
                                  float(np.asarray(ubar.theta)))
 
 
-def w_variables(eos: EquationOfState, ubar: State, ext: ExtendedState) -> np.ndarray:
+def w_variables(eos: EquationOfState, ubar: State,
+                tensors: FluxTensors) -> np.ndarray:
     """Perturbation variables W = (D_U f0(Ubar))^{-1} (F0(U,U_x) - F0(Ubar,0)).
 
-    The first component is exactly rho - rhobar and the second is
-    rho (u - ubar) / rhobar; all higher corrections sit in the third slot.
+    F0 is ``tensors.F0`` of :func:`flux_and_tensors`.  The first component
+    is exactly rho - rhobar and the second is rho (u - ubar) / rhobar; all
+    higher corrections sit in the third slot.
     """
     c = _equilibrium_terms(eos, ubar)
-    return mv(c.jac0_inv, conserved_quantities(eos, ext) - c.f0)
+    return mv(c.jac0_inv, tensors.F0 - c.f0)
 
 
-def nonlinear_terms(eos: EquationOfState, ubar: State,
-                    ext: ExtendedState) -> np.ndarray:
+def nonlinear_terms(eos: EquationOfState, ubar: State, ext: ExtendedState,
+                    tensors: FluxTensors) -> np.ndarray:
     """Quadratic right-hand side N of the perturbation system W_t = A W + dx N.
 
     In matrix form N = A0^{-1} L (r + r_visc + r_cap + g~), symmetrized by
@@ -268,9 +285,9 @@ def nonlinear_terms(eos: EquationOfState, ubar: State,
 
     It is evaluated entrywise: G U_x, H U_xx, D_U F0 U_x, D_U F0 U_xx and
     D_Ux F0 U_xx are formed from the few nonzero entries of their matrices,
-    with epsilon evaluated once for F0 and D_U F0.  Only the constant
-    equilibrium maps, built once per (closure, equilibrium) pair, are
-    applied as 3x3 matrices.
+    all read from ``tensors = flux_and_tensors(eos, ext)``; the closure is
+    not evaluated again.  Only the constant equilibrium maps, built once per
+    (closure, equilibrium) pair, are applied as 3x3 matrices.
 
     The capillarity remainder has no third-gradient part: the bracket
     -Hbar (D_U f0(Ubar))^{-1} [dx(D_U F0) U_x + D_Ux F0 U_xxx + dx(D_Ux F0) U_xx]
@@ -280,30 +297,24 @@ def nonlinear_terms(eos: EquationOfState, ubar: State,
     component is identically zero.
     """
     c = _equilibrium_terms(eos, ubar)
-    t = flux_and_tensors(eos, ext)
-    rho, u, theta, rho_x, u_x, theta_x, rho_xx, u_xx, theta_xx = (
+    t = tensors
+    rho, u, rho_x, u_x, theta_x, rho_xx, u_xx, theta_xx = (
         np.asarray(a, dtype=float) for a in (
-            ext.rho, ext.u, ext.theta, ext.rho_x, ext.u_x, ext.theta_x,
+            ext.rho, ext.u, ext.rho_x, ext.u_x, ext.theta_x,
             ext.rho_xx, ext.u_xx, ext.theta_xx))
-    eps = eos.epsilon(rho, theta, rho_x)
-    # D_U F0 = [[1, 0, 0], [u, rho, 0], [a31, rho u, a33]] (cx.jac_f0)
-    a31 = eps + 0.5 * u ** 2 + rho * eos.epsilon_rho(rho, theta, rho_x)
-    a33 = rho * eos.epsilon_theta(rho, theta, rho_x)
     rho_u = rho * u
 
     def jac_f0_times(v1, v2, v3):
-        return vec3([v1, u * v1 + rho * v2, a31 * v1 + rho_u * v2 + a33 * v3])
+        return vec3([v1, u * v1 + rho * v2, t.a31 * v1 + rho_u * v2 + t.a33 * v3])
 
-    r = -(t.F1 - c.f1) + mv(c.flux_map, _conserved(rho, u, eps) - c.f0)
+    r = -(t.F1 - c.f1) + mv(c.flux_map, t.F0 - c.f0)
 
     G, H = t.G, t.H
     r_visc = (vec3([0.0, G[..., 1, 1] * u_x,
                     G[..., 2, 1] * u_x + G[..., 2, 2] * theta_x])
               - mv(c.visc_map, jac_f0_times(rho_x, u_x, theta_x)))
 
-    # D_Ux F0 has the single entry (3,1) = 2 rho m rho_x (d_ux_F0)
-    dux = vec3([0.0, 0.0, 2.0 * rho * eos.grad_energy(rho, theta) * rho_x * rho_xx])
-    i1 = -mv(c.visc_map, dux)
+    i1 = -mv(c.visc_map, vec3([0.0, 0.0, t.b31 * rho_xx]))
     i2 = (vec3([0.0, H[..., 1, 0] * rho_xx, H[..., 2, 0] * rho_xx])
           - mv(c.cap_map, jac_f0_times(rho_xx, u_xx, theta_xx)))
 

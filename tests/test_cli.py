@@ -124,6 +124,7 @@ BAD_VALUES = [
     ("nonlinear-run", "nonlinear", {"fields": ","}),
     ("nonlinear-run", "nonlinear", {"t_final": "1", "fit_t_min": "2"}),
     ("nonlinear-run", "nonlinear", {"t_final": "inf"}),
+    ("nonlinear-run", "nonlinear", {"shape": "wave_packet", "amplitude": "5"}),
 ]
 
 
@@ -273,6 +274,17 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "config error: [linear] profile_csv" in err
         assert "norm of the profile is not positive" in err
+
+    def test_inadmissible_initial_field_rejected(self, config_file, tmp_path, capsys):
+        # a wave packet of amplitude 5 about rho = 1 starts at negative density
+        path = config_file(amplitude="5")
+        set_keys(path, "nonlinear", {"shape": "wave_packet"})
+        code = main(["nonlinear-run", "--config", str(path), "--out",
+                     str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [nonlinear] ")
+        assert "min rho = -" in err
 
     @pytest.mark.parametrize("command", ["verify-thermo", "nonlinear-run"])
     @pytest.mark.parametrize("header,section", [
@@ -516,6 +528,7 @@ class TestNonlinearRun:
         assert (out / "ledger.csv").is_file()
         header = (out / "ledger.csv").read_text().splitlines()[0]
         assert header.split(",")[:4] == ["t", "mass", "momentum", "energy"]
+        assert header.split(",")[-3:] == ["max_n1", "max_n", "nonlinear_scale"]
 
     def test_zero_amplitude_trivial_pass(self, config_file, tmp_path):
         out = tmp_path / "nl0"

@@ -1,10 +1,13 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from nsfk import convex_extension as cx
 from nsfk import nonlinear_solver as nls
 from nsfk import symbols as sym
-from nsfk.thermo import State, ideal_gas_eos
+from nsfk.thermo import Coefficient, State, ideal_gas_eos
 
 
 @pytest.fixture(scope="module")
@@ -371,11 +374,14 @@ class TestSample:
         ext = f.extended()
         rho, u, theta = f.rho, f.u, f.theta
         eps = eos.epsilon(rho, theta, ext.rho_x)
-        w = sym.w_variables(eos, ubar, ext)
-        n_terms = sym.nonlinear_terms(eos, ubar, ext)
+        w = cx.mv(cx.jac_f0_inv(eos, ubar),
+                  sym.conserved_quantities(eos, ext) - cx.f0(eos, ubar))
+        n_terms = sym.nonlinear_terms(eos, ubar, ext, sym.flux_and_tensors(eos, ext))
         norm_w = triple_norm(g, w[:, 0], w[:, 1], w[:, 2])
         norm_u = triple_norm(g, rho - ubar.rho, u - ubar.u, theta - ubar.theta)
-        f1 = sym.flux_and_tensors(eos, ext).F1
+        # F1 = f1 + (0, 0, rho u m rho_x^2)
+        f1 = cx.f1(eos, ext.state) + cx.vec3(
+            [0.0, 0.0, rho * u * eos.grad_energy(rho, theta) * ext.rho_x ** 2])
         want = (g.integral(rho), g.integral(rho * u),
                 g.integral(rho * (eps + 0.5 * u ** 2)),
                 g.integral(rho * eos.s(rho, theta, ext.rho_x)),
@@ -397,6 +403,32 @@ class TestSample:
                                 calls.append(_name) or _fn(*a, **kw))
         nls._sample(ref_eos, State(1.0, 0.0, 1.0), smooth_field(small_grid, amp=0.03))
         assert sorted(calls) == ["irfft", "rfft"]
+
+    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
+    def test_one_closure_pass_per_sample(self, request, closure, small_grid,
+                                         monkeypatch):
+        # every partial of psi is evaluated at most once per sample, inside
+        # the single flux_and_tensors pass that w_variables and
+        # nonlinear_terms read
+        base = request.getfixturevalue(closure)
+        calls = Counter()
+
+        def counted(name, fn):
+            return lambda *a: calls.update([name]) or fn(*a)
+
+        parts = ("f", "d_r", "d_t", "d_rr", "d_rt", "d_tt")
+        eos = dataclasses.replace(base, psi=Coefficient(
+            *(counted(f"psi.{p}", getattr(base.psi, p)) for p in parts)))
+        ubar = State(1.0, 0.1, 1.0)
+        f = smooth_field(small_grid, amp=0.03)
+        nls._sample(eos, ubar, f)       # builds the cached equilibrium terms
+        for name in ("flux_and_tensors", "w_variables", "nonlinear_terms"):
+            monkeypatch.setattr(sym, name, counted(name, getattr(sym, name)))
+        calls.clear()
+        nls._sample(eos, ubar, f)
+        assert all(calls[f"psi.{p}"] <= 1 for p in parts), calls
+        assert [calls[name] for name in ("flux_and_tensors", "w_variables",
+                                         "nonlinear_terms")] == [1, 1, 1]
 
 
 def triple_norm(grid, v1, v2, v3):

@@ -46,11 +46,11 @@ class TestConservedQuantities:
         assert np.all(with_g[:2] == without[:2])
 
     def test_gamma_terms_vanish_without_gradient(self, ref_eos):
+        # F0 - f0 and F1 - f1 carry the gradient energy only
         ext = sym.ExtendedState(rho=1.4, u=0.2, theta=1.1)
-        assert np.all(sym.gamma0(ref_eos, ext) == 0.0)
-        assert np.all(sym.gamma1(ref_eos, ext) == 0.0)
         tensors = sym.flux_and_tensors(ref_eos, ext)
-        assert np.allclose(tensors.F1, cx.f1(ref_eos, ext.state), atol=1e-15)
+        assert np.all(tensors.F0 == cx.f0(ref_eos, ext.state))
+        assert np.all(tensors.F1 == cx.f1(ref_eos, ext.state))
 
 
 class TestFluxAndTensors:
@@ -86,6 +86,22 @@ class TestFluxAndTensors:
         assert np.array_equal(t.G, cx.visc_matrix(eos, ext.state))
         h = eos.k(ext.rho, ext.theta) * ext.rho
         assert np.array_equal(t.H, cx.mat3([[0, 0, 0], [h, 0, 0], [h * ext.u, 0, 0]]))
+
+    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
+    def test_closure_pass_matches_the_potentials(self, request, closure, rng):
+        # the one pass forms epsilon, its partials, p and s itself; bit for
+        # bit the values of the single-potential methods
+        eos = request.getfixturevalue(closure)
+        ext = random_extended(rng, 100)
+        t = sym.flux_and_tensors(eos, ext)
+        assert np.array_equal(t.F0, sym.conserved_quantities(eos, ext))
+        jac = cx.jac_f0(eos, ext.state)
+        assert np.array_equal(t.a31, jac[:, 2, 0])
+        assert np.array_equal(t.a33, jac[:, 2, 2])
+        assert np.array_equal(t.b31, sym.d_ux_F0(eos, ext)[:, 2, 0])
+        assert np.array_equal(t.entropy, ext.rho * eos.s(ext.rho, ext.theta, ext.rho_x))
+        f1 = definitional_f1(eos, ext)
+        assert np.abs(t.F1 - f1).max() <= 1e-15 * np.abs(f1).max()
 
 
 class TestKortewegStress:
@@ -126,13 +142,13 @@ class TestKortewegStress:
 class TestWVariables:
     def test_zero_at_equilibrium(self, ref_eos, ref_equilibrium):
         ext = sym.ExtendedState(1.0, 0.0, 1.0)
-        assert np.allclose(sym.w_variables(ref_eos, ref_equilibrium, ext), 0.0,
+        assert np.allclose(w_variables(ref_eos, ref_equilibrium, ext), 0.0,
                            atol=1e-15)
 
     def test_reference_perturbation(self, ref_eos, ref_equilibrium):
         # hand product with the inverse Jacobian rows: W = (0.1, 0, 0)
         ext = sym.ExtendedState(rho=1.1, u=0.0, theta=1.0)
-        w = sym.w_variables(ref_eos, ref_equilibrium, ext)
+        w = w_variables(ref_eos, ref_equilibrium, ext)
         assert np.allclose(w, [0.1, 0.0, 0.0], atol=1e-13)
 
     @given(rho=interior, u=velocity, theta=interior, rho_x=gradient,
@@ -141,26 +157,26 @@ class TestWVariables:
     def test_first_component_is_density_perturbation(self, ref_eos, ref_equilibrium,
                                                      rho, u, theta, rho_x, u_x, theta_x):
         ext = sym.ExtendedState(rho, u, theta, rho_x=rho_x, u_x=u_x, theta_x=theta_x)
-        w = sym.w_variables(ref_eos, ref_equilibrium, ext)
+        w = w_variables(ref_eos, ref_equilibrium, ext)
         assert w[0] == rho - 1.0
 
     def test_second_component(self, ref_eos):
         ubar = State(2.0, 0.5, 1.0)
         ext = sym.ExtendedState(rho=2.2, u=0.9, theta=1.1, rho_x=0.3)
-        w = sym.w_variables(ref_eos, ubar, ext)
+        w = w_variables(ref_eos, ubar, ext)
         assert w[1] == pytest.approx(2.2 * (0.9 - 0.5) / 2.0, rel=1e-13)
 
 
 class TestNonlinearTerms:
     def test_zero_at_equilibrium(self, ref_eos, ref_equilibrium):
         ext = sym.ExtendedState(1.0, 0.0, 1.0)
-        n = sym.nonlinear_terms(ref_eos, ref_equilibrium, ext)
+        n = nonlinear_terms(ref_eos, ref_equilibrium, ext)
         assert np.abs(n).max() <= 1e-15
 
     def test_first_component_vanishes(self, ref_eos, rng):
         ubar = State(1.0, 0.3, 1.0)
         ext = random_extended(rng, 1000)
-        n = sym.nonlinear_terms(ref_eos, ubar, ext)
+        n = nonlinear_terms(ref_eos, ubar, ext)
         assert n.shape == (1000, 3)
         assert np.abs(n[:, 0]).max() <= 1e-13
 
@@ -189,7 +205,7 @@ class TestNonlinearTerms:
                 rho_xx=-d * np.sin(x), u_xx=-d * np.cos(x),
                 theta_xx=-4 * d * np.sin(2 * x),
             )
-            n = sym.nonlinear_terms(ref_eos, ref_equilibrium, ext)
+            n = nonlinear_terms(ref_eos, ref_equilibrium, ext)
             norms.append(np.abs(n).max())
         fit = fit_power_law(deltas, np.array(norms))
         assert 1.9 <= fit.exponent <= 2.1
@@ -203,13 +219,30 @@ class TestNonlinearTerms:
         eos = request.getfixturevalue(closure)
         ext = random_extended(rng, 50)
         for ubar in (State(1.0, 0.0, 1.0), State(1.3, 0.2, 0.8)) * 2:
-            n_terms = sym.nonlinear_terms(eos, ubar, ext)
+            n_terms = nonlinear_terms(eos, ubar, ext)
             fresh = definitional_nonlinear_terms(eos, ubar, ext)
             assert np.abs(n_terms - fresh).max() <= 1e-13 * np.abs(fresh).max()
-            w = sym.w_variables(eos, ubar, ext)
+            w = w_variables(eos, ubar, ext)
             fresh = cx.mv(cx.jac_f0_inv(eos, ubar),
                           sym.conserved_quantities(eos, ext) - cx.f0(eos, ubar))
             assert np.abs(w - fresh).max() <= 1e-13 * np.abs(fresh).max()
+
+
+def w_variables(eos, ubar, ext):
+    """sym.w_variables through the closure pass of ``ext``."""
+    return sym.w_variables(eos, ubar, sym.flux_and_tensors(eos, ext))
+
+
+def nonlinear_terms(eos, ubar, ext):
+    """sym.nonlinear_terms through the closure pass of ``ext``."""
+    return sym.nonlinear_terms(eos, ubar, ext, sym.flux_and_tensors(eos, ext))
+
+
+def definitional_f1(eos, ext):
+    """F1 = f1 + (0, 0, rho u m rho_x^2) from the standard flux."""
+    rho, u = np.asarray(ext.rho), np.asarray(ext.u)
+    grad = rho * u * eos.grad_energy(rho, ext.theta) * np.asarray(ext.rho_x) ** 2
+    return cx.f1(eos, ext.state) + cx.vec3([0.0, 0.0, grad])
 
 
 def definitional_nonlinear_terms(eos, ubar, ext):
@@ -220,9 +253,9 @@ def definitional_nonlinear_terms(eos, ubar, ext):
     L = jac0.T @ cx.jac_z(eos, ubar) @ jac0_inv
     t = sym.flux_and_tensors(eos, ext)
     dF0, dF0_inv = cx.jac_f0(eos, ext.state), cx.jac_f0_inv(eos, ext.state)
-    r = -(t.F1 - cx.f1(eos, ubar)) + cx.mv(cx.jac_f1(eos, ubar) @ jac0_inv,
-                                           sym.conserved_quantities(eos, ext)
-                                           - cx.f0(eos, ubar))
+    r = -(definitional_f1(eos, ext) - cx.f1(eos, ubar)) + cx.mv(
+        cx.jac_f1(eos, ubar) @ jac0_inv,
+        sym.conserved_quantities(eos, ext) - cx.f0(eos, ubar))
     r_visc = cx.mv((t.G @ dF0_inv - g_bar @ jac0_inv) @ dF0, ext.grad)
     i1 = -cx.mv(g_bar @ jac0_inv, cx.mv(sym.d_ux_F0(eos, ext), ext.grad2))
     i2 = cx.mv((t.H @ dF0_inv - h_bar @ jac0_inv) @ dF0, ext.grad2)
