@@ -481,6 +481,10 @@ def cmd_nonlinear_run(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     length, n, dt, t_final = nl["length"], nl["n"], nl["dt"], nl["t_final"]
     amplitude = nl["amplitude"]
     sample_every, fit_t_min = nl["sample_every"], nl["fit_t_min"]
+    steps = t_final / dt           # run() takes round(steps) steps of dt
+    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        raise ConfigError(f"[nonlinear] t_final = {t_final!r} must be a whole number "
+                          f"of dt steps (dt = {dt!r}, t_final / dt = {steps!r})")
     grid = _build("[nonlinear]", SpectralGrid, n, length)
     spec = _build("[nonlinear]", PerturbationSpec, shape=nl["shape"],
                   amplitude=amplitude, width=nl["width"], fields=nl["fields"])

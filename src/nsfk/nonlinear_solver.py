@@ -102,6 +102,8 @@ class _RhsWorkspace:
         self.rate = np.empty((4, n))
         # the three fluxes; rows 0 and 1 then hold (u_t, theta_t)
         self.flux = np.empty((3, n))
+        # the entries a31, a33, b31 of D_U F0 and D_Ux F0
+        self.jac = np.empty((3, n))
         self.flux_hat = np.empty((3, bins), dtype=complex)
 
 
@@ -208,9 +210,11 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
     ``fh`` is the retained (3, n//3 + 1) rfft of (rho, u, theta) (see
     ``StateField.spectrum``); the result is the retained (3, n//3 + 1) rfft
     of the rates, a new array.  The conservation-law right sides are the
-    spectral derivatives of the dealiased ``symbols.total_flux``; they are
-    converted to primitive rates through the conserved-quantity Jacobian.
-    The closure is evaluated once, and the four ``np.fft`` calls are batched:
+    spectral derivatives of the dealiased flux ``symbols._total_flux``; they
+    are converted to primitive rates through the conserved-quantity Jacobian.
+    The closure is evaluated once, in one ``symbols._closure`` pass that both
+    the flux and the Jacobian entries read, and the four ``np.fft`` calls
+    are batched:
     one irfft of (rho, u, theta, rho_x, rho_xx, u_x, theta_x), one rfft of
     the three fluxes, one irfft of (rho_t, rho_xt, r2, r3) and one rfft of
     (u_t, theta_t).  The transforms read and write ``grid.workspace``, so
@@ -229,10 +233,12 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
     rho, u, theta, rho_x, rho_xx, u_x, theta_x = np.fft.irfft(spec, n=grid.n,
                                                               out=ws.grad)
 
-    eps = eos.epsilon(rho, theta, rho_x)
-    flux = sym._total_flux(eos, eps, rho, u, theta, rho_x, rho_xx, u_x, theta_x)
+    c = sym._closure(eos, rho, u, theta, rho_x, u_x, theta_x)
+    sym._total_flux(c, rho, u, rho_xx, u_x, theta_x, out=ws.flux)
+    a31, a33, b31 = np.stack([c.a31, c.a33, c.b31], out=ws.jac)
+    del c                          # its arrays are spent before the transforms
     # spectra of the conservation-law right sides dx(flux); the first is rho_t
-    flux_hat = np.fft.rfft(np.stack(flux, out=ws.flux), out=ws.flux_hat)
+    flux_hat = np.fft.rfft(ws.flux, out=ws.flux_hat)
     rates = ws.rate_hat
     np.multiply(flux_hat[0, :m], ik, out=rates[0, :m])
     np.multiply(ik, rates[0, :m], out=rates[1, :m])
@@ -241,10 +247,7 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
 
     u_t, theta_t = ws.flux[:2]                       # the fluxes are spent
     np.divide(r2 - u * rho_t, rho, out=u_t)
-    a31 = eps + 0.5 * u ** 2 + rho * eos.epsilon_rho(rho, theta, rho_x)
-    a33 = rho * eos.epsilon_theta(rho, theta, rho_x)
-    np.divide(r3 - 2.0 * rho * eos.grad_energy(rho, theta) * rho_x * rho_xt
-              - a31 * rho_t - rho * u * u_t, a33, out=theta_t)
+    np.divide(r3 - b31 * rho_xt - a31 * rho_t - rho * u * u_t, a33, out=theta_t)
     return np.concatenate([rates[:1, :m],
                            np.fft.rfft(ws.flux[:2], out=flux_hat[:2])[:, :m]])
 

@@ -5,9 +5,11 @@ The full system in conservation form reads
     F0(U, U_x)_t + F1(U, U_x)_x = (G(U) U_x)_x + (H(U) U_xx)_x + g(U, U_x)_x,
 
 where the conserved quantities F0 = (rho, rho u, rho(epsilon + u^2/2)) carry
-the density gradient through the non-standard internal energy; the flux
--F1 + G U_x + H U_xx + g is written once, in ``total_flux``.  Around a
-constant equilibrium Ubar the perturbation variables
+the density gradient through the non-standard internal energy.  The closure
+is written once, in ``_closure``: one pointwise pass that evaluates each
+partial of psi and kappa once and returns the entries that the flux
+-F1 + G U_x + H U_xx + g (``_total_flux``), D_U F0 and D_Ux F0 are made of.
+Around a constant equilibrium Ubar the perturbation variables
 
     W = (D_U f0(Ubar))^{-1} (F0(U, U_x) - F0(Ubar, 0))
 
@@ -17,9 +19,9 @@ satisfy a partially symmetric system
 
 with constant matrices A0, A1, B symmetric (A0 > 0, B >= 0) and a
 non-symmetric capillarity matrix C with single entry C[1,0] = k rho / theta.
-Over a sampled field the closure is evaluated once, in ``flux_and_tensors``:
-its result (F0, F1, G, H, g, the nonzero entries of D_U F0 and D_Ux F0, and
-the entropy density) is what ``w_variables`` and ``nonlinear_terms`` take.
+Over a sampled field ``flux_and_tensors`` reads that pass: its result (F0,
+F1, the nonzero entries of G, H, D_U F0 and D_Ux F0, g, and the entropy
+density) is what ``w_variables`` and ``nonlinear_terms`` take.
 Splitting the constant-coefficient symbol into odd and even parts yields
 
     A(xi) = D1 - xi^2 D3 = A1 + xi^2 C,    B(xi) = -xi^2 D2 = xi^2 B,
@@ -49,10 +51,7 @@ __all__ = [
     "EquilibriumCoefficients",
     "SymbolTriplet",
     "FluxTensors",
-    "conserved_quantities",
-    "total_flux",
     "flux_and_tensors",
-    "d_ux_F0",
     "w_variables",
     "nonlinear_terms",
     "equilibrium_coefficients",
@@ -93,121 +92,110 @@ class ExtendedState:
         return vec3([self.rho_xx, self.u_xx, self.theta_xx])
 
 
-def conserved_quantities(eos: EquationOfState, ext: ExtendedState) -> np.ndarray:
-    """F0(U, U_x) = (rho, rho u, rho(epsilon + u^2/2)) = f0 + (0, 0, rho m rho_x^2)."""
-    rho, u = np.asarray(ext.rho, dtype=float), np.asarray(ext.u, dtype=float)
-    return _conserved(rho, u, eos.epsilon(ext.rho, ext.theta, ext.rho_x))
+class _Closure(NamedTuple):
+    """Pointwise entries of the closure at one extended state (see :func:`_closure`)."""
+
+    energy: ArrayLike    # epsilon + u^2/2, epsilon = e + m rho_x^2
+    p: ArrayLike         # pressure rho^2 psi_rho
+    mu: ArrayLike
+    alpha: ArrayLike
+    h: ArrayLike         # k rho, k = 2 rho kappa
+    g2: ArrayLike        # g~ = (0, g2, g3)
+    g3: ArrayLike
+    a31: ArrayLike       # D_U F0[2, 0]
+    a33: ArrayLike       # D_U F0[2, 2]
+    b31: ArrayLike       # D_Ux F0[2, 0] = 2 rho m rho_x, m = kappa - theta kappa_theta
+    s: ArrayLike         # specific entropy eta - kappa_theta rho_x^2, eta = -psi_theta
 
 
-def _conserved(rho, u, eps) -> np.ndarray:
-    """:func:`conserved_quantities` at a given internal energy eps."""
-    return vec3([rho, rho * u, rho * (eps + 0.5 * u ** 2)])
+def _closure(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x) -> _Closure:
+    """The closure at one extended state, each partial of psi and kappa evaluated once.
+
+    The capillary stress is K = h rho_xx + g2, and g3 = u g2 + w carries the
+    interstitial work flux w = -h rho_x u_x.  epsilon, its partials, p, s and
+    the relabeled capillarity k = 2 rho kappa with its partials are formed
+    with the operations of the ``EquationOfState`` methods, so each entry
+    agrees with those bit for bit.  Each intermediate is deleted once spent:
+    on a field every entry is an array, and the fewer of them are alive at
+    once, the less the heap grows and is trimmed again on every ``rhs``.
+    """
+    psi, kap = eos.psi, eos.kappa
+    rx2 = rho_x ** 2
+    kap_v, kap_r, kap_t = kap(rho, theta), kap.d_r(rho, theta), kap.d_t(rho, theta)
+    k = 2.0 * rho * kap_v
+    h = k * rho
+    g2 = (0.5 * rho * rx2 * (2.0 * kap_v + 2.0 * rho * kap_r)
+          + rho * rho_x * theta_x * (2.0 * rho * kap_t) - 0.5 * k * rx2)
+    m = kap_v - theta * kap_t
+    del k, kap_v
+    psi_t = psi.d_t(rho, theta)
+    energy = psi(rho, theta) - theta * psi_t + m * rx2 + 0.5 * u ** 2
+    b31 = 2.0 * rho * m * rho_x
+    s = -psi_t - kap_t * rx2
+    del m, psi_t, kap_t
+    psi_r = psi.d_r(rho, theta)
+    p = rho ** 2 * psi_r
+    a31 = energy + rho * (psi_r - theta * psi.d_rt(rho, theta)
+                          + (kap_r - theta * kap.d_rt(rho, theta)) * rx2)
+    del psi_r, kap_r
+    a33 = rho * (-theta * psi.d_tt(rho, theta) - theta * kap.d_tt(rho, theta) * rx2)
+    return _Closure(energy=energy, p=p, mu=eos.mu(rho, theta),
+                    alpha=eos.alpha(rho, theta), h=h, g2=g2, g3=u * g2 - h * rho_x * u_x,
+                    a31=a31, a33=a33, b31=b31, s=s)
+
+
+def _total_flux(c: _Closure, rho, u, rho_xx, u_x, theta_x, out: np.ndarray) -> np.ndarray:
+    """Components of -F1 + G U_x + H U_xx + g~, whose x-derivative is F0_t.
+
+    ``c`` is the closure pass at the same state; the three components are
+    written to the rows of ``out``, which is returned.  Builds no
+    (..., 3, 3) tensor, so it serves the solver's hot path.
+    """
+    stress = c.mu * u_x + c.h * rho_xx                  # (G U_x + H U_xx)_2
+    out[0] = -rho * u
+    out[1] = -(rho * u ** 2 + c.p) + stress + c.g2
+    out[2] = (-(rho * u * c.energy + c.p * u)
+              + c.alpha * theta_x + u * stress + c.g3)
+    return out
 
 
 class FluxTensors(NamedTuple):
-    """The closure read off one extended state (see :func:`flux_and_tensors`).
+    """What the W-system reads from the closure (see :func:`flux_and_tensors`).
 
+    G(U) has nonzero entries only at (2,2) = mu, (3,2) = mu u and
+    (3,3) = alpha, H(U) only at (2,1) = h = k rho and (3,1) = h u.
     D_U F0 = [[1, 0, 0], [u, rho, 0], [a31, rho u, a33]] (``cx.jac_f0``) and
-    D_Ux F0 has the single entry (3,1) = b31 = 2 rho m rho_x (``d_ux_F0``).
+    D_Ux F0 has the single entry (3,1) = b31 = 2 rho m rho_x; all of these
+    entries are those of :func:`_closure`.
     """
 
     F0: np.ndarray
     F1: np.ndarray
-    G: np.ndarray
-    H: np.ndarray
+    mu: ArrayLike
+    alpha: ArrayLike
+    h: ArrayLike
     gtilde: np.ndarray
-    a31: np.ndarray
-    a33: np.ndarray
-    b31: np.ndarray
+    a31: ArrayLike
+    a33: ArrayLike
+    b31: ArrayLike
     entropy: np.ndarray      # entropy density rho s
 
 
-def _korteweg_entries(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x):
-    """Entries H[1,0] = h = k rho, H[2,0] = h u and g~ = (0, g2, g3).
-
-    The capillary stress is K = h rho_xx + g2 and g3 = u g2 + w carries the
-    interstitial work flux w = -k rho rho_x u_x.
-    """
-    k = eos.k(rho, theta)
-    h = k * rho
-    g2 = (0.5 * rho * rho_x ** 2 * eos.k_rho(rho, theta)
-          + rho * rho_x * theta_x * eos.k_theta(rho, theta) - 0.5 * k * rho_x ** 2)
-    g3 = u * g2 - h * rho_x * u_x
-    return h, g2, g3
-
-
-def total_flux(eos: EquationOfState, rho, u, theta, rho_x, rho_xx, u_x,
-               theta_x) -> tuple:
-    """Components of -F1 + G U_x + H U_xx + g~, whose x-derivative is F0_t.
-
-    Builds no (..., 3, 3) tensor, so it serves the solver's hot path.
-    """
-    return _total_flux(eos, eos.epsilon(rho, theta, rho_x), rho, u, theta,
-                       rho_x, rho_xx, u_x, theta_x)
-
-
-def _total_flux(eos: EquationOfState, eps, rho, u, theta, rho_x, rho_xx, u_x,
-                theta_x) -> tuple:
-    """:func:`total_flux` at a given internal energy eps = epsilon(rho, theta, rho_x)."""
-    h, g2, g3 = _korteweg_entries(eos, rho, u, theta, rho_x, u_x, theta_x)
-    p = eos.p(rho, theta)
-    stress = eos.mu(rho, theta) * u_x + h * rho_xx        # (G U_x + H U_xx)_2
-    return (-rho * u,
-            -(rho * u ** 2 + p) + stress + g2,
-            (-(rho * u * (eps + 0.5 * u ** 2) + p * u)
-             + eos.alpha(rho, theta) * theta_x + u * stress + g3))
-
-
 def flux_and_tensors(eos: EquationOfState, ext: ExtendedState) -> FluxTensors:
-    """Everything the W-system reads from the closure, in one pass.
+    """Everything the W-system reads from the closure, from one :func:`_closure` pass.
 
-    F1 = (rho u, rho u^2 + p, rho u (epsilon + u^2/2) + p u).  G(U) has
-    nonzero entries only at (2,2) = mu, (3,2) = mu u and (3,3) = alpha, H(U)
-    only at (2,1) = k rho and (3,1) = k rho u; the first component of g is
-    identically zero and g = O(|U_x|^2).  The H and g entries are those of
-    :func:`total_flux`.
-
-    Each partial of psi is evaluated once: epsilon, its partials, p and s
-    are formed here with the operations of the ``EquationOfState`` methods,
-    so they agree with those bit for bit.
+    F0 = (rho, rho u, rho(epsilon + u^2/2)) and
+    F1 = (rho u, rho u^2 + p, rho u (epsilon + u^2/2) + p u); the first
+    component of g is identically zero and g = O(|U_x|^2).
     """
     rho, u, theta, rho_x = (np.asarray(a, dtype=float)
                             for a in (ext.rho, ext.u, ext.theta, ext.rho_x))
-    psi, kap = eos.psi, eos.kappa
-    psi_r, psi_t, kap_t = psi.d_r(rho, theta), psi.d_t(rho, theta), kap.d_t(rho, theta)
-    rx2 = rho_x ** 2
-    m = kap(rho, theta) - theta * kap_t            # eos.grad_energy
-    eps = psi(rho, theta) - theta * psi_t + m * rx2
-    eps_rho = (psi_r - theta * psi.d_rt(rho, theta)
-               + (kap.d_r(rho, theta) - theta * kap.d_rt(rho, theta)) * rx2)
-    eps_theta = -theta * psi.d_tt(rho, theta) - theta * kap.d_tt(rho, theta) * rx2
-    p = rho ** 2 * psi_r
-    h, g2, g3 = _korteweg_entries(eos, rho, u, theta, ext.rho_x, ext.u_x, ext.theta_x)
-
-    shape = np.broadcast(rho, u, theta).shape + (3, 3)
-    mu = eos.mu(rho, theta)
-    G = np.zeros(shape)
-    G[..., 1, 1] = mu
-    G[..., 2, 1] = mu * u
-    G[..., 2, 2] = eos.alpha(rho, theta)
-    H = np.zeros(shape)
-    H[..., 1, 0] = h
-    H[..., 2, 0] = h * u
+    c = _closure(eos, rho, u, theta, rho_x, ext.u_x, ext.theta_x)
     return FluxTensors(
-        F0=_conserved(rho, u, eps),
-        F1=vec3([rho * u, rho * u ** 2 + p, rho * u * (eps + 0.5 * u ** 2) + p * u]),
-        G=G, H=H, gtilde=vec3([0.0, g2, g3]),
-        a31=eps + 0.5 * u ** 2 + rho * eps_rho, a33=rho * eps_theta,
-        b31=2.0 * rho * m * rho_x, entropy=rho * (-psi_t - kap_t * rx2))
-
-
-def d_ux_F0(eos: EquationOfState, ext: ExtendedState) -> np.ndarray:
-    """Jacobian of F0 in the gradient variables; single entry (3,1) = 2 rho m rho_x."""
-    rho = np.asarray(ext.rho, dtype=float)
-    rx = np.asarray(ext.rho_x, dtype=float)
-    m = eos.grad_energy(ext.rho, ext.theta)
-    z = np.zeros_like(rho * rx)
-    return mat3([[z, z, z], [z, z, z], [2.0 * rho * m * rx, z, z]])
+        F0=vec3([rho, rho * u, rho * c.energy]),
+        F1=vec3([rho * u, rho * u ** 2 + c.p, rho * u * c.energy + c.p * u]),
+        mu=c.mu, alpha=c.alpha, h=c.h, gtilde=vec3([0.0, c.g2, c.g3]),
+        a31=c.a31, a33=c.a33, b31=c.b31, entropy=rho * c.s)
 
 
 @dataclass(frozen=True)
@@ -234,13 +222,13 @@ def _equilibrium_terms_at(eos: EquationOfState, rho: float, u: float,
     ubar = State(rho, u, theta)
     jac0 = cx.jac_f0(eos, ubar)
     jac0_inv = cx.jac_f0_inv(eos, ubar)
-    h_bar = flux_and_tensors(eos, ExtendedState(rho, u, theta)).H
+    h = flux_and_tensors(eos, ExtendedState(rho, u, theta)).h
     a0_bar, _, _ = cx.coefficient_matrices(eos, ubar)
     return _EquilibriumTerms(
         jac0_inv=jac0_inv, f0=cx.f0(eos, ubar), f1=cx.f1(eos, ubar),
         flux_map=cx.jac_f1(eos, ubar) @ jac0_inv,
         visc_map=cx.visc_matrix(eos, ubar) @ jac0_inv,
-        cap_map=h_bar @ jac0_inv,
+        cap_map=mat3([[0.0, 0.0, 0.0], [h, 0.0, 0.0], [h * u, 0.0, 0.0]]) @ jac0_inv,
         # symmetrizing factor L = (D_U f0)^T (D_U Z) (D_U f0)^{-1}
         L=jac0.T @ cx.jac_z(eos, ubar) @ jac0_inv,
         a0_diag=np.stack([a0_bar[0, 0], a0_bar[1, 1], a0_bar[2, 2]]))
@@ -309,13 +297,11 @@ def nonlinear_terms(eos: EquationOfState, ubar: State, ext: ExtendedState,
 
     r = -(t.F1 - c.f1) + mv(c.flux_map, t.F0 - c.f0)
 
-    G, H = t.G, t.H
-    r_visc = (vec3([0.0, G[..., 1, 1] * u_x,
-                    G[..., 2, 1] * u_x + G[..., 2, 2] * theta_x])
+    r_visc = (vec3([0.0, t.mu * u_x, t.mu * u * u_x + t.alpha * theta_x])
               - mv(c.visc_map, jac_f0_times(rho_x, u_x, theta_x)))
 
     i1 = -mv(c.visc_map, vec3([0.0, 0.0, t.b31 * rho_xx]))
-    i2 = (vec3([0.0, H[..., 1, 0] * rho_xx, H[..., 2, 0] * rho_xx])
+    i2 = (vec3([0.0, t.h * rho_xx, t.h * u * rho_xx])
           - mv(c.cap_map, jac_f0_times(rho_xx, u_xx, theta_xx)))
 
     n_tilde = mv(c.L, r + r_visc + i1 + i2 + t.gtilde)

@@ -1,0 +1,70 @@
+"""Definitional oracles of the conservation form, shared by the tests.
+
+Each quantity is written out from the single-potential ``EquationOfState``
+methods and the ``convex_extension`` builders, independently of the one
+closure pass ``symbols._closure`` that the program evaluates.
+"""
+
+import numpy as np
+
+from nsfk import convex_extension as cx
+from nsfk.thermo import State
+
+
+def conserved_quantities(eos, ext):
+    """F0(U, U_x) = (rho, rho u, rho(epsilon + u^2/2)) = f0 + (0, 0, rho m rho_x^2)."""
+    rho, u = np.asarray(ext.rho, dtype=float), np.asarray(ext.u, dtype=float)
+    eps = eos.epsilon(ext.rho, ext.theta, ext.rho_x)
+    return cx.vec3([rho, rho * u, rho * (eps + 0.5 * u ** 2)])
+
+
+def d_ux_F0(eos, ext):
+    """Jacobian of F0 in the gradient variables; single entry (3,1) = 2 rho m rho_x."""
+    rho = np.asarray(ext.rho, dtype=float)
+    rx = np.asarray(ext.rho_x, dtype=float)
+    m = eos.grad_energy(ext.rho, ext.theta)
+    z = np.zeros_like(rho * rx)
+    return cx.mat3([[z, z, z], [z, z, z], [2.0 * rho * m * rx, z, z]])
+
+
+def f1(eos, ext):
+    """F1 = f1 + (0, 0, rho u m rho_x^2) from the standard flux."""
+    rho, u = np.asarray(ext.rho), np.asarray(ext.u)
+    grad = rho * u * eos.grad_energy(rho, ext.theta) * np.asarray(ext.rho_x) ** 2
+    return cx.f1(eos, ext.state) + cx.vec3([0.0, 0.0, grad])
+
+
+def capillarity_matrix(eos, state):
+    """H(U): the first column k rho (0, 1, u), zeros elsewhere."""
+    h = eos.k(state.rho, state.theta) * state.rho
+    return cx.mat3([[0.0, 0.0, 0.0], [h, 0.0, 0.0], [h * state.u, 0.0, 0.0]])
+
+
+def korteweg_entries(eos, rho, u, theta, rho_x, u_x, theta_x):
+    """g~ = (0, g2, g3) of the capillary stress K = k rho rho_xx + g2.
+
+    g3 = u g2 + w carries the interstitial work flux w = -k rho rho_x u_x.
+    """
+    k = eos.k(rho, theta)
+    g2 = (0.5 * rho * rho_x ** 2 * eos.k_rho(rho, theta)
+          + rho * rho_x * theta_x * eos.k_theta(rho, theta) - 0.5 * k * rho_x ** 2)
+    return g2, u * g2 - k * rho * rho_x * u_x
+
+
+def total_flux(eos, rho, u, theta, rho_x, rho_xx, u_x, theta_x):
+    """Components of -F1 + G U_x + H U_xx + g~, whose x-derivative is F0_t.
+
+    G is ``cx.visc_matrix`` and H is :func:`capillarity_matrix`; their
+    nonzero entries are summed in the solver's order, with
+    (G U_x + H U_xx)_3 = alpha theta_x + u (G U_x + H U_xx)_2, so the
+    result matches the solver's flux bit for bit.
+    """
+    state = State(rho, u, theta)
+    G, H = cx.visc_matrix(eos, state), capillarity_matrix(eos, state)
+    g2, g3 = korteweg_entries(eos, rho, u, theta, rho_x, u_x, theta_x)
+    eps, p = eos.epsilon(rho, theta, rho_x), eos.p(rho, theta)
+    stress = G[..., 1, 1] * u_x + H[..., 1, 0] * rho_xx       # (G U_x + H U_xx)_2
+    return (-rho * u,
+            -(rho * u ** 2 + p) + stress + g2,
+            (-(rho * u * (eps + 0.5 * u ** 2) + p * u)
+             + G[..., 2, 2] * theta_x + u * stress + g3))

@@ -124,6 +124,7 @@ BAD_VALUES = [
     ("nonlinear-run", "nonlinear", {"fields": ","}),
     ("nonlinear-run", "nonlinear", {"t_final": "1", "fit_t_min": "2"}),
     ("nonlinear-run", "nonlinear", {"t_final": "inf"}),
+    ("nonlinear-run", "nonlinear", {"t_final": "30.01"}),
     ("nonlinear-run", "nonlinear", {"shape": "wave_packet", "amplitude": "5"}),
 ]
 

@@ -8,6 +8,8 @@ from nsfk import convex_extension as cx
 from nsfk import nonlinear_solver as nls
 from nsfk import symbols as sym
 from nsfk.thermo import Coefficient, State, ideal_gas_eos
+from oracles import (capillarity_matrix, conserved_quantities, d_ux_F0, f1,
+                     korteweg_entries, total_flux)
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +30,9 @@ def masked_rhs(eos, grid, fh):
     """Reference right side on all n//2 + 1 rfft bins, the 2/3 rule as a mask.
 
     The same arithmetic as ``nls.rhs``, but on full-width spectra that carry
-    the removed modes as zeros; ``fh`` is the masked rfft of the field.
+    the removed modes as zeros, and with the flux and the Jacobian entries
+    from the oracles instead of the closure pass; ``fh`` is the masked rfft
+    of the field.
     """
     ik = grid.ik
     mask = np.arange(grid.n // 2 + 1) <= grid.n // 3
@@ -36,13 +40,13 @@ def masked_rhs(eos, grid, fh):
     rho, u, theta, rho_x, rho_xx, u_x, theta_x = np.fft.irfft(
         np.stack([fh[0], fh[1], fh[2], rho_xh, ik * rho_xh, ik * fh[1], ik * fh[2]]),
         n=grid.n)
-    eps = eos.epsilon(rho, theta, rho_x)
-    flux = sym._total_flux(eos, eps, rho, u, theta, rho_x, rho_xx, u_x, theta_x)
+    flux = total_flux(eos, rho, u, theta, rho_x, rho_xx, u_x, theta_x)
     rh = np.fft.rfft(np.stack(flux)) * (ik * mask)
     rho_t, rho_xt, r2, r3 = np.fft.irfft(np.stack([rh[0], ik * rh[0], rh[1], rh[2]]),
                                          n=grid.n)
     u_t = (r2 - u * rho_t) / rho
-    a31 = eps + 0.5 * u ** 2 + rho * eos.epsilon_rho(rho, theta, rho_x)
+    a31 = (eos.epsilon(rho, theta, rho_x) + 0.5 * u ** 2
+           + rho * eos.epsilon_rho(rho, theta, rho_x))
     a33 = rho * eos.epsilon_theta(rho, theta, rho_x)
     theta_t = (r3 - 2.0 * rho * eos.grad_energy(rho, theta) * rho_x * rho_xt
                - a31 * rho_t - rho * u * u_t) / a33
@@ -155,9 +159,12 @@ class TestRhs:
         rates_x = np.stack([g.deriv(r) for r in rates.T], axis=-1)
         ext = f.extended()
         lhs = (cx.mv(cx.jac_f0(eos, ext.state), rates)
-               + cx.mv(sym.d_ux_F0(eos, ext), rates_x))
-        t = sym.flux_and_tensors(eos, ext)
-        flux = -t.F1 + cx.mv(t.G, ext.grad) + cx.mv(t.H, ext.grad2) + t.gtilde
+               + cx.mv(d_ux_F0(eos, ext), rates_x))
+        g2, g3 = korteweg_entries(eos, ext.rho, ext.u, ext.theta, ext.rho_x,
+                                  ext.u_x, ext.theta_x)
+        flux = (-f1(eos, ext) + cx.mv(cx.visc_matrix(eos, ext.state), ext.grad)
+                + cx.mv(capillarity_matrix(eos, ext.state), ext.grad2)
+                + cx.vec3([0.0, g2, g3]))
         div = np.stack([g.deriv(flux[:, i], dealias=True) for i in range(3)], axis=-1)
         assert np.abs(lhs - div).max() <= 1e-12 * np.abs(div).max()
 
@@ -375,19 +382,16 @@ class TestSample:
         rho, u, theta = f.rho, f.u, f.theta
         eps = eos.epsilon(rho, theta, ext.rho_x)
         w = cx.mv(cx.jac_f0_inv(eos, ubar),
-                  sym.conserved_quantities(eos, ext) - cx.f0(eos, ubar))
+                  conserved_quantities(eos, ext) - cx.f0(eos, ubar))
         n_terms = sym.nonlinear_terms(eos, ubar, ext, sym.flux_and_tensors(eos, ext))
         norm_w = triple_norm(g, w[:, 0], w[:, 1], w[:, 2])
         norm_u = triple_norm(g, rho - ubar.rho, u - ubar.u, theta - ubar.theta)
-        # F1 = f1 + (0, 0, rho u m rho_x^2)
-        f1 = cx.f1(eos, ext.state) + cx.vec3(
-            [0.0, 0.0, rho * u * eos.grad_energy(rho, theta) * ext.rho_x ** 2])
         want = (g.integral(rho), g.integral(rho * u),
                 g.integral(rho * (eps + 0.5 * u ** 2)),
                 g.integral(rho * eos.s(rho, theta, ext.rho_x)),
                 norm_u, norm_w, norm_w / norm_u,
                 np.abs(n_terms[:, 0]).max(), np.abs(n_terms).max(),
-                max(np.abs(f1).max(), 1.0))
+                max(np.abs(f1(eos, ext)).max(), 1.0))
         assert len(got) == len(want) == 10
         for a, b in zip(got, want):
             assert abs(a - b) <= 1e-13 * abs(b)
@@ -405,11 +409,12 @@ class TestSample:
         assert sorted(calls) == ["irfft", "rfft"]
 
     @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
-    def test_one_closure_pass_per_sample(self, request, closure, small_grid,
-                                         monkeypatch):
-        # every partial of psi is evaluated at most once per sample, inside
-        # the single flux_and_tensors pass that w_variables and
-        # nonlinear_terms read
+    @pytest.mark.parametrize("caller", ["rhs", "_sample"])
+    def test_one_closure_pass_per_call(self, request, caller, closure, small_grid,
+                                       monkeypatch):
+        # one rhs or one sample evaluates every partial of psi and kappa at
+        # most once; a sample does it in the single flux_and_tensors pass
+        # that w_variables and nonlinear_terms read
         base = request.getfixturevalue(closure)
         calls = Counter()
 
@@ -417,18 +422,27 @@ class TestSample:
             return lambda *a: calls.update([name]) or fn(*a)
 
         parts = ("f", "d_r", "d_t", "d_rr", "d_rt", "d_tt")
-        eos = dataclasses.replace(base, psi=Coefficient(
-            *(counted(f"psi.{p}", getattr(base.psi, p)) for p in parts)))
+        eos = dataclasses.replace(base, **{
+            coef: Coefficient(*(counted(f"{coef}.{p}", getattr(getattr(base, coef), p))
+                                for p in parts))
+            for coef in ("psi", "kappa")})
         ubar = State(1.0, 0.1, 1.0)
         f = smooth_field(small_grid, amp=0.03)
-        nls._sample(eos, ubar, f)       # builds the cached equilibrium terms
-        for name in ("flux_and_tensors", "w_variables", "nonlinear_terms"):
+        if caller == "rhs":
+            fh = f.spectrum()
+            evaluate = lambda: nls.rhs(eos, small_grid, fh)         # noqa: E731
+        else:
+            evaluate = lambda: nls._sample(eos, ubar, f)            # noqa: E731
+        evaluate()        # a sample builds the cached equilibrium terms first
+        stages = ("flux_and_tensors", "w_variables", "nonlinear_terms")
+        for name in stages:
             monkeypatch.setattr(sym, name, counted(name, getattr(sym, name)))
         calls.clear()
-        nls._sample(eos, ubar, f)
-        assert all(calls[f"psi.{p}"] <= 1 for p in parts), calls
-        assert [calls[name] for name in ("flux_and_tensors", "w_variables",
-                                         "nonlinear_terms")] == [1, 1, 1]
+        evaluate()
+        assert all(calls[f"{coef}.{p}"] <= 1 for coef in ("psi", "kappa")
+                   for p in parts), calls
+        assert [calls[name] for name in stages] == ([0, 0, 0] if caller == "rhs"
+                                                     else [1, 1, 1])
 
 
 def triple_norm(grid, v1, v2, v3):

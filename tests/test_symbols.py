@@ -7,6 +7,7 @@ from nsfk import convex_extension as cx
 from nsfk import symbols as sym
 from nsfk.fitting import fit_power_law
 from nsfk.thermo import Coefficient, EquationOfState, State, ideal_gas_eos
+from oracles import capillarity_matrix, conserved_quantities, d_ux_F0, f1, korteweg_entries
 
 interior = st.floats(min_value=0.4, max_value=2.2)
 velocity = st.floats(min_value=-1.5, max_value=1.5)
@@ -24,25 +25,34 @@ def random_extended(rng, n):
     )
 
 
+def conserved(eos, ext):
+    """F0 of the closure pass."""
+    return sym.flux_and_tensors(eos, ext).F0
+
+
+def closure_flux(eos, rho, u, theta, rho_x=0.0, rho_xx=0.0, u_x=0.0, theta_x=0.0):
+    """The solver's flux -F1 + G U_x + H U_xx + g~ from one closure pass."""
+    c = sym._closure(eos, rho, u, theta, rho_x, u_x, theta_x)
+    return sym._total_flux(c, rho, u, rho_xx, u_x, theta_x, out=np.empty(3))
+
+
 class TestConservedQuantities:
     def test_reduces_to_standard_without_gradient(self, ref_eos):
         ext = sym.ExtendedState(rho=1.3, u=0.5, theta=0.9)
-        assert np.allclose(sym.conserved_quantities(ref_eos, ext),
-                           cx.f0(ref_eos, ext.state), atol=1e-15)
+        assert np.allclose(conserved(ref_eos, ext), cx.f0(ref_eos, ext.state),
+                           atol=1e-15)
 
     def test_gradient_contribution(self, ref_eos):
         # rho (eps + u^2/2) = 1.5 + 1 = 2.5 at the reference with rho_x = 1
         ext = sym.ExtendedState(rho=1.0, u=0.0, theta=1.0, rho_x=1.0)
-        F0 = sym.conserved_quantities(ref_eos, ext)
+        F0 = conserved(ref_eos, ext)
         assert np.allclose(F0, [1.0, 0.0, 2.5], atol=1e-14)
 
     @given(rho=interior, u=velocity, theta=interior, rho_x=gradient)
     @settings(max_examples=50, deadline=None)
     def test_first_two_components_ignore_gradient(self, ref_eos, rho, u, theta, rho_x):
-        with_g = sym.conserved_quantities(
-            ref_eos, sym.ExtendedState(rho, u, theta, rho_x=rho_x))
-        without = sym.conserved_quantities(
-            ref_eos, sym.ExtendedState(rho, u, theta))
+        with_g = conserved(ref_eos, sym.ExtendedState(rho, u, theta, rho_x=rho_x))
+        without = conserved(ref_eos, sym.ExtendedState(rho, u, theta))
         assert np.all(with_g[:2] == without[:2])
 
     def test_gamma_terms_vanish_without_gradient(self, ref_eos):
@@ -59,13 +69,12 @@ class TestFluxAndTensors:
         assert np.all(sym.flux_and_tensors(ref_eos, ext).gtilde == 0.0)
 
     def test_capillarity_tensor_structure(self, ref_eos):
+        # H's only entries are (2,1) = k rho and (3,1) = k rho u
         ext = sym.ExtendedState(rho=1.5, u=0.6, theta=1.2)
-        H = sym.flux_and_tensors(ref_eos, ext).H
+        h = sym.flux_and_tensors(ref_eos, ext).h
         k = float(np.asarray(ref_eos.k(1.5, 1.2)))
-        expected = np.zeros((3, 3))
-        expected[1, 0] = k * 1.5
-        expected[2, 0] = k * 1.5 * 0.6
-        assert np.allclose(H, expected, atol=1e-14)
+        assert h == pytest.approx(k * 1.5, abs=1e-14)
+        assert h * 0.6 == pytest.approx(k * 1.5 * 0.6, abs=1e-14)
 
     def test_gtilde_at_rest(self, ref_eos):
         # u = 0 leaves only the interstitial-work term in the third slot
@@ -78,14 +87,19 @@ class TestFluxAndTensors:
 
     @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
     def test_tensors_match_the_matrix_builders(self, request, closure, rng):
-        # G and H are filled in place; bit for bit the matrices of
-        # cx.visc_matrix and of the first column k rho (0, 1, u)
+        # the entries of G and H, placed in 3x3 matrices, are bit for bit
+        # those of cx.visc_matrix and of the first column k rho (0, 1, u)
         eos = request.getfixturevalue(closure)
         ext = random_extended(rng, 100)
         t = sym.flux_and_tensors(eos, ext)
-        assert np.array_equal(t.G, cx.visc_matrix(eos, ext.state))
-        h = eos.k(ext.rho, ext.theta) * ext.rho
-        assert np.array_equal(t.H, cx.mat3([[0, 0, 0], [h, 0, 0], [h * ext.u, 0, 0]]))
+        z = np.zeros(100)
+        G = cx.mat3([[z, z, z], [z, t.mu, z], [z, t.mu * ext.u, t.alpha]])
+        assert np.array_equal(G, cx.visc_matrix(eos, ext.state))
+        H = cx.mat3([[z, z, z], [t.h, z, z], [t.h * ext.u, z, z]])
+        assert np.array_equal(H, capillarity_matrix(eos, ext.state))
+        g2, g3 = korteweg_entries(eos, ext.rho, ext.u, ext.theta, ext.rho_x,
+                                  ext.u_x, ext.theta_x)
+        assert np.array_equal(t.gtilde, cx.vec3([0.0, g2, g3]))
 
     @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
     def test_closure_pass_matches_the_potentials(self, request, closure, rng):
@@ -94,22 +108,22 @@ class TestFluxAndTensors:
         eos = request.getfixturevalue(closure)
         ext = random_extended(rng, 100)
         t = sym.flux_and_tensors(eos, ext)
-        assert np.array_equal(t.F0, sym.conserved_quantities(eos, ext))
+        assert np.array_equal(t.F0, conserved_quantities(eos, ext))
         jac = cx.jac_f0(eos, ext.state)
         assert np.array_equal(t.a31, jac[:, 2, 0])
         assert np.array_equal(t.a33, jac[:, 2, 2])
-        assert np.array_equal(t.b31, sym.d_ux_F0(eos, ext)[:, 2, 0])
+        assert np.array_equal(t.b31, d_ux_F0(eos, ext)[:, 2, 0])
         assert np.array_equal(t.entropy, ext.rho * eos.s(ext.rho, ext.theta, ext.rho_x))
-        f1 = definitional_f1(eos, ext)
-        assert np.abs(t.F1 - f1).max() <= 1e-15 * np.abs(f1).max()
+        want = f1(eos, ext)
+        assert np.abs(t.F1 - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestKortewegStress:
-    """K and w read off total_flux: flux2 = -(rho u^2 + p) + mu u_x + K and,
-    at rest, flux3 = alpha theta_x + w."""
+    """K and w read off the solver's flux: flux2 = -(rho u^2 + p) + mu u_x + K
+    and, at rest, flux3 = alpha theta_x + w."""
 
     def test_zero_at_rest(self, ref_eos):
-        flux = sym.total_flux(ref_eos, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        flux = closure_flux(ref_eos, 1.0, 0.0, 1.0)
         assert flux[1] + ref_eos.p(1.0, 1.0) == 0.0 and flux[2] == 0.0
 
     def test_constant_k_value(self):
@@ -126,15 +140,12 @@ class TestKortewegStress:
         base = ideal_gas_eos(1.0, 5.0 / 3.0, 1.0, 1.0, 1.0)
         eos = EquationOfState(psi=base.psi, kappa=kap, mu=base.mu, alpha=base.alpha)
         assert float(np.asarray(eos.k_rho(1.0, 1.0))) == pytest.approx(0.0, abs=1e-15)
-        flux = sym.total_flux(eos, 1.0, 0.0, 1.0, rho_x=1.0, rho_xx=1.0,
-                              u_x=0.0, theta_x=0.0)
+        flux = closure_flux(eos, 1.0, 0.0, 1.0, rho_x=1.0, rho_xx=1.0)
         assert flux[1] + eos.p(1.0, 1.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_work_flux_sign(self, ref_eos):
-        plus = sym.total_flux(ref_eos, 1.0, 0.0, 1.0, rho_x=0.4, rho_xx=0.0,
-                              u_x=0.3, theta_x=0.0)[2]
-        minus = sym.total_flux(ref_eos, 1.0, 0.0, 1.0, rho_x=0.4, rho_xx=0.0,
-                               u_x=-0.3, theta_x=0.0)[2]
+        plus = closure_flux(ref_eos, 1.0, 0.0, 1.0, rho_x=0.4, u_x=0.3)[2]
+        minus = closure_flux(ref_eos, 1.0, 0.0, 1.0, rho_x=0.4, u_x=-0.3)[2]
         assert plus == pytest.approx(-minus, abs=1e-15)
         assert plus < 0
 
@@ -189,7 +200,7 @@ class TestNonlinearTerms:
         assert np.all(np.asarray(ext.rho_x) != 0.0)
         jac = cx.jac_f0(eos, ext.state)
         assert np.all(jac[:, 0, :] == [1.0, 0.0, 0.0])
-        assert np.all(sym.d_ux_F0(eos, ext)[:, 0, :] == 0.0)
+        assert np.all(d_ux_F0(eos, ext)[:, 0, :] == 0.0)
 
     def test_quadratic_amplitude_scaling(self, ref_eos, ref_equilibrium):
         # smooth profile V = (sin x, cos x, sin 2x) with analytic derivatives
@@ -224,7 +235,7 @@ class TestNonlinearTerms:
             assert np.abs(n_terms - fresh).max() <= 1e-13 * np.abs(fresh).max()
             w = w_variables(eos, ubar, ext)
             fresh = cx.mv(cx.jac_f0_inv(eos, ubar),
-                          sym.conserved_quantities(eos, ext) - cx.f0(eos, ubar))
+                          conserved_quantities(eos, ext) - cx.f0(eos, ubar))
             assert np.abs(w - fresh).max() <= 1e-13 * np.abs(fresh).max()
 
 
@@ -238,29 +249,22 @@ def nonlinear_terms(eos, ubar, ext):
     return sym.nonlinear_terms(eos, ubar, ext, sym.flux_and_tensors(eos, ext))
 
 
-def definitional_f1(eos, ext):
-    """F1 = f1 + (0, 0, rho u m rho_x^2) from the standard flux."""
-    rho, u = np.asarray(ext.rho), np.asarray(ext.u)
-    grad = rho * u * eos.grad_energy(rho, ext.theta) * np.asarray(ext.rho_x) ** 2
-    return cx.f1(eos, ext.state) + cx.vec3([0.0, 0.0, grad])
-
-
 def definitional_nonlinear_terms(eos, ubar, ext):
-    """nonlinear_terms in its matrix form, every equilibrium matrix rebuilt."""
+    """nonlinear_terms in its matrix form, every matrix rebuilt from the oracles."""
     jac0, jac0_inv = cx.jac_f0(eos, ubar), cx.jac_f0_inv(eos, ubar)
-    g_bar = cx.visc_matrix(eos, ubar)
-    h_bar = sym.flux_and_tensors(eos, sym.ExtendedState(ubar.rho, ubar.u, ubar.theta)).H
+    g_bar, h_bar = cx.visc_matrix(eos, ubar), capillarity_matrix(eos, ubar)
     L = jac0.T @ cx.jac_z(eos, ubar) @ jac0_inv
-    t = sym.flux_and_tensors(eos, ext)
+    G, H = cx.visc_matrix(eos, ext.state), capillarity_matrix(eos, ext.state)
     dF0, dF0_inv = cx.jac_f0(eos, ext.state), cx.jac_f0_inv(eos, ext.state)
-    r = -(definitional_f1(eos, ext) - cx.f1(eos, ubar)) + cx.mv(
-        cx.jac_f1(eos, ubar) @ jac0_inv,
-        sym.conserved_quantities(eos, ext) - cx.f0(eos, ubar))
-    r_visc = cx.mv((t.G @ dF0_inv - g_bar @ jac0_inv) @ dF0, ext.grad)
-    i1 = -cx.mv(g_bar @ jac0_inv, cx.mv(sym.d_ux_F0(eos, ext), ext.grad2))
-    i2 = cx.mv((t.H @ dF0_inv - h_bar @ jac0_inv) @ dF0, ext.grad2)
+    r = -(f1(eos, ext) - cx.f1(eos, ubar)) + cx.mv(
+        cx.jac_f1(eos, ubar) @ jac0_inv, conserved_quantities(eos, ext) - cx.f0(eos, ubar))
+    r_visc = cx.mv((G @ dF0_inv - g_bar @ jac0_inv) @ dF0, ext.grad)
+    i1 = -cx.mv(g_bar @ jac0_inv, cx.mv(d_ux_F0(eos, ext), ext.grad2))
+    i2 = cx.mv((H @ dF0_inv - h_bar @ jac0_inv) @ dF0, ext.grad2)
+    g2, g3 = korteweg_entries(eos, ext.rho, ext.u, ext.theta, ext.rho_x, ext.u_x,
+                              ext.theta_x)
     a0 = cx.coefficient_matrices(eos, ubar)[0]
-    return cx.mv(L, r + r_visc + i1 + i2 + t.gtilde) / np.diag(a0)
+    return cx.mv(L, r + r_visc + i1 + i2 + cx.vec3([0.0, g2, g3])) / np.diag(a0)
 
 
 class TestEquilibriumCoefficients:
