@@ -481,10 +481,7 @@ def cmd_nonlinear_run(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     length, n, dt, t_final = nl["length"], nl["n"], nl["dt"], nl["t_final"]
     amplitude = nl["amplitude"]
     sample_every, fit_t_min = nl["sample_every"], nl["fit_t_min"]
-    steps = t_final / dt           # run() takes round(steps) steps of dt
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-        raise ConfigError(f"[nonlinear] t_final = {t_final!r} must be a whole number "
-                          f"of dt steps (dt = {dt!r}, t_final / dt = {steps!r})")
+    times = _build("[nonlinear]", sample_times, t_final, dt, sample_every)
     grid = _build("[nonlinear]", SpectralGrid, n, length)
     spec = _build("[nonlinear]", PerturbationSpec, shape=nl["shape"],
                   amplitude=amplitude, width=nl["width"], fields=nl["fields"])
@@ -496,7 +493,7 @@ def cmd_nonlinear_run(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
                               f"set: min {name} = {low:.6g} (must be > 0)")
     if amplitude > 0:
         # the same window on 1 + t that the decay fit uses after the run
-        t = 1.0 + sample_times(t_final, dt, sample_every)
+        t = 1.0 + times
         hi = 1.0 + wrap_time(eos, ubar, length)
         if np.count_nonzero((t >= 1.0 + fit_t_min) & (t <= hi)) < 2:
             raise ConfigError("[nonlinear] the decay-fit window [fit_t_min, "

@@ -14,16 +14,19 @@ the discrete mass, momentum and total-energy integrals are conserved up to
 time-integration error.  Products are dealiased with the 2/3 rule.
 
 The time stepper advances only the retained rfft coefficients m = 0..n//3 of
-(rho, u, theta), a (3, n//3 + 1) spectrum: the 2/3 rule is a slice of each
-forward transform, and each inverse transform pads the spectrum with zeros.
-``rhs`` maps that spectrum to the spectrum of the rates with four batched
-transforms (seven fields and gradients back to the grid, the three fluxes
-forward, the four conservation-law rates back, the two primitive rates
-forward), so an integrating-factor step costs 4.5 transform calls per
-right-hand-side evaluation, packing and unpacking included.  The transforms
-of ``rhs`` read and write one set of buffers held by the grid
-(``SpectralGrid.workspace``): an evaluation allocates only the closure's
-elementwise temporaries and its (3, n//3 + 1) result.
+U - Ubar = (rho, u, theta) - Ubar, a (3, n//3 + 1) spectrum: the 2/3 rule is
+a slice of each forward transform, and each inverse transform pads the
+spectrum with zeros.  ``run`` transforms the initial field once and keeps
+that spectrum from the first step to the last; it goes back to the grid
+only for a diagnostics sample.  ``rhs`` maps the spectrum of the field to
+the spectrum of the rates with four batched transforms (seven fields and
+gradients back to the grid, the three fluxes forward, the four
+conservation-law rates back, the two primitive rates forward), so a step
+costs 4 transform calls per right-hand-side evaluation, plus one inverse
+transform per sample.  The transforms of ``rhs`` read and write one set of
+buffers held by the grid (``SpectralGrid.workspace``), and the stepper's
+stages live in buffers it allocates once: a step allocates only the
+closure's elementwise temporaries.
 
 The stepper is an integrating-factor RK4 (Lawson scheme; see
 Cox & Matthews, J. Comput. Phys. 176 (2002) and Kassam & Trefethen, SIAM J.
@@ -76,11 +79,6 @@ class StepRejected(RuntimeError):
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _apply(e: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-mode product e(k) v(k) of (3, 3, m) matrices and a (3, m) spectrum."""
-    return (e * v).sum(axis=1)
 
 
 class _RhsWorkspace:
@@ -195,29 +193,27 @@ class StateField:
             rho_xx=rho_xx, u_xx=u_xx, theta_xx=theta_xx,
         )
 
-    def spectrum(self) -> np.ndarray:
-        """Retained (3, n//3 + 1) rfft of (rho, u, theta), the state ``rhs`` acts on."""
-        fh = np.fft.rfft(np.stack([self.rho, self.u, self.theta]))
-        return fh[:, :self.grid.modes]
 
-    def copy(self) -> "StateField":
-        return StateField(self.grid, self.rho.copy(), self.u.copy(), self.theta.copy())
-
-
-def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
+def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
+        out: Optional[np.ndarray] = None,
+        bounds: Optional[tuple[float, float]] = None) -> np.ndarray:
     """Spectrum of the primitive rates (rho_t, u_t, theta_t).
 
-    ``fh`` is the retained (3, n//3 + 1) rfft of (rho, u, theta) (see
-    ``StateField.spectrum``); the result is the retained (3, n//3 + 1) rfft
-    of the rates, a new array.  The conservation-law right sides are the
-    spectral derivatives of the dealiased flux ``symbols._total_flux``; they
-    are converted to primitive rates through the conserved-quantity Jacobian.
-    The closure is evaluated once, in one ``symbols._closure`` pass that both
-    the flux and the Jacobian entries read, and the four ``np.fft`` calls
-    are batched:
-    one irfft of (rho, u, theta, rho_x, rho_xx, u_x, theta_x), one rfft of
-    the three fluxes, one irfft of (rho_t, rho_xt, r2, r3) and one rfft of
-    (u_t, theta_t).  The transforms read and write ``grid.workspace``, so
+    ``fh`` is the retained (3, n//3 + 1) rfft of (rho, u, theta); the result
+    is the retained (3, n//3 + 1) rfft of the rates, written to ``out`` when
+    it is given and to a new array otherwise.  The conservation-law right
+    sides are the spectral derivatives of the dealiased flux
+    ``symbols._total_flux``; they are converted to primitive rates through
+    the conserved-quantity Jacobian.  The closure is evaluated once, in one
+    ``symbols._closure`` pass that both the flux and the Jacobian entries
+    read, and the four ``np.fft`` calls are batched: one irfft of (rho, u,
+    theta, rho_x, rho_xx, u_x, theta_x), one rfft of the three fluxes, one
+    irfft of (rho_t, rho_xt, r2, r3) and one rfft of (u_t, theta_t).
+
+    With ``bounds = (rho_min, theta_min)`` the field is checked by
+    ``StateField.validate`` right after the first transform, before the
+    closure reads it; a field outside the admissible set raises
+    ``StepRejected``.  The transforms read and write ``grid.workspace``, so
     ``rhs`` is not re-entrant on one grid: two threads must not evaluate it
     on the same ``SpectralGrid`` at once.  At a constant field the result is
     identically zero.
@@ -232,6 +228,8 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
     np.multiply(ik, fh[2], out=spec[6, :m])
     rho, u, theta, rho_x, rho_xx, u_x, theta_x = np.fft.irfft(spec, n=grid.n,
                                                               out=ws.grad)
+    if bounds is not None:
+        StateField(grid, rho, u, theta).validate(*bounds)
 
     c = sym._closure(eos, rho, u, theta, rho_x, u_x, theta_x)
     sym._total_flux(c, rho, u, rho_xx, u_x, theta_x, out=ws.flux)
@@ -248,8 +246,11 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
     u_t, theta_t = ws.flux[:2]                       # the fluxes are spent
     np.divide(r2 - u * rho_t, rho, out=u_t)
     np.divide(r3 - b31 * rho_xt - a31 * rho_t - rho * u * u_t, a33, out=theta_t)
-    return np.concatenate([rates[:1, :m],
-                           np.fft.rfft(ws.flux[:2], out=flux_hat[:2])[:, :m]])
+    if out is None:
+        out = np.empty((3, m), dtype=complex)
+    out[0] = rates[0, :m]
+    out[1:] = np.fft.rfft(ws.flux[:2], out=flux_hat[:2])[:, :m]
+    return out
 
 
 class IntegratingFactorRK4:
@@ -260,10 +261,14 @@ class IntegratingFactorRK4:
     exp(-h M(i k)) are assembled once from the symbol machinery.  The
     nonlinear remainder (full right side minus the linearization) is the
     only term advanced by quadrature, which removes the dispersive dt ~ dx^3
-    restriction of fully explicit stepping.  The stages are retained
-    (3, n//3 + 1) spectra, and ``generators``, ``e_full`` and ``e_half`` are
-    (3, 3, n//3 + 1): the modes the 2/3 rule removes are never stored.  The
-    stages are fresh arrays; only ``rhs`` uses the grid's workspace.
+    restriction of fully explicit stepping.  ``step`` advances the retained
+    (3, n//3 + 1) spectrum of U - Ubar (``pack``), whose roundoff stays at
+    the scale of the perturbation; ``generators``, ``e_full`` and ``e_half``
+    are (3, 3, n//3 + 1), column index first: the modes the 2/3 rule
+    removes are never stored.  The stage inputs, the stage rates and the
+    per-mode products are written into six (3, n//3 + 1) buffers
+    allocated here, and ``rhs`` into the grid's workspace, so like ``rhs``
+    a stepper is not re-entrant.
     """
 
     def __init__(self, eos: EquationOfState, equilibrium: State,
@@ -281,47 +286,94 @@ class IntegratingFactorRK4:
                               float(np.asarray(equilibrium.theta))])
         coeffs = equilibrium_coefficients(eos, equilibrium)
         gen = evolution_symbol(coeffs, grid.k[:grid.modes])   # (modes, 3, 3)
-        # kept as (3, 3, modes), the layout _apply takes
+        # kept as (3, 3, modes) with the column index first, the layout
+        # _apply takes: [j, i, k] holds entry (i, j) of mode k
         self.generators, self.e_full, self.e_half = (
-            np.ascontiguousarray(np.moveaxis(a, 0, -1))
+            np.ascontiguousarray(a.transpose(2, 1, 0))
             for a in (gen, matrix_exponentials(gen, self.dt),
                       matrix_exponentials(gen, 0.5 * self.dt)))
+        # the stage rates n1, n2 and n3 (n4 reuses n3), e_half u0 (then
+        # e_full u0), the stage input and the scratch of _apply, which rhs
+        # also writes
+        self._n1, self._n2, self._n3, self._v, self._x, self._tmp = np.zeros(
+            (6, 3, grid.modes), dtype=complex)
 
-    # -- packing: the stages hold the spectrum of U - Ubar, whose roundoff
-    # stays at the scale of the perturbation ------------------------------
-
-    def _pack(self, f: StateField) -> np.ndarray:
+    def pack(self, f: StateField) -> np.ndarray:
+        """Retained (3, n//3 + 1) rfft of U - Ubar, the state ``step`` advances."""
         du = np.stack([f.rho, f.u, f.theta]) - self.ubar[:, None]
-        return np.fft.rfft(du)[:, :self.grid.modes]
+        return np.ascontiguousarray(np.fft.rfft(du)[:, :self.grid.modes])
 
-    def _unpack(self, uh: np.ndarray) -> StateField:
+    def unpack(self, uh: np.ndarray) -> StateField:
+        """The field on the grid whose ``pack`` is ``uh``."""
         rho, u, theta = np.fft.irfft(uh, n=self.grid.n) + self.ubar[:, None]
         return StateField(self.grid, rho, u, theta)
 
-    def _nonlinear(self, uh: np.ndarray) -> np.ndarray:
-        """Spectrum of the full right side minus the linear part (-M uh)."""
-        fh = uh.copy()
-        fh[:, 0] += self.grid.n * self.ubar          # the mode-0 sum of Ubar
-        return rhs(self.eos, self.grid, fh) + _apply(self.generators, uh)
+    def _apply(self, e: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Per-mode product e(k) v(k) of (3, 3, m) matrices and a (3, m) spectrum.
 
-    def step(self, f: StateField) -> StateField:
-        if self.dt == 0.0:
-            return f.copy()
-        dt = self.dt
-        e1, e2 = self.e_full, self.e_half
-        u0 = self._pack(f)
-        e1u0 = _apply(e1, u0)
-        v = _apply(e2, u0)
-
-        n1 = self._nonlinear(u0)
-        n2 = self._nonlinear(v + 0.5 * dt * _apply(e2, n1))
-        n3 = self._nonlinear(v + 0.5 * dt * n2)
-        n4 = self._nonlinear(e1u0 + dt * _apply(e2, n3))
-        u1 = e1u0 + (dt / 6.0) * (_apply(e1, n1) + 2.0 * _apply(e2, n2 + n3) + n4)
-
-        out = self._unpack(u1)
-        out.validate(self.rho_min, self.theta_min)
+        ``e`` is column-first (``e[j, i]`` is entry (i, j)), so each term
+        e[:, j] v_j reads one contiguous block; the columns are summed in
+        order, without a (3, 3, m) temporary.  ``out`` must not be ``v``.
+        """
+        np.multiply(e[0], v[0], out=out)
+        for j in (1, 2):
+            out += np.multiply(e[j], v[j], out=self._tmp)
         return out
+
+    def _nonlinear(self, out: np.ndarray,
+                   bounds: Optional[tuple[float, float]] = None) -> np.ndarray:
+        """Full right side minus the linear part (-M x) at the stage input x.
+
+        x is the spectrum of U - Ubar in ``self._x``, which this consumes:
+        its mode 0 is shifted by the mode-0 sum of Ubar to give the field
+        ``rhs`` takes.  ``bounds`` is passed on to ``rhs``.
+        """
+        x = self._x
+        self._apply(self.generators, x, out)
+        x[:, 0] += self.grid.n * self.ubar
+        out += rhs(self.eos, self.grid, x, out=self._tmp, bounds=bounds)
+        return out
+
+    def step(self, uh: np.ndarray, checked: bool = False) -> np.ndarray:
+        """Advance the spectrum ``uh`` of U - Ubar by dt in place and return it.
+
+        The field of ``uh`` is validated (``StateField.validate`` with this
+        stepper's bounds) inside the first ``rhs``, after its transform to
+        the grid and before the closure reads it, unless ``checked`` says
+        that it has just been validated.  The result is not validated here:
+        the next step does it, or the caller after ``unpack``.  A rejected
+        step leaves ``uh`` unchanged.
+        """
+        if self.dt == 0.0:
+            return uh
+        dt, e1, e2 = self.dt, self.e_full, self.e_half
+        n1, n2, n3, v, x = self._n1, self._n2, self._n3, self._v, self._x
+        np.copyto(x, uh)
+        self._nonlinear(n1, None if checked else (self.rho_min, self.theta_min))
+        self._apply(e2, uh, v)                  # v = e2 u0
+
+        self._apply(e2, n1, x)                  # x = v + dt/2 e2 n1
+        x *= 0.5 * dt
+        x += v
+        self._nonlinear(n2)
+        np.multiply(n2, 0.5 * dt, out=x)        # x = v + dt/2 n2
+        x += v
+        self._nonlinear(n3)
+        e1u0 = self._apply(e1, uh, v)           # v is spent
+        self._apply(e2, n3, x)                  # x = e1 u0 + dt e2 n3
+        x *= dt
+        x += e1u0
+        n2 += n3                                # n3 is free for n4
+        n4 = self._nonlinear(n3)
+
+        # u1 = e1 u0 + dt/6 (e1 n1 + 2 e2 (n2 + n3) + n4)
+        self._apply(e1, n1, x)
+        e2n23 = self._apply(e2, n2, n1)         # n1 is spent
+        e2n23 *= 2.0
+        x += e2n23
+        x += n4
+        x *= dt / 6.0
+        return np.add(e1u0, x, out=uh)
 
 
 @dataclass(frozen=True)
@@ -489,10 +541,20 @@ def _sample(eos, equilibrium, f: StateField):
     )
 
 
+def _whole_steps(t_final: float, dt: float) -> int:
+    """The number of dt steps in t_final; ValueError unless it is whole."""
+    steps = t_final / dt
+    if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        raise ValueError(f"t_final = {t_final!r} must be a whole number of dt steps "
+                         f"(dt = {dt!r}, t_final / dt = {steps!r})")
+    return int(round(steps))
+
+
 def sample_times(t_final: float, dt: float, sample_every: int) -> np.ndarray:
     """Times of the ledger rows of a ``run`` that is not aborted: t = 0,
-    every ``sample_every``-th step and the last step."""
-    n_steps = int(round(t_final / dt))
+    every ``sample_every``-th step and the last step.  Raises ValueError
+    when t_final is not a whole number of dt steps (to 1e-9 relative)."""
+    n_steps = _whole_steps(t_final, dt)
     steps = np.arange(0, n_steps + 1)
     return steps[(steps % sample_every == 0) | (steps == n_steps)] * dt
 
@@ -513,27 +575,41 @@ def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec
     The decay-fit window is truncated at the wrap-around time
     L / (2 c_sound), past which the periodic images contaminate the
     whole-line decay.  Blow-up or domain exit terminates the run and returns
-    the partial ledger with ``aborted`` set.
+    the partial ledger with ``aborted`` set.  ``t_final`` must be a whole
+    number of ``dt`` steps (see ``sample_times``).
+
+    The stepper keeps the spectrum of U - Ubar from the first step to the
+    last; the field goes back to the grid only at the ledger's sample times.
+    Every step's result is validated once: at a sample time here, before the
+    sample reads it, and otherwise inside the next step, before its first
+    closure evaluation.
     """
     if dt <= 0:
         raise ValueError("run requires dt > 0")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
+    n_steps = _whole_steps(t_final, dt)
     grid = SpectralGrid(n=n, length=length)
     f = initial_field(grid, equilibrium, perturbation)
     f.validate(rho_min, theta_min)
     stepper = IntegratingFactorRK4(eos, equilibrium, grid, dt,
                                    rho_min=rho_min, theta_min=theta_min)
-    n_steps = int(round(t_final / dt))
     records = [(0.0, *_sample(eos, equilibrium, f))]
+    uh = stepper.pack(f)
+    checked = True                  # f was validated above
     aborted = None
     for i in range(1, n_steps + 1):
+        sampled = i % sample_every == 0 or i == n_steps
         try:
-            f = stepper.step(f)
+            stepper.step(uh, checked)
+            if sampled:
+                f = stepper.unpack(uh)
+                f.validate(rho_min, theta_min)
         except StepRejected as exc:
             aborted = str(exc)
             break
-        if i % sample_every == 0 or i == n_steps:
+        checked = sampled
+        if sampled:
             records.append((i * dt, *_sample(eos, equilibrium, f)))
 
     cols = list(zip(*records))

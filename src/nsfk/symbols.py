@@ -77,20 +77,6 @@ class ExtendedState:
     u_xx: ArrayLike = 0.0
     theta_xx: ArrayLike = 0.0
 
-    @property
-    def state(self) -> State:
-        return State(rho=self.rho, u=self.u, theta=self.theta, rho_x=self.rho_x)
-
-    @property
-    def grad(self) -> np.ndarray:
-        """U_x = (rho_x, u_x, theta_x) with trailing component axis."""
-        return vec3([self.rho_x, self.u_x, self.theta_x])
-
-    @property
-    def grad2(self) -> np.ndarray:
-        """U_xx = (rho_xx, u_xx, theta_xx)."""
-        return vec3([self.rho_xx, self.u_xx, self.theta_xx])
-
 
 class _Closure(NamedTuple):
     """Pointwise entries of the closure at one extended state (see :func:`_closure`)."""

@@ -11,6 +11,27 @@ from nsfk import convex_extension as cx
 from nsfk.thermo import State
 
 
+def state_of(ext):
+    """The ``State`` (rho, u, theta, rho_x) of an extended state."""
+    return State(rho=ext.rho, u=ext.u, theta=ext.theta, rho_x=ext.rho_x)
+
+
+def grad(ext):
+    """U_x = (rho_x, u_x, theta_x) with trailing component axis."""
+    return cx.vec3([ext.rho_x, ext.u_x, ext.theta_x])
+
+
+def grad2(ext):
+    """U_xx = (rho_xx, u_xx, theta_xx)."""
+    return cx.vec3([ext.rho_xx, ext.u_xx, ext.theta_xx])
+
+
+def spectrum(f):
+    """Retained (3, n//3 + 1) rfft of (rho, u, theta), the field ``rhs`` takes."""
+    fh = np.fft.rfft(np.stack([f.rho, f.u, f.theta]))
+    return fh[:, :f.grid.modes]
+
+
 def conserved_quantities(eos, ext):
     """F0(U, U_x) = (rho, rho u, rho(epsilon + u^2/2)) = f0 + (0, 0, rho m rho_x^2)."""
     rho, u = np.asarray(ext.rho, dtype=float), np.asarray(ext.u, dtype=float)
@@ -30,8 +51,8 @@ def d_ux_F0(eos, ext):
 def f1(eos, ext):
     """F1 = f1 + (0, 0, rho u m rho_x^2) from the standard flux."""
     rho, u = np.asarray(ext.rho), np.asarray(ext.u)
-    grad = rho * u * eos.grad_energy(rho, ext.theta) * np.asarray(ext.rho_x) ** 2
-    return cx.f1(eos, ext.state) + cx.vec3([0.0, 0.0, grad])
+    flux = rho * u * eos.grad_energy(rho, ext.theta) * np.asarray(ext.rho_x) ** 2
+    return cx.f1(eos, state_of(ext)) + cx.vec3([0.0, 0.0, flux])
 
 
 def capillarity_matrix(eos, state):

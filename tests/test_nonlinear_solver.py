@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,8 +9,8 @@ from nsfk import convex_extension as cx
 from nsfk import nonlinear_solver as nls
 from nsfk import symbols as sym
 from nsfk.thermo import Coefficient, State, ideal_gas_eos
-from oracles import (capillarity_matrix, conserved_quantities, d_ux_F0, f1,
-                     korteweg_entries, total_flux)
+from oracles import (capillarity_matrix, conserved_quantities, d_ux_F0, f1, grad,
+                     grad2, korteweg_entries, spectrum, state_of, total_flux)
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +56,7 @@ def masked_rhs(eos, grid, fh):
 
 def physical_rates(eos, f):
     """(rho_t, u_t, theta_t) on the grid from the spectral right side."""
-    return np.fft.irfft(nls.rhs(eos, f.grid, f.spectrum()), n=f.grid.n)
+    return np.fft.irfft(nls.rhs(eos, f.grid, spectrum(f)), n=f.grid.n)
 
 
 class TestGrid:
@@ -97,7 +98,7 @@ class TestRhs:
         # bit for bit, the full-width right side with the 2/3 rule as a mask
         g = small_grid
         f = smooth_field(g, amp=0.1)
-        rates = nls.rhs(eos, g, f.spectrum())
+        rates = nls.rhs(eos, g, spectrum(f))
         assert rates.shape == (3, g.n // 3 + 1)
         assert np.all(np.any(rates != 0.0, axis=1))
         mask = np.arange(g.n // 2 + 1) <= g.n // 3
@@ -111,10 +112,10 @@ class TestRhs:
         # rhs reuses the grid's transform buffers; a result must survive the
         # next call on the same grid
         a, b = smooth_field(small_grid, amp=0.1), smooth_field(small_grid, amp=0.03)
-        rates_a = nls.rhs(ref_eos, small_grid, a.spectrum())
-        nls.rhs(ref_eos, small_grid, b.spectrum())
+        rates_a = nls.rhs(ref_eos, small_grid, spectrum(a))
+        nls.rhs(ref_eos, small_grid, spectrum(b))
         fresh = nls.SpectralGrid(n=small_grid.n, length=small_grid.length)
-        assert np.array_equal(rates_a, nls.rhs(ref_eos, fresh, a.spectrum()))
+        assert np.array_equal(rates_a, nls.rhs(ref_eos, fresh, spectrum(a)))
 
     def test_mass_rate_integrates_to_zero(self, ref_eos, small_grid):
         f = smooth_field(small_grid)
@@ -158,12 +159,12 @@ class TestRhs:
         rates = np.stack(physical_rates(eos, f), axis=-1)
         rates_x = np.stack([g.deriv(r) for r in rates.T], axis=-1)
         ext = f.extended()
-        lhs = (cx.mv(cx.jac_f0(eos, ext.state), rates)
+        lhs = (cx.mv(cx.jac_f0(eos, state_of(ext)), rates)
                + cx.mv(d_ux_F0(eos, ext), rates_x))
         g2, g3 = korteweg_entries(eos, ext.rho, ext.u, ext.theta, ext.rho_x,
                                   ext.u_x, ext.theta_x)
-        flux = (-f1(eos, ext) + cx.mv(cx.visc_matrix(eos, ext.state), ext.grad)
-                + cx.mv(capillarity_matrix(eos, ext.state), ext.grad2)
+        flux = (-f1(eos, ext) + cx.mv(cx.visc_matrix(eos, state_of(ext)), grad(ext))
+                + cx.mv(capillarity_matrix(eos, state_of(ext)), grad2(ext))
                 + cx.vec3([0.0, g2, g3]))
         div = np.stack([g.deriv(flux[:, i], dealias=True) for i in range(3)], axis=-1)
         assert np.abs(lhs - div).max() <= 1e-12 * np.abs(div).max()
@@ -183,7 +184,7 @@ class TestRhs:
             for j in range(3):
                 fields = [np.full(g.n, v) for v in (ubar.rho, ubar.u, ubar.theta)]
                 fields[j] = fields[j] + delta * np.cos(g.k[m] * g.x)
-                rates = nls.rhs(eos, g, nls.StateField(g, *fields).spectrum())
+                rates = nls.rhs(eos, g, spectrum(nls.StateField(g, *fields)))
                 column = rates[:, m] / (delta * g.n / 2)
                 assert np.abs(column + M[:, j]).max() <= 1e-6 * np.abs(M).max()
 
@@ -193,8 +194,10 @@ class TestSteppers:
         ubar = State(1.0, 0.0, 1.0)
         out = nls.initial_field(small_grid, ubar, nls.PerturbationSpec(amplitude=0.0))
         stepper = nls.IntegratingFactorRK4(ref_eos, ubar, small_grid, 1e-3)
+        uh = stepper.pack(out)
         for _ in range(5):
-            out = stepper.step(out)
+            uh = stepper.step(uh)
+        out = stepper.unpack(uh)
         assert np.abs(out.rho - 1.0).max() <= 1e-14
         assert np.abs(out.u).max() <= 1e-14
         assert np.abs(out.theta - 1.0).max() <= 1e-14
@@ -205,6 +208,38 @@ class TestSteppers:
         for name in ("generators", "e_full", "e_half"):
             assert getattr(stepper, name).shape == (3, 3, small_grid.n // 3 + 1)
 
+    def test_buffered_step_matches_the_allocating_formula(self, ref_eos):
+        # the Lawson RK4 step written with fresh arrays and (3, 3, K)
+        # products: the buffered step sums in the same order, so it gives
+        # the same spectrum, bit for bit
+        ubar = State(1.0, 0.0, 1.0)
+        grid = nls.SpectralGrid(n=128, length=50.0)
+        stepper = nls.IntegratingFactorRK4(ref_eos, ubar, grid, 0.02)
+        gen, e1, e2 = (a.transpose(1, 0, 2) for a in (stepper.generators,
+                                                      stepper.e_full, stepper.e_half))
+
+        def apply(e, v):
+            return (e * v).sum(axis=1)
+
+        def nonlinear(uh):
+            fh = uh.copy()
+            fh[:, 0] += grid.n * np.array([ubar.rho, ubar.u, ubar.theta])
+            return nls.rhs(ref_eos, grid, fh) + apply(gen, uh)
+
+        def step(u0, dt=stepper.dt):
+            e1u0, v = apply(e1, u0), apply(e2, u0)
+            n1 = nonlinear(u0)
+            n2 = nonlinear(v + 0.5 * dt * apply(e2, n1))
+            n3 = nonlinear(v + 0.5 * dt * n2)
+            n4 = nonlinear(e1u0 + dt * apply(e2, n3))
+            return e1u0 + (dt / 6.0) * (apply(e1, n1) + 2.0 * apply(e2, n2 + n3) + n4)
+
+        want = got = stepper.pack(nls.initial_field(
+            grid, ubar, nls.PerturbationSpec(amplitude=5e-2, width=4.0)))
+        for _ in range(5):
+            want, got = step(want), stepper.step(got.copy())
+        assert np.array_equal(got, want)
+
     def test_steppers_sharing_a_grid_match_separate_grids(self, ref_eos):
         # interleaved steps of two steppers on one grid (one rhs workspace)
         # give the same fields, bit for bit, as each stepper on its own grid
@@ -214,10 +249,10 @@ class TestSteppers:
         def interleave(grid_a, grid_b):
             steppers = [nls.IntegratingFactorRK4(ref_eos, ubar, grid, dt)
                         for dt, grid in ((0.01, grid_a), (0.005, grid_b))]
-            fields = [nls.initial_field(s.grid, ubar, spec) for s in steppers]
+            states = [s.pack(nls.initial_field(s.grid, ubar, spec)) for s in steppers]
             for _ in range(5):
-                fields = [s.step(f) for s, f in zip(steppers, fields)]
-            return fields
+                states = [s.step(uh) for s, uh in zip(steppers, states)]
+            return [s.unpack(uh) for s, uh in zip(steppers, states)]
 
         shared = nls.SpectralGrid(n=128, length=50.0)
         together = interleave(shared, shared)
@@ -236,13 +271,19 @@ class TestSteppers:
         with pytest.raises(ValueError, match="sample_every must be >= 1"):
             nls.run(ref_eos, State(1.0, 0.0, 1.0), nls.PerturbationSpec(),
                     t_final=1.0, dt=0.05, length=50.0, n=64, sample_every=0)
+        for t_final in (1.03, np.inf):
+            with pytest.raises(ValueError, match="must be a whole number of dt steps"):
+                nls.run(ref_eos, State(1.0, 0.0, 1.0), nls.PerturbationSpec(),
+                        t_final=t_final, dt=0.02, length=50.0, n=64)
 
     @pytest.mark.parametrize("stepper_type", [nls.IntegratingFactorRK4],
                              ids=["if-rk4"])
     def test_zero_dt_is_identity(self, ref_eos, small_grid, stepper_type):
         f = smooth_field(small_grid, amp=0.02)
         stepper = stepper_type(ref_eos, State(1.0, 0.0, 1.0), small_grid, 0.0)
-        out = stepper.step(f)
+        uh = stepper.pack(f)
+        f = stepper.unpack(uh)                  # the field the spectrum holds
+        out = stepper.unpack(stepper.step(uh))
         assert np.all(out.rho == f.rho)
         assert np.all(out.u == f.u)
         assert np.all(out.theta == f.theta)
@@ -259,9 +300,10 @@ class TestSteppers:
 
         def integrate(dt):
             stepper = stepper_type(ref_eos, ubar, grid, dt)
-            f = f0.copy()
+            uh = stepper.pack(f0)
             for _ in range(int(round(t_final / dt))):
-                f = stepper.step(f)
+                uh = stepper.step(uh)
+            f = stepper.unpack(uh)
             return np.concatenate([f.rho, f.u, f.theta])
 
         ref = integrate(0.0004)
@@ -269,6 +311,48 @@ class TestSteppers:
         err2 = np.abs(integrate(0.01) - ref).max()
         ratio = err1 / err2
         assert 16.0 * 0.8 <= ratio <= 16.0 * 1.25
+
+    def test_four_transforms_per_rhs(self, ref_eos, small_grid, monkeypatch):
+        # the step keeps the spectrum: its only transforms are the four
+        # batched ones of each of its four rhs calls, the admissibility
+        # check of its input included
+        stepper = nls.IntegratingFactorRK4(ref_eos, State(1.0, 0.0, 1.0),
+                                           small_grid, 0.01)
+        uh = stepper.pack(smooth_field(small_grid, amp=0.03))
+        calls = []
+        for ns, name in ((np.fft, "rfft"), (np.fft, "irfft"), (nls, "rhs")):
+            fn = getattr(ns, name)
+            monkeypatch.setattr(ns, name,
+                                lambda *a, _fn=fn, _name=name, **kw:
+                                calls.append(_name) or _fn(*a, **kw))
+        stepper.step(uh)
+        assert calls == ["rhs", "irfft", "rfft", "irfft", "rfft"] * 4
+
+    def test_step_allocates_no_more_than_one_rhs(self, ref_eos):
+        # tracemalloc counts the bytes numpy requests, whatever the allocator
+        # and the environment do with them: a step writes its stages into
+        # the stepper's buffers, so beyond one rhs (the closure's elementwise
+        # temporaries) it may hold at most two (3, n//3 + 1) spectra
+        ubar = State(1.0, 0.0, 1.0)
+        grid = nls.SpectralGrid(n=1024, length=100.0)
+        f = nls.initial_field(grid, ubar, nls.PerturbationSpec(amplitude=1e-2, width=3.0))
+        stepper = nls.IntegratingFactorRK4(ref_eos, ubar, grid, 0.02)
+        uh, fh = stepper.pack(f), spectrum(f)
+
+        def peak(call):
+            call()                                   # warm-up
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        array = grid.n * np.dtype(float).itemsize
+        spectra = 3 * grid.modes * np.dtype(complex).itemsize
+        rhs_peak = peak(lambda: nls.rhs(ref_eos, grid, fh))
+        assert rhs_peak <= 14 * array            # measured: 13.3 arrays
+        assert peak(lambda: stepper.step(uh)) <= rhs_peak + 2 * spectra
 
 
 class TestRun:
@@ -320,14 +404,27 @@ class TestRun:
 
     def test_domain_exit_aborts_with_partial_ledger(self, ref_eos):
         # density-only bump: the temperature ripple that develops within a few
-        # steps crosses a bound placed just below the initial constant value
+        # steps crosses a bound placed just below the initial constant value;
+        # the 8th step leaves the domain, between two samples or at one
+        for sample_every, rows in ((10, 1), (3, 3), (2, 4)):
+            led = nls.run(ref_eos, State(1.0, 0.0, 1.0),
+                          nls.PerturbationSpec(amplitude=1e-2, width=4.0),
+                          t_final=5.0, dt=0.05, length=100.0, n=512,
+                          sample_every=sample_every, theta_min=1.0 - 1e-4)
+            assert led.aborted is not None
+            assert "temperature" in led.aborted
+            assert led.times.size == rows
+
+    def test_blow_up_is_rejected_before_the_closure_reads_it(self, ref_eos):
+        # a deep density well at a long step: the first step leaves theta > 0
+        # between two samples; the next step rejects it before its closure
+        # takes a log of it, which would warn (pytest turns warnings into errors)
         led = nls.run(ref_eos, State(1.0, 0.0, 1.0),
-                      nls.PerturbationSpec(amplitude=1e-2, width=4.0),
-                      t_final=5.0, dt=0.05, length=100.0, n=512,
-                      sample_every=10, theta_min=1.0 - 1e-4)
-        assert led.aborted is not None
-        assert "temperature" in led.aborted
-        assert 1 <= led.times.size < 11
+                      nls.PerturbationSpec(amplitude=-0.9, width=2.0),
+                      t_final=20.0, dt=0.2, length=50.0, n=128,
+                      sample_every=50, rho_min=0.0, theta_min=0.0)
+        assert led.aborted == "temperature fell below 0.0"
+        assert led.times.size == 1
 
     def test_invalid_initial_field_raises(self, ref_eos):
         with pytest.raises(nls.StepRejected):
@@ -429,7 +526,7 @@ class TestSample:
         ubar = State(1.0, 0.1, 1.0)
         f = smooth_field(small_grid, amp=0.03)
         if caller == "rhs":
-            fh = f.spectrum()
+            fh = spectrum(f)
             evaluate = lambda: nls.rhs(eos, small_grid, fh)         # noqa: E731
         else:
             evaluate = lambda: nls._sample(eos, ubar, f)            # noqa: E731

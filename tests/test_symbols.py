@@ -7,7 +7,8 @@ from nsfk import convex_extension as cx
 from nsfk import symbols as sym
 from nsfk.fitting import fit_power_law
 from nsfk.thermo import Coefficient, EquationOfState, State, ideal_gas_eos
-from oracles import capillarity_matrix, conserved_quantities, d_ux_F0, f1, korteweg_entries
+from oracles import (capillarity_matrix, conserved_quantities, d_ux_F0, f1, grad, grad2,
+                     korteweg_entries, state_of)
 
 interior = st.floats(min_value=0.4, max_value=2.2)
 velocity = st.floats(min_value=-1.5, max_value=1.5)
@@ -39,7 +40,7 @@ def closure_flux(eos, rho, u, theta, rho_x=0.0, rho_xx=0.0, u_x=0.0, theta_x=0.0
 class TestConservedQuantities:
     def test_reduces_to_standard_without_gradient(self, ref_eos):
         ext = sym.ExtendedState(rho=1.3, u=0.5, theta=0.9)
-        assert np.allclose(conserved(ref_eos, ext), cx.f0(ref_eos, ext.state),
+        assert np.allclose(conserved(ref_eos, ext), cx.f0(ref_eos, state_of(ext)),
                            atol=1e-15)
 
     def test_gradient_contribution(self, ref_eos):
@@ -59,8 +60,8 @@ class TestConservedQuantities:
         # F0 - f0 and F1 - f1 carry the gradient energy only
         ext = sym.ExtendedState(rho=1.4, u=0.2, theta=1.1)
         tensors = sym.flux_and_tensors(ref_eos, ext)
-        assert np.all(tensors.F0 == cx.f0(ref_eos, ext.state))
-        assert np.all(tensors.F1 == cx.f1(ref_eos, ext.state))
+        assert np.all(tensors.F0 == cx.f0(ref_eos, state_of(ext)))
+        assert np.all(tensors.F1 == cx.f1(ref_eos, state_of(ext)))
 
 
 class TestFluxAndTensors:
@@ -94,9 +95,9 @@ class TestFluxAndTensors:
         t = sym.flux_and_tensors(eos, ext)
         z = np.zeros(100)
         G = cx.mat3([[z, z, z], [z, t.mu, z], [z, t.mu * ext.u, t.alpha]])
-        assert np.array_equal(G, cx.visc_matrix(eos, ext.state))
+        assert np.array_equal(G, cx.visc_matrix(eos, state_of(ext)))
         H = cx.mat3([[z, z, z], [t.h, z, z], [t.h * ext.u, z, z]])
-        assert np.array_equal(H, capillarity_matrix(eos, ext.state))
+        assert np.array_equal(H, capillarity_matrix(eos, state_of(ext)))
         g2, g3 = korteweg_entries(eos, ext.rho, ext.u, ext.theta, ext.rho_x,
                                   ext.u_x, ext.theta_x)
         assert np.array_equal(t.gtilde, cx.vec3([0.0, g2, g3]))
@@ -109,7 +110,7 @@ class TestFluxAndTensors:
         ext = random_extended(rng, 100)
         t = sym.flux_and_tensors(eos, ext)
         assert np.array_equal(t.F0, conserved_quantities(eos, ext))
-        jac = cx.jac_f0(eos, ext.state)
+        jac = cx.jac_f0(eos, state_of(ext))
         assert np.array_equal(t.a31, jac[:, 2, 0])
         assert np.array_equal(t.a33, jac[:, 2, 2])
         assert np.array_equal(t.b31, d_ux_F0(eos, ext)[:, 2, 0])
@@ -198,7 +199,7 @@ class TestNonlinearTerms:
         eos = request.getfixturevalue(closure)
         ext = random_extended(rng, 200)
         assert np.all(np.asarray(ext.rho_x) != 0.0)
-        jac = cx.jac_f0(eos, ext.state)
+        jac = cx.jac_f0(eos, state_of(ext))
         assert np.all(jac[:, 0, :] == [1.0, 0.0, 0.0])
         assert np.all(d_ux_F0(eos, ext)[:, 0, :] == 0.0)
 
@@ -254,13 +255,13 @@ def definitional_nonlinear_terms(eos, ubar, ext):
     jac0, jac0_inv = cx.jac_f0(eos, ubar), cx.jac_f0_inv(eos, ubar)
     g_bar, h_bar = cx.visc_matrix(eos, ubar), capillarity_matrix(eos, ubar)
     L = jac0.T @ cx.jac_z(eos, ubar) @ jac0_inv
-    G, H = cx.visc_matrix(eos, ext.state), capillarity_matrix(eos, ext.state)
-    dF0, dF0_inv = cx.jac_f0(eos, ext.state), cx.jac_f0_inv(eos, ext.state)
+    G, H = cx.visc_matrix(eos, state_of(ext)), capillarity_matrix(eos, state_of(ext))
+    dF0, dF0_inv = cx.jac_f0(eos, state_of(ext)), cx.jac_f0_inv(eos, state_of(ext))
     r = -(f1(eos, ext) - cx.f1(eos, ubar)) + cx.mv(
         cx.jac_f1(eos, ubar) @ jac0_inv, conserved_quantities(eos, ext) - cx.f0(eos, ubar))
-    r_visc = cx.mv((G @ dF0_inv - g_bar @ jac0_inv) @ dF0, ext.grad)
-    i1 = -cx.mv(g_bar @ jac0_inv, cx.mv(d_ux_F0(eos, ext), ext.grad2))
-    i2 = cx.mv((H @ dF0_inv - h_bar @ jac0_inv) @ dF0, ext.grad2)
+    r_visc = cx.mv((G @ dF0_inv - g_bar @ jac0_inv) @ dF0, grad(ext))
+    i1 = -cx.mv(g_bar @ jac0_inv, cx.mv(d_ux_F0(eos, ext), grad2(ext)))
+    i2 = cx.mv((H @ dF0_inv - h_bar @ jac0_inv) @ dF0, grad2(ext))
     g2, g3 = korteweg_entries(eos, ext.rho, ext.u, ext.theta, ext.rho_x, ext.u_x,
                               ext.theta_x)
     a0 = cx.coefficient_matrices(eos, ubar)[0]
