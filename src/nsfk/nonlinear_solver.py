@@ -171,7 +171,19 @@ class StateField:
     theta: np.ndarray
 
     def validate(self, rho_min: float = 0.0, theta_min: float = 0.0) -> None:
-        for name, arr in (("rho", self.rho), ("u", self.u), ("theta", self.theta)):
+        """Raise unless each row has shape (n,) and finite values, rho > rho_min
+        and theta > theta_min.
+
+        An admissible field costs one ``isfinite`` per row and two minima;
+        the checks below, which name the first condition that fails, run
+        only when one does.  A wrong shape raises ValueError, anything else
+        StepRejected.
+        """
+        rows = (self.rho, self.u, self.theta)
+        if (all(a.shape == (self.grid.n,) and np.isfinite(a).all() for a in rows)
+                and self.rho.min() > rho_min and self.theta.min() > theta_min):
+            return
+        for name, arr in zip(("rho", "u", "theta"), rows):
             if arr.shape != (self.grid.n,):
                 raise ValueError(f"{name} has wrong shape {arr.shape}")
             if not np.all(np.isfinite(arr)):
@@ -212,11 +224,12 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
 
     With ``bounds = (rho_min, theta_min)`` the field is checked by
     ``StateField.validate`` right after the first transform, before the
-    closure reads it; a field outside the admissible set raises
-    ``StepRejected``.  The transforms read and write ``grid.workspace``, so
-    ``rhs`` is not re-entrant on one grid: two threads must not evaluate it
-    on the same ``SpectralGrid`` at once.  At a constant field the result is
-    identically zero.
+    closure takes a log of it; a field outside the admissible set raises
+    ``StepRejected``.  A closure entry that is the scalar 0.0 (b31 at
+    kappa = 0) is broadcast into the workspace.  The transforms read and
+    write ``grid.workspace``, so ``rhs`` is not re-entrant on one grid: two
+    threads must not evaluate it on the same ``SpectralGrid`` at once.  At a
+    constant field the result is identically zero.
     """
     m, ws = grid.modes, grid.workspace
     ik = grid.ik[:m]
@@ -233,7 +246,8 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
 
     c = sym._closure(eos, rho, u, theta, rho_x, u_x, theta_x)
     sym._total_flux(c, rho, u, rho_xx, u_x, theta_x, out=ws.flux)
-    a31, a33, b31 = np.stack([c.a31, c.a33, c.b31], out=ws.jac)
+    a31, a33, b31 = ws.jac
+    a31[:], a33[:], b31[:] = c.a31, c.a33, c.b31
     del c                          # its arrays are spent before the transforms
     # spectra of the conservation-law right sides dx(flux); the first is rho_t
     flux_hat = np.fft.rfft(ws.flux, out=ws.flux_hat)
@@ -320,36 +334,37 @@ class IntegratingFactorRK4:
             out += np.multiply(e[j], v[j], out=self._tmp)
         return out
 
-    def _nonlinear(self, out: np.ndarray,
-                   bounds: Optional[tuple[float, float]] = None) -> np.ndarray:
+    def _nonlinear(self, out: np.ndarray) -> np.ndarray:
         """Full right side minus the linear part (-M x) at the stage input x.
 
         x is the spectrum of U - Ubar in ``self._x``, which this consumes:
         its mode 0 is shifted by the mode-0 sum of Ubar to give the field
-        ``rhs`` takes.  ``bounds`` is passed on to ``rhs``.
+        ``rhs`` takes, and ``rhs`` validates that field with this stepper's
+        bounds.
         """
         x = self._x
         self._apply(self.generators, x, out)
         x[:, 0] += self.grid.n * self.ubar
-        out += rhs(self.eos, self.grid, x, out=self._tmp, bounds=bounds)
+        out += rhs(self.eos, self.grid, x, out=self._tmp,
+                   bounds=(self.rho_min, self.theta_min))
         return out
 
-    def step(self, uh: np.ndarray, checked: bool = False) -> np.ndarray:
+    def step(self, uh: np.ndarray) -> np.ndarray:
         """Advance the spectrum ``uh`` of U - Ubar by dt in place and return it.
 
-        The field of ``uh`` is validated (``StateField.validate`` with this
-        stepper's bounds) inside the first ``rhs``, after its transform to
-        the grid and before the closure reads it, unless ``checked`` says
-        that it has just been validated.  The result is not validated here:
-        the next step does it, or the caller after ``unpack``.  A rejected
-        step leaves ``uh`` unchanged.
+        Every stage input, the field of ``uh`` included, is validated
+        (``StateField.validate`` with this stepper's bounds) inside its
+        ``rhs``, after its transform to the grid and before the closure
+        takes a log of it.  The result is not validated here: the next step
+        does it, or the caller after ``unpack``.  A rejected step leaves
+        ``uh`` unchanged.
         """
         if self.dt == 0.0:
             return uh
         dt, e1, e2 = self.dt, self.e_full, self.e_half
         n1, n2, n3, v, x = self._n1, self._n2, self._n3, self._v, self._x
         np.copyto(x, uh)
-        self._nonlinear(n1, None if checked else (self.rho_min, self.theta_min))
+        self._nonlinear(n1)
         self._apply(e2, uh, v)                  # v = e2 u0
 
         self._apply(e2, n1, x)                  # x = v + dt/2 e2 n1
@@ -580,9 +595,10 @@ def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec
 
     The stepper keeps the spectrum of U - Ubar from the first step to the
     last; the field goes back to the grid only at the ledger's sample times.
-    Every step's result is validated once: at a sample time here, before the
-    sample reads it, and otherwise inside the next step, before its first
-    closure evaluation.
+    Every step's result is validated before anything reads it: at a sample
+    time here, before the sample, and otherwise inside the next step, before
+    its first closure evaluation.  The step validates each of its stage
+    inputs the same way.
     """
     if dt <= 0:
         raise ValueError("run requires dt > 0")
@@ -596,19 +612,17 @@ def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec
                                    rho_min=rho_min, theta_min=theta_min)
     records = [(0.0, *_sample(eos, equilibrium, f))]
     uh = stepper.pack(f)
-    checked = True                  # f was validated above
     aborted = None
     for i in range(1, n_steps + 1):
         sampled = i % sample_every == 0 or i == n_steps
         try:
-            stepper.step(uh, checked)
+            stepper.step(uh)
             if sampled:
                 f = stepper.unpack(uh)
                 f.validate(rho_min, theta_min)
         except StepRejected as exc:
             aborted = str(exc)
             break
-        checked = sampled
         if sampled:
             records.append((i * dt, *_sample(eos, equilibrium, f)))
 

@@ -94,6 +94,33 @@ class _Closure(NamedTuple):
     s: ArrayLike         # specific entropy eta - kappa_theta rho_x^2, eta = -psi_theta
 
 
+def _zero(a) -> bool:
+    """Whether a closure factor is an exact scalar zero (see :func:`_closure`)."""
+    return not isinstance(a, np.ndarray) and a == 0.0
+
+
+def _mul(*factors):
+    """The product of ``factors`` from left to right; the scalar 0.0 without
+    any array work when one of them is an exact scalar zero."""
+    for f in factors:
+        if _zero(f):
+            return 0.0
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
+    return out
+
+
+def _add(a, b):
+    """a + b, with an exact scalar zero on either side not added."""
+    return b if _zero(a) else a if _zero(b) else a + b
+
+
+def _sub(a, b):
+    """a - b, with an exact scalar zero on either side not subtracted."""
+    return a if _zero(b) else -b if _zero(a) else a - b
+
+
 def _closure(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x) -> _Closure:
     """The closure at one extended state, each partial of psi and kappa evaluated once.
 
@@ -104,29 +131,42 @@ def _closure(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x) -> _Closu
     agrees with those bit for bit.  Each intermediate is deleted once spent:
     on a field every entry is an array, and the fewer of them are alive at
     once, the less the heap grows and is trimmed again on every ``rhs``.
+
+    A term whose closure factor (kappa or one of its partials, mu or alpha)
+    is an exact scalar zero is not formed: ``_mul`` returns the scalar 0.0
+    for it, and ``_add`` and ``_sub`` leave it out of its sum.  Adding
+    0.0 * x to a finite value gives that value back (up to the sign of a
+    zero), and the terms that remain are summed and multiplied in the same
+    order as with the zero terms in place, so the entries are the same bit
+    for bit.  A constant kappa (``Coefficient.constant``) drops the terms of
+    the four partials this pass reads; an entry whose every term drops out,
+    such as b31 or h at kappa = 0, is the scalar 0.0.
     """
     psi, kap = eos.psi, eos.kappa
     rx2 = rho_x ** 2
     kap_v, kap_r, kap_t = kap(rho, theta), kap.d_r(rho, theta), kap.d_t(rho, theta)
-    k = 2.0 * rho * kap_v
-    h = k * rho
-    g2 = (0.5 * rho * rx2 * (2.0 * kap_v + 2.0 * rho * kap_r)
-          + rho * rho_x * theta_x * (2.0 * rho * kap_t) - 0.5 * k * rx2)
-    m = kap_v - theta * kap_t
-    del k, kap_v
+    k = _mul(2.0, rho, kap_v)
+    h = _mul(k, rho)
+    k_rho = _add(_mul(2.0, kap_v), _mul(2.0, rho, kap_r))
+    g2 = _sub(_add(_mul(0.5, rho, rx2, k_rho),
+                   _mul(rho, rho_x, theta_x, _mul(2.0, rho, kap_t))),
+              _mul(0.5, k, rx2))
+    m = _sub(kap_v, _mul(theta, kap_t))
+    del k, k_rho, kap_v
     psi_t = psi.d_t(rho, theta)
-    energy = psi(rho, theta) - theta * psi_t + m * rx2 + 0.5 * u ** 2
-    b31 = 2.0 * rho * m * rho_x
-    s = -psi_t - kap_t * rx2
+    energy = _add(psi(rho, theta) - theta * psi_t, _mul(m, rx2)) + 0.5 * u ** 2
+    b31 = _mul(2.0, rho, m, rho_x)
+    s = _sub(-psi_t, _mul(kap_t, rx2))
     del m, psi_t, kap_t
     psi_r = psi.d_r(rho, theta)
     p = rho ** 2 * psi_r
-    a31 = energy + rho * (psi_r - theta * psi.d_rt(rho, theta)
-                          + (kap_r - theta * kap.d_rt(rho, theta)) * rx2)
+    a31 = energy + rho * _add(psi_r - theta * psi.d_rt(rho, theta),
+                              _mul(_sub(kap_r, _mul(theta, kap.d_rt(rho, theta))), rx2))
     del psi_r, kap_r
-    a33 = rho * (-theta * psi.d_tt(rho, theta) - theta * kap.d_tt(rho, theta) * rx2)
+    a33 = rho * _sub(-theta * psi.d_tt(rho, theta), _mul(theta, kap.d_tt(rho, theta), rx2))
     return _Closure(energy=energy, p=p, mu=eos.mu(rho, theta),
-                    alpha=eos.alpha(rho, theta), h=h, g2=g2, g3=u * g2 - h * rho_x * u_x,
+                    alpha=eos.alpha(rho, theta), h=h, g2=g2,
+                    g3=_sub(_mul(u, g2), _mul(h, rho_x, u_x)),
                     a31=a31, a33=a33, b31=b31, s=s)
 
 
@@ -134,14 +174,31 @@ def _total_flux(c: _Closure, rho, u, rho_xx, u_x, theta_x, out: np.ndarray) -> n
     """Components of -F1 + G U_x + H U_xx + g~, whose x-derivative is F0_t.
 
     ``c`` is the closure pass at the same state; the three components are
-    written to the rows of ``out``, which is returned.  Builds no
-    (..., 3, 3) tensor, so it serves the solver's hot path.
+    written in place to the rows of ``out``, which is returned.  A term of
+    ``c`` that is an exact scalar zero is not added (see :func:`_closure`).
+    Builds no (..., 3, 3) tensor, so it serves the solver's hot path.
     """
-    stress = c.mu * u_x + c.h * rho_xx                  # (G U_x + H U_xx)_2
-    out[0] = -rho * u
-    out[1] = -(rho * u ** 2 + c.p) + stress + c.g2
-    out[2] = (-(rho * u * c.energy + c.p * u)
-              + c.alpha * theta_x + u * stress + c.g3)
+    stress = _add(_mul(c.mu, u_x), _mul(c.h, rho_xx))      # (G U_x + H U_xx)_2
+    # views of the rows, 0-d where the state is a scalar
+    mass, momentum, energy = (out[i, ...] for i in range(3))
+    np.negative(rho, out=mass)
+    mass *= u
+    # -(rho u^2 + p) + stress + g2
+    np.square(u, out=momentum)
+    momentum *= rho
+    momentum += c.p
+    np.negative(momentum, out=momentum)
+    for term in (stress, c.g2):
+        if not _zero(term):
+            momentum += term
+    # -(rho u (epsilon + u^2/2) + p u) + alpha theta_x + u stress + g3
+    np.multiply(rho, u, out=energy)
+    energy *= c.energy
+    energy += c.p * u
+    np.negative(energy, out=energy)
+    for term in (_mul(c.alpha, theta_x), _mul(u, stress), c.g3):
+        if not _zero(term):
+            energy += term
     return out
 
 

@@ -54,6 +54,11 @@ class Coefficient:
     separate callables.  Analytic derivatives (rather than numerical ones)
     are required because the symbol matrices of the linearized system need
     p_rho, p_theta, e_theta and kappa_thth exactly at the equilibrium state.
+
+    A callable may return any value that broadcasts against (rho, theta):
+    a scalar, or an array shaped like one of the two.  An exact scalar 0.0
+    means "no term": the closure pass of the solver (``symbols._closure``)
+    forms no array for a term it multiplies.
     """
 
     f: Callable[[ArrayLike, ArrayLike], ArrayLike]
@@ -269,12 +274,10 @@ def ideal_gas_eos(R: float, gamma: float, kappa0: float,
         return -R * np.asarray(theta, dtype=float) / rho ** 2
 
     def psi_rt(rho, theta):
-        rho = np.asarray(rho, dtype=float)
-        return R / rho + 0.0 * np.asarray(theta, dtype=float)
+        return R / np.asarray(rho, dtype=float)
 
     def psi_tt(rho, theta):
-        theta = np.asarray(theta, dtype=float)
-        return -cv / theta + 0.0 * np.asarray(rho, dtype=float)
+        return -cv / np.asarray(theta, dtype=float)
 
     return EquationOfState(
         psi=Coefficient(psi, psi_r, psi_t, psi_rr, psi_rt, psi_tt),

@@ -531,6 +531,25 @@ class TestNonlinearRun:
         assert header.split(",")[:4] == ["t", "mass", "momentum", "energy"]
         assert header.split(",")[-3:] == ["max_n1", "max_n", "nonlinear_scale"]
 
+    def test_blow_up_fails_the_run_check(self, config_file, tmp_path, capsys):
+        # a tall density bump at a long step leaves the admissible set inside
+        # a step: the run aborts on the stage input before a closure takes a
+        # log of it, so nothing warns on stderr
+        path = config_file(amplitude="2.0")
+        set_keys(path, "nonlinear", {"n": "128", "length": "50.0", "width": "2.0",
+                                     "dt": "0.2", "t_final": "20.0", "fit_t_min": "0.0"})
+        out = tmp_path / "blow-up"
+        code = main(["nonlinear-run", "--config", str(path), "--out", str(out), "--quiet"])
+        assert code == 1
+        with open(out / "summary.csv", newline="") as fh:
+            rows = {r["check"]: r for r in csv.DictReader(fh)}
+        assert rows["run completed without blow-up"]["passed"] == "0"
+        (line,) = [ln for ln in (out / "report.txt").read_text().splitlines()
+                   if "run completed without blow-up" in ln]
+        assert line.lstrip().startswith("[FAIL]")
+        assert line.endswith("[temperature fell below 0.0]")
+        assert capsys.readouterr().err == ""
+
     def test_zero_amplitude_trivial_pass(self, config_file, tmp_path):
         out = tmp_path / "nl0"
         code = main(["nonlinear-run", "--config", str(config_file(amplitude="0.0")),

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -351,7 +352,7 @@ class TestSteppers:
         array = grid.n * np.dtype(float).itemsize
         spectra = 3 * grid.modes * np.dtype(complex).itemsize
         rhs_peak = peak(lambda: nls.rhs(ref_eos, grid, fh))
-        assert rhs_peak <= 14 * array            # measured: 13.3 arrays
+        assert rhs_peak <= 14 * array            # measured: 12.3 arrays
         assert peak(lambda: stepper.step(uh)) <= rhs_peak + 2 * spectra
 
 
@@ -415,15 +416,23 @@ class TestRun:
             assert "temperature" in led.aborted
             assert led.times.size == rows
 
-    def test_blow_up_is_rejected_before_the_closure_reads_it(self, ref_eos):
-        # a deep density well at a long step: the first step leaves theta > 0
-        # between two samples; the next step rejects it before its closure
-        # takes a log of it, which would warn (pytest turns warnings into errors)
-        led = nls.run(ref_eos, State(1.0, 0.0, 1.0),
-                      nls.PerturbationSpec(amplitude=-0.9, width=2.0),
-                      t_final=20.0, dt=0.2, length=50.0, n=128,
-                      sample_every=50, rho_min=0.0, theta_min=0.0)
-        assert led.aborted == "temperature fell below 0.0"
+    @pytest.mark.parametrize("amplitude,dt,aborted", [
+        (-0.9, 0.2, "temperature fell below 0.0"),
+        (2.0, 0.2, "temperature fell below 0.0"),
+        (2.0, 1.0, "density fell below 0.0")], ids=["well", "bump", "bump-long-step"])
+    def test_blow_up_is_rejected_before_the_closure_reads_it(self, ref_eos, amplitude,
+                                                             dt, aborted):
+        # a deep density well at a long step leaves theta > 0 between two
+        # samples, and a tall density bump does so inside a step, at one of
+        # its stage inputs: each is rejected before a closure takes a log of
+        # it, which would warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            led = nls.run(ref_eos, State(1.0, 0.0, 1.0),
+                          nls.PerturbationSpec(amplitude=amplitude, width=2.0),
+                          t_final=20.0, dt=dt, length=50.0, n=128,
+                          sample_every=50, rho_min=0.0, theta_min=0.0)
+        assert led.aborted == aborted
         assert led.times.size == 1
 
     def test_invalid_initial_field_raises(self, ref_eos):
@@ -540,6 +549,81 @@ class TestSample:
                    for p in parts), calls
         assert [calls[name] for name in stages] == ([0, 0, 0] if caller == "rhs"
                                                      else [1, 1, 1])
+
+
+def array_valued(eos):
+    """``eos`` with kappa, mu and alpha returned as arrays of the state's shape.
+
+    Each of these coefficients is constant.  ``Coefficient.constant``
+    returns the scalar c and, for each partial, the exact scalar 0.0 whose
+    terms ``symbols._closure`` skips; here the value and the partials are
+    the arrays c + 0.0 * rho and 0.0 * rho, so the pass forms every term.
+    """
+    def as_array(coef):
+        def value(v):
+            return lambda rho, theta: v + 0.0 * np.asarray(rho, dtype=float)
+
+        return Coefficient(value(float(coef(1.0, 1.0))), *[value(0.0)] * 5)
+
+    return dataclasses.replace(eos, **{name: as_array(getattr(eos, name))
+                                       for name in ("kappa", "mu", "alpha")})
+
+
+class CountedArray(np.ndarray):
+    """An array that counts the ufunc calls made on it and on what they return."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        CountedArray.calls += 1
+        inputs = [a.view(np.ndarray) if isinstance(a, CountedArray) else a for a in inputs]
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        return result.view(CountedArray) if isinstance(result, np.ndarray) else result
+
+
+class TestExactZeroTerms:
+    """``symbols._closure`` forms no term whose closure factor is a scalar 0.0."""
+
+    @pytest.fixture(params=["ref_eos", "nsf_eos", "euler"])
+    def closure(self, request):
+        if request.param == "euler":
+            return ideal_gas_eos(1.0, 5.0 / 3.0, 0.0, 0.0, 0.0)
+        return request.getfixturevalue(request.param)
+
+    def test_skipped_terms_change_no_bit(self, closure, small_grid):
+        # the scalar constants (terms skipped) against the same constants as
+        # arrays (every term formed): rhs, the closure pass of a sample and
+        # 50 IF-RK4 steps agree exactly
+        arrays = array_valued(closure)
+        f = smooth_field(small_grid, amp=0.1)
+        fh = spectrum(f)
+        assert np.array_equal(nls.rhs(closure, small_grid, fh),
+                              nls.rhs(arrays, small_grid, fh))
+        ext = f.extended()
+        for a, b in zip(sym.flux_and_tensors(closure, ext),
+                        sym.flux_and_tensors(arrays, ext)):
+            assert np.array_equal(*np.broadcast_arrays(a, b))
+
+        ubar = State(1.0, 0.1, 1.0)
+        grid = nls.SpectralGrid(n=128, length=50.0)
+        f0 = nls.initial_field(grid, ubar, nls.PerturbationSpec(amplitude=5e-2, width=4.0))
+        states = []
+        for eos in (closure, arrays):
+            stepper = nls.IntegratingFactorRK4(eos, ubar, grid, 0.02)
+            uh = stepper.pack(f0)
+            for _ in range(50):
+                stepper.step(uh)
+            states.append(uh)
+        assert np.array_equal(*states)
+
+    def test_reference_closure_array_operations(self, ref_eos, rng):
+        # the reference closure's constant kappa has four zero partials: the
+        # pass makes 33 ufunc calls on the state's arrays, 53 with its terms
+        rho, u, theta, rho_x, u_x, theta_x = (rng.uniform(0.5, 1.5, 64).view(CountedArray)
+                                              for _ in range(6))
+        CountedArray.calls = 0
+        sym._closure(ref_eos, rho, u, theta, rho_x, u_x, theta_x)
+        assert CountedArray.calls <= 35
 
 
 def triple_norm(grid, v1, v2, v3):
