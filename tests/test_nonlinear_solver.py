@@ -416,20 +416,31 @@ class TestRun:
             assert "temperature" in led.aborted
             assert led.times.size == rows
 
-    @pytest.mark.parametrize("amplitude,dt,aborted", [
-        (-0.9, 0.2, "temperature fell below 0.0"),
-        (2.0, 0.2, "temperature fell below 0.0"),
-        (2.0, 1.0, "density fell below 0.0")], ids=["well", "bump", "bump-long-step"])
-    def test_blow_up_is_rejected_before_the_closure_reads_it(self, ref_eos, amplitude,
-                                                             dt, aborted):
-        # a deep density well at a long step leaves theta > 0 between two
-        # samples, and a tall density bump does so inside a step, at one of
-        # its stage inputs: each is rejected before a closure takes a log of
-        # it, which would warn
+    def test_blow_up_is_rejected_before_the_closure_reads_it(self, ref_eos):
+        # a deep density well at a long step: the first step leaves theta > 0
+        # between two samples; the next step rejects it before its closure
+        # takes a log of it, which would warn
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             led = nls.run(ref_eos, State(1.0, 0.0, 1.0),
-                          nls.PerturbationSpec(amplitude=amplitude, width=2.0),
+                          nls.PerturbationSpec(amplitude=-0.9, width=2.0),
+                          t_final=20.0, dt=0.2, length=50.0, n=128,
+                          sample_every=50, rho_min=0.0, theta_min=0.0)
+        assert led.aborted == "temperature fell below 0.0"
+        assert led.times.size == 1
+
+    @pytest.mark.parametrize("dt,aborted", [
+        (0.2, "temperature fell below 0.0"),
+        (1.0, "density fell below 0.0")], ids=["bump", "bump-long-step"])
+    def test_blow_up_inside_a_step_is_rejected_at_a_stage_input(self, ref_eos, dt,
+                                                                aborted):
+        # a tall density bump leaves the domain inside a step, at one of its
+        # RK stage inputs: the stage is rejected before its closure takes a
+        # log of it, which would warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            led = nls.run(ref_eos, State(1.0, 0.0, 1.0),
+                          nls.PerturbationSpec(amplitude=2.0, width=2.0),
                           t_final=20.0, dt=dt, length=50.0, n=128,
                           sample_every=50, rho_min=0.0, theta_min=0.0)
         assert led.aborted == aborted
