@@ -244,7 +244,7 @@ class Report:
         text = self.to_text()
         (out_dir / "report.txt").write_text(text)
         write_csv(out_dir / "summary.csv",
-                  ["report", "check", "passed", "observed", "tolerance",
+                  ["report", "check", "passed", "observed", "tolerance", "detail",
                    "config_hash", "version"],
                   self.summary_rows())
         if not quiet:

@@ -17,16 +17,19 @@ The time stepper advances only the retained rfft coefficients m = 0..n//3 of
 U - Ubar = (rho, u, theta) - Ubar, a (3, n//3 + 1) spectrum: the 2/3 rule is
 a slice of each forward transform, and each inverse transform pads the
 spectrum with zeros.  ``run`` transforms the initial field once and keeps
-that spectrum from the first step to the last; it goes back to the grid
-only for a diagnostics sample.  ``rhs`` maps the spectrum of the field to
-the spectrum of the rates with four batched transforms (seven fields and
-gradients back to the grid, the three fluxes forward, the four
-conservation-law rates back, the two primitive rates forward), so a step
-costs 4 transform calls per right-hand-side evaluation, plus one inverse
-transform per sample.  The transforms of ``rhs`` read and write one set of
-buffers held by the grid (``SpectralGrid.workspace``), and the stepper's
-stages live in buffers it allocates once: a step allocates only the
-closure's elementwise temporaries.
+that spectrum from the first step to the last.  ``rhs`` maps the spectrum
+of the field to the spectrum of the rates with four batched transforms
+(seven fields and gradients back to the grid, the three fluxes forward, the
+four conservation-law rates back, the two primitive rates forward), so a
+step costs 4 transform calls per right-hand-side evaluation.  The first of
+them is the grid pass (``_grid_pass``): the retained spectrum and its ik
+multiples to the grid in one batched irfft of 7 rows, and the admissibility
+check of the field.  A diagnostics sample reads the same grid pass of the
+spectrum the stepper holds, so it costs one batched irfft and no forward
+transform.  The transforms read and write one set of buffers held by the
+grid (``SpectralGrid.workspace``), and the stepper's stages live in buffers
+it allocates once: a step allocates only the closure's elementwise
+temporaries.
 
 The stepper is an integrating-factor RK4 (Lawson scheme; see
 Cox & Matthews, J. Comput. Phys. 176 (2002) and Kassam & Trefethen, SIAM J.
@@ -82,7 +85,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class _RhsWorkspace:
-    """The transform buffers ``rhs`` fills in place on one grid.
+    """The transform buffers ``rhs`` and the grid pass fill in place on one grid.
 
     The inverse transforms' inputs ``grad_hat`` and ``rate_hat`` span all
     n//2 + 1 rfft bins, but only the bins m <= n//3 are ever written: their
@@ -92,7 +95,7 @@ class _RhsWorkspace:
 
     def __init__(self, n: int):
         bins = n // 2 + 1
-        # rfft of (rho, u, theta, rho_x, rho_xx, u_x, theta_x) and the fields
+        # rfft of (rho, u, theta, rho_x, u_x, theta_x, rho_xx) and the fields
         self.grad_hat = np.zeros((7, bins), dtype=complex)
         self.grad = np.empty((7, n))
         # rfft of (rho_t, rho_xt, r2, r3) and the rates
@@ -110,7 +113,8 @@ class SpectralGrid:
     """Equispaced periodic grid on [0, L) with rfft workspace.
 
     ``k`` and ``ik`` are computed on first use and cached read-only; the
-    ``workspace`` of ``rhs`` is created on first use and reused.
+    ``workspace`` of ``rhs`` and of the grid pass is created on first use
+    and reused.
     """
 
     n: int
@@ -147,7 +151,7 @@ class SpectralGrid:
 
     @cached_property
     def workspace(self) -> _RhsWorkspace:
-        """Transform buffers that every ``rhs`` call on this grid reuses."""
+        """Transform buffers that every ``rhs`` and grid pass on this grid reuses."""
         return _RhsWorkspace(self.n)
 
     def deriv(self, f: np.ndarray, order: int = 1, dealias: bool = False) -> np.ndarray:
@@ -193,17 +197,35 @@ class StateField:
         if np.any(self.theta <= theta_min):
             raise StepRejected(f"temperature fell below {theta_min}")
 
-    def extended(self) -> ExtendedState:
-        """Spectral gradients bundled for the pointwise symbol machinery."""
-        g = self.grid
-        fh = np.fft.rfft(np.stack([self.rho, self.u, self.theta]))
-        rho_x, u_x, theta_x, rho_xx, u_xx, theta_xx = np.fft.irfft(
-            np.concatenate([g.ik * fh, g.ik ** 2 * fh]), n=g.n)
-        return ExtendedState(
-            rho=self.rho, u=self.u, theta=self.theta,
-            rho_x=rho_x, u_x=u_x, theta_x=theta_x,
-            rho_xx=rho_xx, u_xx=u_xx, theta_xx=theta_xx,
-        )
+
+def _grid_pass(grid: SpectralGrid, fh: np.ndarray,
+               bounds: Optional[tuple[float, float]] = None) -> np.ndarray:
+    """The field of the retained spectrum ``fh`` and its gradients on the grid.
+
+    ``fh`` is the retained (3, n//3 + 1) rfft of (rho, u, theta).  It and
+    its ik multiples are written to ``grid.workspace`` and taken to the grid
+    in one batched irfft; the result is the workspace's (7, n) block of rows
+    (rho, u, theta, rho_x, u_x, theta_x, rho_xx), which the next grid pass or
+    ``rhs`` on this grid overwrites.
+
+    With ``bounds = (rho_min, theta_min)`` the field is checked on the block
+    (every value of its first three rows finite, rho > rho_min, theta >
+    theta_min); when that fails, ``StateField.validate`` names the condition
+    and raises, ``StepRejected`` for a field outside the admissible set.
+    """
+    m, ws = grid.modes, grid.workspace
+    ik = grid.ik[:m]
+    spec = ws.grad_hat
+    spec[:3, :m] = fh
+    np.multiply(ik, fh, out=spec[3:6, :m])
+    np.multiply(ik, spec[3, :m], out=spec[6, :m])
+    rows = np.fft.irfft(spec, n=grid.n, out=ws.grad)
+    if bounds is not None:
+        rho_min, theta_min = bounds
+        if not (np.isfinite(rows[:3]).all() and rows[0].min() > rho_min
+                and rows[2].min() > theta_min):
+            StateField(grid, *rows[:3]).validate(rho_min, theta_min)
+    return rows
 
 
 def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
@@ -219,13 +241,14 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
     the conserved-quantity Jacobian.  The closure is evaluated once, in one
     ``symbols._closure`` pass that both the flux and the Jacobian entries
     read, and the four ``np.fft`` calls are batched: one irfft of (rho, u,
-    theta, rho_x, rho_xx, u_x, theta_x), one rfft of the three fluxes, one
-    irfft of (rho_t, rho_xt, r2, r3) and one rfft of (u_t, theta_t).
+    theta, rho_x, u_x, theta_x, rho_xx) in ``_grid_pass``, one rfft of the
+    three fluxes, one irfft of (rho_t, rho_xt, r2, r3) and one rfft of
+    (u_t, theta_t).
 
-    With ``bounds = (rho_min, theta_min)`` the field is checked by
-    ``StateField.validate`` right after the first transform, before the
-    closure takes a log of it; a field outside the admissible set raises
-    ``StepRejected``.  A closure entry that is the scalar 0.0 (b31 at
+    With ``bounds = (rho_min, theta_min)`` the field is checked in the grid
+    pass, right after the first transform and before the closure takes a
+    log of it; a field outside the admissible set raises ``StepRejected``
+    (see ``_grid_pass``).  A closure entry that is the scalar 0.0 (b31 at
     kappa = 0) is broadcast into the workspace.  The transforms read and
     write ``grid.workspace``, so ``rhs`` is not re-entrant on one grid: two
     threads must not evaluate it on the same ``SpectralGrid`` at once.  At a
@@ -233,16 +256,7 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
     """
     m, ws = grid.modes, grid.workspace
     ik = grid.ik[:m]
-    spec = ws.grad_hat
-    spec[:3, :m] = fh
-    np.multiply(ik, fh[0], out=spec[3, :m])
-    np.multiply(ik, spec[3, :m], out=spec[4, :m])
-    np.multiply(ik, fh[1], out=spec[5, :m])
-    np.multiply(ik, fh[2], out=spec[6, :m])
-    rho, u, theta, rho_x, rho_xx, u_x, theta_x = np.fft.irfft(spec, n=grid.n,
-                                                              out=ws.grad)
-    if bounds is not None:
-        StateField(grid, rho, u, theta).validate(*bounds)
+    rho, u, theta, rho_x, u_x, theta_x, rho_xx = _grid_pass(grid, fh, bounds)
 
     c = sym._closure(eos, rho, u, theta, rho_x, u_x, theta_x)
     sym._total_flux(c, rho, u, rho_xx, u_x, theta_x, out=ws.flux)
@@ -356,7 +370,7 @@ class IntegratingFactorRK4:
         (``StateField.validate`` with this stepper's bounds) inside its
         ``rhs``, after its transform to the grid and before the closure
         takes a log of it.  The result is not validated here: the next step
-        does it, or the caller after ``unpack``.  A rejected step leaves
+        does it, or the grid pass of a sample.  A rejected step leaves
         ``uh`` unchanged.
         """
         if self.dt == 0.0:
@@ -452,29 +466,36 @@ class WDiagnostics:
     tensors: sym.FluxTensors  # the closure pass all of the above read
 
 
-def w_diagnostics(eos: EquationOfState, equilibrium: State,
-                  f: StateField) -> WDiagnostics:
+def w_diagnostics(eos: EquationOfState, equilibrium: State, grid: SpectralGrid,
+                  fh: np.ndarray,
+                  bounds: Optional[tuple[float, float]] = None) -> WDiagnostics:
     """Perturbation variables, norm equivalence ratio, and quadratic-term residuals.
 
-    The gradients come from ``f.extended()``, one rfft and one irfft, and
-    no other transform is taken: w_0 = rho - rhobar exactly, so both triple
-    norms read the derivative of their first component from ``ext.rho_x``.
-    The closure is evaluated once, in ``sym.flux_and_tensors``: W, the
-    quadratic terms and the normalizing scale max |F1| all read that pass,
-    which the result carries on for the ledger's integrals.
+    ``fh`` is the retained (3, n//3 + 1) rfft of the field (rho, u, theta),
+    the spectrum ``rhs`` takes.  The field and its gradients come from the
+    grid pass that ``rhs`` makes first (``_grid_pass``, one batched irfft,
+    which checks the field against ``bounds`` when they are given), and no
+    other transform is taken: w_0 = rho - rhobar exactly, so both triple
+    norms read the derivative of their first component from rho_x.  u_xx
+    and theta_xx are not needed (see ``symbols.nonlinear_terms``).  The
+    closure is evaluated once, in ``sym.flux_and_tensors``: W, the quadratic
+    terms and the normalizing scale max |F1| all read that pass, which the
+    result carries on for the ledger's integrals.  The result holds no view
+    of the grid's workspace, so a later ``rhs`` on the grid leaves it as it is.
     """
-    ext = f.extended()
+    rho, u, theta, rho_x, u_x, theta_x, rho_xx = _grid_pass(grid, fh, bounds)
+    ext = ExtendedState(rho=rho, u=u, theta=theta, rho_x=rho_x, u_x=u_x,
+                        theta_x=theta_x, rho_xx=rho_xx)
     t = sym.flux_and_tensors(eos, ext)
-    w = sym.w_variables(eos, equilibrium, t)          # (n, 3)
-    n_terms = sym.nonlinear_terms(eos, equilibrium, ext, t)
-    g = f.grid
-    norm_w = _triple_norm(g, w[:, 0], ext.rho_x, w[:, 1], w[:, 2])
-    norm_u = _triple_norm(g, f.rho - float(np.asarray(equilibrium.rho)), ext.rho_x,
-                          f.u - float(np.asarray(equilibrium.u)),
-                          f.theta - float(np.asarray(equilibrium.theta)))
+    w = sym.w_variables(eos, equilibrium, t).T        # (3, n)
+    n_terms = sym.nonlinear_terms(eos, equilibrium, ext, t).T
+    norm_w = _triple_norm(grid, w[0], rho_x, w[1], w[2])
+    norm_u = _triple_norm(grid, rho - float(np.asarray(equilibrium.rho)), rho_x,
+                          u - float(np.asarray(equilibrium.u)),
+                          theta - float(np.asarray(equilibrium.theta)))
     ratio = norm_w / norm_u if norm_u > 0 else None
-    return WDiagnostics(w=w.T, norm_w=norm_w, norm_u=norm_u, ratio=ratio,
-                        max_n1=float(np.abs(n_terms[:, 0]).max()),
+    return WDiagnostics(w=w, norm_w=norm_w, norm_u=norm_u, ratio=ratio,
+                        max_n1=float(np.abs(n_terms[0]).max()),
                         max_n=float(np.abs(n_terms).max()),
                         nonlinear_scale=max(float(np.abs(t.F1).max()), 1.0),
                         tensors=t)
@@ -535,18 +556,19 @@ class DiagnosticsLedger:
         return out
 
 
-def _sample(eos, equilibrium, f: StateField):
-    """Ledger values of one field: the ``w_diagnostics`` of the field and the
-    mass, momentum, energy and entropy integrals of its closure pass."""
-    g = f.grid
-    diag = w_diagnostics(eos, equilibrium, f)
+def _sample(eos, equilibrium, grid: SpectralGrid, fh: np.ndarray,
+            bounds: Optional[tuple[float, float]] = None):
+    """Ledger values of the field whose retained spectrum is ``fh``: its
+    ``w_diagnostics`` and the mass, momentum, energy and entropy integrals
+    of its closure pass."""
+    diag = w_diagnostics(eos, equilibrium, grid, fh, bounds)
     t = diag.tensors
     mass, momentum, energy = t.F0.T
     return (
-        g.integral(mass),
-        g.integral(momentum),
-        g.integral(energy),
-        g.integral(t.entropy),
+        grid.integral(mass),
+        grid.integral(momentum),
+        grid.integral(energy),
+        grid.integral(t.entropy),
         diag.norm_u,
         diag.norm_w,
         diag.ratio if diag.ratio is not None else np.nan,
@@ -594,11 +616,13 @@ def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec
     number of ``dt`` steps (see ``sample_times``).
 
     The stepper keeps the spectrum of U - Ubar from the first step to the
-    last; the field goes back to the grid only at the ledger's sample times.
-    Every step's result is validated before anything reads it: at a sample
-    time here, before the sample, and otherwise inside the next step, before
-    its first closure evaluation.  The step validates each of its stage
-    inputs the same way.
+    last.  Each ledger row, t = 0 included, is sampled from a copy of that
+    spectrum whose mode 0 is shifted by the mode-0 sum n Ubar of the
+    equilibrium, the field spectrum that ``rhs`` takes, through the same grid
+    pass as ``rhs``.  Every step's result is validated before anything reads
+    it: at a sample time in the sample's grid pass, and otherwise inside the
+    next step, before its first closure evaluation.  The step validates each
+    of its stage inputs the same way.
     """
     if dt <= 0:
         raise ValueError("run requires dt > 0")
@@ -610,21 +634,24 @@ def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec
     f.validate(rho_min, theta_min)
     stepper = IntegratingFactorRK4(eos, equilibrium, grid, dt,
                                    rho_min=rho_min, theta_min=theta_min)
-    records = [(0.0, *_sample(eos, equilibrium, f))]
     uh = stepper.pack(f)
+    shift, bounds = grid.n * stepper.ubar, (rho_min, theta_min)
+
+    def sample():
+        fh = uh.copy()
+        fh[:, 0] += shift
+        return _sample(eos, equilibrium, grid, fh, bounds)
+
+    records = [(0.0, *sample())]
     aborted = None
     for i in range(1, n_steps + 1):
-        sampled = i % sample_every == 0 or i == n_steps
         try:
             stepper.step(uh)
-            if sampled:
-                f = stepper.unpack(uh)
-                f.validate(rho_min, theta_min)
+            if i % sample_every == 0 or i == n_steps:
+                records.append((i * dt, *sample()))
         except StepRejected as exc:
             aborted = str(exc)
             break
-        if sampled:
-            records.append((i * dt, *_sample(eos, equilibrium, f)))
 
     cols = list(zip(*records))
     return DiagnosticsLedger(

@@ -41,7 +41,6 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from . import convex_extension as cx
-from .convex_extension import mat3, mv, vec3
 from .thermo import EquationOfState, State
 
 ArrayLike = Union[float, np.ndarray]
@@ -101,12 +100,24 @@ def _zero(a) -> bool:
 
 def _mul(*factors):
     """The product of ``factors`` from left to right; the scalar 0.0 without
-    any array work when one of them is an exact scalar zero."""
+    any array work when one of them is an exact scalar zero.
+
+    A factor that is the exact scalar 1.0 is left out: x * 1.0 == x bit for
+    bit, so the product is unchanged and costs one multiply less.  Every
+    non-array factor is checked before anything is multiplied.
+    """
+    kept = []
     for f in factors:
-        if _zero(f):
-            return 0.0
-    out = factors[0]
-    for f in factors[1:]:
+        if not isinstance(f, np.ndarray):
+            if f == 0.0:
+                return 0.0
+            if f == 1.0:
+                continue
+        kept.append(f)
+    if not kept:
+        return 1.0
+    out = kept[0]
+    for f in kept[1:]:
         out = out * f
     return out
 
@@ -224,20 +235,52 @@ class FluxTensors(NamedTuple):
     entropy: np.ndarray      # entropy density rho s
 
 
+def _rows(*entries) -> np.ndarray:
+    """A new (len(entries), ...) array whose rows are the broadcast ``entries``."""
+    out = np.empty((len(entries),) + np.broadcast(*entries).shape)
+    for i, e in enumerate(entries):
+        out[i] = e
+    return out
+
+
+def _components_last(rows: np.ndarray) -> np.ndarray:
+    """The (..., 3) view of (3, ...) rows: the public layout of W-system vectors."""
+    return rows.transpose(*range(1, rows.ndim), 0)
+
+
+def _components_first(v: np.ndarray) -> np.ndarray:
+    """The (3, ...) rows of a (..., 3) vector; a view of the rows it was built from."""
+    return v.transpose(v.ndim - 1, *range(v.ndim - 1))
+
+
+def _map(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A constant (3, 3) ``matrix`` applied to (3, ...) rows: one matrix product."""
+    return (matrix @ rows.reshape(3, -1)).reshape(rows.shape)
+
+
+def _column(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A constant 3-vector shaped to broadcast against (3, ...) ``rows``."""
+    return v.reshape((3,) + (1,) * (rows.ndim - 1))
+
+
 def flux_and_tensors(eos: EquationOfState, ext: ExtendedState) -> FluxTensors:
     """Everything the W-system reads from the closure, from one :func:`_closure` pass.
 
     F0 = (rho, rho u, rho(epsilon + u^2/2)) and
     F1 = (rho u, rho u^2 + p, rho u (epsilon + u^2/2) + p u); the first
-    component of g is identically zero and g = O(|U_x|^2).
+    component of g is identically zero and g = O(|U_x|^2).  F0, F1 and g
+    are built as (3, ...) rows and returned as their (..., 3) views.
     """
     rho, u, theta, rho_x = (np.asarray(a, dtype=float)
                             for a in (ext.rho, ext.u, ext.theta, ext.rho_x))
     c = _closure(eos, rho, u, theta, rho_x, ext.u_x, ext.theta_x)
+    rho_u = rho * u
     return FluxTensors(
-        F0=vec3([rho, rho * u, rho * c.energy]),
-        F1=vec3([rho * u, rho * u ** 2 + c.p, rho * u * c.energy + c.p * u]),
-        mu=c.mu, alpha=c.alpha, h=c.h, gtilde=vec3([0.0, c.g2, c.g3]),
+        F0=_components_last(_rows(rho, rho_u, rho * c.energy)),
+        F1=_components_last(_rows(rho_u, rho * u ** 2 + c.p,
+                                  rho_u * c.energy + c.p * u)),
+        mu=c.mu, alpha=c.alpha, h=c.h,
+        gtilde=_components_last(_rows(0.0, c.g2, c.g3)),
         a31=c.a31, a33=c.a33, b31=c.b31, entropy=rho * c.s)
 
 
@@ -245,8 +288,11 @@ def flux_and_tensors(eos: EquationOfState, ext: ExtendedState) -> FluxTensors:
 class _EquilibriumTerms:
     """Constant matrices of :func:`w_variables` and :func:`nonlinear_terms`.
 
-    jac0_inv = (D_U f0(Ubar))^{-1}; the three maps are Jf1bar, Gbar and Hbar
-    each times jac0_inv; L is the symmetrizer and a0_diag the diagonal of A0.
+    jac0_inv = (D_U f0(Ubar))^{-1}; flux_map and visc_map are Jf1bar and
+    Gbar each times jac0_inv.  cap_col = (0, hbar, hbar ubar) is the first
+    column of Hbar jac0_inv and its only nonzero one: Hbar's only nonzero
+    column is the first, and the first row of jac0_inv is (1, 0, 0).  L is
+    the symmetrizer and a0_diag the diagonal of A0.
     """
 
     jac0_inv: np.ndarray
@@ -254,7 +300,7 @@ class _EquilibriumTerms:
     f1: np.ndarray
     flux_map: np.ndarray
     visc_map: np.ndarray
-    cap_map: np.ndarray
+    cap_col: np.ndarray
     L: np.ndarray
     a0_diag: np.ndarray
 
@@ -265,13 +311,13 @@ def _equilibrium_terms_at(eos: EquationOfState, rho: float, u: float,
     ubar = State(rho, u, theta)
     jac0 = cx.jac_f0(eos, ubar)
     jac0_inv = cx.jac_f0_inv(eos, ubar)
-    h = flux_and_tensors(eos, ExtendedState(rho, u, theta)).h
+    h = float(np.asarray(flux_and_tensors(eos, ExtendedState(rho, u, theta)).h))
     a0_bar, _, _ = cx.coefficient_matrices(eos, ubar)
     return _EquilibriumTerms(
         jac0_inv=jac0_inv, f0=cx.f0(eos, ubar), f1=cx.f1(eos, ubar),
         flux_map=cx.jac_f1(eos, ubar) @ jac0_inv,
         visc_map=cx.visc_matrix(eos, ubar) @ jac0_inv,
-        cap_map=mat3([[0.0, 0.0, 0.0], [h, 0.0, 0.0], [h * u, 0.0, 0.0]]) @ jac0_inv,
+        cap_col=np.array([0.0, h, h * u]),
         # symmetrizing factor L = (D_U f0)^T (D_U Z) (D_U f0)^{-1}
         L=jac0.T @ cx.jac_z(eos, ubar) @ jac0_inv,
         a0_diag=np.stack([a0_bar[0, 0], a0_bar[1, 1], a0_bar[2, 2]]))
@@ -290,10 +336,12 @@ def w_variables(eos: EquationOfState, ubar: State,
 
     F0 is ``tensors.F0`` of :func:`flux_and_tensors`.  The first component
     is exactly rho - rhobar and the second is rho (u - ubar) / rhobar; all
-    higher corrections sit in the third slot.
+    higher corrections sit in the third slot.  W is formed on (3, ...) rows,
+    one matrix product, and returned as their (..., 3) view.
     """
     c = _equilibrium_terms(eos, ubar)
-    return mv(c.jac0_inv, tensors.F0 - c.f0)
+    f0 = _components_first(tensors.F0)
+    return _components_last(_map(c.jac0_inv, f0 - _column(c.f0, f0)))
 
 
 def nonlinear_terms(eos: EquationOfState, ubar: State, ext: ExtendedState,
@@ -314,11 +362,19 @@ def nonlinear_terms(eos: EquationOfState, ubar: State, ext: ExtendedState,
     vanishes identically (continuity has no nonlinear remainder in these
     variables) and the whole term is O(|U - Ubar|^2 + |U_x|^2 + ...).
 
-    It is evaluated entrywise: G U_x, H U_xx, D_U F0 U_x, D_U F0 U_xx and
-    D_Ux F0 U_xx are formed from the few nonzero entries of their matrices,
-    all read from ``tensors = flux_and_tensors(eos, ext)``; the closure is
-    not evaluated again.  Only the constant equilibrium maps, built once per
-    (closure, equilibrium) pair, are applied as 3x3 matrices.
+    It is evaluated on (3, ...) rows and returned as their (..., 3) view:
+    G U_x, H U_xx and D_U F0 U_x + D_Ux F0 U_xx are formed from the few
+    nonzero entries of their matrices, all read from
+    ``tensors = flux_and_tensors(eos, ext)``; the closure is not evaluated
+    again.  Each constant equilibrium map, built once per (closure,
+    equilibrium) pair, is one (3, 3) matrix product: Jf1bar Jf0bar^{-1},
+    Gbar Jf0bar^{-1} (on the sum of its two arguments) and L.
+
+    u_xx and theta_xx are not read.  Hbar Jf0bar^{-1} has zero second and
+    third columns (Hbar's only nonzero column is the first, and the first
+    row of Jf0bar^{-1} is (1, 0, 0)), and the first row of D_U F0 is
+    (1, 0, 0), so Hbar Jf0bar^{-1} D_U F0 U_xx = (0, hbar, hbar ubar) rho_xx
+    for every closure and every equilibrium.
 
     The capillarity remainder has no third-gradient part: the bracket
     -Hbar (D_U f0(Ubar))^{-1} [dx(D_U F0) U_x + D_Ux F0 U_xxx + dx(D_Ux F0) U_xx]
@@ -329,27 +385,28 @@ def nonlinear_terms(eos: EquationOfState, ubar: State, ext: ExtendedState,
     """
     c = _equilibrium_terms(eos, ubar)
     t = tensors
-    rho, u, rho_x, u_x, theta_x, rho_xx, u_xx, theta_xx = (
+    rho, u, rho_x, u_x, theta_x, rho_xx = (
         np.asarray(a, dtype=float) for a in (
-            ext.rho, ext.u, ext.rho_x, ext.u_x, ext.theta_x,
-            ext.rho_xx, ext.u_xx, ext.theta_xx))
-    rho_u = rho * u
+            ext.rho, ext.u, ext.rho_x, ext.u_x, ext.theta_x, ext.rho_xx))
+    F0, F1, gtilde = (_components_first(a) for a in (t.F0, t.F1, t.gtilde))
 
-    def jac_f0_times(v1, v2, v3):
-        return vec3([v1, u * v1 + rho * v2, t.a31 * v1 + rho_u * v2 + t.a33 * v3])
+    stress = t.mu * u_x + t.h * rho_xx                 # (G U_x + H U_xx)_2
+    # G U_x + H U_xx + g~; the first component of g~ is identically zero
+    local = _rows(0.0, stress + gtilde[1],
+                  u * stress + t.alpha * theta_x + gtilde[2])
+    # D_U F0 U_x + D_Ux F0 U_xx, the argument of Gbar Jf0bar^{-1}
+    grads = _rows(rho_x, u * rho_x + rho * u_x,
+                  t.a31 * rho_x + rho * u * u_x + t.a33 * theta_x + t.b31 * rho_xx)
 
-    r = -(t.F1 - c.f1) + mv(c.flux_map, t.F0 - c.f0)
-
-    r_visc = (vec3([0.0, t.mu * u_x, t.mu * u * u_x + t.alpha * theta_x])
-              - mv(c.visc_map, jac_f0_times(rho_x, u_x, theta_x)))
-
-    i1 = -mv(c.visc_map, vec3([0.0, 0.0, t.b31 * rho_xx]))
-    i2 = (vec3([0.0, t.h * rho_xx, t.h * u * rho_xx])
-          - mv(c.cap_map, jac_f0_times(rho_xx, u_xx, theta_xx)))
-
-    n_tilde = mv(c.L, r + r_visc + i1 + i2 + t.gtilde)
+    total = local - _map(c.visc_map, grads)
+    total -= _column(c.cap_col, total) * rho_xx
+    total -= F1
+    total += _column(c.f1, total)
+    total += _map(c.flux_map, F0 - _column(c.f0, F0))
+    n_tilde = _map(c.L, total)
     # A0 is diagonal: divide componentwise
-    return n_tilde / c.a0_diag
+    n_tilde /= _column(c.a0_diag, n_tilde)
+    return _components_last(n_tilde)
 
 
 @dataclass(frozen=True)

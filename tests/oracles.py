@@ -8,6 +8,7 @@ closure pass ``symbols._closure`` that the program evaluates.
 import numpy as np
 
 from nsfk import convex_extension as cx
+from nsfk.symbols import ExtendedState
 from nsfk.thermo import State
 
 
@@ -30,6 +31,18 @@ def spectrum(f):
     """Retained (3, n//3 + 1) rfft of (rho, u, theta), the field ``rhs`` takes."""
     fh = np.fft.rfft(np.stack([f.rho, f.u, f.theta]))
     return fh[:, :f.grid.modes]
+
+
+def extended(f):
+    """The ``ExtendedState`` of a ``StateField``: its first and second spectral
+    gradients from one rfft and one irfft of the whole (unmasked) spectrum."""
+    g = f.grid
+    fh = np.fft.rfft(np.stack([f.rho, f.u, f.theta]))
+    rho_x, u_x, theta_x, rho_xx, u_xx, theta_xx = np.fft.irfft(
+        np.concatenate([g.ik * fh, g.ik ** 2 * fh]), n=g.n)
+    return ExtendedState(rho=f.rho, u=f.u, theta=f.theta,
+                         rho_x=rho_x, u_x=u_x, theta_x=theta_x,
+                         rho_xx=rho_xx, u_xx=u_xx, theta_xx=theta_xx)
 
 
 def conserved_quantities(eos, ext):

@@ -544,6 +544,7 @@ class TestNonlinearRun:
         with open(out / "summary.csv", newline="") as fh:
             rows = {r["check"]: r for r in csv.DictReader(fh)}
         assert rows["run completed without blow-up"]["passed"] == "0"
+        assert rows["run completed without blow-up"]["detail"] == "temperature fell below 0.0"
         (line,) = [ln for ln in (out / "report.txt").read_text().splitlines()
                    if "run completed without blow-up" in ln]
         assert line.lstrip().startswith("[FAIL]")

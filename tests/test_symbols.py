@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,22 @@ class TestNonlinearTerms:
             norms.append(np.abs(n).max())
         fit = fit_power_law(deltas, np.array(norms))
         assert 1.9 <= fit.exponent <= 2.1
+
+    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
+    def test_second_gradients_of_u_and_theta_are_not_read(self, request, closure, rng):
+        # Hbar Jf0bar^{-1} D_U F0 U_xx = (0, hbar, hbar ubar) rho_xx (see
+        # nonlinear_terms): other u_xx and theta_xx give the same N, which
+        # still matches the matrix form that applies the whole product
+        eos = request.getfixturevalue(closure)
+        ubar = State(1.2, 0.3, 0.9)
+        ext = random_extended(rng, 200)
+        other = dataclasses.replace(ext, u_xx=rng.uniform(-5, 5, 200),
+                                    theta_xx=rng.uniform(-5, 5, 200))
+        n_terms = nonlinear_terms(eos, ubar, ext)
+        assert np.array_equal(n_terms, nonlinear_terms(eos, ubar, other))
+        for e in (ext, other):
+            fresh = definitional_nonlinear_terms(eos, ubar, e)
+            assert np.abs(n_terms - fresh).max() <= 1e-13 * np.abs(fresh).max()
 
 
     @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
