@@ -289,7 +289,7 @@ def cmd_verify_thermo(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
 def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     from . import dissipativity as dis
-    from .symbols import equilibrium_coefficients, symbol_triplet
+    from .symbols import equilibrium_coefficients
 
     eos, ubar = cfg.closure(), cfg.equilibrium()
     sym = cfg.section("symbol")
@@ -313,7 +313,7 @@ def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     sections = []
     constants = {}
 
-    coupling = dis.check_genuine_coupling(symbol_triplet(coeffs), grid)
+    coupling = dis.check_genuine_coupling(coeffs, grid)
     offending = ", ".join(f"{x:.6g}" for x, _ in coupling.failures[:5])
     where = (f"worst xi = {coupling.worst_xi:.6g}" if coupling.min_margin < np.inf
              else "no kernel of B(xi) on any")
@@ -473,8 +473,8 @@ def cmd_linear_decay(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
 
 def cmd_nonlinear_run(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
-    from .nonlinear_solver import (PerturbationSpec, SpectralGrid, initial_field,
-                                   run, sample_times, wrap_time)
+    from .nonlinear_solver import (LEDGER_COLUMNS, PerturbationSpec, SpectralGrid,
+                                   initial_field, run, sample_times, wrap_time)
 
     eos, ubar = cfg.closure(), cfg.equilibrium()
     nl = cfg.section("nonlinear")
@@ -504,7 +504,7 @@ def cmd_nonlinear_run(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
     checks = [Check(name="run completed without blow-up",
                     passed=ledger.aborted is None,
-                    observed=float(ledger.times[-1]),
+                    observed=float(ledger.t[-1]),
                     detail=ledger.aborted or "")]
     constants = {}
     if ledger.aborted is None and amplitude > 0:
@@ -525,10 +525,7 @@ def cmd_nonlinear_run(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
                          wrap_time=ledger.wrap_time,
                          max_n1=float(ledger.max_n1.max()))
     rep = CheckReport("nonlinear run", checks)
-    write_csv(out_dir / "ledger.csv",
-              ["t", "mass", "momentum", "energy", "entropy", "norm_u",
-               "norm_w", "ratio", "max_n1", "max_n", "nonlinear_scale"],
-              ledger.rows())
+    write_csv(out_dir / "ledger.csv", LEDGER_COLUMNS, ledger.rows())
     report = Report("nonlinear-run", cfg.config_hash, cfg.seed, sections=[rep],
                     constants=constants)
     report.write(out_dir, quiet)

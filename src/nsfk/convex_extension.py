@@ -261,9 +261,11 @@ def verify_entropy_pair(eos: EquationOfState, domain: Domain,
 
     At ``n_samples`` reproducibly sampled interior states, checks that
     (a) the entropy Hessian is positive definite, (b) A0 and A1 are symmetric,
-    (c) B is positive semi-definite, and (d) the flux compatibility
+    (c) the closed forms of A0 and A1 equal their congruences
+    (D_U f0)^T D_V^2 E (D_U f0) and (D_U f0)^T D_V^2 E (D_U f1), (d) B is
+    positive semi-definite, and (e) the flux compatibility
     D_U Theta = Z^T D_U f1 holds, verified against central differences of
-    Theta.  ``flux_fn`` overrides the convective flux used in (d) (negative
+    Theta.  ``flux_fn`` overrides the convective flux used in (e) (negative
     controls); everything else is analytic.
     """
     if n_samples < 1:
@@ -276,6 +278,7 @@ def verify_entropy_pair(eos: EquationOfState, domain: Domain,
 
     hess_min_eig = np.inf
     sym_res = 0.0
+    cong_res = 0.0
     b_min_eig = np.inf
     flux_res = 0.0
     for i in range(n_samples):
@@ -287,11 +290,14 @@ def verify_entropy_pair(eos: EquationOfState, domain: Domain,
         a0, a1, b = coefficient_matrices(eos, s)
         sym_res = max(sym_res, float(np.abs(a0 - a0.T).max()),
                       float(np.abs(a1 - a1.T).max()))
+        jf0, jf1 = jac_f0(eos, s), jac_f1(eos, s)
+        cong_res = max(cong_res, float(np.abs(jf0.T @ H @ jf0 - a0).max()),
+                       float(np.abs(jf0.T @ H @ jf1 - a1).max()))
         b_min_eig = min(b_min_eig, float(np.linalg.eigvalsh(0.5 * (b + b.T)).min()))
 
         # flux condition: D_U Theta (finite differences) vs Z^T D_U f1
         lhs = _fd_grad_scalar(lambda st: float(entropy_flux(eos, st)), s, fd_step)
-        jac = _fd_jacobian(flux, s, fd_step) if flux_fn is not None else jac_f1(eos, s)
+        jac = _fd_jacobian(flux, s, fd_step) if flux_fn is not None else jf1
         rhs = z_map(eos, s) @ jac
         flux_res = max(flux_res, float(np.abs(lhs - rhs).max()))
 
@@ -300,6 +306,8 @@ def verify_entropy_pair(eos: EquationOfState, domain: Domain,
               observed=hess_min_eig, tolerance=0.0),
         Check(name="Hessian/A0/A1 symmetry residual", passed=sym_res <= sym_tol,
               observed=sym_res, tolerance=sym_tol),
+        Check(name="A0/A1 entropy congruence residual", passed=cong_res <= sym_tol,
+              observed=cong_res, tolerance=sym_tol),
         Check(name="B positive semi-definite", passed=b_min_eig >= -sym_tol,
               observed=b_min_eig, tolerance=sym_tol),
         Check(name="flux compatibility D_U Theta = Z^T D_U f1",

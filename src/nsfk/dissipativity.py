@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .fitting import fit_power_law
-from .symbols import EquilibriumCoefficients, evolution_symbol, symbol_triplet
+from .symbols import EquilibriumCoefficients, evolution_symbol
 
 __all__ = [
     "TransformedTriplet",
@@ -113,8 +113,7 @@ class TransformedTriplet:
     def atilde_congruence(self, xi) -> np.ndarray:
         """Same object via S^{1/2} A0^{-1/2} A(xi) A0^{-1/2} S^{-1/2} (cross-check)."""
         xi = np.asarray(xi, dtype=float)
-        trip = symbol_triplet(self.coeffs)
-        a = trip.a(xi)
+        a = self.coeffs.a(xi)
         s = symbol_symmetrizer(self.coeffs, xi)
         a0 = self.coeffs.A0
         a0_isqrt = np.diag(1.0 / np.sqrt(np.diag(a0)))
@@ -218,7 +217,11 @@ def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callab
 
 
 def check_genuine_coupling(triplet, xi_grid) -> GenuineCouplingReport:
-    """Genuine-coupling scan for a SymbolTriplet or TransformedTriplet."""
+    """Genuine-coupling scan of ``triplet.a0``, ``triplet.a`` and ``triplet.b``.
+
+    ``triplet`` is the symbol itself (``EquilibriumCoefficients``) or its
+    symmetric form (``TransformedTriplet``).
+    """
     return genuine_coupling_scan(triplet.a0, triplet.a, triplet.b, xi_grid)
 
 
@@ -345,8 +348,8 @@ def friedrichs_search(a0: np.ndarray, d_matrices: Sequence[np.ndarray],
 
 def check_friedrichs(coeffs: EquilibriumCoefficients, seed: int = 0) -> FriedrichsReport:
     """Friedrichs symmetrizability of the triplet at an equilibrium state."""
-    trip = symbol_triplet(coeffs)
-    return friedrichs_search(trip.A0, [trip.D1, trip.D2, trip.D3], seed=seed)
+    # the coefficients of W_x, W_xx and W_xxx in A0 W_t + A1 W_x - B W_xx - C W_xxx
+    return friedrichs_search(coeffs.A0, [coeffs.A1, -coeffs.B, -coeffs.C], seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +408,6 @@ def compensating_matrix(coeffs: EquilibriumCoefficients,
 
     k_of_xi.eps = float(eps)
     k_of_xi.gamma_bar = float(gamma_bar)
-    k_of_xi.window = (float(lo), float(hi))
     return k_of_xi
 
 

@@ -14,10 +14,6 @@ class PowerLawFit:
     exponent: float
     amplitude: float
     residual: float  # RMS of log-space misfit
-    n_points: int
-
-    def __call__(self, x):
-        return self.amplitude * np.asarray(x, dtype=float) ** self.exponent
 
 
 def fit_power_law(x, y, window: tuple[float, float] | None = None) -> PowerLawFit:
@@ -38,4 +34,4 @@ def fit_power_law(x, y, window: tuple[float, float] | None = None) -> PowerLawFi
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
     return PowerLawFit(exponent=float(slope), amplitude=float(np.exp(intercept)),
-                       residual=resid, n_points=int(mask.sum()))
+                       residual=resid)

@@ -23,8 +23,9 @@ of the field to the spectrum of the rates with four batched transforms
 four conservation-law rates back, the two primitive rates forward), so a
 step costs 4 transform calls per right-hand-side evaluation.  The first of
 them is the grid pass (``_grid_pass``): the retained spectrum and its ik
-multiples to the grid in one batched irfft of 7 rows, and the admissibility
-check of the field.  A diagnostics sample reads the same grid pass of the
+multiples to the grid in one batched irfft of 7 rows, and the check that the
+field lies in the admissible set rho > 0, theta > 0, where the closure's
+logarithms are defined.  A diagnostics sample reads the same grid pass of the
 spectrum the stepper holds, so it costs one batched irfft and no forward
 transform.  The transforms read and write one set of buffers held by the
 grid (``SpectralGrid.workspace``), and the stepper's stages live in buffers
@@ -59,6 +60,7 @@ from .symbols import ExtendedState, equilibrium_coefficients, evolution_symbol
 from .thermo import EquationOfState, State
 
 __all__ = [
+    "LEDGER_COLUMNS",
     "SpectralGrid",
     "StateField",
     "PerturbationSpec",
@@ -75,8 +77,13 @@ __all__ = [
 ]
 
 
+LEDGER_COLUMNS = ("t", "mass", "momentum", "energy", "entropy", "norm_u",
+                  "norm_w", "ratio", "max_n1", "max_n", "nonlinear_scale")
+"""The columns of the diagnostics ledger, in the order of ``ledger.csv``."""
+
+
 class StepRejected(RuntimeError):
-    """A time step produced a field outside the admissible domain."""
+    """A time step produced a field outside the admissible set rho > 0, theta > 0."""
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -174,9 +181,9 @@ class StateField:
     u: np.ndarray
     theta: np.ndarray
 
-    def validate(self, rho_min: float = 0.0, theta_min: float = 0.0) -> None:
-        """Raise unless each row has shape (n,) and finite values, rho > rho_min
-        and theta > theta_min.
+    def validate(self) -> None:
+        """Raise unless each row has shape (n,) and finite values, rho > 0 and
+        theta > 0.
 
         An admissible field costs one ``isfinite`` per row and two minima;
         the checks below, which name the first condition that fails, run
@@ -185,21 +192,20 @@ class StateField:
         """
         rows = (self.rho, self.u, self.theta)
         if (all(a.shape == (self.grid.n,) and np.isfinite(a).all() for a in rows)
-                and self.rho.min() > rho_min and self.theta.min() > theta_min):
+                and self.rho.min() > 0.0 and self.theta.min() > 0.0):
             return
         for name, arr in zip(("rho", "u", "theta"), rows):
             if arr.shape != (self.grid.n,):
                 raise ValueError(f"{name} has wrong shape {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise StepRejected(f"{name} contains non-finite values")
-        if np.any(self.rho <= rho_min):
-            raise StepRejected(f"density fell below {rho_min}")
-        if np.any(self.theta <= theta_min):
-            raise StepRejected(f"temperature fell below {theta_min}")
+        if np.any(self.rho <= 0.0):
+            raise StepRejected("density fell below 0.0")
+        if np.any(self.theta <= 0.0):
+            raise StepRejected("temperature fell below 0.0")
 
 
-def _grid_pass(grid: SpectralGrid, fh: np.ndarray,
-               bounds: Optional[tuple[float, float]] = None) -> np.ndarray:
+def _grid_pass(grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
     """The field of the retained spectrum ``fh`` and its gradients on the grid.
 
     ``fh`` is the retained (3, n//3 + 1) rfft of (rho, u, theta).  It and
@@ -208,10 +214,9 @@ def _grid_pass(grid: SpectralGrid, fh: np.ndarray,
     (rho, u, theta, rho_x, u_x, theta_x, rho_xx), which the next grid pass or
     ``rhs`` on this grid overwrites.
 
-    With ``bounds = (rho_min, theta_min)`` the field is checked on the block
-    (every value of its first three rows finite, rho > rho_min, theta >
-    theta_min); when that fails, ``StateField.validate`` names the condition
-    and raises, ``StepRejected`` for a field outside the admissible set.
+    Every pass checks the field on the block: every value of its first
+    three rows finite, rho > 0 and theta > 0.  When that fails,
+    ``StateField.validate`` names the condition and raises ``StepRejected``.
     """
     m, ws = grid.modes, grid.workspace
     ik = grid.ik[:m]
@@ -220,17 +225,14 @@ def _grid_pass(grid: SpectralGrid, fh: np.ndarray,
     np.multiply(ik, fh, out=spec[3:6, :m])
     np.multiply(ik, spec[3, :m], out=spec[6, :m])
     rows = np.fft.irfft(spec, n=grid.n, out=ws.grad)
-    if bounds is not None:
-        rho_min, theta_min = bounds
-        if not (np.isfinite(rows[:3]).all() and rows[0].min() > rho_min
-                and rows[2].min() > theta_min):
-            StateField(grid, *rows[:3]).validate(rho_min, theta_min)
+    if not (np.isfinite(rows[:3]).all() and rows[0].min() > 0.0
+            and rows[2].min() > 0.0):
+        StateField(grid, *rows[:3]).validate()
     return rows
 
 
 def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
-        out: Optional[np.ndarray] = None,
-        bounds: Optional[tuple[float, float]] = None) -> np.ndarray:
+        out: Optional[np.ndarray] = None) -> np.ndarray:
     """Spectrum of the primitive rates (rho_t, u_t, theta_t).
 
     ``fh`` is the retained (3, n//3 + 1) rfft of (rho, u, theta); the result
@@ -245,18 +247,18 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
     three fluxes, one irfft of (rho_t, rho_xt, r2, r3) and one rfft of
     (u_t, theta_t).
 
-    With ``bounds = (rho_min, theta_min)`` the field is checked in the grid
-    pass, right after the first transform and before the closure takes a
-    log of it; a field outside the admissible set raises ``StepRejected``
-    (see ``_grid_pass``).  A closure entry that is the scalar 0.0 (b31 at
-    kappa = 0) is broadcast into the workspace.  The transforms read and
-    write ``grid.workspace``, so ``rhs`` is not re-entrant on one grid: two
-    threads must not evaluate it on the same ``SpectralGrid`` at once.  At a
-    constant field the result is identically zero.
+    The field is checked in the grid pass, right after the first transform
+    and before the closure takes a log of it; a field outside the admissible
+    set rho > 0, theta > 0 raises ``StepRejected`` (see ``_grid_pass``).  A
+    closure entry that is the scalar 0.0 (b31 at kappa = 0) is broadcast
+    into the workspace.  The transforms read and write ``grid.workspace``,
+    so ``rhs`` is not re-entrant on one grid: two threads must not evaluate
+    it on the same ``SpectralGrid`` at once.  At a constant field the result
+    is identically zero.
     """
     m, ws = grid.modes, grid.workspace
     ik = grid.ik[:m]
-    rho, u, theta, rho_x, u_x, theta_x, rho_xx = _grid_pass(grid, fh, bounds)
+    rho, u, theta, rho_x, u_x, theta_x, rho_xx = _grid_pass(grid, fh)
 
     c = sym._closure(eos, rho, u, theta, rho_x, u_x, theta_x)
     sym._total_flux(c, rho, u, rho_xx, u_x, theta_x, out=ws.flux)
@@ -300,15 +302,12 @@ class IntegratingFactorRK4:
     """
 
     def __init__(self, eos: EquationOfState, equilibrium: State,
-                 grid: SpectralGrid, dt: float,
-                 rho_min: float = 0.0, theta_min: float = 0.0):
-        if dt < 0:
-            raise ValueError("dt must be nonnegative")
+                 grid: SpectralGrid, dt: float):
+        if dt <= 0:
+            raise ValueError("dt must be positive")
         self.eos = eos
         self.grid = grid
         self.dt = float(dt)
-        self.rho_min = rho_min
-        self.theta_min = theta_min
         self.ubar = np.array([float(np.asarray(equilibrium.rho)),
                               float(np.asarray(equilibrium.u)),
                               float(np.asarray(equilibrium.theta))])
@@ -331,11 +330,6 @@ class IntegratingFactorRK4:
         du = np.stack([f.rho, f.u, f.theta]) - self.ubar[:, None]
         return np.ascontiguousarray(np.fft.rfft(du)[:, :self.grid.modes])
 
-    def unpack(self, uh: np.ndarray) -> StateField:
-        """The field on the grid whose ``pack`` is ``uh``."""
-        rho, u, theta = np.fft.irfft(uh, n=self.grid.n) + self.ubar[:, None]
-        return StateField(self.grid, rho, u, theta)
-
     def _apply(self, e: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Per-mode product e(k) v(k) of (3, 3, m) matrices and a (3, m) spectrum.
 
@@ -353,28 +347,24 @@ class IntegratingFactorRK4:
 
         x is the spectrum of U - Ubar in ``self._x``, which this consumes:
         its mode 0 is shifted by the mode-0 sum of Ubar to give the field
-        ``rhs`` takes, and ``rhs`` validates that field with this stepper's
-        bounds.
+        ``rhs`` takes, and ``rhs`` checks that field in its grid pass.
         """
         x = self._x
         self._apply(self.generators, x, out)
         x[:, 0] += self.grid.n * self.ubar
-        out += rhs(self.eos, self.grid, x, out=self._tmp,
-                   bounds=(self.rho_min, self.theta_min))
+        out += rhs(self.eos, self.grid, x, out=self._tmp)
         return out
 
     def step(self, uh: np.ndarray) -> np.ndarray:
         """Advance the spectrum ``uh`` of U - Ubar by dt in place and return it.
 
-        Every stage input, the field of ``uh`` included, is validated
-        (``StateField.validate`` with this stepper's bounds) inside its
+        Every stage input, the field of ``uh`` included, is checked against
+        the admissible set rho > 0, theta > 0 in the grid pass of its
         ``rhs``, after its transform to the grid and before the closure
-        takes a log of it.  The result is not validated here: the next step
+        takes a log of it.  The result is not checked here: the next step
         does it, or the grid pass of a sample.  A rejected step leaves
         ``uh`` unchanged.
         """
-        if self.dt == 0.0:
-            return uh
         dt, e1, e2 = self.dt, self.e_full, self.e_half
         n1, n2, n3, v, x = self._n1, self._n2, self._n3, self._v, self._x
         np.copyto(x, uh)
@@ -413,7 +403,6 @@ class PerturbationSpec:
     amplitude: float = 1e-2
     width: float = 10.0
     fields: tuple = ("rho",)
-    center: Optional[float] = None   # default: mid-domain
     wavenumber: float = 1.0          # carrier for wave_packet
 
     def __post_init__(self):
@@ -421,7 +410,8 @@ class PerturbationSpec:
             raise ValueError(f"unknown perturbation shape {self.shape!r}")
 
     def profile(self, x: np.ndarray, length: float) -> np.ndarray:
-        c = 0.5 * length if self.center is None else self.center
+        """The perturbation on ``x``, centred mid-domain at length / 2."""
+        c = 0.5 * length
         bump = np.exp(-((x - c) / self.width) ** 2)
         if self.shape == "gaussian":
             return self.amplitude * bump
@@ -459,7 +449,7 @@ class WDiagnostics:
     w: np.ndarray            # (3, n) perturbation variables
     norm_w: float
     norm_u: float            # triple norm of U - Ubar
-    ratio: Optional[float]   # norm_w / norm_u, None at equilibrium
+    ratio: float             # norm_w / norm_u, nan at equilibrium
     max_n1: float            # first component of the quadratic terms
     max_n: float             # largest component magnitude of the quadratic terms
     nonlinear_scale: float   # flux magnitude used to normalize max_n1
@@ -467,23 +457,22 @@ class WDiagnostics:
 
 
 def w_diagnostics(eos: EquationOfState, equilibrium: State, grid: SpectralGrid,
-                  fh: np.ndarray,
-                  bounds: Optional[tuple[float, float]] = None) -> WDiagnostics:
+                  fh: np.ndarray) -> WDiagnostics:
     """Perturbation variables, norm equivalence ratio, and quadratic-term residuals.
 
     ``fh`` is the retained (3, n//3 + 1) rfft of the field (rho, u, theta),
     the spectrum ``rhs`` takes.  The field and its gradients come from the
     grid pass that ``rhs`` makes first (``_grid_pass``, one batched irfft,
-    which checks the field against ``bounds`` when they are given), and no
-    other transform is taken: w_0 = rho - rhobar exactly, so both triple
-    norms read the derivative of their first component from rho_x.  u_xx
+    which checks that rho > 0 and theta > 0), and no other transform is
+    taken: w_0 = rho - rhobar exactly, so both triple norms read the
+    derivative of their first component from rho_x.  u_xx
     and theta_xx are not needed (see ``symbols.nonlinear_terms``).  The
     closure is evaluated once, in ``sym.flux_and_tensors``: W, the quadratic
     terms and the normalizing scale max |F1| all read that pass, which the
     result carries on for the ledger's integrals.  The result holds no view
     of the grid's workspace, so a later ``rhs`` on the grid leaves it as it is.
     """
-    rho, u, theta, rho_x, u_x, theta_x, rho_xx = _grid_pass(grid, fh, bounds)
+    rho, u, theta, rho_x, u_x, theta_x, rho_xx = _grid_pass(grid, fh)
     ext = ExtendedState(rho=rho, u=u, theta=theta, rho_x=rho_x, u_x=u_x,
                         theta_x=theta_x, rho_xx=rho_xx)
     t = sym.flux_and_tensors(eos, ext)
@@ -493,7 +482,7 @@ def w_diagnostics(eos: EquationOfState, equilibrium: State, grid: SpectralGrid,
     norm_u = _triple_norm(grid, rho - float(np.asarray(equilibrium.rho)), rho_x,
                           u - float(np.asarray(equilibrium.u)),
                           theta - float(np.asarray(equilibrium.theta)))
-    ratio = norm_w / norm_u if norm_u > 0 else None
+    ratio = norm_w / norm_u if norm_u > 0 else np.nan
     return WDiagnostics(w=w, norm_w=norm_w, norm_u=norm_u, ratio=ratio,
                         max_n1=float(np.abs(n_terms[0]).max()),
                         max_n=float(np.abs(n_terms).max()),
@@ -503,9 +492,12 @@ def w_diagnostics(eos: EquationOfState, equilibrium: State, grid: SpectralGrid,
 
 @dataclass
 class DiagnosticsLedger:
-    """Time series of conserved integrals, norms, and nonlinear residuals."""
+    """Time series of conserved integrals, norms, and nonlinear residuals.
 
-    times: np.ndarray
+    The first fields are the columns ``LEDGER_COLUMNS``, in that order.
+    """
+
+    t: np.ndarray
     mass: np.ndarray
     momentum: np.ndarray
     energy: np.ndarray
@@ -534,34 +526,20 @@ class DiagnosticsLedger:
                   t_max: Optional[float] = None) -> PowerLawFit:
         """Slope of log norm_u vs log(1 + t) on [t_min, min(t_max, wrap_time)]."""
         hi = self.wrap_time if t_max is None else min(t_max, self.wrap_time)
-        return fit_power_law(1.0 + self.times, self.norm_u,
+        return fit_power_law(1.0 + self.t, self.norm_u,
                              (1.0 + t_min, 1.0 + hi))
 
     def rows(self) -> list[dict]:
-        out = []
-        for i in range(self.times.size):
-            out.append({
-                "t": float(self.times[i]),
-                "mass": float(self.mass[i]),
-                "momentum": float(self.momentum[i]),
-                "energy": float(self.energy[i]),
-                "entropy": float(self.entropy[i]),
-                "norm_u": float(self.norm_u[i]),
-                "norm_w": float(self.norm_w[i]),
-                "ratio": float(self.ratio[i]),
-                "max_n1": float(self.max_n1[i]),
-                "max_n": float(self.max_n[i]),
-                "nonlinear_scale": float(self.nonlinear_scale[i]),
-            })
-        return out
+        """One dict per sample, keyed by ``LEDGER_COLUMNS``."""
+        series = zip(*(getattr(self, name) for name in LEDGER_COLUMNS))
+        return [dict(zip(LEDGER_COLUMNS, map(float, row))) for row in series]
 
 
-def _sample(eos, equilibrium, grid: SpectralGrid, fh: np.ndarray,
-            bounds: Optional[tuple[float, float]] = None):
-    """Ledger values of the field whose retained spectrum is ``fh``: its
-    ``w_diagnostics`` and the mass, momentum, energy and entropy integrals
-    of its closure pass."""
-    diag = w_diagnostics(eos, equilibrium, grid, fh, bounds)
+def _sample(eos, equilibrium, grid: SpectralGrid, fh: np.ndarray):
+    """Ledger values of the field whose retained spectrum is ``fh``, in the
+    order of ``LEDGER_COLUMNS[1:]``: the mass, momentum, energy and entropy
+    integrals of its closure pass and its ``w_diagnostics``."""
+    diag = w_diagnostics(eos, equilibrium, grid, fh)
     t = diag.tensors
     mass, momentum, energy = t.F0.T
     return (
@@ -571,7 +549,7 @@ def _sample(eos, equilibrium, grid: SpectralGrid, fh: np.ndarray,
         grid.integral(t.entropy),
         diag.norm_u,
         diag.norm_w,
-        diag.ratio if diag.ratio is not None else np.nan,
+        diag.ratio,
         diag.max_n1,
         diag.max_n,
         diag.nonlinear_scale,
@@ -605,8 +583,7 @@ def wrap_time(eos: EquationOfState, equilibrium: State, length: float) -> float:
 
 def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec,
         t_final: float, dt: float, length: float = 400.0, n: int = 4096,
-        sample_every: int = 50,
-        rho_min: float = 0.0, theta_min: float = 0.0) -> DiagnosticsLedger:
+        sample_every: int = 50) -> DiagnosticsLedger:
     """Integrate a localized perturbation and record the diagnostics ledger.
 
     The decay-fit window is truncated at the wrap-around time
@@ -619,10 +596,11 @@ def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec
     last.  Each ledger row, t = 0 included, is sampled from a copy of that
     spectrum whose mode 0 is shifted by the mode-0 sum n Ubar of the
     equilibrium, the field spectrum that ``rhs`` takes, through the same grid
-    pass as ``rhs``.  Every step's result is validated before anything reads
-    it: at a sample time in the sample's grid pass, and otherwise inside the
-    next step, before its first closure evaluation.  The step validates each
-    of its stage inputs the same way.
+    pass as ``rhs``.  The admissible set is rho > 0, theta > 0, and every
+    grid pass checks it: each step's result is checked before anything reads
+    it, at a sample time in the sample's grid pass and otherwise inside the
+    next step, before its first closure evaluation.  The step checks each of
+    its stage inputs the same way.
     """
     if dt <= 0:
         raise ValueError("run requires dt > 0")
@@ -631,16 +609,15 @@ def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec
     n_steps = _whole_steps(t_final, dt)
     grid = SpectralGrid(n=n, length=length)
     f = initial_field(grid, equilibrium, perturbation)
-    f.validate(rho_min, theta_min)
-    stepper = IntegratingFactorRK4(eos, equilibrium, grid, dt,
-                                   rho_min=rho_min, theta_min=theta_min)
+    f.validate()
+    stepper = IntegratingFactorRK4(eos, equilibrium, grid, dt)
     uh = stepper.pack(f)
-    shift, bounds = grid.n * stepper.ubar, (rho_min, theta_min)
+    shift = grid.n * stepper.ubar
 
     def sample():
         fh = uh.copy()
         fh[:, 0] += shift
-        return _sample(eos, equilibrium, grid, fh, bounds)
+        return _sample(eos, equilibrium, grid, fh)
 
     records = [(0.0, *sample())]
     aborted = None
@@ -653,12 +630,6 @@ def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec
             aborted = str(exc)
             break
 
-    cols = list(zip(*records))
-    return DiagnosticsLedger(
-        times=np.array(cols[0]), mass=np.array(cols[1]),
-        momentum=np.array(cols[2]), energy=np.array(cols[3]),
-        entropy=np.array(cols[4]), norm_u=np.array(cols[5]),
-        norm_w=np.array(cols[6]), ratio=np.array(cols[7]),
-        max_n1=np.array(cols[8]), max_n=np.array(cols[9]),
-        nonlinear_scale=np.array(cols[10]),
-        wrap_time=wrap_time(eos, equilibrium, length), aborted=aborted)
+    columns = dict(zip(LEDGER_COLUMNS, map(np.array, zip(*records))))
+    return DiagnosticsLedger(**columns, wrap_time=wrap_time(eos, equilibrium, length),
+                             aborted=aborted)

@@ -24,10 +24,10 @@ F1, the nonzero entries of G, H, D_U F0 and D_Ux F0, g, and the entropy
 density) is what ``w_variables`` and ``nonlinear_terms`` take.
 Splitting the constant-coefficient symbol into odd and even parts yields
 
-    A(xi) = D1 - xi^2 D3 = A1 + xi^2 C,    B(xi) = -xi^2 D2 = xi^2 B,
+    A(xi) = A1 + xi^2 C,    B(xi) = xi^2 B,
 
-with D1 = A1, D2 = -B, D3 = -C, and the per-mode evolution
-What_t + M(i xi) What = 0 with M(i xi) = A0^{-1} (i xi A(xi) + xi^2 B).
+and the per-mode evolution What_t + M(i xi) What = 0 with
+M(i xi) = A0^{-1} (i xi A(xi) + B(xi)).
 
 All operations broadcast over array-valued extended states.
 """
@@ -48,13 +48,11 @@ ArrayLike = Union[float, np.ndarray]
 __all__ = [
     "ExtendedState",
     "EquilibriumCoefficients",
-    "SymbolTriplet",
     "FluxTensors",
     "flux_and_tensors",
     "w_variables",
     "nonlinear_terms",
     "equilibrium_coefficients",
-    "symbol_triplet",
     "evolution_symbol",
 ]
 
@@ -443,6 +441,21 @@ class EquilibriumCoefficients:
         """Long-wave characteristic speed sqrt(cbar^2 + p_rho) of the symbol."""
         return float(np.sqrt(self.cbar ** 2 + self.p_rho))
 
+    def a0(self, xi: ArrayLike = 0.0) -> np.ndarray:
+        """A0 at every xi, shape xi.shape + (3, 3)."""
+        xi = np.asarray(xi, dtype=float)
+        return np.broadcast_to(self.A0, xi.shape + (3, 3))
+
+    def a(self, xi: ArrayLike) -> np.ndarray:
+        """Odd (hyperbolic and dispersive) part A(xi) = A1 + xi^2 C."""
+        xi = np.asarray(xi, dtype=float)
+        return self.A1 + xi[..., None, None] ** 2 * self.C
+
+    def b(self, xi: ArrayLike) -> np.ndarray:
+        """Even (dissipative) part B(xi) = xi^2 B >= 0."""
+        xi = np.asarray(xi, dtype=float)
+        return xi[..., None, None] ** 2 * self.B
+
 
 def equilibrium_coefficients(eos: EquationOfState, ubar: State) -> EquilibriumCoefficients:
     """Evaluate A0, A1, B, C and the scalar data at a constant state."""
@@ -465,46 +478,12 @@ def equilibrium_coefficients(eos: EquationOfState, ubar: State) -> EquilibriumCo
     )
 
 
-@dataclass(frozen=True)
-class SymbolTriplet:
-    """Odd/even split of the third-order constant-coefficient symbol.
-
-    D1 = A1, D2 = -B, D3 = -C are the coefficients of the first, second and
-    third derivative.  A(xi) = D1 - xi^2 D3 collects the odd (hyperbolic and
-    dispersive) part, B(xi) = -xi^2 D2 >= 0 the even (dissipative) part.
-    """
-
-    A0: np.ndarray
-    D1: np.ndarray
-    D2: np.ndarray
-    D3: np.ndarray
-
-    def a0(self, xi: ArrayLike = 0.0) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        return np.broadcast_to(self.A0, xi.shape + (3, 3))
-
-    def a(self, xi: ArrayLike) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        return (self.D1 - xi[..., None, None] ** 2 * self.D3)
-
-    def b(self, xi: ArrayLike) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        return -xi[..., None, None] ** 2 * self.D2
-
-
-def symbol_triplet(coeffs: EquilibriumCoefficients) -> SymbolTriplet:
-    return SymbolTriplet(A0=coeffs.A0, D1=coeffs.A1, D2=-coeffs.B, D3=-coeffs.C)
-
-
 def evolution_symbol(coeffs: EquilibriumCoefficients, xi: ArrayLike) -> np.ndarray:
-    """Per-mode generator M(i xi) = A0^{-1} (i xi A(xi) + xi^2 B).
+    """Per-mode generator M(i xi) = A0^{-1} (i xi A(xi) + B(xi)).
 
     The Fourier transform of the linear system is What_t + M(i xi) What = 0;
     M(0) = 0 and M(-xi) = conj(M(xi)).
     """
     xi = np.asarray(xi, dtype=float)
-    trip = symbol_triplet(coeffs)
-    a = trip.a(xi)
-    b = trip.b(xi)
     a0_inv = np.linalg.inv(coeffs.A0)
-    return a0_inv @ (1j * xi[..., None, None] * a + b)
+    return a0_inv @ (1j * xi[..., None, None] * coeffs.a(xi) + coeffs.b(xi))

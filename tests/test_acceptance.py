@@ -80,8 +80,8 @@ def test_criterion_03_eigenvalue_tracks(ref_coeffs):
 
 def test_criterion_04_genuine_coupling(ref_coeffs, nsf_coeffs):
     grid = dis.default_xi_grid(n_per_decade=1001)
-    full = dis.check_genuine_coupling(sym.symbol_triplet(ref_coeffs), grid)
-    nsf = dis.check_genuine_coupling(sym.symbol_triplet(nsf_coeffs), grid)
+    full = dis.check_genuine_coupling(ref_coeffs, grid)
+    nsf = dis.check_genuine_coupling(nsf_coeffs, grid)
     a0 = ref_coeffs.A0
     control = dis.genuine_coupling_scan(
         lambda xi: a0, lambda xi: a0, lambda xi: np.zeros((3, 3)),

@@ -10,6 +10,7 @@ import pytest
 
 from nsfk import dissipativity, thermo
 from nsfk.cli import SCHEMA, ConfigError, RunConfig, main
+from nsfk.nonlinear_solver import LEDGER_COLUMNS
 
 BASE = """
 [closure]
@@ -527,9 +528,10 @@ class TestNonlinearRun:
                      "--out", str(out), "--quiet"])
         assert code == 0
         assert (out / "ledger.csv").is_file()
-        header = (out / "ledger.csv").read_text().splitlines()[0]
-        assert header.split(",")[:4] == ["t", "mass", "momentum", "energy"]
-        assert header.split(",")[-3:] == ["max_n1", "max_n", "nonlinear_scale"]
+        header = (out / "ledger.csv").read_text().splitlines()[0].split(",")
+        assert header[:4] == ["t", "mass", "momentum", "energy"]
+        assert header[-3:] == ["max_n1", "max_n", "nonlinear_scale"]
+        assert tuple(header) == LEDGER_COLUMNS
 
     def test_blow_up_fails_the_run_check(self, config_file, tmp_path, capsys):
         # a tall density bump at a long step leaves the admissible set inside

@@ -165,6 +165,25 @@ class TestVerifyEntropyPair:
         by_name = {c.name: c for c in report.checks}
         assert by_name["flux compatibility D_U Theta = Z^T D_U f1"].observed <= 1e-6
         assert by_name["Hessian/A0/A1 symmetry residual"].observed <= 1e-12
+        assert by_name["A0/A1 entropy congruence residual"].observed <= 1e-12
+
+    def test_a1_off_its_congruence_fails(self, ref_eos, domain, monkeypatch):
+        # A1's (0, 1) and (1, 0) entries scaled alike stay symmetric: only
+        # the congruence with the entropy Hessian can see the change
+        exact = cx.coefficient_matrices
+
+        def scaled(eos, state):
+            a0, a1, b = exact(eos, state)
+            a1 = a1.copy()
+            a1[0, 1] *= 1 + 1e-6
+            a1[1, 0] *= 1 + 1e-6
+            return a0, a1, b
+
+        monkeypatch.setattr(cx, "coefficient_matrices", scaled)
+        report = cx.verify_entropy_pair(ref_eos, domain, n_samples=20, seed=3)
+        by_name = {c.name: c for c in report.checks}
+        assert by_name["Hessian/A0/A1 symmetry residual"].passed
+        assert not by_name["A0/A1 entropy congruence residual"].passed
 
     def test_corrupted_flux_fails(self, ref_eos, domain):
         # drop the pressure from the momentum flux: compatibility must break

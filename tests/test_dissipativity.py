@@ -18,9 +18,8 @@ class TestSymmetrizer:
     def test_symmetrizes_symbols(self, ref_coeffs):
         xi = np.linspace(-40, 40, 101)
         s = dis.symbol_symmetrizer(ref_coeffs, xi)
-        trip = sym.symbol_triplet(ref_coeffs)
-        sa = s @ trip.a(xi)
-        sb = s @ trip.b(xi)
+        sa = s @ ref_coeffs.a(xi)
+        sb = s @ ref_coeffs.b(xi)
         sa0 = s @ ref_coeffs.A0
         for m in (sa, sb, sa0):
             assert np.abs(m - np.swapaxes(m, -1, -2)).max() <= 1e-14 * max(
@@ -71,7 +70,7 @@ class TestEigenvalues:
 class TestGenuineCoupling:
     def test_reference_passes(self, ref_coeffs):
         grid = dis.default_xi_grid(n_per_decade=301)
-        rep = dis.check_genuine_coupling(sym.symbol_triplet(ref_coeffs), grid)
+        rep = dis.check_genuine_coupling(ref_coeffs, grid)
         assert rep.passed
         assert rep.min_margin > 0.1
 
@@ -82,7 +81,7 @@ class TestGenuineCoupling:
 
     def test_nsf_subcase_passes(self, nsf_coeffs):
         grid = dis.default_xi_grid(n_per_decade=301)
-        rep = dis.check_genuine_coupling(sym.symbol_triplet(nsf_coeffs), grid)
+        rep = dis.check_genuine_coupling(nsf_coeffs, grid)
         assert rep.passed
 
     def test_decoupled_control_fails(self, ref_coeffs):
@@ -133,7 +132,7 @@ class TestGenuineCoupling:
             assert rep.passed is bool(exact > 1e-10)
 
     def test_zero_grid_is_vacuous(self, ref_coeffs):
-        rep = dis.check_genuine_coupling(sym.symbol_triplet(ref_coeffs), [0.0, 0.0])
+        rep = dis.check_genuine_coupling(ref_coeffs, [0.0, 0.0])
         assert rep.n_xi == 0
         assert rep.passed is False
         assert rep.min_margin == np.inf and np.isnan(rep.worst_xi)
@@ -148,7 +147,7 @@ class TestGenuineCoupling:
         assert rep.min_margin == np.inf
 
     def test_passed_is_python_bool(self, ref_coeffs):
-        rep = dis.check_genuine_coupling(sym.symbol_triplet(ref_coeffs),
+        rep = dis.check_genuine_coupling(ref_coeffs,
                                          dis.default_xi_grid(n_per_decade=11))
         assert rep.passed is True
 

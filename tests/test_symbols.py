@@ -295,22 +295,20 @@ class TestEquilibriumCoefficients:
         assert c.cbar == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-12)
         assert np.allclose(c.B, np.diag([0.0, 1.0, 1.0]), atol=1e-14)
 
-    def test_symbol_triplet_split(self, ref_coeffs):
-        trip = sym.symbol_triplet(ref_coeffs)
-        assert np.allclose(trip.a(0.0), ref_coeffs.A1, atol=1e-15)
-        a1 = trip.a(1.0)
+    def test_odd_even_split(self, ref_coeffs):
+        assert np.allclose(ref_coeffs.a(0.0), ref_coeffs.A1, atol=1e-15)
+        a1 = ref_coeffs.a(1.0)
         assert a1[1, 0] == pytest.approx(3.0, abs=1e-14)  # beta(1)/theta
         assert a1[0, 1] == pytest.approx(1.0, abs=1e-14)
         xi = np.array([0.5, 1.0, 2.0, 5.0])
-        b = trip.b(xi)
+        b = ref_coeffs.b(xi)
         ratios = b / xi[:, None, None] ** 2
         assert np.abs(ratios - ratios[0]).max() <= 1e-14
 
     @given(xi=st.floats(min_value=-50, max_value=50))
     @settings(max_examples=50, deadline=None)
     def test_asymmetry_is_single_capillary_entry(self, ref_coeffs, xi):
-        trip = sym.symbol_triplet(ref_coeffs)
-        a = trip.a(xi)
+        a = ref_coeffs.a(xi)
         skew = a - a.T
         expected = xi ** 2 * ref_coeffs.k * ref_coeffs.rho / ref_coeffs.theta
         assert skew[1, 0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
