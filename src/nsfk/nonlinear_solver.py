@@ -248,7 +248,7 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
     (u_t, theta_t).
 
     The field is checked in the grid pass, right after the first transform
-    and before the closure takes a log of it; a field outside the admissible
+    and before the closure reads it; a field outside the admissible
     set rho > 0, theta > 0 raises ``StepRejected`` (see ``_grid_pass``).  A
     closure entry that is the scalar 0.0 (b31 at kappa = 0) is broadcast
     into the workspace.  The transforms read and write ``grid.workspace``,
@@ -361,7 +361,7 @@ class IntegratingFactorRK4:
         Every stage input, the field of ``uh`` included, is checked against
         the admissible set rho > 0, theta > 0 in the grid pass of its
         ``rhs``, after its transform to the grid and before the closure
-        takes a log of it.  The result is not checked here: the next step
+        reads it.  The result is not checked here: the next step
         does it, or the grid pass of a sample.  A rejected step leaves
         ``uh`` unchanged.
         """

@@ -7,8 +7,9 @@ The full system in conservation form reads
 where the conserved quantities F0 = (rho, rho u, rho(epsilon + u^2/2)) carry
 the density gradient through the non-standard internal energy.  The closure
 is written once, in ``_closure``: one pointwise pass that evaluates each
-partial of psi and kappa once and returns the entries that the flux
--F1 + G U_x + H U_xx + g (``_total_flux``), D_U F0 and D_Ux F0 are made of.
+potential and each partial of kappa once and returns the entries that the
+flux -F1 + G U_x + H U_xx + g (``_total_flux``), D_U F0 and D_Ux F0 are
+made of.
 Around a constant equilibrium Ubar the perturbation variables
 
     W = (D_U f0(Ubar))^{-1} (F0(U, U_x) - F0(Ubar, 0))
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -85,10 +86,10 @@ class _Closure(NamedTuple):
     h: ArrayLike         # k rho, k = 2 rho kappa
     g2: ArrayLike        # g~ = (0, g2, g3)
     g3: ArrayLike
-    a31: ArrayLike       # D_U F0[2, 0]
-    a33: ArrayLike       # D_U F0[2, 2]
+    a31: ArrayLike       # D_U F0[2, 0] = energy + rho epsilon_rho
+    a33: ArrayLike       # D_U F0[2, 2] = rho epsilon_theta
     b31: ArrayLike       # D_Ux F0[2, 0] = 2 rho m rho_x, m = kappa - theta kappa_theta
-    s: ArrayLike         # specific entropy eta - kappa_theta rho_x^2, eta = -psi_theta
+    s: Optional[ArrayLike] = None   # entropy eta - kappa_theta rho_x^2, if asked for
 
 
 def _zero(a) -> bool:
@@ -96,86 +97,99 @@ def _zero(a) -> bool:
     return not isinstance(a, np.ndarray) and a == 0.0
 
 
-def _mul(*factors):
-    """The product of ``factors`` from left to right; the scalar 0.0 without
-    any array work when one of them is an exact scalar zero.
-
-    A factor that is the exact scalar 1.0 is left out: x * 1.0 == x bit for
-    bit, so the product is unchanged and costs one multiply less.  Every
-    non-array factor is checked before anything is multiplied.
-    """
-    kept = []
-    for f in factors:
-        if not isinstance(f, np.ndarray):
-            if f == 0.0:
-                return 0.0
-            if f == 1.0:
-                continue
-        kept.append(f)
-    if not kept:
-        return 1.0
-    out = kept[0]
-    for f in kept[1:]:
-        out = out * f
-    return out
+def _unit(a) -> bool:
+    """Whether a closure factor is the exact scalar 1.0 (see :func:`_closure`)."""
+    return not isinstance(a, np.ndarray) and a == 1.0
 
 
-def _add(a, b):
-    """a + b, with an exact scalar zero on either side not added."""
-    return b if _zero(a) else a if _zero(b) else a + b
-
-
-def _sub(a, b):
-    """a - b, with an exact scalar zero on either side not subtracted."""
-    return a if _zero(b) else -b if _zero(a) else a - b
-
-
-def _closure(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x) -> _Closure:
-    """The closure at one extended state, each partial of psi and kappa evaluated once.
+def _closure(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x,
+             entropy: bool = False) -> _Closure:
+    """The closure at one extended state, each partial of psi and kappa read once.
 
     The capillary stress is K = h rho_xx + g2, and g3 = u g2 + w carries the
-    interstitial work flux w = -h rho_x u_x.  epsilon, its partials, p, s and
-    the relabeled capillarity k = 2 rho kappa with its partials are formed
-    with the operations of the ``EquationOfState`` methods, so each entry
-    agrees with those bit for bit.  Each intermediate is deleted once spent:
-    on a field every entry is an array, and the fewer of them are alive at
-    once, the less the heap grows and is trimmed again on every ``rhs``.
+    interstitial work flux w = -h rho_x u_x.  With m = kappa - theta kappa_theta,
 
-    A term whose closure factor (kappa or one of its partials, mu or alpha)
-    is an exact scalar zero is not formed: ``_mul`` returns the scalar 0.0
-    for it, and ``_add`` and ``_sub`` leave it out of its sum.  Adding
-    0.0 * x to a finite value gives that value back (up to the sign of a
-    zero), and the terms that remain are summed and multiplied in the same
-    order as with the zero terms in place, so the entries are the same bit
+        energy = e + m rho_x^2 + u^2/2,
+        a31    = energy + rho (e_rho + (kappa_rho - theta kappa_rho_theta) rho_x^2),
+        a33    = rho (e_theta - theta kappa_thth rho_x^2).
+
+    p, e, e_rho and e_theta come from one ``EquationOfState.potentials``
+    call (the ideal gas states e, e_rho and e_theta in closed form, so it
+    takes no logarithm here); k = 2 rho kappa and its partials are formed
+    with the operations of the ``EquationOfState`` methods, so each entry
+    agrees with those bit for bit.  The entropy s = eta - kappa_theta rho_x^2
+    is formed only with ``entropy``, for :func:`flux_and_tensors`.  Each
+    intermediate is deleted once spent: on a field every entry is an array,
+    and the fewer of them are alive at once, the less the heap grows and is
+    trimmed again on every ``rhs``.
+
+    Each factor (kappa, its four partials read here, and e_rho) is tested
+    once per pass; the rest is plain arithmetic.  A term whose factor is the
+    exact scalar 0.0 is not formed, and a factor 1.0 is not multiplied.
+    0.0 * x added to a finite value gives that value back (up to the sign of
+    a zero), x * 1.0 is x, and the remaining terms are summed and multiplied
+    in the order of the full expressions, so the entries are the same bit
     for bit.  A constant kappa (``Coefficient.constant``) drops the terms of
-    the four partials this pass reads; an entry whose every term drops out,
-    such as b31 or h at kappa = 0, is the scalar 0.0.
+    its partials; an entry with no term left, such as b31 or h at kappa = 0,
+    is the scalar 0.0, and with e_rho = 0.0 as well a31 is energy itself.
     """
-    psi, kap = eos.psi, eos.kappa
+    kap = eos.kappa
     rx2 = rho_x ** 2
     kap_v, kap_r, kap_t = kap(rho, theta), kap.d_r(rho, theta), kap.d_t(rho, theta)
-    k = _mul(2.0, rho, kap_v)
-    h = _mul(k, rho)
-    k_rho = _add(_mul(2.0, kap_v), _mul(2.0, rho, kap_r))
-    g2 = _sub(_add(_mul(0.5, rho, rx2, k_rho),
-                   _mul(rho, rho_x, theta_x, _mul(2.0, rho, kap_t))),
-              _mul(0.5, k, rx2))
-    m = _sub(kap_v, _mul(theta, kap_t))
+    has_v, has_r, has_t = not _zero(kap_v), not _zero(kap_r), not _zero(kap_t)
+    # k = 2 rho kappa, h = k rho, k_rho = 2 kappa + 2 rho kappa_rho
+    k = h = k_rho = 0.0
+    if has_v:
+        k = 2.0 * rho if _unit(kap_v) else 2.0 * rho * kap_v
+        h = k * rho
+        k_rho = 2.0 * kap_v
+    if has_r:
+        k_rho = k_rho + 2.0 * rho * kap_r if has_v else 2.0 * rho * kap_r
+    # g2 = rho rho_x^2 k_rho / 2 + rho rho_x theta_x k_theta - k rho_x^2 / 2
+    g2 = 0.5 * rho * rx2 * k_rho if has_v or has_r else 0.0
+    if has_t:
+        g2 = g2 + rho * rho_x * theta_x * (2.0 * rho * kap_t)
+    if has_v:
+        g2 = g2 - 0.5 * k * rx2
+    if has_t:
+        m = kap_v - theta * kap_t if has_v else -(theta * kap_t)
+    else:
+        m = kap_v
     del k, k_rho, kap_v
-    psi_t = psi.d_t(rho, theta)
-    energy = _add(psi(rho, theta) - theta * psi_t, _mul(m, rx2)) + 0.5 * u ** 2
-    b31 = _mul(2.0, rho, m, rho_x)
-    s = _sub(-psi_t, _mul(kap_t, rx2))
-    del m, psi_t, kap_t
-    psi_r = psi.d_r(rho, theta)
-    p = rho ** 2 * psi_r
-    a31 = energy + rho * _add(psi_r - theta * psi.d_rt(rho, theta),
-                              _mul(_sub(kap_r, _mul(theta, kap.d_rt(rho, theta))), rx2))
-    del psi_r, kap_r
-    a33 = rho * _sub(-theta * psi.d_tt(rho, theta), _mul(theta, kap.d_tt(rho, theta), rx2))
+    has_m, unit_m = has_v or has_t, _unit(m)
+    p, e, e_rho, e_theta, eta = eos.potentials(rho, theta, entropy)
+    energy = e + (rx2 if unit_m else m * rx2) if has_m else e
+    del e
+    energy = energy + 0.5 * u ** 2
+    b31 = 0.0
+    if has_m:
+        b31 = 2.0 * rho * rho_x if unit_m else 2.0 * rho * m * rho_x
+    s = None
+    if entropy:
+        s = eta - kap_t * rx2 if has_t else eta
+    del m, kap_t, eta
+    kap_rt = kap.d_rt(rho, theta)
+    has_rt = not _zero(kap_rt)
+    if has_r or has_rt:
+        if has_r:
+            m_rho = kap_r - theta * kap_rt if has_rt else kap_r
+        else:
+            m_rho = -(theta * kap_rt)
+        eps_rho = m_rho * rx2 if _zero(e_rho) else e_rho + m_rho * rx2
+        a31 = energy + rho * eps_rho
+        del m_rho, eps_rho
+    else:
+        a31 = energy if _zero(e_rho) else energy + rho * e_rho
+    del e_rho, kap_r, kap_rt
+    kap_tt = kap.d_tt(rho, theta)
+    a33 = rho * (e_theta - theta * kap_tt * rx2 if not _zero(kap_tt) else e_theta)
+    del e_theta, kap_tt
+    if has_v:
+        g3 = u * g2 - h * rho_x * u_x
+    else:
+        g3 = u * g2 if has_r or has_t else 0.0
     return _Closure(energy=energy, p=p, mu=eos.mu(rho, theta),
-                    alpha=eos.alpha(rho, theta), h=h, g2=g2,
-                    g3=_sub(_mul(u, g2), _mul(h, rho_x, u_x)),
+                    alpha=eos.alpha(rho, theta), h=h, g2=g2, g3=g3,
                     a31=a31, a33=a33, b31=b31, s=s)
 
 
@@ -183,11 +197,20 @@ def _total_flux(c: _Closure, rho, u, rho_xx, u_x, theta_x, out: np.ndarray) -> n
     """Components of -F1 + G U_x + H U_xx + g~, whose x-derivative is F0_t.
 
     ``c`` is the closure pass at the same state; the three components are
-    written in place to the rows of ``out``, which is returned.  A term of
-    ``c`` that is an exact scalar zero is not added (see :func:`_closure`).
-    Builds no (..., 3, 3) tensor, so it serves the solver's hot path.
+    written in place to the rows of ``out``, which is returned.  mu, alpha
+    and h are tested once per pass, like the factors of :func:`_closure`: a
+    term of ``c`` that is an exact scalar zero is not added, and a factor
+    1.0 is not multiplied.  Builds no (..., 3, 3) tensor, so it serves the
+    solver's hot path.
     """
-    stress = _add(_mul(c.mu, u_x), _mul(c.h, rho_xx))      # (G U_x + H U_xx)_2
+    mu, h, alpha = c.mu, c.h, c.alpha
+    has_mu, has_h = not _zero(mu), not _zero(h)
+    # (G U_x + H U_xx)_2
+    stress = 0.0
+    if has_mu:
+        stress = u_x if _unit(mu) else mu * u_x
+    if has_h:
+        stress = stress + h * rho_xx if has_mu else h * rho_xx
     # views of the rows, 0-d where the state is a scalar
     mass, momentum, energy = (out[i, ...] for i in range(3))
     np.negative(rho, out=mass)
@@ -197,17 +220,21 @@ def _total_flux(c: _Closure, rho, u, rho_xx, u_x, theta_x, out: np.ndarray) -> n
     momentum *= rho
     momentum += c.p
     np.negative(momentum, out=momentum)
-    for term in (stress, c.g2):
-        if not _zero(term):
-            momentum += term
+    if has_mu or has_h:
+        momentum += stress
+    if not _zero(c.g2):
+        momentum += c.g2
     # -(rho u (epsilon + u^2/2) + p u) + alpha theta_x + u stress + g3
     np.multiply(rho, u, out=energy)
     energy *= c.energy
     energy += c.p * u
     np.negative(energy, out=energy)
-    for term in (_mul(c.alpha, theta_x), _mul(u, stress), c.g3):
-        if not _zero(term):
-            energy += term
+    if not _zero(alpha):
+        energy += theta_x if _unit(alpha) else alpha * theta_x
+    if has_mu or has_h:
+        energy += u * stress
+    if not _zero(c.g3):
+        energy += c.g3
     return out
 
 
@@ -267,11 +294,13 @@ def flux_and_tensors(eos: EquationOfState, ext: ExtendedState) -> FluxTensors:
     F0 = (rho, rho u, rho(epsilon + u^2/2)) and
     F1 = (rho u, rho u^2 + p, rho u (epsilon + u^2/2) + p u); the first
     component of g is identically zero and g = O(|U_x|^2).  F0, F1 and g
-    are built as (3, ...) rows and returned as their (..., 3) views.
+    are built as (3, ...) rows and returned as their (..., 3) views.  The
+    entropy density rho s is formed in this pass only: ``rhs`` does not read
+    it.
     """
     rho, u, theta, rho_x = (np.asarray(a, dtype=float)
                             for a in (ext.rho, ext.u, ext.theta, ext.rho_x))
-    c = _closure(eos, rho, u, theta, rho_x, ext.u_x, ext.theta_x)
+    c = _closure(eos, rho, u, theta, rho_x, ext.u_x, ext.theta_x, entropy=True)
     rho_u = rho * u
     return FluxTensors(
         F0=_components_last(_rows(rho, rho_u, rho * c.energy)),

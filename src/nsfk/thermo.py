@@ -9,6 +9,11 @@ standard potentials derive from ``psi``::
     e   = psi - theta psi_theta  (standard internal energy)
     eta = -psi_theta             (standard specific entropy)
 
+A closure may state e, e_rho and e_theta in closed form instead: the ideal
+gas of ``ideal_gas_eos`` has e = c_v theta, e_rho = 0 and e_theta = c_v, so
+the solver's closure pass takes no logarithm.  ``verify_hypotheses`` checks
+e against psi - theta psi_theta and e_rho, e_theta against p and eta.
+
 The gradient-dependent (non-standard) potentials carry the capillary energy
 of density variations::
 
@@ -57,8 +62,9 @@ class Coefficient:
 
     A callable may return any value that broadcasts against (rho, theta):
     a scalar, or an array shaped like one of the two.  An exact scalar 0.0
-    means "no term": the closure pass of the solver (``symbols._closure``)
-    forms no array for a term it multiplies.
+    means "no term" and an exact scalar 1.0 "no factor": the closure pass
+    of the solver (``symbols._closure``) tests each such value once per
+    pass and forms no array for the term it multiplies, or no product.
     """
 
     f: Callable[[ArrayLike, ArrayLike], ArrayLike]
@@ -133,7 +139,12 @@ class State:
 
 @dataclass(frozen=True)
 class EquationOfState:
-    """Full thermodynamic closure (psi, kappa, mu, alpha) with derived potentials."""
+    """Full thermodynamic closure (psi, kappa, mu, alpha) with derived potentials.
+
+    e, e_rho and e_theta are formed from psi here.  A subclass that states
+    them in closed form overrides the three and ``potentials``, the one call
+    through which the solver reads them (see ``ideal_gas_eos``).
+    """
 
     psi: Coefficient
     kappa: Coefficient
@@ -167,6 +178,27 @@ class EquationOfState:
     def e_theta(self, rho, theta):
         theta = np.asarray(theta, dtype=float)
         return -theta * self.psi.d_tt(rho, theta)
+
+    def potentials(self, rho, theta, entropy: bool = False):
+        """(p, e, e_rho, e_theta, eta) at one state, each partial of psi read once.
+
+        Each value is that of the method of its name, bit for bit; eta is
+        formed only when ``entropy`` is true and is None otherwise.  The
+        solver's closure pass (``symbols._closure``) reads the standard
+        potentials through this one call.
+        """
+        psi = self.psi
+        rho = np.asarray(rho, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        psi_t = psi.d_t(rho, theta)
+        e = psi(rho, theta) - theta * psi_t
+        eta = -psi_t if entropy else None
+        del psi_t
+        psi_r = psi.d_r(rho, theta)
+        p = rho ** 2 * psi_r
+        e_rho = psi_r - theta * psi.d_rt(rho, theta)
+        del psi_r
+        return p, e, e_rho, self.e_theta(rho, theta), eta
 
     def eta(self, rho, theta):
         """Standard specific entropy eta = -psi_theta."""
@@ -234,16 +266,44 @@ class EquationOfState:
         return self.psi(rho, theta) + self.kappa(rho, theta) * rho_x ** 2
 
 
+@dataclass(frozen=True)
+class _IdealGas(EquationOfState):
+    """Polytropic gas: e = c_v theta, e_rho = 0 and e_theta = c_v in closed form.
+
+    e_rho and e_theta are the exact scalars 0.0 and c_v, which the solver's
+    closure pass reads as "no term" and as a constant factor.
+    """
+
+    cv: float
+
+    def e(self, rho, theta):
+        """Standard internal energy e = c_v theta."""
+        return self.cv * np.asarray(theta, dtype=float)
+
+    def e_rho(self, rho, theta):
+        return 0.0
+
+    def e_theta(self, rho, theta):
+        return self.cv
+
+    def potentials(self, rho, theta, entropy: bool = False):
+        """(p, e, e_rho, e_theta, eta), each from its method: only p and eta read psi."""
+        return (self.p(rho, theta), self.e(rho, theta), self.e_rho(rho, theta),
+                self.e_theta(rho, theta), self.eta(rho, theta) if entropy else None)
+
+
 def ideal_gas_eos(R: float, gamma: float, kappa0: float,
                   mu0: float, alpha0: float) -> EquationOfState:
     """Polytropic ideal-gas closure with constant transport coefficients.
 
     psi(rho, theta) = R theta (log rho - log(theta)/(gamma-1)), giving
-    p = R rho theta and e = R theta / (gamma - 1).  kappa, mu, alpha are
-    constants.  kappa0 = 0 selects the capillarity-free (classical
-    Navier-Stokes-Fourier) sub-case; mu0 = alpha0 = 0 removes dissipation
-    entirely (useful as a negative control), so only nonnegativity is
-    enforced for those three.
+    p = R rho theta and e = c_v theta, c_v = R / (gamma - 1).  e, e_rho = 0
+    and e_theta = c_v are stated in closed form, so they take no logarithm;
+    ``verify_hypotheses`` checks them against psi.  kappa, mu, alpha are
+    constants.  kappa0 = 0 selects the capillarity-free
+    (classical Navier-Stokes-Fourier) sub-case; mu0 = alpha0 = 0 removes
+    dissipation entirely (useful as a negative control), so only
+    nonnegativity is enforced for those three.
     """
     if R <= 0:
         raise ValueError(f"gas constant must be positive, got R={R}")
@@ -279,11 +339,12 @@ def ideal_gas_eos(R: float, gamma: float, kappa0: float,
     def psi_tt(rho, theta):
         return -cv / np.asarray(theta, dtype=float)
 
-    return EquationOfState(
+    return _IdealGas(
         psi=Coefficient(psi, psi_r, psi_t, psi_rr, psi_rt, psi_tt),
         kappa=Coefficient.constant(kappa0),
         mu=Coefficient.constant(mu0),
         alpha=Coefficient.constant(alpha0),
+        cv=cv,
     )
 
 
@@ -301,8 +362,10 @@ def verify_hypotheses(eos: EquationOfState, domain: Domain,
     """Sweep a uniform grid over the domain and test every closure hypothesis.
 
     Positivity conditions report the worst (smallest) sampled margin;
-    compatibility relations between p, e and eta report the largest absolute
-    residual.  Violations are reported, not raised.
+    compatibility relations between psi, p, e and eta report the largest
+    absolute residual; the first, e = psi - theta psi_theta, reads 0 unless
+    the closure states e in closed form.  Violations are reported, not
+    raised.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -330,12 +393,15 @@ def verify_hypotheses(eos: EquationOfState, domain: Domain,
     positivity("Weyl p_theta > 0", eos.p_theta(rho, theta))
     positivity("Weyl e_theta > 0", eos.e_theta(rho, theta))
 
-    # compatibility of the derived potentials (consequences of the First Law)
+    # compatibility of the derived potentials (consequences of the First Law);
+    # the first compares a closed-form e with its definition through psi
+    res_f = eos.e(rho, theta) - (eos.psi(rho, theta) - theta * eos.psi.d_t(rho, theta))
     res_e = eos.e_rho(rho, theta) - (eos.p(rho, theta)
                                      - theta * eos.p_theta(rho, theta)) / rho ** 2
     res_h = eos.eta_theta(rho, theta) - eos.e_theta(rho, theta) / theta
     res_r = eos.eta_rho(rho, theta) + eos.p_theta(rho, theta) / rho ** 2
-    for name, res in (("relation e_rho = (p - theta p_theta)/rho^2", res_e),
+    for name, res in (("relation e = psi - theta psi_theta", res_f),
+                      ("relation e_rho = (p - theta p_theta)/rho^2", res_e),
                       ("relation eta_theta = e_theta/theta", res_h),
                       ("relation eta_rho = -p_theta/rho^2", res_r)):
         worst, at = _worst(np.abs(np.asarray(res)), rho, theta, minimize=False)

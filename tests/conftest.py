@@ -41,6 +41,33 @@ def sqrt_kappa_eos(ref_eos):
 
 
 @pytest.fixture(scope="session")
+def rho_theta_kappa_eos(ref_eos):
+    """Reference gas with kappa = kappa0 sqrt(rho theta): kappa > 0 and
+    kappa_thth = -kappa0 rho^(1/2) theta^(-3/2) / 4 < 0.
+
+    The only closure here whose kappa_rho and kappa_rho_theta are nonzero, so
+    the terms they carry in g2 and a31 are checked against the potentials.
+    """
+    kappa0 = 0.8
+
+    def term(c, a, b):
+        """kappa0 c rho^a theta^b."""
+        return lambda r, th: (kappa0 * c * np.asarray(r, dtype=float) ** a
+                              * np.asarray(th, dtype=float) ** b)
+
+    kappa = Coefficient(
+        f=term(1.0, 0.5, 0.5),
+        d_r=term(0.5, -0.5, 0.5),
+        d_t=term(0.5, 0.5, -0.5),
+        d_rr=term(-0.25, -1.5, 0.5),
+        d_rt=term(0.25, -0.5, -0.5),
+        d_tt=term(-0.25, 0.5, -1.5),
+    )
+    return EquationOfState(psi=ref_eos.psi, kappa=kappa, mu=ref_eos.mu,
+                           alpha=ref_eos.alpha)
+
+
+@pytest.fixture(scope="session")
 def ref_equilibrium():
     return State(1.0, 0.0, 1.0)
 

@@ -88,7 +88,8 @@ class TestFluxAndTensors:
         assert gt[0] == 0.0
         assert gt[2] == pytest.approx(-1.1 * 0.5 * 0.3 * k, abs=1e-14)
 
-    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
+    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos",
+                                         "rho_theta_kappa_eos"])
     def test_tensors_match_the_matrix_builders(self, request, closure, rng):
         # the entries of G and H, placed in 3x3 matrices, are bit for bit
         # those of cx.visc_matrix and of the first column k rho (0, 1, u)
@@ -104,7 +105,8 @@ class TestFluxAndTensors:
                                   ext.u_x, ext.theta_x)
         assert np.array_equal(t.gtilde, cx.vec3([0.0, g2, g3]))
 
-    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
+    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos",
+                                         "rho_theta_kappa_eos"])
     def test_closure_pass_matches_the_potentials(self, request, closure, rng):
         # the one pass forms epsilon, its partials, p and s itself; bit for
         # bit the values of the single-potential methods

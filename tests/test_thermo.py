@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,33 @@ class TestAnalyticDerivatives:
             scale_t = max(abs(fd_t), 1.0)
             assert abs(getattr(ref_eos, deriv_r)(rho, theta) - fd_r) <= 1e-6 * scale_r
             assert abs(getattr(ref_eos, deriv_t)(rho, theta) - fd_t) <= 1e-6 * scale_t
+
+
+class TestClosureFixtures:
+    @pytest.mark.parametrize("closure", ["sqrt_kappa_eos", "rho_theta_kappa_eos"])
+    def test_kappa_partials_match_differences(self, request, closure, domain, rng):
+        # the analytic partials of the test closures' kappa against central
+        # differences of the value and of the first partials at step 1e-5
+        kap = request.getfixturevalue(closure).kappa
+        h = 1e-5
+        states = domain.sample_states(50, rng)
+        rho, theta = np.asarray(states.rho), np.asarray(states.theta)
+        for fn, d_r, d_t in ((kap, kap.d_r, kap.d_t), (kap.d_r, kap.d_rr, kap.d_rt),
+                             (kap.d_t, kap.d_rt, kap.d_tt)):
+            fd_r = (fn(rho + h, theta) - fn(rho - h, theta)) / (2 * h)
+            fd_t = (fn(rho, theta + h) - fn(rho, theta - h)) / (2 * h)
+            assert np.abs(d_r(rho, theta) - fd_r).max() <= 1e-6 * max(1.0, np.abs(fd_r).max())
+            assert np.abs(d_t(rho, theta) - fd_t).max() <= 1e-6 * max(1.0, np.abs(fd_t).max())
+
+    def test_potentials_match_the_methods(self, ref_eos, sqrt_kappa_eos, domain, rng):
+        # the one call the closure pass makes, bit for bit the single methods
+        states = domain.sample_states(100, rng)
+        for eos in (ref_eos, sqrt_kappa_eos):
+            got = eos.potentials(states.rho, states.theta, entropy=True)
+            for value, name in zip(got, ("p", "e", "e_rho", "e_theta", "eta")):
+                want = getattr(eos, name)(states.rho, states.theta)
+                assert np.array_equal(*np.broadcast_arrays(value, want)), name
+            assert eos.potentials(states.rho, states.theta)[4] is None
 
 
 class TestNonstandardPotentials:
@@ -210,6 +239,33 @@ class TestVerifyHypotheses:
         report = verify_hypotheses(eos, domain, 20)
         bad = {c.name: c for c in report.checks}["Weyl p_theta > 0"]
         assert not bad.passed
+
+    def test_rho_theta_kappa_closure_passes(self, rho_theta_kappa_eos, domain):
+        report = verify_hypotheses(rho_theta_kappa_eos, domain, 50)
+        assert report.passed, report.to_text()
+
+    def test_energy_row_checks_the_closed_form(self, ref_eos, domain):
+        # the ideal gas states e = c_v theta; derived from psi it reads 0
+        derived = EquationOfState(psi=ref_eos.psi, kappa=ref_eos.kappa,
+                                  mu=ref_eos.mu, alpha=ref_eos.alpha)
+        name = "relation e = psi - theta psi_theta"
+        rows = {eos: {c.name: c for c in verify_hypotheses(eos, domain, 20).checks}
+                for eos in (ref_eos, derived)}
+        assert rows[derived][name].observed == 0.0
+        assert 0.0 < rows[ref_eos][name].observed <= 1e-13
+        assert rows[ref_eos][name].tolerance == 1e-10
+
+    def test_scaled_closed_form_energy_fails_only_its_row(self, ref_eos, domain):
+        # e scaled by 1 + 1e-8 (e_rho and e_theta kept): only the new row sees it
+        class ScaledEnergy(type(ref_eos)):
+            def e(self, rho, theta):
+                return (1.0 + 1e-8) * super().e(rho, theta)
+
+        eos = ScaledEnergy(**{f.name: getattr(ref_eos, f.name)
+                              for f in dataclasses.fields(ref_eos)})
+        report = verify_hypotheses(eos, domain, 20)
+        failed = [c.name for c in report.checks if not c.passed]
+        assert failed == ["relation e = psi - theta psi_theta"]
 
     def test_rejects_bad_sample_count(self, ref_eos, domain):
         with pytest.raises(ValueError):
