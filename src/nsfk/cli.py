@@ -41,7 +41,7 @@ _configure_threads()
 import numpy as np  # noqa: E402  (after thread setup)
 
 from . import __version__  # noqa: E402
-from .reports import Check, CheckReport, fmt, write_csv  # noqa: E402
+from .reports import Check, CheckReport, check_columns, fmt, write_csv  # noqa: E402
 
 
 class ConfigError(ValueError):
@@ -236,17 +236,14 @@ class Report:
                 lines.append(f"  {k} = {fmt(self.constants[k])}")
         return "\n".join(lines) + "\n"
 
-    def summary_rows(self) -> list[dict]:
-        return [dict(row, config_hash=self.config_hash, version=__version__)
-                for s in self.sections for row in s.rows()]
-
     def write(self, out_dir: Path, quiet: bool) -> None:
         text = self.to_text()
         (out_dir / "report.txt").write_text(text)
+        columns = check_columns(self.sections)
+        rows = len(columns["check"])
         write_csv(out_dir / "summary.csv",
-                  ["report", "check", "passed", "observed", "tolerance", "detail",
-                   "config_hash", "version"],
-                  self.summary_rows())
+                  {**columns, "config_hash": [self.config_hash] * rows,
+                   "version": [__version__] * rows})
         if not quiet:
             sys.stdout.write(text)
 
@@ -280,9 +277,7 @@ def cmd_verify_thermo(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
     report = Report("verify-thermo", cfg.config_hash, cfg.seed,
                     sections=[rep_h, rep_p])
-    write_csv(out_dir / "thermo_checks.csv",
-              ["report", "check", "passed", "observed", "tolerance", "detail"],
-              rep_h.rows() + rep_p.rows())
+    write_csv(out_dir / "thermo_checks.csv", check_columns([rep_h, rep_p]))
     report.write(out_dir, quiet)
     return 0 if report.passed else 1
 
@@ -390,17 +385,16 @@ def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     pred = (-spect.c0 * np.abs(spect.xi) ** (2 * spect.p)
             / (1 + spect.xi ** 2) ** spect.q
             if spect.strictly_dissipative else np.full_like(spect.xi, np.nan))
-    write_csv(out_dir / "sigma.csv", ["xi", "sigma", "predicted_bound"],
-              [{"xi": float(x), "sigma": float(s), "predicted_bound": float(p)}
-               for x, s, p in zip(spect.xi, spect.sigma, pred)])
+    write_csv(out_dir / "sigma.csv",
+              {"xi": spect.xi, "sigma": spect.sigma, "predicted_bound": pred})
     tracks_xi = np.linspace(-cert_max, cert_max, min(cert_n, 2001))
     closed = dis.atilde_eigenvalues(coeffs, tracks_xi)
     tt = dis.transformed_triplet(coeffs)
     numeric = np.sort(np.linalg.eigvalsh(tt.atilde(tracks_xi)), axis=-1)
-    lams = [f"lam{i}_{kind}" for kind in ("closed", "numeric") for i in (1, 2, 3)]
-    write_csv(out_dir / "eigen_tracks.csv", ["xi", *lams],
-              [dict(zip(["xi", *lams], map(float, (x, *c, *n))))
-               for x, c, n in zip(tracks_xi, closed, numeric)])
+    lams = {f"lam{i + 1}_{kind}": values[:, i]
+            for kind, values in (("closed", closed), ("numeric", numeric))
+            for i in range(3)}
+    write_csv(out_dir / "eigen_tracks.csv", {"xi": tracks_xi, **lams})
 
     report = Report("analyze-symbol", cfg.config_hash, cfg.seed,
                     sections=sections, constants=constants)
@@ -460,9 +454,7 @@ def cmd_linear_decay(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
                    observed=fit.exponent, tolerance=bound,
                    detail=(f"residual {fit.residual:.3e}, window {fit.t_window}, "
                            f"xi = 0 share of the final norm^2 {fit.zero_share:.3g}"))
-    write_csv(out_dir / "decay.csv", ["t", "norm"],
-              [{"t": float(t), "norm": float(nm)}
-               for t, nm in zip(fit.times, fit.norms)])
+    write_csv(out_dir / "decay.csv", {"t": fit.times, "norm": fit.norms})
     report = Report("linear-decay", cfg.config_hash, cfg.seed, sections=[rep],
                     constants={"exponent": fit.exponent,
                                "amplitude": fit.amplitude,
@@ -525,7 +517,8 @@ def cmd_nonlinear_run(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
                          wrap_time=ledger.wrap_time,
                          max_n1=float(ledger.max_n1.max()))
     rep = CheckReport("nonlinear run", checks)
-    write_csv(out_dir / "ledger.csv", LEDGER_COLUMNS, ledger.rows())
+    write_csv(out_dir / "ledger.csv",
+              {name: getattr(ledger, name) for name in LEDGER_COLUMNS})
     report = Report("nonlinear-run", cfg.config_hash, cfg.seed, sections=[rep],
                     constants=constants)
     report.write(out_dir, quiet)

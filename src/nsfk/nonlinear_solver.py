@@ -28,16 +28,19 @@ field lies in the admissible set rho > 0, theta > 0, where the closure's
 logarithms are defined.  A diagnostics sample reads the same grid pass of the
 spectrum the stepper holds, so it costs one batched irfft and no forward
 transform.  The transforms read and write one set of buffers held by the
-grid (``SpectralGrid.workspace``), and the stepper's stages live in buffers
-it allocates once: a step allocates only the closure's elementwise
-temporaries.
+grid (``SpectralGrid.workspace``); the primitive rates are formed in place
+on its spent rows, reading the closure's Jacobian entries where the closure
+pass left them.  The stepper's stages live in buffers it allocates once: a
+step allocates only the closure's elementwise temporaries.
 
 The stepper is an integrating-factor RK4 (Lawson scheme; see
 Cox & Matthews, J. Comput. Phys. 176 (2002) and Kassam & Trefethen, SIAM J.
 Sci. Comput. 26 (2005) for the exponential-integrator family): the
 constant-coefficient linearization is applied exactly per Fourier mode, which
 removes the third-order dispersive stiffness (dt ~ dx^3 for explicit
-stepping).
+stepping).  It keeps one integrating factor, the half step's
+exp(-dt/2 M(i k)), and applies the full step's as two half steps, so a step
+makes 8 per-mode 3x3 products: 4 with that factor and 4 with the generators.
 
 The primitive-variable time derivative is recovered from the conserved-
 variable one through the (lower-triangular, always invertible) Jacobian of
@@ -110,8 +113,6 @@ class _RhsWorkspace:
         self.rate = np.empty((4, n))
         # the three fluxes; rows 0 and 1 then hold (u_t, theta_t)
         self.flux = np.empty((3, n))
-        # the entries a31, a33, b31 of D_U F0 and D_Ux F0
-        self.jac = np.empty((3, n))
         self.flux_hat = np.empty((3, bins), dtype=complex)
 
 
@@ -214,8 +215,8 @@ def _grid_pass(grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
     (rho, u, theta, rho_x, u_x, theta_x, rho_xx), which the next grid pass or
     ``rhs`` on this grid overwrites.
 
-    Every pass checks the field on the block: every value of its first
-    three rows finite, rho > 0 and theta > 0.  When that fails,
+    Every pass checks the field on the block: the sum of its first three
+    rows finite, rho > 0 and theta > 0.  When that fails,
     ``StateField.validate`` names the condition and raises ``StepRejected``.
     """
     m, ws = grid.modes, grid.workspace
@@ -225,7 +226,9 @@ def _grid_pass(grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
     np.multiply(ik, fh, out=spec[3:6, :m])
     np.multiply(ik, spec[3, :m], out=spec[6, :m])
     rows = np.fft.irfft(spec, n=grid.n, out=ws.grad)
-    if not (np.isfinite(rows[:3]).all() and rows[0].min() > 0.0
+    # the sum is finite only if every value is (or it overflows, and then
+    # validate finds nothing to reject)
+    if not (np.isfinite(rows[:3].sum()) and rows[0].min() > 0.0
             and rows[2].min() > 0.0):
         StateField(grid, *rows[:3]).validate()
     return rows
@@ -249,12 +252,13 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
 
     The field is checked in the grid pass, right after the first transform
     and before the closure reads it; a field outside the admissible
-    set rho > 0, theta > 0 raises ``StepRejected`` (see ``_grid_pass``).  A
-    closure entry that is the scalar 0.0 (b31 at kappa = 0) is broadcast
-    into the workspace.  The transforms read and write ``grid.workspace``,
-    so ``rhs`` is not re-entrant on one grid: two threads must not evaluate
-    it on the same ``SpectralGrid`` at once.  At a constant field the result
-    is identically zero.
+    set rho > 0, theta > 0 raises ``StepRejected`` (see ``_grid_pass``).
+    The rates are formed in place on the spent rate rows, and a term whose
+    closure entry is the scalar 0.0 (b31 at kappa = 0) is left out.  The
+    transforms read and write ``grid.workspace``, so ``rhs`` is not
+    re-entrant on one grid: two threads must not evaluate it on the same
+    ``SpectralGrid`` at once.  At a constant field the result is
+    identically zero.
     """
     m, ws = grid.modes, grid.workspace
     ik = grid.ik[:m]
@@ -262,9 +266,8 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
 
     c = sym._closure(eos, rho, u, theta, rho_x, u_x, theta_x)
     sym._total_flux(c, rho, u, rho_xx, u_x, theta_x, out=ws.flux)
-    a31, a33, b31 = ws.jac
-    a31[:], a33[:], b31[:] = c.a31, c.a33, c.b31
-    del c                          # its arrays are spent before the transforms
+    a31, a33, b31 = c.a31, c.a33, c.b31
+    del c                          # its other arrays are spent before the transforms
     # spectra of the conservation-law right sides dx(flux); the first is rho_t
     flux_hat = np.fft.rfft(ws.flux, out=ws.flux_hat)
     rates = ws.rate_hat
@@ -273,9 +276,18 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
     np.multiply(flux_hat[1:, :m], ik, out=rates[2:, :m])
     rho_t, rho_xt, r2, r3 = np.fft.irfft(rates, n=grid.n, out=ws.rate)
 
+    # u_t = (r2 - u rho_t) / rho and
+    # theta_t = (r3 - b31 rho_xt - a31 rho_t - u (r2 - u rho_t)) / a33,
+    # where u (r2 - u rho_t) = rho u u_t; the spent rows take the terms
     u_t, theta_t = ws.flux[:2]                       # the fluxes are spent
-    np.divide(r2 - u * rho_t, rho, out=u_t)
-    np.divide(r3 - b31 * rho_xt - a31 * rho_t - rho * u * u_t, a33, out=theta_t)
+    r2 -= np.multiply(u, rho_t, out=u_t)             # r2 = rho u_t
+    np.divide(r2, rho, out=u_t)
+    if not sym._zero(b31):
+        r3 -= np.multiply(b31, rho_xt, out=theta_t)
+    r3 -= np.multiply(a31, rho_t, out=rho_xt)
+    r2 *= u
+    r3 -= r2
+    np.divide(r3, a33, out=theta_t)
     if out is None:
         out = np.empty((3, m), dtype=complex)
     out[0] = rates[0, :m]
@@ -287,16 +299,19 @@ class IntegratingFactorRK4:
     """Lawson RK4: constant-coefficient linear part exact per Fourier mode.
 
     The per-mode linearization around the equilibrium state equals the
-    symbol -M(i k) of the perturbation system, so the integrating factors
-    exp(-h M(i k)) are assembled once from the symbol machinery.  The
+    symbol -M(i k) of the perturbation system, so the integrating factor
+    exp(-h M(i k)) is assembled once from the symbol machinery.  The
     nonlinear remainder (full right side minus the linearization) is the
     only term advanced by quadrature, which removes the dispersive dt ~ dx^3
     restriction of fully explicit stepping.  ``step`` advances the retained
     (3, n//3 + 1) spectrum of U - Ubar (``pack``), whose roundoff stays at
-    the scale of the perturbation; ``generators``, ``e_full`` and ``e_half``
-    are (3, 3, n//3 + 1), column index first: the modes the 2/3 rule
-    removes are never stored.  The stage inputs, the stage rates and the
-    per-mode products are written into six (3, n//3 + 1) buffers
+    the scale of the perturbation.  The only integrating factor kept is the
+    half-step one, ``e_half`` = exp(-dt/2 M): the full step's is its square,
+    and ``step`` applies it as two half steps.  ``generators`` and
+    ``e_half`` are (3, 3, n//3 + 1), column index first: the modes the 2/3
+    rule removes are never stored.  A step makes 8 per-mode products, 4 with
+    ``e_half`` and 4 with the generators.  The stage inputs, the stage rates
+    and the per-mode products are written into six (3, n//3 + 1) buffers
     allocated here, and ``rhs`` into the grid's workspace, so like ``rhs``
     a stepper is not re-entrant.
     """
@@ -311,18 +326,19 @@ class IntegratingFactorRK4:
         self.ubar = np.array([float(np.asarray(equilibrium.rho)),
                               float(np.asarray(equilibrium.u)),
                               float(np.asarray(equilibrium.theta))])
+        # the mode-0 sum of Ubar, which turns the spectrum of U - Ubar into
+        # the field spectrum that rhs takes
+        self._shift = grid.n * self.ubar
         coeffs = equilibrium_coefficients(eos, equilibrium)
         gen = evolution_symbol(coeffs, grid.k[:grid.modes])   # (modes, 3, 3)
         # kept as (3, 3, modes) with the column index first, the layout
         # _apply takes: [j, i, k] holds entry (i, j) of mode k
-        self.generators, self.e_full, self.e_half = (
+        self.generators, self.e_half = (
             np.ascontiguousarray(a.transpose(2, 1, 0))
-            for a in (gen, matrix_exponentials(gen, self.dt),
-                      matrix_exponentials(gen, 0.5 * self.dt)))
-        # the stage rates n1, n2 and n3 (n4 reuses n3), e_half u0 (then
-        # e_full u0), the stage input and the scratch of _apply, which rhs
-        # also writes
-        self._n1, self._n2, self._n3, self._v, self._x, self._tmp = np.zeros(
+            for a in (gen, matrix_exponentials(gen, 0.5 * self.dt)))
+        # the stage rates, e_half u0, e_half n1, the stage input and the
+        # scratch of _apply, which rhs also writes
+        self._a, self._b, self._c, self._v, self._x, self._tmp = np.zeros(
             (6, 3, grid.modes), dtype=complex)
 
     def pack(self, f: StateField) -> np.ndarray:
@@ -342,57 +358,63 @@ class IntegratingFactorRK4:
             out += np.multiply(e[j], v[j], out=self._tmp)
         return out
 
-    def _nonlinear(self, out: np.ndarray) -> np.ndarray:
+    def _nonlinear(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Full right side minus the linear part (-M x) at the stage input x.
 
-        x is the spectrum of U - Ubar in ``self._x``, which this consumes:
-        its mode 0 is shifted by the mode-0 sum of Ubar to give the field
-        ``rhs`` takes, and ``rhs`` checks that field in its grid pass.
+        x is the spectrum of U - Ubar, which this consumes: its mode 0 is
+        shifted by the mode-0 sum of Ubar to give the field ``rhs`` takes,
+        and ``rhs`` checks that field in its grid pass.  ``out`` must not
+        be ``x``.
         """
-        x = self._x
         self._apply(self.generators, x, out)
-        x[:, 0] += self.grid.n * self.ubar
+        x[:, 0] += self._shift
         out += rhs(self.eos, self.grid, x, out=self._tmp)
         return out
 
     def step(self, uh: np.ndarray) -> np.ndarray:
         """Advance the spectrum ``uh`` of U - Ubar by dt in place and return it.
 
+        With E = ``e_half``, v = E u0 and b = E n1, the Lawson RK4 step
+
+            u1 = E^2 u0 + dt/6 (E^2 n1 + 2 E (n2 + n3) + n4)
+
+        is formed as E (v + dt/6 b + dt/3 (n2 + n3)) + dt/6 n4, with the
+        stage inputs v + dt/2 b, v + dt/2 n2 and E (v + dt n3).
+
         Every stage input, the field of ``uh`` included, is checked against
         the admissible set rho > 0, theta > 0 in the grid pass of its
         ``rhs``, after its transform to the grid and before the closure
         reads it.  The result is not checked here: the next step
-        does it, or the grid pass of a sample.  A rejected step leaves
-        ``uh`` unchanged.
+        does it, or the grid pass of a sample.  ``uh`` is written only
+        after the fourth stage, so a rejected step leaves it unchanged.
         """
-        dt, e1, e2 = self.dt, self.e_full, self.e_half
-        n1, n2, n3, v, x = self._n1, self._n2, self._n3, self._v, self._x
+        dt, e = self.dt, self.e_half
+        a, b, c, v, x = self._a, self._b, self._c, self._v, self._x
         np.copyto(x, uh)
-        self._nonlinear(n1)
-        self._apply(e2, uh, v)                  # v = e2 u0
+        n1 = self._nonlinear(x, a)
+        self._apply(e, uh, v)                   # v = E u0
+        self._apply(e, n1, b)                   # b = E n1; a is free
 
-        self._apply(e2, n1, x)                  # x = v + dt/2 e2 n1
-        x *= 0.5 * dt
+        np.multiply(b, 0.5 * dt, out=x)         # x = v + dt/2 b
         x += v
-        self._nonlinear(n2)
+        n2 = self._nonlinear(x, a)
         np.multiply(n2, 0.5 * dt, out=x)        # x = v + dt/2 n2
         x += v
-        self._nonlinear(n3)
-        e1u0 = self._apply(e1, uh, v)           # v is spent
-        self._apply(e2, n3, x)                  # x = e1 u0 + dt e2 n3
-        x *= dt
-        x += e1u0
-        n2 += n3                                # n3 is free for n4
-        n4 = self._nonlinear(n3)
+        n3 = self._nonlinear(x, c)
+        np.multiply(n3, dt, out=x)              # x = E (v + dt n3)
+        x += v
+        n2 += n3                                # c is free
+        n4 = self._nonlinear(self._apply(e, x, c), x)
 
-        # u1 = e1 u0 + dt/6 (e1 n1 + 2 e2 (n2 + n3) + n4)
-        self._apply(e1, n1, x)
-        e2n23 = self._apply(e2, n2, n1)         # n1 is spent
-        e2n23 *= 2.0
-        x += e2n23
-        x += n4
-        x *= dt / 6.0
-        return np.add(e1u0, x, out=uh)
+        # u1 = E (v + dt/6 b + dt/3 (n2 + n3)) + dt/6 n4
+        b *= dt / 6.0
+        v += b
+        n2 *= dt / 3.0
+        v += n2
+        n4 *= dt / 6.0
+        self._apply(e, v, uh)
+        uh += n4
+        return uh
 
 
 @dataclass(frozen=True)
@@ -528,11 +550,6 @@ class DiagnosticsLedger:
         hi = self.wrap_time if t_max is None else min(t_max, self.wrap_time)
         return fit_power_law(1.0 + self.t, self.norm_u,
                              (1.0 + t_min, 1.0 + hi))
-
-    def rows(self) -> list[dict]:
-        """One dict per sample, keyed by ``LEDGER_COLUMNS``."""
-        series = zip(*(getattr(self, name) for name in LEDGER_COLUMNS))
-        return [dict(zip(LEDGER_COLUMNS, map(float, row))) for row in series]
 
 
 def _sample(eos, equilibrium, grid: SpectralGrid, fh: np.ndarray):

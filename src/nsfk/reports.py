@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 
 def fmt(x) -> str:
@@ -43,25 +45,36 @@ class CheckReport:
             lines.append(f"  [{status}] {c.name}: observed={fmt(c.observed)}{tol}{detail}")
         return "\n".join(lines)
 
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "report": self.title,
-                "check": c.name,
-                "passed": int(c.passed),
-                "observed": c.observed,
-                "tolerance": "" if c.tolerance is None else c.tolerance,
-                "detail": c.detail,
-            }
-            for c in self.checks
-        ]
+
+def check_columns(sections: Sequence[CheckReport]) -> dict[str, list]:
+    """The CSV columns of the checks of ``sections``, one row per check."""
+    checks = [(s.title, c) for s in sections for c in s.checks]
+    return {
+        "report": [title for title, _ in checks],
+        "check": [c.name for _, c in checks],
+        "passed": [int(c.passed) for _, c in checks],
+        "observed": [c.observed for _, c in checks],
+        "tolerance": ["" if c.tolerance is None else c.tolerance for _, c in checks],
+        "detail": [c.detail for _, c in checks],
+    }
 
 
-def write_csv(path, fieldnames: Iterable[str], rows: Iterable[dict]) -> None:
-    """Deterministic CSV writer; floats printed with 17 significant digits."""
+def _cells(column) -> list[str]:
+    """The formatted values of one column: a float array in one pass over
+    its ``tolist()``, anything else value by value with :func:`fmt`."""
+    if isinstance(column, np.ndarray) and column.dtype == float:
+        return list(map("{:.17g}".format, column.tolist()))
+    return list(map(fmt, column))
+
+
+def write_csv(path, columns: Mapping[str, Sequence]) -> None:
+    """Deterministic CSV writer; floats printed with 17 significant digits.
+
+    ``columns`` maps each field name, in order, to its column of values;
+    every column has one value per row.
+    """
+    cells = [_cells(col) for col in columns.values()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        fieldnames = list(fieldnames)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([fmt(row[k]) for k in fieldnames])
+        writer.writerow(list(columns))
+        writer.writerows(zip(*cells, strict=True))

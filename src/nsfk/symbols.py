@@ -132,6 +132,12 @@ def _closure(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x,
     for bit.  A constant kappa (``Coefficient.constant``) drops the terms of
     its partials; an entry with no term left, such as b31 or h at kappa = 0,
     is the scalar 0.0, and with e_rho = 0.0 as well a31 is energy itself.
+
+    g2 is the one entry that is not summed in full.  Its two kappa terms,
+    rho rho_x^2 k_rho / 2 and -k rho_x^2 / 2, cancel identically when
+    kappa_rho = kappa_theta = 0.0 (then k_rho = 2 kappa and k = 2 rho kappa),
+    so g2 is the scalar 0.0 and g3 = -h rho_x u_x.  Summed, they cancel bit
+    for bit at kappa = 1.0 and to roundoff at other constants.
     """
     kap = eos.kappa
     rx2 = rho_x ** 2
@@ -145,12 +151,15 @@ def _closure(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x,
         k_rho = 2.0 * kap_v
     if has_r:
         k_rho = k_rho + 2.0 * rho * kap_r if has_v else 2.0 * rho * kap_r
-    # g2 = rho rho_x^2 k_rho / 2 + rho rho_x theta_x k_theta - k rho_x^2 / 2
-    g2 = 0.5 * rho * rx2 * k_rho if has_v or has_r else 0.0
-    if has_t:
-        g2 = g2 + rho * rho_x * theta_x * (2.0 * rho * kap_t)
-    if has_v:
-        g2 = g2 - 0.5 * k * rx2
+    # g2 = rho rho_x^2 k_rho / 2 + rho rho_x theta_x k_theta - k rho_x^2 / 2;
+    # with kappa_rho = kappa_theta = 0 the first and last terms cancel
+    g2 = 0.0
+    if has_r or has_t:
+        g2 = 0.5 * rho * rx2 * k_rho if has_v or has_r else 0.0
+        if has_t:
+            g2 = g2 + rho * rho_x * theta_x * (2.0 * rho * kap_t)
+        if has_v:
+            g2 = g2 - 0.5 * k * rx2
     if has_t:
         m = kap_v - theta * kap_t if has_v else -(theta * kap_t)
     else:
@@ -185,9 +194,10 @@ def _closure(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x,
     a33 = rho * (e_theta - theta * kap_tt * rx2 if not _zero(kap_tt) else e_theta)
     del e_theta, kap_tt
     if has_v:
-        g3 = u * g2 - h * rho_x * u_x
+        w = h * rho_x * u_x                 # minus the interstitial work flux
+        g3 = -w if _zero(g2) else u * g2 - w
     else:
-        g3 = u * g2 if has_r or has_t else 0.0
+        g3 = 0.0 if _zero(g2) else u * g2
     return _Closure(energy=energy, p=p, mu=eos.mu(rho, theta),
                     alpha=eos.alpha(rho, theta), h=h, g2=g2, g3=g3,
                     a31=a31, a33=a33, b31=b31, s=s)
@@ -197,11 +207,14 @@ def _total_flux(c: _Closure, rho, u, rho_xx, u_x, theta_x, out: np.ndarray) -> n
     """Components of -F1 + G U_x + H U_xx + g~, whose x-derivative is F0_t.
 
     ``c`` is the closure pass at the same state; the three components are
-    written in place to the rows of ``out``, which is returned.  mu, alpha
-    and h are tested once per pass, like the factors of :func:`_closure`: a
-    term of ``c`` that is an exact scalar zero is not added, and a factor
-    1.0 is not multiplied.  Builds no (..., 3, 3) tensor, so it serves the
-    solver's hot path.
+    written in place to the rows of ``out``, which is returned.  The mass
+    row -rho u is formed first, and the other two rows start from it:
+    -(rho u^2 + p) = (-rho u) u - p and
+    -(rho u (epsilon + u^2/2) + p u) = (-rho u)(epsilon + u^2/2) - p u.
+    mu, alpha and h are tested once per pass, like the factors of
+    :func:`_closure`: a term of ``c`` that is an exact scalar zero is not
+    added, and a factor 1.0 is not multiplied.  Builds no (..., 3, 3)
+    tensor, so it serves the solver's hot path.
     """
     mu, h, alpha = c.mu, c.h, c.alpha
     has_mu, has_h = not _zero(mu), not _zero(h)
@@ -216,19 +229,15 @@ def _total_flux(c: _Closure, rho, u, rho_xx, u_x, theta_x, out: np.ndarray) -> n
     np.negative(rho, out=mass)
     mass *= u
     # -(rho u^2 + p) + stress + g2
-    np.square(u, out=momentum)
-    momentum *= rho
-    momentum += c.p
-    np.negative(momentum, out=momentum)
+    np.multiply(mass, u, out=momentum)
+    momentum -= c.p
     if has_mu or has_h:
         momentum += stress
     if not _zero(c.g2):
         momentum += c.g2
     # -(rho u (epsilon + u^2/2) + p u) + alpha theta_x + u stress + g3
-    np.multiply(rho, u, out=energy)
-    energy *= c.energy
-    energy += c.p * u
-    np.negative(energy, out=energy)
+    np.multiply(mass, c.energy, out=energy)
+    energy -= c.p * u
     if not _zero(alpha):
         energy += theta_x if _unit(alpha) else alpha * theta_x
     if has_mu or has_h:

@@ -9,10 +9,11 @@ standard potentials derive from ``psi``::
     e   = psi - theta psi_theta  (standard internal energy)
     eta = -psi_theta             (standard specific entropy)
 
-A closure may state e, e_rho and e_theta in closed form instead: the ideal
-gas of ``ideal_gas_eos`` has e = c_v theta, e_rho = 0 and e_theta = c_v, so
-the solver's closure pass takes no logarithm.  ``verify_hypotheses`` checks
-e against psi - theta psi_theta and e_rho, e_theta against p and eta.
+A closure may state p, e, e_rho and e_theta in closed form instead: the
+ideal gas of ``ideal_gas_eos`` has p = R rho theta, e = c_v theta, e_rho = 0
+and e_theta = c_v, so the solver's closure pass reads no psi partial.
+``verify_hypotheses`` checks p against rho^2 psi_rho, e against
+psi - theta psi_theta and e_rho, e_theta against psi and eta.
 
 The gradient-dependent (non-standard) potentials carry the capillary energy
 of density variations::
@@ -141,9 +142,9 @@ class State:
 class EquationOfState:
     """Full thermodynamic closure (psi, kappa, mu, alpha) with derived potentials.
 
-    e, e_rho and e_theta are formed from psi here.  A subclass that states
-    them in closed form overrides the three and ``potentials``, the one call
-    through which the solver reads them (see ``ideal_gas_eos``).
+    p, e, e_rho and e_theta are formed from psi here.  A subclass that
+    states them in closed form overrides them and ``potentials``, the one
+    call through which the solver reads them (see ``ideal_gas_eos``).
     """
 
     psi: Coefficient
@@ -268,13 +269,19 @@ class EquationOfState:
 
 @dataclass(frozen=True)
 class _IdealGas(EquationOfState):
-    """Polytropic gas: e = c_v theta, e_rho = 0 and e_theta = c_v in closed form.
+    """Polytropic gas: p = R rho theta, e = c_v theta, e_rho = 0 and
+    e_theta = c_v in closed form.
 
     e_rho and e_theta are the exact scalars 0.0 and c_v, which the solver's
     closure pass reads as "no term" and as a constant factor.
     """
 
+    R: float
     cv: float
+
+    def p(self, rho, theta):
+        """Pressure p = R rho theta."""
+        return self.R * np.asarray(rho, dtype=float) * np.asarray(theta, dtype=float)
 
     def e(self, rho, theta):
         """Standard internal energy e = c_v theta."""
@@ -287,7 +294,7 @@ class _IdealGas(EquationOfState):
         return self.cv
 
     def potentials(self, rho, theta, entropy: bool = False):
-        """(p, e, e_rho, e_theta, eta), each from its method: only p and eta read psi."""
+        """(p, e, e_rho, e_theta, eta), each from its method: only eta reads psi."""
         return (self.p(rho, theta), self.e(rho, theta), self.e_rho(rho, theta),
                 self.e_theta(rho, theta), self.eta(rho, theta) if entropy else None)
 
@@ -297,13 +304,13 @@ def ideal_gas_eos(R: float, gamma: float, kappa0: float,
     """Polytropic ideal-gas closure with constant transport coefficients.
 
     psi(rho, theta) = R theta (log rho - log(theta)/(gamma-1)), giving
-    p = R rho theta and e = c_v theta, c_v = R / (gamma - 1).  e, e_rho = 0
-    and e_theta = c_v are stated in closed form, so they take no logarithm;
-    ``verify_hypotheses`` checks them against psi.  kappa, mu, alpha are
-    constants.  kappa0 = 0 selects the capillarity-free
-    (classical Navier-Stokes-Fourier) sub-case; mu0 = alpha0 = 0 removes
-    dissipation entirely (useful as a negative control), so only
-    nonnegativity is enforced for those three.
+    p = R rho theta and e = c_v theta, c_v = R / (gamma - 1).  p, e,
+    e_rho = 0 and e_theta = c_v are stated in closed form, so they take no
+    logarithm and read no psi partial; ``verify_hypotheses`` checks them
+    against psi.  kappa, mu, alpha are constants.  kappa0 = 0 selects the
+    capillarity-free (classical Navier-Stokes-Fourier) sub-case;
+    mu0 = alpha0 = 0 removes dissipation entirely (useful as a negative
+    control), so only nonnegativity is enforced for those three.
     """
     if R <= 0:
         raise ValueError(f"gas constant must be positive, got R={R}")
@@ -344,6 +351,7 @@ def ideal_gas_eos(R: float, gamma: float, kappa0: float,
         kappa=Coefficient.constant(kappa0),
         mu=Coefficient.constant(mu0),
         alpha=Coefficient.constant(alpha0),
+        R=float(R),
         cv=cv,
     )
 
@@ -363,9 +371,10 @@ def verify_hypotheses(eos: EquationOfState, domain: Domain,
 
     Positivity conditions report the worst (smallest) sampled margin;
     compatibility relations between psi, p, e and eta report the largest
-    absolute residual; the first, e = psi - theta psi_theta, reads 0 unless
-    the closure states e in closed form.  Violations are reported, not
-    raised.
+    absolute residual.  The first two, p = rho^2 psi_rho and
+    e = psi - theta psi_theta, read 0 unless the closure states p or e in
+    closed form; the relation for e_rho reads p as rho^2 psi_rho, so each
+    closed form is checked by one row.  Violations are reported, not raised.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -394,13 +403,16 @@ def verify_hypotheses(eos: EquationOfState, domain: Domain,
     positivity("Weyl e_theta > 0", eos.e_theta(rho, theta))
 
     # compatibility of the derived potentials (consequences of the First Law);
-    # the first compares a closed-form e with its definition through psi
+    # the first two compare a closed-form p and e with their definitions
+    # through psi
+    p_psi = rho ** 2 * eos.psi.d_r(rho, theta)
+    res_p = eos.p(rho, theta) - p_psi
     res_f = eos.e(rho, theta) - (eos.psi(rho, theta) - theta * eos.psi.d_t(rho, theta))
-    res_e = eos.e_rho(rho, theta) - (eos.p(rho, theta)
-                                     - theta * eos.p_theta(rho, theta)) / rho ** 2
+    res_e = eos.e_rho(rho, theta) - (p_psi - theta * eos.p_theta(rho, theta)) / rho ** 2
     res_h = eos.eta_theta(rho, theta) - eos.e_theta(rho, theta) / theta
     res_r = eos.eta_rho(rho, theta) + eos.p_theta(rho, theta) / rho ** 2
-    for name, res in (("relation e = psi - theta psi_theta", res_f),
+    for name, res in (("relation p = rho^2 psi_rho", res_p),
+                      ("relation e = psi - theta psi_theta", res_f),
                       ("relation e_rho = (p - theta p_theta)/rho^2", res_e),
                       ("relation eta_theta = e_theta/theta", res_h),
                       ("relation eta_rho = -p_theta/rho^2", res_r)):

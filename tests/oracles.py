@@ -90,7 +90,8 @@ def total_flux(eos, rho, u, theta, rho_x, rho_xx, u_x, theta_x):
 
     G is ``cx.visc_matrix`` and H is :func:`capillarity_matrix`; their
     nonzero entries are summed in the solver's order, with
-    (G U_x + H U_xx)_3 = alpha theta_x + u (G U_x + H U_xx)_2, so the
+    (G U_x + H U_xx)_3 = alpha theta_x + u (G U_x + H U_xx)_2, and the
+    flux rows start from the mass row -rho u as the solver's do, so the
     result matches the solver's flux bit for bit.
     """
     state = State(rho, u, theta)
@@ -98,7 +99,8 @@ def total_flux(eos, rho, u, theta, rho_x, rho_xx, u_x, theta_x):
     g2, g3 = korteweg_entries(eos, rho, u, theta, rho_x, u_x, theta_x)
     eps, p = eos.epsilon(rho, theta, rho_x), eos.p(rho, theta)
     stress = G[..., 1, 1] * u_x + H[..., 1, 0] * rho_xx       # (G U_x + H U_xx)_2
-    return (-rho * u,
-            -(rho * u ** 2 + p) + stress + g2,
-            (-(rho * u * (eps + 0.5 * u ** 2) + p * u)
+    mass = -rho * u
+    return (mass,
+            mass * u - p + stress + g2,
+            (mass * (eps + 0.5 * u ** 2) - p * u
              + G[..., 2, 2] * theta_x + u * stress + g3))

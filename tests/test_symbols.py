@@ -10,7 +10,7 @@ from nsfk import symbols as sym
 from nsfk.fitting import fit_power_law
 from nsfk.thermo import Coefficient, EquationOfState, State, ideal_gas_eos
 from oracles import (capillarity_matrix, conserved_quantities, d_ux_F0, f1, grad, grad2,
-                     korteweg_entries, state_of)
+                     korteweg_entries, state_of, total_flux)
 
 interior = st.floats(min_value=0.4, max_value=2.2)
 velocity = st.floats(min_value=-1.5, max_value=1.5)
@@ -147,6 +147,25 @@ class TestKortewegStress:
         assert float(np.asarray(eos.k_rho(1.0, 1.0))) == pytest.approx(0.0, abs=1e-15)
         flux = closure_flux(eos, 1.0, 0.0, 1.0, rho_x=1.0, rho_xx=1.0)
         assert flux[1] + eos.p(1.0, 1.0) == pytest.approx(0.5, abs=1e-14)
+
+    def test_constant_kappa_g2_is_zero(self, rng):
+        # a constant kappa makes the two kappa terms of g2 cancel: the pass
+        # gives the scalar 0.0, and g3 = -h rho_x u_x.  Summed in full at
+        # kappa0 = 0.7 they leave roundoff, so the flux agrees with the
+        # oracles' to roundoff, not bit for bit
+        eos = ideal_gas_eos(1.0, 5.0 / 3.0, 0.7, 1.0, 1.0)
+        ext = random_extended(rng, 100)
+        args = (ext.rho, ext.u, ext.theta, ext.rho_x, ext.u_x, ext.theta_x)
+        c = sym._closure(eos, *args)
+        assert type(c.g2) is float and c.g2 == 0.0
+        g2, g3 = korteweg_entries(eos, *args)
+        assert 0.0 < np.abs(g2).max() <= 1e-14
+        assert np.array_equal(c.g3, -(c.h * ext.rho_x * ext.u_x))
+        got = sym._total_flux(c, ext.rho, ext.u, ext.rho_xx, ext.u_x, ext.theta_x,
+                              out=np.empty((3, 100)))
+        want = np.stack(total_flux(eos, ext.rho, ext.u, ext.theta, ext.rho_x,
+                                   ext.rho_xx, ext.u_x, ext.theta_x))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_work_flux_sign(self, ref_eos):
         plus = closure_flux(ref_eos, 1.0, 0.0, 1.0, rho_x=0.4, u_x=0.3)[2]

@@ -267,6 +267,30 @@ class TestVerifyHypotheses:
         failed = [c.name for c in report.checks if not c.passed]
         assert failed == ["relation e = psi - theta psi_theta"]
 
+    def test_pressure_row_checks_the_closed_form(self, ref_eos, domain):
+        # the ideal gas states p = R rho theta; derived from psi it reads 0
+        derived = EquationOfState(psi=ref_eos.psi, kappa=ref_eos.kappa,
+                                  mu=ref_eos.mu, alpha=ref_eos.alpha)
+        name = "relation p = rho^2 psi_rho"
+        rows = {eos: {c.name: c for c in verify_hypotheses(eos, domain, 20).checks}
+                for eos in (ref_eos, derived)}
+        assert rows[derived][name].observed == 0.0
+        assert 0.0 < rows[ref_eos][name].observed <= 1e-13
+        assert rows[ref_eos][name].tolerance == 1e-10
+
+    def test_scaled_closed_form_pressure_fails_only_its_row(self, ref_eos, domain):
+        # p scaled by 1 + 1e-8: the e_rho relation reads p through psi, so
+        # only the pressure row sees it
+        class ScaledPressure(type(ref_eos)):
+            def p(self, rho, theta):
+                return (1.0 + 1e-8) * super().p(rho, theta)
+
+        eos = ScaledPressure(**{f.name: getattr(ref_eos, f.name)
+                                for f in dataclasses.fields(ref_eos)})
+        report = verify_hypotheses(eos, domain, 20)
+        failed = [c.name for c in report.checks if not c.passed]
+        assert failed == ["relation p = rho^2 psi_rho"]
+
     def test_rejects_bad_sample_count(self, ref_eos, domain):
         with pytest.raises(ValueError):
             verify_hypotheses(ref_eos, domain, 0)
