@@ -27,10 +27,13 @@ multiples to the grid in one batched irfft of 7 rows, and the check that the
 field lies in the admissible set rho > 0, theta > 0, where the closure's
 logarithms are defined.  A diagnostics sample reads the same grid pass of the
 spectrum the stepper holds, so it costs one batched irfft and no forward
-transform.  The transforms read and write one set of buffers held by the
-grid (``SpectralGrid.workspace``); the primitive rates are formed in place
-on its spent rows, reading the closure's Jacobian entries where the closure
-pass left them.  The stepper's stages live in buffers it allocates once: a
+transform, and its closure pass holds every entry ``rhs`` reads: ``run``
+hands both to the next step, whose first ``rhs`` makes neither pass again.
+A step that follows a sample thus makes 15 transform calls, any other step
+16.  The transforms read and write one set of buffers held by the grid
+(``SpectralGrid.workspace``); the primitive rates are formed in place on its
+spent rows, reading the closure's Jacobian entries where the closure pass
+left them.  The stepper's stages live in buffers it allocates once: a
 step allocates only the closure's elementwise temporaries.
 
 The stepper is an integrating-factor RK4 (Lawson scheme; see
@@ -162,15 +165,9 @@ class SpectralGrid:
         """Transform buffers that every ``rhs`` and grid pass on this grid reuses."""
         return _RhsWorkspace(self.n)
 
-    def deriv(self, f: np.ndarray, order: int = 1, dealias: bool = False) -> np.ndarray:
-        fh = np.fft.rfft(f)
-        if dealias:
-            fh[self.modes:] = 0.0
-        return np.fft.irfft(self.ik ** order * fh, n=self.n)
-
     def integral(self, f: np.ndarray) -> float:
         """Exact quadrature of a band-limited periodic function."""
-        return float(np.sum(f) * self.dx)
+        return float(f.sum() * self.dx)
 
 
 @dataclass
@@ -235,7 +232,7 @@ def _grid_pass(grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
 
 
 def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
-        out: Optional[np.ndarray] = None) -> np.ndarray:
+        out: Optional[np.ndarray] = None, prior: Optional[tuple] = None) -> np.ndarray:
     """Spectrum of the primitive rates (rho_t, u_t, theta_t).
 
     ``fh`` is the retained (3, n//3 + 1) rfft of (rho, u, theta); the result
@@ -259,12 +256,25 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
     re-entrant on one grid: two threads must not evaluate it on the same
     ``SpectralGrid`` at once.  At a constant field the result is
     identically zero.
+
+    ``prior`` is the (spectrum, closure pass) pair of an earlier grid pass
+    on this grid, such as a sample's (see ``_sample``).  When its spectrum
+    equals ``fh`` and the workspace still holds a grid pass of ``fh``, the
+    call takes that pass and that closure pass in place of its own: it
+    makes three transform calls instead of four and does not check the
+    field again, which that pass did.  The rates are the same bit for bit:
+    a sample's ``symbols.flux_and_tensors`` holds the entries this closure
+    pass forms.  Otherwise ``prior`` is read only by the two comparisons.
     """
     m, ws = grid.modes, grid.workspace
     ik = grid.ik[:m]
-    rho, u, theta, rho_x, u_x, theta_x, rho_xx = _grid_pass(grid, fh)
-
-    c = sym._closure(eos, rho, u, theta, rho_x, u_x, theta_x)
+    if (prior is not None and np.array_equal(prior[0], fh)
+            and np.array_equal(ws.grad_hat[:3, :m], fh)):
+        rho, u, theta, rho_x, u_x, theta_x, rho_xx = ws.grad
+        c = prior[1]
+    else:
+        rho, u, theta, rho_x, u_x, theta_x, rho_xx = _grid_pass(grid, fh)
+        c = sym._closure(eos, rho, u, theta, rho_x, u_x, theta_x)
     sym._total_flux(c, rho, u, rho_xx, u_x, theta_x, out=ws.flux)
     a31, a33, b31 = c.a31, c.a33, c.b31
     del c                          # its other arrays are spent before the transforms
@@ -358,20 +368,21 @@ class IntegratingFactorRK4:
             out += np.multiply(e[j], v[j], out=self._tmp)
         return out
 
-    def _nonlinear(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _nonlinear(self, x: np.ndarray, out: np.ndarray,
+                   prior: Optional[tuple] = None) -> np.ndarray:
         """Full right side minus the linear part (-M x) at the stage input x.
 
         x is the spectrum of U - Ubar, which this consumes: its mode 0 is
         shifted by the mode-0 sum of Ubar to give the field ``rhs`` takes,
-        and ``rhs`` checks that field in its grid pass.  ``out`` must not
-        be ``x``.
+        and ``rhs`` checks that field in its grid pass, or takes the pass
+        ``prior`` made of it.  ``out`` must not be ``x``.
         """
         self._apply(self.generators, x, out)
         x[:, 0] += self._shift
-        out += rhs(self.eos, self.grid, x, out=self._tmp)
+        out += rhs(self.eos, self.grid, x, out=self._tmp, prior=prior)
         return out
 
-    def step(self, uh: np.ndarray) -> np.ndarray:
+    def step(self, uh: np.ndarray, prior: Optional[tuple] = None) -> np.ndarray:
         """Advance the spectrum ``uh`` of U - Ubar by dt in place and return it.
 
         With E = ``e_half``, v = E u0 and b = E n1, the Lawson RK4 step
@@ -384,14 +395,17 @@ class IntegratingFactorRK4:
         Every stage input, the field of ``uh`` included, is checked against
         the admissible set rho > 0, theta > 0 in the grid pass of its
         ``rhs``, after its transform to the grid and before the closure
-        reads it.  The result is not checked here: the next step
-        does it, or the grid pass of a sample.  ``uh`` is written only
-        after the fourth stage, so a rejected step leaves it unchanged.
+        reads it.  ``prior`` is the pass of a sample of ``uh`` (see
+        ``_sample``): stage 1's ``rhs`` takes it in place of its own grid
+        pass and closure pass when the grid's workspace still holds it, and
+        that pass checked the field.  The result is not checked here: the
+        next step does it, or the grid pass of a sample.  ``uh`` is written
+        only after the fourth stage, so a rejected step leaves it unchanged.
         """
         dt, e = self.dt, self.e_half
         a, b, c, v, x = self._a, self._b, self._c, self._v, self._x
         np.copyto(x, uh)
-        n1 = self._nonlinear(x, a)
+        n1 = self._nonlinear(x, a, prior)
         self._apply(e, uh, v)                   # v = E u0
         self._apply(e, n1, b)                   # b = E n1; a is free
 
@@ -456,14 +470,15 @@ def initial_field(grid: SpectralGrid, equilibrium: State,
     return StateField(grid, rho, u, theta)
 
 
-def _triple_norm(grid: SpectralGrid, v1: np.ndarray, v1_x: np.ndarray,
-                 v2: np.ndarray, v3: np.ndarray) -> float:
+def _triple_norm(grid: SpectralGrid, first: np.ndarray, v2: np.ndarray,
+                 v3: np.ndarray) -> float:
     """Discrete anisotropic norm: one extra derivative on the first component.
 
     sqrt( ||v1||^2 + ||v1_x||^2 + ||v2||^2 + ||v3||^2 ), the periodic
-    realization of the weighted modal energy used on the linear side.
+    realization of the weighted modal energy used on the linear side;
+    ``first`` is v1^2 + v1_x^2 on the grid.
     """
-    return float(np.sqrt(grid.integral(v1 ** 2 + v1_x ** 2 + v2 ** 2 + v3 ** 2)))
+    return float(np.sqrt(grid.integral(first + v2 ** 2 + v3 ** 2)))
 
 
 @dataclass
@@ -486,13 +501,14 @@ def w_diagnostics(eos: EquationOfState, equilibrium: State, grid: SpectralGrid,
     the spectrum ``rhs`` takes.  The field and its gradients come from the
     grid pass that ``rhs`` makes first (``_grid_pass``, one batched irfft,
     which checks that rho > 0 and theta > 0), and no other transform is
-    taken: w_0 = rho - rhobar exactly, so both triple norms read the
-    derivative of their first component from rho_x.  u_xx
-    and theta_xx are not needed (see ``symbols.nonlinear_terms``).  The
-    closure is evaluated once, in ``sym.flux_and_tensors``: W, the quadratic
-    terms and the normalizing scale max |F1| all read that pass, which the
-    result carries on for the ledger's integrals.  The result holds no view
-    of the grid's workspace, so a later ``rhs`` on the grid leaves it as it is.
+    taken: w_0 = rho - rhobar exactly, so both triple norms share the sum
+    (rho - rhobar)^2 + rho_x^2 of their first component.  u_xx and theta_xx
+    are not needed (see ``symbols.nonlinear_terms``).  The closure is
+    evaluated once, in ``sym.flux_and_tensors``: W, the quadratic terms and
+    the normalizing scale max |F1| all read that pass, which the result
+    carries on for the ledger's integrals and for the next step's first
+    ``rhs`` (see ``_sample``).  The result holds no view of the grid's
+    workspace, so a later ``rhs`` on the grid leaves it as it is.
     """
     rho, u, theta, rho_x, u_x, theta_x, rho_xx = _grid_pass(grid, fh)
     ext = ExtendedState(rho=rho, u=u, theta=theta, rho_x=rho_x, u_x=u_x,
@@ -500,10 +516,11 @@ def w_diagnostics(eos: EquationOfState, equilibrium: State, grid: SpectralGrid,
     t = sym.flux_and_tensors(eos, ext)
     w = sym.w_variables(eos, equilibrium, t).T        # (3, n)
     n_terms = sym.nonlinear_terms(eos, equilibrium, ext, t).T
-    norm_w = _triple_norm(grid, w[0], rho_x, w[1], w[2])
-    norm_u = _triple_norm(grid, rho - float(np.asarray(equilibrium.rho)), rho_x,
-                          u - float(np.asarray(equilibrium.u)),
-                          theta - float(np.asarray(equilibrium.theta)))
+    rhobar, ubar, thetabar = (float(np.asarray(v)) for v in (
+        equilibrium.rho, equilibrium.u, equilibrium.theta))
+    first = (rho - rhobar) ** 2 + rho_x ** 2
+    norm_w = _triple_norm(grid, first, w[1], w[2])
+    norm_u = _triple_norm(grid, first, u - ubar, theta - thetabar)
     ratio = norm_w / norm_u if norm_u > 0 else np.nan
     return WDiagnostics(w=w, norm_w=norm_w, norm_u=norm_u, ratio=ratio,
                         max_n1=float(np.abs(n_terms[0]).max()),
@@ -553,9 +570,15 @@ class DiagnosticsLedger:
 
 
 def _sample(eos, equilibrium, grid: SpectralGrid, fh: np.ndarray):
-    """Ledger values of the field whose retained spectrum is ``fh``, in the
-    order of ``LEDGER_COLUMNS[1:]``: the mass, momentum, energy and entropy
-    integrals of its closure pass and its ``w_diagnostics``."""
+    """Ledger values of the field whose retained spectrum is ``fh`` and the
+    pass that made them.
+
+    The values are in the order of ``LEDGER_COLUMNS[1:]``: the mass,
+    momentum, energy and entropy integrals of its closure pass and its
+    ``w_diagnostics``.  The pass is the pair (``fh``, closure pass): the
+    grid pass of ``fh`` stays in the grid's workspace until the next one,
+    so ``rhs`` of ``fh`` can take both as its ``prior``.
+    """
     diag = w_diagnostics(eos, equilibrium, grid, fh)
     t = diag.tensors
     mass, momentum, energy = t.F0.T
@@ -570,7 +593,7 @@ def _sample(eos, equilibrium, grid: SpectralGrid, fh: np.ndarray):
         diag.max_n1,
         diag.max_n,
         diag.nonlinear_scale,
-    )
+    ), (fh, t)
 
 
 def _whole_steps(t_final: float, dt: float) -> int:
@@ -613,11 +636,14 @@ def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec
     last.  Each ledger row, t = 0 included, is sampled from a copy of that
     spectrum whose mode 0 is shifted by the mode-0 sum n Ubar of the
     equilibrium, the field spectrum that ``rhs`` takes, through the same grid
-    pass as ``rhs``.  The admissible set is rho > 0, theta > 0, and every
-    grid pass checks it: each step's result is checked before anything reads
-    it, at a sample time in the sample's grid pass and otherwise inside the
-    next step, before its first closure evaluation.  The step checks each of
-    its stage inputs the same way.
+    pass as ``rhs``.  The sample's grid pass and closure pass are those of
+    the next step's first ``rhs``, which takes them (``step``'s ``prior``)
+    instead of evaluating the state again; the last sample hands nothing
+    on.  The admissible set is rho > 0, theta > 0, and every grid pass
+    checks it: each step's result is checked before anything reads it, at a
+    sample time in the sample's grid pass and otherwise inside the next
+    step, before its first closure evaluation.  The step checks each of its
+    stage inputs the same way.
     """
     if dt <= 0:
         raise ValueError("run requires dt > 0")
@@ -636,13 +662,16 @@ def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec
         fh[:, 0] += shift
         return _sample(eos, equilibrium, grid, fh)
 
-    records = [(0.0, *sample())]
+    row, prior = sample()
+    records = [(0.0, *row)]
     aborted = None
     for i in range(1, n_steps + 1):
         try:
-            stepper.step(uh)
+            stepper.step(uh, prior)
+            prior = None
             if i % sample_every == 0 or i == n_steps:
-                records.append((i * dt, *sample()))
+                row, prior = sample()
+                records.append((i * dt, *row))
         except StepRejected as exc:
             aborted = str(exc)
             break

@@ -21,8 +21,10 @@ satisfy a partially symmetric system
 with constant matrices A0, A1, B symmetric (A0 > 0, B >= 0) and a
 non-symmetric capillarity matrix C with single entry C[1,0] = k rho / theta.
 Over a sampled field ``flux_and_tensors`` reads that pass: its result (F0,
-F1, the nonzero entries of G, H, D_U F0 and D_Ux F0, g, and the entropy
-density) is what ``w_variables`` and ``nonlinear_terms`` take.
+F1, the entropy density and the pass's entries, among them the nonzero
+entries of G, H, D_U F0 and D_Ux F0 and g) is what ``w_variables`` and
+``nonlinear_terms`` take, and ``nonlinear_terms`` reads the solver's flux
+``_total_flux`` from it.
 Splitting the constant-coefficient symbol into odd and even parts yields
 
     A(xi) = A1 + xi^2 C,    B(xi) = xi^2 B,
@@ -203,10 +205,11 @@ def _closure(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x,
                     a31=a31, a33=a33, b31=b31, s=s)
 
 
-def _total_flux(c: _Closure, rho, u, rho_xx, u_x, theta_x, out: np.ndarray) -> np.ndarray:
+def _total_flux(c, rho, u, rho_xx, u_x, theta_x, out: np.ndarray) -> np.ndarray:
     """Components of -F1 + G U_x + H U_xx + g~, whose x-derivative is F0_t.
 
-    ``c`` is the closure pass at the same state; the three components are
+    ``c`` is the closure pass at the same state, a :class:`_Closure` or the
+    :class:`FluxTensors` that hold its entries; the three components are
     written in place to the rows of ``out``, which is returned.  The mass
     row -rho u is formed first, and the other two rows start from it:
     -(rho u^2 + p) = (-rho u) u - p and
@@ -250,19 +253,25 @@ def _total_flux(c: _Closure, rho, u, rho_xx, u_x, theta_x, out: np.ndarray) -> n
 class FluxTensors(NamedTuple):
     """What the W-system reads from the closure (see :func:`flux_and_tensors`).
 
+    Besides F0, F1 and the entropy density it holds every entry of the
+    closure pass but s, under the names of :func:`_closure`, so
+    :func:`_total_flux` and the solver's ``rhs`` read it as that pass.
     G(U) has nonzero entries only at (2,2) = mu, (3,2) = mu u and
-    (3,3) = alpha, H(U) only at (2,1) = h = k rho and (3,1) = h u.
-    D_U F0 = [[1, 0, 0], [u, rho, 0], [a31, rho u, a33]] (``cx.jac_f0``) and
-    D_Ux F0 has the single entry (3,1) = b31 = 2 rho m rho_x; all of these
-    entries are those of :func:`_closure`.
+    (3,3) = alpha, H(U) only at (2,1) = h = k rho and (3,1) = h u, and
+    g~ = (0, g2, g3).  D_U F0 = [[1, 0, 0], [u, rho, 0], [a31, rho u, a33]]
+    (``cx.jac_f0``) and D_Ux F0 has the single entry (3,1) = b31 =
+    2 rho m rho_x.
     """
 
     F0: np.ndarray
     F1: np.ndarray
+    energy: ArrayLike
+    p: ArrayLike
     mu: ArrayLike
     alpha: ArrayLike
     h: ArrayLike
-    gtilde: np.ndarray
+    g2: ArrayLike
+    g3: ArrayLike
     a31: ArrayLike
     a33: ArrayLike
     b31: ArrayLike
@@ -288,8 +297,9 @@ def _components_first(v: np.ndarray) -> np.ndarray:
 
 
 def _map(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """A constant (3, 3) ``matrix`` applied to (3, ...) rows: one matrix product."""
-    return (matrix @ rows.reshape(3, -1)).reshape(rows.shape)
+    """A constant (k, len(rows)) ``matrix`` applied to rows: one matrix product."""
+    return (matrix @ rows.reshape(len(rows), -1)).reshape(
+        (len(matrix),) + rows.shape[1:])
 
 
 def _column(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -302,10 +312,11 @@ def flux_and_tensors(eos: EquationOfState, ext: ExtendedState) -> FluxTensors:
 
     F0 = (rho, rho u, rho(epsilon + u^2/2)) and
     F1 = (rho u, rho u^2 + p, rho u (epsilon + u^2/2) + p u); the first
-    component of g is identically zero and g = O(|U_x|^2).  F0, F1 and g
-    are built as (3, ...) rows and returned as their (..., 3) views.  The
-    entropy density rho s is formed in this pass only: ``rhs`` does not read
-    it.
+    component of g is identically zero and g = O(|U_x|^2).  F0 and F1 are
+    built as (3, ...) rows and returned as their (..., 3) views.  The
+    entropy density rho s is formed in this pass only: ``rhs`` does not
+    read it.  The other entries are the pass's own, the ones ``rhs``
+    evaluates at the same state, bit for bit.
     """
     rho, u, theta, rho_x = (np.asarray(a, dtype=float)
                             for a in (ext.rho, ext.u, ext.theta, ext.rho_x))
@@ -315,30 +326,31 @@ def flux_and_tensors(eos: EquationOfState, ext: ExtendedState) -> FluxTensors:
         F0=_components_last(_rows(rho, rho_u, rho * c.energy)),
         F1=_components_last(_rows(rho_u, rho * u ** 2 + c.p,
                                   rho_u * c.energy + c.p * u)),
-        mu=c.mu, alpha=c.alpha, h=c.h,
-        gtilde=_components_last(_rows(0.0, c.g2, c.g3)),
+        energy=c.energy, p=c.p, mu=c.mu, alpha=c.alpha, h=c.h, g2=c.g2, g3=c.g3,
         a31=c.a31, a33=c.a33, b31=c.b31, entropy=rho * c.s)
 
 
 @dataclass(frozen=True)
 class _EquilibriumTerms:
-    """Constant matrices of :func:`w_variables` and :func:`nonlinear_terms`.
+    """Constant maps of :func:`w_variables` and :func:`nonlinear_terms`.
 
-    jac0_inv = (D_U f0(Ubar))^{-1}; flux_map and visc_map are Jf1bar and
-    Gbar each times jac0_inv.  cap_col = (0, hbar, hbar ubar) is the first
-    column of Hbar jac0_inv and its only nonzero one: Hbar's only nonzero
-    column is the first, and the first row of jac0_inv is (1, 0, 0).  L is
-    the symmetrizer and a0_diag the diagonal of A0.
+    jac0_inv = (D_U f0(Ubar))^{-1} and f0 = f0(Ubar) give W.  With
+    P = A0^{-1} L, the symmetrizer L = (D_U f0)^T (D_U Z) (D_U f0)^{-1} over
+    the diagonal A0, ``n_map`` is the (3, 10) block row
+
+        [P,  -P Gbar jac0_inv,  -P (0, hbar, hbar ubar),  P Jf1bar jac0_inv]
+
+    and ``n_const`` = P (f1bar - Jf1bar jac0_inv f0bar): N is ``n_map``
+    applied to the rows (TF, D_U F0 U_x + D_Ux F0 U_xx, rho_xx, F0), plus
+    ``n_const``.  (0, hbar, hbar ubar) is the first column of
+    Hbar jac0_inv and its only nonzero one: Hbar's only nonzero column is
+    the first, and the first row of jac0_inv is (1, 0, 0).
     """
 
     jac0_inv: np.ndarray
     f0: np.ndarray
-    f1: np.ndarray
-    flux_map: np.ndarray
-    visc_map: np.ndarray
-    cap_col: np.ndarray
-    L: np.ndarray
-    a0_diag: np.ndarray
+    n_map: np.ndarray
+    n_const: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -349,14 +361,13 @@ def _equilibrium_terms_at(eos: EquationOfState, rho: float, u: float,
     jac0_inv = cx.jac_f0_inv(eos, ubar)
     h = float(np.asarray(flux_and_tensors(eos, ExtendedState(rho, u, theta)).h))
     a0_bar, _, _ = cx.coefficient_matrices(eos, ubar)
-    return _EquilibriumTerms(
-        jac0_inv=jac0_inv, f0=cx.f0(eos, ubar), f1=cx.f1(eos, ubar),
-        flux_map=cx.jac_f1(eos, ubar) @ jac0_inv,
-        visc_map=cx.visc_matrix(eos, ubar) @ jac0_inv,
-        cap_col=np.array([0.0, h, h * u]),
-        # symmetrizing factor L = (D_U f0)^T (D_U Z) (D_U f0)^{-1}
-        L=jac0.T @ cx.jac_z(eos, ubar) @ jac0_inv,
-        a0_diag=np.stack([a0_bar[0, 0], a0_bar[1, 1], a0_bar[2, 2]]))
+    f0, f1 = cx.f0(eos, ubar), cx.f1(eos, ubar)
+    flux_map = cx.jac_f1(eos, ubar) @ jac0_inv
+    P = (jac0.T @ cx.jac_z(eos, ubar) @ jac0_inv) / np.diagonal(a0_bar)[:, None]
+    n_map = np.hstack([P, -P @ cx.visc_matrix(eos, ubar) @ jac0_inv,
+                       -(P @ [0.0, h, h * u])[:, None], P @ flux_map])
+    return _EquilibriumTerms(jac0_inv=jac0_inv, f0=f0, n_map=n_map,
+                             n_const=P @ (f1 - flux_map @ f0))
 
 
 def _equilibrium_terms(eos: EquationOfState, ubar: State) -> _EquilibriumTerms:
@@ -398,13 +409,20 @@ def nonlinear_terms(eos: EquationOfState, ubar: State, ext: ExtendedState,
     vanishes identically (continuity has no nonlinear remainder in these
     variables) and the whole term is O(|U - Ubar|^2 + |U_x|^2 + ...).
 
-    It is evaluated on (3, ...) rows and returned as their (..., 3) view:
-    G U_x, H U_xx and D_U F0 U_x + D_Ux F0 U_xx are formed from the few
-    nonzero entries of their matrices, all read from
-    ``tensors = flux_and_tensors(eos, ext)``; the closure is not evaluated
-    again.  Each constant equilibrium map, built once per (closure,
-    equilibrium) pair, is one (3, 3) matrix product: Jf1bar Jf0bar^{-1},
-    Gbar Jf0bar^{-1} (on the sum of its two arguments) and L.
+    The state-dependent parts are the solver's flux
+    TF = -F1 + G U_x + H U_xx + g~, written by :func:`_total_flux` (the
+    flux ``rhs`` differentiates) from ``tensors = flux_and_tensors(eos,
+    ext)``, D_U F0 U_x + D_Ux F0 U_xx from the few nonzero entries of those
+    matrices, rho_xx and F0; the closure is not evaluated again.  They fill
+    the rows of one (10, ...) array, and N is one (3, 10) matrix product
+    with it plus a constant (``_EquilibriumTerms``, built once per
+    (closure, equilibrium) pair):
+
+        N = P TF - P Gbar Jf0bar^{-1} (D_U F0 U_x + D_Ux F0 U_xx)
+            - P (0, hbar, hbar ubar) rho_xx + P Jf1bar Jf0bar^{-1} F0
+            + P (f1bar - Jf1bar Jf0bar^{-1} f0bar),    P = A0^{-1} L.
+
+    N is returned as the (..., 3) view of its (3, ...) rows.
 
     u_xx and theta_xx are not read.  Hbar Jf0bar^{-1} has zero second and
     third columns (Hbar's only nonzero column is the first, and the first
@@ -424,24 +442,17 @@ def nonlinear_terms(eos: EquationOfState, ubar: State, ext: ExtendedState,
     rho, u, rho_x, u_x, theta_x, rho_xx = (
         np.asarray(a, dtype=float) for a in (
             ext.rho, ext.u, ext.rho_x, ext.u_x, ext.theta_x, ext.rho_xx))
-    F0, F1, gtilde = (_components_first(a) for a in (t.F0, t.F1, t.gtilde))
-
-    stress = t.mu * u_x + t.h * rho_xx                 # (G U_x + H U_xx)_2
-    # G U_x + H U_xx + g~; the first component of g~ is identically zero
-    local = _rows(0.0, stress + gtilde[1],
-                  u * stress + t.alpha * theta_x + gtilde[2])
-    # D_U F0 U_x + D_Ux F0 U_xx, the argument of Gbar Jf0bar^{-1}
-    grads = _rows(rho_x, u * rho_x + rho * u_x,
-                  t.a31 * rho_x + rho * u * u_x + t.a33 * theta_x + t.b31 * rho_xx)
-
-    total = local - _map(c.visc_map, grads)
-    total -= _column(c.cap_col, total) * rho_xx
-    total -= F1
-    total += _column(c.f1, total)
-    total += _map(c.flux_map, F0 - _column(c.f0, F0))
-    n_tilde = _map(c.L, total)
-    # A0 is diagonal: divide componentwise
-    n_tilde /= _column(c.a0_diag, n_tilde)
+    F0 = _components_first(t.F0)
+    rows = np.empty((10,) + np.broadcast(F0[0], u_x, theta_x, rho_xx).shape)
+    _total_flux(t, rho, u, rho_xx, u_x, theta_x, out=rows[:3])
+    # D_U F0 U_x + D_Ux F0 U_xx
+    rows[3] = rho_x
+    rows[4] = u * rho_x + rho * u_x
+    rows[5] = t.a31 * rho_x + rho * u * u_x + t.a33 * theta_x + t.b31 * rho_xx
+    rows[6] = rho_xx
+    rows[7:] = F0
+    n_tilde = _map(c.n_map, rows)
+    n_tilde += _column(c.n_const, n_tilde)
     return _components_last(n_tilde)
 
 

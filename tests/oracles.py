@@ -27,6 +27,16 @@ def grad2(ext):
     return cx.vec3([ext.rho_xx, ext.u_xx, ext.theta_xx])
 
 
+def deriv(grid, f, order=1, dealias=False):
+    """The order-th spectral derivative of ``f`` on ``grid``, through one rfft
+    and one irfft of the whole spectrum; with ``dealias`` the 2/3 rule
+    removes the modes m > n//3 first."""
+    fh = np.fft.rfft(f)
+    if dealias:
+        fh[grid.modes:] = 0.0
+    return np.fft.irfft(grid.ik ** order * fh, n=grid.n)
+
+
 def spectrum(f):
     """Retained (3, n//3 + 1) rfft of (rho, u, theta), the field ``rhs`` takes."""
     fh = np.fft.rfft(np.stack([f.rho, f.u, f.theta]))
@@ -104,3 +114,22 @@ def total_flux(eos, rho, u, theta, rho_x, rho_xx, u_x, theta_x):
             mass * u - p + stress + g2,
             (mass * (eps + 0.5 * u ** 2) - p * u
              + G[..., 2, 2] * theta_x + u * stress + g3))
+
+
+def definitional_nonlinear_terms(eos, ubar, ext):
+    """``symbols.nonlinear_terms`` in its matrix form, every matrix rebuilt
+    from the oracles and ``convex_extension``."""
+    jac0, jac0_inv = cx.jac_f0(eos, ubar), cx.jac_f0_inv(eos, ubar)
+    g_bar, h_bar = cx.visc_matrix(eos, ubar), capillarity_matrix(eos, ubar)
+    L = jac0.T @ cx.jac_z(eos, ubar) @ jac0_inv
+    G, H = cx.visc_matrix(eos, state_of(ext)), capillarity_matrix(eos, state_of(ext))
+    dF0, dF0_inv = cx.jac_f0(eos, state_of(ext)), cx.jac_f0_inv(eos, state_of(ext))
+    r = -(f1(eos, ext) - cx.f1(eos, ubar)) + cx.mv(
+        cx.jac_f1(eos, ubar) @ jac0_inv, conserved_quantities(eos, ext) - cx.f0(eos, ubar))
+    r_visc = cx.mv((G @ dF0_inv - g_bar @ jac0_inv) @ dF0, grad(ext))
+    i1 = -cx.mv(g_bar @ jac0_inv, cx.mv(d_ux_F0(eos, ext), grad2(ext)))
+    i2 = cx.mv((H @ dF0_inv - h_bar @ jac0_inv) @ dF0, grad2(ext))
+    g2, g3 = korteweg_entries(eos, ext.rho, ext.u, ext.theta, ext.rho_x, ext.u_x,
+                              ext.theta_x)
+    a0 = cx.coefficient_matrices(eos, ubar)[0]
+    return cx.mv(L, r + r_visc + i1 + i2 + cx.vec3([0.0, g2, g3])) / np.diag(a0)

@@ -9,8 +9,9 @@ from nsfk import convex_extension as cx
 from nsfk import symbols as sym
 from nsfk.fitting import fit_power_law
 from nsfk.thermo import Coefficient, EquationOfState, State, ideal_gas_eos
-from oracles import (capillarity_matrix, conserved_quantities, d_ux_F0, f1, grad, grad2,
-                     korteweg_entries, state_of, total_flux)
+from oracles import (capillarity_matrix, conserved_quantities, d_ux_F0,
+                     definitional_nonlinear_terms, f1, korteweg_entries, state_of,
+                     total_flux)
 
 interior = st.floats(min_value=0.4, max_value=2.2)
 velocity = st.floats(min_value=-1.5, max_value=1.5)
@@ -69,7 +70,8 @@ class TestConservedQuantities:
 class TestFluxAndTensors:
     def test_gtilde_vanishes_without_gradients(self, ref_eos):
         ext = sym.ExtendedState(rho=1.2, u=0.7, theta=0.8)
-        assert np.all(sym.flux_and_tensors(ref_eos, ext).gtilde == 0.0)
+        t = sym.flux_and_tensors(ref_eos, ext)
+        assert t.g2 == 0.0 and t.g3 == 0.0
 
     def test_capillarity_tensor_structure(self, ref_eos):
         # H's only entries are (2,1) = k rho and (3,1) = k rho u
@@ -83,10 +85,9 @@ class TestFluxAndTensors:
         # u = 0 leaves only the interstitial-work term in the third slot
         ext = sym.ExtendedState(rho=1.1, u=0.0, theta=0.9,
                                 rho_x=0.5, u_x=0.3, theta_x=0.2)
-        gt = sym.flux_and_tensors(ref_eos, ext).gtilde
+        g3 = sym.flux_and_tensors(ref_eos, ext).g3
         k = float(np.asarray(ref_eos.k(1.1, 0.9)))
-        assert gt[0] == 0.0
-        assert gt[2] == pytest.approx(-1.1 * 0.5 * 0.3 * k, abs=1e-14)
+        assert g3 == pytest.approx(-1.1 * 0.5 * 0.3 * k, abs=1e-14)
 
     @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos",
                                          "rho_theta_kappa_eos"])
@@ -103,7 +104,7 @@ class TestFluxAndTensors:
         assert np.array_equal(H, capillarity_matrix(eos, state_of(ext)))
         g2, g3 = korteweg_entries(eos, ext.rho, ext.u, ext.theta, ext.rho_x,
                                   ext.u_x, ext.theta_x)
-        assert np.array_equal(t.gtilde, cx.vec3([0.0, g2, g3]))
+        assert np.array_equal(cx.vec3([0.0, t.g2, t.g3]), cx.vec3([0.0, g2, g3]))
 
     @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos",
                                          "rho_theta_kappa_eos"])
@@ -245,6 +246,18 @@ class TestNonlinearTerms:
         fit = fit_power_law(deltas, np.array(norms))
         assert 1.9 <= fit.exponent <= 2.1
 
+    def test_reads_the_solvers_flux_once(self, ref_eos, rng, monkeypatch):
+        # TF = -F1 + G U_x + H U_xx + g~ is the flux rhs differentiates,
+        # written once by symbols._total_flux
+        ext = random_extended(rng, 50)
+        tensors = sym.flux_and_tensors(ref_eos, ext)
+        calls = []
+        flux = sym._total_flux
+        monkeypatch.setattr(sym, "_total_flux",
+                            lambda *a, **kw: calls.append(1) or flux(*a, **kw))
+        sym.nonlinear_terms(ref_eos, State(1.2, 0.3, 0.9), ext, tensors)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
     def test_second_gradients_of_u_and_theta_are_not_read(self, request, closure, rng):
         # Hbar Jf0bar^{-1} D_U F0 U_xx = (0, hbar, hbar ubar) rho_xx (see
@@ -287,24 +300,6 @@ def w_variables(eos, ubar, ext):
 def nonlinear_terms(eos, ubar, ext):
     """sym.nonlinear_terms through the closure pass of ``ext``."""
     return sym.nonlinear_terms(eos, ubar, ext, sym.flux_and_tensors(eos, ext))
-
-
-def definitional_nonlinear_terms(eos, ubar, ext):
-    """nonlinear_terms in its matrix form, every matrix rebuilt from the oracles."""
-    jac0, jac0_inv = cx.jac_f0(eos, ubar), cx.jac_f0_inv(eos, ubar)
-    g_bar, h_bar = cx.visc_matrix(eos, ubar), capillarity_matrix(eos, ubar)
-    L = jac0.T @ cx.jac_z(eos, ubar) @ jac0_inv
-    G, H = cx.visc_matrix(eos, state_of(ext)), capillarity_matrix(eos, state_of(ext))
-    dF0, dF0_inv = cx.jac_f0(eos, state_of(ext)), cx.jac_f0_inv(eos, state_of(ext))
-    r = -(f1(eos, ext) - cx.f1(eos, ubar)) + cx.mv(
-        cx.jac_f1(eos, ubar) @ jac0_inv, conserved_quantities(eos, ext) - cx.f0(eos, ubar))
-    r_visc = cx.mv((G @ dF0_inv - g_bar @ jac0_inv) @ dF0, grad(ext))
-    i1 = -cx.mv(g_bar @ jac0_inv, cx.mv(d_ux_F0(eos, ext), grad2(ext)))
-    i2 = cx.mv((H @ dF0_inv - h_bar @ jac0_inv) @ dF0, grad2(ext))
-    g2, g3 = korteweg_entries(eos, ext.rho, ext.u, ext.theta, ext.rho_x, ext.u_x,
-                              ext.theta_x)
-    a0 = cx.coefficient_matrices(eos, ubar)[0]
-    return cx.mv(L, r + r_visc + i1 + i2 + cx.vec3([0.0, g2, g3])) / np.diag(a0)
 
 
 class TestEquilibriumCoefficients:
