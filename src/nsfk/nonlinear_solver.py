@@ -13,42 +13,48 @@ spatial derivatives are spectral; every flux is written in divergence form so
 the discrete mass, momentum and total-energy integrals are conserved up to
 time-integration error.  Products are dealiased with the 2/3 rule.
 
-The time stepper advances only the retained rfft coefficients m = 0..n//3 of
-U - Ubar = (rho, u, theta) - Ubar, a (3, n//3 + 1) spectrum: the 2/3 rule is
-a slice of each forward transform, and each inverse transform pads the
-spectrum with zeros.  ``run`` transforms the initial field once and keeps
-that spectrum from the first step to the last.  ``rhs`` maps the spectrum
-of the field to the spectrum of the rates with four batched transforms
-(seven fields and gradients back to the grid, the three fluxes forward, the
-four conservation-law rates back, the two primitive rates forward), so a
-step costs 4 transform calls per right-hand-side evaluation.  The first of
-them is the grid pass (``_grid_pass``): the retained spectrum and its ik
-multiples to the grid in one batched irfft of 7 rows, and the check that the
-field lies in the admissible set rho > 0, theta > 0, where the closure's
-logarithms are defined.  A diagnostics sample reads the same grid pass of the
-spectrum the stepper holds, so it costs one batched irfft and no forward
-transform, and its closure pass holds every entry ``rhs`` reads: ``run``
-hands both to the next step, whose first ``rhs`` makes neither pass again.
+The time stepper advances only the retained rfft coefficients, bins
+0..n//3, of V - Vbar, V = (rho, m, theta) with the momentum m = rho u, a
+(3, n//3 + 1) spectrum: the 2/3 rule is a slice of each forward transform, and each
+inverse transform pads the spectrum with zeros.  Density and momentum are
+two of the conserved quantities, so their rates are the derivatives of the
+mass flux -m and of the momentum flux: the mass rate -ik m needs no
+transform at all.  ``run`` transforms the initial field once and keeps that
+spectrum from the first step to the last.  ``rhs`` maps the spectrum of the
+field to the spectrum of the rates with four batched transforms of 13 rows
+in all (8 fields and gradients back to the grid, the momentum and energy
+fluxes forward, their 2 rates back, theta_t forward), so a step costs 4
+transform calls per right-hand-side evaluation.  The first of them is the
+grid pass (``_grid_pass``): the retained spectrum and its ik multiples to
+the grid in one batched irfft of 8 rows, the check that the field lies in
+the admissible set rho > 0, theta > 0, where the closure's logarithms are
+defined, and the velocity u = m / rho and its gradient.  A diagnostics
+sample reads the same grid pass of the spectrum the stepper holds, so it
+costs one batched irfft and no forward transform, and its closure pass holds
+every entry ``rhs`` reads, the flux included: ``run`` hands it to the next
+step, whose first ``rhs`` makes neither pass again and transforms 5 rows.
 A step that follows a sample thus makes 15 transform calls, any other step
 16.  The transforms read and write one set of buffers held by the grid
-(``SpectralGrid.workspace``); the primitive rates are formed in place on its
-spent rows, reading the closure's Jacobian entries where the closure pass
-left them.  The stepper's stages live in buffers it allocates once: a
-step allocates only the closure's elementwise temporaries.
+(``SpectralGrid.workspace``); theta_t is formed in place on its spent rows,
+reading the closure's Jacobian entries where the closure pass left them.
+The stepper's stages live in buffers it allocates once: a step allocates
+only the closure's elementwise temporaries.
 
 The stepper is an integrating-factor RK4 (Lawson scheme; see
 Cox & Matthews, J. Comput. Phys. 176 (2002) and Kassam & Trefethen, SIAM J.
 Sci. Comput. 26 (2005) for the exponential-integrator family): the
 constant-coefficient linearization is applied exactly per Fourier mode, which
 removes the third-order dispersive stiffness (dt ~ dx^3 for explicit
-stepping).  It keeps one integrating factor, the half step's
-exp(-dt/2 M(i k)), and applies the full step's as two half steps, so a step
-makes 8 per-mode 3x3 products: 4 with that factor and 4 with the generators.
+stepping); the symbol M(i k) is taken to V by the constant similarity
+T M T^-1, T = dV/dU at the equilibrium.  It keeps one integrating factor,
+the half step's exp(-dt/2 T M(i k) T^-1), and applies the full step's as
+two half steps, so a step makes 8 per-mode 3x3 products: 4 with that
+factor and 4 with the generators.
 
-The primitive-variable time derivative is recovered from the conserved-
-variable one through the (lower-triangular, always invertible) Jacobian of
-the conserved quantities, which carries a density-gradient dependence through
-the non-standard internal energy.
+theta_t is recovered from the energy rate through the last row of the
+(lower-triangular, always invertible) Jacobian of the conserved quantities,
+which carries a density-gradient dependence through the non-standard
+internal energy.
 """
 
 from __future__ import annotations
@@ -108,15 +114,16 @@ class _RhsWorkspace:
 
     def __init__(self, n: int):
         bins = n // 2 + 1
-        # rfft of (rho, u, theta, rho_x, u_x, theta_x, rho_xx) and the fields
-        self.grad_hat = np.zeros((7, bins), dtype=complex)
-        self.grad = np.empty((7, n))
-        # rfft of (rho_t, rho_xt, r2, r3) and the rates
-        self.rate_hat = np.zeros((4, bins), dtype=complex)
-        self.rate = np.empty((4, n))
-        # the three fluxes; rows 0 and 1 then hold (u_t, theta_t)
+        # rfft of (rho, m, theta, rho_x, m_x, theta_x, rho_xx, m_xx), and
+        # those fields followed by (u, u_x)
+        self.grad_hat = np.zeros((8, bins), dtype=complex)
+        self.grad = np.empty((10, n))
+        # rfft of the momentum and energy rates (r2, r3) and the rates
+        self.rate_hat = np.zeros((2, bins), dtype=complex)
+        self.rate = np.empty((2, n))
+        # the three fluxes; row 0 then holds theta_t
         self.flux = np.empty((3, n))
-        self.flux_hat = np.empty((3, bins), dtype=complex)
+        self.flux_hat = np.empty((2, bins), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -206,52 +213,65 @@ class StateField:
 def _grid_pass(grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
     """The field of the retained spectrum ``fh`` and its gradients on the grid.
 
-    ``fh`` is the retained (3, n//3 + 1) rfft of (rho, u, theta).  It and
-    its ik multiples are written to ``grid.workspace`` and taken to the grid
-    in one batched irfft; the result is the workspace's (7, n) block of rows
-    (rho, u, theta, rho_x, u_x, theta_x, rho_xx), which the next grid pass or
-    ``rhs`` on this grid overwrites.
+    ``fh`` is the retained (3, n//3 + 1) rfft of (rho, m, theta), m = rho u.
+    It and its ik multiples are written to ``grid.workspace`` and taken to
+    the grid in one batched irfft of 8 rows; the result is the workspace's
+    (10, n) block of rows (rho, m, theta, rho_x, m_x, theta_x, rho_xx, m_xx,
+    u, u_x), which the next grid pass or ``rhs`` on this grid overwrites.
 
-    Every pass checks the field on the block: the sum of its first three
-    rows finite, rho > 0 and theta > 0.  When that fails,
-    ``StateField.validate`` names the condition and raises ``StepRejected``.
+    Every pass checks the field on the block, before u = m / rho and
+    u_x = (m_x - u rho_x) / rho are formed: the sum of its first three rows
+    finite, rho > 0 and theta > 0.  When that fails, ``StateField.validate``
+    names the condition and raises ``StepRejected`` (a momentum that is not
+    finite is named as u).
     """
     m, ws = grid.modes, grid.workspace
     ik = grid.ik[:m]
     spec = ws.grad_hat
     spec[:3, :m] = fh
     np.multiply(ik, fh, out=spec[3:6, :m])
-    np.multiply(ik, spec[3, :m], out=spec[6, :m])
-    rows = np.fft.irfft(spec, n=grid.n, out=ws.grad)
+    np.multiply(ik, spec[3:5, :m], out=spec[6:, :m])
+    rows = ws.grad
+    np.fft.irfft(spec, n=grid.n, out=rows[:8])
     # the sum is finite only if every value is (or it overflows, and then
     # validate finds nothing to reject)
     if not (np.isfinite(rows[:3].sum()) and rows[0].min() > 0.0
             and rows[2].min() > 0.0):
         StateField(grid, *rows[:3]).validate()
+    rho, mom, _, rho_x, mom_x, _, _, _, u, u_x = rows
+    np.divide(mom, rho, out=u)
+    np.subtract(mom_x, np.multiply(u, rho_x, out=u_x), out=u_x)
+    u_x /= rho
     return rows
 
 
 def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
         out: Optional[np.ndarray] = None, prior: Optional[tuple] = None) -> np.ndarray:
-    """Spectrum of the primitive rates (rho_t, u_t, theta_t).
+    """Spectrum of the rates (rho_t, m_t, theta_t), m = rho u.
 
-    ``fh`` is the retained (3, n//3 + 1) rfft of (rho, u, theta); the result
+    ``fh`` is the retained (3, n//3 + 1) rfft of (rho, m, theta); the result
     is the retained (3, n//3 + 1) rfft of the rates, written to ``out`` when
     it is given and to a new array otherwise.  The conservation-law right
     sides are the spectral derivatives of the dealiased flux
-    ``symbols._total_flux``; they are converted to primitive rates through
-    the conserved-quantity Jacobian.  The closure is evaluated once, in one
+    ``symbols._total_flux``.  Density and momentum are conserved quantities:
+    the mass rate is -ik m, exactly, and needs no transform, and the
+    momentum rate is ik times the momentum flux.  theta_t is recovered from
+    the energy rate r3 through the Jacobian of the conserved quantities:
+
+        theta_t = (r3 - b31 rho_xt - a31 rho_t - u (r2 - u rho_t)) / a33,
+
+    with the momentum rate r2, rho_t = -m_x and rho_xt = -m_xx, which are
+    exact on the grid.  The closure is evaluated once, in one
     ``symbols._closure`` pass that both the flux and the Jacobian entries
-    read, and the four ``np.fft`` calls are batched: one irfft of (rho, u,
-    theta, rho_x, u_x, theta_x, rho_xx) in ``_grid_pass``, one rfft of the
-    three fluxes, one irfft of (rho_t, rho_xt, r2, r3) and one rfft of
-    (u_t, theta_t).
+    read, and the four ``np.fft`` calls are batched: one irfft of 8 rows in
+    ``_grid_pass``, one rfft of the momentum and energy fluxes, one irfft of
+    their rates (r2, r3) and one rfft of theta_t, 13 rows in all.
 
     The field is checked in the grid pass, right after the first transform
     and before the closure reads it; a field outside the admissible
     set rho > 0, theta > 0 raises ``StepRejected`` (see ``_grid_pass``).
-    The rates are formed in place on the spent rate rows, and a term whose
-    closure entry is the scalar 0.0 (b31 at kappa = 0) is left out.  The
+    theta_t is formed in place on the spent rows, and a term whose closure
+    entry is the scalar 0.0 (b31 at kappa = 0) is left out.  The
     transforms read and write ``grid.workspace``, so ``rhs`` is not
     re-entrant on one grid: two threads must not evaluate it on the same
     ``SpectralGrid`` at once.  At a constant field the result is
@@ -260,70 +280,74 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
     ``prior`` is the (spectrum, closure pass) pair of an earlier grid pass
     on this grid, such as a sample's (see ``_sample``).  When its spectrum
     equals ``fh`` and the workspace still holds a grid pass of ``fh``, the
-    call takes that pass and that closure pass in place of its own: it
-    makes three transform calls instead of four and does not check the
-    field again, which that pass did.  The rates are the same bit for bit:
-    a sample's ``symbols.flux_and_tensors`` holds the entries this closure
-    pass forms.  Otherwise ``prior`` is read only by the two comparisons.
+    call takes that pass, that closure pass and its flux in place of its
+    own: it makes three transform calls of 5 rows instead of four of 13,
+    and does not check the field again, which that pass did.  The rates are
+    the same bit for bit: a sample's ``symbols.flux_and_tensors`` holds the
+    entries and the flux this call forms.  Otherwise ``prior`` is read only
+    by the two comparisons.
     """
     m, ws = grid.modes, grid.workspace
     ik = grid.ik[:m]
-    if (prior is not None and np.array_equal(prior[0], fh)
-            and np.array_equal(ws.grad_hat[:3, :m], fh)):
-        rho, u, theta, rho_x, u_x, theta_x, rho_xx = ws.grad
+    taken = (prior is not None and np.array_equal(prior[0], fh)
+             and np.array_equal(ws.grad_hat[:3, :m], fh))
+    rows = ws.grad if taken else _grid_pass(grid, fh)
+    rho, _, theta, rho_x, mom_x, theta_x, rho_xx, mom_xx, u, u_x = rows
+    if taken:
         c = prior[1]
+        flux = sym._components_first(c.flux)
     else:
-        rho, u, theta, rho_x, u_x, theta_x, rho_xx = _grid_pass(grid, fh)
         c = sym._closure(eos, rho, u, theta, rho_x, u_x, theta_x)
-    sym._total_flux(c, rho, u, rho_xx, u_x, theta_x, out=ws.flux)
+        flux = sym._total_flux(c, rho, u, rho_xx, u_x, theta_x, out=ws.flux)
     a31, a33, b31 = c.a31, c.a33, c.b31
     del c                          # its other arrays are spent before the transforms
-    # spectra of the conservation-law right sides dx(flux); the first is rho_t
-    flux_hat = np.fft.rfft(ws.flux, out=ws.flux_hat)
+    # spectra of the momentum and energy right sides dx(flux); the mass
+    # flux -m is not transformed
+    flux_hat = np.fft.rfft(flux[1:], out=ws.flux_hat)
     rates = ws.rate_hat
-    np.multiply(flux_hat[0, :m], ik, out=rates[0, :m])
-    np.multiply(ik, rates[0, :m], out=rates[1, :m])
-    np.multiply(flux_hat[1:, :m], ik, out=rates[2:, :m])
-    rho_t, rho_xt, r2, r3 = np.fft.irfft(rates, n=grid.n, out=ws.rate)
+    np.multiply(flux_hat[:, :m], ik, out=rates[:, :m])
+    r2, r3 = np.fft.irfft(rates, n=grid.n, out=ws.rate)
 
-    # u_t = (r2 - u rho_t) / rho and
-    # theta_t = (r3 - b31 rho_xt - a31 rho_t - u (r2 - u rho_t)) / a33,
-    # where u (r2 - u rho_t) = rho u u_t; the spent rows take the terms
-    u_t, theta_t = ws.flux[:2]                       # the fluxes are spent
-    r2 -= np.multiply(u, rho_t, out=u_t)             # r2 = rho u_t
-    np.divide(r2, rho, out=u_t)
+    # with rho_t = -m_x and rho_xt = -m_xx, theta_t =
+    # (r3 + b31 m_xx + a31 m_x - u (r2 + u m_x)) / a33, where
+    # r2 + u m_x = rho u_t; the spent mass-flux row takes the terms
+    theta_t = ws.flux[0]
+    r2 += np.multiply(u, mom_x, out=theta_t)
     if not sym._zero(b31):
-        r3 -= np.multiply(b31, rho_xt, out=theta_t)
-    r3 -= np.multiply(a31, rho_t, out=rho_xt)
+        r3 += np.multiply(b31, mom_xx, out=theta_t)
+    r3 += np.multiply(a31, mom_x, out=theta_t)
     r2 *= u
     r3 -= r2
     np.divide(r3, a33, out=theta_t)
     if out is None:
         out = np.empty((3, m), dtype=complex)
-    out[0] = rates[0, :m]
-    out[1:] = np.fft.rfft(ws.flux[:2], out=flux_hat[:2])[:, :m]
+    np.negative(np.multiply(fh[1], ik, out=out[0]), out=out[0])
+    out[1] = rates[0, :m]
+    out[2] = np.fft.rfft(theta_t, out=flux_hat[0])[:m]
     return out
 
 
 class IntegratingFactorRK4:
     """Lawson RK4: constant-coefficient linear part exact per Fourier mode.
 
-    The per-mode linearization around the equilibrium state equals the
-    symbol -M(i k) of the perturbation system, so the integrating factor
-    exp(-h M(i k)) is assembled once from the symbol machinery.  The
+    ``step`` advances the retained (3, n//3 + 1) spectrum of V - Vbar,
+    V = (rho, m = rho u, theta) (``pack``), whose roundoff stays at the
+    scale of the perturbation.  The per-mode linearization of ``rhs`` around
+    the equilibrium state is the symbol -M(i k) of the perturbation system
+    taken to these variables, -T M(i k) T^-1 with T = dV/dU at Ubar, so the
+    integrating factor exp(-h T M T^-1) = T exp(-h M) T^-1 is assembled once
+    from the symbol machinery: one constant similarity per mode.  The
     nonlinear remainder (full right side minus the linearization) is the
-    only term advanced by quadrature, which removes the dispersive dt ~ dx^3
-    restriction of fully explicit stepping.  ``step`` advances the retained
-    (3, n//3 + 1) spectrum of U - Ubar (``pack``), whose roundoff stays at
-    the scale of the perturbation.  The only integrating factor kept is the
-    half-step one, ``e_half`` = exp(-dt/2 M): the full step's is its square,
-    and ``step`` applies it as two half steps.  ``generators`` and
-    ``e_half`` are (3, 3, n//3 + 1), column index first: the modes the 2/3
-    rule removes are never stored.  A step makes 8 per-mode products, 4 with
-    ``e_half`` and 4 with the generators.  The stage inputs, the stage rates
-    and the per-mode products are written into six (3, n//3 + 1) buffers
-    allocated here, and ``rhs`` into the grid's workspace, so like ``rhs``
-    a stepper is not re-entrant.
+    only term advanced by quadrature, which removes the dispersive
+    dt ~ dx^3 restriction of fully explicit stepping.  The only integrating
+    factor kept is the half-step one, ``e_half`` = exp(-dt/2 T M T^-1): the
+    full step's is its square, and ``step`` applies it as two half steps.
+    ``generators`` (T M T^-1) and ``e_half`` are (3, 3, n//3 + 1), column
+    index first: the modes the 2/3 rule removes are never stored.  A step
+    makes 8 per-mode products, 4 with ``e_half`` and 4 with the generators.
+    The stage inputs, the stage rates and the per-mode products are written
+    into six (3, n//3 + 1) buffers allocated here, and ``rhs`` into the
+    grid's workspace, so like ``rhs`` a stepper is not re-entrant.
     """
 
     def __init__(self, eos: EquationOfState, equilibrium: State,
@@ -333,14 +357,16 @@ class IntegratingFactorRK4:
         self.eos = eos
         self.grid = grid
         self.dt = float(dt)
-        self.ubar = np.array([float(np.asarray(equilibrium.rho)),
-                              float(np.asarray(equilibrium.u)),
-                              float(np.asarray(equilibrium.theta))])
-        # the mode-0 sum of Ubar, which turns the spectrum of U - Ubar into
+        rho, u, theta = (float(np.asarray(v)) for v in (
+            equilibrium.rho, equilibrium.u, equilibrium.theta))
+        self.vbar = np.array([rho, rho * u, theta])
+        # the mode-0 sum of Vbar, which turns the spectrum of V - Vbar into
         # the field spectrum that rhs takes
-        self._shift = grid.n * self.ubar
+        self._shift = grid.n * self.vbar
         coeffs = equilibrium_coefficients(eos, equilibrium)
-        gen = evolution_symbol(coeffs, grid.k[:grid.modes])   # (modes, 3, 3)
+        # T = dV/dU at Ubar takes the symbol to (rho, m, theta)
+        t = np.array([[1.0, 0.0, 0.0], [u, rho, 0.0], [0.0, 0.0, 1.0]])
+        gen = t @ evolution_symbol(coeffs, grid.k[:grid.modes]) @ np.linalg.inv(t)
         # kept as (3, 3, modes) with the column index first, the layout
         # _apply takes: [j, i, k] holds entry (i, j) of mode k
         self.generators, self.e_half = (
@@ -352,9 +378,10 @@ class IntegratingFactorRK4:
             (6, 3, grid.modes), dtype=complex)
 
     def pack(self, f: StateField) -> np.ndarray:
-        """Retained (3, n//3 + 1) rfft of U - Ubar, the state ``step`` advances."""
-        du = np.stack([f.rho, f.u, f.theta]) - self.ubar[:, None]
-        return np.ascontiguousarray(np.fft.rfft(du)[:, :self.grid.modes])
+        """Retained (3, n//3 + 1) rfft of V - Vbar = (rho - rhobar,
+        rho u - rhobar ubar, theta - thetabar), the state ``step`` advances."""
+        dv = np.stack([f.rho, f.rho * f.u, f.theta]) - self.vbar[:, None]
+        return np.ascontiguousarray(np.fft.rfft(dv)[:, :self.grid.modes])
 
     def _apply(self, e: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Per-mode product e(k) v(k) of (3, 3, m) matrices and a (3, m) spectrum.
@@ -370,10 +397,10 @@ class IntegratingFactorRK4:
 
     def _nonlinear(self, x: np.ndarray, out: np.ndarray,
                    prior: Optional[tuple] = None) -> np.ndarray:
-        """Full right side minus the linear part (-M x) at the stage input x.
+        """Full right side minus the linear part (-T M T^-1 x) at the stage input x.
 
-        x is the spectrum of U - Ubar, which this consumes: its mode 0 is
-        shifted by the mode-0 sum of Ubar to give the field ``rhs`` takes,
+        x is the spectrum of V - Vbar, which this consumes: its mode 0 is
+        shifted by the mode-0 sum of Vbar to give the field ``rhs`` takes,
         and ``rhs`` checks that field in its grid pass, or takes the pass
         ``prior`` made of it.  ``out`` must not be ``x``.
         """
@@ -383,7 +410,7 @@ class IntegratingFactorRK4:
         return out
 
     def step(self, uh: np.ndarray, prior: Optional[tuple] = None) -> np.ndarray:
-        """Advance the spectrum ``uh`` of U - Ubar by dt in place and return it.
+        """Advance the spectrum ``uh`` of V - Vbar by dt in place and return it.
 
         With E = ``e_half``, v = E u0 and b = E n1, the Lawson RK4 step
 
@@ -497,25 +524,31 @@ def w_diagnostics(eos: EquationOfState, equilibrium: State, grid: SpectralGrid,
                   fh: np.ndarray) -> WDiagnostics:
     """Perturbation variables, norm equivalence ratio, and quadratic-term residuals.
 
-    ``fh`` is the retained (3, n//3 + 1) rfft of the field (rho, u, theta),
-    the spectrum ``rhs`` takes.  The field and its gradients come from the
-    grid pass that ``rhs`` makes first (``_grid_pass``, one batched irfft,
-    which checks that rho > 0 and theta > 0), and no other transform is
-    taken: w_0 = rho - rhobar exactly, so both triple norms share the sum
-    (rho - rhobar)^2 + rho_x^2 of their first component.  u_xx and theta_xx
-    are not needed (see ``symbols.nonlinear_terms``).  The closure is
-    evaluated once, in ``sym.flux_and_tensors``: W, the quadratic terms and
-    the normalizing scale max |F1| all read that pass, which the result
-    carries on for the ledger's integrals and for the next step's first
-    ``rhs`` (see ``_sample``).  The result holds no view of the grid's
-    workspace, so a later ``rhs`` on the grid leaves it as it is.
+    ``fh`` is the retained (3, n//3 + 1) rfft of the field (rho, m, theta),
+    m = rho u, the spectrum ``rhs`` takes.  The field, its gradients and the
+    velocity u and its gradient come from the grid pass that ``rhs`` makes
+    first (``_grid_pass``, one batched irfft, which checks that rho > 0 and
+    theta > 0), and no other transform is taken: w_0 = rho - rhobar exactly,
+    so both triple norms share the sum (rho - rhobar)^2 + rho_x^2 of their
+    first component.  u_xx and theta_xx are not needed (see
+    ``symbols.nonlinear_terms``).  The closure is evaluated once, in
+    ``sym.flux_and_tensors``: W, the quadratic terms and the normalizing
+    scale max |F1| all read that pass, which the result carries on for the
+    ledger's integrals and for the next step's first ``rhs`` (see
+    ``_sample``).  F1 = (rho u, rho u^2 + p, rho u (epsilon + u^2/2) + p u)
+    is not stacked: its rows are formed one at a time for their maxima.
+    The result holds no view of the grid's workspace, so a later ``rhs`` on
+    the grid leaves it as it is.
     """
-    rho, u, theta, rho_x, u_x, theta_x, rho_xx = _grid_pass(grid, fh)
+    rho, _, theta, rho_x, _, theta_x, rho_xx, _, u, u_x = _grid_pass(grid, fh)
     ext = ExtendedState(rho=rho, u=u, theta=theta, rho_x=rho_x, u_x=u_x,
                         theta_x=theta_x, rho_xx=rho_xx)
     t = sym.flux_and_tensors(eos, ext)
     w = sym.w_variables(eos, equilibrium, t).T        # (3, n)
-    n_terms = sym.nonlinear_terms(eos, equilibrium, ext, t).T
+    n_abs = np.abs(sym.nonlinear_terms(eos, equilibrium, ext, t).T)
+    rho_u = sym._components_first(t.F0)[1]
+    f1_max = max(float(np.abs(row).max()) for row in (
+        rho_u, rho * u ** 2 + t.p, rho_u * t.energy + t.p * u))
     rhobar, ubar, thetabar = (float(np.asarray(v)) for v in (
         equilibrium.rho, equilibrium.u, equilibrium.theta))
     first = (rho - rhobar) ** 2 + rho_x ** 2
@@ -523,10 +556,8 @@ def w_diagnostics(eos: EquationOfState, equilibrium: State, grid: SpectralGrid,
     norm_u = _triple_norm(grid, first, u - ubar, theta - thetabar)
     ratio = norm_w / norm_u if norm_u > 0 else np.nan
     return WDiagnostics(w=w, norm_w=norm_w, norm_u=norm_u, ratio=ratio,
-                        max_n1=float(np.abs(n_terms[0]).max()),
-                        max_n=float(np.abs(n_terms).max()),
-                        nonlinear_scale=max(float(np.abs(t.F1).max()), 1.0),
-                        tensors=t)
+                        max_n1=float(n_abs[0].max()), max_n=float(n_abs.max()),
+                        nonlinear_scale=max(f1_max, 1.0), tensors=t)
 
 
 @dataclass
@@ -575,9 +606,10 @@ def _sample(eos, equilibrium, grid: SpectralGrid, fh: np.ndarray):
 
     The values are in the order of ``LEDGER_COLUMNS[1:]``: the mass,
     momentum, energy and entropy integrals of its closure pass and its
-    ``w_diagnostics``.  The pass is the pair (``fh``, closure pass): the
-    grid pass of ``fh`` stays in the grid's workspace until the next one,
-    so ``rhs`` of ``fh`` can take both as its ``prior``.
+    ``w_diagnostics``.  The pass is the pair (``fh``, closure pass), the
+    closure pass with its flux: the grid pass of ``fh`` stays in the grid's
+    workspace until the next one, so ``rhs`` of ``fh`` can take both as its
+    ``prior``.
     """
     diag = w_diagnostics(eos, equilibrium, grid, fh)
     t = diag.tensors
@@ -632,11 +664,12 @@ def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec
     the partial ledger with ``aborted`` set.  ``t_final`` must be a whole
     number of ``dt`` steps (see ``sample_times``).
 
-    The stepper keeps the spectrum of U - Ubar from the first step to the
-    last.  Each ledger row, t = 0 included, is sampled from a copy of that
-    spectrum whose mode 0 is shifted by the mode-0 sum n Ubar of the
-    equilibrium, the field spectrum that ``rhs`` takes, through the same grid
-    pass as ``rhs``.  The sample's grid pass and closure pass are those of
+    The stepper keeps the spectrum of V - Vbar, V = (rho, rho u, theta),
+    from the first step to the last.  Each ledger row, t = 0 included, is
+    sampled from a copy of that spectrum whose mode 0 is shifted by the
+    mode-0 sum n Vbar of the equilibrium, the field spectrum that ``rhs``
+    takes, through the same grid pass as ``rhs``.  The sample's grid pass
+    and closure pass, its flux included, are those of
     the next step's first ``rhs``, which takes them (``step``'s ``prior``)
     instead of evaluating the state again; the last sample hands nothing
     on.  The admissible set is rho > 0, theta > 0, and every grid pass
@@ -655,11 +688,10 @@ def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec
     f.validate()
     stepper = IntegratingFactorRK4(eos, equilibrium, grid, dt)
     uh = stepper.pack(f)
-    shift = grid.n * stepper.ubar
 
     def sample():
         fh = uh.copy()
-        fh[:, 0] += shift
+        fh[:, 0] += stepper._shift
         return _sample(eos, equilibrium, grid, fh)
 
     row, prior = sample()

@@ -21,10 +21,9 @@ satisfy a partially symmetric system
 with constant matrices A0, A1, B symmetric (A0 > 0, B >= 0) and a
 non-symmetric capillarity matrix C with single entry C[1,0] = k rho / theta.
 Over a sampled field ``flux_and_tensors`` reads that pass: its result (F0,
-F1, the entropy density and the pass's entries, among them the nonzero
-entries of G, H, D_U F0 and D_Ux F0 and g) is what ``w_variables`` and
-``nonlinear_terms`` take, and ``nonlinear_terms`` reads the solver's flux
-``_total_flux`` from it.
+the solver's flux ``_total_flux``, the entropy density and the pass's
+entries, among them the nonzero entries of G, H, D_U F0 and D_Ux F0 and g)
+is what ``w_variables`` and ``nonlinear_terms`` take.
 Splitting the constant-coefficient symbol into odd and even parts yields
 
     A(xi) = A1 + xi^2 C,    B(xi) = xi^2 B,
@@ -208,9 +207,9 @@ def _closure(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x,
 def _total_flux(c, rho, u, rho_xx, u_x, theta_x, out: np.ndarray) -> np.ndarray:
     """Components of -F1 + G U_x + H U_xx + g~, whose x-derivative is F0_t.
 
-    ``c`` is the closure pass at the same state, a :class:`_Closure` or the
-    :class:`FluxTensors` that hold its entries; the three components are
-    written in place to the rows of ``out``, which is returned.  The mass
+    ``c`` is the :class:`_Closure` pass at the same state; the three
+    components are written in place to the rows of ``out``, which is
+    returned.  The mass
     row -rho u is formed first, and the other two rows start from it:
     -(rho u^2 + p) = (-rho u) u - p and
     -(rho u (epsilon + u^2/2) + p u) = (-rho u)(epsilon + u^2/2) - p u.
@@ -253,9 +252,10 @@ def _total_flux(c, rho, u, rho_xx, u_x, theta_x, out: np.ndarray) -> np.ndarray:
 class FluxTensors(NamedTuple):
     """What the W-system reads from the closure (see :func:`flux_and_tensors`).
 
-    Besides F0, F1 and the entropy density it holds every entry of the
-    closure pass but s, under the names of :func:`_closure`, so
-    :func:`_total_flux` and the solver's ``rhs`` read it as that pass.
+    Besides F0, the flux TF = -F1 + G U_x + H U_xx + g~ of
+    :func:`_total_flux` and the entropy density it holds every entry of the
+    closure pass but s, under the names of :func:`_closure`, so the solver's
+    ``rhs`` reads it as that pass and its flux.
     G(U) has nonzero entries only at (2,2) = mu, (3,2) = mu u and
     (3,3) = alpha, H(U) only at (2,1) = h = k rho and (3,1) = h u, and
     g~ = (0, g2, g3).  D_U F0 = [[1, 0, 0], [u, rho, 0], [a31, rho u, a33]]
@@ -264,7 +264,7 @@ class FluxTensors(NamedTuple):
     """
 
     F0: np.ndarray
-    F1: np.ndarray
+    flux: np.ndarray         # TF, the flux whose x-derivative is F0_t
     energy: ArrayLike
     p: ArrayLike
     mu: ArrayLike
@@ -310,22 +310,24 @@ def _column(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def flux_and_tensors(eos: EquationOfState, ext: ExtendedState) -> FluxTensors:
     """Everything the W-system reads from the closure, from one :func:`_closure` pass.
 
-    F0 = (rho, rho u, rho(epsilon + u^2/2)) and
+    F0 = (rho, rho u, rho(epsilon + u^2/2)), and the flux
+    TF = -F1 + G U_x + H U_xx + g~ of :func:`_total_flux`, with
     F1 = (rho u, rho u^2 + p, rho u (epsilon + u^2/2) + p u); the first
-    component of g is identically zero and g = O(|U_x|^2).  F0 and F1 are
-    built as (3, ...) rows and returned as their (..., 3) views.  The
-    entropy density rho s is formed in this pass only: ``rhs`` does not
-    read it.  The other entries are the pass's own, the ones ``rhs``
-    evaluates at the same state, bit for bit.
+    component of g is identically zero and g = O(|U_x|^2).  F0 and TF are
+    built as (3, ...) rows and returned as their (..., 3) views; F1 is not
+    formed.  The entropy density rho s is formed in this pass only: ``rhs``
+    does not read it.  The other entries, TF among them, are the pass's own,
+    the ones ``rhs`` evaluates at the same state, bit for bit.
     """
-    rho, u, theta, rho_x = (np.asarray(a, dtype=float)
-                            for a in (ext.rho, ext.u, ext.theta, ext.rho_x))
-    c = _closure(eos, rho, u, theta, rho_x, ext.u_x, ext.theta_x, entropy=True)
-    rho_u = rho * u
+    rho, u, theta, rho_x, u_x, theta_x, rho_xx = (np.asarray(a, dtype=float) for a in (
+        ext.rho, ext.u, ext.theta, ext.rho_x, ext.u_x, ext.theta_x, ext.rho_xx))
+    c = _closure(eos, rho, u, theta, rho_x, u_x, theta_x, entropy=True)
+    flux = np.empty((3,) + np.broadcast(rho, u, theta, rho_x, u_x, theta_x,
+                                        rho_xx).shape)
+    _total_flux(c, rho, u, rho_xx, u_x, theta_x, out=flux)
     return FluxTensors(
-        F0=_components_last(_rows(rho, rho_u, rho * c.energy)),
-        F1=_components_last(_rows(rho_u, rho * u ** 2 + c.p,
-                                  rho_u * c.energy + c.p * u)),
+        F0=_components_last(_rows(rho, rho * u, rho * c.energy)),
+        flux=_components_last(flux),
         energy=c.energy, p=c.p, mu=c.mu, alpha=c.alpha, h=c.h, g2=c.g2, g3=c.g3,
         a31=c.a31, a33=c.a33, b31=c.b31, entropy=rho * c.s)
 
@@ -359,7 +361,7 @@ def _equilibrium_terms_at(eos: EquationOfState, rho: float, u: float,
     ubar = State(rho, u, theta)
     jac0 = cx.jac_f0(eos, ubar)
     jac0_inv = cx.jac_f0_inv(eos, ubar)
-    h = float(np.asarray(flux_and_tensors(eos, ExtendedState(rho, u, theta)).h))
+    h = float(np.asarray(_closure(eos, rho, u, theta, 0.0, 0.0, 0.0).h))
     a0_bar, _, _ = cx.coefficient_matrices(eos, ubar)
     f0, f1 = cx.f0(eos, ubar), cx.f1(eos, ubar)
     flux_map = cx.jac_f1(eos, ubar) @ jac0_inv
@@ -410,10 +412,10 @@ def nonlinear_terms(eos: EquationOfState, ubar: State, ext: ExtendedState,
     variables) and the whole term is O(|U - Ubar|^2 + |U_x|^2 + ...).
 
     The state-dependent parts are the solver's flux
-    TF = -F1 + G U_x + H U_xx + g~, written by :func:`_total_flux` (the
-    flux ``rhs`` differentiates) from ``tensors = flux_and_tensors(eos,
-    ext)``, D_U F0 U_x + D_Ux F0 U_xx from the few nonzero entries of those
-    matrices, rho_xx and F0; the closure is not evaluated again.  They fill
+    TF = -F1 + G U_x + H U_xx + g~ (the flux ``rhs`` differentiates), which
+    ``tensors = flux_and_tensors(eos, ext)`` holds, D_U F0 U_x + D_Ux F0 U_xx
+    from the few nonzero entries of those matrices, rho_xx and F0; the
+    closure is not evaluated again, nor the flux written again.  They fill
     the rows of one (10, ...) array, and N is one (3, 10) matrix product
     with it plus a constant (``_EquilibriumTerms``, built once per
     (closure, equilibrium) pair):
@@ -444,7 +446,7 @@ def nonlinear_terms(eos: EquationOfState, ubar: State, ext: ExtendedState,
             ext.rho, ext.u, ext.rho_x, ext.u_x, ext.theta_x, ext.rho_xx))
     F0 = _components_first(t.F0)
     rows = np.empty((10,) + np.broadcast(F0[0], u_x, theta_x, rho_xx).shape)
-    _total_flux(t, rho, u, rho_xx, u_x, theta_x, out=rows[:3])
+    rows[:3] = _components_first(t.flux)
     # D_U F0 U_x + D_Ux F0 U_xx
     rows[3] = rho_x
     rows[4] = u * rho_x + rho * u_x

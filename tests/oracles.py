@@ -38,9 +38,50 @@ def deriv(grid, f, order=1, dealias=False):
 
 
 def spectrum(f):
-    """Retained (3, n//3 + 1) rfft of (rho, u, theta), the field ``rhs`` takes."""
+    """Retained (3, n//3 + 1) rfft of (rho, rho u, theta), the field ``rhs`` takes."""
+    fh = np.fft.rfft(np.stack([f.rho, f.rho * f.u, f.theta]))
+    return fh[:, :f.grid.modes]
+
+
+def primitive_spectrum(f):
+    """Retained (3, n//3 + 1) rfft of (rho, u, theta), the field
+    :func:`primitive_rhs` takes."""
     fh = np.fft.rfft(np.stack([f.rho, f.u, f.theta]))
     return fh[:, :f.grid.modes]
+
+
+def primitive_rhs(eos, grid, fh):
+    """Retained spectrum of the primitive rates (rho_t, u_t, theta_t).
+
+    The reference right side in the primitive variables: ``fh`` is the
+    retained rfft of (rho, u, theta), and the spectra are carried on all
+    n//2 + 1 rfft bins with the 2/3 rule as a mask.  The conservation-law
+    rates are the dealiased derivatives of :func:`total_flux`; u_t and
+    theta_t follow from the Jacobian of the conserved quantities, its
+    entries read from the ``EquationOfState`` methods, with
+    u_t = (r2 - u rho_t) / rho and
+    theta_t = (r3 - b31 rho_xt - a31 rho_t - u (r2 - u rho_t)) / a33.
+    """
+    ik = grid.ik
+    mask = np.arange(grid.n // 2 + 1) <= grid.n // 3
+    full = np.zeros((3, grid.n // 2 + 1), dtype=complex)
+    full[:, :grid.modes] = fh
+    rho_xh = ik * full[0]
+    rho, u, theta, rho_x, rho_xx, u_x, theta_x = np.fft.irfft(
+        np.stack([full[0], full[1], full[2], rho_xh, ik * rho_xh, ik * full[1],
+                  ik * full[2]]), n=grid.n)
+    flux = total_flux(eos, rho, u, theta, rho_x, rho_xx, u_x, theta_x)
+    rh = np.fft.rfft(np.stack(flux)) * (ik * mask)
+    rho_t, rho_xt, r2, r3 = np.fft.irfft(np.stack([rh[0], ik * rh[0], rh[1], rh[2]]),
+                                         n=grid.n)
+    u_t = (r2 - u * rho_t) / rho
+    a31 = (eos.epsilon(rho, theta, rho_x) + 0.5 * u ** 2
+           + rho * eos.epsilon_rho(rho, theta, rho_x))
+    a33 = rho * eos.epsilon_theta(rho, theta, rho_x)
+    theta_t = (r3 - 2.0 * rho * eos.grad_energy(rho, theta) * rho_x * rho_xt
+               - a31 * rho_t - u * (r2 - u * rho_t)) / a33
+    rates = np.concatenate([rh[:1], np.fft.rfft(np.stack([u_t, theta_t])) * mask])
+    return rates[:, :grid.modes]
 
 
 def extended(f):

@@ -10,7 +10,7 @@ from nsfk import symbols as sym
 from nsfk.fitting import fit_power_law
 from nsfk.thermo import Coefficient, EquationOfState, State, ideal_gas_eos
 from oracles import (capillarity_matrix, conserved_quantities, d_ux_F0,
-                     definitional_nonlinear_terms, f1, korteweg_entries, state_of,
+                     definitional_nonlinear_terms, korteweg_entries, state_of,
                      total_flux)
 
 interior = st.floats(min_value=0.4, max_value=2.2)
@@ -60,11 +60,13 @@ class TestConservedQuantities:
         assert np.all(with_g[:2] == without[:2])
 
     def test_gamma_terms_vanish_without_gradient(self, ref_eos):
-        # F0 - f0 and F1 - f1 carry the gradient energy only
+        # F0 - f0 and F1 - f1 carry the gradient energy only: without
+        # gradients the solver's flux is -f1
         ext = sym.ExtendedState(rho=1.4, u=0.2, theta=1.1)
         tensors = sym.flux_and_tensors(ref_eos, ext)
         assert np.all(tensors.F0 == cx.f0(ref_eos, state_of(ext)))
-        assert np.all(tensors.F1 == cx.f1(ref_eos, state_of(ext)))
+        want = -cx.f1(ref_eos, state_of(ext))
+        assert np.abs(tensors.flux - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestFluxAndTensors:
@@ -120,8 +122,9 @@ class TestFluxAndTensors:
         assert np.array_equal(t.a33, jac[:, 2, 2])
         assert np.array_equal(t.b31, d_ux_F0(eos, ext)[:, 2, 0])
         assert np.array_equal(t.entropy, ext.rho * eos.s(ext.rho, ext.theta, ext.rho_x))
-        want = f1(eos, ext)
-        assert np.abs(t.F1 - want).max() <= 1e-15 * np.abs(want).max()
+        flux = total_flux(eos, ext.rho, ext.u, ext.theta, ext.rho_x, ext.rho_xx,
+                          ext.u_x, ext.theta_x)
+        assert np.array_equal(t.flux, np.stack(flux, axis=-1))
 
 
 class TestKortewegStress:
@@ -248,13 +251,17 @@ class TestNonlinearTerms:
 
     def test_reads_the_solvers_flux_once(self, ref_eos, rng, monkeypatch):
         # TF = -F1 + G U_x + H U_xx + g~ is the flux rhs differentiates,
-        # written once by symbols._total_flux
+        # written once by symbols._total_flux in the closure pass of
+        # flux_and_tensors; nonlinear_terms reads it from that pass
         ext = random_extended(rng, 50)
-        tensors = sym.flux_and_tensors(ref_eos, ext)
+        sym.nonlinear_terms(ref_eos, State(1.2, 0.3, 0.9), ext,
+                            sym.flux_and_tensors(ref_eos, ext))  # cached maps
         calls = []
         flux = sym._total_flux
         monkeypatch.setattr(sym, "_total_flux",
                             lambda *a, **kw: calls.append(1) or flux(*a, **kw))
+        tensors = sym.flux_and_tensors(ref_eos, ext)
+        assert len(calls) == 1
         sym.nonlinear_terms(ref_eos, State(1.2, 0.3, 0.9), ext, tensors)
         assert len(calls) == 1
 
