@@ -59,18 +59,22 @@ __all__ = [
     "default_xi_grid",
 ]
 
+# the relative rank threshold of the kernel and nullspace tests, and the
+# least coupling margin and symmetrizer eigenvalue that count as positive
+_RANK_RTOL = 1e-10
+_MARGIN_TOL = 1e-10
+_PD_TOL = 1e-10
+
 
 def default_xi_grid(xi_min: float = 1e-3, xi_max: float = 1e3,
-                    n_per_decade: int = 2001, mirrored: bool = True) -> np.ndarray:
-    """Logarithmically spaced |xi| grid, optionally mirrored in sign.
+                    n_per_decade: int = 2001) -> np.ndarray:
+    """Logarithmically spaced |xi| grid, mirrored in sign.
 
     ``n_per_decade`` is the total point count spread uniformly in log10 over
     the range (the historical name reflects the per-decade density of the
     default: roughly 2001 points over six decades).
     """
     pos = np.logspace(np.log10(xi_min), np.log10(xi_max), n_per_decade)
-    if not mirrored:
-        return pos
     return np.concatenate([-pos[::-1], pos])
 
 
@@ -164,14 +168,12 @@ class GenuineCouplingReport:
 
 
 def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callable,
-                          xi_grid: Sequence[float],
-                          rank_rtol: float = 1e-10,
-                          margin_tol: float = 1e-10) -> GenuineCouplingReport:
+                          xi_grid: Sequence[float]) -> GenuineCouplingReport:
     """Check that no kernel vector of B(xi) solves (rho A0 + A(xi)) V = 0.
 
     The symbols are evaluated once on the grid points xi != 0 and broadcast to
     (N, 3, 3).  One batched eigendecomposition of the symmetric positive
-    semi-definite B(xi) gives its kernel (relative threshold ``rank_rtol``;
+    semi-definite B(xi) gives its kernel (relative threshold ``_RANK_RTOL``;
     every unit vector where B(xi) = 0); for each kernel vector V the pair
     {A0 V, A(xi) V} must have rank two.  The margin is the smaller singular
     value of the normalized pair [a, b] = [A0 V/|A0 V|, A(xi) V/|A(xi) V|]
@@ -179,7 +181,7 @@ def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callab
     A(xi)), taken in the closed form |a - s b|/sqrt(2), s = +1 if a.b >= 0
     else -1: equal to sqrt(1 - |a.b|) but accurate down to roundoff near a
     rank drop.  A zero A(xi) V has margin 0, a zero A0 V otherwise margin 1.
-    It passes when no margin is <= ``margin_tol`` on a grid with a xi != 0:
+    It passes when no margin is <= ``_MARGIN_TOL`` on a grid with a xi != 0:
     a B(xi) nonsingular everywhere has no kernel, and min_margin = inf.
     """
     xi = np.asarray(xi_grid, dtype=float)
@@ -191,7 +193,7 @@ def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callab
     evals, v = np.linalg.eigh(b)
     evals = np.abs(evals)
     lam_max = evals.max(axis=-1, keepdims=True)
-    kernel = evals <= rank_rtol * lam_max              # all three where B = 0
+    kernel = evals <= _RANK_RTOL * lam_max              # all three where B = 0
     v[lam_max[:, 0] == 0.0] = np.eye(3)
     a0v = np.broadcast_to(np.asarray(a0_of_xi(xi), dtype=float), shape) @ v
     av = np.broadcast_to(np.asarray(a_of_xi(xi), dtype=float), shape) @ v
@@ -210,7 +212,7 @@ def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callab
     worst_xi = (float(xi[np.argmin(margin) // 3]) if np.isfinite(min_margin)
                 else np.nan)
     failures = [(float(xi[i]), v[i, :, j].copy())
-                for i, j in zip(*np.nonzero(margin <= margin_tol))]
+                for i, j in zip(*np.nonzero(margin <= _MARGIN_TOL))]
     return GenuineCouplingReport(
         passed=bool(not failures and xi.size > 0),
         min_margin=min_margin, worst_xi=worst_xi, failures=failures, n_xi=xi.size)
@@ -270,8 +272,6 @@ class FriedrichsReport:
 
 
 def friedrichs_search(a0: np.ndarray, d_matrices: Sequence[np.ndarray],
-                      rank_rtol: float = 1e-10,
-                      pd_tol: float = 1e-10,
                       seed: int = 0) -> FriedrichsReport:
     """Search for a constant symmetric positive-definite S with S A0 and every
     S D_k symmetric; certify infeasibility otherwise.
@@ -290,7 +290,7 @@ def friedrichs_search(a0: np.ndarray, d_matrices: Sequence[np.ndarray],
                                             [np.asarray(d) for d in d_matrices])
     _, sv, vt = np.linalg.svd(constraints)
     top = sv[0] if sv.size else 0.0
-    rank = int(np.sum(sv > rank_rtol * max(top, 1.0)))
+    rank = int(np.sum(sv > _RANK_RTOL * max(top, 1.0)))
     basis = vt[rank:]
     dim = basis.shape[0]
 
@@ -305,7 +305,7 @@ def friedrichs_search(a0: np.ndarray, d_matrices: Sequence[np.ndarray],
     # forced zero diagonal entry across the whole nullspace => never PD
     scale = max(float(np.abs(basis).max()), 1.0)
     for d in range(3):
-        if all(abs(m[d, d]) <= rank_rtol * scale for m in mats):
+        if all(abs(m[d, d]) <= _RANK_RTOL * scale for m in mats):
             return FriedrichsReport(
                 feasible=False, nullspace_dim=dim, symmetrizer=None, min_eig=0.0,
                 certificate=(f"symmetry constraints force S[{d},{d}] = 0 for "
@@ -334,7 +334,7 @@ def friedrichs_search(a0: np.ndarray, d_matrices: Sequence[np.ndarray],
         if ev > best_eig:
             best_eig, best_s = ev, s
 
-    if best_eig > pd_tol:
+    if best_eig > _PD_TOL:
         s = best_s / best_s[0, 0] if best_s[0, 0] > 0 else best_s
         return FriedrichsReport(
             feasible=True, nullspace_dim=dim, symmetrizer=s,

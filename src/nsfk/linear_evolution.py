@@ -40,6 +40,8 @@ __all__ = [
     "evolve_and_fit",
 ]
 
+_RESIDUAL_TOL = 0.1      # a decay fit with a larger log-residual is flagged
+
 
 def _grading_ratio(n_half: int, xi_max: float, h0: float) -> float:
     """Ratio r > 1 with h0 (r^n_half - 1)/(r - 1) = xi_max, bisecting log r."""
@@ -264,14 +266,14 @@ class DecayFit:
 
 def evolve_and_fit(coeffs: EquilibriumCoefficients, initial: SpectralProfile,
                    times: Sequence[float], ell: float = 0.0,
-                   fit_window: Optional[tuple[float, float]] = None,
-                   residual_tol: float = 0.1) -> DecayFit:
+                   fit_window: Optional[tuple[float, float]] = None) -> DecayFit:
     """Propagate every mode to each time, measure the order-ell norm, fit decay.
 
     ``times`` must be increasing; the default fit window [t_max/100, t_max]
     discards the transient where constants dominate.  The fitted exponent of
     log-norm against log(1 + t) approaches -(ell/2 + 1/4) for integrable data
-    with nonvanishing mean mode.
+    with nonvanishing mean mode.  A fit whose log-residual exceeds
+    ``_RESIDUAL_TOL`` is flagged.
     """
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0):
@@ -289,6 +291,6 @@ def evolve_and_fit(coeffs: EquilibriumCoefficients, initial: SpectralProfile,
                         (1.0 + fit_window[0], 1.0 + fit_window[1]))
     return DecayFit(exponent=fit.exponent, amplitude=fit.amplitude,
                     residual=fit.residual, t_window=fit_window,
-                    flagged=not fit.residual <= residual_tol,  # nan flags too
+                    flagged=not fit.residual <= _RESIDUAL_TOL,  # nan flags too
                     zero_share=float(frozen / norms[-1] ** 2),
                     times=times, norms=norms)

@@ -28,15 +28,17 @@ transform calls per right-hand-side evaluation.  The first of them is the
 grid pass (``_grid_pass``): the retained spectrum and its ik multiples to
 the grid in one batched irfft of 8 rows, the check that the field lies in
 the admissible set rho > 0, theta > 0, where the closure's logarithms are
-defined, and the velocity u = m / rho and its gradient.  A diagnostics
-sample reads the same grid pass of the spectrum the stepper holds, so it
-costs one batched irfft and no forward transform, and its closure pass holds
-every entry ``rhs`` reads, the flux included: ``run`` hands it to the next
-step, whose first ``rhs`` makes neither pass again and transforms 5 rows.
-A step that follows a sample thus makes 15 transform calls, any other step
-16.  The transforms read and write one set of buffers held by the grid
-(``SpectralGrid.workspace``); theta_t is formed in place on its spent rows,
-reading the closure's Jacobian entries where the closure pass left them.
+defined, and the velocity u = m / rho and its gradient.  The transforms
+read and write one set of buffers held by the grid
+(``SpectralGrid.workspace``), which also holds the last grid pass.  A
+diagnostics sample reads the same grid pass of the spectrum the stepper
+holds, so it costs one batched irfft and no forward transform, and leaves
+its closure pass, the flux included, in the workspace beside that grid
+pass: the next step's first ``rhs`` is of the same spectrum, takes both
+and transforms 5 rows.  A step that follows a sample thus makes 15
+transform calls, any other step 16.  theta_t is formed in place on spent
+rows, reading the closure's Jacobian entries where the closure pass left
+them.
 The stepper's stages live in buffers it allocates once: a step allocates
 only the closure's elementwise temporaries.
 
@@ -109,7 +111,9 @@ class _RhsWorkspace:
     The inverse transforms' inputs ``grad_hat`` and ``rate_hat`` span all
     n//2 + 1 rfft bins, but only the bins m <= n//3 are ever written: their
     zero tails make each irfft read the dealiased spectrum without a padded
-    copy.
+    copy.  ``tensors`` is the closure pass of the grid pass the workspace
+    holds, when a sample made one (``w_diagnostics``), and None otherwise:
+    every grid pass clears it.
     """
 
     def __init__(self, n: int):
@@ -124,6 +128,7 @@ class _RhsWorkspace:
         # the three fluxes; row 0 then holds theta_t
         self.flux = np.empty((3, n))
         self.flux_hat = np.empty((2, bins), dtype=complex)
+        self.tensors: Optional[sym.FluxTensors] = None
 
 
 @dataclass(frozen=True)
@@ -188,18 +193,11 @@ class StateField:
 
     def validate(self) -> None:
         """Raise unless each row has shape (n,) and finite values, rho > 0 and
-        theta > 0.
+        theta > 0, naming the first condition that fails.
 
-        An admissible field costs one ``isfinite`` per row and two minima;
-        the checks below, which name the first condition that fails, run
-        only when one does.  A wrong shape raises ValueError, anything else
-        StepRejected.
+        A wrong shape raises ValueError, anything else StepRejected.
         """
-        rows = (self.rho, self.u, self.theta)
-        if (all(a.shape == (self.grid.n,) and np.isfinite(a).all() for a in rows)
-                and self.rho.min() > 0.0 and self.theta.min() > 0.0):
-            return
-        for name, arr in zip(("rho", "u", "theta"), rows):
+        for name, arr in zip(("rho", "u", "theta"), (self.rho, self.u, self.theta)):
             if arr.shape != (self.grid.n,):
                 raise ValueError(f"{name} has wrong shape {arr.shape}")
             if not np.all(np.isfinite(arr)):
@@ -217,7 +215,8 @@ def _grid_pass(grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
     It and its ik multiples are written to ``grid.workspace`` and taken to
     the grid in one batched irfft of 8 rows; the result is the workspace's
     (10, n) block of rows (rho, m, theta, rho_x, m_x, theta_x, rho_xx, m_xx,
-    u, u_x), which the next grid pass or ``rhs`` on this grid overwrites.
+    u, u_x), which the next grid pass or ``rhs`` on this grid overwrites;
+    the workspace's closure pass (``tensors``) is cleared.
 
     Every pass checks the field on the block, before u = m / rho and
     u_x = (m_x - u rho_x) / rho are formed: the sum of its first three rows
@@ -227,6 +226,7 @@ def _grid_pass(grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
     """
     m, ws = grid.modes, grid.workspace
     ik = grid.ik[:m]
+    ws.tensors = None
     spec = ws.grad_hat
     spec[:3, :m] = fh
     np.multiply(ik, fh, out=spec[3:6, :m])
@@ -246,7 +246,7 @@ def _grid_pass(grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
 
 
 def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
-        out: Optional[np.ndarray] = None, prior: Optional[tuple] = None) -> np.ndarray:
+        out: Optional[np.ndarray] = None) -> np.ndarray:
     """Spectrum of the rates (rho_t, m_t, theta_t), m = rho u.
 
     ``fh`` is the retained (3, n//3 + 1) rfft of (rho, m, theta); the result
@@ -277,30 +277,27 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
     ``SpectralGrid`` at once.  At a constant field the result is
     identically zero.
 
-    ``prior`` is the (spectrum, closure pass) pair of an earlier grid pass
-    on this grid, such as a sample's (see ``_sample``).  When its spectrum
-    equals ``fh`` and the workspace still holds a grid pass of ``fh``, the
-    call takes that pass, that closure pass and its flux in place of its
-    own: it makes three transform calls of 5 rows instead of four of 13,
-    and does not check the field again, which that pass did.  The rates are
-    the same bit for bit: a sample's ``symbols.flux_and_tensors`` holds the
-    entries and the flux this call forms.  Otherwise ``prior`` is read only
-    by the two comparisons.
+    When the workspace holds a sample's closure pass (``tensors``, see
+    ``w_diagnostics``) and its grid pass is of ``fh``, the call takes that
+    grid pass, that closure pass and its flux in place of its own: it makes
+    three transform calls of 5 rows instead of four of 13, and does not
+    check the field again, which that pass did.  The rates are the same bit
+    for bit: a sample's ``symbols.flux_and_tensors`` holds the entries and
+    the flux this call forms.
     """
     m, ws = grid.modes, grid.workspace
     ik = grid.ik[:m]
-    taken = (prior is not None and np.array_equal(prior[0], fh)
-             and np.array_equal(ws.grad_hat[:3, :m], fh))
+    t = ws.tensors
+    taken = t is not None and np.array_equal(ws.grad_hat[:3, :m], fh)
     rows = ws.grad if taken else _grid_pass(grid, fh)
     rho, _, theta, rho_x, mom_x, theta_x, rho_xx, mom_xx, u, u_x = rows
     if taken:
-        c = prior[1]
-        flux = sym._components_first(c.flux)
+        c, flux = t.closure, t.flux
     else:
         c = sym._closure(eos, rho, u, theta, rho_x, u_x, theta_x)
         flux = sym._total_flux(c, rho, u, rho_xx, u_x, theta_x, out=ws.flux)
     a31, a33, b31 = c.a31, c.a33, c.b31
-    del c                          # its other arrays are spent before the transforms
+    del c, t                       # its other arrays are spent before the transforms
     # spectra of the momentum and energy right sides dx(flux); the mass
     # flux -m is not transformed
     flux_hat = np.fft.rfft(flux[1:], out=ws.flux_hat)
@@ -395,21 +392,20 @@ class IntegratingFactorRK4:
             out += np.multiply(e[j], v[j], out=self._tmp)
         return out
 
-    def _nonlinear(self, x: np.ndarray, out: np.ndarray,
-                   prior: Optional[tuple] = None) -> np.ndarray:
+    def _nonlinear(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Full right side minus the linear part (-T M T^-1 x) at the stage input x.
 
         x is the spectrum of V - Vbar, which this consumes: its mode 0 is
         shifted by the mode-0 sum of Vbar to give the field ``rhs`` takes,
-        and ``rhs`` checks that field in its grid pass, or takes the pass
-        ``prior`` made of it.  ``out`` must not be ``x``.
+        and ``rhs`` checks that field in its grid pass, or takes a sample's
+        pass of it.  ``out`` must not be ``x``.
         """
         self._apply(self.generators, x, out)
         x[:, 0] += self._shift
-        out += rhs(self.eos, self.grid, x, out=self._tmp, prior=prior)
+        out += rhs(self.eos, self.grid, x, out=self._tmp)
         return out
 
-    def step(self, uh: np.ndarray, prior: Optional[tuple] = None) -> np.ndarray:
+    def step(self, uh: np.ndarray) -> np.ndarray:
         """Advance the spectrum ``uh`` of V - Vbar by dt in place and return it.
 
         With E = ``e_half``, v = E u0 and b = E n1, the Lawson RK4 step
@@ -422,17 +418,17 @@ class IntegratingFactorRK4:
         Every stage input, the field of ``uh`` included, is checked against
         the admissible set rho > 0, theta > 0 in the grid pass of its
         ``rhs``, after its transform to the grid and before the closure
-        reads it.  ``prior`` is the pass of a sample of ``uh`` (see
-        ``_sample``): stage 1's ``rhs`` takes it in place of its own grid
-        pass and closure pass when the grid's workspace still holds it, and
-        that pass checked the field.  The result is not checked here: the
-        next step does it, or the grid pass of a sample.  ``uh`` is written
-        only after the fourth stage, so a rejected step leaves it unchanged.
+        reads it.  When the grid's workspace holds a sample's pass of ``uh``
+        (see ``_sample``), stage 1's ``rhs`` takes it in place of its own
+        grid pass and closure pass; that pass checked the field.  The result
+        is not checked here: the next step does it, or the grid pass of a
+        sample.  ``uh`` is written only after the fourth stage, so a rejected
+        step leaves it unchanged.
         """
         dt, e = self.dt, self.e_half
         a, b, c, v, x = self._a, self._b, self._c, self._v, self._x
         np.copyto(x, uh)
-        n1 = self._nonlinear(x, a, prior)
+        n1 = self._nonlinear(x, a)
         self._apply(e, uh, v)                   # v = E u0
         self._apply(e, n1, b)                   # b = E n1; a is free
 
@@ -533,28 +529,30 @@ def w_diagnostics(eos: EquationOfState, equilibrium: State, grid: SpectralGrid,
     first component.  u_xx and theta_xx are not needed (see
     ``symbols.nonlinear_terms``).  The closure is evaluated once, in
     ``sym.flux_and_tensors``: W, the quadratic terms and the normalizing
-    scale max |F1| all read that pass, which the result carries on for the
-    ledger's integrals and for the next step's first ``rhs`` (see
-    ``_sample``).  F1 = (rho u, rho u^2 + p, rho u (epsilon + u^2/2) + p u)
-    is not stacked: its rows are formed one at a time for their maxima.
-    The result holds no view of the grid's workspace, so a later ``rhs`` on
-    the grid leaves it as it is.
+    scale max |F1| all read that pass.  The result carries it on for the
+    ledger's integrals, and the grid's workspace keeps it beside the grid
+    pass (``tensors``) for the next ``rhs`` of ``fh``.
+    F1 = (rho u, rho u^2 + p, rho u (epsilon + u^2/2) + p u) is not stacked:
+    its rows are formed one at a time for their maxima.  The result holds no
+    view of the grid's workspace, so a later ``rhs`` on the grid leaves it
+    as it is.
     """
     rho, _, theta, rho_x, _, theta_x, rho_xx, _, u, u_x = _grid_pass(grid, fh)
     ext = ExtendedState(rho=rho, u=u, theta=theta, rho_x=rho_x, u_x=u_x,
                         theta_x=theta_x, rho_xx=rho_xx)
     t = sym.flux_and_tensors(eos, ext)
-    w = sym.w_variables(eos, equilibrium, t).T        # (3, n)
-    n_abs = np.abs(sym.nonlinear_terms(eos, equilibrium, ext, t).T)
-    rho_u = sym._components_first(t.F0)[1]
+    w = sym.w_variables(eos, equilibrium, t)
+    n_abs = np.abs(sym.nonlinear_terms(eos, equilibrium, ext, t))
+    rho_u, c = t.F0[1], t.closure
     f1_max = max(float(np.abs(row).max()) for row in (
-        rho_u, rho * u ** 2 + t.p, rho_u * t.energy + t.p * u))
+        rho_u, rho * u ** 2 + c.p, rho_u * c.energy + c.p * u))
     rhobar, ubar, thetabar = (float(np.asarray(v)) for v in (
         equilibrium.rho, equilibrium.u, equilibrium.theta))
     first = (rho - rhobar) ** 2 + rho_x ** 2
     norm_w = _triple_norm(grid, first, w[1], w[2])
     norm_u = _triple_norm(grid, first, u - ubar, theta - thetabar)
     ratio = norm_w / norm_u if norm_u > 0 else np.nan
+    grid.workspace.tensors = t
     return WDiagnostics(w=w, norm_w=norm_w, norm_u=norm_u, ratio=ratio,
                         max_n1=float(n_abs[0].max()), max_n=float(n_abs.max()),
                         nonlinear_scale=max(f1_max, 1.0), tensors=t)
@@ -581,43 +579,37 @@ class DiagnosticsLedger:
     wrap_time: float
     aborted: Optional[str] = None
 
-    def drift(self, series: np.ndarray, scale: Optional[float] = None) -> float:
-        """Max relative drift |Q(t) - Q(0)| / scale (default |Q(0)|, with a
-        mass-based floor so zero-momentum runs stay well defined)."""
+    def drift(self, series: np.ndarray) -> float:
+        """Max relative drift |Q(t) - Q(0)| / max(|Q(0)|, |mass(0)|): the mass
+        floor keeps zero-momentum runs well defined."""
         q0 = series[0]
-        if scale is None:
-            scale = max(abs(q0), abs(self.mass[0]))
-        return float(np.abs(series - q0).max() / scale)
+        return float(np.abs(series - q0).max() / max(abs(q0), abs(self.mass[0])))
 
     def entropy_steps(self) -> np.ndarray:
         return np.diff(self.entropy)
 
-    def decay_fit(self, t_min: float = 20.0,
-                  t_max: Optional[float] = None) -> PowerLawFit:
-        """Slope of log norm_u vs log(1 + t) on [t_min, min(t_max, wrap_time)]."""
-        hi = self.wrap_time if t_max is None else min(t_max, self.wrap_time)
+    def decay_fit(self, t_min: float = 20.0) -> PowerLawFit:
+        """Slope of log norm_u vs log(1 + t) on [t_min, wrap_time]."""
         return fit_power_law(1.0 + self.t, self.norm_u,
-                             (1.0 + t_min, 1.0 + hi))
+                             (1.0 + t_min, 1.0 + self.wrap_time))
 
 
-def _sample(eos, equilibrium, grid: SpectralGrid, fh: np.ndarray):
-    """Ledger values of the field whose retained spectrum is ``fh`` and the
-    pass that made them.
+def _sample(eos, equilibrium, grid: SpectralGrid, fh: np.ndarray) -> tuple:
+    """Ledger values of the field whose retained spectrum is ``fh``, in the
+    order of ``LEDGER_COLUMNS[1:]``.
 
-    The values are in the order of ``LEDGER_COLUMNS[1:]``: the mass,
-    momentum, energy and entropy integrals of its closure pass and its
-    ``w_diagnostics``.  The pass is the pair (``fh``, closure pass), the
-    closure pass with its flux: the grid pass of ``fh`` stays in the grid's
-    workspace until the next one, so ``rhs`` of ``fh`` can take both as its
-    ``prior``.
+    The mass, energy and entropy integrals are those of its closure pass,
+    and the rest comes from its ``w_diagnostics``, which leaves that pass in
+    the grid's workspace for the next ``rhs`` of ``fh``.  The momentum is
+    the integral of the stepped momentum m itself, dx times its mode 0,
+    which no step changes.
     """
     diag = w_diagnostics(eos, equilibrium, grid, fh)
     t = diag.tensors
-    mass, momentum, energy = t.F0.T
     return (
-        grid.integral(mass),
-        grid.integral(momentum),
-        grid.integral(energy),
+        grid.integral(t.F0[0]),
+        float(grid.dx * fh[1, 0].real),
+        grid.integral(t.F0[2]),
         grid.integral(t.entropy),
         diag.norm_u,
         diag.norm_w,
@@ -625,7 +617,7 @@ def _sample(eos, equilibrium, grid: SpectralGrid, fh: np.ndarray):
         diag.max_n1,
         diag.max_n,
         diag.nonlinear_scale,
-    ), (fh, t)
+    )
 
 
 def _whole_steps(t_final: float, dt: float) -> int:
@@ -669,14 +661,13 @@ def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec
     sampled from a copy of that spectrum whose mode 0 is shifted by the
     mode-0 sum n Vbar of the equilibrium, the field spectrum that ``rhs``
     takes, through the same grid pass as ``rhs``.  The sample's grid pass
-    and closure pass, its flux included, are those of
-    the next step's first ``rhs``, which takes them (``step``'s ``prior``)
-    instead of evaluating the state again; the last sample hands nothing
-    on.  The admissible set is rho > 0, theta > 0, and every grid pass
-    checks it: each step's result is checked before anything reads it, at a
-    sample time in the sample's grid pass and otherwise inside the next
-    step, before its first closure evaluation.  The step checks each of its
-    stage inputs the same way.
+    and closure pass, its flux included, stay in the grid's workspace and
+    are those of the next step's first ``rhs``, which takes them instead of
+    evaluating the state again.  The admissible set is rho > 0, theta > 0,
+    and every grid pass checks it: each step's result is checked before
+    anything reads it, at a sample time in the sample's grid pass and
+    otherwise inside the next step, before its first closure evaluation.
+    The step checks each of its stage inputs the same way.
     """
     if dt <= 0:
         raise ValueError("run requires dt > 0")
@@ -694,16 +685,13 @@ def run(eos: EquationOfState, equilibrium: State, perturbation: PerturbationSpec
         fh[:, 0] += stepper._shift
         return _sample(eos, equilibrium, grid, fh)
 
-    row, prior = sample()
-    records = [(0.0, *row)]
+    records = [(0.0, *sample())]
     aborted = None
     for i in range(1, n_steps + 1):
         try:
-            stepper.step(uh, prior)
-            prior = None
+            stepper.step(uh)
             if i % sample_every == 0 or i == n_steps:
-                row, prior = sample()
-                records.append((i * dt, *row))
+                records.append((i * dt, *sample()))
         except StepRejected as exc:
             aborted = str(exc)
             break

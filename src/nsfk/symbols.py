@@ -20,10 +20,10 @@ satisfy a partially symmetric system
 
 with constant matrices A0, A1, B symmetric (A0 > 0, B >= 0) and a
 non-symmetric capillarity matrix C with single entry C[1,0] = k rho / theta.
-Over a sampled field ``flux_and_tensors`` reads that pass: its result (F0,
-the solver's flux ``_total_flux``, the entropy density and the pass's
-entries, among them the nonzero entries of G, H, D_U F0 and D_Ux F0 and g)
-is what ``w_variables`` and ``nonlinear_terms`` take.
+Over a sampled field ``flux_and_tensors`` reads that pass: its result (F0
+and the solver's flux ``_total_flux`` as (3, ...) rows, the entropy density
+and the pass itself, whose entries hold the nonzero entries of G, H, D_U F0,
+D_Ux F0 and g) is what ``w_variables`` and ``nonlinear_terms`` take.
 Splitting the constant-coefficient symbol into odd and even parts yields
 
     A(xi) = A1 + xi^2 C,    B(xi) = xi^2 B,
@@ -252,30 +252,20 @@ def _total_flux(c, rho, u, rho_xx, u_x, theta_x, out: np.ndarray) -> np.ndarray:
 class FluxTensors(NamedTuple):
     """What the W-system reads from the closure (see :func:`flux_and_tensors`).
 
-    Besides F0, the flux TF = -F1 + G U_x + H U_xx + g~ of
-    :func:`_total_flux` and the entropy density it holds every entry of the
-    closure pass but s, under the names of :func:`_closure`, so the solver's
-    ``rhs`` reads it as that pass and its flux.
-    G(U) has nonzero entries only at (2,2) = mu, (3,2) = mu u and
-    (3,3) = alpha, H(U) only at (2,1) = h = k rho and (3,1) = h u, and
-    g~ = (0, g2, g3).  D_U F0 = [[1, 0, 0], [u, rho, 0], [a31, rho u, a33]]
-    (``cx.jac_f0``) and D_Ux F0 has the single entry (3,1) = b31 =
-    2 rho m rho_x.
+    F0 and the flux TF = -F1 + G U_x + H U_xx + g~ of :func:`_total_flux`
+    are (3, ...) rows; ``closure`` is the :class:`_Closure` pass they were
+    formed from, its entropy s included, so the solver's ``rhs`` reads the
+    pass and its flux as its own.  G(U) has nonzero entries only at
+    (2,2) = mu, (3,2) = mu u and (3,3) = alpha, H(U) only at (2,1) = h = k rho
+    and (3,1) = h u, and g~ = (0, g2, g3).
+    D_U F0 = [[1, 0, 0], [u, rho, 0], [a31, rho u, a33]] (``cx.jac_f0``) and
+    D_Ux F0 has the single entry (3,1) = b31 = 2 rho m rho_x.
     """
 
     F0: np.ndarray
     flux: np.ndarray         # TF, the flux whose x-derivative is F0_t
-    energy: ArrayLike
-    p: ArrayLike
-    mu: ArrayLike
-    alpha: ArrayLike
-    h: ArrayLike
-    g2: ArrayLike
-    g3: ArrayLike
-    a31: ArrayLike
-    a33: ArrayLike
-    b31: ArrayLike
     entropy: np.ndarray      # entropy density rho s
+    closure: _Closure
 
 
 def _rows(*entries) -> np.ndarray:
@@ -284,16 +274,6 @@ def _rows(*entries) -> np.ndarray:
     for i, e in enumerate(entries):
         out[i] = e
     return out
-
-
-def _components_last(rows: np.ndarray) -> np.ndarray:
-    """The (..., 3) view of (3, ...) rows: the public layout of W-system vectors."""
-    return rows.transpose(*range(1, rows.ndim), 0)
-
-
-def _components_first(v: np.ndarray) -> np.ndarray:
-    """The (3, ...) rows of a (..., 3) vector; a view of the rows it was built from."""
-    return v.transpose(v.ndim - 1, *range(v.ndim - 1))
 
 
 def _map(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -314,10 +294,9 @@ def flux_and_tensors(eos: EquationOfState, ext: ExtendedState) -> FluxTensors:
     TF = -F1 + G U_x + H U_xx + g~ of :func:`_total_flux`, with
     F1 = (rho u, rho u^2 + p, rho u (epsilon + u^2/2) + p u); the first
     component of g is identically zero and g = O(|U_x|^2).  F0 and TF are
-    built as (3, ...) rows and returned as their (..., 3) views; F1 is not
-    formed.  The entropy density rho s is formed in this pass only: ``rhs``
-    does not read it.  The other entries, TF among them, are the pass's own,
-    the ones ``rhs`` evaluates at the same state, bit for bit.
+    (3, ...) rows; F1 is not formed.  The entropy s is formed in this pass
+    only: ``rhs`` does not read it.  The pass and TF are the ones ``rhs``
+    evaluates at the same state, bit for bit.
     """
     rho, u, theta, rho_x, u_x, theta_x, rho_xx = (np.asarray(a, dtype=float) for a in (
         ext.rho, ext.u, ext.theta, ext.rho_x, ext.u_x, ext.theta_x, ext.rho_xx))
@@ -325,11 +304,8 @@ def flux_and_tensors(eos: EquationOfState, ext: ExtendedState) -> FluxTensors:
     flux = np.empty((3,) + np.broadcast(rho, u, theta, rho_x, u_x, theta_x,
                                         rho_xx).shape)
     _total_flux(c, rho, u, rho_xx, u_x, theta_x, out=flux)
-    return FluxTensors(
-        F0=_components_last(_rows(rho, rho * u, rho * c.energy)),
-        flux=_components_last(flux),
-        energy=c.energy, p=c.p, mu=c.mu, alpha=c.alpha, h=c.h, g2=c.g2, g3=c.g3,
-        a31=c.a31, a33=c.a33, b31=c.b31, entropy=rho * c.s)
+    return FluxTensors(F0=_rows(rho, rho * u, rho * c.energy), flux=flux,
+                       entropy=rho * c.s, closure=c)
 
 
 @dataclass(frozen=True)
@@ -385,12 +361,12 @@ def w_variables(eos: EquationOfState, ubar: State,
 
     F0 is ``tensors.F0`` of :func:`flux_and_tensors`.  The first component
     is exactly rho - rhobar and the second is rho (u - ubar) / rhobar; all
-    higher corrections sit in the third slot.  W is formed on (3, ...) rows,
-    one matrix product, and returned as their (..., 3) view.
+    higher corrections sit in the third slot.  W is (3, ...) rows, one
+    matrix product.
     """
     c = _equilibrium_terms(eos, ubar)
-    f0 = _components_first(tensors.F0)
-    return _components_last(_map(c.jac0_inv, f0 - _column(c.f0, f0)))
+    f0 = tensors.F0
+    return _map(c.jac0_inv, f0 - _column(c.f0, f0))
 
 
 def nonlinear_terms(eos: EquationOfState, ubar: State, ext: ExtendedState,
@@ -424,7 +400,7 @@ def nonlinear_terms(eos: EquationOfState, ubar: State, ext: ExtendedState,
             - P (0, hbar, hbar ubar) rho_xx + P Jf1bar Jf0bar^{-1} F0
             + P (f1bar - Jf1bar Jf0bar^{-1} f0bar),    P = A0^{-1} L.
 
-    N is returned as the (..., 3) view of its (3, ...) rows.
+    N is returned as (3, ...) rows.
 
     u_xx and theta_xx are not read.  Hbar Jf0bar^{-1} has zero second and
     third columns (Hbar's only nonzero column is the first, and the first
@@ -439,14 +415,13 @@ def nonlinear_terms(eos: EquationOfState, ubar: State, ext: ExtendedState,
     the constant (1, 0, 0) and the first row of D_Ux F0 vanishes, hence that
     component is identically zero.
     """
-    c = _equilibrium_terms(eos, ubar)
-    t = tensors
+    c, t = _equilibrium_terms(eos, ubar), tensors.closure
     rho, u, rho_x, u_x, theta_x, rho_xx = (
         np.asarray(a, dtype=float) for a in (
             ext.rho, ext.u, ext.rho_x, ext.u_x, ext.theta_x, ext.rho_xx))
-    F0 = _components_first(t.F0)
+    F0 = tensors.F0
     rows = np.empty((10,) + np.broadcast(F0[0], u_x, theta_x, rho_xx).shape)
-    rows[:3] = _components_first(t.flux)
+    rows[:3] = tensors.flux
     # D_U F0 U_x + D_Ux F0 U_xx
     rows[3] = rho_x
     rows[4] = u * rho_x + rho * u_x
@@ -455,7 +430,7 @@ def nonlinear_terms(eos: EquationOfState, ubar: State, ext: ExtendedState,
     rows[7:] = F0
     n_tilde = _map(c.n_map, rows)
     n_tilde += _column(c.n_const, n_tilde)
-    return _components_last(n_tilde)
+    return n_tilde
 
 
 @dataclass(frozen=True)

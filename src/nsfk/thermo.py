@@ -114,14 +114,13 @@ class Domain:
         t = np.linspace(self.theta_min, self.theta_max, n)
         return np.meshgrid(r, t, indexing="ij")
 
-    def sample_states(self, n: int, rng: np.random.Generator,
-                      u_scale: float = 1.0,
-                      rho_x_scale: float = 1.0) -> "State":
-        """n random interior states (array-valued State), reproducible via rng."""
+    def sample_states(self, n: int, rng: np.random.Generator) -> "State":
+        """n random interior states (array-valued State), reproducible via rng,
+        with u and rho_x uniform in [-1, 1]."""
         rho = rng.uniform(self.rho_min * 1.001, self.rho_max, n)
         theta = rng.uniform(self.theta_min * 1.001, self.theta_max, n)
-        u = rng.uniform(-u_scale, u_scale, n)
-        rho_x = rng.uniform(-rho_x_scale, rho_x_scale, n)
+        u = rng.uniform(-1.0, 1.0, n)
+        rho_x = rng.uniform(-1.0, 1.0, n)
         return State(rho=rho, u=u, theta=theta, rho_x=rho_x)
 
 

@@ -38,6 +38,19 @@ def unpack(stepper, uh):
     return nls.StateField(stepper.grid, rho, mom / rho, theta)
 
 
+def field_spectrum(stepper, uh):
+    """The spectrum ``rhs`` takes of the field whose ``stepper.pack`` is ``uh``."""
+    fh = uh.copy()
+    fh[:, 0] += stepper.grid.n * stepper.vbar
+    return fh
+
+
+def entries(tensors):
+    """Every array and scalar of a ``symbols.FluxTensors``, its closure pass's
+    entries included."""
+    return (tensors.F0, tensors.flux, tensors.entropy, *tensors.closure)
+
+
 def to_v(ubar):
     """T = dV/dU at ``ubar``, V = (rho, rho u, theta), and its inverse."""
     t = np.array([[1.0, 0.0, 0.0], [ubar.u, ubar.rho, 0.0], [0.0, 0.0, 1.0]])
@@ -512,64 +525,104 @@ class TestSteppers:
         assert calls == ["rhs", "irfft", "rfft", "irfft", "rfft"] * 4
         assert rows == [8, 2, 2, 1] * 4
 
-        fh = uh.copy()
-        fh[:, 0] += small_grid.n * stepper.vbar
-        prior = nls._sample(ref_eos, ubar, small_grid, fh)[1]
+        fh = field_spectrum(stepper, uh)
+        nls._sample(ref_eos, ubar, small_grid, fh)
         calls.clear()
         rows.clear()
-        nls.rhs(ref_eos, small_grid, fh, prior=prior)
+        compared = []
+        array_equal = np.array_equal
+        monkeypatch.setattr(np, "array_equal",
+                            lambda *a: compared.append(1) or array_equal(*a))
+        nls.rhs(ref_eos, small_grid, fh)
         assert calls == ["rhs", "rfft", "irfft", "rfft"]
         assert rows == [2, 2, 1]
+        assert len(compared) == 1
 
     def test_only_the_pass_of_the_stage_input_is_taken(self, ref_eos, small_grid,
                                                        monkeypatch):
-        # a sample's pass is taken by stage 1 only while it is the pass of
-        # the stage input: one of another spectrum, or one made stale by an
-        # rhs in between, gives the step of no prior pass, bit for bit
+        # a sample leaves its closure pass in the grid's workspace, and
+        # stage 1 takes it only while it is the pass of the stage input:
+        # after a sample of another spectrum, or after an rhs in between,
+        # the step makes its own grid pass (8 irffts, not 7) and gives the
+        # same spectrum, bit for bit
         ubar = State(1.0, 0.0, 1.0)
         stepper = nls.IntegratingFactorRK4(ref_eos, ubar, small_grid, 0.01)
         ua = stepper.pack(smooth_field(small_grid, amp=0.03))
         ub = stepper.pack(smooth_field(small_grid, amp=0.05))
-
-        def sample(uh):
-            fh = uh.copy()
-            fh[:, 0] += small_grid.n * stepper.vbar
-            return fh, nls._sample(ref_eos, ubar, small_grid, fh)[1]
-
-        want = stepper.step(ub.copy())
-        fa, prior_a = sample(ua)                   # another spectrum
-        assert np.array_equal(stepper.step(ub.copy(), prior_a), want)
-        fb, prior_b = sample(ub)                   # stale: an rhs in between
-        nls.rhs(ref_eos, small_grid, fa)
-        assert np.array_equal(stepper.step(ub.copy(), prior_b), want)
-        fa, prior_a = sample(ua)                   # another spectrum, though the
-        nls.rhs(ref_eos, small_grid, fb)           # workspace holds this one's
-        assert np.array_equal(stepper.step(ub.copy(), prior_a), want)
-
+        fa = field_spectrum(stepper, ua)
         calls = []
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft",
                             lambda *a, **kw: calls.append(1) or irfft(*a, **kw))
-        fb, prior_b = sample(ub)                   # the pass of the stage input
-        calls.clear()
-        assert np.array_equal(stepper.step(ub.copy(), prior_b), want)
-        assert len(calls) == 7                     # one grid pass fewer
+
+        def sample(uh):
+            nls._sample(ref_eos, ubar, small_grid, field_spectrum(stepper, uh))
+
+        def irffts_of_a_step(uh):
+            calls.clear()
+            assert np.array_equal(stepper.step(uh.copy()), want)
+            return len(calls)
+
+        want = stepper.step(ub.copy())
+        sample(ua)                                 # another spectrum
+        assert irffts_of_a_step(ub) == 8
+        sample(ub)                                 # an rhs in between clears it
+        nls.rhs(ref_eos, small_grid, fa)
+        assert small_grid.workspace.tensors is None
+        assert irffts_of_a_step(ub) == 8
+        sample(ub)                                 # the pass of the stage input
+        assert irffts_of_a_step(ub) == 7
+
+    def test_a_pass_is_cleared_by_the_next_grid_pass(self, ref_eos, small_grid):
+        # a sample's pass is taken by an rhs of its spectrum only: an rhs of
+        # another field in between makes a grid pass of its own and clears
+        # it, so that field's rates never read the sample's closure pass
+        g = small_grid
+        fa, fb = (spectrum(smooth_field(g, amp=a)) for a in (0.03, 0.05))
+        want = nls.rhs(ref_eos, nls.SpectralGrid(n=g.n, length=g.length), fa)
+        nls._sample(ref_eos, State(1.0, 0.0, 1.0), g, fb)
+        assert g.workspace.tensors is not None
+        assert np.array_equal(nls.rhs(ref_eos, g, fa), want)
+        assert g.workspace.tensors is None
+        assert np.array_equal(nls.rhs(ref_eos, g, fa), want)
+
+    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
+    def test_a_taken_pass_is_left_as_it_was(self, request, closure, small_grid):
+        # the rhs that takes a sample's pass writes none of its arrays, nor
+        # the grid pass beside it, and gives the rates of its own passes
+        eos = request.getfixturevalue(closure)
+        g = small_grid
+        fh = spectrum(smooth_field(g, amp=0.1))
+        nls._sample(eos, State(1.0, 0.1, 1.0), g, fh)
+        ws = g.workspace
+        kept, grid_rows = copy.deepcopy(ws.tensors), ws.grad.copy()
+        rates = nls.rhs(eos, g, fh)
+        for x, y in zip(entries(ws.tensors), entries(kept), strict=True):
+            assert np.array_equal(x, y)
+        assert np.array_equal(ws.grad, grid_rows)
+        assert np.array_equal(rates, nls.rhs(eos, nls.SpectralGrid(n=g.n, length=g.length),
+                                             fh))
 
     def test_transforms_of_a_run_sampled_every_step(self, ref_eos, monkeypatch):
         # one rfft packs the initial field, each of the k + 1 samples makes
         # one irfft, and each of the k steps takes the pass of the sample
-        # before it: 15 transforms instead of 16
-        calls = []
+        # before it: 15 transforms instead of 16, and 4k + 1 fluxes, one per
+        # state evaluated
+        calls, fluxes = [], []
         for name in ("rfft", "irfft"):
             fn = getattr(np.fft, name)
             monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **kw:
                                 calls.append(1) or _fn(*a, **kw))
+        flux = sym._total_flux
+        monkeypatch.setattr(sym, "_total_flux",
+                            lambda *a, **kw: fluxes.append(1) or flux(*a, **kw))
         k = 6
         led = nls.run(ref_eos, State(1.0, 0.0, 1.0),
                       nls.PerturbationSpec(amplitude=1e-2, width=4.0),
                       t_final=k * 0.05, dt=0.05, length=50.0, n=128, sample_every=1)
         assert led.aborted is None and led.t.size == k + 1
         assert len(calls) == 15 * k + k + 2
+        assert len(fluxes) == 4 * k + 1
 
     def test_step_allocates_no_more_than_one_rhs(self, ref_eos):
         # tracemalloc counts the bytes numpy requests, whatever the allocator
@@ -651,6 +704,21 @@ class TestRun:
             assert len(calls) == 4 * k + 1
             rows.append([getattr(led, c)[-1] for c in nls.LEDGER_COLUMNS])
         assert rows[0] == rows[1]
+
+    def test_momentum_column_is_constant(self, ref_eos):
+        # the ledger's momentum is the integral of the stepped momentum, whose
+        # mode 0 no step changes: the column is constant bit for bit, and it
+        # is the initial field's integral of rho u
+        ubar = State(1.0, 0.1, 1.0)
+        spec = nls.PerturbationSpec(amplitude=5e-2, width=4.0,
+                                    fields=("rho", "u", "theta"))
+        led = nls.run(ref_eos, ubar, spec, t_final=0.4, dt=0.02, length=50.0, n=128,
+                      sample_every=1)
+        assert led.aborted is None
+        assert np.all(led.momentum == led.momentum[0])
+        f = nls.initial_field(nls.SpectralGrid(n=128, length=50.0), ubar, spec)
+        want = f.grid.integral(f.rho * f.u)
+        assert abs(led.momentum[0] - want) <= 1e-14 * abs(want)
 
     def test_ledger_fields_follow_the_columns(self):
         names = tuple(f.name for f in dataclasses.fields(nls.DiagnosticsLedger))
@@ -734,6 +802,39 @@ class TestRun:
         assert led.aborted == aborted
         assert led.t.size == 1
 
+    @pytest.mark.parametrize("name,message", [
+        ("theta", "temperature fell below 0.0"),
+        ("rho", "density fell below 0.0")])
+    def test_a_field_outside_the_set_is_rejected_before_the_closure(
+            self, ref_eos, small_grid, monkeypatch, name, message):
+        # a band-limited field with rho <= 0 or theta <= 0 at one grid point:
+        # rhs and step reject it in the grid pass, before the closure reads
+        # it (no log of it, so no warning), and the step leaves its spectrum
+        # as it was.  1 - c (1 + cos(2 pi (x - x0) / L)) / 2 with c slightly
+        # above 1 is below 0 at x0 alone
+        g = small_grid
+        x0 = g.x[g.n // 2]
+        dip = 1.0 - (1.0 + 5e-5) * 0.5 * (1.0 + np.cos(2 * np.pi * (g.x - x0) / g.length))
+        assert np.count_nonzero(dip <= 0.0) == 1
+        fields = {"rho": np.ones(g.n), "u": np.full(g.n, 0.1), "theta": np.ones(g.n)}
+        fields[name] = dip
+        f = nls.StateField(g, **fields)
+        stepper = nls.IntegratingFactorRK4(ref_eos, State(1.0, 0.0, 1.0), g, 0.01)
+        fh, uh = spectrum(f), stepper.pack(f)
+        before = uh.copy()
+        calls = []
+        closure = sym._closure
+        monkeypatch.setattr(sym, "_closure",
+                            lambda *a, **kw: calls.append(1) or closure(*a, **kw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for call in (lambda: nls.rhs(ref_eos, g, fh), lambda: stepper.step(uh)):
+                with pytest.raises(nls.StepRejected) as exc:
+                    call()
+                assert str(exc.value) == message
+        assert calls == []
+        assert np.array_equal(uh, before)
+
     def test_invalid_initial_field_raises(self, ref_eos):
         with pytest.raises(nls.StepRejected):
             nls.run(ref_eos, State(1.0, 0.0, 1.0),
@@ -778,7 +879,7 @@ class TestWDiagnostics:
         for name in ("w", "norm_w", "norm_u", "ratio", "max_n1", "max_n",
                      "nonlinear_scale"):
             assert np.array_equal(getattr(diag, name), getattr(kept, name)), name
-        for x, y in zip(diag.tensors, kept.tensors):
+        for x, y in zip(entries(diag.tensors), entries(kept.tensors), strict=True):
             assert np.array_equal(x, y)
 
 
@@ -796,7 +897,7 @@ class TestSample:
                           for m in range(1, 6))
                   for c in (ubar.rho, ubar.u, ubar.theta)]
         fh = spectrum(nls.StateField(g, *fields))
-        got, _ = nls._sample(eos, ubar, g, fh)
+        got = nls._sample(eos, ubar, g, fh)
 
         # the rows the sample reads: max_n1 is roundoff, so both paths
         # must start from the same field and gradients
@@ -813,7 +914,7 @@ class TestSample:
                 g.integral(rho * (eps + 0.5 * u ** 2)),
                 g.integral(rho * eos.s(rho, theta, ext.rho_x)),
                 norm_u, norm_w, norm_w / norm_u,
-                np.abs(n_terms[:, 0]).max(), np.abs(n_terms).max(),
+                np.abs(n_terms[0]).max(), np.abs(n_terms).max(),
                 max(np.abs(f1(eos, ext)).max(), 1.0))
         assert len(got) == len(want) == 10
         for a, b in zip(got, want):
@@ -865,8 +966,8 @@ class TestSample:
             evaluate = lambda: nls._sample(eos, ubar, small_grid, fh)  # noqa: E731
         else:
             def evaluate():
-                prior = nls._sample(eos, ubar, small_grid, fh)[1]
-                return nls.rhs(eos, small_grid, fh, prior=prior)
+                nls._sample(eos, ubar, small_grid, fh)
+                return nls.rhs(eos, small_grid, fh)
         evaluate()        # a sample builds the cached equilibrium terms first
         stages = ("flux_and_tensors", "w_variables", "nonlinear_terms")
         for name in stages:
@@ -932,8 +1033,8 @@ class TestExactZeroTerms:
         assert np.array_equal(nls.rhs(closure, small_grid, fh),
                               nls.rhs(arrays, small_grid, fh))
         ext = extended(f)
-        for a, b in zip(sym.flux_and_tensors(closure, ext),
-                        sym.flux_and_tensors(arrays, ext)):
+        for a, b in zip(entries(sym.flux_and_tensors(closure, ext)),
+                        entries(sym.flux_and_tensors(arrays, ext)), strict=True):
             assert np.array_equal(*np.broadcast_arrays(a, b))
 
         ubar = State(1.0, 0.1, 1.0)

@@ -72,13 +72,13 @@ class TestConservedQuantities:
 class TestFluxAndTensors:
     def test_gtilde_vanishes_without_gradients(self, ref_eos):
         ext = sym.ExtendedState(rho=1.2, u=0.7, theta=0.8)
-        t = sym.flux_and_tensors(ref_eos, ext)
-        assert t.g2 == 0.0 and t.g3 == 0.0
+        c = sym.flux_and_tensors(ref_eos, ext).closure
+        assert c.g2 == 0.0 and c.g3 == 0.0
 
     def test_capillarity_tensor_structure(self, ref_eos):
         # H's only entries are (2,1) = k rho and (3,1) = k rho u
         ext = sym.ExtendedState(rho=1.5, u=0.6, theta=1.2)
-        h = sym.flux_and_tensors(ref_eos, ext).h
+        h = sym.flux_and_tensors(ref_eos, ext).closure.h
         k = float(np.asarray(ref_eos.k(1.5, 1.2)))
         assert h == pytest.approx(k * 1.5, abs=1e-14)
         assert h * 0.6 == pytest.approx(k * 1.5 * 0.6, abs=1e-14)
@@ -87,7 +87,7 @@ class TestFluxAndTensors:
         # u = 0 leaves only the interstitial-work term in the third slot
         ext = sym.ExtendedState(rho=1.1, u=0.0, theta=0.9,
                                 rho_x=0.5, u_x=0.3, theta_x=0.2)
-        g3 = sym.flux_and_tensors(ref_eos, ext).g3
+        g3 = sym.flux_and_tensors(ref_eos, ext).closure.g3
         k = float(np.asarray(ref_eos.k(1.1, 0.9)))
         assert g3 == pytest.approx(-1.1 * 0.5 * 0.3 * k, abs=1e-14)
 
@@ -98,7 +98,7 @@ class TestFluxAndTensors:
         # those of cx.visc_matrix and of the first column k rho (0, 1, u)
         eos = request.getfixturevalue(closure)
         ext = random_extended(rng, 100)
-        t = sym.flux_and_tensors(eos, ext)
+        t = sym.flux_and_tensors(eos, ext).closure
         z = np.zeros(100)
         G = cx.mat3([[z, z, z], [z, t.mu, z], [z, t.mu * ext.u, t.alpha]])
         assert np.array_equal(G, cx.visc_matrix(eos, state_of(ext)))
@@ -116,15 +116,15 @@ class TestFluxAndTensors:
         eos = request.getfixturevalue(closure)
         ext = random_extended(rng, 100)
         t = sym.flux_and_tensors(eos, ext)
-        assert np.array_equal(t.F0, conserved_quantities(eos, ext))
+        assert np.array_equal(t.F0, conserved_quantities(eos, ext).T)
         jac = cx.jac_f0(eos, state_of(ext))
-        assert np.array_equal(t.a31, jac[:, 2, 0])
-        assert np.array_equal(t.a33, jac[:, 2, 2])
-        assert np.array_equal(t.b31, d_ux_F0(eos, ext)[:, 2, 0])
+        assert np.array_equal(t.closure.a31, jac[:, 2, 0])
+        assert np.array_equal(t.closure.a33, jac[:, 2, 2])
+        assert np.array_equal(t.closure.b31, d_ux_F0(eos, ext)[:, 2, 0])
         assert np.array_equal(t.entropy, ext.rho * eos.s(ext.rho, ext.theta, ext.rho_x))
         flux = total_flux(eos, ext.rho, ext.u, ext.theta, ext.rho_x, ext.rho_xx,
                           ext.u_x, ext.theta_x)
-        assert np.array_equal(t.flux, np.stack(flux, axis=-1))
+        assert np.array_equal(t.flux, np.stack(flux))
 
 
 class TestKortewegStress:
@@ -216,8 +216,8 @@ class TestNonlinearTerms:
         ubar = State(1.0, 0.3, 1.0)
         ext = random_extended(rng, 1000)
         n = nonlinear_terms(ref_eos, ubar, ext)
-        assert n.shape == (1000, 3)
-        assert np.abs(n[:, 0]).max() <= 1e-13
+        assert n.shape == (3, 1000)
+        assert np.abs(n[0]).max() <= 1e-13
 
     @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
     def test_bracket_first_rows_are_exact(self, request, closure, rng):
@@ -278,7 +278,7 @@ class TestNonlinearTerms:
         n_terms = nonlinear_terms(eos, ubar, ext)
         assert np.array_equal(n_terms, nonlinear_terms(eos, ubar, other))
         for e in (ext, other):
-            fresh = definitional_nonlinear_terms(eos, ubar, e)
+            fresh = definitional_nonlinear_terms(eos, ubar, e).T
             assert np.abs(n_terms - fresh).max() <= 1e-13 * np.abs(fresh).max()
 
 
@@ -291,11 +291,11 @@ class TestNonlinearTerms:
         ext = random_extended(rng, 50)
         for ubar in (State(1.0, 0.0, 1.0), State(1.3, 0.2, 0.8)) * 2:
             n_terms = nonlinear_terms(eos, ubar, ext)
-            fresh = definitional_nonlinear_terms(eos, ubar, ext)
+            fresh = definitional_nonlinear_terms(eos, ubar, ext).T
             assert np.abs(n_terms - fresh).max() <= 1e-13 * np.abs(fresh).max()
             w = w_variables(eos, ubar, ext)
             fresh = cx.mv(cx.jac_f0_inv(eos, ubar),
-                          conserved_quantities(eos, ext) - cx.f0(eos, ubar))
+                          conserved_quantities(eos, ext) - cx.f0(eos, ubar)).T
             assert np.abs(w - fresh).max() <= 1e-13 * np.abs(fresh).max()
 
 
