@@ -15,18 +15,22 @@ What(0) != 0 the norm decays like (1 + t)^{-(ell/2 + 1/4)}.
 
 Matrix exponentials use a per-node eigendecomposition with a
 scaling-and-squaring fallback (scipy.linalg.expm, imported on first use)
-wherever the eigenvector matrix is ill-conditioned.
+wherever the eigenvector matrix is ill-conditioned: its Frobenius condition
+number, formed from its inverse, exceeds a threshold, or it is singular
+(a defective generator).  Since M(-i xi) = conj M(i xi), a node set is
+factored once per distinct |xi|, and the nodes xi < 0 take the conjugated
+factors; V^{-1} What(0) is formed once for all evaluation times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .fitting import fit_power_law
-from .symbols import EquilibriumCoefficients, evolution_symbol
+from .symbols import EquilibriumCoefficients, _by_magnitude, evolution_symbol
 
 __all__ = [
     "SpectralProfile",
@@ -118,15 +122,6 @@ class SpectralProfile:
         if self.modes.shape != (self.xi_nodes.size, 3):
             raise ValueError("modes must have shape (n_nodes, 3)")
 
-    def hermitian_defect(self) -> float:
-        """Max |What(-xi) - conj(What(xi))| over nodes (0 for a real field).
-
-        Requires a sign-symmetric node set; returns nan otherwise.
-        """
-        if not np.allclose(self.xi_nodes, -self.xi_nodes[::-1]):
-            return float("nan")
-        return float(np.abs(self.modes[::-1] - np.conj(self.modes)).max())
-
     def with_modes(self, modes: np.ndarray) -> "SpectralProfile":
         return SpectralProfile(self.xi_nodes, self.weights, modes)
 
@@ -167,13 +162,15 @@ def csv_profile(path) -> SpectralProfile:
 def _eigensystem(generators: np.ndarray, cond_threshold: float):
     """(lam, V, V^{-1}, bad) with G = V diag(lam) V^{-1} for a stack (..., 3, 3).
 
-    ``bad`` flags ill-conditioned V; there V is the identity and callers use
+    ``bad`` flags an eigenvector matrix whose Frobenius condition number
+    ||V|| ||V^{-1}|| exceeds ``cond_threshold``.  ``np.linalg.cond`` forms
+    it from the inverse, not from singular values, so a singular V (the
+    eigenvectors of a defective G, such as a Jordan block) reads inf and is
+    flagged.  At a flagged entry V is the identity and callers use
     :func:`_expm_stack` instead.
     """
     lam, vecs = np.linalg.eig(generators)
-    cond = (np.linalg.norm(vecs, axis=(-2, -1))
-            * np.linalg.norm(np.linalg.pinv(vecs), axis=(-2, -1)))
-    bad = cond > cond_threshold
+    bad = np.linalg.cond(vecs, "fro") > cond_threshold
     vecs = np.where(bad[..., None, None], np.eye(3), vecs)
     return lam, vecs, np.linalg.inv(vecs), bad
 
@@ -190,33 +187,59 @@ def _expm_stack(generators: np.ndarray, t: float) -> np.ndarray:
 
 
 class ModePropagator:
-    """Precomputed eigendecompositions of M(i xi) over a node set.
+    """Eigendecompositions of M(i xi) over a node set, one per distinct |xi|.
 
-    Modes evolve as V exp(-lambda t) V^{-1} What(0); nodes whose eigenvector
-    matrix is ill-conditioned fall back to scaling-and-squaring per time.
+    The generators are evaluated and factored only at the distinct |xi| of
+    the nodes (2049 of the 4097 symmetric geometric nodes) and mapped back:
+    since M(-i xi) = conj M(i xi), a node xi < 0 takes the conjugated
+    generator, eigenvalues, V and V^{-1} of its mirror.  Any node set works,
+    symmetric in sign or not.  Modes evolve as V exp(-lambda t) V^{-1}
+    What(0); nodes whose eigenvector matrix is ill-conditioned or singular
+    (see :func:`_eigensystem`) fall back to scaling-and-squaring per time.
     The eigendecomposition path satisfies the semigroup property to roundoff.
     """
 
     def __init__(self, coeffs: EquilibriumCoefficients, xi_nodes: np.ndarray,
                  cond_threshold: float = 1e4):
         self.xi_nodes = np.asarray(xi_nodes, dtype=float)
-        self.generators = evolution_symbol(coeffs, self.xi_nodes)
-        self.lam, self.vecs, self.vecs_inv, self.bad = _eigensystem(
-            self.generators, cond_threshold)
+        magnitudes, back = _by_magnitude(self.xi_nodes)
+        generators = evolution_symbol(coeffs, magnitudes)
+        lam, vecs, vecs_inv, bad = _eigensystem(generators, cond_threshold)
+        neg = self.xi_nodes < 0
+        self.generators, self.lam, self.vecs, self.vecs_inv = (
+            _conjugated(a[back], neg) for a in (generators, lam, vecs, vecs_inv))
+        self.bad = bad[back]
 
-    def propagate(self, modes: np.ndarray, t: float) -> np.ndarray:
-        """Evolve all modes to time t (t >= 0)."""
-        if t < 0:
-            raise ValueError("t must be nonnegative")
+    def propagate(self, modes: np.ndarray,
+                  times: Sequence[float]) -> Iterator[np.ndarray]:
+        """The modes evolved to each of ``times`` (each t >= 0), one at a time.
+
+        V^{-1} What(0) is formed here, once; the returned iterator yields
+        What(t) for each t in turn, at the cost of one scaling by
+        exp(-lambda t) and one product with V per time, so only one time's
+        modes are held at once.  t = 0 yields a copy of ``modes``.
+        """
+        times = np.asarray(times, dtype=float)
+        if np.any(times < 0):
+            raise ValueError("times must be nonnegative")
+        coeff = np.einsum("kij,kj->ki", self.vecs_inv, modes)
+        return (self._evolved(modes, coeff, t) for t in times)
+
+    def _evolved(self, modes: np.ndarray, coeff: np.ndarray, t: float) -> np.ndarray:
         if t == 0.0:
             return modes.copy()
-        coeff = np.einsum("kij,kj->ki", self.vecs_inv, modes)
         out = np.einsum("kij,kj->ki", self.vecs, np.exp(-self.lam * t) * coeff)
         if np.any(self.bad):
             out[self.bad] = np.einsum("kij,kj->ki",
                                       _expm_stack(self.generators[self.bad], t),
                                       modes[self.bad])
         return out
+
+
+def _conjugated(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``a`` with its selected leading-axis entries conjugated in place."""
+    a[rows] = a[rows].conj()
+    return a
 
 
 def matrix_exponentials(generators: np.ndarray, t: float,
@@ -269,6 +292,9 @@ def evolve_and_fit(coeffs: EquilibriumCoefficients, initial: SpectralProfile,
                    fit_window: Optional[tuple[float, float]] = None) -> DecayFit:
     """Propagate every mode to each time, measure the order-ell norm, fit decay.
 
+    The modes' eigen-coordinates V^{-1} What(0) are formed once, and the
+    evolved modes are held for one time at a time.
+
     ``times`` must be increasing; the default fit window [t_max/100, t_max]
     discards the transient where constants dominate.  The fitted exponent of
     log-norm against log(1 + t) approaches -(ell/2 + 1/4) for integrable data
@@ -281,10 +307,8 @@ def evolve_and_fit(coeffs: EquilibriumCoefficients, initial: SpectralProfile,
     prop = ModePropagator(coeffs, initial.xi_nodes)
     at_zero = initial.xi_nodes == 0.0
     frozen = np.sum(initial.weights[at_zero] * modal_energy(initial, ell)[at_zero])
-    norms = np.array([
-        weighted_norm(initial.with_modes(prop.propagate(initial.modes, t)), ell)
-        for t in times
-    ])
+    norms = np.array([weighted_norm(initial.with_modes(modes), ell)
+                      for modes in prop.propagate(initial.modes, times)])
     if fit_window is None:
         fit_window = (times[-1] / 100.0, times[-1])
     fit = fit_power_law(1.0 + times, norms,

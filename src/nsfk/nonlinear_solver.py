@@ -598,16 +598,16 @@ def _sample(eos, equilibrium, grid: SpectralGrid, fh: np.ndarray) -> tuple:
     """Ledger values of the field whose retained spectrum is ``fh``, in the
     order of ``LEDGER_COLUMNS[1:]``.
 
-    The mass, energy and entropy integrals are those of its closure pass,
-    and the rest comes from its ``w_diagnostics``, which leaves that pass in
-    the grid's workspace for the next ``rhs`` of ``fh``.  The momentum is
-    the integral of the stepped momentum m itself, dx times its mode 0,
-    which no step changes.
+    The mass and the momentum are the integrals of the stepped density and
+    momentum themselves, dx times their mode 0, which no step changes.  The
+    energy and entropy integrals are those of the closure pass, and the rest
+    comes from its ``w_diagnostics``, which leaves that pass in the grid's
+    workspace for the next ``rhs`` of ``fh``.
     """
     diag = w_diagnostics(eos, equilibrium, grid, fh)
     t = diag.tensors
     return (
-        grid.integral(t.F0[0]),
+        float(grid.dx * fh[0, 0].real),
         float(grid.dx * fh[1, 0].real),
         grid.integral(t.F0[2]),
         grid.integral(t.entropy),

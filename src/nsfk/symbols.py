@@ -508,8 +508,22 @@ def evolution_symbol(coeffs: EquilibriumCoefficients, xi: ArrayLike) -> np.ndarr
     """Per-mode generator M(i xi) = A0^{-1} (i xi A(xi) + B(xi)).
 
     The Fourier transform of the linear system is What_t + M(i xi) What = 0;
-    M(0) = 0 and M(-xi) = conj(M(xi)).
+    M(0) = 0 and M(-xi) = conj(M(xi)) entry for entry (A and B are even in
+    xi, and only the factor i xi changes sign).
     """
     xi = np.asarray(xi, dtype=float)
     a0_inv = np.linalg.inv(coeffs.A0)
     return a0_inv @ (1j * xi[..., None, None] * coeffs.a(xi) + coeffs.b(xi))
+
+
+def _by_magnitude(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct |xi| of a node set, ascending, and the index that maps
+    them back to the nodes.
+
+    Since M(-xi) = conj(M(xi)), the symbol and what is computed from it are
+    formed only at the distinct |xi|: a node xi < 0 takes the conjugate of
+    its mirror's eigenvalues and eigenvectors, and the mirror's own value of
+    a quantity even in xi, such as the largest real part of the spectrum.
+    This holds for every node set, symmetric in sign or not.
+    """
+    return np.unique(np.abs(xi), return_inverse=True)

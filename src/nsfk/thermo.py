@@ -260,11 +260,6 @@ class EquationOfState:
         rho_x = np.asarray(rho_x, dtype=float)
         return self.eta(rho, theta) - self.kappa.d_t(rho, theta) * rho_x ** 2
 
-    def free_energy(self, rho, theta, rho_x):
-        """Non-standard Helmholtz free energy Psi = psi + kappa rho_x^2."""
-        rho_x = np.asarray(rho_x, dtype=float)
-        return self.psi(rho, theta) + self.kappa(rho, theta) * rho_x ** 2
-
 
 @dataclass(frozen=True)
 class _IdealGas(EquationOfState):

@@ -1,15 +1,100 @@
-"""Definitional oracles of the conservation form, shared by the tests.
+"""Definitional oracles shared by the tests.
 
-Each quantity is written out from the single-potential ``EquationOfState``
-methods and the ``convex_extension`` builders, independently of the one
-closure pass ``symbols._closure`` that the program evaluates.
+Each quantity of the conservation form is written out from the
+single-potential ``EquationOfState`` methods and the ``convex_extension``
+builders, independently of the one closure pass ``symbols._closure`` that
+the program evaluates.  The linear side keeps a per-node eigendecomposition
+propagator and the sample-by-sample entropy-pair check, which the batched
+program paths are tested against, and the helpers only the tests use.
 """
 
 import numpy as np
 
 from nsfk import convex_extension as cx
-from nsfk.symbols import ExtendedState
+from nsfk import dissipativity as dis
+from nsfk.symbols import ExtendedState, evolution_symbol
 from nsfk.thermo import State
+
+
+def mv(matrix, vector):
+    """Batched matrix-vector product; a constant (3, 3) matrix uses matmul."""
+    if matrix.ndim == 2:
+        return vector @ matrix.T
+    return np.einsum("...ij,...j->...i", matrix, vector)
+
+
+def free_energy(eos, rho, theta, rho_x):
+    """Non-standard Helmholtz free energy Psi = psi + kappa rho_x^2."""
+    rho_x = np.asarray(rho_x, dtype=float)
+    return eos.psi(rho, theta) + eos.kappa(rho, theta) * rho_x ** 2
+
+
+def hermitian_defect(profile):
+    """Max |What(-xi) - conj(What(xi))| over the nodes of a ``SpectralProfile``
+    (0 for a real field); nan unless the node set is sign-symmetric."""
+    if not np.allclose(profile.xi_nodes, -profile.xi_nodes[::-1]):
+        return float("nan")
+    return float(np.abs(profile.modes[::-1] - np.conj(profile.modes)).max())
+
+
+def atilde_congruence(triplet, xi):
+    """Atilde(xi) of a ``TransformedTriplet`` via the congruence
+    S^{1/2} A0^{-1/2} A(xi) A0^{-1/2} S^{-1/2}."""
+    xi = np.asarray(xi, dtype=float)
+    a = triplet.coeffs.a(xi)
+    s = dis.symbol_symmetrizer(triplet.coeffs, xi)
+    a0 = triplet.coeffs.A0
+    a0_isqrt = np.diag(1.0 / np.sqrt(np.diag(a0)))
+    s_sqrt = np.sqrt(s)
+    s_isqrt = np.zeros_like(s)
+    for i in range(3):
+        s_isqrt[..., i, i] = 1.0 / s_sqrt[..., i, i]
+    return s_sqrt @ (a0_isqrt @ a @ a0_isqrt) @ s_isqrt
+
+
+def per_node_propagate(coeffs, xi, modes, t):
+    """exp(-t M(i xi)) What at every node, each node's generator factored on
+    its own, its sign included: V exp(-lambda t) V^{-1} What."""
+    lam, vecs = np.linalg.eig(evolution_symbol(coeffs, np.asarray(xi, dtype=float)))
+    coeff = np.linalg.solve(vecs, modes[..., None])[..., 0]
+    return np.einsum("kij,kj->ki", vecs, np.exp(-lam * t) * coeff)
+
+
+def entropy_pair_observed(eos, domain, n_samples=100, fd_step=1e-5, seed=0,
+                          flux_fn=None):
+    """The five observed values of ``cx.verify_entropy_pair``, sample by
+    sample: (Hessian min eigenvalue, symmetry residual, congruence residual,
+    B min eigenvalue, flux residual)."""
+    rng = np.random.default_rng(seed)
+    states = domain.sample_states(n_samples, rng)
+    flux = flux_fn if flux_fn is not None else (lambda s: cx.f1(eos, s))
+
+    def central(fn, s):
+        base = [float(s.rho), float(s.u), float(s.theta)]
+        cols = []
+        for j in range(3):
+            hi, lo = list(base), list(base)
+            hi[j] += fd_step
+            lo[j] -= fd_step
+            cols.append((fn(State(*hi)) - fn(State(*lo))) / (2.0 * fd_step))
+        return np.stack(cols, axis=-1)
+
+    hess_min, sym_res, cong_res, b_min, flux_res = np.inf, 0.0, 0.0, np.inf, 0.0
+    for i in range(n_samples):
+        s = State(float(states.rho[i]), float(states.u[i]), float(states.theta[i]))
+        H = cx.hessian_entropy(eos, s)
+        hess_min = min(hess_min, float(np.linalg.eigvalsh(0.5 * (H + H.T)).min()))
+        a0, a1, b = cx.coefficient_matrices(eos, s)
+        sym_res = max(sym_res, float(np.abs(H - H.T).max()),
+                      float(np.abs(a0 - a0.T).max()), float(np.abs(a1 - a1.T).max()))
+        jf0, jf1 = cx.jac_f0(eos, s), cx.jac_f1(eos, s)
+        cong_res = max(cong_res, float(np.abs(jf0.T @ H @ jf0 - a0).max()),
+                       float(np.abs(jf0.T @ H @ jf1 - a1).max()))
+        b_min = min(b_min, float(np.linalg.eigvalsh(0.5 * (b + b.T)).min()))
+        lhs = central(lambda st: float(cx.entropy_flux(eos, st)), s)
+        jac = central(flux, s) if flux_fn is not None else jf1
+        flux_res = max(flux_res, float(np.abs(lhs - cx.z_map(eos, s) @ jac).max()))
+    return hess_min, sym_res, cong_res, b_min, flux_res
 
 
 def state_of(ext):
@@ -165,12 +250,12 @@ def definitional_nonlinear_terms(eos, ubar, ext):
     L = jac0.T @ cx.jac_z(eos, ubar) @ jac0_inv
     G, H = cx.visc_matrix(eos, state_of(ext)), capillarity_matrix(eos, state_of(ext))
     dF0, dF0_inv = cx.jac_f0(eos, state_of(ext)), cx.jac_f0_inv(eos, state_of(ext))
-    r = -(f1(eos, ext) - cx.f1(eos, ubar)) + cx.mv(
+    r = -(f1(eos, ext) - cx.f1(eos, ubar)) + mv(
         cx.jac_f1(eos, ubar) @ jac0_inv, conserved_quantities(eos, ext) - cx.f0(eos, ubar))
-    r_visc = cx.mv((G @ dF0_inv - g_bar @ jac0_inv) @ dF0, grad(ext))
-    i1 = -cx.mv(g_bar @ jac0_inv, cx.mv(d_ux_F0(eos, ext), grad2(ext)))
-    i2 = cx.mv((H @ dF0_inv - h_bar @ jac0_inv) @ dF0, grad2(ext))
+    r_visc = mv((G @ dF0_inv - g_bar @ jac0_inv) @ dF0, grad(ext))
+    i1 = -mv(g_bar @ jac0_inv, mv(d_ux_F0(eos, ext), grad2(ext)))
+    i2 = mv((H @ dF0_inv - h_bar @ jac0_inv) @ dF0, grad2(ext))
     g2, g3 = korteweg_entries(eos, ext.rho, ext.u, ext.theta, ext.rho_x, ext.u_x,
                               ext.theta_x)
     a0 = cx.coefficient_matrices(eos, ubar)[0]
-    return cx.mv(L, r + r_visc + i1 + i2 + cx.vec3([0.0, g2, g3])) / np.diag(a0)
+    return mv(L, r + r_visc + i1 + i2 + cx.vec3([0.0, g2, g3])) / np.diag(a0)

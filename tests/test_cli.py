@@ -4,11 +4,12 @@ import dataclasses
 import math
 import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nsfk import dissipativity, thermo
+from nsfk import dissipativity, linear_evolution, thermo
 from nsfk.cli import SCHEMA, ConfigError, RunConfig, main
 from nsfk.nonlinear_solver import LEDGER_COLUMNS
 
@@ -433,6 +434,71 @@ class TestAnalyzeSymbol:
         assert code == 1
         report = (out / "report.txt").read_text()
         assert "overall: FAIL" in report
+
+
+REFERENCE_INI = Path(__file__).resolve().parents[1] / "configs" / "reference.ini"
+
+
+class TestLinearSideWorkCounts:
+    """How much factoring the three linear-side subcommands do on
+    configs/reference.ini, counted at numpy.linalg."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        # per numpy.linalg function: [calls, matrices]; svd is also counted
+        # where pinv and cond look it up
+        counts = {}
+
+        def counted(name, fn):
+            def call(a, *args, **kwargs):
+                c = counts.setdefault(name, [0, 0])
+                c[0] += 1
+                c[1] += int(np.prod(np.shape(a)[:-2]))
+                return fn(a, *args, **kwargs)
+            return call
+
+        for name in ("eig", "eigvals", "eigvalsh", "pinv", "svd"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(np.linalg._linalg, "svd", np.linalg.svd)
+        return counts
+
+    @staticmethod
+    def run(command, tmp_path):
+        assert main([command, "--config", str(REFERENCE_INI),
+                     "--out", str(tmp_path / command), "--quiet"]) == 0
+
+    def test_linear_decay(self, factored, monkeypatch, tmp_path):
+        # 2049 distinct |xi| among the 4097 nodes, no SVD for the condition
+        # number, and V^{-1} What(0) formed once for the 41 times
+        props, applied = [], {"V^-1": 0, "V": 0}
+        init, einsum = linear_evolution.ModePropagator.__init__, np.einsum
+
+        def recorded(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            props.append(self)
+
+        def spied(subscripts, *operands, **kwargs):
+            for p in props:
+                applied["V^-1"] += any(op is p.vecs_inv for op in operands)
+                applied["V"] += any(op is p.vecs for op in operands)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(linear_evolution.ModePropagator, "__init__", recorded)
+        monkeypatch.setattr(np, "einsum", spied)
+        self.run("linear-decay", tmp_path)
+        assert len(props) == 1 and props[0].xi_nodes.size == 4097
+        assert factored == {"eig": [1, 2049]}
+        assert applied == {"V^-1": 1, "V": 41}
+
+    def test_analyze_symbol_spectral_bound(self, factored, tmp_path):
+        # the 8002-point grid holds 4001 distinct |xi|
+        self.run("analyze-symbol", tmp_path)
+        assert factored["eigvals"] == [1, 4001]
+
+    def test_verify_thermo_entropy_pair(self, factored, tmp_path):
+        # the 100 samples in one batched eigvalsh per eigenvalue check
+        self.run("verify-thermo", tmp_path)
+        assert factored == {"eigvalsh": [2, 200]}
 
 
 class TestLinearDecay:

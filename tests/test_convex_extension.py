@@ -4,7 +4,7 @@ import pytest
 from nsfk import convex_extension as cx
 from nsfk import symbols as sym
 from nsfk.thermo import State
-from oracles import conserved_quantities
+from oracles import conserved_quantities, entropy_pair_observed, mv
 
 
 def fd_jacobian(fn, state, h=1e-6):
@@ -155,7 +155,7 @@ class TestMv:
         for shape in ((3,), (8, 3), (2, 4, 3)):
             v = rng.standard_normal(shape)
             want = np.einsum("ij,...j->...i", m, v)
-            np.testing.assert_allclose(cx.mv(m, v), want, rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(mv(m, v), want, rtol=1e-14, atol=1e-15)
 
 
 class TestVerifyEntropyPair:
@@ -175,8 +175,8 @@ class TestVerifyEntropyPair:
         def scaled(eos, state):
             a0, a1, b = exact(eos, state)
             a1 = a1.copy()
-            a1[0, 1] *= 1 + 1e-6
-            a1[1, 0] *= 1 + 1e-6
+            a1[..., 0, 1] *= 1 + 1e-6
+            a1[..., 1, 0] *= 1 + 1e-6
             return a0, a1, b
 
         monkeypatch.setattr(cx, "coefficient_matrices", scaled)
@@ -185,20 +185,42 @@ class TestVerifyEntropyPair:
         assert by_name["Hessian/A0/A1 symmetry residual"].passed
         assert not by_name["A0/A1 entropy congruence residual"].passed
 
-    def test_corrupted_flux_fails(self, ref_eos, domain):
+    @staticmethod
+    def bad_flux(eos):
         # drop the pressure from the momentum flux: compatibility must break
-        def bad_flux(s):
+        def flux(s):
             rho, u, theta = np.asarray(s.rho), np.asarray(s.u), s.theta
-            e = ref_eos.e(rho, theta)
-            p = ref_eos.p(rho, theta)
+            e = eos.e(rho, theta)
+            p = eos.p(rho, theta)
             return cx.vec3([rho * u, rho * u ** 2,
                             rho * u * (e + 0.5 * u ** 2) + p * u])
+        return flux
 
+    def test_corrupted_flux_fails(self, ref_eos, domain):
         report = cx.verify_entropy_pair(ref_eos, domain, n_samples=20, seed=3,
-                                        flux_fn=bad_flux)
+                                        flux_fn=self.bad_flux(ref_eos))
         bad = {c.name: c for c in report.checks}[
             "flux compatibility D_U Theta = Z^T D_U f1"]
         assert not bad.passed
+
+    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos",
+                                         "rho_theta_kappa_eos"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_batched_pass_matches_sample_loop(self, request, closure, seed, domain):
+        # every map broadcasts, so the batched pass reports the observed
+        # values of the sample-by-sample loop bit for bit
+        eos = request.getfixturevalue(closure)
+        report = cx.verify_entropy_pair(eos, domain, n_samples=100, seed=seed)
+        got = tuple(c.observed for c in report.checks)
+        assert got == entropy_pair_observed(eos, domain, n_samples=100, seed=seed)
+
+    def test_corrupted_flux_matches_sample_loop(self, ref_eos, domain):
+        report = cx.verify_entropy_pair(ref_eos, domain, n_samples=20, seed=3,
+                                        flux_fn=self.bad_flux(ref_eos))
+        want = entropy_pair_observed(ref_eos, domain, n_samples=20, seed=3,
+                                     flux_fn=self.bad_flux(ref_eos))
+        assert tuple(c.observed for c in report.checks) == want
+        assert want[4] > 1e-6
 
     def test_rejects_bad_step(self, ref_eos, domain):
         with pytest.raises(ValueError):

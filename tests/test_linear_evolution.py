@@ -11,6 +11,13 @@ from nsfk import dissipativity as dis
 from nsfk import linear_evolution as lin
 from nsfk import symbols as sym
 from nsfk.thermo import State, ideal_gas_eos
+from oracles import hermitian_defect, per_node_propagate
+
+
+def at(prop, modes, t):
+    """The modes evolved to the one time t."""
+    (out,) = prop.propagate(modes, [t])
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -85,11 +92,11 @@ class TestQuadrature:
 class TestProfiles:
     def test_gaussian_hermitian(self, small_nodes):
         prof = lin.gaussian_profile(*small_nodes)
-        assert prof.hermitian_defect() == 0.0
+        assert hermitian_defect(prof) == 0.0
 
     def test_zero_mass_hermitian_and_vanishing_mean(self, small_nodes):
         prof = lin.zero_mass_gaussian_profile(*small_nodes)
-        assert prof.hermitian_defect() <= 1e-16
+        assert hermitian_defect(prof) <= 1e-16
         mid = prof.xi_nodes.size // 2
         assert prof.xi_nodes[mid] == 0.0
         assert np.abs(prof.modes[mid]).max() == 0.0
@@ -105,33 +112,33 @@ class TestProfiles:
 class TestPropagation:
     def test_time_zero_identity(self, ref_coeffs):
         mode = np.array([[1.0 + 2.0j, -0.5j, 0.25]])
-        out = lin.ModePropagator(ref_coeffs, np.array([3.0])).propagate(mode, 0.0)
+        out = at(lin.ModePropagator(ref_coeffs, np.array([3.0])), mode, 0.0)
         assert np.all(out == mode)
 
     def test_zero_frequency_frozen(self, ref_coeffs):
         mode = np.array([[0.3, 1.0 - 1.0j, -2.0]])
-        out = lin.ModePropagator(ref_coeffs, np.array([0.0])).propagate(mode, 17.0)
+        out = at(lin.ModePropagator(ref_coeffs, np.array([0.0])), mode, 17.0)
         assert np.abs(out - mode).max() <= 1e-14
 
     def test_negative_time_rejected(self, ref_coeffs):
         prop = lin.ModePropagator(ref_coeffs, np.array([1.0]))
         with pytest.raises(ValueError):
-            prop.propagate(np.zeros((1, 3), dtype=complex), -1.0)
+            prop.propagate(np.zeros((1, 3), dtype=complex), [1.0, -1.0])
 
     def test_semigroup_property(self, ref_coeffs, small_nodes):
         nodes, weights = small_nodes
         prof = lin.gaussian_profile(nodes, weights)
         prop = lin.ModePropagator(ref_coeffs, nodes)
-        one = prop.propagate(prof.modes, 2.5)
-        two = prop.propagate(prop.propagate(prof.modes, 1.0), 1.5)
+        one = at(prop, prof.modes, 2.5)
+        two = at(prop, at(prop, prof.modes, 1.0), 1.5)
         assert np.abs(one - two).max() <= 1e-10
 
     def test_hermitian_symmetry_preserved(self, ref_coeffs, small_nodes):
         nodes, weights = small_nodes
         prof = lin.gaussian_profile(nodes, weights)
         prop = lin.ModePropagator(ref_coeffs, nodes)
-        evolved = prof.with_modes(prop.propagate(prof.modes, 4.0))
-        assert evolved.hermitian_defect() <= 1e-12
+        evolved = prof.with_modes(at(prop, prof.modes, 4.0))
+        assert hermitian_defect(evolved) <= 1e-12
 
     def test_modal_bound(self, ref_coeffs, rng):
         # |exp(-t M) v| <= C exp(-c0 xi^2 t)|v| with the certified uniform c0;
@@ -143,8 +150,9 @@ class TestPropagation:
         for _ in range(5):
             v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             v /= np.linalg.norm(v)
-            for t in (0.1, 1.0, 10.0):
-                out = prop.propagate(np.broadcast_to(v, (xi.size, 3)).copy(), t)
+            times = (0.1, 1.0, 10.0)
+            for t, out in zip(times, prop.propagate(np.broadcast_to(v, (xi.size, 3)),
+                                                    times)):
                 norms = np.linalg.norm(out, axis=1)
                 mask = norms > 0
                 log_ratio = np.log(norms[mask]) + c0 * xi[mask] ** 2 * t
@@ -165,8 +173,64 @@ class TestPropagation:
         eig = lin.ModePropagator(ref_coeffs, nodes)
         fallback = lin.ModePropagator(ref_coeffs, nodes, cond_threshold=0.0)
         assert np.all(fallback.bad)
-        assert np.abs(eig.propagate(prof.modes, 2.0)
-                      - fallback.propagate(prof.modes, 2.0)).max() <= 1e-10
+        assert np.abs(at(eig, prof.modes, 2.0)
+                      - at(fallback, prof.modes, 2.0)).max() <= 1e-10
+
+
+class TestMirroredFactors:
+    """ModePropagator factors each distinct |xi| once and conjugates for
+    xi < 0; checked against a propagator that factors every node."""
+
+    TIMES = (0.3, 2.0, 50.0)
+
+    @staticmethod
+    def node_sets(nodes):
+        return {"symmetric": nodes,
+                "all positive": nodes[nodes > 0.0],
+                # |xi| <= 1 with both signs, |xi| > 1 only with the minus sign
+                "one sign beyond 1": nodes[nodes <= 1.0]}
+
+    @staticmethod
+    def random_modes(n):
+        rng = np.random.default_rng(1)
+        return rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+
+    @pytest.mark.parametrize("which", ["symmetric", "all positive", "one sign beyond 1"])
+    def test_matches_per_node_oracle(self, ref_coeffs, small_nodes, which):
+        xi = self.node_sets(small_nodes[0])[which]
+        modes = self.random_modes(xi.size)
+        prop = lin.ModePropagator(ref_coeffs, xi)
+        for t, got in zip(self.TIMES, prop.propagate(modes, self.TIMES), strict=True):
+            want = per_node_propagate(ref_coeffs, xi, modes, t)
+            assert np.abs(got - want).max() <= 1e-13
+
+    def test_unconjugated_mirror_fails(self, ref_coeffs, small_nodes, monkeypatch):
+        # a mutant that hands xi < 0 its mirror's factors unconjugated
+        monkeypatch.setattr(lin, "_conjugated", lambda a, rows: a)
+        xi = small_nodes[0]
+        modes = self.random_modes(xi.size)
+        (got,) = lin.ModePropagator(ref_coeffs, xi).propagate(modes, [2.0])
+        want = per_node_propagate(ref_coeffs, xi, modes, 2.0)
+        assert np.abs(got - want).max() > 1e-3
+
+    @pytest.mark.parametrize("generator", [[[0, 1, 0], [0, 0, 0], [0, 0, 1]],
+                                           [[1, 1, 0], [0, 1, 0], [0, 0, 2]]])
+    def test_defective_generator_is_flagged(self, ref_coeffs, monkeypatch, generator):
+        # the eigenvectors of a Jordan block are (nearly) parallel: the
+        # condition number from the inverse is inf or about 1e16, so the
+        # node takes scaling and squaring, which keeps the off-diagonal
+        from scipy.linalg import expm
+        gen = np.array(generator, dtype=float)
+        assert np.abs(lin.matrix_exponentials(gen, 0.5) - expm(-0.5 * gen)).max() <= 1e-13
+        monkeypatch.setattr(lin, "evolution_symbol",
+                            lambda coeffs, xi: np.broadcast_to(gen, xi.shape + (3, 3)))
+        xi = np.array([-1.0, 0.5, 1.0])
+        prop = lin.ModePropagator(ref_coeffs, xi)
+        assert np.all(prop.bad)
+        modes = self.random_modes(xi.size)
+        (got,) = prop.propagate(modes, [0.5])
+        want = modes @ expm(-0.5 * gen).T
+        assert np.abs(got - want).max() <= 1e-13
 
 
 class TestWeightedNorm:

@@ -14,8 +14,8 @@ from nsfk.linear_evolution import matrix_exponentials
 from nsfk.thermo import Coefficient, State, ideal_gas_eos
 from oracles import (capillarity_matrix, conserved_quantities, d_ux_F0,
                      definitional_nonlinear_terms, deriv, extended, f1, grad, grad2,
-                     korteweg_entries, primitive_rhs, primitive_spectrum, spectrum,
-                     state_of, total_flux)
+                     korteweg_entries, mv, primitive_rhs, primitive_spectrum,
+                     spectrum, state_of, total_flux)
 
 
 @pytest.fixture(scope="module")
@@ -211,12 +211,12 @@ class TestRhs:
         rates = np.stack(physical_rates(eos, f), axis=-1)
         rates_x = np.stack([deriv(g, r) for r in rates.T], axis=-1)
         ext = extended(f)
-        lhs = (cx.mv(cx.jac_f0(eos, state_of(ext)), rates)
-               + cx.mv(d_ux_F0(eos, ext), rates_x))
+        lhs = (mv(cx.jac_f0(eos, state_of(ext)), rates)
+               + mv(d_ux_F0(eos, ext), rates_x))
         g2, g3 = korteweg_entries(eos, ext.rho, ext.u, ext.theta, ext.rho_x,
                                   ext.u_x, ext.theta_x)
-        flux = (-f1(eos, ext) + cx.mv(cx.visc_matrix(eos, state_of(ext)), grad(ext))
-                + cx.mv(capillarity_matrix(eos, state_of(ext)), grad2(ext))
+        flux = (-f1(eos, ext) + mv(cx.visc_matrix(eos, state_of(ext)), grad(ext))
+                + mv(capillarity_matrix(eos, state_of(ext)), grad2(ext))
                 + cx.vec3([0.0, g2, g3]))
         div = np.stack([deriv(g, flux[:, i], dealias=True) for i in range(3)], axis=-1)
         assert np.abs(lhs - div).max() <= 1e-12 * np.abs(div).max()
@@ -720,6 +720,22 @@ class TestRun:
         want = f.grid.integral(f.rho * f.u)
         assert abs(led.momentum[0] - want) <= 1e-14 * abs(want)
 
+    def test_mass_column_is_constant(self, ref_eos):
+        # the ledger's mass is the integral of the stepped density, whose
+        # mode 0 no step changes: the column is constant bit for bit, and it
+        # is the initial field's integral of rho (the grid sum of the closure
+        # pass's rho moved by 1.4e-14 over this run)
+        ubar = State(1.1, 0.2, 0.9)
+        spec = nls.PerturbationSpec(amplitude=5e-2, width=4.0,
+                                    fields=("rho", "u", "theta"))
+        led = nls.run(ref_eos, ubar, spec, t_final=0.4, dt=0.02, length=50.0, n=128,
+                      sample_every=1)
+        assert led.aborted is None
+        assert np.all(led.mass == led.mass[0])
+        f = nls.initial_field(nls.SpectralGrid(n=128, length=50.0), ubar, spec)
+        want = f.grid.integral(f.rho)
+        assert abs(led.mass[0] - want) <= 1e-14 * abs(want)
+
     def test_ledger_fields_follow_the_columns(self):
         names = tuple(f.name for f in dataclasses.fields(nls.DiagnosticsLedger))
         assert names[:len(nls.LEDGER_COLUMNS)] == nls.LEDGER_COLUMNS
@@ -905,8 +921,8 @@ class TestSample:
         ext = sym.ExtendedState(rho=rho, u=u, theta=theta, rho_x=rho_x, u_x=u_x,
                                 theta_x=theta_x, rho_xx=rho_xx)
         eps = eos.epsilon(rho, theta, ext.rho_x)
-        w = cx.mv(cx.jac_f0_inv(eos, ubar),
-                  conserved_quantities(eos, ext) - cx.f0(eos, ubar))
+        w = mv(cx.jac_f0_inv(eos, ubar),
+               conserved_quantities(eos, ext) - cx.f0(eos, ubar))
         n_terms = sym.nonlinear_terms(eos, ubar, ext, sym.flux_and_tensors(eos, ext))
         norm_w = triple_norm(g, w[:, 0], w[:, 1], w[:, 2])
         norm_u = triple_norm(g, rho - ubar.rho, u - ubar.u, theta - ubar.theta)

@@ -10,7 +10,7 @@ from nsfk import symbols as sym
 from nsfk.fitting import fit_power_law
 from nsfk.thermo import Coefficient, EquationOfState, State, ideal_gas_eos
 from oracles import (capillarity_matrix, conserved_quantities, d_ux_F0,
-                     definitional_nonlinear_terms, korteweg_entries, state_of,
+                     definitional_nonlinear_terms, korteweg_entries, mv, state_of,
                      total_flux)
 
 interior = st.floats(min_value=0.4, max_value=2.2)
@@ -294,8 +294,8 @@ class TestNonlinearTerms:
             fresh = definitional_nonlinear_terms(eos, ubar, ext).T
             assert np.abs(n_terms - fresh).max() <= 1e-13 * np.abs(fresh).max()
             w = w_variables(eos, ubar, ext)
-            fresh = cx.mv(cx.jac_f0_inv(eos, ubar),
-                          conserved_quantities(eos, ext) - cx.f0(eos, ubar)).T
+            fresh = mv(cx.jac_f0_inv(eos, ubar),
+                       conserved_quantities(eos, ext) - cx.f0(eos, ubar)).T
             assert np.abs(w - fresh).max() <= 1e-13 * np.abs(fresh).max()
 
 
