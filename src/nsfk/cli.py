@@ -442,7 +442,10 @@ def cmd_linear_decay(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     profile = _load_profile(lin, nodes, weights)
 
     coeffs = equilibrium_coefficients(eos, ubar)
-    fit = evolve_and_fit(coeffs, profile, times, ell, (fit_lo, fit_hi))
+    # a norm that underflows to 0 before the window leaves nothing to fit
+    fit = _build(f"[linear] the order-{ell:g} norm of the profile cannot be fitted "
+                 f"on [fit_t_min, fit_t_max] = [{fit_lo:g}, {fit_hi:g}]:",
+                 evolve_and_fit, coeffs, profile, times, ell, (fit_lo, fit_hi))
 
     predicted = -(ell / 2.0 + 0.25)
     # the predicted rate is an upper bound: faster decay (e.g. zero-mass data)

@@ -18,8 +18,9 @@ scaling-and-squaring fallback (scipy.linalg.expm, imported on first use)
 wherever the eigenvector matrix is ill-conditioned: its Frobenius condition
 number, formed from its inverse, exceeds a threshold, or it is singular
 (a defective generator).  Since M(-i xi) = conj M(i xi), a node set is
-factored once per distinct |xi|, and the nodes xi < 0 take the conjugated
-factors; V^{-1} What(0) is formed once for all evaluation times.
+factored, and exp(-lambda t) taken, once per distinct |xi|, and the nodes
+xi < 0 take the conjugates; V^{-1} What(0) is formed once for all
+evaluation times.
 """
 
 from __future__ import annotations
@@ -190,13 +191,14 @@ class ModePropagator:
     """Eigendecompositions of M(i xi) over a node set, one per distinct |xi|.
 
     The generators are evaluated and factored only at the distinct |xi| of
-    the nodes (2049 of the 4097 symmetric geometric nodes) and mapped back:
-    since M(-i xi) = conj M(i xi), a node xi < 0 takes the conjugated
-    generator, eigenvalues, V and V^{-1} of its mirror.  Any node set works,
-    symmetric in sign or not.  Modes evolve as V exp(-lambda t) V^{-1}
-    What(0); nodes whose eigenvector matrix is ill-conditioned or singular
-    (see :func:`_eigensystem`) fall back to scaling-and-squaring per time.
-    The eigendecomposition path satisfies the semigroup property to roundoff.
+    the nodes (2049 of the 4097 symmetric geometric nodes).  The eigenvalues
+    stay there, so exp(-lambda t) is taken once per distinct |xi|; since
+    M(-i xi) = conj M(i xi), a node xi < 0 takes the conjugate of its
+    mirror's exponentials, V and V^{-1}.  Any node set works, symmetric in
+    sign or not.  Modes evolve as V exp(-lambda t) V^{-1} What(0); nodes
+    whose eigenvector matrix is ill-conditioned or singular (see
+    :func:`_eigensystem`) fall back to scaling-and-squaring per time.  The
+    eigendecomposition path satisfies the semigroup property to roundoff.
     """
 
     def __init__(self, coeffs: EquilibriumCoefficients, xi_nodes: np.ndarray,
@@ -206,34 +208,55 @@ class ModePropagator:
         generators = evolution_symbol(coeffs, magnitudes)
         lam, vecs, vecs_inv, bad = _eigensystem(generators, cond_threshold)
         neg = self.xi_nodes < 0
-        self.generators, self.lam, self.vecs, self.vecs_inv = (
-            _conjugated(a[back], neg) for a in (generators, lam, vecs, vecs_inv))
+        # (3, magnitudes): row i holds eigenvalue i at each distinct |xi|
+        self.lam = np.ascontiguousarray(lam.T, dtype=complex)
+        # the column of [exp(-lambda t), conj exp(-lambda t)] each node takes
+        self._take = back + magnitudes.size * neg
+        self.vecs_inv = _conjugated(vecs_inv[back], neg)
+        # V column-first as (3, 3, nodes): [j, i, k] holds entry (i, j) of
+        # node k, the layout of IntegratingFactorRK4._apply
+        self.vec_columns = np.ascontiguousarray(
+            _conjugated(vecs[back], neg).transpose(2, 1, 0))
         self.bad = bad[back]
+        self.bad_generators = _conjugated(generators[back[self.bad]], neg[self.bad])
 
     def propagate(self, modes: np.ndarray,
                   times: Sequence[float]) -> Iterator[np.ndarray]:
         """The modes evolved to each of ``times`` (each t >= 0), one at a time.
 
         V^{-1} What(0) is formed here, once; the returned iterator yields
-        What(t) for each t in turn, at the cost of one scaling by
-        exp(-lambda t) and one product with V per time, so only one time's
-        modes are held at once.  t = 0 yields a copy of ``modes``.
+        What(t) for each t in turn, at the cost of one exponential per
+        distinct |xi| and eigenvalue, one scaling and three column products
+        with V per time, so only one time's modes are held at once.  t = 0
+        yields a copy of ``modes``.
         """
         times = np.asarray(times, dtype=float)
         if np.any(times < 0):
             raise ValueError("times must be nonnegative")
-        coeff = np.einsum("kij,kj->ki", self.vecs_inv, modes)
+        coeff = np.einsum("kij,kj->ik", self.vecs_inv, modes)
         return (self._evolved(modes, coeff, t) for t in times)
+
+    def _exponentials(self, t: float) -> np.ndarray:
+        """exp(-lambda t) at the nodes, (3, nodes): taken at the distinct
+        |xi| and conjugated where xi < 0."""
+        half = np.exp(self.lam * -t)
+        return np.concatenate((half, half.conj()), axis=1).take(self._take, axis=1)
 
     def _evolved(self, modes: np.ndarray, coeff: np.ndarray, t: float) -> np.ndarray:
         if t == 0.0:
             return modes.copy()
-        out = np.einsum("kij,kj->ki", self.vecs, np.exp(-self.lam * t) * coeff)
+        scaled = self._exponentials(t)
+        scaled *= coeff
+        v = self.vec_columns
+        out = v[0] * scaled[0]
+        tmp = np.empty_like(out)
+        for j in (1, 2):
+            out += np.multiply(v[j], scaled[j], out=tmp)
         if np.any(self.bad):
-            out[self.bad] = np.einsum("kij,kj->ki",
-                                      _expm_stack(self.generators[self.bad], t),
-                                      modes[self.bad])
-        return out
+            out[:, self.bad] = np.einsum("kij,kj->ik",
+                                         _expm_stack(self.bad_generators, t),
+                                         modes[self.bad])
+        return out.T
 
 
 def _conjugated(a: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -59,22 +59,39 @@ def check_columns(sections: Sequence[CheckReport]) -> dict[str, list]:
     }
 
 
-def _cells(column) -> list[str]:
-    """The formatted values of one column: a float array in one pass over
-    its ``tolist()``, anything else value by value with :func:`fmt`."""
+def _quoted(cell: str) -> str:
+    """``cell`` as a CSV field: wrapped in double quotes, its own quotes
+    doubled, if it holds a comma, a double quote or a newline."""
+    if "," in cell or '"' in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _column(column) -> tuple[str, list]:
+    """The replacement field and the values of one column: a float array
+    is formatted ``{:.17g}`` from its ``tolist()`` (no float field needs
+    quotes), anything else value by value with :func:`fmt`, then quoted."""
     if isinstance(column, np.ndarray) and column.dtype == float:
-        return list(map("{:.17g}".format, column.tolist()))
-    return list(map(fmt, column))
+        return "{:.17g}", column.tolist()
+    return "{}", [_quoted(fmt(v)) for v in column]
 
 
 def write_csv(path, columns: Mapping[str, Sequence]) -> None:
     """Deterministic CSV writer; floats printed with 17 significant digits.
 
     ``columns`` maps each field name, in order, to its column of values;
-    every column has one value per row.
+    every column has one value per row.  Fields are quoted by the rule of
+    ``csv.writer`` with a newline line terminator (see CSV_SCHEMAS.md), and
+    a row whose only field is empty is written ``""``.  Each row is
+    formatted in one call, and the text is written in one call.
     """
-    cells = [_cells(col) for col in columns.values()]
+    fields = [_column(col) for col in columns.values()]
+    line = ",".join(spec for spec, _ in fields).format
+    rows = [",".join(map(_quoted, columns)),
+            *starmap(line, zip(*(values for _, values in fields), strict=True))]
+    del fields                          # freed before the join: a lower peak
+    if len(columns) == 1:
+        rows = [row or '""' for row in rows]
+    rows.append("")                     # the last row's line terminator
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(columns))
-        writer.writerows(zip(*cells, strict=True))
+        fh.write("\n".join(rows))

@@ -5,13 +5,18 @@ single-potential ``EquationOfState`` methods and the ``convex_extension``
 builders, independently of the one closure pass ``symbols._closure`` that
 the program evaluates.  The linear side keeps a per-node eigendecomposition
 propagator and the sample-by-sample entropy-pair check, which the batched
-program paths are tested against, and the helpers only the tests use.
+program paths are tested against, and the helpers only the tests use.  The
+CSV writer built on the ``csv`` module is kept to check the program's own
+quoting byte for byte.
 """
+
+import csv
 
 import numpy as np
 
 from nsfk import convex_extension as cx
 from nsfk import dissipativity as dis
+from nsfk.reports import fmt
 from nsfk.symbols import ExtendedState, evolution_symbol
 from nsfk.thermo import State
 
@@ -21,6 +26,21 @@ def mv(matrix, vector):
     if matrix.ndim == 2:
         return vector @ matrix.T
     return np.einsum("...ij,...j->...i", matrix, vector)
+
+
+def csv_module_write_csv(path, columns):
+    """``reports.write_csv`` through ``csv.writer(lineterminator="\\n")``:
+    a float array column formatted over its ``tolist()``, anything else
+    value by value with ``fmt``, and the module doing all the quoting."""
+    def cells(column):
+        if isinstance(column, np.ndarray) and column.dtype == float:
+            return list(map("{:.17g}".format, column.tolist()))
+        return list(map(fmt, column))
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(columns))
+        writer.writerows(zip(*map(cells, columns.values()), strict=True))
 
 
 def free_energy(eos, rho, theta, rho_x):
@@ -52,12 +72,17 @@ def atilde_congruence(triplet, xi):
     return s_sqrt @ (a0_isqrt @ a @ a0_isqrt) @ s_isqrt
 
 
-def per_node_propagate(coeffs, xi, modes, t):
-    """exp(-t M(i xi)) What at every node, each node's generator factored on
-    its own, its sign included: V exp(-lambda t) V^{-1} What."""
+def per_node_propagator(coeffs, xi, modes):
+    """t -> exp(-t M(i xi)) What at every node, each node's generator
+    factored on its own, its sign included: V exp(-lambda t) V^{-1} What."""
     lam, vecs = np.linalg.eig(evolution_symbol(coeffs, np.asarray(xi, dtype=float)))
     coeff = np.linalg.solve(vecs, modes[..., None])[..., 0]
-    return np.einsum("kij,kj->ki", vecs, np.exp(-lam * t) * coeff)
+    return lambda t: np.einsum("kij,kj->ki", vecs, np.exp(-lam * t) * coeff)
+
+
+def per_node_propagate(coeffs, xi, modes, t):
+    """exp(-t M(i xi)) What at every node; see :func:`per_node_propagator`."""
+    return per_node_propagator(coeffs, xi, modes)(t)
 
 
 def entropy_pair_observed(eos, domain, n_samples=100, fd_step=1e-5, seed=0,

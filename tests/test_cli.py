@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsfk import dissipativity, linear_evolution, thermo
+from nsfk import cli, dissipativity, linear_evolution, thermo
 from nsfk.cli import SCHEMA, ConfigError, RunConfig, main
 from nsfk.nonlinear_solver import LEDGER_COLUMNS
+from nsfk.reports import write_csv
+from oracles import csv_module_write_csv, per_node_propagator
 
 BASE = """
 [closure]
@@ -469,36 +471,95 @@ class TestLinearSideWorkCounts:
 
     def test_linear_decay(self, factored, monkeypatch, tmp_path):
         # 2049 distinct |xi| among the 4097 nodes, no SVD for the condition
-        # number, and V^{-1} What(0) formed once for the 41 times
-        props, applied = [], {"V^-1": 0, "V": 0}
-        init, einsum = linear_evolution.ModePropagator.__init__, np.einsum
+        # number, V^{-1} What(0) formed once for the 41 times, and one
+        # exponential per distinct |xi| and eigenvalue at each time
+        props, applied, exponentials = [], [], []
+        init, einsum, exp = linear_evolution.ModePropagator.__init__, np.einsum, np.exp
 
         def recorded(self, *args, **kwargs):
             init(self, *args, **kwargs)
             props.append(self)
 
-        def spied(subscripts, *operands, **kwargs):
-            for p in props:
-                applied["V^-1"] += any(op is p.vecs_inv for op in operands)
-                applied["V"] += any(op is p.vecs for op in operands)
+        def spied_einsum(subscripts, *operands, **kwargs):
+            applied.extend(op is p.vecs_inv for p in props for op in operands)
             return einsum(subscripts, *operands, **kwargs)
 
+        def spied_exp(x, *args, **kwargs):
+            if np.iscomplexobj(x):
+                exponentials.append(np.shape(x))
+            return exp(x, *args, **kwargs)
+
         monkeypatch.setattr(linear_evolution.ModePropagator, "__init__", recorded)
-        monkeypatch.setattr(np, "einsum", spied)
+        monkeypatch.setattr(np, "einsum", spied_einsum)
+        monkeypatch.setattr(np, "exp", spied_exp)
         self.run("linear-decay", tmp_path)
         assert len(props) == 1 and props[0].xi_nodes.size == 4097
         assert factored == {"eig": [1, 2049]}
-        assert applied == {"V^-1": 1, "V": 41}
+        assert sum(applied) == 1
+        assert exponentials == [(3, 2049)] * 41
 
     def test_analyze_symbol_spectral_bound(self, factored, tmp_path):
-        # the 8002-point grid holds 4001 distinct |xi|
+        # the 8002-point grid holds 4001 distinct |xi|; the norms of the
+        # skew K take no SVD, so the one left is the Friedrichs constraints'
         self.run("analyze-symbol", tmp_path)
         assert factored["eigvals"] == [1, 4001]
+        assert factored["svd"] == [1, 1]
 
     def test_verify_thermo_entropy_pair(self, factored, tmp_path):
         # the 100 samples in one batched eigvalsh per eigenvalue check
         self.run("verify-thermo", tmp_path)
         assert factored == {"eigvalsh": [2, 200]}
+
+
+class TestCsvBytes:
+    """Every CSV the four subcommands write holds the bytes the ``csv``
+    module writes for the same columns."""
+
+    @pytest.fixture
+    def compared(self, monkeypatch, tmp_path):
+        written = {}
+
+        def both(path, columns):
+            write_csv(path, columns)
+            oracle = tmp_path / "oracle.csv"
+            csv_module_write_csv(oracle, columns)
+            written[Path(path).name] = (Path(path).read_bytes(), oracle.read_bytes())
+
+        monkeypatch.setattr(cli, "write_csv", both)
+        return written
+
+    @pytest.mark.parametrize("command,files", [
+        ("verify-thermo", {"thermo_checks.csv", "summary.csv"}),
+        ("analyze-symbol", {"sigma.csv", "eigen_tracks.csv", "summary.csv"}),
+        ("linear-decay", {"decay.csv", "summary.csv"})])
+    def test_reference(self, compared, tmp_path, command, files):
+        TestLinearSideWorkCounts.run(command, tmp_path)
+        assert set(compared) == files
+        for name, (got, want) in compared.items():
+            assert got == want, name
+
+    def test_nonlinear_run(self, compared, config_file, tmp_path):
+        # the reference run takes a minute; the small one writes the same files
+        assert main(["nonlinear-run", "--config", str(config_file()),
+                     "--out", str(tmp_path / "nl"), "--quiet"]) == 0
+        assert set(compared) == {"ledger.csv", "summary.csv"}
+        for name, (got, want) in compared.items():
+            assert got == want, name
+
+    def test_reference_decay_matches_per_node_factoring(self, ref_coeffs, tmp_path):
+        # decay.csv on the reference config against every node factored on
+        # its own and evolved with einsum: the arithmetic moves by roundoff
+        TestLinearSideWorkCounts.run("linear-decay", tmp_path)
+        with open(tmp_path / "linear-decay" / "decay.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        times = np.logspace(-1.0, 4.0, 41)
+        assert [float(r["t"]) for r in rows] == times.tolist()
+        prof = linear_evolution.gaussian_profile(
+            *linear_evolution.geometric_nodes(4096, 200.0, 1e-4))
+        at = per_node_propagator(ref_coeffs, prof.xi_nodes, prof.modes)
+        want = [linear_evolution.weighted_norm(prof.with_modes(at(t))) for t in times]
+        got = [float(r["norm"]) for r in rows]
+        assert np.abs(np.divide(got, want) - 1.0).max() <= 1e-12
 
 
 class TestLinearDecay:
@@ -526,12 +587,8 @@ class TestLinearDecay:
     def test_uniform_grid_names_the_frozen_mode(self, config_file, tmp_path):
         # a uniform grid through xi = 0 gives the never-decaying xi = 0 mode
         # a weight h f(0): it carries the final norm and the fit plateaus
-        xi = np.linspace(-40.0, 40.0, 801)
-        rows = ["xi,re1,im1,re2,im2,re3,im3"] + [
-            f"{x:.17g},{s:.17g},0.0,{s:.17g},0.0,{s:.17g},0.0"
-            for x, s in zip(xi, np.exp(-xi ** 2))]
-        csv_path = tmp_path / "uniform.csv"
-        csv_path.write_text("\n".join(rows) + "\n")
+        csv_path = _profile_csv(tmp_path, lambda xi: np.exp(-xi ** 2),
+                                np.linspace(-40.0, 40.0, 801))
         cfg = config_file()
         set_keys(cfg, "linear", {"profile": f"csv\nprofile_csv = {csv_path}"})
         out = tmp_path / "uniform"
@@ -540,6 +597,23 @@ class TestLinearDecay:
         share = re.search(r"xi = 0 share of the final norm\^2 (\S+)\]",
                           (out / "report.txt").read_text())
         assert float(share.group(1)) >= 0.99
+
+    def test_norm_underflow_before_the_fit_window_rejected(self, config_file,
+                                                             tmp_path, capsys):
+        # modes only at |xi| >= 20 decay like exp(-c xi^2 t): the norm is 0
+        # in double precision long before t = 100, so there is nothing to fit
+        csv_path = _profile_csv(tmp_path, lambda xi: (np.abs(xi) >= 20.0) * 1.0,
+                                np.linspace(-40.0, 40.0, 2001))
+        cfg = config_file()
+        set_keys(cfg, "linear", {"profile": f"csv\nprofile_csv = {csv_path}"})
+        code = main(["linear-decay", "--config", str(cfg), "--out",
+                     str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [linear] the order-0 norm of the "
+                              "profile cannot be fitted on [fit_t_min, fit_t_max] "
+                              "= [100, 10000]")
+        assert "Traceback" not in err
 
     def test_slow_decay_fails(self, config_file, tmp_path):
         # |xi|^(-2/5) near xi = 0 decays like t^(-1/20), slower than the
@@ -571,14 +645,16 @@ class TestLinearDecay:
         assert float(row["observed"]) < -0.5
 
 
-def _profile_csv(tmp_path, shape):
+def _profile_csv(tmp_path, shape, xi=None):
     """Profile CSV with all three modes equal to ``shape(xi)``.
 
-    The grid is geometric in |xi| down to 1e-6: a uniform grid through xi = 0
-    keeps a non-decaying mode of weight h shape(0), which plateaus the norm.
+    The default grid is geometric in |xi| down to 1e-6: a uniform grid
+    through xi = 0 keeps a non-decaying mode of weight h shape(0), which
+    plateaus the norm.
     """
-    pos = np.geomspace(1e-6, 40.0, 1200)
-    xi = np.concatenate([-pos[::-1], pos])
+    if xi is None:
+        pos = np.geomspace(1e-6, 40.0, 1200)
+        xi = np.concatenate([-pos[::-1], pos])
     rows = ["xi,re1,im1,re2,im2,re3,im3"]
     rows += [f"{x:.17g},{s:.17g},0.0,{s:.17g},0.0,{s:.17g},0.0"
              for x, s in zip(xi, shape(xi))]

@@ -271,6 +271,18 @@ class TestCompensatingMatrix:
         K = k(xi)
         assert np.abs(K + np.swapaxes(K, -1, -2)).max() == 0.0
 
+    @pytest.mark.parametrize("xi", [np.linspace(-100.0, 100.0, 4001),
+                                    np.linspace(-50.0, 50.0, 201)],
+                             ids=["certificate grid", "lyapunov grid"])
+    def test_closed_form_norm_is_the_spectral_norm(self, ref_coeffs, xi):
+        # on the grids analyze-symbol checks: K is skew to the bit, so
+        # ||K||_F / sqrt(2) is its spectral norm; the SVD agrees to roundoff
+        K = dis.compensating_matrix(ref_coeffs)(xi)
+        assert np.all(K + np.swapaxes(K, -1, -2) == 0.0)
+        svd = np.linalg.norm(K, 2, axis=(-2, -1))
+        assert np.all(svd > 0)
+        assert np.abs(dis._skew_norm(K) / svd - 1.0).max() <= 1e-15
+
     def test_rejects_out_of_window(self, ref_coeffs):
         for eps in (0.0, 1.0 / 6.0, 0.5, 0.9, -0.1):
             with pytest.raises(ValueError):

@@ -204,14 +204,23 @@ class TestMirroredFactors:
             want = per_node_propagate(ref_coeffs, xi, modes, t)
             assert np.abs(got - want).max() <= 1e-13
 
+    def mutant_error(self, ref_coeffs, xi):
+        modes = self.random_modes(xi.size)
+        (got,) = lin.ModePropagator(ref_coeffs, xi).propagate(modes, [2.0])
+        return np.abs(got - per_node_propagate(ref_coeffs, xi, modes, 2.0)).max()
+
     def test_unconjugated_mirror_fails(self, ref_coeffs, small_nodes, monkeypatch):
         # a mutant that hands xi < 0 its mirror's factors unconjugated
         monkeypatch.setattr(lin, "_conjugated", lambda a, rows: a)
-        xi = small_nodes[0]
-        modes = self.random_modes(xi.size)
-        (got,) = lin.ModePropagator(ref_coeffs, xi).propagate(modes, [2.0])
-        want = per_node_propagate(ref_coeffs, xi, modes, 2.0)
-        assert np.abs(got - want).max() > 1e-3
+        assert self.mutant_error(ref_coeffs, small_nodes[0]) > 1e-3
+
+    def test_unconjugated_mirror_exponentials_fail(self, ref_coeffs, small_nodes,
+                                                   monkeypatch):
+        # a mutant that hands xi < 0 its mirror's exp(-lambda t) unconjugated
+        monkeypatch.setattr(
+            lin.ModePropagator, "_exponentials",
+            lambda self, t: np.exp(self.lam * -t)[:, self._take % self.lam.shape[1]])
+        assert self.mutant_error(ref_coeffs, small_nodes[0]) > 1e-3
 
     @pytest.mark.parametrize("generator", [[[0, 1, 0], [0, 0, 0], [0, 0, 1]],
                                            [[1, 1, 0], [0, 1, 0], [0, 0, 2]]])

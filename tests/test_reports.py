@@ -1,26 +1,25 @@
 import csv
-import io
 import math
 
 import numpy as np
+import pytest
 
-from nsfk.reports import Check, CheckReport, check_columns, fmt, write_csv
+from nsfk.reports import Check, CheckReport, check_columns, write_csv
+from oracles import csv_module_write_csv
 
 
-def rows_oracle(columns):
-    """The CSV text of ``columns`` written row by row, each value with ``fmt``."""
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(columns))
-    for row in zip(*columns.values()):
-        writer.writerow([fmt(v) for v in row])
-    return buf.getvalue().encode()
+def both_writers(tmp_path, columns):
+    """The bytes of ``write_csv`` and of the ``csv``-module oracle."""
+    ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    write_csv(ours, columns)
+    csv_module_write_csv(oracle, columns)
+    return ours.read_bytes(), oracle.read_bytes()
 
 
 class TestWriteCsv:
     def test_columns_give_the_bytes_of_per_row_formatting(self, tmp_path):
         # a float array column is formatted in one pass, a mixed column
-        # value by value; both give what formatting each row gives
+        # value by value; both give what the csv module writes
         columns = {
             "x": np.array([0.1, -0.0, math.nan, 1e300, 1.0 / 3.0, 2.0]),
             "n": [1, 2, 3, 4, 5, 6],
@@ -28,17 +27,48 @@ class TestWriteCsv:
             "tolerance": ["", 1e-10, "", 0.0, "", 3],
             "detail": ['a, "b"', "", "plain", 'say "hi"', ",", "x\ny"],
         }
-        path = tmp_path / "t.csv"
-        write_csv(path, columns)
-        got = path.read_bytes()
-        assert got == rows_oracle(columns)
+        got, want = both_writers(tmp_path, columns)
+        assert got == want
         assert b'"a, ""b"""' in got
         assert b"\n-0,2,-0," in got
         assert b"\nnan,3,nan,,plain\n" in got
-        with open(path, newline="") as fh:
+        with open(tmp_path / "ours.csv", newline="") as fh:
             back = list(csv.DictReader(fh))
         assert [r["detail"] for r in back] == columns["detail"]
         assert [float(r["x"]) for r in back][4] == 1.0 / 3.0
+
+    @pytest.mark.parametrize("columns", [
+        # every character the quoting rule looks at, alone and mixed; \r
+        # and other whitespace stay unquoted
+        {"cell": [",", '"', "\n", "\r", "", " ", "\t", 'a,"b"\r\nc', "''", '""']},
+        {"a": ["", ""], "b": ["", ""]},
+        {"int": [0, -3, 10 ** 20], "bool": [True, False, True],
+         "none": [None, None, None]},
+        {"float": np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                            np.finfo(float).max]),
+         "list": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0]},
+        # an object column mixing floats with "", as check_columns' tolerance
+        {"mixed": np.array([1e-10, "", 0.5, "", -0.0], dtype=object),
+         "n": [1, 2, 3, 4, 5]},
+        # one column: a row whose only field is empty is quoted, so that
+        # it is not an empty line
+        {"only": ["", "x", ""]},
+        {"": [1.0, 2.0]},
+        {"": np.array([1.5])},
+        {"head, er": [1], 'q"uote': [2], "new\nline": [3]},
+        {"no rows": []},
+        {"x": np.array([], dtype=float), "y": []},
+        {},
+    ], ids=["special", "empty", "int-bool-none", "nonfinite", "object",
+            "one-column", "empty-header", "empty-header-float", "header",
+            "no-rows", "no-rows-float", "no-columns"])
+    def test_matches_the_csv_module(self, tmp_path, columns):
+        got, want = both_writers(tmp_path, columns)
+        assert got == want
+
+    def test_unequal_columns_are_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", {"a": [1, 2], "b": [1]})
 
     def test_check_columns_follow_the_sections(self):
         a = CheckReport("a", [Check("one", True, 0.5, 1e-3, "d, e"),
