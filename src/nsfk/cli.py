@@ -304,6 +304,16 @@ def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     if have_cert and eps is not None and not eps_lo < eps < eps_hi:
         raise ConfigError(f"[symbol] eps = {eps} outside the admissible window "
                           f"({eps_lo:.6g}, {eps_hi:.6g})")
+    # with capillarity |xi K| is bounded in xi: a delta past the equivalence
+    # bound is a bad input, not the inconclusive capillarity-free case
+    delta = sym["lyapunov_delta"]
+    if have_cert and coeffs.k > 0:
+        sup_xiK = dis.lyapunov_sup_xi_k(coeffs, eps)
+        if not delta * sup_xiK <= 0.5:
+            raise ConfigError(
+                f"[symbol] lyapunov_delta = {delta:g} gives sup |delta xi K| = "
+                f"{delta * sup_xiK:.6g} > 1/2 on the Lyapunov grid; the largest "
+                f"admissible lyapunov_delta is 0.5 / sup |xi K| = {0.5 / sup_xiK:.6g}")
 
     sections = []
     constants = {}
@@ -319,13 +329,15 @@ def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
                 + (f"; offending xi = {offending}" if offending else ""))))
     constants["coupling_min_margin"] = coupling.min_margin
 
-    fried = dis.check_friedrichs(coeffs, seed=cfg.seed)
+    fried = dis.check_friedrichs(coeffs)
     # the capillary system must NOT be Friedrichs symmetrizable; without
-    # capillarity a symmetrizer must exist
+    # capillarity a symmetrizer must exist.  An inconclusive search decides
+    # neither.
     expect_feasible = coeffs.k == 0.0
     sections.append(_section(
         "Friedrichs symmetrizability", name="symmetrizer exists iff kappa = 0",
-        passed=fried.feasible == expect_feasible, observed=fried.min_eig,
+        passed=fried.feasible == expect_feasible and not fried.inconclusive,
+        observed=fried.min_eig,
         detail=(f"{'feasible' if fried.feasible else 'infeasible'}, constraint "
                 f"nullspace dimension {fried.nullspace_dim}: {fried.certificate}")))
 
@@ -369,16 +381,17 @@ def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
                          classification=spect.classification)
 
     if have_cert:
-        lyap = dis.lyapunov_check(coeffs, eps, sym["lyapunov_delta"], seed=cfg.seed)
-        # an inconclusive check (precondition on delta violated, e.g. the
+        lyap = dis.lyapunov_check(coeffs, eps, delta)
+        # an inconclusive check (precondition on delta violated: the
         # capillarity-free sub-case) is reported but not a criterion failure
         sections.append(_section(
-            "Lyapunov functional", name="worst slack of dY/dt + c0 xi^2 Y",
+            "Lyapunov functional",
+            name="worst slack of dY/dt + c0 xi^2 Y per xi^2",
             passed=lyap.passed or lyap.inconclusive, observed=lyap.worst_slack,
             tolerance=1e-10,
             detail=(f"inconclusive: {lyap.reason}" if lyap.inconclusive else
                     f"c0 = {lyap.c0:.6g}, delta = {lyap.delta:g}, "
-                    f"max |Im Y| = {lyap.max_imag:.3e}")))
+                    f"exact over unit modes")))
         constants["lyapunov_c0"] = lyap.c0
 
     # CSV artifacts

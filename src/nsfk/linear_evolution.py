@@ -17,10 +17,11 @@ Matrix exponentials use a per-node eigendecomposition with a
 scaling-and-squaring fallback (scipy.linalg.expm, imported on first use)
 wherever the eigenvector matrix is ill-conditioned: its Frobenius condition
 number, formed from its inverse, exceeds a threshold, or it is singular
-(a defective generator).  Since M(-i xi) = conj M(i xi), a node set is
-factored, and exp(-lambda t) taken, once per distinct |xi|, and the nodes
-xi < 0 take the conjugates; V^{-1} What(0) is formed once for all
-evaluation times.
+(a defective generator).  The mode propagator factors the real form R of
+the symbol (M = Q (i xi u + R) Q^{-1}, ``symbols.real_form``) instead of M.
+Since M(-i xi) = conj M(i xi), a node set is factored, and exp(-lambda t)
+taken, once per distinct |xi|, and the nodes xi < 0 take the conjugates;
+V^{-1} What(0) is formed once for all evaluation times.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .fitting import fit_power_law
-from .symbols import EquilibriumCoefficients, _by_magnitude, evolution_symbol
+from .symbols import EquilibriumCoefficients, _by_magnitude, evolution_symbol, real_form
 
 __all__ = [
     "SpectralProfile",
@@ -160,20 +161,26 @@ def csv_profile(path) -> SpectralProfile:
     return SpectralProfile(xi, np.gradient(xi), modes)
 
 
-def _eigensystem(generators: np.ndarray, cond_threshold: float):
-    """(lam, V, V^{-1}, bad) with G = V diag(lam) V^{-1} for a stack (..., 3, 3).
+def _conditioned(vecs: np.ndarray, cond_threshold: float):
+    """(V, V^{-1}, bad) for a stack (..., 3, 3) of eigenvector matrices.
 
-    ``bad`` flags an eigenvector matrix whose Frobenius condition number
-    ||V|| ||V^{-1}|| exceeds ``cond_threshold``.  ``np.linalg.cond`` forms
-    it from the inverse, not from singular values, so a singular V (the
-    eigenvectors of a defective G, such as a Jordan block) reads inf and is
+    ``bad`` flags a V whose Frobenius condition number ||V|| ||V^{-1}||
+    exceeds ``cond_threshold``.  ``np.linalg.cond`` forms it from the
+    inverse, not from singular values, so a singular V (the eigenvectors of
+    a defective generator, such as a Jordan block) reads inf and is
     flagged.  At a flagged entry V is the identity and callers use
     :func:`_expm_stack` instead.
     """
-    lam, vecs = np.linalg.eig(generators)
     bad = np.linalg.cond(vecs, "fro") > cond_threshold
     vecs = np.where(bad[..., None, None], np.eye(3), vecs)
-    return lam, vecs, np.linalg.inv(vecs), bad
+    return vecs, np.linalg.inv(vecs), bad
+
+
+def _eigensystem(generators: np.ndarray, cond_threshold: float):
+    """(lam, V, V^{-1}, bad) with G = V diag(lam) V^{-1} for a stack
+    (..., 3, 3); see :func:`_conditioned`."""
+    lam, vecs = np.linalg.eig(generators)
+    return (lam, *_conditioned(vecs, cond_threshold))
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -190,26 +197,35 @@ def _expm_stack(generators: np.ndarray, t: float) -> np.ndarray:
 class ModePropagator:
     """Eigendecompositions of M(i xi) over a node set, one per distinct |xi|.
 
-    The generators are evaluated and factored only at the distinct |xi| of
-    the nodes (2049 of the 4097 symmetric geometric nodes).  The eigenvalues
-    stay there, so exp(-lambda t) is taken once per distinct |xi|; since
+    M(i xi) = Q (i xi u + R) Q^{-1} with the real R and diagonal Q of
+    :func:`~nsfk.symbols.real_form`, so one real eigendecomposition
+    R = V_R diag(lambda_R) V_R^{-1} gives lambda = i xi u + lambda_R and
+    V = Q V_R, its columns scaled to unit length as ``np.linalg.eig`` returns
+    them.  R is formed and factored only at the distinct |xi| of the nodes
+    (2049 of the 4097 symmetric geometric nodes).  The eigenvalues stay
+    there, so exp(-lambda t) is taken once per distinct |xi|; since
     M(-i xi) = conj M(i xi), a node xi < 0 takes the conjugate of its
     mirror's exponentials, V and V^{-1}.  Any node set works, symmetric in
     sign or not.  Modes evolve as V exp(-lambda t) V^{-1} What(0); nodes
-    whose eigenvector matrix is ill-conditioned or singular (see
-    :func:`_eigensystem`) fall back to scaling-and-squaring per time.  The
-    eigendecomposition path satisfies the semigroup property to roundoff.
+    whose V is ill-conditioned or singular (see :func:`_conditioned`) fall
+    back to scaling-and-squaring per time, their generators rebuilt from the
+    same (R, Q).  The eigendecomposition path satisfies the semigroup
+    property to roundoff.
     """
 
     def __init__(self, coeffs: EquilibriumCoefficients, xi_nodes: np.ndarray,
                  cond_threshold: float = 1e4):
         self.xi_nodes = np.asarray(xi_nodes, dtype=float)
         magnitudes, back = _by_magnitude(self.xi_nodes)
-        generators = evolution_symbol(coeffs, magnitudes)
-        lam, vecs, vecs_inv, bad = _eigensystem(generators, cond_threshold)
+        r, q = real_form(coeffs, magnitudes)
+        # factored in reversed order, large diagonal first (see real_form)
+        lam, vecs = np.linalg.eig(r[:, ::-1, ::-1])
+        vecs = q[:, :, None] * vecs[:, ::-1]
+        vecs /= np.linalg.norm(vecs, axis=-2, keepdims=True)
+        vecs, vecs_inv, bad = _conditioned(vecs, cond_threshold)
         neg = self.xi_nodes < 0
         # (3, magnitudes): row i holds eigenvalue i at each distinct |xi|
-        self.lam = np.ascontiguousarray(lam.T, dtype=complex)
+        self.lam = np.ascontiguousarray(lam.T + 1j * coeffs.u * magnitudes)
         # the column of [exp(-lambda t), conj exp(-lambda t)] each node takes
         self._take = back + magnitudes.size * neg
         self.vecs_inv = _conjugated(vecs_inv[back], neg)
@@ -218,7 +234,10 @@ class ModePropagator:
         self.vec_columns = np.ascontiguousarray(
             _conjugated(vecs[back], neg).transpose(2, 1, 0))
         self.bad = bad[back]
-        self.bad_generators = _conjugated(generators[back[self.bad]], neg[self.bad])
+        flagged = back[self.bad]
+        self.bad_generators = _conjugated(
+            evolution_symbol(coeffs, magnitudes[flagged], (r[flagged], q[flagged])),
+            neg[self.bad])
 
     def propagate(self, modes: np.ndarray,
                   times: Sequence[float]) -> Iterator[np.ndarray]:
@@ -280,19 +299,24 @@ def matrix_exponentials(generators: np.ndarray, t: float,
     return out
 
 
-def modal_energy(profile: SpectralProfile, ell: float = 0.0) -> np.ndarray:
-    """Pointwise weighted energy xi^{2 ell} [(1+xi^2)|W1|^2 + |W2|^2 + |W3|^2]."""
-    xi = profile.xi_nodes
-    w = np.abs(profile.modes) ** 2
+def modal_energy(xi: np.ndarray, modes: np.ndarray, ell: float = 0.0) -> np.ndarray:
+    """Pointwise weighted energy xi^{2 ell} [(1+xi^2)|W1|^2 + |W2|^2 + |W3|^2]
+    of modes (n_nodes, 3) at the nodes ``xi``."""
+    w = np.abs(modes) ** 2
     base = (1.0 + xi ** 2) * w[:, 0] + w[:, 1] + w[:, 2]
     if ell != 0.0:
         base = xi ** (2.0 * ell) * base
     return base
 
 
+def _norm(xi: np.ndarray, weights: np.ndarray, modes: np.ndarray,
+          ell: float) -> float:
+    return float(np.sqrt(np.sum(weights * modal_energy(xi, modes, ell))))
+
+
 def weighted_norm(profile: SpectralProfile, ell: float = 0.0) -> float:
     """Quadrature of the weighted modal energy, square-rooted."""
-    return float(np.sqrt(np.sum(profile.weights * modal_energy(profile, ell))))
+    return _norm(profile.xi_nodes, profile.weights, profile.modes, ell)
 
 
 @dataclass
@@ -316,7 +340,8 @@ def evolve_and_fit(coeffs: EquilibriumCoefficients, initial: SpectralProfile,
     """Propagate every mode to each time, measure the order-ell norm, fit decay.
 
     The modes' eigen-coordinates V^{-1} What(0) are formed once, and the
-    evolved modes are held for one time at a time.
+    evolved modes are held for one time at a time; their norm is taken
+    directly, as :func:`weighted_norm` takes it.
 
     ``times`` must be increasing; the default fit window [t_max/100, t_max]
     discards the transient where constants dominate.  The fitted exponent of
@@ -327,10 +352,11 @@ def evolve_and_fit(coeffs: EquilibriumCoefficients, initial: SpectralProfile,
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    prop = ModePropagator(coeffs, initial.xi_nodes)
-    at_zero = initial.xi_nodes == 0.0
-    frozen = np.sum(initial.weights[at_zero] * modal_energy(initial, ell)[at_zero])
-    norms = np.array([weighted_norm(initial.with_modes(modes), ell)
+    xi, weights = initial.xi_nodes, initial.weights
+    prop = ModePropagator(coeffs, xi)
+    at_zero = xi == 0.0
+    frozen = np.sum(weights[at_zero] * modal_energy(xi, initial.modes, ell)[at_zero])
+    norms = np.array([_norm(xi, weights, modes, ell)
                       for modes in prop.propagate(initial.modes, times)])
     if fit_window is None:
         fit_window = (times[-1] / 100.0, times[-1])

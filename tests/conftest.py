@@ -82,6 +82,22 @@ def nsf_coeffs(nsf_eos, ref_equilibrium):
     return equilibrium_coefficients(nsf_eos, ref_equilibrium)
 
 
+# closures whose symbols the real form is checked on: (ideal_gas_eos args, u)
+SYMBOL_CLOSURES = {
+    "reference": ((1.0, GAMMA, 1.0, 1.0, 1.0), 0.0),
+    "kappa0=0": ((1.0, GAMMA, 0.0, 1.0, 1.0), 0.0),
+    "mu0=alpha0=0": ((1.0, GAMMA, 1.0, 0.0, 0.0), 0.0),
+    "gamma=1.4,u=0.7": ((1.0, 1.4, 1.0, 1.0, 1.0), 0.7),
+}
+
+
+@pytest.fixture(scope="session", params=list(SYMBOL_CLOSURES))
+def symbol_coeffs(request):
+    """Equilibrium coefficients of each of ``SYMBOL_CLOSURES`` at (1, u, 1)."""
+    args, u = SYMBOL_CLOSURES[request.param]
+    return equilibrium_coefficients(ideal_gas_eos(*args), State(1.0, u, 1.0))
+
+
 @pytest.fixture(scope="session")
 def domain():
     return Domain(rho_min=0.1, theta_min=0.1, rho_max=3.0, theta_max=3.0)

@@ -4,8 +4,10 @@ Each quantity of the conservation form is written out from the
 single-potential ``EquationOfState`` methods and the ``convex_extension``
 builders, independently of the one closure pass ``symbols._closure`` that
 the program evaluates.  The linear side keeps a per-node eigendecomposition
-propagator and the sample-by-sample entropy-pair check, which the batched
-program paths are tested against, and the helpers only the tests use.  The
+propagator, the spectral bound and the Lyapunov slack taken from the complex
+symbol (the slack also as the random-mode sample it was once checked by)
+and the sample-by-sample entropy-pair check, which the batched program
+paths are tested against, and the helpers only the tests use.  The
 CSV writer built on the ``csv`` module is kept to check the program's own
 quoting byte for byte.
 """
@@ -70,6 +72,45 @@ def atilde_congruence(triplet, xi):
     for i in range(3):
         s_isqrt[..., i, i] = 1.0 / s_sqrt[..., i, i]
     return s_sqrt @ (a0_isqrt @ a @ a0_isqrt) @ s_isqrt
+
+
+def complex_sigma(coeffs, xi):
+    """max Re eig(-M(i xi)) at every xi, from the complex generator itself."""
+    return np.linalg.eigvals(-evolution_symbol(coeffs, np.asarray(xi, dtype=float))
+                             ).real.max(axis=-1)
+
+
+def _lyapunov_terms(coeffs, eps, delta, xi):
+    """(G, P) of the Lyapunov functional in the transformed frame:
+    G = i xi Atilde + xi^2 Btilde and P = I - delta xi i K."""
+    tt = dis.transformed_triplet(coeffs)
+    x = np.asarray(xi, dtype=float)[:, None, None]
+    gen = 1j * x * tt.atilde(xi) + x ** 2 * tt.Btilde
+    return gen, np.eye(3) - delta * x * 1j * dis.compensating_matrix(coeffs, eps)(xi)
+
+
+def hermitian_lyapunov_slack(coeffs, eps, delta, xi, c0):
+    """lambda_max(-(G^H P + P G) + c0 xi^2 P) at every xi, from the complex
+    Hermitian matrix: the largest slack of dY/dt + c0 xi^2 Y over unit modes."""
+    gen, p = _lyapunov_terms(coeffs, eps, delta, xi)
+    gp = np.conj(np.swapaxes(gen, -1, -2)) @ p
+    h = c0 * np.asarray(xi, dtype=float)[:, None, None] ** 2 * p - gp
+    h -= np.conj(np.swapaxes(gp, -1, -2))
+    return np.linalg.eigvalsh(h)[:, -1]
+
+
+def sampled_lyapunov_slack(coeffs, eps, delta, xi, c0, n_modes=100, seed=0):
+    """The largest slack of dY/dt + c0 xi^2 Y over ``n_modes`` random unit
+    modes per xi, Y = V^H P V and dY/dt = -V^H (G^H P + P G) V: the sampled
+    check the exact eigenvalue bound replaced."""
+    gen, p = _lyapunov_terms(coeffs, eps, delta, xi)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n_modes, 3)) + 1j * rng.standard_normal((n_modes, 3))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    pv = np.einsum("xij,mj->xmi", p, v)
+    y = np.einsum("mi,xmi->xm", np.conj(v), pv).real
+    dy = -2.0 * np.einsum("xmi,xij,mj->xm", np.conj(pv), gen, v).real
+    return float((dy + c0 * np.asarray(xi, dtype=float)[:, None] ** 2 * y).max())
 
 
 def per_node_propagator(coeffs, xi, modes):

@@ -370,6 +370,46 @@ class TestAnalyzeSymbol:
             b = (outs[1] / fname).read_bytes()
             assert a == b, f"{fname} not byte-identical"
 
+    def test_seed_does_not_reach_analyze_symbol(self, config_file, tmp_path):
+        # no check of analyze-symbol samples at random
+        outs = []
+        for seed in ("0", "7"):
+            out = tmp_path / seed
+            assert main(["analyze-symbol", "--config", str(config_file()),
+                         "--out", str(out), "--seed", seed, "--quiet"]) == 0
+            outs.append(out)
+        for fname in ("summary.csv", "sigma.csv", "eigen_tracks.csv"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_lyapunov_delta_past_equivalence_rejected(self, config_file, tmp_path,
+                                                      capsys, monkeypatch):
+        # with capillarity sup |xi K| = 0.235694 on the Lyapunov grid, so
+        # delta = 10 voids the functional: a config error, found before any
+        # check runs
+        monkeypatch.setattr(dissipativity, "check_genuine_coupling", None)
+        path = config_file()
+        set_keys(path, "symbol", {"lyapunov_delta": "10"})
+        assert main(["analyze-symbol", "--config", str(path),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [symbol] lyapunov_delta = 10 gives "
+                              "sup |delta xi K| = 2.35694 > 1/2")
+        assert "the largest admissible lyapunov_delta is 0.5 / sup |xi K| = 2.12139" in err
+
+    def test_lyapunov_delta_without_capillarity_inconclusive(self, config_file,
+                                                             tmp_path):
+        # without capillarity |xi K| grows with xi: the row stays inconclusive
+        path = config_file(kappa0="0.0")
+        set_keys(path, "symbol", {"lyapunov_delta": "10"})
+        out = tmp_path / "nsf"
+        assert main(["analyze-symbol", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 0
+        with open(out / "summary.csv", newline="") as fh:
+            (row,) = [r for r in csv.DictReader(fh)
+                      if r["report"] == "Lyapunov functional"]
+        assert row["passed"] == "1" and row["observed"] == "nan"
+        assert row["detail"].startswith("inconclusive: sup |delta xi K| = ")
+
     @pytest.mark.parametrize("kappa0", ["1.0", "0.0"], ids=["ref", "nsf"])
     def test_summary_rows_carry_margins(self, config_file, tmp_path, kappa0):
         out = tmp_path / "sym"
@@ -447,15 +487,16 @@ class TestLinearSideWorkCounts:
 
     @pytest.fixture
     def factored(self, monkeypatch):
-        # per numpy.linalg function: [calls, matrices]; svd is also counted
-        # where pinv and cond look it up
+        # per numpy.linalg function: [calls, matrices, dtypes of the stacks];
+        # svd is also counted where pinv and cond look it up
         counts = {}
 
         def counted(name, fn):
             def call(a, *args, **kwargs):
-                c = counts.setdefault(name, [0, 0])
+                c = counts.setdefault(name, [0, 0, set()])
                 c[0] += 1
                 c[1] += int(np.prod(np.shape(a)[:-2]))
+                c[2].add(np.asarray(a).dtype.name)
                 return fn(a, *args, **kwargs)
             return call
 
@@ -470,9 +511,10 @@ class TestLinearSideWorkCounts:
                      "--out", str(tmp_path / command), "--quiet"]) == 0
 
     def test_linear_decay(self, factored, monkeypatch, tmp_path):
-        # 2049 distinct |xi| among the 4097 nodes, no SVD for the condition
-        # number, V^{-1} What(0) formed once for the 41 times, and one
-        # exponential per distinct |xi| and eigenvalue at each time
+        # 2049 real forms R for the 2049 distinct |xi| among the 4097 nodes,
+        # no SVD for the condition number, V^{-1} What(0) formed once for the
+        # 41 times, and one exponential per distinct |xi| and eigenvalue at
+        # each time
         props, applied, exponentials = [], [], []
         init, einsum, exp = linear_evolution.ModePropagator.__init__, np.einsum, np.exp
 
@@ -494,21 +536,26 @@ class TestLinearSideWorkCounts:
         monkeypatch.setattr(np, "exp", spied_exp)
         self.run("linear-decay", tmp_path)
         assert len(props) == 1 and props[0].xi_nodes.size == 4097
-        assert factored == {"eig": [1, 2049]}
+        assert factored == {"eig": [1, 2049, {"float64"}]}
         assert sum(applied) == 1
         assert exponentials == [(3, 2049)] * 41
 
     def test_analyze_symbol_spectral_bound(self, factored, tmp_path):
-        # the 8002-point grid holds 4001 distinct |xi|; the norms of the
-        # skew K take no SVD, so the one left is the Friedrichs constraints'
+        # the 8002-point grid holds 4001 distinct |xi|, each a real form R;
+        # the norms of the skew K take no SVD, so the one left is the
+        # Friedrichs constraints'; one eigvalsh each for the certificate
+        # (4001 xi), the Lyapunov check (200 xi != 0) and the eigen tracks
+        # (2001 xi); no complex matrix is factored
         self.run("analyze-symbol", tmp_path)
-        assert factored["eigvals"] == [1, 4001]
-        assert factored["svd"] == [1, 1]
+        assert factored["eigvals"] == [1, 4001, {"float64"}]
+        assert factored["svd"] == [1, 1, {"float64"}]
+        assert factored["eigvalsh"] == [3, 4001 + 200 + 2001, {"float64"}]
+        assert "eig" not in factored
 
     def test_verify_thermo_entropy_pair(self, factored, tmp_path):
         # the 100 samples in one batched eigvalsh per eigenvalue check
         self.run("verify-thermo", tmp_path)
-        assert factored == {"eigvalsh": [2, 200]}
+        assert factored == {"eigvalsh": [2, 200, {"float64"}]}
 
 
 class TestCsvBytes:

@@ -4,7 +4,8 @@ import pytest
 from nsfk import dissipativity as dis
 from nsfk import symbols as sym
 from nsfk.thermo import State, ideal_gas_eos
-from oracles import atilde_congruence
+from oracles import (atilde_congruence, complex_sigma, hermitian_lyapunov_slack,
+                     sampled_lyapunov_slack)
 
 
 class TestSymmetrizer:
@@ -245,6 +246,41 @@ class TestFriedrichs:
                                                 np.zeros((3, 3))])
         assert rep.feasible
 
+    @staticmethod
+    def search_with_nullspace(monkeypatch, *elements):
+        """friedrichs_search whose constraint nullspace is spanned by the
+        symmetric ``elements``: the constraint rows span the complement."""
+        vecs = np.array([[m[i, j] for i, j in dis._SYM_INDEX] for m in elements])
+        rows = np.linalg.svd(vecs)[2][len(elements):]
+        monkeypatch.setattr(dis, "_symmetry_constraint_rows", lambda mats: rows)
+        return dis.friedrichs_search(np.eye(3), [])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_dimensional_nullspace_feasible(self, monkeypatch, sign):
+        # either sign of the basis element: the projection of I has positive trace
+        rep = self.search_with_nullspace(monkeypatch, sign * np.diag([1.0, 2.0, 3.0]))
+        assert rep.feasible and not rep.inconclusive
+        np.testing.assert_allclose(rep.symmetrizer, np.diag([1.0, 2.0, 3.0]),
+                                   rtol=0, atol=1e-14)
+
+    def test_one_dimensional_nullspace_decided(self, monkeypatch):
+        # every element of the line t diag(1, -1, 2) is indefinite: a proof
+        rep = self.search_with_nullspace(monkeypatch, np.diag([1.0, -1.0, 2.0]))
+        assert not rep.feasible and not rep.inconclusive
+        assert rep.nullspace_dim == 1 and rep.min_eig < 0
+        assert "no positive-definite symmetrizer exists" in rep.certificate
+
+    def test_larger_nullspace_inconclusive(self, monkeypatch):
+        # span{diag(1, -1, 1), e1 e2^T + e2 e1^T}: the projection of I is
+        # diag(1, -1, 1)/3, indefinite with either sign, and no proof follows
+        offdiag = np.zeros((3, 3))
+        offdiag[0, 1] = offdiag[1, 0] = 1.0
+        rep = self.search_with_nullspace(monkeypatch, np.diag([1.0, -1.0, 1.0]),
+                                         offdiag)
+        assert not rep.feasible and rep.inconclusive
+        assert rep.nullspace_dim == 2
+        assert rep.certificate.startswith("inconclusive:")
+
     def test_forced_zero_diagonal_certificate(self):
         # only the capillarity-type constraint: S D3 symmetric with
         # D3 = e_2 e_1^T forces S[1,1] = 0
@@ -358,6 +394,14 @@ class TestSpectralBound:
         assert rep.p == pytest.approx(1.0, abs=0.05)
         assert rep.q == pytest.approx(1.0, abs=0.05)
 
+    def test_matches_complex_oracle(self, symbol_coeffs):
+        # the real form's sigma against max Re eig(-M) of the complex symbol
+        rep = dis.spectral_bound(symbol_coeffs, dis.default_xi_grid(n_per_decade=501))
+        radius = np.abs(np.linalg.eigvals(
+            sym.evolution_symbol(symbol_coeffs, rep.xi))).max(axis=-1)
+        err = np.abs(rep.sigma - complex_sigma(symbol_coeffs, rep.xi))
+        assert np.all(err <= 1e-13 * radius)
+
     def test_no_dissipation_fails(self):
         eos = ideal_gas_eos(1.0, 5.0 / 3.0, 1.0, 0.0, 0.0)
         coeffs = sym.equilibrium_coefficients(eos, State(1.0, 0.0, 1.0))
@@ -367,13 +411,41 @@ class TestSpectralBound:
 
 
 class TestLyapunov:
+    XI = np.delete(np.linspace(-50.0, 50.0, 201), 100)   # the check's xi != 0
+
     def test_reference_passes(self, ref_coeffs):
-        rep = dis.lyapunov_check(ref_coeffs, eps=1.0 / 3.0, delta=0.05,
-                                 n_modes=50, seed=7)
+        rep = dis.lyapunov_check(ref_coeffs, eps=1.0 / 3.0, delta=0.05)
         assert rep.passed
         assert rep.worst_slack <= 1e-10
-        assert rep.max_imag <= 1e-14
         assert rep.equivalence_ok
+
+    def test_exact_slack_matches_hermitian_oracle(self, ref_coeffs):
+        # the real frame's lambda_max against the complex Hermitian H itself
+        rep = dis.lyapunov_check(ref_coeffs, eps=1.0 / 3.0, delta=0.05)
+        want = hermitian_lyapunov_slack(ref_coeffs, 1.0 / 3.0, 0.05, self.XI, rep.c0)
+        assert rep.worst_slack == pytest.approx((want / self.XI ** 2).max(),
+                                                rel=1e-12)
+        assert rep.worst_slack == pytest.approx(-0.0250, abs=5e-4)
+
+    def test_sevenfold_c0_fails_exact_check_only(self, ref_coeffs, monkeypatch):
+        # a c0 seven times too large breaks dY/dt + c0 xi^2 Y <= 0 for the
+        # worst modes, which 100 random modes per xi do not find
+        c0 = dis.lyapunov_check(ref_coeffs, eps=1.0 / 3.0, delta=0.05).c0
+        make = dis.compensating_matrix
+
+        def sevenfold(coeffs, eps=None):
+            k_fn = make(coeffs, eps)
+            k_fn.gamma_bar *= 7.0
+            return k_fn
+
+        monkeypatch.setattr(dis, "compensating_matrix", sevenfold)
+        rep = dis.lyapunov_check(ref_coeffs, eps=1.0 / 3.0, delta=0.05)
+        assert rep.c0 == pytest.approx(7.0 * c0, rel=1e-14)
+        assert not rep.passed and rep.worst_slack > 0.01
+        assert rep.violations
+        for seed in (0, 7, 23):
+            assert sampled_lyapunov_slack(ref_coeffs, 1.0 / 3.0, 0.05, self.XI,
+                                          7.0 * c0, seed=seed) <= 1e-10
 
     def test_zero_delta_inconclusive(self, ref_coeffs):
         rep = dis.lyapunov_check(ref_coeffs, eps=1.0 / 3.0, delta=0.0)

@@ -204,6 +204,26 @@ class TestMirroredFactors:
             want = per_node_propagate(ref_coeffs, xi, modes, t)
             assert np.abs(got - want).max() <= 1e-13
 
+    def test_real_form_matches_per_node_oracle(self, symbol_coeffs, small_nodes):
+        # V = Q V_R with unit columns has the condition numbers of the
+        # complex generator's own eigenvectors, so the same nodes are
+        # flagged; and it propagates as every node factored on its own
+        xi = small_nodes[0]
+        modes = self.random_modes(xi.size)
+        prop = lin.ModePropagator(symbol_coeffs, xi)
+        cond = np.linalg.cond(np.linalg.eig(sym.evolution_symbol(symbol_coeffs, xi))[1],
+                              "fro")
+        np.testing.assert_allclose(
+            np.linalg.cond(prop.vec_columns.transpose(2, 1, 0), "fro"), cond, rtol=1e-10)
+        assert np.array_equal(prop.bad, cond > 1e4)
+        if symbol_coeffs.mu == 0.0:
+            # undamped modes keep their size, and the oracle's own phase
+            # error grows like t |lambda| eps: 1e-9 at t = 50 and |xi| = 200
+            return
+        for t, got in zip(self.TIMES, prop.propagate(modes, self.TIMES), strict=True):
+            want = per_node_propagate(symbol_coeffs, xi, modes, t)
+            assert np.abs(got - want).max() <= 1e-13
+
     def mutant_error(self, ref_coeffs, xi):
         modes = self.random_modes(xi.size)
         (got,) = lin.ModePropagator(ref_coeffs, xi).propagate(modes, [2.0])
@@ -231,8 +251,9 @@ class TestMirroredFactors:
         from scipy.linalg import expm
         gen = np.array(generator, dtype=float)
         assert np.abs(lin.matrix_exponentials(gen, 0.5) - expm(-0.5 * gen)).max() <= 1e-13
-        monkeypatch.setattr(lin, "evolution_symbol",
-                            lambda coeffs, xi: np.broadcast_to(gen, xi.shape + (3, 3)))
+        # injected as the real form R with Q = I: with u = 0, M = R
+        monkeypatch.setattr(lin, "real_form", lambda coeffs, xi: (
+            np.broadcast_to(gen, xi.shape + (3, 3)), np.ones(xi.shape + (3,), complex)))
         xi = np.array([-1.0, 0.5, 1.0])
         prop = lin.ModePropagator(ref_coeffs, xi)
         assert np.all(prop.bad)

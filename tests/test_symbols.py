@@ -353,3 +353,17 @@ class TestEvolutionSymbol:
         # row 2 of A0^{-1} (i xi A(xi)) at xi = 1: entry (2,1) = 3i by hand
         m = sym.evolution_symbol(ref_coeffs, 1.0)
         assert m[1, 0] == pytest.approx(3.0j, abs=1e-14)
+
+
+class TestRealForm:
+    XI = np.concatenate([-np.geomspace(1e-3, 1e3, 301), [0.0],
+                         np.geomspace(1e-3, 1e3, 301)])
+
+    def test_reconstructs_the_generator(self, symbol_coeffs):
+        # Q (i xi u + R) Q^{-1} against A0^{-1} (i xi A + B), per xi
+        r, q = sym.real_form(symbol_coeffs, self.XI)
+        assert r.dtype == np.float64 and r.shape == self.XI.shape + (3, 3)
+        want = sym.evolution_symbol(symbol_coeffs, self.XI)
+        got = sym.evolution_symbol(symbol_coeffs, self.XI, (r, q))
+        err = np.abs(got - want).max(axis=(-2, -1))
+        assert np.all(err <= 1e-14 * np.abs(want).max(axis=(-2, -1)))
