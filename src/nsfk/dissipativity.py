@@ -166,8 +166,13 @@ def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callab
                           xi_grid: Sequence[float]) -> GenuineCouplingReport:
     """Check that no kernel vector of B(xi) solves (rho A0 + A(xi)) V = 0.
 
-    The symbols are evaluated once on the grid points xi != 0 and broadcast to
-    (N, 3, 3).  One batched eigendecomposition of the symmetric positive
+    The maps must depend on xi only through xi^2, as both triplets' do
+    (the symbol's and its symmetric form's): they are evaluated once on the
+    distinct |xi| of the grid points xi != 0 (4001 of the 8002 points of
+    the analyze-symbol grid) and broadcast to (N, 3, 3), and each grid
+    point reads its |xi|'s margins, so ``worst_xi``, the failures and their
+    order are those of a scan over every point; ``n_xi`` counts the grid
+    points.  One batched eigendecomposition of the symmetric positive
     semi-definite B(xi) gives its kernel (relative threshold ``_RANK_RTOL``;
     every unit vector where B(xi) = 0); for each kernel vector V the pair
     {A0 V, A(xi) V} must have rank two.  The margin is the smaller singular
@@ -181,8 +186,9 @@ def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callab
     """
     xi = np.asarray(xi_grid, dtype=float)
     xi = xi[xi != 0.0]
-    shape = xi.shape + (3, 3)
-    b = np.broadcast_to(np.asarray(b_of_xi(xi), dtype=float), shape)
+    magnitudes, back = _by_magnitude(xi)
+    shape = magnitudes.shape + (3, 3)
+    b = np.broadcast_to(np.asarray(b_of_xi(magnitudes), dtype=float), shape)
     b = b + np.swapaxes(b, -1, -2)
     b *= 0.5
     evals, v = np.linalg.eigh(b)
@@ -190,8 +196,8 @@ def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callab
     lam_max = evals.max(axis=-1, keepdims=True)
     kernel = evals <= _RANK_RTOL * lam_max              # all three where B = 0
     v[lam_max[:, 0] == 0.0] = np.eye(3)
-    a0v = np.broadcast_to(np.asarray(a0_of_xi(xi), dtype=float), shape) @ v
-    av = np.broadcast_to(np.asarray(a_of_xi(xi), dtype=float), shape) @ v
+    a0v = np.broadcast_to(np.asarray(a0_of_xi(magnitudes), dtype=float), shape) @ v
+    av = np.broadcast_to(np.asarray(a_of_xi(magnitudes), dtype=float), shape) @ v
     n0 = np.linalg.norm(a0v, axis=-2)
     na = np.linalg.norm(av, axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -203,10 +209,11 @@ def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callab
         margin = np.linalg.norm(a0v, axis=-2) / np.sqrt(2.0)
     margin = np.where(na == 0.0, 0.0, np.where(n0 == 0.0, 1.0, margin))
     margin[~kernel] = np.inf
+    margin = margin[back]                               # back to the grid
     min_margin = float(margin.min(initial=np.inf))
     worst_xi = (float(xi[np.argmin(margin) // 3]) if np.isfinite(min_margin)
                 else np.nan)
-    failures = [(float(xi[i]), v[i, :, j].copy())
+    failures = [(float(xi[i]), v[back[i], :, j].copy())
                 for i, j in zip(*np.nonzero(margin <= _MARGIN_TOL))]
     return GenuineCouplingReport(
         passed=bool(not failures and xi.size > 0),

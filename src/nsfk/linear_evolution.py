@@ -16,12 +16,12 @@ What(0) != 0 the norm decays like (1 + t)^{-(ell/2 + 1/4)}.
 Matrix exponentials use a per-node eigendecomposition with a
 scaling-and-squaring fallback (scipy.linalg.expm, imported on first use)
 wherever the eigenvector matrix is ill-conditioned: its Frobenius condition
-number, formed from its inverse, exceeds a threshold, or it is singular
-(a defective generator).  The mode propagator factors the real form R of
-the symbol (M = Q (i xi u + R) Q^{-1}, ``symbols.real_form``) instead of M.
-Since M(-i xi) = conj M(i xi), a node set is factored, and exp(-lambda t)
-taken, once per distinct |xi|, and the nodes xi < 0 take the conjugates;
-V^{-1} What(0) is formed once for all evaluation times.
+number, formed from its inverse, exceeds a threshold or is nan, or it is
+singular (a defective generator).  The mode propagator factors the real form
+R of the symbol (M = Q (i xi u + R) Q^{-1}, ``symbols.real_form``) instead
+of M.  Since M(-i xi) = conj M(i xi), a node set is factored, and
+exp(-lambda t) taken, once per distinct |xi|, and the nodes xi < 0 take the
+conjugates; V^{-1} What(0) is formed once for all evaluation times.
 """
 
 from __future__ import annotations
@@ -164,16 +164,30 @@ def csv_profile(path) -> SpectralProfile:
 def _conditioned(vecs: np.ndarray, cond_threshold: float):
     """(V, V^{-1}, bad) for a stack (..., 3, 3) of eigenvector matrices.
 
-    ``bad`` flags a V whose Frobenius condition number ||V|| ||V^{-1}||
-    exceeds ``cond_threshold``.  ``np.linalg.cond`` forms it from the
-    inverse, not from singular values, so a singular V (the eigenvectors of
-    a defective generator, such as a Jordan block) reads inf and is
-    flagged.  At a flagged entry V is the identity and callers use
-    :func:`_expm_stack` instead.
+    ``bad`` flags a V whose Frobenius condition number ||V|| ||V^{-1}|| is
+    not at most ``cond_threshold``: a nan reads as ill-conditioned.  It is
+    formed from the one inverse of the stack, as ``np.linalg.cond`` forms
+    it, not from singular values, so a nearly singular V (the eigenvectors
+    of a defective generator, such as a Jordan block) reads huge or inf.  A
+    stack that ``np.linalg.inv`` rejects as exactly singular takes
+    ``np.linalg.cond``, which reads inf there, and is inverted again once
+    its flagged entries are replaced.  At a flagged entry V and V^{-1} are
+    the identity and callers use :func:`_expm_stack` instead.
     """
-    bad = np.linalg.cond(vecs, "fro") > cond_threshold
-    vecs = np.where(bad[..., None, None], np.eye(3), vecs)
-    return vecs, np.linalg.inv(vecs), bad
+    try:
+        inv = np.linalg.inv(vecs)
+    except np.linalg.LinAlgError:
+        inv = None
+        cond = np.linalg.cond(vecs, "fro")
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cond = (np.linalg.norm(vecs, "fro", axis=(-2, -1))
+                    * np.linalg.norm(inv, "fro", axis=(-2, -1)))
+    bad = ~(cond <= cond_threshold)
+    flagged = bad[..., None, None]
+    vecs = np.where(flagged, np.eye(3), vecs)
+    inv = np.linalg.inv(vecs) if inv is None else np.where(flagged, np.eye(3), inv)
+    return vecs, inv, bad
 
 
 def _eigensystem(generators: np.ndarray, cond_threshold: float):
@@ -226,8 +240,7 @@ class ModePropagator:
         neg = self.xi_nodes < 0
         # (3, magnitudes): row i holds eigenvalue i at each distinct |xi|
         self.lam = np.ascontiguousarray(lam.T + 1j * coeffs.u * magnitudes)
-        # the column of [exp(-lambda t), conj exp(-lambda t)] each node takes
-        self._take = back + magnitudes.size * neg
+        self._back, self._neg = back, neg
         self.vecs_inv = _conjugated(vecs_inv[back], neg)
         # V column-first as (3, 3, nodes): [j, i, k] holds entry (i, j) of
         # node k, the layout of IntegratingFactorRK4._apply
@@ -257,9 +270,9 @@ class ModePropagator:
 
     def _exponentials(self, t: float) -> np.ndarray:
         """exp(-lambda t) at the nodes, (3, nodes): taken at the distinct
-        |xi| and conjugated where xi < 0."""
-        half = np.exp(self.lam * -t)
-        return np.concatenate((half, half.conj()), axis=1).take(self._take, axis=1)
+        |xi|, gathered to the nodes and conjugated in place where xi < 0."""
+        e = np.exp(self.lam * -t).take(self._back, axis=1)
+        return np.conjugate(e, out=e, where=self._neg)
 
     def _evolved(self, modes: np.ndarray, coeff: np.ndarray, t: float) -> np.ndarray:
         if t == 0.0:

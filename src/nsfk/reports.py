@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import starmap
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -68,12 +67,13 @@ def _quoted(cell: str) -> str:
 
 
 def _column(column) -> tuple[str, list]:
-    """The replacement field and the values of one column: a float array
-    is formatted ``{:.17g}`` from its ``tolist()`` (no float field needs
-    quotes), anything else value by value with :func:`fmt`, then quoted."""
+    """The conversion and the values of one column: a float array is
+    formatted ``%.17g`` from its ``tolist()`` (no float field needs quotes),
+    anything else value by value with :func:`fmt`, then quoted, and
+    substituted ``%s``."""
     if isinstance(column, np.ndarray) and column.dtype == float:
-        return "{:.17g}", column.tolist()
-    return "{}", [_quoted(fmt(v)) for v in column]
+        return "%.17g", column.tolist()
+    return "%s", [_quoted(fmt(v)) for v in column]
 
 
 def write_csv(path, columns: Mapping[str, Sequence]) -> None:
@@ -83,12 +83,12 @@ def write_csv(path, columns: Mapping[str, Sequence]) -> None:
     every column has one value per row.  Fields are quoted by the rule of
     ``csv.writer`` with a newline line terminator (see CSV_SCHEMAS.md), and
     a row whose only field is empty is written ``""``.  Each row is
-    formatted in one call, and the text is written in one call.
+    formatted from one ``%`` template, and the text is written in one call.
     """
     fields = [_column(col) for col in columns.values()]
-    line = ",".join(spec for spec, _ in fields).format
+    line = ",".join(spec for spec, _ in fields).__mod__
     rows = [",".join(map(_quoted, columns)),
-            *starmap(line, zip(*(values for _, values in fields), strict=True))]
+            *map(line, zip(*(values for _, values in fields), strict=True))]
     del fields                          # freed before the join: a lower peak
     if len(columns) == 1:
         rows = [row or '""' for row in rows]

@@ -582,7 +582,8 @@ def _by_magnitude(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Since M(-xi) = conj(M(xi)), the symbol and what is computed from it are
     formed only at the distinct |xi|: a node xi < 0 takes the conjugate of
     its mirror's eigenvalues and eigenvectors, and the mirror's own value of
-    a quantity even in xi, such as the largest real part of the spectrum.
+    a quantity even in xi, such as the largest real part of the spectrum or
+    anything formed from maps of xi^2 alone (the genuine-coupling margins).
     This holds for every node set, symmetric in sign or not.
     """
     return np.unique(np.abs(xi), return_inverse=True)

@@ -552,6 +552,28 @@ class TestLinearSideWorkCounts:
         assert factored["eigvalsh"] == [3, 4001 + 200 + 2001, {"float64"}]
         assert "eig" not in factored
 
+    def test_analyze_symbol_coupling_scan(self, monkeypatch, tmp_path):
+        # A0, A and B depend on xi only through xi^2: each map is evaluated
+        # once, at the 4001 distinct |xi| of the 8002-point grid, and n_xi
+        # still counts the grid points
+        scan, calls, reports = dissipativity.genuine_coupling_scan, [], []
+
+        def counted(name, fn):
+            def call(xi):
+                calls.append((name, np.shape(xi)))
+                return fn(xi)
+            return call
+
+        def spied(a0, a, b, grid):
+            reports.append(scan(counted("a0", a0), counted("a", a),
+                                counted("b", b), grid))
+            return reports[-1]
+
+        monkeypatch.setattr(dissipativity, "genuine_coupling_scan", spied)
+        self.run("analyze-symbol", tmp_path)
+        assert sorted(calls) == [("a", (4001,)), ("a0", (4001,)), ("b", (4001,))]
+        assert [r.n_xi for r in reports] == [8002]
+
     def test_verify_thermo_entropy_pair(self, factored, tmp_path):
         # the 100 samples in one batched eigvalsh per eigenvalue check
         self.run("verify-thermo", tmp_path)

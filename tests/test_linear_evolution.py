@@ -236,10 +236,11 @@ class TestMirroredFactors:
 
     def test_unconjugated_mirror_exponentials_fail(self, ref_coeffs, small_nodes,
                                                    monkeypatch):
-        # a mutant that hands xi < 0 its mirror's exp(-lambda t) unconjugated
+        # a mutant that gathers each node its |xi|'s exp(-lambda t) but
+        # hands xi < 0 its mirror's unconjugated
         monkeypatch.setattr(
             lin.ModePropagator, "_exponentials",
-            lambda self, t: np.exp(self.lam * -t)[:, self._take % self.lam.shape[1]])
+            lambda self, t: np.exp(self.lam * -t).take(self._back, axis=1))
         assert self.mutant_error(ref_coeffs, small_nodes[0]) > 1e-3
 
     @pytest.mark.parametrize("generator", [[[0, 1, 0], [0, 0, 0], [0, 0, 1]],
@@ -261,6 +262,78 @@ class TestMirroredFactors:
         (got,) = prop.propagate(modes, [0.5])
         want = modes @ expm(-0.5 * gen).T
         assert np.abs(got - want).max() <= 1e-13
+
+
+class TestConditioning:
+    """The condition-number flag of the eigenvector stacks."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        for name in ("inv", "cond"):
+            fn = getattr(np.linalg, name)
+
+            def call(a, *args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, call)
+        return calls
+
+    def test_nonsingular_stack_is_inverted_once(self, ref_coeffs, small_nodes,
+                                                monkeypatch):
+        vecs = np.linalg.eig(sym.evolution_symbol(ref_coeffs, small_nodes[0]))[1]
+        calls = self.counted(monkeypatch)
+        got, inv, bad = lin._conditioned(vecs, 1e4)
+        assert calls == ["inv"]
+        assert not np.any(bad)
+        np.testing.assert_array_equal(got, vecs)
+        np.testing.assert_array_equal(inv, np.linalg.inv(vecs))
+        np.testing.assert_array_equal(
+            np.linalg.norm(vecs, "fro", axis=(-2, -1))
+            * np.linalg.norm(inv, "fro", axis=(-2, -1)),
+            np.linalg.cond(vecs, "fro"))
+
+    def test_singular_stack_takes_cond(self, monkeypatch):
+        # inv refuses a stack holding an exactly singular matrix as a whole
+        vecs = np.stack([np.eye(3), np.ones((3, 3)), 2.0 * np.eye(3)])
+        calls = self.counted(monkeypatch)
+        got, inv, bad = lin._conditioned(vecs, 1e4)
+        assert calls == ["inv", "cond", "inv"]
+        assert bad.tolist() == [False, True, False]
+        np.testing.assert_array_equal(got[1], np.eye(3))
+        np.testing.assert_array_equal(inv, np.stack([np.eye(3), np.eye(3),
+                                                     0.5 * np.eye(3)]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_eigenvectors_take_expm(self, ref_coeffs, monkeypatch, value):
+        # a nan condition number is not <= the threshold, so it flags its
+        # entry as an inf one does, and the entry takes scaling and squaring
+        from scipy.linalg import expm
+        vecs = np.stack([np.eye(3)] * 2)
+        vecs[1, 2, 0] = value
+        got, inv, bad = lin._conditioned(vecs, 1e4)
+        assert bad.tolist() == [False, True]
+        np.testing.assert_array_equal(got, np.stack([np.eye(3)] * 2))
+        np.testing.assert_array_equal(inv, np.stack([np.eye(3)] * 2))
+        gen = sym.evolution_symbol(ref_coeffs, np.array([0.5, 1.0, 2.0, 4.0]))
+        eig = np.linalg.eig
+
+        def spoiled(a):
+            # eigenvectors of the stack entries 1 and 2 spoiled by ``value``
+            lam, vecs = eig(a)
+            vecs[1:3, 0, 0] = value
+            return lam, vecs
+
+        monkeypatch.setattr(np.linalg, "eig", spoiled)
+        assert lin._eigensystem(gen, 1e4)[-1].tolist() == [False, True, True, False]
+        stacked = lin.matrix_exponentials(gen, 0.5)
+        want = np.array([expm(-0.5 * g) for g in gen])
+        assert np.abs(stacked - want).max() <= 1e-12
+
+    def test_reference_nodes_are_unflagged(self, ref_coeffs):
+        prop = lin.ModePropagator(ref_coeffs, lin.geometric_nodes()[0])
+        assert prop.xi_nodes.size == 4097 and not np.any(prop.bad)
 
 
 class TestWeightedNorm:

@@ -66,6 +66,20 @@ class TestWriteCsv:
         got, want = both_writers(tmp_path, columns)
         assert got == want
 
+    @pytest.mark.parametrize("columns", [
+        {"%": ["%", "%s", "%(x)s", "%%"],
+         "%s": np.array([math.nan, math.inf, -math.inf, -0.0]),
+         "%(x)s": np.arange(4),
+         "%%": [1, -2, 3, 10 ** 20]},
+        {"%(x)s%%": ["%", "", "%%s", "a,%s"]},
+    ], ids=["percent", "percent-one-column"])
+    def test_percent_signs_are_cells_not_conversions(self, tmp_path, columns):
+        # each row is formatted from one % template: the names and cells
+        # holding % are substituted into it, never read as part of it
+        got, want = both_writers(tmp_path, columns)
+        assert got == want
+        assert got.splitlines()[1] in (b"%,nan,0,1", b"%")
+
     def test_unequal_columns_are_refused(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", {"a": [1, 2], "b": [1]})
