@@ -304,21 +304,21 @@ def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     if have_cert and eps is not None and not eps_lo < eps < eps_hi:
         raise ConfigError(f"[symbol] eps = {eps} outside the admissible window "
                           f"({eps_lo:.6g}, {eps_hi:.6g})")
+    delta = sym["lyapunov_delta"]
+    lyap = dis.lyapunov_check(coeffs, eps, delta) if have_cert else None
     # with capillarity |xi K| is bounded in xi: a delta past the equivalence
     # bound is a bad input, not the inconclusive capillarity-free case
-    delta = sym["lyapunov_delta"]
-    if have_cert and coeffs.k > 0:
-        sup_xiK = dis.lyapunov_sup_xi_k(coeffs, eps)
-        if not delta * sup_xiK <= 0.5:
-            raise ConfigError(
-                f"[symbol] lyapunov_delta = {delta:g} gives sup |delta xi K| = "
-                f"{delta * sup_xiK:.6g} > 1/2 on the Lyapunov grid; the largest "
-                f"admissible lyapunov_delta is 0.5 / sup |xi K| = {0.5 / sup_xiK:.6g}")
+    if have_cert and coeffs.k > 0 and not lyap.equivalence_ok:
+        sup_xiK = lyap.sup_xiK
+        raise ConfigError(
+            f"[symbol] lyapunov_delta = {delta:g} gives sup |delta xi K| = "
+            f"{delta * sup_xiK:.6g} > 1/2 on the Lyapunov grid; the largest "
+            f"admissible lyapunov_delta is 0.5 / sup |xi K| = {0.5 / sup_xiK:.6g}")
 
     sections = []
     constants = {}
 
-    coupling = dis.check_genuine_coupling(coeffs, grid)
+    coupling = dis.genuine_coupling_scan(coeffs.a0, coeffs.a, coeffs.b, grid)
     offending = ", ".join(f"{x:.6g}" for x, _ in coupling.failures[:5])
     where = (f"worst xi = {coupling.worst_xi:.6g}" if coupling.min_margin < np.inf
              else "no kernel of B(xi) on any")
@@ -381,7 +381,6 @@ def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
                          classification=spect.classification)
 
     if have_cert:
-        lyap = dis.lyapunov_check(coeffs, eps, delta)
         # an inconclusive check (precondition on delta violated: the
         # capillarity-free sub-case) is reported but not a criterion failure
         sections.append(_section(
@@ -402,8 +401,7 @@ def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
               {"xi": spect.xi, "sigma": spect.sigma, "predicted_bound": pred})
     tracks_xi = np.linspace(-cert_max, cert_max, min(cert_n, 2001))
     closed = dis.atilde_eigenvalues(coeffs, tracks_xi)
-    tt = dis.transformed_triplet(coeffs)
-    numeric = np.sort(np.linalg.eigvalsh(tt.atilde(tracks_xi)), axis=-1)
+    numeric = np.sort(np.linalg.eigvalsh(dis.atilde(coeffs, tracks_xi)), axis=-1)
     lams = {f"lam{i + 1}_{kind}": values[:, i]
             for kind, values in (("closed", closed), ("numeric", numeric))
             for i in range(3)}

@@ -43,21 +43,18 @@ import numpy as np
 
 from .fitting import fit_power_law
 from .symbols import EquilibriumCoefficients, _by_magnitude, real_form
-# no longer called here, but perfbench/tracing.py wraps the name in this
+# not called here, but perfbench/tracing.py wraps the name in this
 # module's namespace too
 from .symbols import evolution_symbol  # noqa: F401
 
 __all__ = [
-    "TransformedTriplet",
     "CompensatingCertificate",
     "DissipativityType",
     "GenuineCouplingReport",
     "FriedrichsReport",
     "LyapunovReport",
-    "symbol_symmetrizer",
-    "transformed_triplet",
+    "atilde",
     "atilde_eigenvalues",
-    "check_genuine_coupling",
     "genuine_coupling_scan",
     "check_friedrichs",
     "friedrichs_search",
@@ -88,53 +85,20 @@ def default_xi_grid(xi_min: float = 1e-3, xi_max: float = 1e3,
     return np.concatenate([-pos[::-1], pos])
 
 
-def symbol_symmetrizer(coeffs: EquilibriumCoefficients, xi) -> np.ndarray:
-    """Diagonal symbol symmetrizer S(xi) = diag(beta(xi)/p_rho, 1, 1) > 0."""
+def atilde(coeffs: EquilibriumCoefficients, xi) -> np.ndarray:
+    """Closed form Atilde(xi) = [[u, sqrt(beta), 0], [sqrt(beta), u, c], [0, c, u]]
+    of the transformed triplet (I, Atilde(xi), Btilde), Btilde = diag(btilde)."""
     xi = np.asarray(xi, dtype=float)
-    s = np.zeros(xi.shape + (3, 3))
-    s[..., 0, 0] = coeffs.beta(xi) / coeffs.p_rho
-    s[..., 1, 1] = 1.0
-    s[..., 2, 2] = 1.0
-    return s
-
-
-@dataclass(frozen=True)
-class TransformedTriplet:
-    """Symmetric triplet (I, Atilde(xi), Btilde) after the S^{1/2} A0^{1/2} change."""
-
-    coeffs: EquilibriumCoefficients
-    Btilde: np.ndarray
-
-    def a0(self, xi=0.0) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        return np.broadcast_to(np.eye(3), xi.shape + (3, 3))
-
-    def atilde(self, xi) -> np.ndarray:
-        """Closed form [[u, sqrt(beta), 0], [sqrt(beta), u, c], [0, c, u]]."""
-        xi = np.asarray(xi, dtype=float)
-        c = self.coeffs
-        rb = np.sqrt(c.beta(xi))
-        a = np.zeros(xi.shape + (3, 3))
-        a[..., 0, 0] = c.u
-        a[..., 1, 1] = c.u
-        a[..., 2, 2] = c.u
-        a[..., 0, 1] = rb
-        a[..., 1, 0] = rb
-        a[..., 1, 2] = c.cbar
-        a[..., 2, 1] = c.cbar
-        return a
-
-    # in the transformed frame the dissipative symbol is xi^2 Btilde
-    def a(self, xi) -> np.ndarray:
-        return self.atilde(xi)
-
-    def b(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        return xi[..., None, None] ** 2 * self.Btilde
-
-
-def transformed_triplet(coeffs: EquilibriumCoefficients) -> TransformedTriplet:
-    return TransformedTriplet(coeffs=coeffs, Btilde=np.diag(coeffs.btilde))
+    rb = np.sqrt(coeffs.beta(xi))
+    a = np.zeros(xi.shape + (3, 3))
+    a[..., 0, 0] = coeffs.u
+    a[..., 1, 1] = coeffs.u
+    a[..., 2, 2] = coeffs.u
+    a[..., 0, 1] = rb
+    a[..., 1, 0] = rb
+    a[..., 1, 2] = coeffs.cbar
+    a[..., 2, 1] = coeffs.cbar
+    return a
 
 
 def atilde_eigenvalues(coeffs: EquilibriumCoefficients, xi) -> np.ndarray:
@@ -166,8 +130,9 @@ def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callab
                           xi_grid: Sequence[float]) -> GenuineCouplingReport:
     """Check that no kernel vector of B(xi) solves (rho A0 + A(xi)) V = 0.
 
-    The maps must depend on xi only through xi^2, as both triplets' do
-    (the symbol's and its symmetric form's): they are evaluated once on the
+    The maps must depend on xi only through xi^2, as both triplets' do (the
+    symbol's ``coeffs.a0``, ``coeffs.a`` and ``coeffs.b``; its symmetric
+    form's I, :func:`atilde` and xi^2 Btilde): they are evaluated once on the
     distinct |xi| of the grid points xi != 0 (4001 of the 8002 points of
     the analyze-symbol grid) and broadcast to (N, 3, 3), and each grid
     point reads its |xi|'s margins, so ``worst_xi``, the failures and their
@@ -218,15 +183,6 @@ def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callab
     return GenuineCouplingReport(
         passed=bool(not failures and xi.size > 0),
         min_margin=min_margin, worst_xi=worst_xi, failures=failures, n_xi=xi.size)
-
-
-def check_genuine_coupling(triplet, xi_grid) -> GenuineCouplingReport:
-    """Genuine-coupling scan of ``triplet.a0``, ``triplet.a`` and ``triplet.b``.
-
-    ``triplet`` is the symbol itself (``EquilibriumCoefficients``) or its
-    symmetric form (``TransformedTriplet``).
-    """
-    return genuine_coupling_scan(triplet.a0, triplet.a, triplet.b, xi_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +410,10 @@ def verify_certificate(coeffs: EquilibriumCoefficients,
         xi_grid = np.linspace(-100.0, 100.0, 4001)
     xi = np.asarray(xi_grid, dtype=float)
     k_fn = compensating_matrix(coeffs, eps)
-    trip = transformed_triplet(coeffs)
     K = k_fn(xi)
-    A = trip.atilde(xi)
-    KA = K @ A
+    KA = K @ atilde(coeffs, xi)
     sym = 0.5 * (KA + np.swapaxes(KA, -1, -2))
-    total = sym + trip.Btilde
+    total = sym + np.diag(coeffs.btilde)
     eigs = np.linalg.eigvalsh(total)
     min_eig = float(eigs.min())
 
@@ -580,33 +534,11 @@ class LyapunovReport:
     # dY/dt + c0 xi^2 Y over unit modes per xi^2 (must be <= tol)
     worst_slack: float
     equivalence_ok: bool  # |delta xi K| <= 1/2 on the grid
+    # sup |xi K| on the grid: Y is equivalent to |V|^2 for delta <= 0.5 / sup_xiK
+    sup_xiK: float
     inconclusive: bool = False
     reason: str = ""
     violations: list = field(default_factory=list)  # (xi, slack / xi^2) pairs
-
-
-def _lyapunov_grid(xi_grid: Optional[np.ndarray]) -> np.ndarray:
-    """The nonzero points of the Lyapunov check's grid (default: 200 in [-50, 50])."""
-    xi = np.asarray(np.linspace(-50.0, 50.0, 201) if xi_grid is None else xi_grid,
-                    dtype=float)
-    return xi[xi != 0.0]
-
-
-def _sup_xi_k(xi: np.ndarray, K: np.ndarray) -> float:
-    return float((np.abs(xi) * _skew_norm(K)).max())
-
-
-def lyapunov_sup_xi_k(coeffs: EquilibriumCoefficients, eps: Optional[float] = None,
-                      xi_grid: Optional[np.ndarray] = None) -> float:
-    """sup |xi K(xi)| over the Lyapunov check's grid.
-
-    The functional is equivalent to |V|^2 for delta <= 0.5 / sup |xi K|.
-    With capillarity |xi K| is bounded uniformly in xi, so the bound is a
-    property of the closure; without, |xi K| grows like |xi| and the bound
-    shrinks as the grid widens.
-    """
-    xi = _lyapunov_grid(xi_grid)
-    return _sup_xi_k(xi, compensating_matrix(coeffs, eps)(xi))
 
 
 # D^{-1} (i K) D for D = diag(1, i, 1), entry by entry: real symmetric, since
@@ -635,24 +567,32 @@ def lyapunov_check(coeffs: EquilibriumCoefficients,
     H_R = -(R^T P_R + P_R R) + c0 xi^2 P_R, whose eigenvalues are taken in
     one batch.  The observed value is max over the grid of
     lambda_max / xi^2, which the xi^2 growth of both terms leaves scale-free.
+
+    The grid defaults to the 200 points xi != 0 of linspace(-50, 50, 201).
+    The report carries sup |xi K| over it.  With capillarity |xi K| is
+    bounded uniformly in xi, so the largest admissible delta, 0.5 / sup |xi K|,
+    is a property of the closure; without, |xi K| grows like |xi| and that
+    bound shrinks as the grid widens.
     """
-    xi = _lyapunov_grid(xi_grid)
+    xi = np.asarray(np.linspace(-50.0, 50.0, 201) if xi_grid is None else xi_grid,
+                    dtype=float)
+    xi = xi[xi != 0.0]
+    k_fn = compensating_matrix(coeffs, eps)
+    K = k_fn(xi)                      # (n, 3, 3)
+    sup_xiK = float((np.abs(xi) * _skew_norm(K)).max())
     if delta == 0.0:
         return LyapunovReport(
             passed=False, c0=0.0, delta=0.0, worst_slack=0.0,
-            equivalence_ok=True, inconclusive=True,
+            equivalence_ok=True, sup_xiK=sup_xiK, inconclusive=True,
             reason="delta = 0 degenerates the functional to |V|^2; no damping certified")
 
-    k_fn = compensating_matrix(coeffs, eps)
-    K = k_fn(xi)                      # (n, 3, 3)
-    sup_xiK = _sup_xi_k(xi, K)
     equivalence_ok = delta * sup_xiK <= 0.5
     if not equivalence_ok:
         # without a uniform bound on |xi K| (e.g. no capillarity) the
         # functional is not equivalent to |V|^2 on this grid at this delta
         return LyapunovReport(
             passed=False, c0=0.0, delta=delta, worst_slack=np.nan,
-            equivalence_ok=False, inconclusive=True,
+            equivalence_ok=False, sup_xiK=sup_xiK, inconclusive=True,
             reason=(f"sup |delta xi K| = {delta * sup_xiK:.3g} > 1/2: the "
                     "functional is not equivalent to |V|^2 on this grid"))
     c0 = delta * k_fn.gamma_bar / (1.0 + delta * sup_xiK)
@@ -668,5 +608,5 @@ def lyapunov_check(coeffs: EquilibriumCoefficients,
     violations = [(float(xi[i]), float(slack[i]))
                   for i in np.flatnonzero(slack > tol)[:10]]
     return LyapunovReport(passed=bool(worst <= tol), c0=c0, delta=delta,
-                          worst_slack=worst, equivalence_ok=True,
+                          worst_slack=worst, equivalence_ok=True, sup_xiK=sup_xiK,
                           violations=violations)

@@ -56,6 +56,7 @@ __all__ = [
     "nonlinear_terms",
     "equilibrium_coefficients",
     "evolution_symbol",
+    "symbol_symmetrizer",
     "real_form",
 ]
 
@@ -512,23 +513,26 @@ def equilibrium_coefficients(eos: EquationOfState, ubar: State) -> EquilibriumCo
     )
 
 
-def evolution_symbol(coeffs: EquilibriumCoefficients, xi: ArrayLike,
-                     form: Optional[tuple] = None) -> np.ndarray:
+def evolution_symbol(coeffs: EquilibriumCoefficients, xi: ArrayLike) -> np.ndarray:
     """Per-mode generator M(i xi) = A0^{-1} (i xi A(xi) + B(xi)).
 
     The Fourier transform of the linear system is What_t + M(i xi) What = 0;
     M(0) = 0 and M(-xi) = conj(M(xi)) entry for entry (A and B are even in
-    xi, and only the factor i xi changes sign).  Given ``form``, the pair
-    (R, q) of :func:`real_form` at ``xi``, M is rebuilt from it instead as
-    Q (i xi u + R) Q^{-1}.
+    xi, and only the factor i xi changes sign).
     """
     xi = np.asarray(xi, dtype=float)
-    if form is not None:
-        r, q = form
-        gen = r + 1j * (coeffs.u * xi)[..., None, None] * np.eye(3)
-        return q[..., :, None] * gen / q[..., None, :]
     a0_inv = np.linalg.inv(coeffs.A0)
     return a0_inv @ (1j * xi[..., None, None] * coeffs.a(xi) + coeffs.b(xi))
+
+
+def symbol_symmetrizer(coeffs: EquilibriumCoefficients, xi: ArrayLike) -> np.ndarray:
+    """Diagonal symbol symmetrizer S(xi) = diag(beta(xi)/p_rho, 1, 1) > 0."""
+    xi = np.asarray(xi, dtype=float)
+    s = np.zeros(xi.shape + (3, 3))
+    s[..., 0, 0] = coeffs.beta(xi) / coeffs.p_rho
+    s[..., 1, 1] = 1.0
+    s[..., 2, 2] = 1.0
+    return s
 
 
 def real_form(coeffs: EquilibriumCoefficients,
@@ -536,10 +540,10 @@ def real_form(coeffs: EquilibriumCoefficients,
     """(R, q): the real symbol R(xi) and the diagonal q of Q, with
     M(i xi) = Q (i xi u + R(xi)) Q^{-1} and Q = diag(q).
 
-    The diagonal symbol symmetrizer S(xi) = diag(beta(xi)/p_rho, 1, 1) and
-    the diagonal A0 take M to i xi Atilde(xi) + xi^2 Btilde under
-    T = (S A0)^{1/2}, with Atilde = u I + [[0, sqrt(beta), 0],
-    [sqrt(beta), 0, c], [0, c, 0]] real symmetric and Btilde = diag(btilde).
+    The diagonal S(xi) of :func:`symbol_symmetrizer` and the diagonal A0
+    take M to i xi Atilde(xi) + xi^2 Btilde under T = (S A0)^{1/2}, with
+    Atilde = u I + [[0, sqrt(beta), 0], [sqrt(beta), 0, c], [0, c, 0]] real
+    symmetric and Btilde = diag(btilde).
     The unitary D = diag(1, i, 1) then makes the rest real:
 
         R(xi) = [[0, -xi sqrt(beta), 0], [xi sqrt(beta), xi^2 b2, xi c],
@@ -567,12 +571,10 @@ def real_form(coeffs: EquilibriumCoefficients,
     r[..., 1, 2] = coupling
     r[..., 2, 1] = -coupling
     r[..., 2, 2] = b3 * xi ** 2
-    a0 = np.diag(coeffs.A0)
-    q = np.empty(xi.shape + (3,), dtype=complex)
-    q[..., 0] = 1.0 / np.sqrt(beta / coeffs.p_rho * a0[0])
-    q[..., 1] = 1j / np.sqrt(a0[1])
-    q[..., 2] = 1.0 / np.sqrt(a0[2])
-    return r, q
+    # the diagonals of S and A0
+    s_a0 = (np.diagonal(symbol_symmetrizer(coeffs, xi), axis1=-2, axis2=-1)
+            * np.diag(coeffs.A0))
+    return r, 1.0 / np.sqrt(s_a0) * np.array([1.0, 1j, 1.0])
 
 
 def _by_magnitude(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ import numpy as np
 from nsfk import convex_extension as cx
 from nsfk import dissipativity as dis
 from nsfk.reports import fmt
-from nsfk.symbols import ExtendedState, evolution_symbol
+from nsfk.symbols import ExtendedState, evolution_symbol, symbol_symmetrizer
 from nsfk.thermo import State
 
 
@@ -59,13 +59,12 @@ def hermitian_defect(profile):
     return float(np.abs(profile.modes[::-1] - np.conj(profile.modes)).max())
 
 
-def atilde_congruence(triplet, xi):
-    """Atilde(xi) of a ``TransformedTriplet`` via the congruence
-    S^{1/2} A0^{-1/2} A(xi) A0^{-1/2} S^{-1/2}."""
+def atilde_congruence(coeffs, xi):
+    """Atilde(xi) via the congruence S^{1/2} A0^{-1/2} A(xi) A0^{-1/2} S^{-1/2}."""
     xi = np.asarray(xi, dtype=float)
-    a = triplet.coeffs.a(xi)
-    s = dis.symbol_symmetrizer(triplet.coeffs, xi)
-    a0 = triplet.coeffs.A0
+    a = coeffs.a(xi)
+    s = symbol_symmetrizer(coeffs, xi)
+    a0 = coeffs.A0
     a0_isqrt = np.diag(1.0 / np.sqrt(np.diag(a0)))
     s_sqrt = np.sqrt(s)
     s_isqrt = np.zeros_like(s)
@@ -83,9 +82,8 @@ def complex_sigma(coeffs, xi):
 def _lyapunov_terms(coeffs, eps, delta, xi):
     """(G, P) of the Lyapunov functional in the transformed frame:
     G = i xi Atilde + xi^2 Btilde and P = I - delta xi i K."""
-    tt = dis.transformed_triplet(coeffs)
     x = np.asarray(xi, dtype=float)[:, None, None]
-    gen = 1j * x * tt.atilde(xi) + x ** 2 * tt.Btilde
+    gen = 1j * x * dis.atilde(coeffs, xi) + x ** 2 * np.diag(coeffs.btilde)
     return gen, np.eye(3) - delta * x * 1j * dis.compensating_matrix(coeffs, eps)(xi)
 
 

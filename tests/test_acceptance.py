@@ -66,8 +66,7 @@ def test_criterion_02_entropy_pair_certificate(ref_eos, domain):
 def test_criterion_03_eigenvalue_tracks(ref_coeffs):
     xi = np.linspace(-100.0, 100.0, 2001)
     closed = dis.atilde_eigenvalues(ref_coeffs, xi)
-    numeric = np.sort(np.linalg.eigvalsh(
-        dis.transformed_triplet(ref_coeffs).atilde(xi)), axis=-1)
+    numeric = np.sort(np.linalg.eigvalsh(dis.atilde(ref_coeffs, xi)), axis=-1)
     err = np.abs(closed - numeric).max()
     gap = np.diff(closed, axis=-1).min()
     root = float(np.sqrt(5.0 / 3.0))
@@ -81,8 +80,8 @@ def test_criterion_03_eigenvalue_tracks(ref_coeffs):
 
 def test_criterion_04_genuine_coupling(ref_coeffs, nsf_coeffs):
     grid = dis.default_xi_grid(n_per_decade=1001)
-    full = dis.check_genuine_coupling(ref_coeffs, grid)
-    nsf = dis.check_genuine_coupling(nsf_coeffs, grid)
+    full = dis.genuine_coupling_scan(ref_coeffs.a0, ref_coeffs.a, ref_coeffs.b, grid)
+    nsf = dis.genuine_coupling_scan(nsf_coeffs.a0, nsf_coeffs.a, nsf_coeffs.b, grid)
     a0 = ref_coeffs.A0
     control = dis.genuine_coupling_scan(
         lambda xi: a0, lambda xi: a0, lambda xi: np.zeros((3, 3)),

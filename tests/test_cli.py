@@ -269,6 +269,17 @@ class TestConfigValidation:
         assert code == 2
         assert "config error: [linear] profile_csv" in capsys.readouterr().err
 
+    def test_one_row_profile_csv_rejected(self, config_file, tmp_path, capsys):
+        csv_path = _profile_csv(tmp_path, lambda xi: 1.0 + 0.0 * xi, np.array([0.5]))
+        path = config_file()
+        set_keys(path, "linear", {"profile": f"csv\nprofile_csv = {csv_path}"})
+        code = main(["linear-decay", "--config", str(path), "--out",
+                     str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [linear] profile_csv")
+        assert err.rstrip().endswith("needs at least two rows")
+
     def test_zero_norm_profile_csv_rejected(self, config_file, tmp_path, capsys):
         csv_path = _profile_csv(tmp_path, lambda xi: 0.0 * xi)
         path = config_file()
@@ -384,9 +395,9 @@ class TestAnalyzeSymbol:
     def test_lyapunov_delta_past_equivalence_rejected(self, config_file, tmp_path,
                                                       capsys, monkeypatch):
         # with capillarity sup |xi K| = 0.235694 on the Lyapunov grid, so
-        # delta = 10 voids the functional: a config error, found before any
-        # check runs
-        monkeypatch.setattr(dissipativity, "check_genuine_coupling", None)
+        # delta = 10 voids the functional: a config error, found before the
+        # coupling scan runs
+        monkeypatch.setattr(dissipativity, "genuine_coupling_scan", None)
         path = config_file()
         set_keys(path, "symbol", {"lyapunov_delta": "10"})
         assert main(["analyze-symbol", "--config", str(path),
@@ -448,8 +459,9 @@ class TestAnalyzeSymbol:
 
     def test_no_kernel_is_named(self, config_file, tmp_path, monkeypatch):
         eye = lambda xi: np.eye(3)  # noqa: E731
-        monkeypatch.setattr(dissipativity, "check_genuine_coupling", lambda t, grid:
-                            dissipativity.genuine_coupling_scan(eye, eye, eye, grid))
+        scan = dissipativity.genuine_coupling_scan
+        monkeypatch.setattr(dissipativity, "genuine_coupling_scan",
+                            lambda a0, a, b, grid: scan(eye, eye, eye, grid))
         out = tmp_path / "nokernel"
         assert main(["analyze-symbol", "--config", str(config_file()),
                      "--out", str(out), "--quiet"]) == 0
@@ -626,7 +638,8 @@ class TestCsvBytes:
         prof = linear_evolution.gaussian_profile(
             *linear_evolution.geometric_nodes(4096, 200.0, 1e-4))
         at = per_node_propagator(ref_coeffs, prof.xi_nodes, prof.modes)
-        want = [linear_evolution.weighted_norm(prof.with_modes(at(t))) for t in times]
+        want = [linear_evolution.weighted_norm(linear_evolution.SpectralProfile(
+            prof.xi_nodes, prof.weights, at(t))) for t in times]
         got = [float(r["norm"]) for r in rows]
         assert np.abs(np.divide(got, want) - 1.0).max() <= 1e-12
 

@@ -10,16 +10,16 @@ from oracles import (atilde_congruence, complex_sigma, hermitian_lyapunov_slack,
 
 class TestSymmetrizer:
     def test_identity_at_origin(self, ref_coeffs):
-        assert np.allclose(dis.symbol_symmetrizer(ref_coeffs, 0.0), np.eye(3),
+        assert np.allclose(sym.symbol_symmetrizer(ref_coeffs, 0.0), np.eye(3),
                            atol=1e-15)
 
     def test_reference_value(self, ref_coeffs):
-        s = dis.symbol_symmetrizer(ref_coeffs, 1.0)
+        s = sym.symbol_symmetrizer(ref_coeffs, 1.0)
         assert np.allclose(np.diag(s), [3.0, 1.0, 1.0], atol=1e-14)
 
     def test_symmetrizes_symbols(self, ref_coeffs):
         xi = np.linspace(-40, 40, 101)
-        s = dis.symbol_symmetrizer(ref_coeffs, xi)
+        s = sym.symbol_symmetrizer(ref_coeffs, xi)
         sa = s @ ref_coeffs.a(xi)
         sb = s @ ref_coeffs.b(xi)
         sa0 = s @ ref_coeffs.A0
@@ -31,20 +31,18 @@ class TestSymmetrizer:
 
 class TestTransformedTriplet:
     def test_closed_form_at_origin(self, ref_coeffs):
-        tt = dis.transformed_triplet(ref_coeffs)
         c = np.sqrt(2.0 / 3.0)
-        assert np.allclose(tt.atilde(0.0),
+        assert np.allclose(dis.atilde(ref_coeffs, 0.0),
                            [[0, 1, 0], [1, 0, c], [0, c, 0]], atol=1e-12)
 
     def test_btilde(self, ref_coeffs):
-        tt = dis.transformed_triplet(ref_coeffs)
-        assert np.allclose(tt.Btilde, np.diag([0.0, 1.0, 2.0 / 3.0]), atol=1e-14)
+        assert np.allclose(ref_coeffs.btilde, [0.0, 1.0, 2.0 / 3.0], atol=1e-14)
 
     def test_congruence_agreement(self, ref_coeffs):
-        tt = dis.transformed_triplet(ref_coeffs)
         xi = np.concatenate([np.linspace(-90, 90, 181), [1e-4, 1e3]])
-        assert np.abs(tt.atilde(xi) - atilde_congruence(tt, xi)).max() <= 1e-12 * max(
-            1.0, np.abs(tt.atilde(xi)).max())
+        a = dis.atilde(ref_coeffs, xi)
+        assert np.abs(a - atilde_congruence(ref_coeffs, xi)).max() <= 1e-12 * max(
+            1.0, np.abs(a).max())
 
 
 class TestEigenvalues:
@@ -56,8 +54,7 @@ class TestEigenvalues:
     def test_match_numeric_solver(self, ref_coeffs):
         xi = np.linspace(-100, 100, 2001)
         closed = dis.atilde_eigenvalues(ref_coeffs, xi)
-        numeric = np.sort(np.linalg.eigvalsh(
-            dis.transformed_triplet(ref_coeffs).atilde(xi)), axis=-1)
+        numeric = np.sort(np.linalg.eigvalsh(dis.atilde(ref_coeffs, xi)), axis=-1)
         assert np.abs(closed - numeric).max() <= 1e-12
 
     def test_simple_and_middle_is_velocity(self):
@@ -72,18 +69,21 @@ class TestEigenvalues:
 class TestGenuineCoupling:
     def test_reference_passes(self, ref_coeffs):
         grid = dis.default_xi_grid(n_per_decade=301)
-        rep = dis.check_genuine_coupling(ref_coeffs, grid)
+        rep = dis.genuine_coupling_scan(ref_coeffs.a0, ref_coeffs.a, ref_coeffs.b, grid)
         assert rep.passed
         assert rep.min_margin > 0.1
 
     def test_transformed_triplet_passes(self, ref_coeffs):
         grid = dis.default_xi_grid(n_per_decade=101)
-        rep = dis.check_genuine_coupling(dis.transformed_triplet(ref_coeffs), grid)
+        btilde = np.diag(ref_coeffs.btilde)
+        rep = dis.genuine_coupling_scan(
+            lambda xi: np.eye(3), lambda xi: dis.atilde(ref_coeffs, xi),
+            lambda xi: xi[..., None, None] ** 2 * btilde, grid)
         assert rep.passed
 
     def test_nsf_subcase_passes(self, nsf_coeffs):
         grid = dis.default_xi_grid(n_per_decade=301)
-        rep = dis.check_genuine_coupling(nsf_coeffs, grid)
+        rep = dis.genuine_coupling_scan(nsf_coeffs.a0, nsf_coeffs.a, nsf_coeffs.b, grid)
         assert rep.passed
 
     def test_decoupled_control_fails(self, ref_coeffs):
@@ -134,7 +134,8 @@ class TestGenuineCoupling:
             assert rep.passed is bool(exact > 1e-10)
 
     def test_zero_grid_is_vacuous(self, ref_coeffs):
-        rep = dis.check_genuine_coupling(ref_coeffs, [0.0, 0.0])
+        rep = dis.genuine_coupling_scan(ref_coeffs.a0, ref_coeffs.a, ref_coeffs.b,
+                                        [0.0, 0.0])
         assert rep.n_xi == 0
         assert rep.passed is False
         assert rep.min_margin == np.inf and np.isnan(rep.worst_xi)
@@ -149,8 +150,8 @@ class TestGenuineCoupling:
         assert rep.min_margin == np.inf
 
     def test_passed_is_python_bool(self, ref_coeffs):
-        rep = dis.check_genuine_coupling(ref_coeffs,
-                                         dis.default_xi_grid(n_per_decade=11))
+        rep = dis.genuine_coupling_scan(ref_coeffs.a0, ref_coeffs.a, ref_coeffs.b,
+                                        dis.default_xi_grid(n_per_decade=11))
         assert rep.passed is True
 
 
@@ -351,10 +352,9 @@ class TestCertificate:
     def test_vanishing_eps_fails_bound(self, ref_coeffs):
         # negative control: with eps -> 0 the (1,1) entry of [K A]^s + B
         # degenerates to 0 < gamma_bar; the product bound must fail
-        tt = dis.transformed_triplet(ref_coeffs)
         xi = np.linspace(-10, 10, 101)
         xi = xi[xi != 0]
-        a = tt.atilde(xi)
+        a = dis.atilde(ref_coeffs, xi)
         gamma_bar, _, _ = dis.compensating_window(ref_coeffs)
         for eps in (0.0, 1e-6):
             rb = np.sqrt(ref_coeffs.beta(xi))
@@ -365,7 +365,7 @@ class TestCertificate:
             K[..., 2, 1] = -ref_coeffs.cbar / rb
             K = (eps / rb)[..., None, None] * K
             ka = K @ a
-            total = 0.5 * (ka + np.swapaxes(ka, -1, -2)) + tt.Btilde
+            total = 0.5 * (ka + np.swapaxes(ka, -1, -2)) + np.diag(ref_coeffs.btilde)
             assert np.linalg.eigvalsh(total).min() < gamma_bar
 
 

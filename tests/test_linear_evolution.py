@@ -137,7 +137,7 @@ class TestPropagation:
         nodes, weights = small_nodes
         prof = lin.gaussian_profile(nodes, weights)
         prop = lin.ModePropagator(ref_coeffs, nodes)
-        evolved = prof.with_modes(at(prop, prof.modes, 4.0))
+        evolved = lin.SpectralProfile(nodes, weights, at(prop, prof.modes, 4.0))
         assert hermitian_defect(evolved) <= 1e-12
 
     def test_modal_bound(self, ref_coeffs, rng):
@@ -158,20 +158,23 @@ class TestPropagation:
                 log_ratio = np.log(norms[mask]) + c0 * xi[mask] ** 2 * t
                 assert np.all(log_ratio <= np.log(10.0))
 
-    def test_matrix_exponentials_against_scipy(self, ref_coeffs):
+    def test_matrix_exponentials_against_scipy(self, ref_coeffs, monkeypatch):
         # threshold 0 flags every matrix, forcing the scaling-and-squaring path
         from scipy.linalg import expm
         gen = sym.evolution_symbol(ref_coeffs, np.array([0.7, 3.0]))
         for cond_threshold in (1e4, 0.0):
-            ours = lin.matrix_exponentials(gen, 0.9, cond_threshold)
+            monkeypatch.setattr(lin, "_COND_THRESHOLD", cond_threshold)
+            ours = lin.matrix_exponentials(gen, 0.9)
             for k in range(2):
                 assert np.abs(ours[k] - expm(-0.9 * gen[k])).max() <= 1e-12
 
-    def test_expm_fallback_matches_eigen_path(self, ref_coeffs, small_nodes):
+    def test_expm_fallback_matches_eigen_path(self, ref_coeffs, small_nodes,
+                                              monkeypatch):
         nodes, weights = small_nodes
         prof = lin.gaussian_profile(nodes, weights)
         eig = lin.ModePropagator(ref_coeffs, nodes)
-        fallback = lin.ModePropagator(ref_coeffs, nodes, cond_threshold=0.0)
+        monkeypatch.setattr(lin, "_COND_THRESHOLD", 0.0)
+        fallback = lin.ModePropagator(ref_coeffs, nodes)
         assert np.all(fallback.bad)
         assert np.abs(at(eig, prof.modes, 2.0)
                       - at(fallback, prof.modes, 2.0)).max() <= 1e-10
@@ -252,9 +255,12 @@ class TestMirroredFactors:
         from scipy.linalg import expm
         gen = np.array(generator, dtype=float)
         assert np.abs(lin.matrix_exponentials(gen, 0.5) - expm(-0.5 * gen)).max() <= 1e-13
-        # injected as the real form R with Q = I: with u = 0, M = R
+        # injected as the real form R with Q = I and, since u = 0 makes
+        # M = R, as the generator the flagged nodes are rebuilt from
         monkeypatch.setattr(lin, "real_form", lambda coeffs, xi: (
             np.broadcast_to(gen, xi.shape + (3, 3)), np.ones(xi.shape + (3,), complex)))
+        monkeypatch.setattr(lin, "evolution_symbol", lambda coeffs, xi: np.array(
+            np.broadcast_to(gen, xi.shape + (3, 3)), dtype=complex))
         xi = np.array([-1.0, 0.5, 1.0])
         prop = lin.ModePropagator(ref_coeffs, xi)
         assert np.all(prop.bad)
@@ -284,7 +290,7 @@ class TestConditioning:
                                                 monkeypatch):
         vecs = np.linalg.eig(sym.evolution_symbol(ref_coeffs, small_nodes[0]))[1]
         calls = self.counted(monkeypatch)
-        got, inv, bad = lin._conditioned(vecs, 1e4)
+        got, inv, bad = lin._conditioned(vecs)
         assert calls == ["inv"]
         assert not np.any(bad)
         np.testing.assert_array_equal(got, vecs)
@@ -298,7 +304,7 @@ class TestConditioning:
         # inv refuses a stack holding an exactly singular matrix as a whole
         vecs = np.stack([np.eye(3), np.ones((3, 3)), 2.0 * np.eye(3)])
         calls = self.counted(monkeypatch)
-        got, inv, bad = lin._conditioned(vecs, 1e4)
+        got, inv, bad = lin._conditioned(vecs)
         assert calls == ["inv", "cond", "inv"]
         assert bad.tolist() == [False, True, False]
         np.testing.assert_array_equal(got[1], np.eye(3))
@@ -312,7 +318,7 @@ class TestConditioning:
         from scipy.linalg import expm
         vecs = np.stack([np.eye(3)] * 2)
         vecs[1, 2, 0] = value
-        got, inv, bad = lin._conditioned(vecs, 1e4)
+        got, inv, bad = lin._conditioned(vecs)
         assert bad.tolist() == [False, True]
         np.testing.assert_array_equal(got, np.stack([np.eye(3)] * 2))
         np.testing.assert_array_equal(inv, np.stack([np.eye(3)] * 2))
@@ -326,7 +332,7 @@ class TestConditioning:
             return lam, vecs
 
         monkeypatch.setattr(np.linalg, "eig", spoiled)
-        assert lin._eigensystem(gen, 1e4)[-1].tolist() == [False, True, True, False]
+        assert lin._eigensystem(gen)[-1].tolist() == [False, True, True, False]
         stacked = lin.matrix_exponentials(gen, 0.5)
         want = np.array([expm(-0.5 * g) for g in gen])
         assert np.abs(stacked - want).max() <= 1e-12
@@ -369,6 +375,14 @@ class TestDecayFits:
         fit = lin.evolve_and_fit(ref_coeffs, prof, times, 0, (1e2, 1e4))
         assert fit.exponent <= -0.7
 
+    def test_zero_share_without_zero_node_after_underflow(self, ref_coeffs):
+        # nodes +-1 only: the final norm underflows to 0, and with no energy
+        # at xi = 0 the share is 0, not 0/0
+        prof = lin.SpectralProfile([-1.0, 1.0], [1.0, 1.0], np.ones((2, 3)))
+        fit = lin.evolve_and_fit(ref_coeffs, prof, np.logspace(-1, 4, 41))
+        assert fit.norms[-1] == 0.0
+        assert fit.zero_share == 0.0
+
     def test_non_finite_fit_is_flagged(self, ref_coeffs, small_nodes):
         # xi^(2 ell) with ell < 0 is infinite at the xi = 0 node: the norm is
         # infinite and the fit residual nan, which must not read as reliable
@@ -388,10 +402,10 @@ class TestDecayFits:
         # cross-check with the Lyapunov certificate: Y(t) decreases along
         # the exact transformed flow for every sampled mode
         k_fn = dis.compensating_matrix(ref_coeffs, 1.0 / 3.0)
-        tt = dis.transformed_triplet(ref_coeffs)
         delta = 0.05
         for xi in (0.3, 1.0, 5.0):
-            gen = 1j * xi * tt.atilde(xi) + xi ** 2 * tt.Btilde
+            gen = (1j * xi * dis.atilde(ref_coeffs, xi)
+                   + xi ** 2 * np.diag(ref_coeffs.btilde))
             lam, V = np.linalg.eig(gen)
             Vinv = np.linalg.inv(V)
             K = k_fn(xi)
