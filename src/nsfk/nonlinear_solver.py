@@ -36,11 +36,10 @@ holds, so it costs one batched irfft and no forward transform, and leaves
 its closure pass, the flux included, in the workspace beside that grid
 pass: the next step's first ``rhs`` is of the same spectrum, takes both
 and transforms 5 rows.  A step that follows a sample thus makes 15
-transform calls, any other step 16.  theta_t is formed in place on spent
-rows, reading the closure's Jacobian entries where the closure pass left
-them.
-The stepper's stages live in buffers it allocates once: a step allocates
-only the closure's elementwise temporaries.
+transform calls, any other step 16.  The closure pass, the flux and
+theta_t are formed in place in the same workspace, and the stepper's stages
+in buffers it allocates once: with the reference closure a step allocates
+only the closure's p and e.
 
 The stepper is an integrating-factor RK4 (Lawson scheme; see
 Cox & Matthews, J. Comput. Phys. 176 (2002) and Kassam & Trefethen, SIAM J.
@@ -50,8 +49,10 @@ removes the third-order dispersive stiffness (dt ~ dx^3 for explicit
 stepping); the symbol M(i k) is taken to V by the constant similarity
 T M T^-1, T = dV/dU at the equilibrium.  It keeps one integrating factor,
 the half step's exp(-dt/2 T M(i k) T^-1), and applies the full step's as
-two half steps, so a step makes 8 per-mode 3x3 products: 4 with that
-factor and 4 with the generators.
+two half steps, so a step makes 8 per-mode products: 4 with that 3x3
+factor, and 4 with rows 1 and 2 of the generators.  The mass rate -ik m is
+linear in V, so the nonlinear remainder's row 0 is identically zero, and
+neither it nor the generators' row 0 is formed.
 
 theta_t is recovered from the energy rate through the last row of the
 (lower-triangular, always invertible) Jacobian of the conserved quantities,
@@ -113,7 +114,8 @@ class _RhsWorkspace:
     zero tails make each irfft read the dealiased spectrum without a padded
     copy.  ``tensors`` is the closure pass of the grid pass the workspace
     holds, when a sample made one (``w_diagnostics``), and None otherwise:
-    every grid pass clears it.
+    every grid pass clears it.  ``rows`` and ``closure`` are views of single
+    rows, made once: ``rhs`` unpacks them on every call.
     """
 
     def __init__(self, n: int):
@@ -122,11 +124,18 @@ class _RhsWorkspace:
         # those fields followed by (u, u_x)
         self.grad_hat = np.zeros((8, bins), dtype=complex)
         self.grad = np.empty((10, n))
+        self.rows = tuple(self.grad)
         # rfft of the momentum and energy rates (r2, r3) and the rates
         self.rate_hat = np.zeros((2, bins), dtype=complex)
         self.rate = np.empty((2, n))
         # the three fluxes; row 0 then holds theta_t
         self.flux = np.empty((3, n))
+        # the arrays of the closure pass (symbols._closure): its three
+        # intermediates take the flux rows and h and w, which only the flux
+        # reads, the rate rows, each free until then; energy (which a31 may
+        # be), a31, a33 and b31, which theta_t reads, have rows of their own
+        energy, a31, a33, b31 = np.empty((4, n))
+        self.closure = (*self.flux, energy, *self.rate, a31, a33, b31)
         self.flux_hat = np.empty((2, bins), dtype=complex)
         self.tensors: Optional[sym.FluxTensors] = None
 
@@ -231,18 +240,16 @@ def _grid_pass(grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
     spec[:3, :m] = fh
     np.multiply(ik, fh, out=spec[3:6, :m])
     np.multiply(ik, spec[3:5, :m], out=spec[6:, :m])
-    rows = ws.grad
-    np.fft.irfft(spec, n=grid.n, out=rows[:8])
+    np.fft.irfft(spec, n=grid.n, out=ws.grad[:8])
+    rho, mom, theta, rho_x, mom_x, _, _, _, u, u_x = ws.rows
     # the sum is finite only if every value is (or it overflows, and then
-    # validate finds nothing to reject)
-    if not (np.isfinite(rows[:3].sum()) and rows[0].min() > 0.0
-            and rows[2].min() > 0.0):
-        StateField(grid, *rows[:3]).validate()
-    rho, mom, _, rho_x, mom_x, _, _, _, u, u_x = rows
+    # validate finds nothing to reject); rows 0 and 2 are rho and theta
+    if not (np.isfinite(ws.grad[:3].sum()) and ws.grad[:3:2].min() > 0.0):
+        StateField(grid, rho, mom, theta).validate()
     np.divide(mom, rho, out=u)
     np.subtract(mom_x, np.multiply(u, rho_x, out=u_x), out=u_x)
     u_x /= rho
-    return rows
+    return ws.grad
 
 
 def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
@@ -253,17 +260,19 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
     is the retained (3, n//3 + 1) rfft of the rates, written to ``out`` when
     it is given and to a new array otherwise.  The conservation-law right
     sides are the spectral derivatives of the dealiased flux
-    ``symbols._total_flux``.  Density and momentum are conserved quantities:
-    the mass rate is -ik m, exactly, and needs no transform, and the
-    momentum rate is ik times the momentum flux.  theta_t is recovered from
-    the energy rate r3 through the Jacobian of the conserved quantities:
+    ``symbols._total_flux``, which reads the momentum m from its grid row.
+    Density and momentum are conserved quantities: the mass rate is -ik m,
+    exactly, and needs no transform, and the momentum rate is ik times the
+    momentum flux.  theta_t is recovered from the energy rate r3 through
+    the Jacobian of the conserved quantities:
 
         theta_t = (r3 - b31 rho_xt - a31 rho_t - u (r2 - u rho_t)) / a33,
 
     with the momentum rate r2, rho_t = -m_x and rho_xt = -m_xx, which are
     exact on the grid.  The closure is evaluated once, in one
     ``symbols._closure`` pass that both the flux and the Jacobian entries
-    read, and the four ``np.fft`` calls are batched: one irfft of 8 rows in
+    read, and which writes its arrays to the grid's workspace.  The four
+    ``np.fft`` calls are batched: one irfft of 8 rows in
     ``_grid_pass``, one rfft of the momentum and energy fluxes, one irfft of
     their rates (r2, r3) and one rfft of theta_t, 13 rows in all.
 
@@ -289,15 +298,16 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
     ik = grid.ik[:m]
     t = ws.tensors
     taken = t is not None and np.array_equal(ws.grad_hat[:3, :m], fh)
-    rows = ws.grad if taken else _grid_pass(grid, fh)
-    rho, _, theta, rho_x, mom_x, theta_x, rho_xx, mom_xx, u, u_x = rows
+    if not taken:
+        _grid_pass(grid, fh)
+    rho, mom, theta, rho_x, mom_x, theta_x, rho_xx, mom_xx, u, u_x = ws.rows
     if taken:
         c, flux = t.closure, t.flux
     else:
-        c = sym._closure(eos, rho, u, theta, rho_x, u_x, theta_x)
-        flux = sym._total_flux(c, rho, u, rho_xx, u_x, theta_x, out=ws.flux)
+        c = sym._closure(eos, rho, u, theta, rho_x, u_x, theta_x, out=ws.closure)
+        flux = sym._total_flux(c, mom, u, rho_xx, u_x, theta_x, out=ws.flux)
     a31, a33, b31 = c.a31, c.a33, c.b31
-    del c, t                       # its other arrays are spent before the transforms
+    del c, t        # its other arrays are spent: the transforms overwrite h and w
     # spectra of the momentum and energy right sides dx(flux); the mass
     # flux -m is not transformed
     flux_hat = np.fft.rfft(flux[1:], out=ws.flux_hat)
@@ -341,7 +351,8 @@ class IntegratingFactorRK4:
     full step's is its square, and ``step`` applies it as two half steps.
     ``generators`` (T M T^-1) and ``e_half`` are (3, 3, n//3 + 1), column
     index first: the modes the 2/3 rule removes are never stored.  A step
-    makes 8 per-mode products, 4 with ``e_half`` and 4 with the generators.
+    makes 8 per-mode products, 4 with ``e_half`` and 4 with rows 1 and 2 of
+    the generators (see ``_nonlinear``).
     The stage inputs, the stage rates and the per-mode products are written
     into six (3, n//3 + 1) buffers allocated here, and ``rhs`` into the
     grid's workspace, so like ``rhs`` a stepper is not re-entrant.
@@ -381,15 +392,17 @@ class IntegratingFactorRK4:
         return np.ascontiguousarray(np.fft.rfft(dv)[:, :self.grid.modes])
 
     def _apply(self, e: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Per-mode product e(k) v(k) of (3, 3, m) matrices and a (3, m) spectrum.
+        """Per-mode product e(k) v(k) of (3, r, m) matrices and a (3, m) spectrum.
 
         ``e`` is column-first (``e[j, i]`` is entry (i, j)), so each term
         e[:, j] v_j reads one contiguous block; the columns are summed in
-        order, without a (3, 3, m) temporary.  ``out`` must not be ``v``.
+        order, without a (3, r, m) temporary, into the (r, m) ``out``, which
+        must not be ``v``.
         """
+        tmp = self._tmp[:len(out)]
         np.multiply(e[0], v[0], out=out)
         for j in (1, 2):
-            out += np.multiply(e[j], v[j], out=self._tmp)
+            out += np.multiply(e[j], v[j], out=tmp)
         return out
 
     def _nonlinear(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -398,11 +411,17 @@ class IntegratingFactorRK4:
         x is the spectrum of V - Vbar, which this consumes: its mode 0 is
         shifted by the mode-0 sum of Vbar to give the field ``rhs`` takes,
         and ``rhs`` checks that field in its grid pass, or takes a sample's
-        pass of it.  ``out`` must not be ``x``.
+        pass of it.  The mass rate -ik m is linear in V, and row 0 of the
+        generators is (0, ik, 0), so the remainder's row 0 is identically
+        zero: it is written as 0, and only rows 1 and 2 of the generators
+        are applied.  At rhobar = 1 that row is (0, ik, 0) exactly and the
+        full formula also gives 0 there, bit for bit.  ``out`` must not be
+        ``x``.
         """
-        self._apply(self.generators, x, out)
+        self._apply(self.generators[:, 1:], x, out[1:])
+        out[0] = 0.0
         x[:, 0] += self._shift
-        out += rhs(self.eos, self.grid, x, out=self._tmp)
+        out[1:] += rhs(self.eos, self.grid, x, out=self._tmp)[1:]
         return out
 
     def step(self, uh: np.ndarray) -> np.ndarray:
@@ -493,15 +512,16 @@ def initial_field(grid: SpectralGrid, equilibrium: State,
     return StateField(grid, rho, u, theta)
 
 
-def _triple_norm(grid: SpectralGrid, first: np.ndarray, v2: np.ndarray,
+def _triple_norm(grid: SpectralGrid, first: float, v2: np.ndarray,
                  v3: np.ndarray) -> float:
     """Discrete anisotropic norm: one extra derivative on the first component.
 
     sqrt( ||v1||^2 + ||v1_x||^2 + ||v2||^2 + ||v3||^2 ), the periodic
     realization of the weighted modal energy used on the linear side;
-    ``first`` is v1^2 + v1_x^2 on the grid.
+    ``first`` is the grid sum of v1^2 + v1_x^2.  Each sum of squares is a
+    dot product, which forms no array of squares.
     """
-    return float(np.sqrt(grid.integral(first + v2 ** 2 + v3 ** 2)))
+    return float(np.sqrt(grid.dx * (first + np.dot(v2, v2) + np.dot(v3, v3))))
 
 
 @dataclass
@@ -525,36 +545,43 @@ def w_diagnostics(eos: EquationOfState, equilibrium: State, grid: SpectralGrid,
     velocity u and its gradient come from the grid pass that ``rhs`` makes
     first (``_grid_pass``, one batched irfft, which checks that rho > 0 and
     theta > 0), and no other transform is taken: w_0 = rho - rhobar exactly,
-    so both triple norms share the sum (rho - rhobar)^2 + rho_x^2 of their
-    first component.  u_xx and theta_xx are not needed (see
-    ``symbols.nonlinear_terms``).  The closure is evaluated once, in
-    ``sym.flux_and_tensors``: W, the quadratic terms and the normalizing
-    scale max |F1| all read that pass.  The result carries it on for the
-    ledger's integrals, and the grid's workspace keeps it beside the grid
-    pass (``tensors``) for the next ``rhs`` of ``fh``.
-    F1 = (rho u, rho u^2 + p, rho u (epsilon + u^2/2) + p u) is not stacked:
-    its rows are formed one at a time for their maxima.  The result holds no
-    view of the grid's workspace, so a later ``rhs`` on the grid leaves it
-    as it is.
+    so both triple norms share the sum of (rho - rhobar)^2 + rho_x^2 over
+    the grid, and each sum of squares is a dot product.  u_xx and theta_xx
+    are not needed (see ``symbols.nonlinear_terms``).  The closure is
+    evaluated once, in ``sym.flux_and_tensors``, which reads the momentum m
+    from its grid row as ``rhs`` does: W, the quadratic terms and the
+    normalizing scale max |F1| all read that pass.  The result carries it on
+    for the ledger's integrals, and the grid's workspace keeps it beside the
+    grid pass (``tensors``) for the next ``rhs`` of ``fh``.
+    F1 = (m, u m + p, u (rho (epsilon + u^2/2) + p)) is not stacked: its
+    rows are formed one at a time for their maxima, from the grid row m and
+    the row F0[2] of that pass.  The result holds no view of the grid's
+    workspace, so a later ``rhs`` on the grid leaves it as it is.
     """
-    rho, _, theta, rho_x, _, theta_x, rho_xx, _, u, u_x = _grid_pass(grid, fh)
+    rho, mom, theta, rho_x, _, theta_x, rho_xx, _, u, u_x = _grid_pass(grid, fh)
     ext = ExtendedState(rho=rho, u=u, theta=theta, rho_x=rho_x, u_x=u_x,
                         theta_x=theta_x, rho_xx=rho_xx)
-    t = sym.flux_and_tensors(eos, ext)
+    t = sym.flux_and_tensors(eos, ext, mom)
+    # the quadratic terms before W, so that the rows they are formed from
+    # are freed before W is allocated
+    n_terms = sym.nonlinear_terms(eos, equilibrium, ext, t)
+    n_abs = np.abs(n_terms, out=n_terms)
+    max_n1, max_n = float(n_abs[0].max()), float(n_abs.max())
+    del n_terms, n_abs
     w = sym.w_variables(eos, equilibrium, t)
-    n_abs = np.abs(sym.nonlinear_terms(eos, equilibrium, ext, t))
-    rho_u, c = t.F0[1], t.closure
+    p = t.closure.p
     f1_max = max(float(np.abs(row).max()) for row in (
-        rho_u, rho * u ** 2 + c.p, rho_u * c.energy + c.p * u))
+        mom, u * mom + p, u * (t.F0[2] + p)))
     rhobar, ubar, thetabar = (float(np.asarray(v)) for v in (
         equilibrium.rho, equilibrium.u, equilibrium.theta))
-    first = (rho - rhobar) ** 2 + rho_x ** 2
+    d_rho = rho - rhobar
+    first = np.dot(d_rho, d_rho) + np.dot(rho_x, rho_x)
     norm_w = _triple_norm(grid, first, w[1], w[2])
     norm_u = _triple_norm(grid, first, u - ubar, theta - thetabar)
     ratio = norm_w / norm_u if norm_u > 0 else np.nan
     grid.workspace.tensors = t
     return WDiagnostics(w=w, norm_w=norm_w, norm_u=norm_u, ratio=ratio,
-                        max_n1=float(n_abs[0].max()), max_n=float(n_abs.max()),
+                        max_n1=max_n1, max_n=max_n,
                         nonlinear_scale=max(f1_max, 1.0), tensors=t)
 
 

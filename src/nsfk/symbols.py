@@ -87,12 +87,17 @@ class _Closure(NamedTuple):
     mu: ArrayLike
     alpha: ArrayLike
     h: ArrayLike         # k rho, k = 2 rho kappa
-    g2: ArrayLike        # g~ = (0, g2, g3)
-    g3: ArrayLike
+    g2: ArrayLike        # g~ = (0, g2, u g2 - w)
+    w: ArrayLike         # h rho_x u_x, minus the interstitial work flux
     a31: ArrayLike       # D_U F0[2, 0] = energy + rho epsilon_rho
     a33: ArrayLike       # D_U F0[2, 2] = rho epsilon_theta
     b31: ArrayLike       # D_Ux F0[2, 0] = 2 rho m rho_x, m = kappa - theta kappa_theta
     s: Optional[ArrayLike] = None   # entropy eta - kappa_theta rho_x^2, if asked for
+
+
+_CLOSURE_ROWS = 9
+"""The number of arrays in the ``out`` of :func:`_closure`: rho_x^2, k,
+u^2/2 and the six array entries energy, h, w, a31, a33 and b31."""
 
 
 def _zero(a) -> bool:
@@ -106,11 +111,12 @@ def _unit(a) -> bool:
 
 
 def _closure(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x,
-             entropy: bool = False) -> _Closure:
+             entropy: bool = False, out: Optional[np.ndarray] = None) -> _Closure:
     """The closure at one extended state, each partial of psi and kappa read once.
 
-    The capillary stress is K = h rho_xx + g2, and g3 = u g2 + w carries the
-    interstitial work flux w = -h rho_x u_x.  With m = kappa - theta kappa_theta,
+    The capillary stress is K = h rho_xx + g2, and the interstitial work
+    flux is -w, w = h rho_x u_x; g~ = (0, g2, u g2 - w).  With
+    m = kappa - theta kappa_theta,
 
         energy = e + m rho_x^2 + u^2/2,
         a31    = energy + rho (e_rho + (kappa_rho - theta kappa_rho_theta) rho_x^2),
@@ -124,7 +130,10 @@ def _closure(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x,
     is formed only with ``entropy``, for :func:`flux_and_tensors`.  Each
     intermediate is deleted once spent: on a field every entry is an array,
     and the fewer of them are alive at once, the less the heap grows and is
-    trimmed again on every ``rhs``.
+    trimmed again on every ``rhs``.  ``out``, when given, is a sequence of
+    ``_CLOSURE_ROWS`` arrays shaped like the state, to which rho_x^2, k,
+    u^2/2 and the array entries energy, h, w, a31, a33 and b31 are written,
+    in that order: ``rhs`` passes rows of the grid's workspace.
 
     Each factor (kappa, its four partials read here, and e_rho) is tested
     once per pass; the rest is plain arithmetic.  A term whose factor is the
@@ -133,24 +142,29 @@ def _closure(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x,
     a zero), x * 1.0 is x, and the remaining terms are summed and multiplied
     in the order of the full expressions, so the entries are the same bit
     for bit.  A constant kappa (``Coefficient.constant``) drops the terms of
-    its partials; an entry with no term left, such as b31 or h at kappa = 0,
-    is the scalar 0.0, and with e_rho = 0.0 as well a31 is energy itself.
+    its partials; an entry with no term left, such as b31, h or w at
+    kappa = 0, is the scalar 0.0, and with e_rho = 0.0 as well a31 is energy
+    itself.  When kappa_theta is 0.0, m is kappa and b31 = 2 rho m rho_x is
+    k rho_x, bit for bit.
 
     g2 is the one entry that is not summed in full.  Its two kappa terms,
     rho rho_x^2 k_rho / 2 and -k rho_x^2 / 2, cancel identically when
     kappa_rho = kappa_theta = 0.0 (then k_rho = 2 kappa and k = 2 rho kappa),
-    so g2 is the scalar 0.0 and g3 = -h rho_x u_x.  Summed, they cancel bit
-    for bit at kappa = 1.0 and to roundoff at other constants.
+    so g2 is the scalar 0.0.  Summed, they cancel bit for bit at
+    kappa = 1.0 and to roundoff at other constants.
     """
+    (o_rx2, o_k, o_u2, o_energy, o_h, o_w, o_a31, o_a33, o_b31) = (
+        (None,) * _CLOSURE_ROWS if out is None else out)
     kap = eos.kappa
-    rx2 = rho_x ** 2
+    rx2 = np.square(rho_x, out=o_rx2)
     kap_v, kap_r, kap_t = kap(rho, theta), kap.d_r(rho, theta), kap.d_t(rho, theta)
     has_v, has_r, has_t = not _zero(kap_v), not _zero(kap_r), not _zero(kap_t)
     # k = 2 rho kappa, h = k rho, k_rho = 2 kappa + 2 rho kappa_rho
     k = h = k_rho = 0.0
     if has_v:
-        k = 2.0 * rho if _unit(kap_v) else 2.0 * rho * kap_v
-        h = k * rho
+        k = (np.multiply(2.0, rho, out=o_k) if _unit(kap_v)
+             else np.multiply(2.0 * rho, kap_v, out=o_k))
+        h = np.multiply(k, rho, out=o_h)
         k_rho = 2.0 * kap_v
     if has_r:
         k_rho = k_rho + 2.0 * rho * kap_r if has_v else 2.0 * rho * kap_r
@@ -167,19 +181,23 @@ def _closure(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x,
         m = kap_v - theta * kap_t if has_v else -(theta * kap_t)
     else:
         m = kap_v
-    del k, k_rho, kap_v
+    del k_rho, kap_v
     has_m, unit_m = has_v or has_t, _unit(m)
     p, e, e_rho, e_theta, eta = eos.potentials(rho, theta, entropy)
-    energy = e + (rx2 if unit_m else m * rx2) if has_m else e
-    del e
-    energy = energy + 0.5 * u ** 2
+    u2 = np.square(u, out=o_u2)
+    u2 *= 0.5
+    energy = np.add(e, rx2 if unit_m else m * rx2, out=o_energy) if has_m else e
+    energy = np.add(energy, u2, out=o_energy)
+    del e, u2
     b31 = 0.0
     if has_m:
-        b31 = 2.0 * rho * rho_x if unit_m else 2.0 * rho * m * rho_x
+        two_rho_m = k if not has_t else 2.0 * rho if unit_m else 2.0 * rho * m
+        b31 = np.multiply(two_rho_m, rho_x, out=o_b31)
+        del two_rho_m
     s = None
     if entropy:
         s = eta - kap_t * rx2 if has_t else eta
-    del m, kap_t, eta
+    del k, m, kap_t, eta
     kap_rt = kap.d_rt(rho, theta)
     has_rt = not _zero(kap_rt)
     if has_r or has_rt:
@@ -188,66 +206,62 @@ def _closure(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x,
         else:
             m_rho = -(theta * kap_rt)
         eps_rho = m_rho * rx2 if _zero(e_rho) else e_rho + m_rho * rx2
-        a31 = energy + rho * eps_rho
+        a31 = np.add(energy, rho * eps_rho, out=o_a31)
         del m_rho, eps_rho
     else:
-        a31 = energy if _zero(e_rho) else energy + rho * e_rho
+        a31 = energy if _zero(e_rho) else np.add(energy, rho * e_rho, out=o_a31)
     del e_rho, kap_r, kap_rt
     kap_tt = kap.d_tt(rho, theta)
-    a33 = rho * (e_theta - theta * kap_tt * rx2 if not _zero(kap_tt) else e_theta)
-    del e_theta, kap_tt
+    a33 = np.multiply(rho, e_theta - theta * kap_tt * rx2 if not _zero(kap_tt)
+                      else e_theta, out=o_a33)
+    del e_theta, kap_tt, rx2
+    w = 0.0
     if has_v:
-        w = h * rho_x * u_x                 # minus the interstitial work flux
-        g3 = -w if _zero(g2) else u * g2 - w
-    else:
-        g3 = 0.0 if _zero(g2) else u * g2
+        w = np.multiply(np.multiply(h, rho_x, out=o_w), u_x, out=o_w)
     return _Closure(energy=energy, p=p, mu=eos.mu(rho, theta),
-                    alpha=eos.alpha(rho, theta), h=h, g2=g2, g3=g3,
+                    alpha=eos.alpha(rho, theta), h=h, g2=g2, w=w,
                     a31=a31, a33=a33, b31=b31, s=s)
 
 
-def _total_flux(c, rho, u, rho_xx, u_x, theta_x, out: np.ndarray) -> np.ndarray:
+def _total_flux(c, mom, u, rho_xx, u_x, theta_x, out: np.ndarray) -> np.ndarray:
     """Components of -F1 + G U_x + H U_xx + g~, whose x-derivative is F0_t.
 
-    ``c`` is the :class:`_Closure` pass at the same state; the three
-    components are written in place to the rows of ``out``, which is
-    returned.  The mass
-    row -rho u is formed first, and the other two rows start from it:
-    -(rho u^2 + p) = (-rho u) u - p and
-    -(rho u (epsilon + u^2/2) + p u) = (-rho u)(epsilon + u^2/2) - p u.
-    mu, alpha and h are tested once per pass, like the factors of
-    :func:`_closure`: a term of ``c`` that is an exact scalar zero is not
+    ``c`` is the :class:`_Closure` pass at the same state and ``mom`` the
+    momentum rho u; the three components are written in place to the rows
+    of ``out``, which is returned.  With the stress sigma = mu u_x + K,
+    K = h rho_xx + g2,
+
+        -F1 + G U_x + H U_xx + g~ = (-mom, (sigma - p) - mom u,
+                                     u (sigma - p) - mom energy + alpha theta_x - w),
+
+    the momentum row holds sigma - p first, and the mass row takes the
+    products of mom before -mom itself.  Like the factors of
+    :func:`_closure`, a term of ``c`` that is an exact scalar zero is not
     added, and a factor 1.0 is not multiplied.  Builds no (..., 3, 3)
-    tensor, so it serves the solver's hot path.
+    tensor, and with unit mu and alpha no temporary, so it serves the
+    solver's hot path.
     """
     mu, h, alpha = c.mu, c.h, c.alpha
-    has_mu, has_h = not _zero(mu), not _zero(h)
-    # (G U_x + H U_xx)_2
-    stress = 0.0
-    if has_mu:
-        stress = u_x if _unit(mu) else mu * u_x
-    if has_h:
-        stress = stress + h * rho_xx if has_mu else h * rho_xx
     # views of the rows, 0-d where the state is a scalar
     mass, momentum, energy = (out[i, ...] for i in range(3))
-    np.negative(rho, out=mass)
-    mass *= u
-    # -(rho u^2 + p) + stress + g2
-    np.multiply(mass, u, out=momentum)
-    momentum -= c.p
-    if has_mu or has_h:
-        momentum += stress
+    # sigma - p
+    if _zero(h):
+        np.negative(c.p, out=momentum)
+    else:
+        np.multiply(h, rho_xx, out=momentum)
+        momentum -= c.p
+    if not _zero(mu):
+        momentum += u_x if _unit(mu) else mu * u_x
     if not _zero(c.g2):
         momentum += c.g2
-    # -(rho u (epsilon + u^2/2) + p u) + alpha theta_x + u stress + g3
-    np.multiply(mass, c.energy, out=energy)
-    energy -= c.p * u
+    np.multiply(u, momentum, out=energy)
+    momentum -= np.multiply(mom, u, out=mass)
+    energy -= np.multiply(mom, c.energy, out=mass)
     if not _zero(alpha):
         energy += theta_x if _unit(alpha) else alpha * theta_x
-    if has_mu or has_h:
-        energy += u * stress
-    if not _zero(c.g3):
-        energy += c.g3
+    if not _zero(c.w):
+        energy -= c.w
+    np.negative(mom, out=mass)
     return out
 
 
@@ -259,7 +273,7 @@ class FluxTensors(NamedTuple):
     formed from, its entropy s included, so the solver's ``rhs`` reads the
     pass and its flux as its own.  G(U) has nonzero entries only at
     (2,2) = mu, (3,2) = mu u and (3,3) = alpha, H(U) only at (2,1) = h = k rho
-    and (3,1) = h u, and g~ = (0, g2, g3).
+    and (3,1) = h u, and g~ = (0, g2, u g2 - w).
     D_U F0 = [[1, 0, 0], [u, rho, 0], [a31, rho u, a33]] (``cx.jac_f0``) and
     D_Ux F0 has the single entry (3,1) = b31 = 2 rho m rho_x.
     """
@@ -289,24 +303,29 @@ def _column(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return v.reshape((3,) + (1,) * (rows.ndim - 1))
 
 
-def flux_and_tensors(eos: EquationOfState, ext: ExtendedState) -> FluxTensors:
+def flux_and_tensors(eos: EquationOfState, ext: ExtendedState,
+                     mom: Optional[np.ndarray] = None) -> FluxTensors:
     """Everything the W-system reads from the closure, from one :func:`_closure` pass.
 
     F0 = (rho, rho u, rho(epsilon + u^2/2)), and the flux
     TF = -F1 + G U_x + H U_xx + g~ of :func:`_total_flux`, with
     F1 = (rho u, rho u^2 + p, rho u (epsilon + u^2/2) + p u); the first
     component of g is identically zero and g = O(|U_x|^2).  F0 and TF are
-    (3, ...) rows; F1 is not formed.  The entropy s is formed in this pass
-    only: ``rhs`` does not read it.  The pass and TF are the ones ``rhs``
-    evaluates at the same state, bit for bit.
+    (3, ...) rows; F1 is not formed.  ``mom`` is the momentum rho u of a
+    field that steps it, such as the solver's grid row, which F0 and TF
+    read in place of the product rho u.  The entropy s is formed in this
+    pass only: ``rhs`` does not read it.  Given the grid's momentum, the
+    pass and TF are the ones ``rhs`` evaluates at the same state, bit for
+    bit.
     """
     rho, u, theta, rho_x, u_x, theta_x, rho_xx = (np.asarray(a, dtype=float) for a in (
         ext.rho, ext.u, ext.theta, ext.rho_x, ext.u_x, ext.theta_x, ext.rho_xx))
+    mom = rho * u if mom is None else mom
     c = _closure(eos, rho, u, theta, rho_x, u_x, theta_x, entropy=True)
-    flux = np.empty((3,) + np.broadcast(rho, u, theta, rho_x, u_x, theta_x,
+    flux = np.empty((3,) + np.broadcast(mom, u, theta, rho_x, u_x, theta_x,
                                         rho_xx).shape)
-    _total_flux(c, rho, u, rho_xx, u_x, theta_x, out=flux)
-    return FluxTensors(F0=_rows(rho, rho * u, rho * c.energy), flux=flux,
+    _total_flux(c, mom, u, rho_xx, u_x, theta_x, out=flux)
+    return FluxTensors(F0=_rows(rho, mom, rho * c.energy), flux=flux,
                        entropy=rho * c.s, closure=c)
 
 
@@ -424,10 +443,16 @@ def nonlinear_terms(eos: EquationOfState, ubar: State, ext: ExtendedState,
     F0 = tensors.F0
     rows = np.empty((10,) + np.broadcast(F0[0], u_x, theta_x, rho_xx).shape)
     rows[:3] = tensors.flux
-    # D_U F0 U_x + D_Ux F0 U_xx
+    # D_U F0 U_x + D_Ux F0 U_xx, its sums formed in place (the rows are
+    # 0-d views where the state is a scalar)
     rows[3] = rho_x
-    rows[4] = u * rho_x + rho * u_x
-    rows[5] = t.a31 * rho_x + rho * u * u_x + t.a33 * theta_x + t.b31 * rho_xx
+    mom_x, energy_x = rows[4, ...], rows[5, ...]
+    np.multiply(u, rho_x, out=mom_x)
+    mom_x += rho * u_x
+    np.multiply(t.a31, rho_x, out=energy_x)
+    energy_x += rho * u * u_x
+    energy_x += t.a33 * theta_x
+    energy_x += t.b31 * rho_xx
     rows[6] = rho_xx
     rows[7:] = F0
     n_tilde = _map(c.n_map, rows)

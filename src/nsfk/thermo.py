@@ -104,10 +104,6 @@ class Domain:
         if self.rho_max <= self.rho_min or self.theta_max <= self.theta_min:
             raise ValueError("domain upper bounds must exceed lower bounds")
 
-    def contains(self, rho: ArrayLike, theta: ArrayLike) -> np.ndarray:
-        return np.logical_and(np.asarray(rho) > self.rho_min,
-                              np.asarray(theta) > self.theta_min)
-
     def grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Uniform n x n sampling grid over the closed box (meshgrid arrays)."""
         r = np.linspace(self.rho_min, self.rho_max, n)
@@ -235,10 +231,6 @@ class EquationOfState:
     def k_rho(self, rho, theta):
         rho = np.asarray(rho, dtype=float)
         return 2.0 * self.kappa(rho, theta) + 2.0 * rho * self.kappa.d_r(rho, theta)
-
-    def k_theta(self, rho, theta):
-        rho = np.asarray(rho, dtype=float)
-        return 2.0 * rho * self.kappa.d_t(rho, theta)
 
     # -- non-standard (gradient-dependent) potentials --------------------------
 

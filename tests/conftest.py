@@ -23,7 +23,7 @@ def nsf_eos():
 def sqrt_kappa_eos(ref_eos):
     """Reference gas with kappa = sqrt(theta): kappa > 0, kappa_thth < 0.
 
-    Unlike a constant kappa it makes k_theta and grad_energy_theta nonzero.
+    Unlike a constant kappa it makes kappa_theta and grad_energy_theta nonzero.
     """
     def zero(r, th):
         return 0.0 * np.asarray(r, dtype=float) * np.asarray(th, dtype=float)

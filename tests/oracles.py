@@ -281,29 +281,33 @@ def korteweg_entries(eos, rho, u, theta, rho_x, u_x, theta_x):
     """
     k = eos.k(rho, theta)
     g2 = (0.5 * rho * rho_x ** 2 * eos.k_rho(rho, theta)
-          + rho * rho_x * theta_x * eos.k_theta(rho, theta) - 0.5 * k * rho_x ** 2)
+          + rho * rho_x * theta_x * (2.0 * rho * eos.kappa.d_t(rho, theta))
+          - 0.5 * k * rho_x ** 2)
     return g2, u * g2 - k * rho * rho_x * u_x
 
 
-def total_flux(eos, rho, u, theta, rho_x, rho_xx, u_x, theta_x):
+def total_flux(eos, rho, u, theta, rho_x, rho_xx, u_x, theta_x, mom=None):
     """Components of -F1 + G U_x + H U_xx + g~, whose x-derivative is F0_t.
 
-    G is ``cx.visc_matrix`` and H is :func:`capillarity_matrix`; their
-    nonzero entries are summed in the solver's order, with
-    (G U_x + H U_xx)_3 = alpha theta_x + u (G U_x + H U_xx)_2, and the
-    flux rows start from the mass row -rho u as the solver's do, so the
-    result matches the solver's flux bit for bit.
+    G is ``cx.visc_matrix`` and H is :func:`capillarity_matrix`.  With the
+    stress sigma = G[1, 1] u_x + K, K = H[1, 0] rho_xx + g2, the rows are
+
+        (-mom, (sigma - p) - mom u,
+         u (sigma - p) - mom (eps + u^2/2) + G[2, 2] theta_x - H[1, 0] rho_x u_x),
+
+    summed in the solver's order, so the result matches the solver's flux
+    bit for bit.  ``mom`` is the momentum, rho u when it is not given.
     """
     state = State(rho, u, theta)
     G, H = cx.visc_matrix(eos, state), capillarity_matrix(eos, state)
-    g2, g3 = korteweg_entries(eos, rho, u, theta, rho_x, u_x, theta_x)
+    g2, _ = korteweg_entries(eos, rho, u, theta, rho_x, u_x, theta_x)
     eps, p = eos.epsilon(rho, theta, rho_x), eos.p(rho, theta)
-    stress = G[..., 1, 1] * u_x + H[..., 1, 0] * rho_xx       # (G U_x + H U_xx)_2
-    mass = -rho * u
-    return (mass,
-            mass * u - p + stress + g2,
-            (mass * (eps + 0.5 * u ** 2) - p * u
-             + G[..., 2, 2] * theta_x + u * stress + g3))
+    mom = rho * u if mom is None else mom
+    sigma_p = H[..., 1, 0] * rho_xx - p + G[..., 1, 1] * u_x + g2
+    return (-mom,
+            sigma_p - mom * u,
+            (u * sigma_p - mom * (eps + 0.5 * u ** 2) + G[..., 2, 2] * theta_x
+             - H[..., 1, 0] * rho_x * u_x))
 
 
 def definitional_nonlinear_terms(eos, ubar, ext):

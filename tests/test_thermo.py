@@ -303,7 +303,3 @@ class TestDomain:
             Domain(rho_min=-1.0)
         with pytest.raises(ValueError):
             Domain(rho_min=1.0, rho_max=0.5)
-
-    def test_contains(self, domain):
-        assert domain.contains(1.0, 1.0)
-        assert not domain.contains(0.05, 1.0)
