@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -111,7 +111,8 @@ def _unit(a) -> bool:
 
 
 def _closure(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x,
-             entropy: bool = False, out: Optional[np.ndarray] = None) -> _Closure:
+             entropy: bool = False,
+             out: Optional[Sequence[np.ndarray]] = None) -> _Closure:
     """The closure at one extended state, each partial of psi and kappa read once.
 
     The capillary stress is K = h rho_xx + g2, and the interstitial work
@@ -322,7 +323,7 @@ def flux_and_tensors(eos: EquationOfState, ext: ExtendedState,
         ext.rho, ext.u, ext.theta, ext.rho_x, ext.u_x, ext.theta_x, ext.rho_xx))
     mom = rho * u if mom is None else mom
     c = _closure(eos, rho, u, theta, rho_x, u_x, theta_x, entropy=True)
-    flux = np.empty((3,) + np.broadcast(mom, u, theta, rho_x, u_x, theta_x,
+    flux = np.empty((3,) + np.broadcast(rho, mom, u, theta, rho_x, u_x, theta_x,
                                         rho_xx).shape)
     _total_flux(c, mom, u, rho_xx, u_x, theta_x, out=flux)
     return FluxTensors(F0=_rows(rho, mom, rho * c.energy), flux=flux,
