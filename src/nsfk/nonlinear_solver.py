@@ -19,27 +19,33 @@ The time stepper advances only the retained rfft coefficients, bins
 inverse transform pads the spectrum with zeros.  Density and momentum are
 two of the conserved quantities, so their rates are the derivatives of the
 mass flux -m and of the momentum flux: the mass rate -ik m needs no
-transform at all.  ``run`` transforms the initial field once and keeps that
-spectrum from the first step to the last.  ``rhs`` maps the spectrum of the
-field to the spectrum of the rates with four batched transforms of 13 rows
-in all (8 fields and gradients back to the grid, the momentum and energy
-fluxes forward, their 2 rates back, theta_t forward), so a step costs 4
-transform calls per right-hand-side evaluation.  The first of them is the
-grid pass (``_grid_pass``): the retained spectrum and its ik multiples to
-the grid in one batched irfft of 8 rows, the check that the field lies in
-the admissible set rho > 0, theta > 0, where the closure's logarithms are
-defined, and the velocity u = m / rho and its gradient.  The transforms
-read and write one set of buffers held by the grid
+transform at all.  Nor, with a conductivity alpha that is constant on the
+grid, does the heat flux alpha theta_x, which is linear in theta: its
+spectrum alpha ik theta is added to the energy flux's per mode, the second
+rate term formed without a transform.  ``run`` transforms the initial
+field once and keeps that spectrum from the first step to the last.
+``rhs`` maps the spectrum of the field to the spectrum of the rates with
+four batched transforms of 12 rows in all (7 fields and gradients back to
+the grid, the momentum and energy fluxes forward, their 2 rates back,
+theta_t forward), so a step costs 4 transform calls per right-hand-side
+evaluation.  The first of them is the grid pass (``_grid_pass``): the
+retained spectrum and its ik multiples but theta_x to the grid in one
+batched irfft of 7 rows, the check that the field lies in the admissible
+set rho > 0, theta > 0, where the closure's logarithms are defined, and
+the velocity u = m / rho and its gradient.  theta_x goes to the grid only
+where it is read on the grid: for a closure whose kappa_theta is not 0.0
+or whose alpha varies, by one more irfft of 1 row, and in a sample.  The
+transforms read and write one set of buffers held by the grid
 (``SpectralGrid.workspace``), which also holds the last grid pass.  A
 diagnostics sample reads the same grid pass of the spectrum the stepper
-holds, so it costs one batched irfft and no forward transform, and leaves
-its closure pass, the flux included, in the workspace beside that grid
-pass: the next step's first ``rhs`` is of the same spectrum, takes both
-and transforms 5 rows.  A step that follows a sample thus makes 15
-transform calls, any other step 16.  The closure pass, the flux and
-theta_t are formed in place in the same workspace, and the stepper's stages
-in buffers it allocates once: with the reference closure a step allocates
-only the closure's p and e.
+holds, its theta_x included (one batched irfft of 8 rows and no forward
+transform), and leaves its closure pass, the flux included, in the
+workspace beside that grid pass: the next step's first ``rhs`` is of the
+same spectrum, takes both and transforms 5 rows.  A step that follows a
+sample thus makes 15 transform calls, any other step 16.  The closure
+pass, the flux and theta_t are formed in place in the same workspace, and
+the stepper's stages in buffers it allocates once: with the reference
+closure a step allocates only the closure's p and e.
 
 The stepper is an integrating-factor RK4 (Lawson scheme; see
 Cox & Matthews, J. Comput. Phys. 176 (2002) and Kassam & Trefethen, SIAM J.
@@ -114,16 +120,19 @@ class _RhsWorkspace:
     zero tails make each irfft read the dealiased spectrum without a padded
     copy.  ``tensors`` is the closure pass of the grid pass the workspace
     holds, when a sample made one (``w_diagnostics``), and None otherwise:
-    every grid pass clears it.  ``rows`` and ``closure`` are views of single
-    rows, made once: ``rhs`` unpacks them on every call.
+    every grid pass clears it.  ``has_theta_x`` tells whether the grid row
+    theta_x is that of the grid pass (see :meth:`theta_x`).  ``rows`` and
+    ``closure`` are views of single rows, made once: ``rhs`` unpacks them
+    on every call.
     """
 
     def __init__(self, n: int):
         bins = n // 2 + 1
-        # rfft of (rho, m, theta, rho_x, m_x, theta_x, rho_xx, m_xx), and
+        # rfft of (rho, m, theta, rho_x, m_x, rho_xx, m_xx, theta_x), and
         # those fields followed by (u, u_x)
         self.grad_hat = np.zeros((8, bins), dtype=complex)
         self.grad = np.empty((10, n))
+        self.has_theta_x = False
         self.rows = tuple(self.grad)
         # rfft of the momentum and energy rates (r2, r3) and the rates
         self.rate_hat = np.zeros((2, bins), dtype=complex)
@@ -138,6 +147,19 @@ class _RhsWorkspace:
         self.closure = (*self.flux, energy, *self.rate, a31, a33, b31)
         self.flux_hat = np.empty((2, bins), dtype=complex)
         self.tensors: Optional[sym.FluxTensors] = None
+
+    def theta_x(self) -> np.ndarray:
+        """The grid row theta_x of the grid pass, transformed on first use.
+
+        The grid pass of ``rhs`` leaves theta_x in the spectrum: the heat
+        flux of a conductivity constant on the grid is differentiated per
+        mode, so only a closure whose kappa_theta is not 0.0, or whose
+        alpha varies, reads the row, at the cost of one 1-row irfft.
+        """
+        if not self.has_theta_x:
+            np.fft.irfft(self.grad_hat[7], n=self.grad.shape[1], out=self.grad[7])
+            self.has_theta_x = True
+        return self.grad[7]
 
 
 @dataclass(frozen=True)
@@ -217,15 +239,19 @@ class StateField:
             raise StepRejected("temperature fell below 0.0")
 
 
-def _grid_pass(grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
+def _grid_pass(grid: SpectralGrid, fh: np.ndarray,
+               theta_x: bool = False) -> np.ndarray:
     """The field of the retained spectrum ``fh`` and its gradients on the grid.
 
     ``fh`` is the retained (3, n//3 + 1) rfft of (rho, m, theta), m = rho u.
-    It and its ik multiples are written to ``grid.workspace`` and taken to
-    the grid in one batched irfft of 8 rows; the result is the workspace's
-    (10, n) block of rows (rho, m, theta, rho_x, m_x, theta_x, rho_xx, m_xx,
-    u, u_x), which the next grid pass or ``rhs`` on this grid overwrites;
-    the workspace's closure pass (``tensors``) is cleared.
+    It and its ik multiples, the spectra of (rho, m, theta, rho_x, m_x,
+    rho_xx, m_xx, theta_x), are written to ``grid.workspace``, and all but
+    theta_x are taken to the grid in one batched irfft of 7 rows; with
+    ``theta_x`` the irfft takes all 8.  The result is the workspace's
+    (10, n) block of those rows followed by (u, u_x), which the next grid
+    pass or ``rhs`` on this grid overwrites; without ``theta_x`` its row 7
+    is not that of ``fh`` until ``workspace.theta_x()`` transforms it.  The
+    workspace's closure pass (``tensors``) is cleared.
 
     Every pass checks the field on the block, before u = m / rho and
     u_x = (m_x - u rho_x) / rho are formed: the sum of its first three rows
@@ -238,9 +264,12 @@ def _grid_pass(grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
     ws.tensors = None
     spec = ws.grad_hat
     spec[:3, :m] = fh
-    np.multiply(ik, fh, out=spec[3:6, :m])
-    np.multiply(ik, spec[3:5, :m], out=spec[6:, :m])
-    np.fft.irfft(spec, n=grid.n, out=ws.grad[:8])
+    np.multiply(ik, fh[:2], out=spec[3:5, :m])
+    np.multiply(ik, spec[3:5, :m], out=spec[5:7, :m])
+    np.multiply(ik, fh[2], out=spec[7, :m])
+    rows = 8 if theta_x else 7
+    np.fft.irfft(spec[:rows], n=grid.n, out=ws.grad[:rows])
+    ws.has_theta_x = theta_x
     rho, mom, theta, rho_x, mom_x, _, _, _, u, u_x = ws.rows
     # the sum is finite only if every value is (or it overflows, and then
     # validate finds nothing to reject); rows 0 and 2 are rho and theta
@@ -252,19 +281,32 @@ def _grid_pass(grid: SpectralGrid, fh: np.ndarray) -> np.ndarray:
     return ws.grad
 
 
+def _uniform(a) -> Optional[float]:
+    """``a`` as one float when it is a scalar or an array of equal entries,
+    and None when its entries differ."""
+    if not isinstance(a, np.ndarray):
+        return a
+    first = a.flat[0]
+    return float(first) if np.all(a == first) else None
+
+
 def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
         out: Optional[np.ndarray] = None) -> np.ndarray:
     """Spectrum of the rates (rho_t, m_t, theta_t), m = rho u.
 
     ``fh`` is the retained (3, n//3 + 1) rfft of (rho, m, theta); the result
     is the retained (3, n//3 + 1) rfft of the rates, written to ``out`` when
-    it is given and to a new array otherwise.  The conservation-law right
-    sides are the spectral derivatives of the dealiased flux
-    ``symbols._total_flux``, which reads the momentum m from its grid row.
-    Density and momentum are conserved quantities: the mass rate is -ik m,
-    exactly, and needs no transform, and the momentum rate is ik times the
-    momentum flux.  theta_t is recovered from the energy rate r3 through
-    the Jacobian of the conserved quantities:
+    it is given and to a new array otherwise.  An ``out`` of 2 rows takes
+    only (m_t, theta_t), the same bit for bit, and the mass rate is not
+    formed.  The conservation-law right sides are the spectral derivatives
+    of the dealiased flux: ``symbols._total_flux``, which reads the momentum
+    m from its grid row, plus the heat flux alpha theta_x.  Two rates are
+    formed per mode, without a transform: the mass rate -ik m, exactly, and,
+    where alpha is constant on the grid (a scalar, such as
+    ``Coefficient.constant`` gives), the heat flux's spectrum alpha ik theta,
+    which is added to the energy flux's before its rate.  The momentum rate
+    is ik times the momentum flux.  theta_t is recovered from the energy
+    rate r3 through the Jacobian of the conserved quantities:
 
         theta_t = (r3 - b31 rho_xt - a31 rho_t - u (r2 - u rho_t)) / a33,
 
@@ -272,9 +314,13 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
     exact on the grid.  The closure is evaluated once, in one
     ``symbols._closure`` pass that both the flux and the Jacobian entries
     read, and which writes its arrays to the grid's workspace.  The four
-    ``np.fft`` calls are batched: one irfft of 8 rows in
-    ``_grid_pass``, one rfft of the momentum and energy fluxes, one irfft of
-    their rates (r2, r3) and one rfft of theta_t, 13 rows in all.
+    ``np.fft`` calls are batched: one irfft of 7 rows in ``_grid_pass``
+    (rho, m, theta and their gradients but theta_x), one rfft of the
+    momentum and energy fluxes, one irfft of their rates (r2, r3) and one
+    rfft of theta_t, 12 rows in all.  theta_x is taken to the grid, by one
+    more irfft of 1 row, only for a closure whose kappa_theta is not the
+    scalar 0.0 or whose alpha varies on the grid: then the heat flux is
+    added to the energy flux on the grid.
 
     The field is checked in the grid pass, right after the first transform
     and before the closure reads it; a field outside the admissible
@@ -288,11 +334,11 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
 
     When the workspace holds a sample's closure pass (``tensors``, see
     ``w_diagnostics``) and its grid pass is of ``fh``, the call takes that
-    grid pass, that closure pass and its flux in place of its own: it makes
-    three transform calls of 5 rows instead of four of 13, and does not
-    check the field again, which that pass did.  The rates are the same bit
-    for bit: a sample's ``symbols.flux_and_tensors`` holds the entries and
-    the flux this call forms.
+    grid pass, theta_x included, that closure pass and its flux in place of
+    its own: it makes three transform calls of 5 rows instead of four of 12,
+    and does not check the field again, which that pass did.  The rates are
+    the same bit for bit: a sample's ``symbols.flux_and_tensors`` holds the
+    entries and the flux this call forms, and leaves them as they are.
     """
     m, ws = grid.modes, grid.workspace
     ik = grid.ik[:m]
@@ -300,18 +346,32 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
     taken = t is not None and np.array_equal(ws.grad_hat[:3, :m], fh)
     if not taken:
         _grid_pass(grid, fh)
-    rho, mom, theta, rho_x, mom_x, theta_x, rho_xx, mom_xx, u, u_x = ws.rows
+    rho, mom, theta, rho_x, mom_x, rho_xx, mom_xx, _, u, u_x = ws.rows
     if taken:
         c, flux = t.closure, t.flux
     else:
-        c = sym._closure(eos, rho, u, theta, rho_x, u_x, theta_x, out=ws.closure)
-        flux = sym._total_flux(c, mom, u, rho_xx, u_x, theta_x, out=ws.flux)
+        c = sym._closure(eos, rho, u, theta, rho_x, u_x, ws.theta_x, out=ws.closure)
+        flux = sym._total_flux(c, mom, u, rho_xx, u_x, out=ws.flux)
+    alpha = _uniform(c.alpha)
+    if alpha is None:
+        # alpha varies on the grid: the heat flux joins the energy flux
+        # there, in the workspace's rows, so a taken flux stays as it was
+        if taken:
+            ws.flux[1:] = flux[1:]
+            flux = ws.flux
+        flux[2] += c.alpha * ws.theta_x()
     a31, a33, b31 = c.a31, c.a33, c.b31
     del c, t        # its other arrays are spent: the transforms overwrite h and w
     # spectra of the momentum and energy right sides dx(flux); the mass
-    # flux -m is not transformed
+    # flux -m is not transformed, and a constant alpha's heat flux is
+    # alpha ik theta, whose spectrum the grid pass holds
     flux_hat = np.fft.rfft(flux[1:], out=ws.flux_hat)
     rates = ws.rate_hat
+    if alpha is not None and not sym._zero(alpha):
+        heat = ws.grad_hat[7, :m]
+        if not sym._unit(alpha):
+            heat = np.multiply(alpha, heat, out=rates[1, :m])
+        flux_hat[1, :m] += heat
     np.multiply(flux_hat[:, :m], ik, out=rates[:, :m])
     r2, r3 = np.fft.irfft(rates, n=grid.n, out=ws.rate)
 
@@ -328,9 +388,10 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
     np.divide(r3, a33, out=theta_t)
     if out is None:
         out = np.empty((3, m), dtype=complex)
-    np.negative(np.multiply(fh[1], ik, out=out[0]), out=out[0])
-    out[1] = rates[0, :m]
-    out[2] = np.fft.rfft(theta_t, out=flux_hat[0])[:m]
+    if len(out) == 3:
+        np.negative(np.multiply(fh[1], ik, out=out[0]), out=out[0])
+    out[-2] = rates[0, :m]
+    out[-1] = np.fft.rfft(theta_t, out=flux_hat[0])[:m]
     return out
 
 
@@ -352,7 +413,8 @@ class IntegratingFactorRK4:
     ``generators`` (T M T^-1) and ``e_half`` are (3, 3, n//3 + 1), column
     index first: the modes the 2/3 rule removes are never stored.  A step
     makes 8 per-mode products, 4 with ``e_half`` and 4 with rows 1 and 2 of
-    the generators (see ``_nonlinear``).
+    the generators (see ``_nonlinear``), and 4 ``rhs`` calls of 12
+    transform rows each, 5 for the first when it takes a sample's pass.
     The stage inputs, the stage rates and the per-mode products are written
     into six (3, n//3 + 1) buffers allocated here, and ``rhs`` into the
     grid's workspace, so like ``rhs`` a stepper is not re-entrant.
@@ -413,15 +475,16 @@ class IntegratingFactorRK4:
         and ``rhs`` checks that field in its grid pass, or takes a sample's
         pass of it.  The mass rate -ik m is linear in V, and row 0 of the
         generators is (0, ik, 0), so the remainder's row 0 is identically
-        zero: it is written as 0, and only rows 1 and 2 of the generators
-        are applied.  At rhobar = 1 that row is (0, ik, 0) exactly and the
-        full formula also gives 0 there, bit for bit.  ``out`` must not be
-        ``x``.
+        zero: it is written as 0, only rows 1 and 2 of the generators are
+        applied, and ``rhs`` fills a 2-row ``out`` with the momentum and
+        temperature rates alone.  At rhobar = 1 that row is (0, ik, 0)
+        exactly and the full formula also gives 0 there, bit for bit.
+        ``out`` must not be ``x``.
         """
         self._apply(self.generators[:, 1:], x, out[1:])
         out[0] = 0.0
         x[:, 0] += self._shift
-        out[1:] += rhs(self.eos, self.grid, x, out=self._tmp)[1:]
+        out[1:] += rhs(self.eos, self.grid, x, out=self._tmp[:2])
         return out
 
     def step(self, uh: np.ndarray) -> np.ndarray:
@@ -544,9 +607,10 @@ def w_diagnostics(eos: EquationOfState, equilibrium: State, grid: SpectralGrid,
     m = rho u, the spectrum ``rhs`` takes.  The field, its gradients and the
     velocity u and its gradient come from the grid pass that ``rhs`` makes
     first (``_grid_pass``, one batched irfft, which checks that rho > 0 and
-    theta > 0), and no other transform is taken: w_0 = rho - rhobar exactly,
-    so both triple norms share the sum of (rho - rhobar)^2 + rho_x^2 over
-    the grid, and each sum of squares is a dot product.  u_xx and theta_xx
+    theta > 0), here of 8 rows, theta_x last, so that the next ``rhs`` of
+    ``fh`` takes it whole; no other transform is taken: w_0 = rho - rhobar
+    exactly, so both triple norms share the sum of (rho - rhobar)^2 +
+    rho_x^2 over the grid, and each sum of squares is a dot product.  u_xx and theta_xx
     are not needed (see ``symbols.nonlinear_terms``).  The closure is
     evaluated once, in ``sym.flux_and_tensors``, which reads the momentum m
     from its grid row as ``rhs`` does: W, the quadratic terms and the
@@ -558,7 +622,8 @@ def w_diagnostics(eos: EquationOfState, equilibrium: State, grid: SpectralGrid,
     the row F0[2] of that pass.  The result holds no view of the grid's
     workspace, so a later ``rhs`` on the grid leaves it as it is.
     """
-    rho, mom, theta, rho_x, _, theta_x, rho_xx, _, u, u_x = _grid_pass(grid, fh)
+    rho, mom, theta, rho_x, _, rho_xx, _, theta_x, u, u_x = _grid_pass(
+        grid, fh, theta_x=True)
     ext = ExtendedState(rho=rho, u=u, theta=theta, rho_x=rho_x, u_x=u_x,
                         theta_x=theta_x, rho_xx=rho_xx)
     t = sym.flux_and_tensors(eos, ext, mom)

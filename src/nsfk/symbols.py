@@ -9,7 +9,9 @@ the density gradient through the non-standard internal energy.  The closure
 is written once, in ``_closure``: one pointwise pass that evaluates each
 potential and each partial of kappa once and returns the entries that the
 flux -F1 + G U_x + H U_xx + g (``_total_flux``), D_U F0 and D_Ux F0 are
-made of.
+made of.  The heat flux alpha theta_x is left out of ``_total_flux``: with
+a constant conductivity it is linear in theta, and the solver adds it per
+Fourier mode.
 Around a constant equilibrium Ubar the perturbation variables
 
     W = (D_U f0(Ubar))^{-1} (F0(U, U_x) - F0(Ubar, 0))
@@ -134,7 +136,11 @@ def _closure(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x,
     trimmed again on every ``rhs``.  ``out``, when given, is a sequence of
     ``_CLOSURE_ROWS`` arrays shaped like the state, to which rho_x^2, k,
     u^2/2 and the array entries energy, h, w, a31, a33 and b31 are written,
-    in that order: ``rhs`` passes rows of the grid's workspace.
+    in that order: ``rhs`` passes rows of the grid's workspace.  ``theta_x``
+    is read only by the kappa_theta term of g2, so it may also be a
+    function of no argument that returns it: ``rhs`` passes one, and
+    transforms theta_x to the grid only for a closure whose kappa_theta is
+    not the scalar 0.0.
 
     Each factor (kappa, its four partials read here, and e_rho) is tested
     once per pass; the rest is plain arithmetic.  A term whose factor is the
@@ -175,6 +181,8 @@ def _closure(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x,
     if has_r or has_t:
         g2 = 0.5 * rho * rx2 * k_rho if has_v or has_r else 0.0
         if has_t:
+            if callable(theta_x):
+                theta_x = theta_x()
             g2 = g2 + rho * rho_x * theta_x * (2.0 * rho * kap_t)
         if has_v:
             g2 = g2 - 0.5 * k * rx2
@@ -224,25 +232,28 @@ def _closure(eos: EquationOfState, rho, u, theta, rho_x, u_x, theta_x,
                     a31=a31, a33=a33, b31=b31, s=s)
 
 
-def _total_flux(c, mom, u, rho_xx, u_x, theta_x, out: np.ndarray) -> np.ndarray:
-    """Components of -F1 + G U_x + H U_xx + g~, whose x-derivative is F0_t.
+def _total_flux(c, mom, u, rho_xx, u_x, out: np.ndarray) -> np.ndarray:
+    """Components of -F1 + G U_x + H U_xx + g~ but the heat flux alpha theta_x.
 
     ``c`` is the :class:`_Closure` pass at the same state and ``mom`` the
     momentum rho u; the three components are written in place to the rows
     of ``out``, which is returned.  With the stress sigma = mu u_x + K,
     K = h rho_xx + g2,
 
-        -F1 + G U_x + H U_xx + g~ = (-mom, (sigma - p) - mom u,
-                                     u (sigma - p) - mom energy + alpha theta_x - w),
+        -F1 + G U_x + H U_xx + g~ - (0, 0, alpha theta_x)
+            = (-mom, (sigma - p) - mom u, u (sigma - p) - mom energy - w),
 
     the momentum row holds sigma - p first, and the mass row takes the
-    products of mom before -mom itself.  Like the factors of
-    :func:`_closure`, a term of ``c`` that is an exact scalar zero is not
-    added, and a factor 1.0 is not multiplied.  Builds no (..., 3, 3)
-    tensor, and with unit mu and alpha no temporary, so it serves the
+    products of mom before -mom itself.  The x-derivative of this flux
+    plus (0, 0, alpha theta_x) is F0_t: the solver differentiates the heat
+    flux per Fourier mode where alpha is constant on the grid and adds it
+    on the grid otherwise, and :func:`nonlinear_terms` adds it on the grid.
+    Like the factors of :func:`_closure`, a term of ``c`` that is an exact
+    scalar zero is not added, and a factor 1.0 is not multiplied.  Builds
+    no (..., 3, 3) tensor, and with unit mu no temporary, so it serves the
     solver's hot path.
     """
-    mu, h, alpha = c.mu, c.h, c.alpha
+    mu, h = c.mu, c.h
     # views of the rows, 0-d where the state is a scalar
     mass, momentum, energy = (out[i, ...] for i in range(3))
     # sigma - p
@@ -258,8 +269,6 @@ def _total_flux(c, mom, u, rho_xx, u_x, theta_x, out: np.ndarray) -> np.ndarray:
     np.multiply(u, momentum, out=energy)
     momentum -= np.multiply(mom, u, out=mass)
     energy -= np.multiply(mom, c.energy, out=mass)
-    if not _zero(alpha):
-        energy += theta_x if _unit(alpha) else alpha * theta_x
     if not _zero(c.w):
         energy -= c.w
     np.negative(mom, out=mass)
@@ -269,8 +278,9 @@ def _total_flux(c, mom, u, rho_xx, u_x, theta_x, out: np.ndarray) -> np.ndarray:
 class FluxTensors(NamedTuple):
     """What the W-system reads from the closure (see :func:`flux_and_tensors`).
 
-    F0 and the flux TF = -F1 + G U_x + H U_xx + g~ of :func:`_total_flux`
-    are (3, ...) rows; ``closure`` is the :class:`_Closure` pass they were
+    F0 and the flux of :func:`_total_flux`, TF = -F1 + G U_x + H U_xx + g~
+    without the heat flux (0, 0, alpha theta_x), are (3, ...) rows;
+    ``closure`` is the :class:`_Closure` pass they were
     formed from, its entropy s included, so the solver's ``rhs`` reads the
     pass and its flux as its own.  G(U) has nonzero entries only at
     (2,2) = mu, (3,2) = mu u and (3,3) = alpha, H(U) only at (2,1) = h = k rho
@@ -280,7 +290,7 @@ class FluxTensors(NamedTuple):
     """
 
     F0: np.ndarray
-    flux: np.ndarray         # TF, the flux whose x-derivative is F0_t
+    flux: np.ndarray         # TF - (0, 0, alpha theta_x)
     entropy: np.ndarray      # entropy density rho s
     closure: _Closure
 
@@ -308,16 +318,17 @@ def flux_and_tensors(eos: EquationOfState, ext: ExtendedState,
                      mom: Optional[np.ndarray] = None) -> FluxTensors:
     """Everything the W-system reads from the closure, from one :func:`_closure` pass.
 
-    F0 = (rho, rho u, rho(epsilon + u^2/2)), and the flux
-    TF = -F1 + G U_x + H U_xx + g~ of :func:`_total_flux`, with
+    F0 = (rho, rho u, rho(epsilon + u^2/2)), and the flux of
+    :func:`_total_flux`: TF = -F1 + G U_x + H U_xx + g~ without the heat
+    flux (0, 0, alpha theta_x), with
     F1 = (rho u, rho u^2 + p, rho u (epsilon + u^2/2) + p u); the first
-    component of g is identically zero and g = O(|U_x|^2).  F0 and TF are
-    (3, ...) rows; F1 is not formed.  ``mom`` is the momentum rho u of a
-    field that steps it, such as the solver's grid row, which F0 and TF
-    read in place of the product rho u.  The entropy s is formed in this
-    pass only: ``rhs`` does not read it.  Given the grid's momentum, the
-    pass and TF are the ones ``rhs`` evaluates at the same state, bit for
-    bit.
+    component of g is identically zero and g = O(|U_x|^2).  F0 and the flux
+    are (3, ...) rows; F1 is not formed.  ``mom`` is the momentum rho u of a
+    field that steps it, such as the solver's grid row, which F0 and the
+    flux read in place of the product rho u.  The entropy s is formed in
+    this pass only: ``rhs`` does not read it.  Given the grid's momentum,
+    the pass and the flux are the ones ``rhs`` evaluates at the same state,
+    bit for bit.
     """
     rho, u, theta, rho_x, u_x, theta_x, rho_xx = (np.asarray(a, dtype=float) for a in (
         ext.rho, ext.u, ext.theta, ext.rho_x, ext.u_x, ext.theta_x, ext.rho_xx))
@@ -325,7 +336,7 @@ def flux_and_tensors(eos: EquationOfState, ext: ExtendedState,
     c = _closure(eos, rho, u, theta, rho_x, u_x, theta_x, entropy=True)
     flux = np.empty((3,) + np.broadcast(rho, mom, u, theta, rho_x, u_x, theta_x,
                                         rho_xx).shape)
-    _total_flux(c, mom, u, rho_xx, u_x, theta_x, out=flux)
+    _total_flux(c, mom, u, rho_xx, u_x, out=flux)
     return FluxTensors(F0=_rows(rho, mom, rho * c.energy), flux=flux,
                        entropy=rho * c.s, closure=c)
 
@@ -411,11 +422,12 @@ def nonlinear_terms(eos: EquationOfState, ubar: State, ext: ExtendedState,
 
     The state-dependent parts are the solver's flux
     TF = -F1 + G U_x + H U_xx + g~ (the flux ``rhs`` differentiates), which
-    ``tensors = flux_and_tensors(eos, ext)`` holds, D_U F0 U_x + D_Ux F0 U_xx
+    ``tensors = flux_and_tensors(eos, ext)`` holds but for its heat flux
+    (0, 0, alpha theta_x), added here on the grid, D_U F0 U_x + D_Ux F0 U_xx
     from the few nonzero entries of those matrices, rho_xx and F0; the
-    closure is not evaluated again, nor the flux written again.  They fill
-    the rows of one (10, ...) array, and N is one (3, 10) matrix product
-    with it plus a constant (``_EquilibriumTerms``, built once per
+    closure is not evaluated again, nor the rest of the flux written again.
+    They fill the rows of one (10, ...) array, and N is one (3, 10) matrix
+    product with it plus a constant (``_EquilibriumTerms``, built once per
     (closure, equilibrium) pair):
 
         N = P TF - P Gbar Jf0bar^{-1} (D_U F0 U_x + D_Ux F0 U_xx)
@@ -444,6 +456,9 @@ def nonlinear_terms(eos: EquationOfState, ubar: State, ext: ExtendedState,
     F0 = tensors.F0
     rows = np.empty((10,) + np.broadcast(F0[0], u_x, theta_x, rho_xx).shape)
     rows[:3] = tensors.flux
+    if not _zero(t.alpha):
+        heat = rows[2, ...]
+        heat += theta_x if _unit(t.alpha) else t.alpha * theta_x
     # D_U F0 U_x + D_Ux F0 U_xx, its sums formed in place (the rows are
     # 0-d views where the state is a scalar)
     rows[3] = rho_x

@@ -33,7 +33,7 @@ arguments; closures are pure and safe to evaluate concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -140,12 +140,26 @@ class EquationOfState:
     p, e, e_rho and e_theta are formed from psi here.  A subclass that
     states them in closed form overrides them and ``potentials``, the one
     call through which the solver reads them (see ``ideal_gas_eos``).
+
+    The hash of the fields is taken once, at construction: a closure keys
+    the per-equilibrium cache of ``symbols``, and hashing its 24 callables
+    on every lookup would cost more than the lookup saves.  Equality still
+    compares the fields; a subclass keeps the cached hash by naming
+    ``__hash__ = EquationOfState.__hash__``, since ``dataclass`` would
+    generate a field-by-field one for it.
     """
 
     psi: Coefficient
     kappa: Coefficient
     mu: Coefficient
     alpha: Coefficient
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(tuple(
+            getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self):
+        return self._hash
 
     # -- standard potentials -------------------------------------------------
 
@@ -264,6 +278,8 @@ class _IdealGas(EquationOfState):
 
     R: float
     cv: float
+
+    __hash__ = EquationOfState.__hash__
 
     def p(self, rho, theta):
         """Pressure p = R rho theta."""

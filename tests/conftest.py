@@ -41,6 +41,29 @@ def sqrt_kappa_eos(ref_eos):
 
 
 @pytest.fixture(scope="session")
+def sqrt_alpha_eos(ref_eos):
+    """Reference gas with the conductivity alpha = alpha0 sqrt(theta).
+
+    Its alpha is an array that varies with the field, so the solver adds
+    the heat flux alpha theta_x on the grid instead of per Fourier mode.
+    """
+    alpha0 = 0.8
+
+    def term(c, b):
+        """alpha0 c theta^b, shaped like the state."""
+        return lambda r, th: (alpha0 * c * np.asarray(th, dtype=float) ** b
+                              + 0.0 * np.asarray(r, dtype=float))
+
+    def zero(r, th):
+        return 0.0 * np.asarray(r, dtype=float) * np.asarray(th, dtype=float)
+
+    alpha = Coefficient(f=term(1.0, 0.5), d_r=zero, d_t=term(0.5, -0.5),
+                        d_rr=zero, d_rt=zero, d_tt=term(-0.25, -1.5))
+    return EquationOfState(psi=ref_eos.psi, kappa=ref_eos.kappa, mu=ref_eos.mu,
+                           alpha=alpha)
+
+
+@pytest.fixture(scope="session")
 def rho_theta_kappa_eos(ref_eos):
     """Reference gas with kappa = kappa0 sqrt(rho theta): kappa > 0 and
     kappa_thth = -kappa0 rho^(1/2) theta^(-3/2) / 4 < 0.

@@ -286,17 +286,19 @@ def korteweg_entries(eos, rho, u, theta, rho_x, u_x, theta_x):
     return g2, u * g2 - k * rho * rho_x * u_x
 
 
-def total_flux(eos, rho, u, theta, rho_x, rho_xx, u_x, theta_x, mom=None):
+def total_flux(eos, rho, u, theta, rho_x, rho_xx, u_x, theta_x, mom=None, heat=True):
     """Components of -F1 + G U_x + H U_xx + g~, whose x-derivative is F0_t.
 
     G is ``cx.visc_matrix`` and H is :func:`capillarity_matrix`.  With the
     stress sigma = G[1, 1] u_x + K, K = H[1, 0] rho_xx + g2, the rows are
 
         (-mom, (sigma - p) - mom u,
-         u (sigma - p) - mom (eps + u^2/2) + G[2, 2] theta_x - H[1, 0] rho_x u_x),
+         u (sigma - p) - mom (eps + u^2/2) - H[1, 0] rho_x u_x + G[2, 2] theta_x),
 
     summed in the solver's order, so the result matches the solver's flux
-    bit for bit.  ``mom`` is the momentum, rho u when it is not given.
+    bit for bit.  Without ``heat`` the heat flux G[2, 2] theta_x is left
+    out, as in ``symbols._total_flux``.  ``mom`` is the momentum, rho u when
+    it is not given.
     """
     state = State(rho, u, theta)
     G, H = cx.visc_matrix(eos, state), capillarity_matrix(eos, state)
@@ -304,10 +306,10 @@ def total_flux(eos, rho, u, theta, rho_x, rho_xx, u_x, theta_x, mom=None):
     eps, p = eos.epsilon(rho, theta, rho_x), eos.p(rho, theta)
     mom = rho * u if mom is None else mom
     sigma_p = H[..., 1, 0] * rho_xx - p + G[..., 1, 1] * u_x + g2
-    return (-mom,
-            sigma_p - mom * u,
-            (u * sigma_p - mom * (eps + 0.5 * u ** 2) + G[..., 2, 2] * theta_x
-             - H[..., 1, 0] * rho_x * u_x))
+    energy = u * sigma_p - mom * (eps + 0.5 * u ** 2) - H[..., 1, 0] * rho_x * u_x
+    if heat:
+        energy = energy + G[..., 2, 2] * theta_x
+    return -mom, sigma_p - mom * u, energy
 
 
 def definitional_nonlinear_terms(eos, ubar, ext):

@@ -57,14 +57,18 @@ def to_v(ubar):
     return t, np.linalg.inv(t)
 
 
-def masked_rhs(eos, grid, fh):
+def masked_rhs(eos, grid, fh, heat_on_grid=False):
     """Reference right side on all n//2 + 1 rfft bins, the 2/3 rule as a mask.
 
     The same arithmetic as ``nls.rhs``, but on full-width spectra that carry
     the removed modes as zeros, and with the flux and the Jacobian entries
     from the oracles instead of the closure pass; ``fh`` is the masked rfft
-    of (rho, m, theta), m = rho u.  theta_t reads rho_t = -m_x,
-    rho_xt = -m_xx and rho u u_t = u (r2 + u m_x), in the solver's order.
+    of (rho, m, theta), m = rho u.  Like ``nls.rhs``, it adds the heat
+    flux's spectrum alpha ik theta to the energy flux's where alpha is
+    constant on the grid, and alpha theta_x to the energy flux on the grid
+    otherwise; with ``heat_on_grid`` it adds it on the grid always, as the
+    solver once did.  theta_t reads rho_t = -m_x, rho_xt = -m_xx and
+    rho u u_t = u (r2 + u m_x), in the solver's order.
     """
     ik = grid.ik
     mask = np.arange(grid.n // 2 + 1) <= grid.n // 3
@@ -74,8 +78,14 @@ def masked_rhs(eos, grid, fh):
                   ik * mom_xh]), n=grid.n)
     u = mom / rho
     u_x = (mom_x - u * rho_x) / rho
-    flux = total_flux(eos, rho, u, theta, rho_x, rho_xx, u_x, theta_x, mom)
-    rh = np.fft.rfft(np.stack(flux[1:])) * (ik * mask)
+    alpha = np.asarray(eos.alpha(rho, theta))
+    per_mode = not heat_on_grid and np.all(alpha == alpha.flat[0])
+    flux = total_flux(eos, rho, u, theta, rho_x, rho_xx, u_x, theta_x, mom,
+                      heat=not per_mode)
+    rh = np.fft.rfft(np.stack(flux[1:]))
+    if per_mode:
+        rh[1] += alpha.flat[0] * (ik * fh[2])
+    rh *= ik * mask
     r2, r3 = np.fft.irfft(rh, n=grid.n)
     a31 = (eos.epsilon(rho, theta, rho_x) + 0.5 * u ** 2
            + rho * eos.epsilon_rho(rho, theta, rho_x))
@@ -141,23 +151,41 @@ class TestRhs:
         nls.rhs(eos, small_grid, fh)
         assert calls == Counter(), calls
 
-    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
+    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos", "sqrt_alpha_eos"])
     def test_rates_vanish_above_the_cutoff(self, request, closure, small_grid):
         eos = request.getfixturevalue(closure)
         # rhs keeps only the modes m <= n/3; padded with zeros they equal,
         # bit for bit, the full-width right side with the 2/3 rule as a mask
+        # that adds the heat flux where rhs does.  Against the right side
+        # that adds it on the grid always, they agree to roundoff (measured:
+        # 1.9e-14 and 2.0e-14 of the row's largest mode in the theta_t row
+        # of ref_eos and sqrt_kappa_eos, the other rows bit for bit)
         g = small_grid
         f = smooth_field(g, amp=0.1)
         rates = nls.rhs(eos, g, spectrum(f))
         assert rates.shape == (3, g.n // 3 + 1)
         assert np.all(np.any(rates != 0.0, axis=1))
         mask = np.arange(g.n // 2 + 1) <= g.n // 3
-        full = masked_rhs(eos, g, np.fft.rfft(np.stack([f.rho, f.rho * f.u,
-                                                         f.theta])) * mask)
+        fh = np.fft.rfft(np.stack([f.rho, f.rho * f.u, f.theta])) * mask
+        full = masked_rhs(eos, g, fh)
         assert np.all(full[:, ~mask] == 0.0)
         padded = np.zeros_like(full)
         padded[:, mask] = rates
         assert np.array_equal(padded, full)
+        on_grid = masked_rhs(eos, g, fh, heat_on_grid=True)
+        for got, want in zip(padded, on_grid):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos", "sqrt_alpha_eos"])
+    def test_two_row_out_takes_the_last_two_rates(self, request, closure, small_grid):
+        # an out of 2 rows takes (m_t, theta_t) alone, bit for bit rows 1
+        # and 2 of the full result
+        eos = request.getfixturevalue(closure)
+        fh = spectrum(smooth_field(small_grid, amp=0.1))
+        full = nls.rhs(eos, small_grid, fh)
+        two = np.full((2, small_grid.modes), np.nan, dtype=complex)
+        assert nls.rhs(eos, small_grid, fh, out=two) is two
+        assert np.array_equal(two, full[1:])
 
     def test_result_is_not_aliased_to_the_workspace(self, ref_eos, small_grid):
         # rhs reuses the grid's transform buffers; a result must survive the
@@ -563,10 +591,12 @@ class TestSteppers:
     def test_four_transforms_per_rhs(self, ref_eos, small_grid, monkeypatch):
         # the step keeps the spectrum: its only transforms are the four
         # batched ones of each of its four rhs calls, the admissibility
-        # check of its input included.  They carry 13 rows: 8 fields and
-        # gradients to the grid, the momentum and energy fluxes forward
-        # (the mass rate -ik m needs no transform), their 2 rates back and
-        # theta_t forward; an rhs that takes a sample's pass transforms 5
+        # check of its input included.  They carry 12 rows: 7 fields and
+        # gradients to the grid (not theta_x: the heat flux of a constant
+        # alpha is differentiated per mode), the momentum and energy fluxes
+        # forward (the mass rate -ik m needs no transform), their 2 rates
+        # back and theta_t forward; an rhs that takes a sample's pass
+        # transforms 5
         ubar = State(1.0, 0.0, 1.0)
         stepper = nls.IntegratingFactorRK4(ref_eos, ubar, small_grid, 0.01)
         uh = stepper.pack(smooth_field(small_grid, amp=0.03))
@@ -583,7 +613,7 @@ class TestSteppers:
             monkeypatch.setattr(ns, name, counted)
         stepper.step(uh)
         assert calls == ["rhs", "irfft", "rfft", "irfft", "rfft"] * 4
-        assert rows == [8, 2, 2, 1] * 4
+        assert rows == [7, 2, 2, 1] * 4
 
         fh = field_spectrum(stepper, uh)
         nls._sample(ref_eos, ubar, small_grid, fh)
@@ -597,6 +627,41 @@ class TestSteppers:
         assert calls == ["rhs", "rfft", "irfft", "rfft"]
         assert rows == [2, 2, 1]
         assert len(compared) == 1
+
+    @pytest.mark.parametrize("closure", ["sqrt_kappa_eos", "sqrt_alpha_eos"])
+    def test_theta_x_is_transformed_where_the_grid_reads_it(self, request, closure,
+                                                            small_grid, monkeypatch):
+        # a closure whose kappa_theta is not 0.0 reads theta_x in g2, and
+        # one whose alpha varies adds the heat flux alpha theta_x on the
+        # grid: each own pass takes theta_x to the grid by one more irfft
+        # of 1 row, 7 + 1 rows in all, once per rhs.  The sample's grid pass
+        # holds theta_x, so the rhs that takes it transforms 5 rows
+        eos = request.getfixturevalue(closure)
+        ubar = State(1.0, 0.0, 1.0)
+        stepper = nls.IntegratingFactorRK4(eos, ubar, small_grid, 0.01)
+        uh = stepper.pack(smooth_field(small_grid, amp=0.03))
+        calls, rows = [], []
+        for ns, name in ((np.fft, "rfft"), (np.fft, "irfft"), (nls, "rhs")):
+            fn = getattr(ns, name)
+
+            def counted(a, *args, _fn=fn, _name=name, **kw):
+                calls.append(_name)
+                if _name != "rhs":
+                    rows.append(1 if np.ndim(a) == 1 else len(a))
+                return _fn(a, *args, **kw)
+
+            monkeypatch.setattr(ns, name, counted)
+        stepper.step(uh)
+        assert calls == ["rhs", "irfft", "irfft", "rfft", "irfft", "rfft"] * 4
+        assert rows == [7, 1, 2, 2, 1] * 4
+
+        nls._sample(eos, ubar, small_grid, field_spectrum(stepper, uh))
+        assert rows[-1] == 8
+        calls.clear()
+        rows.clear()
+        nls.rhs(eos, small_grid, field_spectrum(stepper, uh))
+        assert calls == ["rhs", "rfft", "irfft", "rfft"]
+        assert rows == [2, 2, 1]
 
     def test_only_the_pass_of_the_stage_input_is_taken(self, ref_eos, small_grid,
                                                        monkeypatch):
@@ -646,7 +711,7 @@ class TestSteppers:
         assert g.workspace.tensors is None
         assert np.array_equal(nls.rhs(ref_eos, g, fa), want)
 
-    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
+    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos", "sqrt_alpha_eos"])
     def test_a_taken_pass_is_left_as_it_was(self, request, closure, small_grid):
         # the rhs that takes a sample's pass writes none of its arrays, nor
         # the grid pass beside it, and gives the rates of its own passes
@@ -745,7 +810,7 @@ class TestRun:
         assert nls.wrap_time(ref_eos, ubar, 50.0) == led.wrap_time
 
     @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos",
-                                         "rho_theta_kappa_eos"])
+                                         "rho_theta_kappa_eos", "sqrt_alpha_eos"])
     def test_taken_passes_change_no_bit(self, request, closure, monkeypatch):
         # sampled every step, every step takes the sample's pass; sampled at
         # the end only, every step after the first makes its own: the state
@@ -981,7 +1046,8 @@ class TestSample:
 
         # the rows the sample reads: max_n1 is roundoff, so both paths
         # must start from the same field and gradients
-        rho, _, theta, rho_x, _, theta_x, rho_xx, _, u, u_x = nls._grid_pass(g, fh).copy()
+        rho, _, theta, rho_x, _, rho_xx, _, theta_x, u, u_x = nls._grid_pass(
+            g, fh, theta_x=True).copy()
         ext = sym.ExtendedState(rho=rho, u=u, theta=theta, rho_x=rho_x, u_x=u_x,
                                 theta_x=theta_x, rho_xx=rho_xx)
         eps = eos.epsilon(rho, theta, ext.rho_x)

@@ -35,9 +35,12 @@ def conserved(eos, ext):
 
 
 def closure_flux(eos, rho, u, theta, rho_x=0.0, rho_xx=0.0, u_x=0.0, theta_x=0.0):
-    """The solver's flux -F1 + G U_x + H U_xx + g~ from one closure pass."""
+    """The solver's flux -F1 + G U_x + H U_xx + g~ from one closure pass,
+    its heat flux alpha theta_x added to ``symbols._total_flux``."""
     c = sym._closure(eos, rho, u, theta, rho_x, u_x, theta_x)
-    return sym._total_flux(c, rho * u, u, rho_xx, u_x, theta_x, out=np.empty(3))
+    flux = sym._total_flux(c, rho * u, u, rho_xx, u_x, out=np.empty(3))
+    flux[2] += c.alpha * theta_x
+    return flux
 
 
 class TestConservedQuantities:
@@ -124,8 +127,12 @@ class TestFluxAndTensors:
         assert np.array_equal(t.closure.b31, d_ux_F0(eos, ext)[:, 2, 0])
         assert np.array_equal(t.entropy, ext.rho * eos.s(ext.rho, ext.theta, ext.rho_x))
         flux = total_flux(eos, ext.rho, ext.u, ext.theta, ext.rho_x, ext.rho_xx,
-                          ext.u_x, ext.theta_x)
+                          ext.u_x, ext.theta_x, heat=False)
         assert np.array_equal(t.flux, np.stack(flux))
+        # the heat flux the solver adds to it, in nonlinear_terms' order
+        heat = total_flux(eos, ext.rho, ext.u, ext.theta, ext.rho_x, ext.rho_xx,
+                          ext.u_x, ext.theta_x)[2]
+        assert np.array_equal(t.flux[2] + t.closure.alpha * ext.theta_x, heat)
 
 
 class TestKortewegStress:
@@ -166,10 +173,10 @@ class TestKortewegStress:
         g2, g3 = korteweg_entries(eos, *args)
         assert 0.0 < np.abs(g2).max() <= 1e-14
         assert np.array_equal(c.w, c.h * ext.rho_x * ext.u_x)
-        got = sym._total_flux(c, ext.rho * ext.u, ext.u, ext.rho_xx, ext.u_x, ext.theta_x,
+        got = sym._total_flux(c, ext.rho * ext.u, ext.u, ext.rho_xx, ext.u_x,
                               out=np.empty((3, 100)))
         want = np.stack(total_flux(eos, ext.rho, ext.u, ext.theta, ext.rho_x,
-                                   ext.rho_xx, ext.u_x, ext.theta_x))
+                                   ext.rho_xx, ext.u_x, ext.theta_x, heat=False))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_work_flux_sign(self, ref_eos):
@@ -266,7 +273,7 @@ class TestNonlinearTerms:
         sym.nonlinear_terms(ref_eos, State(1.2, 0.3, 0.9), ext, tensors)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
+    @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos", "sqrt_alpha_eos"])
     def test_second_gradients_of_u_and_theta_are_not_read(self, request, closure, rng):
         # Hbar Jf0bar^{-1} D_U F0 U_xx = (0, hbar, hbar ubar) rho_xx (see
         # nonlinear_terms): other u_xx and theta_xx give the same N, which
@@ -282,6 +289,25 @@ class TestNonlinearTerms:
             fresh = definitional_nonlinear_terms(eos, ubar, e).T
             assert np.abs(n_terms - fresh).max() <= 1e-13 * np.abs(fresh).max()
 
+
+    def test_a_repeated_lookup_hashes_no_coefficient(self, ref_eos, monkeypatch):
+        # the closure's hash is taken once, at construction: a lookup of the
+        # equilibrium terms hashes none of its four Coefficients again, and
+        # equal closures still share the cached terms
+        ubar = State(1.0, 0.0, 1.0)
+        terms = sym._equilibrium_terms(ref_eos, ubar)
+        calls = []
+        hash_of = Coefficient.__hash__
+        monkeypatch.setattr(Coefficient, "__hash__",
+                            lambda self: calls.append(1) or hash_of(self))
+        assert sym._equilibrium_terms(ref_eos, ubar) is terms
+        assert calls == []
+        same = dataclasses.replace(ref_eos)
+        assert len(calls) == 4            # at construction
+        assert same == ref_eos and same is not ref_eos
+        assert sym._equilibrium_terms(same, ubar) is terms
+        assert sym._equilibrium_terms(same, ubar) is terms
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos"])
     def test_equilibrium_cache_follows_the_equilibrium(self, request, closure, rng):
