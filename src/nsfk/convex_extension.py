@@ -13,16 +13,14 @@ symmetrizes the system: the congruences
 
 are symmetric with A0 > 0 and B >= 0.  This module evaluates all the maps
 involved (fluxes, Jacobians, the gradient map Z = (D_V E)^T, the entropy
-Hessian) in closed form, plus a randomized verification of the defining
-properties of the entropy pair.
+Hessian) in closed form, plus a verification of the defining properties of
+the entropy pair on a fixed lattice of states.
 
 All functions broadcast over array-valued states; matrices are returned with
 trailing shape (..., 3, 3).
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -38,6 +36,7 @@ __all__ = [
     "jac_f1",
     "z_map",
     "jac_z",
+    "jac_entropy_flux",
     "hessian_entropy",
     "coefficient_matrices",
     "verify_entropy_pair",
@@ -140,6 +139,15 @@ def entropy_flux(eos: EquationOfState, state: State) -> np.ndarray:
             * np.asarray(eos.eta(state.rho, state.theta)))
 
 
+def jac_entropy_flux(eos: EquationOfState, state: State) -> np.ndarray:
+    """Gradient of Theta = -rho u eta with respect to (rho, u, theta):
+    -(u (eta + rho eta_rho), rho eta, rho u eta_theta)."""
+    rho, u, theta = np.asarray(state.rho), np.asarray(state.u), state.theta
+    eta = eos.eta(rho, theta)
+    return -vec3([u * (eta + rho * eos.eta_rho(rho, theta)), rho * eta,
+                  rho * u * eos.eta_theta(rho, theta)])
+
+
 def z_map(eos: EquationOfState, state: State) -> np.ndarray:
     """Gradient of the entropy in conserved variables, Z = (D_V E)^T.
 
@@ -215,58 +223,40 @@ def coefficient_matrices(eos: EquationOfState, state: State):
     return a0 / th, a1 / th, b / th
 
 
-def _central_differences(fn: Callable[[State], np.ndarray], state: State,
-                         step: float) -> np.ndarray:
-    """Central differences of ``fn`` in rho, u and theta, on a new last axis.
-
-    ``state`` may hold arrays: a scalar map gives the gradients (..., 3), a
-    3-vector map its Jacobians (..., 3, 3).
-    """
-    base = (state.rho, state.u, state.theta)
-    cols = []
-    for j in range(3):
-        hi = [b + step if i == j else b for i, b in enumerate(base)]
-        lo = [b - step if i == j else b for i, b in enumerate(base)]
-        cols.append((fn(State(*hi)) - fn(State(*lo))) / (2.0 * step))
-    return np.stack(cols, axis=-1)
-
-
 def _transposed(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2)
 
 
-def verify_entropy_pair(eos: EquationOfState, domain: Domain,
-                        n_samples: int = 100, fd_step: float = 1e-5,
-                        seed: int = 0,
-                        sym_tol: float = 1e-12,
-                        flux_tol: float = 1e-6,
-                        flux_fn: Callable[[State], np.ndarray] | None = None) -> CheckReport:
-    """Randomized verification of the entropy-pair properties.
+# (rho, theta) nodes per axis of the entropy-pair lattice; with the three
+# velocities that is 108 states
+PAIR_NODES = 6
+PAIR_VELOCITIES = (-1.0, 0.0, 1.0)
 
-    At ``n_samples`` reproducibly sampled interior states, checks that
-    (a) the entropy Hessian is positive definite, (b) A0 and A1 are symmetric,
-    (c) the closed forms of A0 and A1 equal their congruences
+
+def verify_entropy_pair(eos: EquationOfState, domain: Domain,
+                        sym_tol: float = 1e-12,
+                        flux_tol: float = 1e-6) -> CheckReport:
+    """Verification of the entropy-pair properties on a fixed lattice.
+
+    The states are ``domain.grid(PAIR_NODES)``'s (rho, theta) nodes times
+    u in ``PAIR_VELOCITIES``.  At each it checks that (a) the entropy
+    Hessian is positive definite, (b) A0 and A1 are symmetric, (c) the
+    closed forms of A0 and A1 equal their congruences
     (D_U f0)^T D_V^2 E (D_U f0) and (D_U f0)^T D_V^2 E (D_U f1), (d) B is
     positive semi-definite, and (e) the flux compatibility
-    D_U Theta = Z^T D_U f1 holds, verified against central differences of
-    Theta.  ``flux_fn`` overrides the convective flux used in (e) (negative
-    controls; it must broadcast over array-valued states); everything else
-    is analytic.
+    D_U Theta = Z^T D_U f1 holds, D_U Theta in closed form
+    (``jac_entropy_flux``).  Every map is analytic, so each residual is
+    roundoff.
 
-    All samples are checked in one batched pass: each map is evaluated once
-    on the whole (n_samples,) state arrays, the two eigenvalue checks are
-    one batched ``eigvalsh`` each, and the central differences shift whole
-    state arrays.  Every per-sample value is the one a sample-by-sample
+    All states are checked in one batched pass: each map is evaluated once
+    on the whole lattice, and the two eigenvalue checks are one batched
+    ``eigvalsh`` each.  Every per-state value is the one a state-by-state
     evaluation gives, so the reported extremes are too.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-    rng = np.random.default_rng(seed)
-    sampled = domain.sample_states(n_samples, rng)
+    rho, theta = domain.grid(PAIR_NODES)
+    u = np.asarray(PAIR_VELOCITIES)[:, None, None]
     # the standard entropy pair: D_U f0 is taken at rho_x = 0
-    s = State(sampled.rho, sampled.u, sampled.theta)
+    s = State(*np.broadcast_arrays(rho, u, theta))
 
     H = hessian_entropy(eos, s)
     hess_min_eig = float(np.linalg.eigvalsh(0.5 * (H + _transposed(H))).min())
@@ -278,11 +268,9 @@ def verify_entropy_pair(eos: EquationOfState, domain: Domain,
                    float(np.abs(jf0_t @ H @ jf1 - a1).max()))
     b_min_eig = float(np.linalg.eigvalsh(0.5 * (b + _transposed(b))).min())
 
-    # flux condition: D_U Theta (finite differences) vs Z^T D_U f1
-    lhs = _central_differences(lambda st: entropy_flux(eos, st), s, fd_step)
-    jac = _central_differences(flux_fn, s, fd_step) if flux_fn is not None else jf1
-    rhs = (z_map(eos, s)[..., None, :] @ jac)[..., 0, :]
-    flux_res = float(np.abs(lhs - rhs).max())
+    # flux condition: D_U Theta (closed form) vs Z^T D_U f1
+    rhs = (z_map(eos, s)[..., None, :] @ jf1)[..., 0, :]
+    flux_res = float(np.abs(jac_entropy_flux(eos, s) - rhs).max())
 
     checks = [
         Check(name="entropy Hessian positive definite", passed=hess_min_eig > 0,

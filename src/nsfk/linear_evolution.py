@@ -6,7 +6,7 @@ as quadrature over a continuous xi grid graded toward the origin (where the
 algebraic decay rate is decided) rather than as a periodic FFT, whose
 spectral gap would destroy the t^{-1/4} tail.  The weighted modal energy
 
-    ||W||_ell^2 = int xi^{2 ell} [ (1 + xi^2) |What_1|^2 + |What_2|^2
+    ||W||_ell^2 = int |xi|^{2 ell} [ (1 + xi^2) |What_1|^2 + |What_2|^2
                                    + |What_3|^2 ] dxi
 
 is the Fourier-side realization of the anisotropic norm that gives the
@@ -315,12 +315,13 @@ def matrix_exponentials(generators: np.ndarray, t: float) -> np.ndarray:
 
 
 def modal_energy(xi: np.ndarray, modes: np.ndarray, ell: float = 0.0) -> np.ndarray:
-    """Pointwise weighted energy xi^{2 ell} [(1+xi^2)|W1|^2 + |W2|^2 + |W3|^2]
-    of modes (n_nodes, 3) at the nodes ``xi``."""
+    """Pointwise weighted energy |xi|^{2 ell} [(1+xi^2)|W1|^2 + |W2|^2 + |W3|^2]
+    of modes (n_nodes, 3) at the nodes ``xi``; |xi| keeps a fractional ell
+    real on the nodes xi < 0."""
     w = np.abs(modes) ** 2
     base = (1.0 + xi ** 2) * w[:, 0] + w[:, 1] + w[:, 2]
     if ell != 0.0:
-        base = xi ** (2.0 * ell) * base
+        base = np.abs(xi) ** (2.0 * ell) * base
     return base
 
 

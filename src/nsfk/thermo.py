@@ -110,15 +110,6 @@ class Domain:
         t = np.linspace(self.theta_min, self.theta_max, n)
         return np.meshgrid(r, t, indexing="ij")
 
-    def sample_states(self, n: int, rng: np.random.Generator) -> "State":
-        """n random interior states (array-valued State), reproducible via rng,
-        with u and rho_x uniform in [-1, 1]."""
-        rho = rng.uniform(self.rho_min * 1.001, self.rho_max, n)
-        theta = rng.uniform(self.theta_min * 1.001, self.theta_max, n)
-        u = rng.uniform(-1.0, 1.0, n)
-        rho_x = rng.uniform(-1.0, 1.0, n)
-        return State(rho=rho, u=u, theta=theta, rho_x=rho_x)
-
 
 @dataclass(frozen=True)
 class State:

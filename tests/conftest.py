@@ -129,3 +129,13 @@ def domain():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def sample_states(domain, n, rng):
+    """n random interior states of ``domain`` (array-valued State),
+    reproducible via rng, with u and rho_x uniform in [-1, 1]."""
+    rho = rng.uniform(domain.rho_min * 1.001, domain.rho_max, n)
+    theta = rng.uniform(domain.theta_min * 1.001, domain.theta_max, n)
+    u = rng.uniform(-1.0, 1.0, n)
+    rho_x = rng.uniform(-1.0, 1.0, n)
+    return State(rho=rho, u=u, theta=theta, rho_x=rho_x)

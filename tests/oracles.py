@@ -6,7 +6,7 @@ builders, independently of the one closure pass ``symbols._closure`` that
 the program evaluates.  The linear side keeps a per-node eigendecomposition
 propagator, the spectral bound and the Lyapunov slack taken from the complex
 symbol (the slack also as the random-mode sample it was once checked by)
-and the sample-by-sample entropy-pair check, which the batched program
+and the state-by-state entropy-pair check, which the batched program
 paths are tested against, and the helpers only the tests use.  The
 CSV writer built on the ``csv`` module is kept to check the program's own
 quoting byte for byte.
@@ -124,40 +124,27 @@ def per_node_propagate(coeffs, xi, modes, t):
     return per_node_propagator(coeffs, xi, modes)(t)
 
 
-def entropy_pair_observed(eos, domain, n_samples=100, fd_step=1e-5, seed=0,
-                          flux_fn=None):
-    """The five observed values of ``cx.verify_entropy_pair``, sample by
-    sample: (Hessian min eigenvalue, symmetry residual, congruence residual,
-    B min eigenvalue, flux residual)."""
-    rng = np.random.default_rng(seed)
-    states = domain.sample_states(n_samples, rng)
-    flux = flux_fn if flux_fn is not None else (lambda s: cx.f1(eos, s))
-
-    def central(fn, s):
-        base = [float(s.rho), float(s.u), float(s.theta)]
-        cols = []
-        for j in range(3):
-            hi, lo = list(base), list(base)
-            hi[j] += fd_step
-            lo[j] -= fd_step
-            cols.append((fn(State(*hi)) - fn(State(*lo))) / (2.0 * fd_step))
-        return np.stack(cols, axis=-1)
-
+def entropy_pair_observed(eos, domain):
+    """The five observed values of ``cx.verify_entropy_pair``, state by
+    state over its lattice: (Hessian min eigenvalue, symmetry residual,
+    congruence residual, B min eigenvalue, flux residual)."""
+    rho, theta = domain.grid(cx.PAIR_NODES)
     hess_min, sym_res, cong_res, b_min, flux_res = np.inf, 0.0, 0.0, np.inf, 0.0
-    for i in range(n_samples):
-        s = State(float(states.rho[i]), float(states.u[i]), float(states.theta[i]))
-        H = cx.hessian_entropy(eos, s)
-        hess_min = min(hess_min, float(np.linalg.eigvalsh(0.5 * (H + H.T)).min()))
-        a0, a1, b = cx.coefficient_matrices(eos, s)
-        sym_res = max(sym_res, float(np.abs(H - H.T).max()),
-                      float(np.abs(a0 - a0.T).max()), float(np.abs(a1 - a1.T).max()))
-        jf0, jf1 = cx.jac_f0(eos, s), cx.jac_f1(eos, s)
-        cong_res = max(cong_res, float(np.abs(jf0.T @ H @ jf0 - a0).max()),
-                       float(np.abs(jf0.T @ H @ jf1 - a1).max()))
-        b_min = min(b_min, float(np.linalg.eigvalsh(0.5 * (b + b.T)).min()))
-        lhs = central(lambda st: float(cx.entropy_flux(eos, st)), s)
-        jac = central(flux, s) if flux_fn is not None else jf1
-        flux_res = max(flux_res, float(np.abs(lhs - cx.z_map(eos, s) @ jac).max()))
+    for u in cx.PAIR_VELOCITIES:
+        for r, th in zip(rho.ravel(), theta.ravel()):
+            s = State(float(r), u, float(th))
+            H = cx.hessian_entropy(eos, s)
+            hess_min = min(hess_min, float(np.linalg.eigvalsh(0.5 * (H + H.T)).min()))
+            a0, a1, b = cx.coefficient_matrices(eos, s)
+            sym_res = max(sym_res, float(np.abs(H - H.T).max()),
+                          float(np.abs(a0 - a0.T).max()),
+                          float(np.abs(a1 - a1.T).max()))
+            jf0, jf1 = cx.jac_f0(eos, s), cx.jac_f1(eos, s)
+            cong_res = max(cong_res, float(np.abs(jf0.T @ H @ jf0 - a0).max()),
+                           float(np.abs(jf0.T @ H @ jf1 - a1).max()))
+            b_min = min(b_min, float(np.linalg.eigvalsh(0.5 * (b + b.T)).min()))
+            lhs = cx.jac_entropy_flux(eos, s)
+            flux_res = max(flux_res, float(np.abs(lhs - cx.z_map(eos, s) @ jf1).max()))
     return hess_min, sym_res, cong_res, b_min, flux_res
 
 

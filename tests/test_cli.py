@@ -38,10 +38,6 @@ theta_max = 3.0
 [thermo]
 n_samples = 20
 
-[entropy_pair]
-n_samples = 25
-fd_step = 1e-5
-
 [symbol]
 xi_min = 1e-3
 xi_max = 1e3
@@ -106,12 +102,11 @@ BAD_VALUES = [
     ("analyze-symbol", "symbol", {"lyapunov_delta": "-1"}),
     ("analyze-symbol", "symbol", {"cert_n_xi": "0"}),
     ("analyze-symbol", "symbol", {"cert_n_xi": "-1"}),
+    ("analyze-symbol", "symbol", {"cert_n_xi": "100000000000"}),
     ("analyze-symbol", "symbol", {"cert_xi_max": "0"}),
     ("analyze-symbol", "symbol", {"xi_min": "1"}),
     ("analyze-symbol", "symbol", {"xi_max": "1"}),
     ("analyze-symbol", "symbol", {"xi_max": "nan"}),
-    ("verify-thermo", "entropy_pair", {"fd_step": "1"}),
-    ("verify-thermo", "entropy_pair", {"fd_step": "1e-4"}),
     ("linear-decay", "linear", {"n_nodes": "2"}),
     ("linear-decay", "linear", {"xi_cap": "-1"}),
     ("linear-decay", "linear", {"xi_cap": "0"}),
@@ -135,7 +130,7 @@ BAD_VALUES = [
 
 # the subcommand that each config section is swept through
 SWEEP_COMMANDS = {"closure": "verify-thermo", "domain": "verify-thermo",
-                  "thermo": "verify-thermo", "entropy_pair": "verify-thermo",
+                  "thermo": "verify-thermo",
                   "equilibrium": "analyze-symbol", "symbol": "analyze-symbol",
                   "linear": "linear-decay", "nonlinear": "nonlinear-run"}
 
@@ -218,23 +213,43 @@ class TestConfigValidation:
 
     def test_entropy_pair_checked_before_hypotheses(self, config_file, tmp_path,
                                                     capsys, monkeypatch):
+        # the entropy pair is checked on a fixed lattice: a config that
+        # still has the section of its sample count and step exits 2
         def never(*args, **kwargs):
             raise AssertionError("verify_hypotheses ran before validation")
 
         monkeypatch.setattr(thermo, "verify_hypotheses", never)
-        path = config_file()
-        set_keys(path, "entropy_pair", {"fd_step": "0"})
+        path = config_file(extra="[entropy_pair]\nn_samples = 100\nfd_step = 1e-5\n")
         code = main(["verify-thermo", "--config", str(path), "--out",
                      str(tmp_path / "o"), "--quiet"])
         assert code == 2
-        assert "[entropy_pair] fd_step" in capsys.readouterr().err
+        assert ("config error: undeclared section [entropy_pair]"
+                in capsys.readouterr().err)
+
+    def test_huge_size_key_rejected(self, config_file, tmp_path, capsys):
+        path = config_file()
+        set_keys(path, "symbol", {"n_xi": "100000000000"})
+        code = main(["analyze-symbol", "--config", str(path), "--out",
+                     str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: bad value for [symbol] n_xi: '100000000000' "
+            "(must be in [10, 1000000])\n")
+
+    def test_out_of_memory_is_a_config_error(self, config_file, tmp_path, capsys):
+        # a 10^7 x 10^7 hypotheses grid is 800 TB: no allocator grants it
+        path = config_file()
+        set_keys(path, "thermo", {"n_samples": "10000000"})
+        code = main(["verify-thermo", "--config", str(path), "--out",
+                     str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: not enough memory for the sizes {path} sets\n")
 
     @pytest.mark.parametrize("command,old,new", [
         ("nonlinear-run", "sample_every = 50", "sample_every = 0"),
         ("verify-thermo", "[thermo]\nn_samples = 20", "[thermo]\nn_samples = 0"),
-        ("verify-thermo", "[entropy_pair]\nn_samples = 25",
-         "[entropy_pair]\nn_samples = 0"),
-    ], ids=["sample_every", "thermo_n_samples", "entropy_pair_n_samples"])
+    ], ids=["sample_every", "thermo_n_samples"])
     def test_bad_sample_counts_rejected(self, config_file, tmp_path, capsys,
                                         command, old, new):
         path = config_file()
@@ -354,6 +369,26 @@ class TestConfigValidation:
         assert f"cannot create --out directory {taken}" in capsys.readouterr().err
 
 
+class TestSeed:
+    @pytest.mark.parametrize("command,files", [
+        ("verify-thermo", ("summary.csv", "thermo_checks.csv")),
+        ("analyze-symbol", ("summary.csv", "sigma.csv", "eigen_tracks.csv")),
+        ("linear-decay", ("summary.csv", "decay.csv"))],
+        ids=["verify-thermo", "analyze-symbol", "linear-decay"])
+    def test_seed_reaches_no_csv(self, config_file, tmp_path, command, files):
+        # no check samples at random: --seed is only echoed in report.txt
+        outs = []
+        for seed in ("0", "7"):
+            out = tmp_path / seed
+            assert main([command, "--config", str(config_file()),
+                         "--out", str(out), "--seed", seed, "--quiet"]) == 0
+            assert f"seed: {seed}\n" in (out / "report.txt").read_text()
+            outs.append(out)
+        assert sorted(p.name for p in outs[0].glob("*.csv")) == sorted(files)
+        for fname in files:
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
 class TestVerifyThermo:
     def test_reference_passes(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -380,17 +415,6 @@ class TestAnalyzeSymbol:
             a = (outs[0] / fname).read_bytes()
             b = (outs[1] / fname).read_bytes()
             assert a == b, f"{fname} not byte-identical"
-
-    def test_seed_does_not_reach_analyze_symbol(self, config_file, tmp_path):
-        # no check of analyze-symbol samples at random
-        outs = []
-        for seed in ("0", "7"):
-            out = tmp_path / seed
-            assert main(["analyze-symbol", "--config", str(config_file()),
-                         "--out", str(out), "--seed", seed, "--quiet"]) == 0
-            outs.append(out)
-        for fname in ("summary.csv", "sigma.csv", "eigen_tracks.csv"):
-            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     def test_lyapunov_delta_past_equivalence_rejected(self, config_file, tmp_path,
                                                       capsys, monkeypatch):
@@ -587,9 +611,9 @@ class TestLinearSideWorkCounts:
         assert [r.n_xi for r in reports] == [8002]
 
     def test_verify_thermo_entropy_pair(self, factored, tmp_path):
-        # the 100 samples in one batched eigvalsh per eigenvalue check
+        # the 108 lattice states in one batched eigvalsh per eigenvalue check
         self.run("verify-thermo", tmp_path)
-        assert factored == {"eigvalsh": [2, 200, {"float64"}]}
+        assert factored == {"eigvalsh": [2, 216, {"float64"}]}
 
 
 class TestCsvBytes:
@@ -696,6 +720,21 @@ class TestLinearDecay:
                               "profile cannot be fitted on [fit_t_min, fit_t_max] "
                               "= [100, 10000]")
         assert "Traceback" not in err
+
+    def test_fractional_ell(self, config_file, tmp_path):
+        # |xi|^(2 ell) is real on the nodes xi < 0: every norm is finite and
+        # positive, and the fit finds the predicted -(ell/2 + 1/4)
+        cfg = config_file()
+        set_keys(cfg, "linear", {"ell": "0.5"})
+        out = tmp_path / "half"
+        assert main(["linear-decay", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 0
+        with open(out / "decay.csv", newline="") as fh:
+            norms = np.array([float(r["norm"]) for r in csv.DictReader(fh)])
+        assert norms.size == 25 and np.all(np.isfinite(norms) & (norms > 0))
+        with open(out / "summary.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert float(row["observed"]) == pytest.approx(-0.5, abs=0.01)
 
     def test_slow_decay_fails(self, config_file, tmp_path):
         # |xi|^(-2/5) near xi = 0 decays like t^(-1/20), slower than the

@@ -3,7 +3,8 @@ import pytest
 
 from nsfk import convex_extension as cx
 from nsfk import symbols as sym
-from nsfk.thermo import State
+from nsfk.thermo import Domain, State
+from conftest import sample_states
 from oracles import conserved_quantities, entropy_pair_observed, mv
 
 
@@ -20,20 +21,21 @@ def fd_jacobian(fn, state, h=1e-6):
 
 class TestMapsAndJacobians:
     def test_jacobians_match_finite_differences(self, ref_eos, domain, rng):
-        states = domain.sample_states(30, rng)
+        states = sample_states(domain, 30, rng)
         for i in range(30):
             s = State(float(np.asarray(states.rho)[i]),
                       float(np.asarray(states.u)[i]),
                       float(np.asarray(states.theta)[i]))
             for analytic, mapped in ((cx.jac_f0, cx.f0), (cx.jac_f1, cx.f1),
-                                     (cx.jac_z, cx.z_map)):
+                                     (cx.jac_z, cx.z_map),
+                                     (cx.jac_entropy_flux, cx.entropy_flux)):
                 J = analytic(ref_eos, s)
                 J_fd = fd_jacobian(lambda st: mapped(ref_eos, st), s)
                 scale = max(1.0, np.abs(J_fd).max())
                 assert np.abs(J - J_fd).max() <= 1e-6 * scale
 
     def test_jacobian_inverse(self, ref_eos, domain, rng):
-        states = domain.sample_states(50, rng)
+        states = sample_states(domain, 50, rng)
         for i in range(50):
             s = State(float(np.asarray(states.rho)[i]),
                       float(np.asarray(states.u)[i]),
@@ -43,7 +45,7 @@ class TestMapsAndJacobians:
 
     def test_jacobian_determinant(self, ref_eos, domain, rng):
         # det D_U f0 = rho^2 e_theta, closed form
-        states = domain.sample_states(50, rng)
+        states = sample_states(domain, 50, rng)
         for i in range(50):
             rho = float(np.asarray(states.rho)[i])
             theta = float(np.asarray(states.theta)[i])
@@ -58,7 +60,7 @@ class TestMapsAndJacobians:
                                                           domain, rng):
         # jac_f0 at rho_x != 0 is D_U F0(U, U_x) of the capillary system
         eos = request.getfixturevalue(closure)
-        states = domain.sample_states(20, rng)
+        states = sample_states(domain, 20, rng)
         for i in range(20):
             rho_x = float(np.asarray(states.rho_x)[i])
             s = State(float(np.asarray(states.rho)[i]),
@@ -82,14 +84,14 @@ class TestZMap:
         assert z[1] == 0.0
 
     def test_third_component(self, ref_eos, domain, rng):
-        states = domain.sample_states(20, rng)
+        states = sample_states(domain, 20, rng)
         z = cx.z_map(ref_eos, State(states.rho, states.u, states.theta))
         assert np.allclose(z[..., 2], -1.0 / np.asarray(states.theta), atol=1e-14)
 
 
 class TestHessian:
     def test_symmetry_and_positivity(self, ref_eos, domain, rng):
-        states = domain.sample_states(100, rng)
+        states = sample_states(domain, 100, rng)
         for i in range(100):
             s = State(float(np.asarray(states.rho)[i]),
                       float(np.asarray(states.u)[i]),
@@ -103,7 +105,7 @@ class TestHessian:
         H = cx.hessian_entropy(ref_eos, ref_equilibrium)
         J = cx.jac_f0(ref_eos, ref_equilibrium)
         assert np.abs(J.T @ H @ J - np.diag([1.0, 1.0, 1.5])).max() <= 1e-12
-        states = domain.sample_states(30, rng)
+        states = sample_states(domain, 30, rng)
         for i in range(30):
             s = State(float(np.asarray(states.rho)[i]),
                       float(np.asarray(states.u)[i]),
@@ -133,7 +135,7 @@ class TestCoefficientMatrices:
         assert np.allclose(np.diag(a1_double - a1_rest), 2 * np.diag(diff), atol=1e-13)
 
     def test_b_first_row_zero(self, ref_eos, domain, rng):
-        states = domain.sample_states(20, rng)
+        states = sample_states(domain, 20, rng)
         _, _, b = cx.coefficient_matrices(
             ref_eos, State(states.rho, states.u, states.theta))
         assert np.abs(b[..., 0, :]).max() == 0.0
@@ -142,7 +144,7 @@ class TestCoefficientMatrices:
 
 class TestVisc:
     def test_array_state_shape(self, ref_eos, domain, rng):
-        states = domain.sample_states(5, rng)
+        states = sample_states(domain, 5, rng)
         g = cx.visc_matrix(ref_eos, State(states.rho, states.u, states.theta))
         assert g.shape == (5, 3, 3)
         assert np.array_equal(g[:, 2, 1], states.u)
@@ -160,10 +162,11 @@ class TestMv:
 
 class TestVerifyEntropyPair:
     def test_ideal_gas_passes(self, ref_eos, domain):
-        report = cx.verify_entropy_pair(ref_eos, domain, n_samples=100, seed=3)
+        report = cx.verify_entropy_pair(ref_eos, domain)
         assert report.passed, report.to_text()
         by_name = {c.name: c for c in report.checks}
-        assert by_name["flux compatibility D_U Theta = Z^T D_U f1"].observed <= 1e-6
+        # D_U Theta in closed form: the flux row reads roundoff
+        assert by_name["flux compatibility D_U Theta = Z^T D_U f1"].observed <= 1e-12
         assert by_name["Hessian/A0/A1 symmetry residual"].observed <= 1e-12
         assert by_name["A0/A1 entropy congruence residual"].observed <= 1e-12
 
@@ -180,25 +183,27 @@ class TestVerifyEntropyPair:
             return a0, a1, b
 
         monkeypatch.setattr(cx, "coefficient_matrices", scaled)
-        report = cx.verify_entropy_pair(ref_eos, domain, n_samples=20, seed=3)
+        report = cx.verify_entropy_pair(ref_eos, domain)
         by_name = {c.name: c for c in report.checks}
         assert by_name["Hessian/A0/A1 symmetry residual"].passed
         assert not by_name["A0/A1 entropy congruence residual"].passed
 
-    @staticmethod
-    def bad_flux(eos):
-        # drop the pressure from the momentum flux: compatibility must break
-        def flux(s):
-            rho, u, theta = np.asarray(s.rho), np.asarray(s.u), s.theta
-            e = eos.e(rho, theta)
-            p = eos.p(rho, theta)
-            return cx.vec3([rho * u, rho * u ** 2,
-                            rho * u * (e + 0.5 * u ** 2) + p * u])
-        return flux
+    @pytest.fixture
+    def pressure_dropped(self, monkeypatch):
+        # D_U f1 of a momentum flux without the pressure: compatibility must
+        # break
+        exact = cx.jac_f1
 
-    def test_corrupted_flux_fails(self, ref_eos, domain):
-        report = cx.verify_entropy_pair(ref_eos, domain, n_samples=20, seed=3,
-                                        flux_fn=self.bad_flux(ref_eos))
+        def jac(eos, state):
+            out = exact(eos, state).copy()
+            out[..., 1, 0] -= eos.p_rho(state.rho, state.theta)
+            out[..., 1, 2] -= eos.p_theta(state.rho, state.theta)
+            return out
+
+        monkeypatch.setattr(cx, "jac_f1", jac)
+
+    def test_corrupted_flux_fails(self, ref_eos, domain, pressure_dropped):
+        report = cx.verify_entropy_pair(ref_eos, domain)
         bad = {c.name: c for c in report.checks}[
             "flux compatibility D_U Theta = Z^T D_U f1"]
         assert not bad.passed
@@ -206,29 +211,43 @@ class TestVerifyEntropyPair:
     @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos",
                                          "rho_theta_kappa_eos"])
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_batched_pass_matches_sample_loop(self, request, closure, seed, domain):
+    def test_batched_pass_matches_sample_loop(self, request, closure, seed):
         # every map broadcasts, so the batched pass reports the observed
-        # values of the sample-by-sample loop bit for bit
+        # values of the state-by-state loop bit for bit, on any box (the
+        # seed draws one)
         eos = request.getfixturevalue(closure)
-        report = cx.verify_entropy_pair(eos, domain, n_samples=100, seed=seed)
-        got = tuple(c.observed for c in report.checks)
-        assert got == entropy_pair_observed(eos, domain, n_samples=100, seed=seed)
+        lo, hi = np.random.default_rng(seed).uniform([0.05, 0.05], [2.0, 2.0], (2, 2))
+        box = Domain(rho_min=lo[0], theta_min=lo[1], rho_max=lo[0] + hi[0],
+                     theta_max=lo[1] + hi[1])
+        report = cx.verify_entropy_pair(eos, box)
+        assert tuple(c.observed for c in report.checks) == entropy_pair_observed(eos, box)
 
-    def test_corrupted_flux_matches_sample_loop(self, ref_eos, domain):
-        report = cx.verify_entropy_pair(ref_eos, domain, n_samples=20, seed=3,
-                                        flux_fn=self.bad_flux(ref_eos))
-        want = entropy_pair_observed(ref_eos, domain, n_samples=20, seed=3,
-                                     flux_fn=self.bad_flux(ref_eos))
+    def test_corrupted_flux_matches_sample_loop(self, ref_eos, domain,
+                                                pressure_dropped):
+        report = cx.verify_entropy_pair(ref_eos, domain)
+        want = entropy_pair_observed(ref_eos, domain)
         assert tuple(c.observed for c in report.checks) == want
         assert want[4] > 1e-6
 
-    def test_rejects_bad_step(self, ref_eos, domain):
-        with pytest.raises(ValueError):
-            cx.verify_entropy_pair(ref_eos, domain, fd_step=0.0)
+    def test_lattice(self, ref_eos, domain, monkeypatch):
+        # the grid's (rho, theta) nodes times u in {-1, 0, 1}: 108 states,
+        # the box corners among them
+        seen = []
+        exact = cx.hessian_entropy
 
-    def test_rejects_bad_sample_count(self, ref_eos, domain):
-        with pytest.raises(ValueError):
-            cx.verify_entropy_pair(ref_eos, domain, n_samples=0)
+        def spied(eos, state):
+            seen.append(state)
+            return exact(eos, state)
+
+        monkeypatch.setattr(cx, "hessian_entropy", spied)
+        cx.verify_entropy_pair(ref_eos, domain)
+        (state,) = seen
+        rho, theta = domain.grid(6)
+        assert np.shape(state.rho) == (3, 6, 6)
+        for i, u in enumerate((-1.0, 0.0, 1.0)):
+            assert np.array_equal(state.rho[i], rho)
+            assert np.array_equal(state.theta[i], theta)
+            assert np.all(state.u[i] == u)
 
 
 class TestEntropyFlux:

@@ -10,6 +10,7 @@ import nsfk
 from nsfk import dissipativity as dis
 from nsfk import linear_evolution as lin
 from nsfk import symbols as sym
+from nsfk.fitting import fit_power_law
 from nsfk.thermo import State, ideal_gas_eos
 from oracles import hermitian_defect, per_node_propagate
 
@@ -356,6 +357,20 @@ class TestWeightedNorm:
         plain = float(np.sum(weights * np.abs(prof.modes[:, 0]) ** 2))
         assert weighted / plain > 1.0
 
+    def test_weight_is_even_in_xi(self, small_nodes):
+        # |xi|^(2 ell): a fractional ell weighs xi and -xi alike, and
+        # ell = 1 is xi^2 bit for bit
+        nodes, weights = small_nodes
+        prof = lin.gaussian_profile(nodes, weights)
+        base = lin.modal_energy(nodes, prof.modes)
+        half = lin.modal_energy(nodes, prof.modes, 0.5)
+        assert np.all(np.isfinite(half))
+        assert np.all(half[(nodes != 0) & (base > 0)] > 0)
+        assert np.array_equal(half, np.abs(nodes) * base)
+        assert np.array_equal(half, lin.modal_energy(-nodes, prof.modes, 0.5))
+        assert np.array_equal(lin.modal_energy(nodes, prof.modes, 1.0),
+                              nodes ** 2.0 * base)
+
 
 class TestDecayFits:
     def test_generic_data_rates(self, ref_coeffs, small_nodes):
@@ -392,6 +407,17 @@ class TestDecayFits:
                                      -1, (1e2, 1e4))
         assert not np.isfinite(fit.residual)
         assert fit.flagged
+
+    def test_nan_in_the_fit_window_raises(self):
+        # a nan is an error, not a point dropped like y <= 0; outside the
+        # window it is not read
+        x = [1.0, 2.0, 3.0, 4.0, 5.0]
+        y = [np.nan, 1.0, 0.5, 0.0, np.nan]
+        fit = fit_power_law(x, y, (2.0, 4.0))
+        assert fit.exponent == pytest.approx(-np.log(2.0) / np.log(1.5))
+        for window in ((1.0, 4.0), (2.0, 5.0), None):
+            with pytest.raises(ValueError, match="nan"):
+                fit_power_law(x, y, window)
 
     def test_times_must_increase(self, ref_coeffs, small_nodes):
         prof = lin.gaussian_profile(*small_nodes)

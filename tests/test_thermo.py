@@ -12,6 +12,7 @@ from nsfk.thermo import (
     ideal_gas_eos,
     verify_hypotheses,
 )
+from conftest import sample_states
 from oracles import free_energy
 
 interior = st.floats(min_value=0.3, max_value=2.5)
@@ -90,7 +91,7 @@ class TestAnalyticDerivatives:
     def test_first_derivatives(self, ref_eos, domain, rng, name, value,
                                deriv_r, deriv_t):
         h = 1e-5
-        states = domain.sample_states(200, rng)
+        states = sample_states(domain, 200, rng)
         f = getattr(ref_eos, value)
         for rho, theta in zip(np.asarray(states.rho), np.asarray(states.theta)):
             fd_r = (f(rho + h, theta) - f(rho - h, theta)) / (2 * h)
@@ -108,7 +109,7 @@ class TestClosureFixtures:
         # differences of the value and of the first partials at step 1e-5
         kap = request.getfixturevalue(closure).kappa
         h = 1e-5
-        states = domain.sample_states(50, rng)
+        states = sample_states(domain, 50, rng)
         rho, theta = np.asarray(states.rho), np.asarray(states.theta)
         for fn, d_r, d_t in ((kap, kap.d_r, kap.d_t), (kap.d_r, kap.d_rr, kap.d_rt),
                              (kap.d_t, kap.d_rt, kap.d_tt)):
@@ -119,7 +120,7 @@ class TestClosureFixtures:
 
     def test_potentials_match_the_methods(self, ref_eos, sqrt_kappa_eos, domain, rng):
         # the one call the closure pass makes, bit for bit the single methods
-        states = domain.sample_states(100, rng)
+        states = sample_states(domain, 100, rng)
         for eos in (ref_eos, sqrt_kappa_eos):
             got = eos.potentials(states.rho, states.theta, entropy=True)
             for value, name in zip(got, ("p", "e", "e_rho", "e_theta", "eta")):
