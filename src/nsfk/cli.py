@@ -19,12 +19,21 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import os
 import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+# CPython's built-in SHA-256: hashlib would load OpenSSL (_hashlib) for the
+# one digest of the config a call takes
+try:
+    from _sha2 import sha256                # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256          # Python 3.10-3.11
+    except ImportError:     # a CPython built without its built-in hashes
+        from hashlib import sha256
 
 
 def _configure_threads() -> None:
@@ -154,7 +163,7 @@ class RunConfig:
             parser.read_string(raw.decode("utf-8"))
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
-        digest = hashlib.sha256(raw).hexdigest()
+        digest = sha256(raw).hexdigest()
         return RunConfig(parser=parser, path=path, config_hash=digest, seed=seed)
 
     def section(self, name: str) -> dict:
@@ -569,23 +578,31 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    out_dir = Path(args.out)
+    # the directories this call creates, deepest first
+    created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     try:
         cfg = RunConfig.load(args.config, seed=args.seed)
-        out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:      # e.g. --out names an existing file
-            sys.stderr.write(f"nsfk: error: cannot create --out directory "
-                             f"{out_dir}: {exc.strerror}\n")
-            return 2
-        return _COMMANDS[args.command](cfg, out_dir, args.quiet)
+            message = (f"nsfk: error: cannot create --out directory "
+                       f"{out_dir}: {exc.strerror}\n")
+        else:
+            return _COMMANDS[args.command](cfg, out_dir, args.quiet)
     except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
+        message = f"config error: {exc}\n"
     except MemoryError:         # a size key that no rule bounds, set too large
-        sys.stderr.write(f"config error: not enough memory for the sizes "
-                         f"{args.config} sets\n")
-        return 2
+        message = f"config error: not enough memory for the sizes {args.config} sets\n"
+    # an exit 2 leaves no directory behind that this call created and wrote
+    # nothing to
+    for path in created:
+        try:
+            path.rmdir()
+        except OSError:     # never made, or holding what the call wrote
+            pass
+    sys.stderr.write(message)
+    return 2
 
 
 if __name__ == "__main__":

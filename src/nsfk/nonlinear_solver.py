@@ -120,10 +120,10 @@ class _RhsWorkspace:
     zero tails make each irfft read the dealiased spectrum without a padded
     copy.  ``tensors`` is the closure pass of the grid pass the workspace
     holds, when a sample made one (``w_diagnostics``), and None otherwise:
-    every grid pass clears it.  ``has_theta_x`` tells whether the grid row
-    theta_x is that of the grid pass (see :meth:`theta_x`).  ``rows`` and
-    ``closure`` are views of single rows, made once: ``rhs`` unpacks them
-    on every call.
+    every grid pass clears it, and so does every ``rhs``, which takes it at
+    most once.  ``has_theta_x`` tells whether the grid row theta_x is that
+    of the grid pass (see :meth:`theta_x`).  ``rows`` and ``closure`` are
+    views of single rows, made once: ``rhs`` unpacks them on every call.
     """
 
     def __init__(self, n: int):
@@ -338,11 +338,13 @@ def rhs(eos: EquationOfState, grid: SpectralGrid, fh: np.ndarray,
     its own: it makes three transform calls of 5 rows instead of four of 12,
     and does not check the field again, which that pass did.  The rates are
     the same bit for bit: a sample's ``symbols.flux_and_tensors`` holds the
-    entries and the flux this call forms, and leaves them as they are.
+    entries and the flux this call forms, and leaves them as they are.  The
+    workspace's ``tensors`` is cleared once the call has read it, so a pass
+    is taken at most once and the next ``rhs`` compares no spectrum.
     """
     m, ws = grid.modes, grid.workspace
     ik = grid.ik[:m]
-    t = ws.tensors
+    t, ws.tensors = ws.tensors, None
     taken = t is not None and np.array_equal(ws.grad_hat[:3, :m], fh)
     if not taken:
         _grid_pass(grid, fh)

@@ -1,6 +1,7 @@
 import configparser
 import csv
 import dataclasses
+import hashlib
 import math
 import re
 import textwrap
@@ -245,6 +246,7 @@ class TestConfigValidation:
         assert code == 2
         assert capsys.readouterr().err == (
             f"config error: not enough memory for the sizes {path} sets\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command,old,new", [
         ("nonlinear-run", "sample_every = 50", "sample_every = 0"),
@@ -367,6 +369,62 @@ class TestConfigValidation:
                      "--out", str(taken), "--quiet"])
         assert code == 2
         assert f"cannot create --out directory {taken}" in capsys.readouterr().err
+
+    def test_out_failing_below_a_new_directory_leaves_none(self, config_file,
+                                                           tmp_path, capsys):
+        # mkdir makes new/ and then fails on a name longer than any file
+        # system takes: the usage error removes new/ too
+        out = tmp_path / "new" / ("x" * 300)
+        code = main(["verify-thermo", "--config", str(config_file()),
+                     "--out", str(out), "--quiet"])
+        assert code == 2
+        assert "cannot create --out directory" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    def test_config_error_leaves_no_out_directory(self, config_file, tmp_path,
+                                                  capsys):
+        # the directory is made before analyze-symbol reads [symbol]: a bad
+        # key there removes both directories the call created, and keeps
+        # the one that was there before it
+        path = config_file()
+        set_keys(path, "symbol", {"n_xi": "5"})
+        code = main(["analyze-symbol", "--config", str(path),
+                     "--out", str(tmp_path / "new" / "sub"), "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: bad value for [symbol] n_xi: '5'")
+        assert not (tmp_path / "new" / "sub").exists()
+        assert not (tmp_path / "new").exists()
+        assert tmp_path.is_dir()
+
+    def test_config_error_keeps_an_existing_out_directory(self, config_file,
+                                                          tmp_path):
+        path = config_file()
+        set_keys(path, "symbol", {"n_xi": "5"})
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["analyze-symbol", "--config", str(path),
+                     "--out", str(out), "--quiet"]) == 2
+        assert out.is_dir()
+
+
+class TestConfigHash:
+    """The report's ``config sha256`` against hashlib's digest of the file."""
+
+    @pytest.mark.parametrize("kind", ["reference", "non-ascii", "crlf"])
+    def test_digest_matches_hashlib(self, config_file, kind):
+        if kind == "reference":
+            path = REFERENCE_INI
+        else:
+            path = config_file(extra="# température θ, densité ρ — ξ ≥ 0\n")
+            if kind == "crlf":
+                path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        raw = path.read_bytes()
+        assert (b"\r\n" in raw) == (kind == "crlf")
+        assert raw.isascii() == (kind == "reference")
+        cfg = RunConfig.load(path)
+        assert cfg.config_hash == hashlib.sha256(raw).hexdigest()
+        assert cfg.section("closure")["gamma"] == pytest.approx(5.0 / 3.0)
 
 
 class TestSeed:

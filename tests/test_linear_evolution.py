@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ def small_nodes():
     return lin.geometric_nodes(n_nodes=1024, xi_max=200.0, h0=1e-4)
 
 
-def test_import_leaves_scipy_out():
+def test_import_leaves_scipy_out(tmp_path):
     # scipy.linalg.expm is imported on first use, and the grading ratio is
     # found by bisection, so none of the three imports loads scipy's solvers
     code = ("import sys, nsfk.cli, nsfk.linear_evolution, nsfk.nonlinear_solver; "
@@ -36,6 +37,33 @@ def test_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == []
+
+    # nor do the four subcommands, three on the reference config and a small
+    # nonlinear run; nor numpy's generators, nor hashlib, which would load
+    # OpenSSL (the config is hashed by CPython's built-in SHA-256)
+    reference = Path(__file__).resolve().parents[1] / "configs" / "reference.ini"
+    small = tmp_path / "small.ini"
+    small.write_text(reference.read_text().split("[nonlinear]")[0] + (
+        "[nonlinear]\nlength = 100.0\nn = 512\ndt = 0.02\nt_final = 30.0\n"
+        "sample_every = 50\nfit_t_min = 10.0\n"))
+    code = textwrap.dedent("""
+        import sys
+        from nsfk.cli import main
+        out, reference, small = sys.argv[1:]
+        codes = [main([command, "--config", config, "--out", f"{out}/{command}",
+                       "--quiet"])
+                 for command, config in (("verify-thermo", reference),
+                                         ("analyze-symbol", reference),
+                                         ("linear-decay", reference),
+                                         ("nonlinear-run", small))]
+        print(*codes, *sorted(m for m in sys.modules if m in ("hashlib", "_hashlib")
+                              or m.startswith(("scipy.linalg", "scipy.optimize",
+                                               "numpy.random"))))
+        """)
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path), str(reference),
+                          str(small)], env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert out.split() == ["0"] * 4
 
 
 class TestQuadrature:

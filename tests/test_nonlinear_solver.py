@@ -714,15 +714,18 @@ class TestSteppers:
     @pytest.mark.parametrize("closure", ["ref_eos", "sqrt_kappa_eos", "sqrt_alpha_eos"])
     def test_a_taken_pass_is_left_as_it_was(self, request, closure, small_grid):
         # the rhs that takes a sample's pass writes none of its arrays, nor
-        # the grid pass beside it, and gives the rates of its own passes
+        # the grid pass beside it, and gives the rates of its own passes;
+        # the workspace lets the pass go
         eos = request.getfixturevalue(closure)
         g = small_grid
         fh = spectrum(smooth_field(g, amp=0.1))
         nls._sample(eos, State(1.0, 0.1, 1.0), g, fh)
         ws = g.workspace
-        kept, grid_rows = copy.deepcopy(ws.tensors), ws.grad.copy()
+        taken = ws.tensors
+        kept, grid_rows = copy.deepcopy(taken), ws.grad.copy()
         rates = nls.rhs(eos, g, fh)
-        for x, y in zip(entries(ws.tensors), entries(kept), strict=True):
+        assert ws.tensors is None
+        for x, y in zip(entries(taken), entries(kept), strict=True):
             assert np.array_equal(x, y)
         assert np.array_equal(ws.grad, grid_rows)
         assert np.array_equal(rates, nls.rhs(eos, nls.SpectralGrid(n=g.n, length=g.length),
@@ -748,6 +751,24 @@ class TestSteppers:
         assert led.aborted is None and led.t.size == k + 1
         assert len(calls) == 15 * k + k + 2
         assert len(fluxes) == 4 * k + 1
+
+    @pytest.mark.parametrize("sample_every", [1, 2, 3])
+    def test_one_comparison_per_sampled_step(self, ref_eos, monkeypatch,
+                                             sample_every):
+        # stage 1 of the step after a sample compares its input with the
+        # sample's spectrum and takes the pass; the pass is then gone, so
+        # stages 2-4, and the steps between samples, compare nothing
+        compared = []
+        array_equal = np.array_equal
+        monkeypatch.setattr(np, "array_equal",
+                            lambda *a: compared.append(array_equal(*a)) or compared[-1])
+        k = 6
+        led = nls.run(ref_eos, State(1.0, 0.0, 1.0),
+                      nls.PerturbationSpec(amplitude=1e-2, width=4.0),
+                      t_final=k * 0.05, dt=0.05, length=50.0, n=128,
+                      sample_every=sample_every)
+        assert led.aborted is None and led.t.size == k // sample_every + 1
+        assert compared == [True] * (k // sample_every)
 
     def test_step_allocates_no_more_than_one_rhs(self, ref_eos):
         # tracemalloc counts the bytes numpy requests, whatever the allocator
