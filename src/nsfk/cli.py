@@ -260,6 +260,33 @@ class Report:
             sys.stdout.write(text)
 
 
+def _coefficients(eos, ubar):
+    """The linearized coefficients at ``ubar``, checked finite."""
+    from .symbols import equilibrium_coefficients
+    with np.errstate(all="ignore"):
+        coeffs = equilibrium_coefficients(eos, ubar)
+    bad = [name for name, value in vars(coeffs).items()
+           if not np.isfinite(value).all()]
+    if bad:
+        raise ConfigError(f"[equilibrium] rho = {coeffs.rho:g}, u = {coeffs.u:g}, "
+                          f"theta = {coeffs.theta:g} give linearized coefficients "
+                          f"that are not finite: {', '.join(bad)}")
+    return coeffs
+
+
+def _finite_symbol(coeffs, xi_top: float, key: str) -> None:
+    """Refuse a grid whose largest |xi|, ``xi_top``, set by ``key``, takes
+    the symbol past the range of binary64.  The pieces the checks factor,
+    A(xi), B(xi) and the real form R(xi), grow with |xi|, so they are
+    finite on the grid if they are at its largest |xi|."""
+    from .symbols import real_form
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = coeffs.a(xi_top), coeffs.b(xi_top), real_form(coeffs, xi_top)[0]
+    if not all(np.isfinite(part).all() for part in parts):
+        raise ConfigError(f"{key} = {xi_top:g}: the symbol is not finite at the "
+                          f"grid's largest |xi|")
+
+
 def _section(title: str, **check) -> CheckReport:
     """A report section holding the single check built from ``check``."""
     return CheckReport(title, [Check(**check)])
@@ -276,7 +303,7 @@ def cmd_verify_thermo(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
     eos, domain = cfg.closure(), cfg.domain()
     rep_h = verify_hypotheses(eos, domain, cfg.section("thermo")["n_samples"])
-    rep_p = verify_entropy_pair(eos, domain)
+    rep_p = _build("[domain]", verify_entropy_pair, eos, domain)
 
     report = Report("verify-thermo", cfg.config_hash, cfg.seed,
                     sections=[rep_h, rep_p])
@@ -287,7 +314,6 @@ def cmd_verify_thermo(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
 def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     from . import dissipativity as dis
-    from .symbols import equilibrium_coefficients
 
     eos, ubar = cfg.closure(), cfg.equilibrium()
     sym = cfg.section("symbol")
@@ -299,7 +325,9 @@ def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
         if np.count_nonzero((grid >= lo) & (grid <= hi)) < 2:
             raise ConfigError(f"[symbol] the xi grid needs two points in the "
                               f"spectral fit window [{lo:g}, {hi:g}]")
-    coeffs = equilibrium_coefficients(eos, ubar)
+    coeffs = _coefficients(eos, ubar)
+    _finite_symbol(coeffs, float(np.abs(grid).max()), "[symbol] xi_max")
+    _finite_symbol(coeffs, cert_max, "[symbol] cert_xi_max")
     gamma_bar, eps_lo, eps_hi = dis.compensating_window(coeffs)
     # an empty window is a property of the closure (no dissipation) and is
     # reported as a failed check; an eps outside a non-empty one is a bad input
@@ -437,7 +465,6 @@ def _load_profile(lin: dict, nodes, weights):
 
 def cmd_linear_decay(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     from .linear_evolution import evolve_and_fit, geometric_nodes
-    from .symbols import equilibrium_coefficients
 
     eos, ubar = cfg.closure(), cfg.equilibrium()
     lin = cfg.section("linear")
@@ -455,7 +482,8 @@ def cmd_linear_decay(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
                             lin["xi_cap"], lin["h0"])
     profile = _load_profile(lin, nodes, weights)
 
-    coeffs = equilibrium_coefficients(eos, ubar)
+    coeffs = _coefficients(eos, ubar)
+    _finite_symbol(coeffs, float(np.abs(nodes).max()), "[linear] xi_cap")
     # a norm that underflows to 0 before the window leaves nothing to fit
     fit = _build(f"[linear] the order-{ell:g} norm of the profile cannot be fitted "
                  f"on [fit_t_min, fit_t_max] = [{fit_lo:g}, {fit_hi:g}]:",

@@ -133,12 +133,6 @@ def jac_f1(eos: EquationOfState, state: State) -> np.ndarray:
     ])
 
 
-def entropy_flux(eos: EquationOfState, state: State) -> np.ndarray:
-    """Entropy flux Theta = -rho u eta."""
-    return (-np.asarray(state.rho) * np.asarray(state.u)
-            * np.asarray(eos.eta(state.rho, state.theta)))
-
-
 def jac_entropy_flux(eos: EquationOfState, state: State) -> np.ndarray:
     """Gradient of Theta = -rho u eta with respect to (rho, u, theta):
     -(u (eta + rho eta_rho), rho eta, rho u eta_theta)."""
@@ -252,15 +246,26 @@ def verify_entropy_pair(eos: EquationOfState, domain: Domain,
     on the whole lattice, and the two eigenvalue checks are one batched
     ``eigvalsh`` each.  Every per-state value is the one a state-by-state
     evaluation gives, so the reported extremes are too.
+
+    A ValueError names the first lattice state where the entropy Hessian or
+    the triplet (A0, A1, B) is not finite: the domain reaches past the
+    range of binary64 for this closure.
     """
     rho, theta = domain.grid(PAIR_NODES)
     u = np.asarray(PAIR_VELOCITIES)[:, None, None]
     # the standard entropy pair: D_U f0 is taken at rho_x = 0
     s = State(*np.broadcast_arrays(rho, u, theta))
 
-    H = hessian_entropy(eos, s)
+    with np.errstate(all="ignore"):
+        H = hessian_entropy(eos, s)
+        a0, a1, b = coefficient_matrices(eos, s)
+    for name, m in (("entropy Hessian", H), ("A0", a0), ("A1", a1), ("B", b)):
+        bad = ~np.isfinite(m).all(axis=(-2, -1))
+        if bad.any():
+            i = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ValueError(f"the closure's {name} is not finite on the lattice "
+                             f"at rho = {s.rho[i]:g}, theta = {s.theta[i]:g}")
     hess_min_eig = float(np.linalg.eigvalsh(0.5 * (H + _transposed(H))).min())
-    a0, a1, b = coefficient_matrices(eos, s)
     sym_res = max(float(np.abs(m - _transposed(m)).max()) for m in (H, a0, a1))
     jf0, jf1 = jac_f0(eos, s), jac_f1(eos, s)
     jf0_t = _transposed(jf0)

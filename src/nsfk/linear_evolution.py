@@ -50,6 +50,9 @@ _RESIDUAL_TOL = 0.1      # a decay fit with a larger log-residual is flagged
 # an eigenvector matrix with a larger Frobenius condition number (or nan)
 # takes the scaling-and-squaring fallback
 _COND_THRESHOLD = 1e4
+# exp(-x) < 2^-1075, half the least subnormal, rounds to 0.0 in binary64 for
+# every x > 745.14, so exp(-lambda t) is 0 wherever Re(lambda) t exceeds it
+_EXP_UNDERFLOW = 746.0
 
 
 def _grading_ratio(n_half: int, xi_max: float, h0: float) -> float:
@@ -220,10 +223,11 @@ class ModePropagator:
     V = Q V_R, its columns scaled to unit length as ``np.linalg.eig`` returns
     them.  R is formed and factored only at the distinct |xi| of the nodes
     (2049 of the 4097 symmetric geometric nodes).  The eigenvalues stay
-    there, so exp(-lambda t) is taken once per distinct |xi|; since
-    M(-i xi) = conj M(i xi), a node xi < 0 takes the conjugate of its
-    mirror's exponentials, V and V^{-1}.  Any node set works, symmetric in
-    sign or not.  Modes evolve as V exp(-lambda t) V^{-1} What(0); nodes
+    there, so exp(-lambda t) is taken once per distinct |xi|, and not at
+    all where Re(lambda) t > ``_EXP_UNDERFLOW`` = 746, past which it is 0.0
+    in binary64; since M(-i xi) = conj M(i xi), a node xi < 0 takes the
+    conjugate of its mirror's exponentials, V and V^{-1}.  Any node set
+    works, symmetric in sign or not.  Modes evolve as V exp(-lambda t) V^{-1} What(0); nodes
     whose V is ill-conditioned or singular (see :func:`_conditioned`) fall
     back to scaling-and-squaring per time, their generators M(i xi) formed
     by :func:`~nsfk.symbols.evolution_symbol`.  The eigendecomposition path
@@ -273,8 +277,17 @@ class ModePropagator:
 
     def _exponentials(self, t: float) -> np.ndarray:
         """exp(-lambda t) at the nodes, (3, nodes): taken at the distinct
-        |xi|, gathered to the nodes and conjugated in place where xi < 0."""
-        e = np.exp(self.lam * -t).take(self._back, axis=1)
+        |xi|, gathered to the nodes and conjugated in place where xi < 0.
+
+        Where Re(lambda) t > ``_EXP_UNDERFLOW`` the entry is left 0.0
+        without taking exp: |exp(-lambda t)| = exp(-Re(lambda) t) is below
+        half the least subnormal there, so exp gives 0.0 too, up to the
+        sign of zero, which no product or norm downstream can see.  A nan
+        eigenvalue still goes through exp and still gives nan.
+        """
+        a = self.lam * -t
+        e = np.exp(a, out=np.zeros_like(a), where=~(a.real < -_EXP_UNDERFLOW))
+        e = e.take(self._back, axis=1)
         return np.conjugate(e, out=e, where=self._neg)
 
     def _evolved(self, modes: np.ndarray, coeff: np.ndarray, t: float) -> np.ndarray:

@@ -76,6 +76,32 @@ def _column(column) -> tuple[str, list]:
     return "%s", [_quoted(fmt(v)) for v in column]
 
 
+def _mirror_half(columns: Sequence) -> int:
+    """n/2 if the table of ``columns`` is mirrored, else 0.
+
+    A mirrored table has an even row count n >= 2 and only 1-D float64
+    columns.  Its first column's second half is finite and > 0, and its
+    first half is that half reversed with the sign bit set; every other
+    column's first half is its second half reversed; both bit for bit.
+    """
+    if not columns or not all(isinstance(c, np.ndarray) and c.dtype == float
+                              and c.ndim == 1 for c in columns):
+        return 0
+    n = columns[0].size
+    half = n // 2
+    if n < 2 or n % 2 or any(c.size != n for c in columns):
+        return 0
+    x = columns[0][half:]
+    if not (np.isfinite(x).all() and (x > 0).all()):
+        return 0
+    # the bits of each first half against those its mirror gives
+    mirrors = [-x, *(c[half:] for c in columns[1:])]
+    if all(np.array_equal(c[:half].view(np.int64), m[::-1].view(np.int64))
+           for c, m in zip(columns, mirrors)):
+        return half
+    return 0
+
+
 def write_csv(path, columns: Mapping[str, Sequence]) -> None:
     """Deterministic CSV writer; floats printed with 17 significant digits.
 
@@ -84,12 +110,20 @@ def write_csv(path, columns: Mapping[str, Sequence]) -> None:
     ``csv.writer`` with a newline line terminator (see CSV_SCHEMAS.md), and
     a row whose only field is empty is written ``""``.  Each row is
     formatted from one ``%`` template, and the text is written in one call.
+
+    Only the second half of a mirrored table (see :func:`_mirror_half`),
+    such as ``sigma.csv`` on its sign-mirrored grid, is formatted: its
+    first half is those rows in reverse order, each prefixed ``-``, since
+    ``'%.17g' % -x == '-' + '%.17g' % x`` for a finite x > 0.
     """
-    fields = [_column(col) for col in columns.values()]
+    cols = list(columns.values())
+    half = _mirror_half(cols)
+    fields = [_column(col[half:] if half else col) for col in cols]
     line = ",".join(spec for spec, _ in fields).__mod__
-    rows = [",".join(map(_quoted, columns)),
-            *map(line, zip(*(values for _, values in fields), strict=True))]
+    body = list(map(line, zip(*(values for _, values in fields), strict=True)))
     del fields                          # freed before the join: a lower peak
+    mirrored = ["-" + row for row in reversed(body)] if half else []
+    rows = [",".join(map(_quoted, columns)), *mirrored, *body]
     if len(columns) == 1:
         rows = [row or '""' for row in rows]
     rows.append("")                     # the last row's line terminator

@@ -45,6 +45,12 @@ def csv_module_write_csv(path, columns):
         writer.writerows(zip(*map(cells, columns.values()), strict=True))
 
 
+def entropy_flux(eos, state):
+    """Entropy flux Theta = -rho u eta."""
+    return (-np.asarray(state.rho) * np.asarray(state.u)
+            * np.asarray(eos.eta(state.rho, state.theta)))
+
+
 def free_energy(eos, rho, theta, rho_x):
     """Non-standard Helmholtz free energy Psi = psi + kappa rho_x^2."""
     rho_x = np.asarray(rho_x, dtype=float)

@@ -1,10 +1,13 @@
 import configparser
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import math
 import re
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ import pytest
 from nsfk import cli, dissipativity, linear_evolution, thermo
 from nsfk.cli import SCHEMA, ConfigError, RunConfig, main
 from nsfk.nonlinear_solver import LEDGER_COLUMNS
-from nsfk.reports import write_csv
+from nsfk.reports import _column, write_csv
 from oracles import csv_module_write_csv, per_node_propagator
 
 BASE = """
@@ -136,30 +139,48 @@ SWEEP_COMMANDS = {"closure": "verify-thermo", "domain": "verify-thermo",
                   "linear": "linear-decay", "nonlinear": "nonlinear-run"}
 
 
-def _sweep(tmp_path, section, base=None):
-    """Run the section's command with each SCHEMA key of it at 0, -1 and 1.
+# the extremes of binary64 each numeric key is swept to as well
+EXTREMES = ("1e300", "-1e300", "1e-300", "1e154")
+# the extremes that once raised LinAlgError out of main: a symbol, a set of
+# equilibrium coefficients or an entropy Hessian that is not finite
+OVERFLOWS = [("symbol", "xi_max", "1e154"), ("symbol", "xi_max", "1e300"),
+             ("symbol", "cert_xi_max", "1e154"), ("symbol", "cert_xi_max", "1e300"),
+             ("equilibrium", "rho", "1e154"), ("equilibrium", "theta", "1e-300"),
+             ("domain", "rho_min", "1e-300"), ("domain", "theta_min", "1e-300"),
+             ("domain", "rho_max", "1e300")]
 
-    ``base`` overrides keys of the section first.  Returns the runs that
-    raised out of main or exited with a code other than 0, 1 or 2.
+
+def _sweep(tmp_path, section, base=None, values=("0", "-1", "1")):
+    """Run the section's command with each SCHEMA key of it at each of ``values``.
+
+    ``base`` overrides keys of the section first.  Returns, by (section,
+    key, value), the exit code and stderr of each run, or the repr of the
+    exception it raised out of main in place of the code.
     """
-    escaped = []
+    runs = {}
     for key in SCHEMA[section]:
-        for value in ("0", "-1", "1"):
+        for value in values:
             parser = configparser.ConfigParser()
             parser.read_string(BASE.format(kappa0="1.0", amplitude="1e-2"))
             parser[section].update({**(base or {}), key: value})
             path = tmp_path / "sweep.ini"
             with open(path, "w") as fh:
                 parser.write(fh)
+            err = io.StringIO()
             try:
-                code = main([SWEEP_COMMANDS[section], "--config", str(path),
-                             "--out", str(tmp_path / "o"), "--quiet"])
+                with contextlib.redirect_stderr(err):
+                    code = main([SWEEP_COMMANDS[section], "--config", str(path),
+                                 "--out", str(tmp_path / "o"), "--quiet"])
             except Exception as exc:  # noqa: BLE001 -- collected by the caller
-                escaped.append(f"[{section}] {key} = {value}: {exc!r}")
-                continue
-            if code not in (0, 1, 2):
-                escaped.append(f"[{section}] {key} = {value}: exit {code}")
-    return escaped
+                code = repr(exc)
+            runs[section, key, value] = code, err.getvalue()
+    return runs
+
+
+def _escaped(runs):
+    """The runs that raised out of main or exited with a code other than 0, 1
+    or 2."""
+    return {run: code for run, (code, _) in runs.items() if code not in (0, 1, 2)}
 
 
 class TestConfigValidation:
@@ -333,20 +354,34 @@ class TestConfigValidation:
         assert f"config error: undeclared section {section}" in capsys.readouterr().err
 
     def test_numeric_sweep_never_raises(self, tmp_path):
-        # every key of every other section at 0, -1 and 1: a verdict or a
-        # config error, never an exception out of main
+        # every key of every other section at 0, -1 and 1, and at the
+        # extremes of binary64: a verdict or a config error, never an
+        # exception out of main.  At the extremes the closure overflows, and
+        # numpy's overflow warnings are printed by the CLI, not raised
         assert set(SWEEP_COMMANDS) == set(SCHEMA)
-        escaped = []
+        runs = {}
         for section in SCHEMA:
             if section != "nonlinear":
-                escaped += _sweep(tmp_path, section)
+                runs.update(_sweep(tmp_path, section))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    runs.update(_sweep(tmp_path, section, values=EXTREMES))
+        escaped = _escaped(runs)
         assert not escaped, escaped
+        # the overflows are config errors that name the section, and the
+        # key where the section has one that sets the grid or the state
+        for section, key, value in OVERFLOWS:
+            code, err = runs[section, key, value]
+            assert code == 2, (section, key, value)
+            assert err.startswith(f"config error: [{section}] "), err
+            if section != "domain":
+                assert f"{key} = " in err, err
 
     def test_nonlinear_numeric_sweep_never_raises(self, tmp_path):
         # the same sweep over [nonlinear], on a 64-point grid for 20 steps
         small = {"length": "20.0", "n": "64", "dt": "0.05", "t_final": "1.0",
                  "sample_every": "5", "fit_t_min": "0.5"}
-        escaped = _sweep(tmp_path, "nonlinear", small)
+        escaped = _escaped(_sweep(tmp_path, "nonlinear", small))
         assert not escaped, escaped
 
     def test_unknown_command_usage_error(self, config_file):
@@ -667,6 +702,30 @@ class TestLinearSideWorkCounts:
         self.run("analyze-symbol", tmp_path)
         assert sorted(calls) == [("a", (4001,)), ("a0", (4001,)), ("b", (4001,))]
         assert [r.n_xi for r in reports] == [8002]
+
+    def test_analyze_symbol_formats_half_of_sigma_csv(self, monkeypatch, tmp_path):
+        # the grid is mirrored in sign, and sigma and the fitted bound are
+        # even in xi: the 4001 rows xi > 0 are formatted, and the 4001 rows
+        # xi < 0 are them reversed with "-" prefixed; eigen_tracks.csv's
+        # 2001 rows hold xi = 0, so each is formatted
+        formatted, writer = {}, cli.write_csv
+
+        def spied_writer(path, columns):
+            formatted[Path(path).name] = []
+            writer(path, columns)
+
+        def spied_column(values):
+            formatted[next(reversed(formatted))].append(len(values))
+            return _column(values)
+
+        monkeypatch.setattr(cli, "write_csv", spied_writer)
+        monkeypatch.setattr("nsfk.reports._column", spied_column)
+        self.run("analyze-symbol", tmp_path)
+        assert formatted["sigma.csv"] == [4001] * 3
+        assert formatted["eigen_tracks.csv"] == [2001] * 7
+        sigma = (tmp_path / "analyze-symbol" / "sigma.csv").read_text().splitlines()
+        assert len(sigma) == 1 + 8002
+        assert sigma[1:4002] == ["-" + row for row in reversed(sigma[4002:])]
 
     def test_verify_thermo_entropy_pair(self, factored, tmp_path):
         # the 108 lattice states in one batched eigvalsh per eigenvalue check

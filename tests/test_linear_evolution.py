@@ -299,6 +299,43 @@ class TestMirroredFactors:
         assert np.abs(got - want).max() <= 1e-13
 
 
+class TestUnderflowingExponentials:
+    """``ModePropagator._exponentials`` skips exp where Re(lambda) t > 746."""
+
+    # linear-decay's reference nodes and times
+    NODES = lin.geometric_nodes(n_nodes=4096, xi_max=200.0, h0=1e-4)[0]
+    TIMES = np.logspace(-1.0, 4.0, 41)
+
+    @staticmethod
+    def gathered(prop, t):
+        """exp(-lambda t) taken everywhere, gathered and conjugated."""
+        e = np.exp(prop.lam * -t).take(prop._back, axis=1)
+        return np.conjugate(e, out=e, where=prop._neg)
+
+    @pytest.mark.parametrize("kappa0,u", [(1.0, 0.0), (0.0, 0.0), (1.0, 0.7)],
+                             ids=["reference", "kappa0=0", "u=0.7"])
+    def test_equals_exp_taken_everywhere(self, kappa0, u):
+        # equal entry for entry (-0.0 == 0.0: only the sign of a zero may
+        # differ), and the cut-off is reached at the later times
+        coeffs = sym.equilibrium_coefficients(ideal_gas_eos(1.0, 5.0 / 3.0, kappa0, 1.0, 1.0),
+                                              State(1.0, u, 1.0))
+        prop = lin.ModePropagator(coeffs, self.NODES)
+        skipped = 0
+        for t in self.TIMES:
+            np.testing.assert_array_equal(prop._exponentials(t), self.gathered(prop, t))
+            skipped += np.count_nonzero(prop.lam.real * t > lin._EXP_UNDERFLOW)
+        assert skipped > 0
+
+    def test_nan_eigenvalue_gives_nan_norm(self, ref_coeffs, small_nodes):
+        xi, weights = small_nodes
+        prop = lin.ModePropagator(ref_coeffs, xi)
+        prop.lam[0, -1] = complex(np.nan, 0.0)
+        profile = lin.gaussian_profile(xi, weights)
+        (modes,) = prop.propagate(profile.modes, [1e3])
+        assert np.isnan(lin._norm(xi, weights, modes, 0.0))
+        assert np.isnan(prop._exponentials(1e3)[0, -1])
+
+
 class TestConditioning:
     """The condition-number flag of the eigenvector stacks."""
 

@@ -4,8 +4,26 @@ import math
 import numpy as np
 import pytest
 
-from nsfk.reports import Check, CheckReport, check_columns, write_csv
+from nsfk.reports import Check, CheckReport, _mirror_half, check_columns, write_csv
 from oracles import csv_module_write_csv
+
+
+# a mirrored table: the first column's first half is its second half
+# reversed and negated, every other column's first half its second half
+# reversed, bit for bit
+MIRRORED = {
+    "xi": np.array([-2.5, -1.0, -1e-300, 1e-300, 1.0, 2.5]),
+    "sigma": np.array([-0.1, 1.0 / 3.0, -0.0, -0.0, 1.0 / 3.0, -0.1]),
+    "bound": np.array([math.nan, math.inf, 5e-324, 5e-324, math.inf, math.nan]),
+    "x, y": np.array([1e300, -math.inf, 0.0, 0.0, -math.inf, 1e300]),
+}
+
+
+def near_mirror(column, row, value):
+    """``MIRRORED`` with one cell replaced: no longer a mirrored table."""
+    columns = {name: c.copy() for name, c in MIRRORED.items()}
+    list(columns.values())[column][row] = value
+    return columns
 
 
 def both_writers(tmp_path, columns):
@@ -59,10 +77,46 @@ class TestWriteCsv:
         {"no rows": []},
         {"x": np.array([], dtype=float), "y": []},
         {},
+        MIRRORED,
+        {"xi": MIRRORED["xi"]},
     ], ids=["special", "empty", "int-bool-none", "nonfinite", "object",
             "one-column", "empty-header", "empty-header-float", "header",
-            "no-rows", "no-rows-float", "no-columns"])
+            "no-rows", "no-rows-float", "no-columns", "mirrored",
+            "mirrored-one-column"])
     def test_matches_the_csv_module(self, tmp_path, columns):
+        got, want = both_writers(tmp_path, columns)
+        assert got == want
+
+    def test_mirrored_tables_format_half_their_rows(self):
+        assert _mirror_half(list(MIRRORED.values())) == 3
+        assert _mirror_half([MIRRORED["xi"]]) == 3
+        # a 2-d column is no table the writer takes
+        assert _mirror_half([MIRRORED["xi"][:, None]]) == 0
+
+    @pytest.mark.parametrize("columns", [
+        near_mirror(0, 1, np.nextafter(-1e-300, 0.0)),
+        near_mirror(0, 2, -np.nextafter(2.5, 3.0)),
+        near_mirror(1, 4, np.nextafter(-0.0, 1.0)),
+        near_mirror(2, 0, -1.0),
+        near_mirror(3, 5, math.nan),
+        {**MIRRORED, "xi": np.array([-2.5, -1.0, math.nan, math.nan, 1.0, 2.5])},
+        {**MIRRORED, "xi": np.array([-2.5, -1.0, -0.0, 0.0, 1.0, 2.5])},
+        {**MIRRORED, "xi": np.array([-2.5, -1.0, 0.0, 0.0, 1.0, 2.5])},
+        {**MIRRORED, "xi": np.array([-2.5, -1.0, -0.0, -0.0, 1.0, 2.5])},
+        {**MIRRORED, "xi": np.array([-math.inf, -1.0, -0.5, 0.5, 1.0, math.inf])},
+        {name: c[1:] for name, c in MIRRORED.items()},
+        {**MIRRORED, "s": ["a", "b", "c", "c", "b", "a"]},
+        {**MIRRORED, "s": np.array(["a", "b", "c", "c", "b", "a"])},
+        {"xi": MIRRORED["xi"].astype(np.float32)},
+        {"xi": np.array([2.0, 2.0])},
+        {},
+    ], ids=["bit-off-first", "bit-off-first-positive", "bit-off-column",
+            "sign-off-column", "nan-off-column", "nan-first", "zero-first",
+            "plus-zero-first", "minus-zero-first", "inf-first", "odd-rows",
+            "str-list-column", "str-array-column", "float32",
+            "unsigned", "no-columns"])
+    def test_near_mirrors_take_the_row_by_row_path(self, tmp_path, columns):
+        assert _mirror_half(list(columns.values())) == 0
         got, want = both_writers(tmp_path, columns)
         assert got == want
 
