@@ -261,16 +261,28 @@ class Report:
 
 
 def _coefficients(eos, ubar):
-    """The linearized coefficients at ``ubar``, checked finite."""
+    """The linearized coefficients at ``ubar``, checked finite, with A0 > 0,
+    and the conserved quantities F0(ubar) checked finite too: at
+    u = 1e300 the coefficients are finite but rho (e + u^2/2) is not."""
+    from .convex_extension import f0
     from .symbols import equilibrium_coefficients
     with np.errstate(all="ignore"):
         coeffs = equilibrium_coefficients(eos, ubar)
+        conserved = f0(eos, ubar)
     bad = [name for name, value in vars(coeffs).items()
            if not np.isfinite(value).all()]
+    if not np.isfinite(conserved).all():
+        bad.append("F0 = (rho, rho u, rho (e + u^2/2))")
+    problem = ""
     if bad:
+        problem = f"linearized coefficients that are not finite: {', '.join(bad)}"
+    # A0 = diag(p_rho / rho, rho, rho e_theta / theta) / theta, whose last
+    # entry underflows to 0 at theta = 1e300
+    elif not (np.diag(coeffs.A0) > 0.0).all():
+        problem = "an A0 that is not positive definite"
+    if problem:
         raise ConfigError(f"[equilibrium] rho = {coeffs.rho:g}, u = {coeffs.u:g}, "
-                          f"theta = {coeffs.theta:g} give linearized coefficients "
-                          f"that are not finite: {', '.join(bad)}")
+                          f"theta = {coeffs.theta:g} give {problem}")
     return coeffs
 
 

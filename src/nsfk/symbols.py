@@ -60,6 +60,7 @@ __all__ = [
     "evolution_symbol",
     "symbol_symmetrizer",
     "real_form",
+    "real_form_eig",
 ]
 
 
@@ -592,13 +593,7 @@ def real_form(coeffs: EquilibriumCoefficients,
 
     so Q = T^{-1} D = (S A0)^{-1/2} diag(1, i, 1).  The spectrum of M is
     i xi u plus that of R, and its eigenvectors are Q times those of R.
-
-    Callers factor R with its rows and columns reversed, R[..., ::-1, ::-1],
-    so that the QR iteration meets the large xi^2 diagonal entries first.
-    Without capillarity (beta constant) R is graded, and in the natural
-    order the slow eigenvalue, about 1 at |xi| = 200 against a spectral
-    radius of 4e4, loses three digits (1e-12 relative against 1e-15
-    reversed, measured against 50-digit arithmetic).
+    R is tridiagonal, and :func:`real_form_eig` factors it as such.
     """
     xi = np.asarray(xi, dtype=float)
     beta = coeffs.beta(xi)
@@ -616,6 +611,121 @@ def real_form(coeffs: EquilibriumCoefficients,
     s_a0 = (np.diagonal(symbol_symmetrizer(coeffs, xi), axis1=-2, axis2=-1)
             * np.diag(coeffs.A0))
     return r, 1.0 / np.sqrt(s_a0) * np.array([1.0, 1j, 1.0])
+
+
+# the Newton iteration of real_form_eig stops once its step or its bracket
+# is this many ulp of the root; it converges in 4-8 iterations on every grid
+# the CLI builds, and the cap is never reached there
+_ROOT_ULPS = 4.0
+_ROOT_MAX_ITER = 100
+
+
+def real_form_eig(r: np.ndarray, vectors: bool = False):
+    """Eigenvalues (..., 3), and with ``vectors`` unit eigenvectors
+    (..., 3, 3) as columns, of a stack of real forms R of :func:`real_form`.
+
+    R = [[0, -a, 0], [a, d2, c], [0, -c, d3]] is tridiagonal, with
+    a = xi sqrt(beta), c = xi cbar, d2 = b2 xi^2 and d3 = b3 xi^2; only these
+    four entries are read.  Its characteristic cubic
+
+        p(x) = det(x I - R) = x (x - d2)(x - d3) + c^2 x + a^2 (x - d3)
+
+    has p(0) = -a^2 d3 <= 0 <= p(d3) = d3 c^2, so a real root r lies in the
+    bracket [0, d3].  Each R is first divided by its largest |entry|, so the
+    cubic's coefficients are at most 3 and cannot overflow at any finite R
+    (the analyze-symbol grid reaches |xi| = 1e150, 1.3e154 without
+    capillarity); the eigenvalues are scaled back at the end.  r is found
+    by Newton's method from 0, whose first step a^2 d3 / (a^2 + c^2 + d2 d3)
+    lies in the bracket; a step that would leave the bracket is a
+    bisection, and the iteration stops once its step or the bracket is
+    ``_ROOT_ULPS`` ulp of r.  The other two eigenvalues are the roots of the
+    deflated quadratic x^2 + B x + C, with -B = d2 + (d3 - r) and
+    C = a^2 d3 / r (C = a^2 + c^2 + d2 d3, the coefficient identity, where
+    r = 0), taken without cancellation: the larger real root first, the
+    smaller as C over it, or the complex pair -B/2 +- i sqrt(4C - B^2)/2.
+    Two of the terms have a second form, from p(r) = 0, used where its
+    rounding error is the smaller: d3 - r = c^2 r / (a^2 + r (r - d2)),
+    which keeps -min Re lambda accurate where r is near d3 and the acoustic
+    pair's real part is far below it, and
+    B^2 - 4C = (d2 - d3)^2 - 4 (a^2 + c^2) + r (2 d2 + 2 d3 - 3 r), which
+    keeps a nearly double pair apart where d2 is near d3.  Each eigenvector
+    is the largest column of adj(x I - R), which for a simple eigenvalue x
+    spans its eigenspace, scaled to unit length; at a defective eigenvalue
+    two columns come out (nearly) parallel.  An all-zero R (xi = 0) has the
+    eigenvalues 0 and the eigenvectors I, exactly.
+
+    Against 50-digit arithmetic on the corners of the closure lattice the
+    eigenvalues are within 4e-15 of the spectral radius, -min Re lambda
+    within 1e-14 relative, and ||R V - V Lambda|| <= 1e-14 ||R||
+    (``tests/test_symbols.py``).
+    """
+    r = np.asarray(r, dtype=float)
+    shape = r.shape[:-2]
+    r = r.reshape(-1, 3, 3)
+    scale = np.abs(r).max(axis=(-2, -1))
+    zero = scale == 0.0
+    scale[zero] = 1.0
+    a, c, d2, d3 = (r[:, i, j] / scale for i, j in ((1, 0), (1, 2), (1, 1), (2, 2)))
+    a2 = a * a
+    # p(x) = ((x - e2) x + e1) x - e0
+    e2, e1, e0 = d2 + d3, d2 * d3 + c * c + a2, a2 * d3
+    lo, hi = np.zeros_like(d3), d3.copy()
+    x = np.divide(e0, e1, out=np.zeros_like(e0), where=e1 != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_ROOT_MAX_ITER):
+            px = ((x - e2) * x + e1) * x - e0
+            lo = np.where(px <= 0.0, x, lo)
+            hi = np.where(px >= 0.0, x, hi)
+            new = x - px / ((3.0 * x - 2.0 * e2) * x + e1)
+            new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+            tol = _ROOT_ULPS * np.spacing(np.abs(new))
+            done = (np.abs(new - x) <= tol) | (hi - lo <= tol)
+            x = new
+            if done.all():
+                break
+    # the other two are the roots of x^2 - s x + c2, s = -B and c2 = C
+    c2 = np.divide(e0, x, out=e1.copy(), where=x != 0.0)
+    # s = d2 + (d3 - r); where r is near d3, d3 - r is taken from p(r) = 0
+    # as c^2 r / (a^2 + r (r - d2)) if that has the smaller rounding error
+    den = a2 + x * (x - d2)
+    ok = den > 0.0
+    near = np.divide(c * c * x, den, out=np.zeros_like(x), where=ok)
+    near_err = np.divide(near * (a2 + x * np.abs(x - d2)), den,
+                         out=np.full_like(x, np.inf), where=ok)
+    s = d2 + np.where(near_err < x, near, d3 - x)
+    # s^2 - 4C, and the same from C = e1 - r s, which keeps (d2 - d3)^2
+    # where the pair is nearly double
+    plain = s * s - 4.0 * c2
+    kept = (d2 - d3) ** 2 - 4.0 * (c * c + a2) + x * (2.0 * e2 - 3.0 * x)
+    disc = np.where(s * s + 4.0 * np.abs(c2) <= (d2 - d3) ** 2 + 4.0 * (c * c + a2)
+                    + x * (2.0 * e2 + 3.0 * x), plain, kept)
+    root = np.sqrt(np.abs(disc))
+    big = 0.5 * (s + np.copysign(root, s))
+    small = np.divide(c2, big, out=np.zeros_like(big), where=big != 0.0)
+    pair = disc < 0.0
+    lam = np.empty(x.shape + (3,), dtype=complex)
+    lam[..., 0] = x
+    lam[..., 1] = np.where(pair, 0.5 * s + 0.5j * root, big)
+    lam[..., 2] = np.where(pair, 0.5 * s - 0.5j * root, small)
+    lam[zero] = 0.0
+    out = (lam * scale[:, None]).reshape(shape + (3,))
+    if not vectors:
+        return out
+    # the columns of adj(x I - R), with y = x - d2 and z = x - d3
+    a, c, d2, d3, a2 = (v[:, None] for v in (a, c, d2, d3, a2))
+    x = lam
+    y, z = x - d2, x - d3
+    ac, az, xc, xy = a * c, a * z, x * c, x * y
+    columns = ((y * z + c * c, az, -ac), (-az, x * z, -xc), (-ac, xc, xy + a2))
+    sizes = [sum(e.real ** 2 + e.imag ** 2 if np.iscomplexobj(e) else e * e for e in col)
+             for col in columns]
+    first, second = sizes[0] >= np.maximum(sizes[1], sizes[2]), sizes[1] >= sizes[2]
+    norm = np.sqrt(np.maximum(np.maximum(sizes[0], sizes[1]), sizes[2]))
+    norm[norm == 0.0] = 1.0
+    vecs = np.stack([np.where(first, e0, np.where(second, e1, e2)) / norm
+                     for e0, e1, e2 in zip(*columns)], axis=-2)
+    vecs[zero] = np.eye(3)
+    return out, vecs.reshape(shape + (3, 3))
 
 
 def _by_magnitude(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,11 +9,13 @@ symbol (the slack also as the random-mode sample it was once checked by)
 and the state-by-state entropy-pair check, which the batched program
 paths are tested against, and the helpers only the tests use.  The
 CSV writer built on the ``csv`` module is kept to check the program's own
-quoting byte for byte.
+quoting byte for byte.  The eigenvalues of the real form R are also
+taken at 50 digits, from its characteristic cubic.
 """
 
 import csv
 
+import mpmath
 import numpy as np
 
 from nsfk import convex_extension as cx
@@ -115,6 +117,19 @@ def sampled_lyapunov_slack(coeffs, eps, delta, xi, c0, n_modes=100, seed=0):
     y = np.einsum("mi,xmi->xm", np.conj(v), pv).real
     dy = -2.0 * np.einsum("xmi,xij,mj->xm", np.conj(pv), gen, v).real
     return float((dy + c0 * np.asarray(xi, dtype=float)[:, None] ** 2 * y).max())
+
+
+def real_form_roots(r, dps=50):
+    """The eigenvalues of one real form R of ``symbols.real_form``, the
+    roots of det(x I - R) = x^3 - (d2 + d3) x^2 + (d2 d3 + c^2 + a^2) x
+    - a^2 d3 formed and solved at ``dps`` digits from R's binary64 entries,
+    each rounded to a complex."""
+    with mpmath.workdps(dps):
+        a, c, d2, d3 = (mpmath.mpf(float(r[i, j]))
+                        for i, j in ((1, 0), (1, 2), (1, 1), (2, 2)))
+        roots = mpmath.polyroots([1, -(d2 + d3), d2 * d3 + c * c + a * a, -a * a * d3],
+                                 maxsteps=200, extraprec=2 * dps)
+        return np.array([complex(z) for z in roots])
 
 
 def per_node_propagator(coeffs, xi, modes):

@@ -141,11 +141,14 @@ SWEEP_COMMANDS = {"closure": "verify-thermo", "domain": "verify-thermo",
 
 # the extremes of binary64 each numeric key is swept to as well
 EXTREMES = ("1e300", "-1e300", "1e-300", "1e154")
-# the extremes that once raised LinAlgError out of main: a symbol, a set of
-# equilibrium coefficients or an entropy Hessian that is not finite
+# the extremes that once raised LinAlgError out of main, or gave verdicts
+# from overflowed arithmetic: a symbol, a set of equilibrium coefficients,
+# conserved quantities (u = 1e300) or an entropy Hessian that is not finite,
+# or an A0 whose last entry underflows to 0 (theta = 1e300)
 OVERFLOWS = [("symbol", "xi_max", "1e154"), ("symbol", "xi_max", "1e300"),
              ("symbol", "cert_xi_max", "1e154"), ("symbol", "cert_xi_max", "1e300"),
              ("equilibrium", "rho", "1e154"), ("equilibrium", "theta", "1e-300"),
+             ("equilibrium", "u", "1e300"), ("equilibrium", "theta", "1e300"),
              ("domain", "rho_min", "1e-300"), ("domain", "theta_min", "1e-300"),
              ("domain", "rho_max", "1e300")]
 
@@ -496,6 +499,41 @@ class TestVerifyThermo:
 
 
 class TestAnalyzeSymbol:
+    @staticmethod
+    def summary_row(out, check):
+        with open(out / "summary.csv", newline="") as fh:
+            (row,) = [r for r in csv.DictReader(fh) if r["check"] == check]
+        return row
+
+    @pytest.mark.parametrize("kappa0,xi_max", [("1.0", "1e150"), ("0.0", "1.3e154")])
+    def test_huge_xi_max_passes(self, config_file, tmp_path, kappa0, xi_max):
+        # the real form is factored divided by its largest entry, so its
+        # cubic does not overflow where the entries reach 1e300 (kappa0 = 1)
+        # or 1.7e308 (kappa0 = 0, xi^2 b2): every check passes, and no
+        # RuntimeWarning is raised (the suite turns warnings into errors)
+        path = config_file(kappa0=kappa0)
+        set_keys(path, "symbol", {"xi_max": xi_max})
+        out = tmp_path / "o"
+        assert main(["analyze-symbol", "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 0
+        assert float(self.summary_row(out, "max sigma over xi != 0")["observed"]) < 0.0
+
+    def test_coupling_margin_does_not_overflow(self, config_file, tmp_path):
+        # A(xi) V is scaled by its largest entry before its length is taken:
+        # the margin at xi_max = 1e100 and 1e150 is the one at 1e3, not the
+        # 1/sqrt(2) that an overflowed |A(xi) V| gave
+        margins = []
+        for xi_max in ("1e3", "1e60", "1e100", "1e150"):
+            path = config_file()
+            set_keys(path, "symbol", {"xi_max": xi_max})
+            out = tmp_path / xi_max
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["analyze-symbol", "--config", str(path), "--out", str(out),
+                             "--quiet"]) == 0
+            margins.append(self.summary_row(out, "min coupling margin")["observed"])
+        assert margins == ["1"] * 4
+
     def test_reference_and_determinism(self, config_file, tmp_path):
         cfg = config_file()
         outs = []
@@ -616,8 +654,10 @@ class TestLinearSideWorkCounts:
 
     @pytest.fixture
     def factored(self, monkeypatch):
-        # per numpy.linalg function: [calls, matrices, dtypes of the stacks];
-        # svd is also counted where pinv and cond look it up
+        # per numpy.linalg function, and for the structured factorization of
+        # the real form R where the linear side looks it up: [calls,
+        # matrices, dtypes of the stacks]; svd is also counted where pinv
+        # and cond look it up
         counts = {}
 
         def counted(name, fn):
@@ -632,6 +672,9 @@ class TestLinearSideWorkCounts:
         for name in ("eig", "eigvals", "eigvalsh", "pinv", "svd"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         monkeypatch.setattr(np.linalg._linalg, "svd", np.linalg.svd)
+        for module in (dissipativity, linear_evolution):
+            monkeypatch.setattr(module, "real_form_eig",
+                                counted("real_form_eig", module.real_form_eig))
         return counts
 
     @staticmethod
@@ -641,9 +684,9 @@ class TestLinearSideWorkCounts:
 
     def test_linear_decay(self, factored, monkeypatch, tmp_path):
         # 2049 real forms R for the 2049 distinct |xi| among the 4097 nodes,
-        # no SVD for the condition number, V^{-1} What(0) formed once for the
-        # 41 times, and one exponential per distinct |xi| and eigenvalue at
-        # each time
+        # in one structured factorization and no eig; no SVD for the
+        # condition number, V^{-1} What(0) formed once for the 41 times, and
+        # one exponential per distinct |xi| and eigenvalue at each time
         props, applied, exponentials = [], [], []
         init, einsum, exp = linear_evolution.ModePropagator.__init__, np.einsum, np.exp
 
@@ -665,21 +708,21 @@ class TestLinearSideWorkCounts:
         monkeypatch.setattr(np, "exp", spied_exp)
         self.run("linear-decay", tmp_path)
         assert len(props) == 1 and props[0].xi_nodes.size == 4097
-        assert factored == {"eig": [1, 2049, {"float64"}]}
+        assert factored == {"real_form_eig": [1, 2049, {"float64"}]}
         assert sum(applied) == 1
         assert exponentials == [(3, 2049)] * 41
 
     def test_analyze_symbol_spectral_bound(self, factored, tmp_path):
-        # the 8002-point grid holds 4001 distinct |xi|, each a real form R;
+        # the 8002-point grid holds 4001 distinct |xi|, each a real form R,
+        # all in one structured factorization and none by eig or eigvals;
         # the norms of the skew K take no SVD, so the one left is the
         # Friedrichs constraints'; one eigvalsh each for the certificate
         # (4001 xi), the Lyapunov check (200 xi != 0) and the eigen tracks
         # (2001 xi); no complex matrix is factored
         self.run("analyze-symbol", tmp_path)
-        assert factored["eigvals"] == [1, 4001, {"float64"}]
-        assert factored["svd"] == [1, 1, {"float64"}]
-        assert factored["eigvalsh"] == [3, 4001 + 200 + 2001, {"float64"}]
-        assert "eig" not in factored
+        assert factored == {"real_form_eig": [1, 4001, {"float64"}],
+                            "svd": [1, 1, {"float64"}],
+                            "eigvalsh": [3, 4001 + 200 + 2001, {"float64"}]}
 
     def test_analyze_symbol_coupling_scan(self, monkeypatch, tmp_path):
         # A0, A and B depend on xi only through xi^2: each map is evaluated

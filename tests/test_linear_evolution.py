@@ -275,14 +275,18 @@ class TestMirroredFactors:
             lambda self, t: np.exp(self.lam * -t).take(self._back, axis=1))
         assert self.mutant_error(ref_coeffs, small_nodes[0]) > 1e-3
 
-    @pytest.mark.parametrize("generator", [[[0, 1, 0], [0, 0, 0], [0, 0, 1]],
-                                           [[1, 1, 0], [0, 1, 0], [0, 0, 2]]])
+    @pytest.mark.parametrize("generator", [
+        # an unreduced R with the double root 1 (and 3): a 3 x 3 Jordan
+        # structure, since no eigenvalue of it has two eigenvectors
+        [[0.0, -0.75 ** 0.5, 0.0], [0.75 ** 0.5, 1.0, 1.5], [0.0, -1.5, 4.0]],
+        # c = 0: the Jordan block [[0, -1], [1, 2]] beside the eigenvalue 3
+        [[0.0, -1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 3.0]]])
     def test_defective_generator_is_flagged(self, ref_coeffs, monkeypatch, generator):
-        # the eigenvectors of a Jordan block are (nearly) parallel: the
-        # condition number from the inverse is inf or about 1e16, so the
-        # node takes scaling and squaring, which keeps the off-diagonal
+        # a defective real form R: the adjugate columns of its double root
+        # are (nearly) parallel, the condition number from the inverse is
+        # about 1e8 or more, so the node takes scaling and squaring
         from scipy.linalg import expm
-        gen = np.array(generator, dtype=float)
+        gen = np.array(generator)
         assert np.abs(lin.matrix_exponentials(gen, 0.5) - expm(-0.5 * gen)).max() <= 1e-13
         # injected as the real form R with Q = I and, since u = 0 makes
         # M = R, as the generator the flagged nodes are rebuilt from
@@ -406,6 +410,15 @@ class TestConditioning:
     def test_reference_nodes_are_unflagged(self, ref_coeffs):
         prop = lin.ModePropagator(ref_coeffs, lin.geometric_nodes()[0])
         assert prop.xi_nodes.size == 4097 and not np.any(prop.bad)
+
+    def test_zero_frequency_is_unflagged(self, symbol_coeffs):
+        # R(0) = 0 is factored as lambda = 0 and V_R = I, exactly: V = Q with
+        # unit columns, diag(1, i, 1), so xi = 0 takes no scaling and squaring
+        prop = lin.ModePropagator(symbol_coeffs, np.array([-1.0, 0.0, 1.0]))
+        assert not np.any(prop.bad)
+        np.testing.assert_array_equal(prop.lam[:, 0], np.zeros(3))
+        np.testing.assert_array_equal(prop.vec_columns[:, :, 1].T, np.diag([1.0, 1j, 1.0]))
+        np.testing.assert_array_equal(prop.vecs_inv[1], np.diag([1.0, -1j, 1.0]))
 
 
 class TestWeightedNorm:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from nsfk import symbols as sym
 from nsfk.fitting import fit_power_law
 from nsfk.thermo import Coefficient, EquationOfState, State, ideal_gas_eos
 from oracles import (capillarity_matrix, conserved_quantities, d_ux_F0,
-                     definitional_nonlinear_terms, korteweg_entries, mv, state_of,
-                     total_flux)
+                     definitional_nonlinear_terms, korteweg_entries, mv,
+                     real_form_roots, state_of, total_flux)
 
 interior = st.floats(min_value=0.4, max_value=2.2)
 velocity = st.floats(min_value=-1.5, max_value=1.5)
@@ -395,3 +396,58 @@ class TestRealForm:
         got = q[:, :, None] * gen / q[:, None, :]
         err = np.abs(got - want).max(axis=(-2, -1))
         assert np.all(err <= 1e-14 * np.abs(want).max(axis=(-2, -1)))
+
+
+# the corners of the closure lattice: kappa0, mu0, alpha0, gamma, rho, theta
+# (u does not enter R)
+LATTICE_CORNERS = list(itertools.product((1e-4, 100.0), (1e-3, 100.0), (1e-3, 100.0),
+                                         (1.01, 3.0), (0.2, 5.0), (0.2, 5.0)))
+
+
+class TestRealFormEig:
+    """The structured factorization of R against 50-digit arithmetic."""
+
+    XI = np.array([1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 200.0, 1e3])
+
+    @staticmethod
+    def coeffs(kappa0, mu0, alpha0, gamma, rho, theta):
+        return sym.equilibrium_coefficients(
+            ideal_gas_eos(1.0, gamma, kappa0, mu0, alpha0), State(rho, 0.0, theta))
+
+    @pytest.mark.parametrize("corner", LATTICE_CORNERS,
+                             ids=["-".join(f"{v:g}" for v in c) for c in LATTICE_CORNERS])
+    def test_lattice_corner_against_mpmath(self, corner):
+        r = sym.real_form(self.coeffs(*corner), self.XI)[0]
+        lam, vecs = sym.real_form_eig(r, vectors=True)
+        np.testing.assert_array_equal(sym.real_form_eig(r), lam)
+        for k in range(self.XI.size):
+            want = real_form_roots(r[k])
+            radius = np.abs(want).max()
+            # each eigenvalue within 4e-15 of the spectral radius of its own
+            # 50-digit root, matched both ways
+            dist = np.abs(lam[k][:, None] - want[None, :])
+            assert dist.min(axis=0).max() <= 4e-15 * radius
+            assert dist.min(axis=1).max() <= 4e-15 * radius
+            sigma, sigma_want = -lam[k].real.min(), -want.real.min()
+            assert abs(sigma - sigma_want) <= 1e-14 * abs(sigma_want)
+            residual = r[k] @ vecs[k] - vecs[k] * lam[k][None, :]
+            assert np.linalg.norm(residual) <= 1e-14 * np.linalg.norm(r[k])
+            np.testing.assert_allclose(np.linalg.norm(vecs[k], axis=0), 1.0, rtol=1e-15)
+
+    def test_zero_real_form(self, ref_coeffs):
+        # xi = 0: R = 0 has the eigenvalues 0 and the eigenvectors I, exactly
+        r = sym.real_form(ref_coeffs, np.array([0.0, 1.0]))[0]
+        lam, vecs = sym.real_form_eig(r, vectors=True)
+        np.testing.assert_array_equal(lam[0], np.zeros(3))
+        np.testing.assert_array_equal(vecs[0], np.eye(3))
+
+    @pytest.mark.parametrize("factor", [2.0 ** -1000, 2.0 ** 1000])
+    def test_scaled_real_form(self, ref_coeffs, factor):
+        # R is divided by its largest |entry| first: a power-of-two multiple
+        # of R has the eigenvalues multiplied, bit for bit, and the same
+        # eigenvectors, where the cubic of 2^1000 R itself would overflow
+        r = sym.real_form(ref_coeffs, self.XI)[0]
+        lam, vecs = sym.real_form_eig(r, vectors=True)
+        lam_big, vecs_big = sym.real_form_eig(factor * r, vectors=True)
+        np.testing.assert_array_equal(lam_big, factor * lam)
+        np.testing.assert_array_equal(vecs_big, vecs)
