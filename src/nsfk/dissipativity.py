@@ -488,8 +488,9 @@ def spectral_bound(coeffs: EquilibriumCoefficients,
     [0, b3 xi^2] by safeguarded Newton, the other two from the deflated
     quadratic, all on R divided by its largest |entry| so that no grid the
     CLI accepts overflows.  Against 50-digit arithmetic sigma is within
-    1e-14 relative on the corners of the closure lattice (LAPACK's dgeev
-    on R was up to 5.8e-13 off at mu0 = alpha0 = 1e-3).  sigma is even in xi
+    1e-14 relative on the corners of the closure lattice, where LAPACK's
+    dgeev on R was up to 8.3e-10 off (5.8e-13 at mu0 = alpha0 = 1e-3 with
+    the other reference values).  sigma is even in xi
     (M(-xi) = conj M(xi) has the conjugate spectrum), so the eigenvalues are
     taken once per distinct |xi| of the grid (4001 of the 8002 default
     points) and each point reads its |xi|'s sigma.

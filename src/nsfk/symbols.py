@@ -614,10 +614,12 @@ def real_form(coeffs: EquilibriumCoefficients,
 
 
 # the Newton iteration of real_form_eig stops once its step or its bracket
-# is this many ulp of the root; it converges in 4-8 iterations on every grid
-# the CLI builds, and the cap is never reached there
+# is this many ulp of the root, or the cubic is this many roundoffs of its
+# terms from zero; it takes 1-6 iterations on the grids of configs/
+# reference.ini and its variants, and the cap is never reached there
 _ROOT_ULPS = 4.0
 _ROOT_MAX_ITER = 100
+_EPS = np.finfo(float).eps
 
 
 def real_form_eig(r: np.ndarray, vectors: bool = False):
@@ -638,7 +640,8 @@ def real_form_eig(r: np.ndarray, vectors: bool = False):
     by Newton's method from 0, whose first step a^2 d3 / (a^2 + c^2 + d2 d3)
     lies in the bracket; a step that would leave the bracket is a
     bisection, and the iteration stops once its step or the bracket is
-    ``_ROOT_ULPS`` ulp of r.  The other two eigenvalues are the roots of the
+    ``_ROOT_ULPS`` ulp of r, or p(r) is within ``_ROOT_ULPS`` roundoffs of
+    its terms.  The other two eigenvalues are the roots of the
     deflated quadratic x^2 + B x + C, with -B = d2 + (d3 - r) and
     C = a^2 d3 / r (C = a^2 + c^2 + d2 d3, the coefficient identity, where
     r = 0), taken without cancellation: the larger real root first, the
@@ -679,7 +682,10 @@ def real_form_eig(r: np.ndarray, vectors: bool = False):
             new = x - px / ((3.0 * x - 2.0 * e2) * x + e1)
             new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
             tol = _ROOT_ULPS * np.spacing(np.abs(new))
-            done = (np.abs(new - x) <= tol) | (hi - lo <= tol)
+            # |p(x)| within the rounding error of its Horner sum (x >= 0):
+            # near the root the iterates can trade places a few ulp apart
+            noise = _ROOT_ULPS * _EPS * (((x + e2) * x + e1) * x + e0)
+            done = (np.abs(new - x) <= tol) | (hi - lo <= tol) | (np.abs(px) <= noise)
             x = new
             if done.all():
                 break

@@ -402,6 +402,9 @@ class TestRealForm:
 # (u does not enter R)
 LATTICE_CORNERS = list(itertools.product((1e-4, 100.0), (1e-3, 100.0), (1e-3, 100.0),
                                          (1.01, 3.0), (0.2, 5.0), (0.2, 5.0)))
+# mu0 = 1, alpha0 = 100, gamma = 1.01 give b2 = b3 (d2 = d3): a nearly double
+# pair about d2 whose discriminant cancels in its plain form s^2 - 4C
+EQUAL_DAMPING = [(0.0, 1.0, 100.0, 1.01, 0.2, 0.2), (1e-4, 1.0, 100.0, 1.01, 0.2, 5.0)]
 
 
 class TestRealFormEig:
@@ -414,8 +417,9 @@ class TestRealFormEig:
         return sym.equilibrium_coefficients(
             ideal_gas_eos(1.0, gamma, kappa0, mu0, alpha0), State(rho, 0.0, theta))
 
-    @pytest.mark.parametrize("corner", LATTICE_CORNERS,
-                             ids=["-".join(f"{v:g}" for v in c) for c in LATTICE_CORNERS])
+    @pytest.mark.parametrize("corner", LATTICE_CORNERS + EQUAL_DAMPING,
+                             ids=["-".join(f"{v:g}" for v in c)
+                                  for c in LATTICE_CORNERS + EQUAL_DAMPING])
     def test_lattice_corner_against_mpmath(self, corner):
         r = sym.real_form(self.coeffs(*corner), self.XI)[0]
         lam, vecs = sym.real_form_eig(r, vectors=True)
@@ -433,6 +437,25 @@ class TestRealFormEig:
             residual = r[k] @ vecs[k] - vecs[k] * lam[k][None, :]
             assert np.linalg.norm(residual) <= 1e-14 * np.linalg.norm(r[k])
             np.testing.assert_allclose(np.linalg.norm(vecs[k], axis=0), 1.0, rtol=1e-15)
+
+    @pytest.mark.parametrize("corner", [(1.0, 1.0, 1.0, 5.0 / 3.0, 1.0, 1.0),
+                                        (0.0, 1.0, 1.0, 5.0 / 3.0, 1.0, 1.0),
+                                        (1.0, 1.0, 1.0, 3.0, 0.2, 5.0),
+                                        (100.0, 1e-3, 100.0, 3.0, 5.0, 5.0)])
+    def test_newton_stops_early(self, corner, monkeypatch):
+        # one np.spacing call per iteration: on the analyze-symbol grid and
+        # the linear-decay nodes Newton stops in a few iterations, also
+        # where its iterates trade places a few ulp apart (gamma = 3,
+        # rho = 0.2, theta = 5 at |xi| = 0.562), far below the cap
+        from nsfk.dissipativity import default_xi_grid
+        from nsfk.linear_evolution import geometric_nodes
+        coeffs = self.coeffs(*corner)
+        spacing, calls = np.spacing, []
+        monkeypatch.setattr(np, "spacing", lambda x: calls.append(1) or spacing(x))
+        for xi in (default_xi_grid(), geometric_nodes()[0]):
+            calls.clear()
+            sym.real_form_eig(sym.real_form(coeffs, np.unique(np.abs(xi)))[0])
+            assert 1 <= len(calls) <= 8
 
     def test_zero_real_form(self, ref_coeffs):
         # xi = 0: R = 0 has the eigenvalues 0 and the eigenvectors I, exactly
