@@ -457,13 +457,6 @@ class TestRealFormEig:
             sym.real_form_eig(sym.real_form(coeffs, np.unique(np.abs(xi)))[0])
             assert 1 <= len(calls) <= 8
 
-    def test_zero_real_form(self, ref_coeffs):
-        # xi = 0: R = 0 has the eigenvalues 0 and the eigenvectors I, exactly
-        r = sym.real_form(ref_coeffs, np.array([0.0, 1.0]))[0]
-        lam, vecs = sym.real_form_eig(r, vectors=True)
-        np.testing.assert_array_equal(lam[0], np.zeros(3))
-        np.testing.assert_array_equal(vecs[0], np.eye(3))
-
     @pytest.mark.parametrize("factor", [2.0 ** -1000, 2.0 ** 1000])
     def test_scaled_real_form(self, ref_coeffs, factor):
         # R is divided by its largest |entry| first: a power-of-two multiple
