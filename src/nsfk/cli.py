@@ -492,10 +492,15 @@ def cmd_linear_decay(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
                           "n_times evaluation times")
     nodes, weights = _build("[linear]", geometric_nodes, lin["n_nodes"],
                             lin["xi_cap"], lin["h0"])
-    profile = _load_profile(lin, nodes, weights)
-
     coeffs = _coefficients(eos, ubar)
-    _finite_symbol(coeffs, float(np.abs(nodes).max()), "[linear] xi_cap")
+    xi_top = np.abs(nodes).max()
+    _finite_symbol(coeffs, float(xi_top), "[linear] xi_cap")
+    with np.errstate(over="ignore"):
+        top_weight = (1.0 + xi_top ** 2) * xi_top ** (2.0 * ell)
+    if not np.isfinite(top_weight):
+        raise ConfigError(f"[linear] ell = {ell:g}: the order-ell weight (1 + xi^2) "
+                          f"|xi|^(2 ell) overflows at the grid's largest |xi| = {xi_top:g}")
+    profile = _load_profile(lin, nodes, weights)
     # a norm that underflows to 0 before the window leaves nothing to fit
     fit = _build(f"[linear] the order-{ell:g} norm of the profile cannot be fitted "
                  f"on [fit_t_min, fit_t_max] = [{fit_lo:g}, {fit_hi:g}]:",

@@ -17,7 +17,8 @@ Matrix exponentials use a per-node eigendecomposition with a
 scaling-and-squaring fallback (scipy.linalg.expm, imported on first use)
 wherever the eigenvector matrix is ill-conditioned: its Frobenius condition
 number, formed from its inverse, exceeds a threshold or is nan, or it is
-singular (a defective generator).  The mode propagator factors the real form
+singular (a defective generator); the mode propagator judges the real
+form's eigenvectors V_R alone.  The mode propagator factors the real form
 R of the symbol (M = Q (i xi u + R) Q^{-1}, ``symbols.real_form``) instead
 of M, by ``symbols.real_form_eig``: R is tridiagonal, its eigenvalues come
 from its characteristic cubic (a real root bracketed in [0, b3 xi^2], found
@@ -29,6 +30,9 @@ radius of 50-digit ones on the corners of the closure lattice.  The stepper's
 ``np.linalg.eig``.  Since M(-i xi) = conj M(i xi), a node set is factored,
 and exp(-lambda t) taken, once per distinct |xi|, and the nodes xi < 0 take
 the conjugates; V^{-1} What(0) is formed once for all evaluation times.
+The decay fit evolves a node xi < 0 as |xi| with the mode conj What(xi),
+whose weighted norm is the same at every t, so the Hermitian spectrum of a
+real field is evolved on xi >= 0 only.
 """
 
 from __future__ import annotations
@@ -227,8 +231,9 @@ class ModePropagator:
 
     M(i xi) = Q (i xi u + R) Q^{-1} with the real R and diagonal Q of
     :func:`~nsfk.symbols.real_form`, so one real eigendecomposition
-    R = V_R diag(lambda_R) V_R^{-1} gives lambda = i xi u + lambda_R and
-    V = Q V_R, its columns scaled to unit length.  R is tridiagonal and is
+    R = V_R diag(lambda_R) V_R^{-1} gives lambda = i xi u + lambda_R,
+    V = Q V_R, its columns scaled to unit length, and V^{-1} = V_R^{-1} Q^{-1}
+    with its rows scaled to match.  R is tridiagonal and is
     factored as such by :func:`~nsfk.symbols.real_form_eig` (the bracketed
     real root of its cubic by safeguarded Newton, the deflated quadratic,
     adjugate columns as eigenvectors, all on R divided by its largest
@@ -239,10 +244,12 @@ class ModePropagator:
     there, so exp(-lambda t) is taken once per distinct |xi|, and not at
     all where Re(lambda) t > ``_EXP_UNDERFLOW`` = 746, past which it is 0.0
     in binary64; since M(-i xi) = conj M(i xi), a node xi < 0 takes the
-    conjugate of its mirror's exponentials, V and V^{-1}.  Any node set
-    works, symmetric in sign or not.  Modes evolve as V exp(-lambda t) V^{-1} What(0); nodes
-    whose V is ill-conditioned or singular (see :func:`_conditioned`) fall
-    back to scaling-and-squaring per time, their generators M(i xi) formed
+    conjugate of its mirror's exponentials, V and V^{-1}; nodes that are
+    each their own distinct |xi| gather nothing.  Any node set works,
+    symmetric in sign or not.  Modes evolve as V exp(-lambda t) V^{-1} What(0);
+    nodes whose V_R is ill-conditioned or singular (see :func:`_conditioned`;
+    V itself reads ill-conditioned at large |xi| from Q alone) fall back to
+    scaling-and-squaring per time, their generators M(i xi) formed
     by :func:`~nsfk.symbols.evolution_symbol`.  The eigendecomposition path
     satisfies the semigroup property to roundoff.
     """
@@ -252,24 +259,34 @@ class ModePropagator:
         magnitudes, back = _by_magnitude(self.xi_nodes)
         r, q = real_form(coeffs, magnitudes)
         lam, vecs = real_form_eig(r, vectors=True)
-        vecs = q[:, :, None] * vecs
-        vecs /= np.linalg.norm(vecs, axis=-2, keepdims=True)
+        # judged on V_R: Q's entries lie about |xi| apart, so V = Q V_R reads
+        # ill-conditioned at large |xi| however well-conditioned V_R is
         vecs, vecs_inv, bad = _conditioned(vecs)
-        neg = self.xi_nodes < 0
+        vecs = q[:, :, None] * vecs
+        length = np.linalg.norm(vecs, axis=-2, keepdims=True)
+        vecs /= length
+        vecs_inv *= length.swapaxes(-2, -1) / q[:, None, :]
         # (3, magnitudes): row i holds eigenvalue i at each distinct |xi|
         self.lam = np.ascontiguousarray(lam.T + 1j * coeffs.u * magnitudes)
+        # entries whose exp(-lambda t) is real, and the |xi| where rows 1
+        # and 2 are a complex conjugate pair (neither where u != 0)
+        self._real = self.lam.imag == 0.0
+        self._pair = ~self._real[1] & (self.lam[2] == self.lam[1].conj())
+        neg = self.xi_nodes < 0
         self._back, self._neg = back, neg
+        if np.array_equal(magnitudes, self.xi_nodes):
+            # each node is its own distinct |xi|: nothing to gather or conjugate
+            self._back, back = None, slice(None)
         self.vecs_inv = _conjugated(vecs_inv[back], neg)
         # V column-first as (3, 3, nodes): [j, i, k] holds entry (i, j) of
         # node k, the layout of IntegratingFactorRK4._apply
         self.vec_columns = np.ascontiguousarray(
             _conjugated(vecs[back], neg).transpose(2, 1, 0))
         self.bad = bad[back]
-        flagged = back[self.bad]
         # formed also for no flagged node: perfbench's certify workload
         # requires an evolution_symbol call, and this is its only one
-        self.bad_generators = _conjugated(evolution_symbol(coeffs, magnitudes[flagged]),
-                                          neg[self.bad])
+        self.bad_generators = _conjugated(
+            evolution_symbol(coeffs, np.abs(self.xi_nodes[self.bad])), neg[self.bad])
 
     def propagate(self, modes: np.ndarray,
                   times: Sequence[float]) -> Iterator[np.ndarray]:
@@ -291,14 +308,27 @@ class ModePropagator:
         """exp(-lambda t) at the nodes, (3, nodes): taken at the distinct
         |xi|, gathered to the nodes and conjugated in place where xi < 0.
 
-        Where Re(lambda) t > ``_EXP_UNDERFLOW`` the entry is left 0.0
-        without taking exp: |exp(-lambda t)| = exp(-Re(lambda) t) is below
-        half the least subnormal there, so exp gives 0.0 too, up to the
-        sign of zero, which no product or norm downstream can see.  A nan
-        eigenvalue still goes through exp and still gives nan.
+        Where u = 0, lambda is the spectrum of the real form: a real
+        eigenvalue takes a real exp, and of a complex conjugate pair only
+        the first takes a complex exp, the second its conjugate
+        (exp(conj z) = conj(exp z)); elsewhere, with the advection phase,
+        each entry takes a complex exp.  Where Re(lambda) t >
+        ``_EXP_UNDERFLOW`` the entry is left 0.0 without taking exp:
+        |exp(-lambda t)| = exp(-Re(lambda) t) is below half the least
+        subnormal there, so exp gives 0.0 too, up to the sign of zero, which
+        no product or norm downstream can see.  A nan eigenvalue still goes
+        through exp and still gives nan.
         """
         a = self.lam * -t
-        e = np.exp(a, out=np.zeros_like(a), where=~(a.real < -_EXP_UNDERFLOW))
+        live = ~(a.real < -_EXP_UNDERFLOW)
+        e = np.zeros_like(a)
+        np.exp(a.real, out=e.real, where=live & self._real)
+        live &= ~self._real
+        live[2] &= ~self._pair
+        np.exp(a, out=e, where=live)
+        np.conjugate(e[1], out=e[2], where=self._pair)
+        if self._back is None:
+            return e
         e = e.take(self._back, axis=1)
         return np.conjugate(e, out=e, where=self._neg)
 
@@ -343,8 +373,9 @@ def modal_energy(xi: np.ndarray, modes: np.ndarray, ell: float = 0.0) -> np.ndar
     """Pointwise weighted energy |xi|^{2 ell} [(1+xi^2)|W1|^2 + |W2|^2 + |W3|^2]
     of modes (n_nodes, 3) at the nodes ``xi``; |xi| keeps a fractional ell
     real on the nodes xi < 0."""
-    w = np.abs(modes) ** 2
-    base = (1.0 + xi ** 2) * w[:, 0] + w[:, 1] + w[:, 2]
+    w = modes.T  # rows, contiguous for the evolved modes of ModePropagator
+    w = w.real ** 2 + w.imag ** 2
+    base = (1.0 + xi ** 2) * w[0] + w[1] + w[2]
     if ell != 0.0:
         base = np.abs(xi) ** (2.0 * ell) * base
     return base
@@ -358,6 +389,20 @@ def _norm(xi: np.ndarray, weights: np.ndarray, modes: np.ndarray,
 def weighted_norm(profile: SpectralProfile, ell: float = 0.0) -> float:
     """Quadrature of the weighted modal energy, square-rooted."""
     return _norm(profile.xi_nodes, profile.weights, profile.modes, ell)
+
+
+def _folded(xi: np.ndarray, weights: np.ndarray, modes: np.ndarray):
+    """(|xi|, weights, modes) with each node xi < 0 mapped to |xi| and the
+    mode conj What(xi), and merged into its mirror, the weights added, where
+    the mirror is a node with the same mode; ``xi`` increasing."""
+    neg = xi < 0
+    modes = np.where(neg[:, None], modes.conj(), modes)
+    mirror = np.minimum(np.searchsorted(xi, -xi), xi.size - 1)
+    merged = neg & (xi[mirror] == -xi) & np.all(modes[mirror] == modes, axis=1)
+    weights = weights.copy()
+    weights[mirror[merged]] += weights[merged]
+    kept = ~merged
+    return np.abs(xi[kept]), weights[kept], modes[kept]
 
 
 @dataclass
@@ -380,9 +425,18 @@ def evolve_and_fit(coeffs: EquilibriumCoefficients, initial: SpectralProfile,
                    fit_window: Optional[tuple[float, float]] = None) -> DecayFit:
     """Propagate every mode to each time, measure the order-ell norm, fit decay.
 
+    The nodes are first folded onto xi >= 0: a node xi < 0 is evolved as
+    |xi| with the mode conj What(xi).  This is exact, because
+    exp(-t M(-i xi)) = conj exp(-t M(i xi)) and the weight
+    (1 + xi^2) |xi|^{2 ell} is even, so the node's weighted norm is the
+    same at every t.  Where the folded node equals its mirror node -xi,
+    mode for mode (a Hermitian profile, such as the spectrum of a real field
+    and both built-in profiles), the two merge and their weights add; other
+    nodes are kept, so a profile that is not Hermitian evolves every node.
     The modes' eigen-coordinates V^{-1} What(0) are formed once, and the
     evolved modes are held for one time at a time; their norm is taken
-    directly, as :func:`weighted_norm` takes it.
+    directly, as :func:`weighted_norm` takes it.  The share of xi = 0 is
+    taken from the initial profile.
 
     ``times`` must be increasing; the default fit window [t_max/100, t_max]
     discards the transient where constants dominate.  The fitted exponent of
@@ -394,11 +448,11 @@ def evolve_and_fit(coeffs: EquilibriumCoefficients, initial: SpectralProfile,
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     xi, weights = initial.xi_nodes, initial.weights
-    prop = ModePropagator(coeffs, xi)
     at_zero = xi == 0.0
     frozen = np.sum(weights[at_zero] * modal_energy(xi, initial.modes, ell)[at_zero])
-    norms = np.array([_norm(xi, weights, modes, ell)
-                      for modes in prop.propagate(initial.modes, times)])
+    xi, weights, modes = _folded(xi, weights, initial.modes)
+    prop = ModePropagator(coeffs, xi)
+    norms = np.array([_norm(xi, weights, out, ell) for out in prop.propagate(modes, times)])
     if fit_window is None:
         fit_window = (times[-1] / 100.0, times[-1])
     fit = fit_power_law(1.0 + times, norms,

@@ -150,7 +150,8 @@ OVERFLOWS = [("symbol", "xi_max", "1e154"), ("symbol", "xi_max", "1e300"),
              ("equilibrium", "rho", "1e154"), ("equilibrium", "theta", "1e-300"),
              ("equilibrium", "u", "1e300"), ("equilibrium", "theta", "1e300"),
              ("domain", "rho_min", "1e-300"), ("domain", "theta_min", "1e-300"),
-             ("domain", "rho_max", "1e300")]
+             ("domain", "rho_max", "1e300"), ("linear", "ell", "1e154"),
+             ("linear", "ell", "1e300")]
 
 
 def _sweep(tmp_path, section, base=None, values=("0", "-1", "1")):
@@ -379,6 +380,35 @@ class TestConfigValidation:
             assert err.startswith(f"config error: [{section}] "), err
             if section != "domain":
                 assert f"{key} = " in err, err
+
+    @pytest.mark.parametrize("ell", ["1e300", "1e154", "100"])
+    def test_overflowing_ell_weight_rejected(self, config_file, tmp_path, capsys, ell):
+        # |xi|^(2 ell) overflows at the largest node |xi| = 200 (at ell =
+        # 100 too, where it once met the Gaussian's 0 as nan): a config
+        # error naming the key, before any overflowing arithmetic
+        path = config_file()
+        set_keys(path, "linear", {"ell": ell})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["linear-decay", "--config", str(path), "--out",
+                         str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [linear] ell = {float(ell):g}:")
+
+    @pytest.mark.parametrize("xi_cap", ["1e5", "1e20"])
+    def test_huge_xi_cap_flags_no_node(self, config_file, tmp_path, monkeypatch, xi_cap):
+        # conditioning is judged on V_R, so no node takes scaling and
+        # squaring, and the verdict is the reference's
+        expm_calls = []
+        monkeypatch.setattr(linear_evolution, "expm", expm_calls.append)
+        path = config_file()
+        set_keys(path, "linear", {"xi_cap": xi_cap})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["linear-decay", "--config", str(path), "--out",
+                         str(tmp_path / "o"), "--quiet"]) == 0
+        assert expm_calls == []
 
     def test_nonlinear_numeric_sweep_never_raises(self, tmp_path):
         # the same sweep over [nonlinear], on a 64-point grid for 20 steps
@@ -683,10 +713,13 @@ class TestLinearSideWorkCounts:
                      "--out", str(tmp_path / command), "--quiet"]) == 0
 
     def test_linear_decay(self, factored, monkeypatch, tmp_path):
-        # 2049 real forms R for the 2049 distinct |xi| among the 4097 nodes,
-        # in one structured factorization and no eig; no SVD for the
-        # condition number, V^{-1} What(0) formed once for the 41 times, and
-        # one exponential per distinct |xi| and eigenvalue at each time
+        # the Gaussian profile is Hermitian, so its 4097 nodes fold onto the
+        # 2049 xi >= 0 and the propagator sees each |xi| once: 2049 real
+        # forms R in one structured factorization and no eig; no SVD for
+        # the condition number, V^{-1} What(0) formed once for the 41 times,
+        # and at each time a real exp of every eigenvalue with u = 0 (the
+        # real root, and the real pair at xi = 0) and a complex exp of one
+        # member of each conjugate pair, both where exp does not underflow
         props, applied, exponentials = [], [], []
         init, einsum, exp = linear_evolution.ModePropagator.__init__, np.einsum, np.exp
 
@@ -698,19 +731,34 @@ class TestLinearSideWorkCounts:
             applied.extend(op is p.vecs_inv for p in props for op in operands)
             return einsum(subscripts, *operands, **kwargs)
 
-        def spied_exp(x, *args, **kwargs):
-            if np.iscomplexobj(x):
-                exponentials.append(np.shape(x))
-            return exp(x, *args, **kwargs)
+        def spied_exp(x, *args, where=True, **kwargs):
+            if np.shape(x) == (3, 2049) or np.shape(x) == (2049,):
+                taken = np.broadcast_to(where, np.shape(x))
+                exponentials.append((np.iscomplexobj(x),
+                                     np.count_nonzero(taken, axis=-1).tolist()))
+            return exp(x, *args, where=where, **kwargs)
 
         monkeypatch.setattr(linear_evolution.ModePropagator, "__init__", recorded)
         monkeypatch.setattr(np, "einsum", spied_einsum)
         monkeypatch.setattr(np, "exp", spied_exp)
         self.run("linear-decay", tmp_path)
-        assert len(props) == 1 and props[0].xi_nodes.size == 4097
+        assert len(props) == 1 and props[0].xi_nodes.size == 2049
         assert factored == {"real_form_eig": [1, 2049, {"float64"}]}
         assert sum(applied) == 1
-        assert exponentials == [(3, 2049)] * 41
+        prop, want = props[0], []
+        for t in np.logspace(-1.0, 4.0, 41):
+            live = np.count_nonzero(~(prop.lam.real * t > linear_evolution._EXP_UNDERFLOW),
+                                    axis=-1)
+            pairs = np.count_nonzero(prop._pair & ~(prop.lam[1].real * t
+                                                    > linear_evolution._EXP_UNDERFLOW))
+            want += [(False, [live[0], live[1] - pairs, live[2] - pairs]),
+                     (True, [0, pairs, 0])]
+        assert exponentials == want
+        # at t = 0.1 the real roots of 144 |xi| and 112 conjugate pairs
+        # underflow; over the 41 times 52102 real and 52704 complex exps
+        # are taken
+        assert want[:2] == [(False, [1905, 1, 1]), (True, [0, 1936, 0])]
+        assert sum(sum(taken) for _, taken in want) == 52102 + 52704
 
     def test_analyze_symbol_spectral_bound(self, factored, tmp_path):
         # the 8002-point grid holds 4001 distinct |xi|, each a real form R,

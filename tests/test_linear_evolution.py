@@ -13,7 +13,7 @@ from nsfk import linear_evolution as lin
 from nsfk import symbols as sym
 from nsfk.fitting import fit_power_law
 from nsfk.thermo import State, ideal_gas_eos
-from oracles import hermitian_defect, per_node_propagate
+from oracles import hermitian_defect, per_node_propagate, per_node_propagator
 
 
 def at(prop, modes, t):
@@ -238,8 +238,9 @@ class TestMirroredFactors:
 
     def test_real_form_matches_per_node_oracle(self, symbol_coeffs, small_nodes):
         # V = Q V_R with unit columns has the condition numbers of the
-        # complex generator's own eigenvectors, so the same nodes are
-        # flagged; and it propagates as every node factored on its own
+        # complex generator's own eigenvectors; V_R is what is judged, and
+        # up to |xi| = 200 neither flags a node; and it propagates as every
+        # node factored on its own
         xi = small_nodes[0]
         modes = self.random_modes(xi.size)
         prop = lin.ModePropagator(symbol_coeffs, xi)
@@ -316,19 +317,41 @@ class TestUnderflowingExponentials:
         e = np.exp(prop.lam * -t).take(prop._back, axis=1)
         return np.conjugate(e, out=e, where=prop._neg)
 
-    @pytest.mark.parametrize("kappa0,u", [(1.0, 0.0), (0.0, 0.0), (1.0, 0.7)],
-                             ids=["reference", "kappa0=0", "u=0.7"])
-    def test_equals_exp_taken_everywhere(self, kappa0, u):
-        # equal entry for entry (-0.0 == 0.0: only the sign of a zero may
-        # differ), and the cut-off is reached at the later times
+    CLOSURES = pytest.mark.parametrize("kappa0,u", [(1.0, 0.0), (0.0, 0.0), (1.0, 0.7)],
+                                       ids=["reference", "kappa0=0", "u=0.7"])
+
+    @staticmethod
+    def propagator(kappa0, u, nodes):
         coeffs = sym.equilibrium_coefficients(ideal_gas_eos(1.0, 5.0 / 3.0, kappa0, 1.0, 1.0),
                                               State(1.0, u, 1.0))
-        prop = lin.ModePropagator(coeffs, self.NODES)
+        return lin.ModePropagator(coeffs, nodes)
+
+    def assert_exp_everywhere(self, prop, want):
+        # within 2.3e-16 relative entry for entry: a real exp differs from
+        # the real part of a complex one by an ulp, exp(conj z) is
+        # conj(exp z) bit for bit, and u != 0 takes complex exps as the
+        # oracle does; the cut-off is reached at the later times
         skipped = 0
         for t in self.TIMES:
-            np.testing.assert_array_equal(prop._exponentials(t), self.gathered(prop, t))
+            np.testing.assert_allclose(prop._exponentials(t), want(t),
+                                       rtol=2.3e-16, atol=0.0)
             skipped += np.count_nonzero(prop.lam.real * t > lin._EXP_UNDERFLOW)
         assert skipped > 0
+
+    @CLOSURES
+    def test_equals_exp_taken_everywhere(self, kappa0, u):
+        prop = self.propagator(kappa0, u, self.NODES)
+        self.assert_exp_everywhere(prop, lambda t: self.gathered(prop, t))
+
+    @CLOSURES
+    def test_folded_nodes_take_no_gather(self, kappa0, u):
+        # the nodes xi >= 0 are each their own |xi|; rows 1 and 2 are a
+        # conjugate pair at each |xi| != 0 of the reference, two reals at
+        # 806 of them at kappa0 = 0, and taken apart where u != 0
+        prop = self.propagator(kappa0, u, self.NODES[self.NODES >= 0.0])
+        assert prop._back is None
+        assert np.count_nonzero(prop._pair) == (0 if u else {1.0: 2048, 0.0: 1242}[kappa0])
+        self.assert_exp_everywhere(prop, lambda t: np.exp(prop.lam * -t))
 
     def test_nan_eigenvalue_gives_nan_norm(self, ref_coeffs, small_nodes):
         xi, weights = small_nodes
@@ -338,6 +361,24 @@ class TestUnderflowingExponentials:
         (modes,) = prop.propagate(profile.modes, [1e3])
         assert np.isnan(lin._norm(xi, weights, modes, 0.0))
         assert np.isnan(prop._exponentials(1e3)[0, -1])
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_nan_from_the_factorization_gives_nan_norm(self, ref_coeffs, small_nodes,
+                                                        monkeypatch, row):
+        # the real root (row 0) or either member of a conjugate pair comes
+        # out of the factorization nan at the largest |xi|
+        factor = lin.real_form_eig
+
+        def spoiled(r, vectors):
+            lam, vecs = factor(r, vectors=vectors)
+            lam[-1, row] = np.nan
+            return lam, vecs
+
+        monkeypatch.setattr(lin, "real_form_eig", spoiled)
+        xi, weights = small_nodes
+        (modes,) = lin.ModePropagator(ref_coeffs, xi).propagate(
+            lin.gaussian_profile(xi, weights).modes, [1e3])
+        assert np.isnan(lin._norm(xi, weights, modes, 0.0))
 
 
 class TestConditioning:
@@ -411,6 +452,25 @@ class TestConditioning:
         prop = lin.ModePropagator(ref_coeffs, lin.geometric_nodes()[0])
         assert prop.xi_nodes.size == 4097 and not np.any(prop.bad)
 
+    def test_large_frequencies_are_unflagged(self, ref_coeffs):
+        # V_R is judged, not V = Q V_R, whose condition number grows with the
+        # spread of Q's entries (about |xi|): at xi_cap = 1e5 the largest
+        # nodes propagate as scaling and squaring does, while each
+        # exp(-lambda t) is far from 0 and from 1
+        from scipy.linalg import expm
+        for cap in (1e5, 1e10, 1e20):
+            assert not np.any(lin.ModePropagator(
+                ref_coeffs, lin.geometric_nodes(4096, cap, 1e-4)[0]).bad)
+        xi = lin.geometric_nodes(4096, 1e5, 1e-4)[0][-4:]
+        modes = TestMirroredFactors.random_modes(xi.size)
+        gen = sym.evolution_symbol(ref_coeffs, xi)
+        times = (1e-10, 1e-9)
+        for t, got in zip(times, lin.ModePropagator(ref_coeffs, xi).propagate(modes, times),
+                          strict=True):
+            want = np.einsum("kij,kj->ki", np.array([expm(-t * g) for g in gen]), modes)
+            assert (np.abs(got - want).max(axis=1)
+                    <= 1e-13 * np.abs(want).max(axis=1)).all()
+
     def test_zero_frequency_is_unflagged(self, symbol_coeffs):
         # R(0) = 0 is factored as lambda = 0 and V_R = I, exactly: V = Q with
         # unit columns, diag(1, i, 1), so xi = 0 takes no scaling and squaring
@@ -419,6 +479,67 @@ class TestConditioning:
         np.testing.assert_array_equal(prop.lam[:, 0], np.zeros(3))
         np.testing.assert_array_equal(prop.vec_columns[:, :, 1].T, np.diag([1.0, 1j, 1.0]))
         np.testing.assert_array_equal(prop.vecs_inv[1], np.diag([1.0, -1j, 1.0]))
+
+
+class TestFoldedNorms:
+    """evolve_and_fit folds the nodes onto xi >= 0; its norms against every
+    node factored on its own, its sign included, on the unfolded nodes."""
+
+    TIMES = np.logspace(-1.0, 4.0, 41)
+    NODES, WEIGHTS = lin.geometric_nodes(4096, 200.0, 1e-4)
+
+    @staticmethod
+    def coeffs(kappa0=1.0, u=0.0):
+        return sym.equilibrium_coefficients(ideal_gas_eos(1.0, 5.0 / 3.0, kappa0, 1.0, 1.0),
+                                            State(1.0, u, 1.0))
+
+    def assert_unfolded_norms(self, coeffs, profile, ell=0.0):
+        fit = lin.evolve_and_fit(coeffs, profile, self.TIMES, ell)
+        at = per_node_propagator(coeffs, profile.xi_nodes, profile.modes)
+        want = [lin.weighted_norm(lin.SpectralProfile(profile.xi_nodes, profile.weights,
+                                                      at(t)), ell) for t in self.TIMES]
+        assert np.abs(fit.norms / want - 1.0).max() <= 1e-14
+        return lin._folded(profile.xi_nodes, profile.weights, profile.modes)
+
+    @pytest.mark.parametrize("case", ["reference", "kappa0=0", "u=0.7", "ell=1",
+                                      "zero-mass-gaussian"])
+    def test_hermitian_profiles_merge(self, case):
+        closure = {"kappa0=0": {"kappa0": 0.0}, "u=0.7": {"u": 0.7}}.get(case, {})
+        coeffs = self.coeffs(**closure)
+        make = (lin.zero_mass_gaussian_profile if case == "zero-mass-gaussian"
+                else lin.gaussian_profile)
+        profile = make(self.NODES, self.WEIGHTS)
+        xi, weights, modes = self.assert_unfolded_norms(coeffs, profile,
+                                                        1.0 if case == "ell=1" else 0.0)
+        # the 2048 nodes xi < 0 merge into their mirrors, the weights added
+        # (the Simpson weights are even, so each doubles exactly)
+        np.testing.assert_array_equal(xi, self.NODES[2048:])
+        np.testing.assert_array_equal(weights[1:], 2.0 * self.WEIGHTS[2049:])
+        np.testing.assert_array_equal(modes, profile.modes[2048:])
+
+    def test_non_hermitian_csv_keeps_every_node(self, ref_coeffs, tmp_path):
+        # nonzero random modes: no folded node equals its mirror, so the
+        # folded set holds each |xi| != 0 twice
+        xi = self.NODES[::8]
+        rng = np.random.default_rng(7)
+        parts = rng.uniform(0.5, 1.5, (xi.size, 6)) * np.exp(-np.abs(xi))[:, None]
+        path = tmp_path / "profile.csv"
+        np.savetxt(path, np.column_stack([xi, parts]), delimiter=",",
+                   header="xi,re1,im1,re2,im2,re3,im3", comments="")
+        profile = lin.csv_profile(path)
+        assert hermitian_defect(profile) > 0.1
+        folded, weights, _ = self.assert_unfolded_norms(ref_coeffs, profile)
+        assert folded.size == xi.size
+        np.testing.assert_array_equal(folded, np.abs(xi))
+        np.testing.assert_array_equal(weights, profile.weights)
+
+    def test_one_sided_nodes(self, ref_coeffs):
+        # |xi| <= 1 with both signs, |xi| > 1 only with the minus sign
+        keep = self.NODES <= 1.0
+        profile = lin.gaussian_profile(self.NODES[keep], self.WEIGHTS[keep])
+        folded = self.assert_unfolded_norms(ref_coeffs, profile)[0]
+        assert folded.size == np.count_nonzero(keep) - np.count_nonzero(
+            (self.NODES < 0.0) & (self.NODES >= -1.0))
 
 
 class TestWeightedNorm:
