@@ -269,7 +269,8 @@ class ModePropagator:
         # (3, magnitudes): row i holds eigenvalue i at each distinct |xi|
         self.lam = np.ascontiguousarray(lam.T + 1j * coeffs.u * magnitudes)
         # entries whose exp(-lambda t) is real, and the |xi| where rows 1
-        # and 2 are a complex conjugate pair (neither where u != 0)
+        # and 2 are a complex conjugate pair; where u != 0 only lambda(0) = 0
+        # is real and no pair is conjugate
         self._real = self.lam.imag == 0.0
         self._pair = ~self._real[1] & (self.lam[2] == self.lam[1].conj())
         neg = self.xi_nodes < 0
