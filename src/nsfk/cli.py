@@ -299,6 +299,20 @@ def _finite_symbol(coeffs, xi_top: float, key: str) -> None:
                           f"grid's largest |xi|")
 
 
+def _normal_sigma(coeffs, xi_low: float, xi_top: float) -> None:
+    """Refuse a grid whose smallest |xi|, ``xi_low``, set by ``[symbol]
+    xi_min``, takes sigma(xi) ~ -c0 xi^2 below the normal range of binary64
+    on a strictly dissipative symbol (sigma < 0 at the largest |xi|,
+    ``xi_top``): there sigma is subnormal or -0, and the verdict and c0
+    would be read from underflowed arithmetic."""
+    from .symbols import real_form, real_form_eig
+    low, top = -real_form_eig(real_form(coeffs, np.array([xi_low, xi_top]))[0]
+                              ).real.min(axis=-1)
+    if top < 0.0 and not abs(low) >= np.finfo(float).tiny:
+        raise ConfigError(f"[symbol] xi_min = {xi_low:g}: sigma(xi) = {low:g} at the "
+                          f"grid's smallest |xi| is below the normal range of binary64")
+
+
 def _section(title: str, **check) -> CheckReport:
     """A report section holding the single check built from ``check``."""
     return CheckReport(title, [Check(**check)])
@@ -326,6 +340,7 @@ def cmd_verify_thermo(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
 def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     from . import dissipativity as dis
+    from .symbols import _by_magnitude
 
     eos, ubar = cfg.closure(), cfg.equilibrium()
     sym = cfg.section("symbol")
@@ -340,6 +355,7 @@ def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     coeffs = _coefficients(eos, ubar)
     _finite_symbol(coeffs, float(np.abs(grid).max()), "[symbol] xi_max")
     _finite_symbol(coeffs, cert_max, "[symbol] cert_xi_max")
+    _normal_sigma(coeffs, float(np.abs(grid).min()), float(np.abs(grid).max()))
     gamma_bar, eps_lo, eps_hi = dis.compensating_window(coeffs)
     # an empty window is a property of the closure (no dissipation) and is
     # reported as a failed check; an eps outside a non-empty one is a bad input
@@ -386,7 +402,7 @@ def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
 
     if have_cert:
         cert = dis.verify_certificate(
-            coeffs, eps, np.linspace(-cert_max, cert_max, cert_n))
+            coeffs, eps, dis.mirrored_linspace(cert_max, cert_n))
         sections.append(_section(
             "compensating certificate", name="min eigenvalue of [K A]^s + Btilde",
             passed=cert.passed, observed=cert.min_eig, tolerance=cert.gamma_bar,
@@ -442,9 +458,11 @@ def cmd_analyze_symbol(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
             if spect.strictly_dissipative else np.full_like(spect.xi, np.nan))
     write_csv(out_dir / "sigma.csv",
               {"xi": spect.xi, "sigma": spect.sigma, "predicted_bound": pred})
-    tracks_xi = np.linspace(-cert_max, cert_max, min(cert_n, 2001))
+    # the numeric eigenvalues, even in xi, taken once per |xi| and read back
+    tracks_xi = dis.mirrored_linspace(cert_max, min(cert_n, 2001))
+    magnitudes, back = _by_magnitude(tracks_xi)
     closed = dis.atilde_eigenvalues(coeffs, tracks_xi)
-    numeric = np.sort(np.linalg.eigvalsh(dis.atilde(coeffs, tracks_xi)), axis=-1)
+    numeric = np.sort(np.linalg.eigvalsh(dis.atilde(coeffs, magnitudes)), axis=-1)[back]
     lams = {f"lam{i + 1}_{kind}": values[:, i]
             for kind, values in (("closed", closed), ("numeric", numeric))
             for i in range(3)}
@@ -539,6 +557,10 @@ def cmd_nonlinear_run(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     grid = _build("[nonlinear]", SpectralGrid, n, length)
     spec = _build("[nonlinear]", PerturbationSpec, shape=nl["shape"],
                   amplitude=amplitude, width=nl["width"], fields=nl["fields"])
+    reach = 0.5 * length / spec.width    # the bump squares (x - L/2) / width
+    if not np.isfinite(reach * reach):
+        raise ConfigError(f"[nonlinear] width = {spec.width:g}: ((length/2)/width)^2 "
+                          f"is past the range of binary64")
     field = initial_field(grid, ubar, spec)
     for name in ("rho", "theta"):      # the admissible set run() steps in
         low = float(getattr(field, name).min())
@@ -561,7 +583,13 @@ def cmd_nonlinear_run(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
                     observed=float(ledger.t[-1]),
                     detail=ledger.aborted or "")]
     constants = {}
-    if ledger.aborted is None and amplitude > 0:
+    if amplitude == 0:
+        # rhs is identically zero at a constant field: the ledger must
+        # read the equilibrium exactly
+        kept = float(ledger.norm_u.max())
+        checks.append(Check(name="equilibrium kept", passed=kept == 0.0,
+                            observed=kept, tolerance=0.0))
+    elif ledger.aborted is None:
         for name in ("mass", "momentum", "energy"):
             drift = ledger.drift(getattr(ledger, name))
             checks.append(Check(name=f"{name} conservation", passed=drift <= 1e-8,

@@ -77,25 +77,30 @@ def _column(column) -> tuple[str, list]:
 
 
 def _mirror_half(columns: Sequence) -> int:
-    """n/2 if the table of ``columns`` is mirrored, else 0.
+    """n // 2 if the table of ``columns`` is mirrored, else 0.
 
-    A mirrored table has an even row count n >= 2 and only 1-D float64
-    columns.  Its first column's second half is finite and > 0, and its
-    first half is that half reversed with the sign bit set; every other
-    column's first half is its second half reversed; both bit for bit.
+    A mirrored table has a row count n >= 2 and only 1-D float64 columns.
+    An odd n has a middle row whose first column holds the bits of +0.0;
+    the halves are the n // 2 rows on either side of it (of the middle of
+    the table, for an even n).  The first column's second half is finite
+    and > 0, and its first half is that half reversed with the sign bit
+    set; every other column's first half is its second half reversed; both
+    bit for bit.
     """
     if not columns or not all(isinstance(c, np.ndarray) and c.dtype == float
                               and c.ndim == 1 for c in columns):
         return 0
     n = columns[0].size
     half = n // 2
-    if n < 2 or n % 2 or any(c.size != n for c in columns):
+    if n < 2 or any(c.size != n for c in columns):
         return 0
-    x = columns[0][half:]
+    if n % 2 and columns[0][half:half + 1].view(np.int64)[0] != 0:
+        return 0                        # a middle xi that is not +0.0
+    x = columns[0][n - half:]
     if not (np.isfinite(x).all() and (x > 0).all()):
         return 0
     # the bits of each first half against those its mirror gives
-    mirrors = [-x, *(c[half:] for c in columns[1:])]
+    mirrors = [-x, *(c[n - half:] for c in columns[1:])]
     if all(np.array_equal(c[:half].view(np.int64), m[::-1].view(np.int64))
            for c, m in zip(columns, mirrors)):
         return half
@@ -111,10 +116,12 @@ def write_csv(path, columns: Mapping[str, Sequence]) -> None:
     a row whose only field is empty is written ``""``.  Each row is
     formatted from one ``%`` template, and the text is written in one call.
 
-    Only the second half of a mirrored table (see :func:`_mirror_half`),
-    such as ``sigma.csv`` on its sign-mirrored grid, is formatted: its
-    first half is those rows in reverse order, each prefixed ``-``, since
-    ``'%.17g' % -x == '-' + '%.17g' % x`` for a finite x > 0.
+    Only the rows from the middle down of a mirrored table (see
+    :func:`_mirror_half`), such as ``sigma.csv`` and ``eigen_tracks.csv``
+    on their sign-mirrored grids, are formatted: the rows above the middle
+    are the rows below it in reverse order, each prefixed ``-``, since
+    ``'%.17g' % -x == '-' + '%.17g' % x`` for a finite x > 0.  An odd
+    table's middle row (xi = +0.0) is formatted once and not mirrored.
     """
     cols = list(columns.values())
     half = _mirror_half(cols)
@@ -122,7 +129,7 @@ def write_csv(path, columns: Mapping[str, Sequence]) -> None:
     line = ",".join(spec for spec, _ in fields).__mod__
     body = list(map(line, zip(*(values for _, values in fields), strict=True)))
     del fields                          # freed before the join: a lower peak
-    mirrored = ["-" + row for row in reversed(body)] if half else []
+    mirrored = ["-" + row for row in reversed(body[-half:])] if half else []
     rows = [",".join(map(_quoted, columns)), *mirrored, *body]
     if len(columns) == 1:
         rows = [row or '""' for row in rows]

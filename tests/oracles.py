@@ -87,6 +87,23 @@ def complex_sigma(coeffs, xi):
                              ).real.max(axis=-1)
 
 
+def per_point_certificate(coeffs, eps, xi):
+    """(min_eig, off_diagonal_residual, sup_K, sup_xiK) of the compensating
+    certificate with every grid point formed and factored on its own, as a
+    one-point grid: the evaluation the per-|xi| certificate replaced."""
+    k_fn = dis.compensating_matrix(coeffs, eps)
+    min_eig, off_res, sup_k, sup_xik = np.inf, 0.0, 0.0, 0.0
+    for x in np.asarray(xi, dtype=float).reshape(-1, 1):
+        k = k_fn(x)
+        ka = k @ dis.atilde(coeffs, x)
+        sym = 0.5 * (ka + np.swapaxes(ka, -1, -2))
+        min_eig = min(min_eig, np.linalg.eigvalsh(sym + np.diag(coeffs.btilde)).min())
+        off_res = max(off_res, np.abs(sym - sym * np.eye(3)).max())
+        norm = np.linalg.norm(k, axis=(-2, -1))[0] / np.sqrt(2.0)
+        sup_k, sup_xik = max(sup_k, norm), max(sup_xik, abs(x[0]) * norm)
+    return float(min_eig), float(off_res), float(sup_k), float(sup_xik)
+
+
 def _lyapunov_terms(coeffs, eps, delta, xi):
     """(G, P) of the Lyapunov functional in the transformed frame:
     G = i xi Atilde + xi^2 Btilde and P = I - delta xi i K."""

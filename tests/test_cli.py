@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsfk import cli, dissipativity, linear_evolution, thermo
+from nsfk import cli, dissipativity, linear_evolution, symbols, thermo
 from nsfk.cli import SCHEMA, ConfigError, RunConfig, main
 from nsfk.nonlinear_solver import LEDGER_COLUMNS
 from nsfk.reports import _column, write_csv
@@ -548,6 +548,36 @@ class TestAnalyzeSymbol:
                      "--quiet"]) == 0
         assert float(self.summary_row(out, "max sigma over xi != 0")["observed"]) < 0.0
 
+    @pytest.mark.parametrize("xi_min", ["1e-160", "1e-300"])
+    def test_underflowing_xi_min_rejected(self, config_file, tmp_path, capsys, xi_min):
+        # sigma ~ -0.4 xi^2 is subnormal at 1e-160, where c0_uniform was read
+        # from it, and -0 at 1e-300, where the run failed as not strictly
+        # dissipative: a config error naming the key, without a warning
+        path = config_file()
+        set_keys(path, "symbol", {"xi_min": xi_min})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze-symbol", "--config", str(path), "--out",
+                         str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [symbol] xi_min = {float(xi_min):g}: "
+                              f"sigma(xi) = "), err
+
+    @pytest.mark.parametrize("key,value,code", [
+        ("alpha0", "0", 1), ("mu0", "0", 1), ("alpha0", "1e-300", 0)])
+    def test_weak_dissipation_keeps_its_verdict(self, config_file, tmp_path,
+                                                key, value, code):
+        # sigma is -0 for a physical reason without heat conduction or
+        # viscosity, where it is not < 0 at the largest |xi| either: a
+        # failed check, not a config error
+        path = config_file()
+        set_keys(path, "closure", {key: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze-symbol", "--config", str(path), "--out",
+                         str(tmp_path / "o"), "--quiet"]) == code
+
     def test_coupling_margin_does_not_overflow(self, config_file, tmp_path):
         # A(xi) V is scaled by its largest entry before its length is taken:
         # the margin at xi_max = 1e100 and 1e150 is the one at 1e3, not the
@@ -685,7 +715,7 @@ class TestLinearSideWorkCounts:
     @pytest.fixture
     def factored(self, monkeypatch):
         # per numpy.linalg function, and for the structured factorization of
-        # the real form R where the linear side looks it up: [calls,
+        # the real form R wherever the linear side looks it up: [calls,
         # matrices, dtypes of the stacks]; svd is also counted where pinv
         # and cond look it up
         counts = {}
@@ -702,7 +732,8 @@ class TestLinearSideWorkCounts:
         for name in ("eig", "eigvals", "eigvalsh", "pinv", "svd"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         monkeypatch.setattr(np.linalg._linalg, "svd", np.linalg.svd)
-        for module in (dissipativity, linear_evolution):
+        # (the CLI imports it from symbols when it runs)
+        for module in (dissipativity, linear_evolution, symbols):
             monkeypatch.setattr(module, "real_form_eig",
                                 counted("real_form_eig", module.real_form_eig))
         return counts
@@ -765,12 +796,14 @@ class TestLinearSideWorkCounts:
         # all in one structured factorization and none by eig or eigvals;
         # the norms of the skew K take no SVD, so the one left is the
         # Friedrichs constraints'; one eigvalsh each for the certificate
-        # (4001 xi), the Lyapunov check (200 xi != 0) and the eigen tracks
-        # (2001 xi); no complex matrix is factored
+        # (the 2001 distinct |xi| of its 4001 mirrored points), the Lyapunov
+        # check (200 xi != 0) and the eigen tracks (the 1001 distinct |xi|
+        # of 2001 points), and two real forms for the underflow check of
+        # xi_min; no complex matrix is factored
         self.run("analyze-symbol", tmp_path)
-        assert factored == {"real_form_eig": [1, 4001, {"float64"}],
+        assert factored == {"real_form_eig": [2, 4001 + 2, {"float64"}],
                             "svd": [1, 1, {"float64"}],
-                            "eigvalsh": [3, 4001 + 200 + 2001, {"float64"}]}
+                            "eigvalsh": [3, 2001 + 200 + 1001, {"float64"}]}
 
     def test_analyze_symbol_coupling_scan(self, monkeypatch, tmp_path):
         # A0, A and B depend on xi only through xi^2: each map is evaluated
@@ -798,7 +831,8 @@ class TestLinearSideWorkCounts:
         # the grid is mirrored in sign, and sigma and the fitted bound are
         # even in xi: the 4001 rows xi > 0 are formatted, and the 4001 rows
         # xi < 0 are them reversed with "-" prefixed; eigen_tracks.csv's
-        # 2001 rows hold xi = 0, so each is formatted
+        # 2001 rows are mirrored about xi = +0.0, so the 1001 rows from
+        # xi = 0 down are formatted and the 1000 above are them reversed
         formatted, writer = {}, cli.write_csv
 
         def spied_writer(path, columns):
@@ -813,10 +847,13 @@ class TestLinearSideWorkCounts:
         monkeypatch.setattr("nsfk.reports._column", spied_column)
         self.run("analyze-symbol", tmp_path)
         assert formatted["sigma.csv"] == [4001] * 3
-        assert formatted["eigen_tracks.csv"] == [2001] * 7
+        assert formatted["eigen_tracks.csv"] == [1001] * 7
         sigma = (tmp_path / "analyze-symbol" / "sigma.csv").read_text().splitlines()
         assert len(sigma) == 1 + 8002
         assert sigma[1:4002] == ["-" + row for row in reversed(sigma[4002:])]
+        tracks = (tmp_path / "analyze-symbol" / "eigen_tracks.csv").read_text().splitlines()
+        assert len(tracks) == 1 + 2001 and tracks[1001].startswith("0,")
+        assert tracks[1:1001] == ["-" + row for row in reversed(tracks[1002:])]
 
     def test_verify_thermo_entropy_pair(self, factored, tmp_path):
         # the 108 lattice states in one batched eigvalsh per eigenvalue check
@@ -1024,8 +1061,41 @@ class TestNonlinearRun:
         assert line.endswith("[temperature fell below 0.0]")
         assert capsys.readouterr().err == ""
 
+    @staticmethod
+    def equilibrium_kept(path, out):
+        """The exit code of the zero-amplitude run of ``path`` and the
+        (passed, observed, tolerance) of its "equilibrium kept" check, the
+        only check besides the run's own."""
+        code = main(["nonlinear-run", "--config", str(path), "--out", str(out),
+                     "--quiet"])
+        with open(out / "summary.csv", newline="") as fh:
+            rows = {r["check"]: r for r in csv.DictReader(fh)}
+        assert list(rows) == ["run completed without blow-up", "equilibrium kept"]
+        kept = rows["equilibrium kept"]
+        return code, (kept["passed"], kept["observed"], kept["tolerance"])
+
     def test_zero_amplitude_trivial_pass(self, config_file, tmp_path):
-        out = tmp_path / "nl0"
-        code = main(["nonlinear-run", "--config", str(config_file(amplitude="0.0")),
-                     "--out", str(out), "--quiet"])
-        assert code == 0
+        # rhs is identically zero at a constant field, so the ledger reads
+        # the equilibrium exactly: the pass rests on a check that a wrong
+        # mode-0 shift or a nonzero equilibrium rate would fail
+        path = config_file(amplitude="0.0")
+        assert self.equilibrium_kept(path, tmp_path / "nl0") == (0, ("1", "0", "0"))
+
+    def test_zero_amplitude_moving_equilibrium_kept(self, config_file, tmp_path):
+        path = config_file(amplitude="0.0")
+        set_keys(path, "equilibrium", {"rho": "1.3", "u": "0.7"})
+        set_keys(path, "nonlinear", {"n": "256"})
+        assert self.equilibrium_kept(path, tmp_path / "nl0") == (0, ("1", "0", "0"))
+
+    def test_overflowing_width_rejected(self, config_file, tmp_path, capsys):
+        # ((length/2)/width)^2 overflows in the bump profile: a config error
+        # naming the key, before the profile warns
+        path = config_file()
+        set_keys(path, "nonlinear", {"width": "1e-300"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["nonlinear-run", "--config", str(path), "--out",
+                         str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: [nonlinear] width = 1e-300: ")

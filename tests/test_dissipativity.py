@@ -4,8 +4,9 @@ import pytest
 from nsfk import dissipativity as dis
 from nsfk import symbols as sym
 from nsfk.thermo import State, ideal_gas_eos
+from conftest import SYMBOL_CLOSURES
 from oracles import (atilde_congruence, complex_sigma, hermitian_lyapunov_slack,
-                     sampled_lyapunov_slack)
+                     per_point_certificate, sampled_lyapunov_slack)
 
 
 class TestSymmetrizer:
@@ -293,6 +294,29 @@ class TestFriedrichs:
         assert "S[1,1] = 0" in rep.certificate
 
 
+class TestMirroredLinspace:
+    @pytest.mark.parametrize("xi_max,n", [(100.0, 4001), (100.0, 2001), (100.0, 4000),
+                                          (3.7, 10), (3.7, 11), (1e-3, 3), (5.0, 2),
+                                          (0.1, 23), (0.1, 39)])
+    def test_exact_mirror_of_linspace(self, xi_max, n):
+        # linspace's middle point is +-1.4e-17 at 23 and 39 points on [-0.1, 0.1]
+        xi = dis.mirrored_linspace(xi_max, n)
+        ref = np.linspace(-xi_max, xi_max, n)
+        bits = xi.view(np.int64)
+        # the points past the middle keep linspace's bits; each point before
+        # it is their exact negative; an odd count's middle is +0.0
+        assert np.array_equal(bits[n - n // 2:], ref[n - n // 2:].view(np.int64))
+        assert np.array_equal(bits[:n // 2], (-xi[::-1][:n // 2]).view(np.int64))
+        if n % 2:
+            assert bits[n // 2] == 0
+        assert (xi[n // 2:] >= 0).all() and np.abs(xi - ref).max() <= 1e-13 * xi_max
+        assert np.unique(np.abs(xi)).size == n - n // 2
+
+    def test_linspace_is_not_mirrored(self):
+        # the grid it replaces: 4001 points hold 3336 distinct |xi|
+        assert np.unique(np.abs(np.linspace(-100.0, 100.0, 4001))).size == 3336
+
+
 class TestCompensatingMatrix:
     def test_window_values(self, ref_coeffs):
         gamma_bar, lo, hi = dis.compensating_window(ref_coeffs)
@@ -348,6 +372,31 @@ class TestCertificate:
         assert cert.min_eig >= 1.0 / 6.0 - 1e-10
         assert cert.off_diagonal_residual <= 1e-14
         assert np.isfinite(cert.sup_K) and np.isfinite(cert.sup_xiK)
+
+    @pytest.mark.parametrize("grid", [
+        dis.mirrored_linspace(100.0, 4001), dis.mirrored_linspace(100.0, 4000),
+        np.linspace(-100.0, 100.0, 4001), np.linspace(-3.0, 100.0, 777)],
+        ids=["mirrored", "mirrored-even", "linspace", "one-sided"])
+    @pytest.mark.parametrize("closure", ["reference", "kappa0=0", "gamma=1.4,u=0.7"])
+    def test_per_magnitude_matches_per_point(self, closure, grid):
+        # every quantity is formed once per distinct |xi|; the extrema are
+        # those of every grid point formed on its own, bit for bit, on a
+        # mirrored grid and on grids that are not
+        args, u = SYMBOL_CLOSURES[closure]
+        coeffs = sym.equilibrium_coefficients(ideal_gas_eos(*args), State(1.0, u, 1.0))
+        cert = dis.verify_certificate(coeffs, xi_grid=grid)
+        want = per_point_certificate(coeffs, cert.eps, grid)
+        got = (cert.min_eig, cert.off_diagonal_residual, cert.sup_K, cert.sup_xiK)
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+        assert cert.n_xi == grid.size
+
+    def test_default_grid_is_mirrored(self, ref_coeffs, monkeypatch):
+        # 4001 points, 2001 distinct |xi| formed
+        shapes, atilde = [], dis.atilde
+        monkeypatch.setattr(dis, "atilde", lambda c, xi: shapes.append(np.shape(xi))
+                            or atilde(c, xi))
+        assert dis.verify_certificate(ref_coeffs).n_xi == 4001
+        assert shapes == [(2001,)]
 
     def test_vanishing_eps_fails_bound(self, ref_coeffs):
         # negative control: with eps -> 0 the (1,1) entry of [K A]^s + B

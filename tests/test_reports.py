@@ -19,9 +19,19 @@ MIRRORED = {
 }
 
 
-def near_mirror(column, row, value):
-    """``MIRRORED`` with one cell replaced: no longer a mirrored table."""
-    columns = {name: c.copy() for name, c in MIRRORED.items()}
+# an odd mirrored table: the same halves about a middle row whose xi is
+# +0.0; the middle row's other cells are free
+ODD_MIRRORED = {
+    "xi": np.array([-2.5, -1.0, -1e-300, 0.0, 1e-300, 1.0, 2.5]),
+    "sigma": np.array([-0.1, 1.0 / 3.0, -0.0, math.nan, -0.0, 1.0 / 3.0, -0.1]),
+    "bound": np.array([math.nan, math.inf, 5e-324, -0.0, 5e-324, math.inf, math.nan]),
+    "x, y": np.array([1e300, -math.inf, 0.0, 7.0, 0.0, -math.inf, 1e300]),
+}
+
+
+def near_mirror(column, row, value, table=MIRRORED):
+    """``table`` with one cell replaced: no longer a mirrored table."""
+    columns = {name: c.copy() for name, c in table.items()}
     list(columns.values())[column][row] = value
     return columns
 
@@ -79,10 +89,14 @@ class TestWriteCsv:
         {},
         MIRRORED,
         {"xi": MIRRORED["xi"]},
+        ODD_MIRRORED,
+        {"xi": ODD_MIRRORED["xi"]},
+        {"xi": np.array([-1.0, 0.0, 1.0]), "y": np.array([2.0, -0.0, 2.0])},
     ], ids=["special", "empty", "int-bool-none", "nonfinite", "object",
             "one-column", "empty-header", "empty-header-float", "header",
             "no-rows", "no-rows-float", "no-columns", "mirrored",
-            "mirrored-one-column"])
+            "mirrored-one-column", "odd-mirrored", "odd-mirrored-one-column",
+            "odd-mirrored-three-rows"])
     def test_matches_the_csv_module(self, tmp_path, columns):
         got, want = both_writers(tmp_path, columns)
         assert got == want
@@ -92,6 +106,16 @@ class TestWriteCsv:
         assert _mirror_half([MIRRORED["xi"]]) == 3
         # a 2-d column is no table the writer takes
         assert _mirror_half([MIRRORED["xi"][:, None]]) == 0
+        # an odd table formats its middle row and the rows below it
+        assert _mirror_half(list(ODD_MIRRORED.values())) == 3
+        assert _mirror_half([ODD_MIRRORED["xi"]]) == 3
+        assert _mirror_half([np.array([-1.0, 0.0, 1.0])]) == 1
+
+    def test_odd_table_mirrors_the_rows_below_its_middle(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ODD_MIRRORED)
+        rows = (tmp_path / "t.csv").read_text().splitlines()
+        assert rows[4] == "0,nan,-0,7"
+        assert rows[1:4] == ["-" + row for row in reversed(rows[5:])]
 
     @pytest.mark.parametrize("columns", [
         near_mirror(0, 1, np.nextafter(-1e-300, 0.0)),
@@ -110,11 +134,23 @@ class TestWriteCsv:
         {"xi": MIRRORED["xi"].astype(np.float32)},
         {"xi": np.array([2.0, 2.0])},
         {},
+        near_mirror(0, 3, -0.0, ODD_MIRRORED),
+        near_mirror(0, 3, 5e-324, ODD_MIRRORED),
+        near_mirror(0, 3, math.nan, ODD_MIRRORED),
+        near_mirror(0, 1, np.nextafter(-1.0, 0.0), ODD_MIRRORED),
+        near_mirror(1, 0, 0.1, ODD_MIRRORED),
+        near_mirror(2, 6, 0.0, ODD_MIRRORED),
+        near_mirror(3, 4, -0.0, ODD_MIRRORED),
+        {"xi": np.array([0.0])},
+        {"xi": np.array([-1.0, 0.0, 2.0])},
     ], ids=["bit-off-first", "bit-off-first-positive", "bit-off-column",
             "sign-off-column", "nan-off-column", "nan-first", "zero-first",
             "plus-zero-first", "minus-zero-first", "inf-first", "odd-rows",
             "str-list-column", "str-array-column", "float32",
-            "unsigned", "no-columns"])
+            "unsigned", "no-columns", "odd-minus-zero-middle",
+            "odd-nonzero-middle", "odd-nan-middle", "odd-bit-off-first",
+            "odd-cell-off-first-row", "odd-cell-off-last-row",
+            "odd-sign-off-column", "one-zero-row", "odd-unequal-halves"])
     def test_near_mirrors_take_the_row_by_row_path(self, tmp_path, columns):
         assert _mirror_half(list(columns.values())) == 0
         got, want = both_writers(tmp_path, columns)
