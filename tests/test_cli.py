@@ -1075,9 +1075,9 @@ class TestNonlinearRun:
         return code, (kept["passed"], kept["observed"], kept["tolerance"])
 
     def test_zero_amplitude_trivial_pass(self, config_file, tmp_path):
-        # rhs is identically zero at a constant field, so the ledger reads
-        # the equilibrium exactly: the pass rests on a check that a wrong
-        # mode-0 shift or a nonzero equilibrium rate would fail
+        # rhs is identically zero at a constant field, so no sample moves
+        # from the t = 0 one: the pass rests on a check that a nonzero
+        # equilibrium rate would fail
         path = config_file(amplitude="0.0")
         assert self.equilibrium_kept(path, tmp_path / "nl0") == (0, ("1", "0", "0"))
 
@@ -1085,6 +1085,16 @@ class TestNonlinearRun:
         path = config_file(amplitude="0.0")
         set_keys(path, "equilibrium", {"rho": "1.3", "u": "0.7"})
         set_keys(path, "nonlinear", {"n": "256"})
+        assert self.equilibrium_kept(path, tmp_path / "nl0") == (0, ("1", "0", "0"))
+
+    def test_zero_amplitude_rounded_equilibrium_kept(self, config_file, tmp_path):
+        # the ledger's u is the stepped m / rho, and 3 * 0.1 / 3 is 0.1 plus
+        # one ulp: norm_u reads that offset at every sample, and the check
+        # measures the state's change from its t = 0 sample
+        path = config_file(amplitude="0.0")
+        set_keys(path, "equilibrium", {"rho": "3.0", "u": "0.1"})
+        set_keys(path, "nonlinear", {"n": "256"})
+        assert 3.0 * 0.1 / 3.0 != 0.1
         assert self.equilibrium_kept(path, tmp_path / "nl0") == (0, ("1", "0", "0"))
 
     def test_overflowing_width_rejected(self, config_file, tmp_path, capsys):

@@ -312,10 +312,6 @@ class TestMirroredLinspace:
         assert (xi[n // 2:] >= 0).all() and np.abs(xi - ref).max() <= 1e-13 * xi_max
         assert np.unique(np.abs(xi)).size == n - n // 2
 
-    def test_linspace_is_not_mirrored(self):
-        # the grid it replaces: 4001 points hold 3336 distinct |xi|
-        assert np.unique(np.abs(np.linspace(-100.0, 100.0, 4001))).size == 3336
-
 
 class TestCompensatingMatrix:
     def test_window_values(self, ref_coeffs):
