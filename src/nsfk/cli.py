@@ -557,10 +557,12 @@ def cmd_nonlinear_run(cfg: RunConfig, out_dir: Path, quiet: bool) -> int:
     grid = _build("[nonlinear]", SpectralGrid, n, length)
     spec = _build("[nonlinear]", PerturbationSpec, shape=nl["shape"],
                   amplitude=amplitude, width=nl["width"], fields=nl["fields"])
-    reach = 0.5 * length / spec.width    # the bump squares (x - L/2) / width
-    if not np.isfinite(reach * reach):
-        raise ConfigError(f"[nonlinear] width = {spec.width:g}: ((length/2)/width)^2 "
-                          f"is past the range of binary64")
+    # a bump narrower than the grid spacing sits on one grid point; at
+    # width >= dx the profile's ((x - L/2) / width)^2 <= (n/2)^2 is finite
+    if not spec.width >= grid.dx:
+        raise ConfigError(f"[nonlinear] width = {spec.width:g}: below the grid "
+                          f"spacing dx = length / n = {grid.dx:g}, the grid cannot "
+                          f"hold the bump")
     field = initial_field(grid, ubar, spec)
     for name in ("rho", "theta"):      # the admissible set run() steps in
         low = float(getattr(field, name).min())

@@ -157,7 +157,12 @@ def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callab
     order are those of a scan over every point; ``n_xi`` counts the grid
     points.  One batched eigendecomposition of the symmetric positive
     semi-definite B(xi) gives its kernel (relative threshold ``_RANK_RTOL``;
-    every unit vector where B(xi) = 0); for each kernel vector V the pair
+    every unit vector where B(xi) = 0).  Where every off-diagonal entry of
+    the symmetrized stack is exactly 0.0, as in both triplets' xi^2 B and
+    xi^2 Btilde, B(xi) is its own eigendecomposition and takes no ``eigh``:
+    its eigenvalues are its diagonal, in the order ``eigh`` returns them
+    (:func:`_eigh_order`), and its eigenvectors the matching unit vectors.
+    For each kernel vector V the pair
     {A0 V, A(xi) V} must have rank two.  The margin is the smaller singular
     value of the normalized pair [a, b] = [A0 V/|A0 V|, A(xi) V/|A(xi) V|]
     (1 if orthogonal, 0 at a rank drop, invariant under the xi^2 growth of
@@ -175,26 +180,34 @@ def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callab
     # halved before the sum, which cannot overflow then; the same bits as
     # halving the sum wherever that is finite and normal
     b = 0.5 * b + 0.5 * np.swapaxes(b, -1, -2)
-    evals, v = np.linalg.eigh(b)
+    if np.any(b[:, (0, 0, 1), (1, 2, 2)]):              # off the diagonal
+        evals, v = np.linalg.eigh(b)
+    else:
+        # a diagonal B is its own eigendecomposition, in eigh's order
+        d = np.diagonal(b, axis1=-2, axis2=-1)
+        order = _eigh_order(d)
+        evals = np.take_along_axis(d, order, axis=-1)
+        v = np.zeros(shape)
+        v[np.arange(len(d))[:, None], order, (0, 1, 2)] = 1.0
     evals = np.abs(evals)
-    lam_max = evals.max(axis=-1, keepdims=True)
-    kernel = evals <= _RANK_RTOL * lam_max              # all three where B = 0
-    v[lam_max[:, 0] == 0.0] = np.eye(3)
+    lam_max = np.maximum(np.maximum(evals[:, 0], evals[:, 1]), evals[:, 2])
+    kernel = evals <= _RANK_RTOL * lam_max[:, None]     # all three where B = 0
+    v[lam_max == 0.0] = np.eye(3)
     a0v = np.broadcast_to(np.asarray(a0_of_xi(magnitudes), dtype=float), shape) @ v
     av = np.broadcast_to(np.asarray(a_of_xi(magnitudes), dtype=float), shape) @ v
     # each column divided by its largest |entry| first, so that its sum of
     # squares cannot overflow (A(xi) grows like xi^2)
-    n0 = np.abs(a0v).max(axis=-2)
-    na = np.abs(av).max(axis=-2)
+    n0 = _column_max_abs(a0v)
+    na = _column_max_abs(av)
     with np.errstate(divide="ignore", invalid="ignore"):
         a0v /= n0[:, None, :]
         av /= na[:, None, :]
-        a0v /= np.linalg.norm(a0v, axis=-2)[:, None, :]
-        av /= np.linalg.norm(av, axis=-2)[:, None, :]
+        a0v /= _column_norm(a0v)[:, None, :]
+        av /= _column_norm(av)[:, None, :]
         s = np.where(np.einsum("nij,nij->nj", a0v, av) >= 0.0, 1.0, -1.0)
         av *= s[:, None, :]
         a0v -= av                                       # a - s b, in place
-        margin = np.linalg.norm(a0v, axis=-2) / np.sqrt(2.0)
+        margin = _column_norm(a0v) / np.sqrt(2.0)
     margin = np.where(na == 0.0, 0.0, np.where(n0 == 0.0, 1.0, margin))
     margin[~kernel] = np.inf
     margin = margin[back]                               # back to the grid
@@ -206,6 +219,35 @@ def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callab
     return GenuineCouplingReport(
         passed=bool(not failures and xi.size > 0),
         min_margin=min_margin, worst_xi=worst_xi, failures=failures, n_xi=xi.size)
+
+
+def _eigh_order(d: np.ndarray) -> np.ndarray:
+    """The permutation (N, 3) that sorts each row of ``d`` ascending as
+    ``np.linalg.eigh`` orders the eigenvalues of diag(d): LAPACK's selection
+    sort swaps the first least entry to the front, then the last two if the
+    third is less than the second, so equal entries can leave index order.
+    Where eigh scales a stack whose norm is past about 1e146 (or below
+    1e-146) it rounds the smaller entries and can order ties among them
+    otherwise; the diagonal keeps them exact."""
+    rows = np.arange(len(d))
+    order = np.tile(np.arange(3), (len(d), 1))
+    first = (d[:, 1] < d[:, 0]).astype(np.intp)
+    first[d[:, 2] < np.minimum(d[:, 0], d[:, 1])] = 2
+    order[rows, first], order[:, 0] = 0, first
+    swap = d[rows, order[:, 2]] < d[rows, order[:, 1]]
+    order[swap, 1:] = order[swap, :0:-1]
+    return order
+
+
+def _column_max_abs(m: np.ndarray) -> np.ndarray:
+    """max_i |m[:, i, j]| of a stack (N, 3, 3), over its three rows."""
+    return np.maximum(np.maximum(np.abs(m[:, 0]), np.abs(m[:, 1])), np.abs(m[:, 2]))
+
+
+def _column_norm(m: np.ndarray) -> np.ndarray:
+    """The 2-norms of the columns of a real stack (N, 3, 3), summed over its
+    three rows in the order of ``np.linalg.norm(m, axis=-2)``, bit for bit."""
+    return np.sqrt(m[:, 0] * m[:, 0] + m[:, 1] * m[:, 1] + m[:, 2] * m[:, 2])
 
 
 # ---------------------------------------------------------------------------

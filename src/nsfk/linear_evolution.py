@@ -16,9 +16,12 @@ What(0) != 0 the norm decays like (1 + t)^{-(ell/2 + 1/4)}.
 Matrix exponentials use a per-node eigendecomposition with a
 scaling-and-squaring fallback (scipy.linalg.expm, imported on first use)
 wherever the eigenvector matrix is ill-conditioned: its Frobenius condition
-number, formed from its inverse, exceeds a threshold or is nan, or it is
-singular (a defective generator); the mode propagator judges the real
-form's eigenvectors V_R alone.  The mode propagator factors the real form
+number ||V|| ||V^{-1}|| exceeds a threshold or is nan, or it is singular (a
+defective generator); the mode propagator judges the real form's
+eigenvectors V_R alone.  The stepper's ``matrix_exponentials`` inverts V
+with ``np.linalg.inv``; the mode propagator forms V_R^{-1} in closed form,
+since R^T = S R S with S = diag(1, -1, 1) makes row j of V_R^{-1}
+(S v_j)^T / (v_j^T S v_j).  The mode propagator factors the real form
 R of the symbol (M = Q (i xi u + R) Q^{-1}, ``symbols.real_form``) instead
 of M, by ``symbols.real_form_eig``: R is tridiagonal, its eigenvalues come
 from its characteristic cubic (a real root bracketed in [0, b3 xi^2], found
@@ -180,7 +183,8 @@ def csv_profile(path) -> SpectralProfile:
 
 
 def _conditioned(vecs: np.ndarray):
-    """(V, V^{-1}, bad) for a stack (..., 3, 3) of eigenvector matrices.
+    """(V, V^{-1}, bad) for a stack (..., 3, 3) of eigenvector matrices of
+    general generators (``matrix_exponentials``).
 
     ``bad`` flags a V whose Frobenius condition number ||V|| ||V^{-1}|| is
     not at most ``_COND_THRESHOLD``: a nan reads as ill-conditioned.  It is
@@ -205,6 +209,41 @@ def _conditioned(vecs: np.ndarray):
     flagged = bad[..., None, None]
     vecs = np.where(flagged, np.eye(3), vecs)
     inv = np.linalg.inv(vecs) if inv is None else np.where(flagged, np.eye(3), inv)
+    return vecs, inv, bad
+
+
+# S = diag(1, -1, 1), with R(xi)^T = S R(xi) S for every real form R
+_S = np.array([1.0, -1.0, 1.0])
+
+
+def _real_form_inverse(vecs: np.ndarray):
+    """(V_R, V_R^{-1}, bad) for a stack (N, 3, 3) of eigenvector matrices of
+    real forms R, without a LAPACK call.
+
+    R^T = S R S with S = diag(1, -1, 1) (:func:`~nsfk.symbols.real_form`),
+    so S v_j is a left eigenvector of R wherever v_j is a right one, and
+    row j of V_R^{-1} is (S v_j)^T / (v_j^T S v_j).  The product is
+    bilinear, not Hermitian: v_j is complex on a conjugate pair.
+    Eigenvectors of distinct eigenvalues are S-orthogonal, so this is the
+    inverse wherever the eigenvalues are simple, and at xi = 0, where
+    V_R = I.  ``bad`` flags as :func:`_conditioned` does, on the Frobenius
+    condition number ||V_R|| ||V_R^{-1}||: at a defective eigenvalue
+    v_j^T S v_j = 0, and the condition number reads inf or nan.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = 1.0 / (vecs[:, 0] * vecs[:, 0] - vecs[:, 1] * vecs[:, 1]
+                       + vecs[:, 2] * vecs[:, 2])
+        inv = vecs.swapaxes(-2, -1) * _S
+        inv *= scale[:, :, None]
+        # ||V_R^{-1}||^2 = sum_j |scale_j|^2 ||v_j||^2, as S keeps each ||v_j||
+        sq = vecs.real ** 2 + vecs.imag ** 2
+        sizes = sq[:, 0] + sq[:, 1] + sq[:, 2]
+        inv_sizes = sizes * (scale.real ** 2 + scale.imag ** 2)
+        cond = np.sqrt((sizes[:, 0] + sizes[:, 1] + sizes[:, 2])
+                       * (inv_sizes[:, 0] + inv_sizes[:, 1] + inv_sizes[:, 2]))
+    bad = ~(cond <= _COND_THRESHOLD)
+    if bad.any():
+        vecs, inv = (np.where(bad[:, None, None], np.eye(3), m) for m in (vecs, inv))
     return vecs, inv, bad
 
 
@@ -233,7 +272,8 @@ class ModePropagator:
     :func:`~nsfk.symbols.real_form`, so one real eigendecomposition
     R = V_R diag(lambda_R) V_R^{-1} gives lambda = i xi u + lambda_R,
     V = Q V_R, its columns scaled to unit length, and V^{-1} = V_R^{-1} Q^{-1}
-    with its rows scaled to match.  R is tridiagonal and is
+    with its rows scaled to match; V_R^{-1} is formed from R^T = S R S
+    with no LAPACK call (:func:`_real_form_inverse`).  R is tridiagonal and is
     factored as such by :func:`~nsfk.symbols.real_form_eig` (the bracketed
     real root of its cubic by safeguarded Newton, the deflated quadratic,
     adjugate columns as eigenvectors, all on R divided by its largest
@@ -247,7 +287,8 @@ class ModePropagator:
     conjugate of its mirror's exponentials, V and V^{-1}; nodes that are
     each their own distinct |xi| gather nothing.  Any node set works,
     symmetric in sign or not.  Modes evolve as V exp(-lambda t) V^{-1} What(0);
-    nodes whose V_R is ill-conditioned or singular (see :func:`_conditioned`;
+    nodes whose V_R is ill-conditioned or defective (||V_R|| ||V_R^{-1}|| above
+    ``_COND_THRESHOLD`` or nan, as :func:`_conditioned` judges it;
     V itself reads ill-conditioned at large |xi| from Q alone) fall back to
     scaling-and-squaring per time, their generators M(i xi) formed
     by :func:`~nsfk.symbols.evolution_symbol`.  The eigendecomposition path
@@ -261,7 +302,7 @@ class ModePropagator:
         lam, vecs = real_form_eig(r, vectors=True)
         # judged on V_R: Q's entries lie about |xi| apart, so V = Q V_R reads
         # ill-conditioned at large |xi| however well-conditioned V_R is
-        vecs, vecs_inv, bad = _conditioned(vecs)
+        vecs, vecs_inv, bad = _real_form_inverse(vecs)
         vecs = q[:, :, None] * vecs
         length = np.linalg.norm(vecs, axis=-2, keepdims=True)
         vecs /= length

@@ -593,6 +593,13 @@ def real_form(coeffs: EquilibriumCoefficients,
 
     so Q = T^{-1} D = (S A0)^{-1/2} diag(1, i, 1).  The spectrum of M is
     i xi u plus that of R, and its eigenvectors are Q times those of R.
+    R^T = S R S with S = diag(1, -1, 1), since S R S flips the sign of
+    every off-diagonal entry of the tridiagonal R, whose off-diagonal part
+    is skew.  So S v is a left eigenvector wherever v is a right one,
+    eigenvectors of distinct eigenvalues are orthogonal in the bilinear
+    form v^T S w, and an eigenvector matrix V has the inverse with rows
+    (S v_j)^T / (v_j^T S v_j) (``linear_evolution.ModePropagator`` forms
+    it so).
     R is tridiagonal, and its characteristic cubic has a real root in the
     bracket [0, b3 xi^2]; :func:`real_form_eig` factors it from there, on R
     divided by its largest |entry|, within 4e-15 of the spectral radius of

@@ -717,7 +717,7 @@ class TestLinearSideWorkCounts:
         # per numpy.linalg function, and for the structured factorization of
         # the real form R wherever the linear side looks it up: [calls,
         # matrices, dtypes of the stacks]; svd is also counted where pinv
-        # and cond look it up
+        # and cond look it up, eigh and inv where the linear side does
         counts = {}
 
         def counted(name, fn):
@@ -729,7 +729,7 @@ class TestLinearSideWorkCounts:
                 return fn(a, *args, **kwargs)
             return call
 
-        for name in ("eig", "eigvals", "eigvalsh", "pinv", "svd"):
+        for name in ("eig", "eigvals", "eigh", "eigvalsh", "inv", "pinv", "svd"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         monkeypatch.setattr(np.linalg._linalg, "svd", np.linalg.svd)
         # (the CLI imports it from symbols when it runs)
@@ -746,8 +746,11 @@ class TestLinearSideWorkCounts:
     def test_linear_decay(self, factored, monkeypatch, tmp_path):
         # the Gaussian profile is Hermitian, so its 4097 nodes fold onto the
         # 2049 xi >= 0 and the propagator sees each |xi| once: 2049 real
-        # forms R in one structured factorization and no eig; no SVD for
-        # the condition number, V^{-1} What(0) formed once for the 41 times,
+        # forms R in one structured factorization and no eig; V_R^{-1} in
+        # closed form, so no (2049, 3, 3) stack is inverted (the one inverse
+        # is the constant A0's, in evolution_symbol for the no flagged
+        # nodes), no SVD for the condition number, V^{-1} What(0) formed
+        # once for the 41 times,
         # and at each time a real exp of every eigenvalue with u = 0 (the
         # real root, and the real pair at xi = 0) and a complex exp of one
         # member of each conjugate pair, both where exp does not underflow
@@ -774,7 +777,8 @@ class TestLinearSideWorkCounts:
         monkeypatch.setattr(np, "exp", spied_exp)
         self.run("linear-decay", tmp_path)
         assert len(props) == 1 and props[0].xi_nodes.size == 2049
-        assert factored == {"real_form_eig": [1, 2049, {"float64"}]}
+        assert factored == {"real_form_eig": [1, 2049, {"float64"}],
+                            "inv": [1, 1, {"float64"}]}
         assert sum(applied) == 1
         prop, want = props[0], []
         for t in np.logspace(-1.0, 4.0, 41):
@@ -799,7 +803,8 @@ class TestLinearSideWorkCounts:
         # (the 2001 distinct |xi| of its 4001 mirrored points), the Lyapunov
         # check (200 xi != 0) and the eigen tracks (the 1001 distinct |xi|
         # of 2001 points), and two real forms for the underflow check of
-        # xi_min; no complex matrix is factored
+        # xi_min; no complex matrix is factored, and the coupling scan's
+        # diagonal B(xi) takes no eigh
         self.run("analyze-symbol", tmp_path)
         assert factored == {"real_form_eig": [2, 4001 + 2, {"float64"}],
                             "svd": [1, 1, {"float64"}],
@@ -1097,15 +1102,39 @@ class TestNonlinearRun:
         assert 3.0 * 0.1 / 3.0 != 0.1
         assert self.equilibrium_kept(path, tmp_path / "nl0") == (0, ("1", "0", "0"))
 
-    def test_overflowing_width_rejected(self, config_file, tmp_path, capsys):
-        # ((length/2)/width)^2 overflows in the bump profile: a config error
-        # naming the key, before the profile warns
-        path = config_file()
-        set_keys(path, "nonlinear", {"width": "1e-300"})
+    @staticmethod
+    def run_width(path, width, out):
+        """The exit code of ``path``'s run at ``width``, warnings as errors."""
+        set_keys(path, "nonlinear", {"width": width})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["nonlinear-run", "--config", str(path), "--out",
-                         str(tmp_path / "o"), "--quiet"])
-        assert code == 2
+            return main(["nonlinear-run", "--config", str(path), "--out", str(out),
+                         "--quiet"])
+
+    def test_overflowing_width_rejected(self, config_file, tmp_path, capsys):
+        # ((length/2)/width)^2 would overflow in the bump profile: a config
+        # error naming the key, before the profile warns
+        assert self.run_width(config_file(), "1e-300", tmp_path / "o") == 2
         assert capsys.readouterr().err.startswith(
             "config error: [nonlinear] width = 1e-300: ")
+
+    # the test config's grid spacing, length / n = 100 / 512, exact in binary64
+    DX = 0.1953125
+
+    @pytest.mark.parametrize("width", ["1e-100", repr(0.5 * DX)])
+    def test_subgrid_width_rejected(self, config_file, tmp_path, capsys, width):
+        # a bump narrower than dx sits on one grid point: a config error
+        # naming width and dx, not a verdict on a datum the grid cannot hold
+        assert self.run_width(config_file(), width, tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"config error: [nonlinear] width = {float(width):g}: below the grid "
+            f"spacing dx = length / n = {self.DX:g}, the grid cannot hold the bump\n")
+        assert not (tmp_path / "o" / "summary.csv").exists()
+
+    def test_grid_spacing_width_runs(self, config_file, tmp_path, capsys):
+        # width = dx is the narrowest bump accepted: the run gives a verdict
+        path = config_file()
+        set_keys(path, "nonlinear", {"t_final": "12.0"})
+        assert self.run_width(path, repr(self.DX), tmp_path / "o") in (0, 1)
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "o" / "summary.csv").is_file()

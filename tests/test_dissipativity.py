@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -99,23 +101,100 @@ class TestGenuineCoupling:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_loop_oracle(self, seed):
-        a0_of_xi, a_of_xi, b_of_xi, grid = _random_triplet(seed)
+        self.assert_matches_loop(*_random_triplet(seed))
+
+    @staticmethod
+    def assert_matches_loop(a0_of_xi, a_of_xi, b_of_xi, grid, flat=False):
+        """The scan against the per-point loop: n_xi, the verdict, every
+        margin (the minimum over the grid and at each point), worst_xi, and
+        the failures in order, their vectors equal up to sign (to 1e-14).
+        Failing margins are roundoff, so their argmin is arbitrary; so is
+        the argmin of a margin ``flat`` in |xi|, where the loop's margin at
+        worst_xi is compared instead."""
         ref = _loop_scan(a0_of_xi, a_of_xi, b_of_xi, grid)
         rep = dis.genuine_coupling_scan(a0_of_xi, a_of_xi, b_of_xi, grid)
         assert rep.n_xi == ref.n_xi == np.count_nonzero(grid)
         assert rep.passed is ref.passed
         assert rep.min_margin == pytest.approx(ref.min_margin, rel=0, abs=1e-14)
-        if not ref.failures:
-            # failing margins are roundoff, so their argmin is arbitrary
+        if flat:
+            worst = _loop_scan(a0_of_xi, a_of_xi, b_of_xi, [rep.worst_xi])
+            assert worst.min_margin == pytest.approx(ref.min_margin, rel=0, abs=1e-14)
+        elif not ref.failures:
             np.testing.assert_equal(rep.worst_xi, ref.worst_xi)
         assert [x for x, _ in rep.failures] == [x for x, _ in ref.failures]
         for (_, v), (_, w) in zip(rep.failures, ref.failures):
-            np.testing.assert_allclose(v, w, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(v, np.copysign(1.0, v @ w) * w, rtol=0, atol=1e-14)
         # per-point margins, one single-point grid each
         for xi in grid[grid != 0.0]:
             got = dis.genuine_coupling_scan(a0_of_xi, a_of_xi, b_of_xi, [xi])
             want = _loop_scan(a0_of_xi, a_of_xi, b_of_xi, [xi])
             assert got.min_margin == pytest.approx(want.min_margin, rel=0, abs=1e-14)
+        return rep
+
+    @pytest.mark.parametrize("diagonal", [
+        (0.0, 0.0, 0.0),        # B = 0: every unit vector is a kernel vector
+        (1e-12, 0.0, 1.0),      # two kernel vectors, not in ascending order
+        (1.0, 1e-12, 1e-12),    # a repeated kernel entry
+        (2.0, 2.0, 0.0),        # a repeated entry outside the kernel
+        (0.0, 3.0, 3.0)])
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_diagonal_b_matches_loop_oracle(self, diagonal, parallel):
+        # a diagonal B(xi) = xi^2 diag(b) is its own eigendecomposition; with
+        # A = A0 diag(g) each unit vector's pair {A0 V, A V} is parallel, so
+        # every kernel vector fails and the failures list them in eigh's order
+        a0_of_xi, a_of_xi, _, grid = _random_triplet(1)
+        if parallel:
+            g = np.array([2.0, -0.5, 3.0])
+            a_of_xi = lambda xi: np.broadcast_to(  # noqa: E731
+                a0_of_xi(xi) * g, np.shape(xi) + (3, 3))
+        rep = self.assert_matches_loop(
+            a0_of_xi, a_of_xi,
+            lambda xi: np.asarray(xi)[..., None, None] ** 2 * np.diag(diagonal), grid)
+        kernel = np.count_nonzero(np.array(diagonal) <= 1e-10 * max(diagonal))
+        assert len(rep.failures) == (kernel * rep.n_xi if parallel else 0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_diagonal_b_matches_loop_oracle(self, seed):
+        # positive diagonals drawn with zero, sub-threshold and repeated
+        # entries; odd seeds pair each unit vector with itself
+        rng = np.random.default_rng(500 + seed)
+        diagonal = rng.choice([0.0, 1e-12, 0.5, 2.0], 3)
+        a0_of_xi, a_of_xi, _, grid = _random_triplet(seed + 1)
+        if seed % 2:
+            a_of_xi = lambda xi: np.broadcast_to(  # noqa: E731
+                -3.0 * a0_of_xi(xi), np.shape(xi) + (3, 3))
+        self.assert_matches_loop(
+            a0_of_xi, a_of_xi,
+            lambda xi: np.asarray(xi)[..., None, None] ** 2 * np.diag(diagonal), grid)
+
+    @pytest.mark.parametrize("mu0,alpha0", [(0.0, 1.0), (1.0, 0.0)])
+    @pytest.mark.parametrize("triplet", ["symbol", "symmetrized"])
+    def test_weak_dissipation_matches_loop_oracle(self, mu0, alpha0, triplet):
+        # mu0 = 0 or alpha0 = 0 widens the kernel of the diagonal B(xi) to two
+        # unit vectors, on both of the CLI's and the paper's triplets
+        coeffs = sym.equilibrium_coefficients(
+            ideal_gas_eos(1.0, 5.0 / 3.0, 1.0, mu0, alpha0), State(1.0, 0.0, 1.0))
+        grid = dis.default_xi_grid(n_per_decade=101)
+        if triplet == "symbol":
+            maps = coeffs.a0, coeffs.a, coeffs.b
+        else:
+            btilde = np.diag(coeffs.btilde)
+            maps = (lambda xi: np.eye(3), lambda xi: dis.atilde(coeffs, xi),
+                    lambda xi: np.asarray(xi)[..., None, None] ** 2 * btilde)
+        self.assert_matches_loop(*maps, grid, flat=True)
+
+    def test_diagonal_order_is_eighs(self):
+        # every diagonal of 0, -0, a sub-threshold, a negative and two
+        # positive entries (216, ties and signed zeros among them): the
+        # eigenvalues and unit eigenvectors eigh returns, bit for bit
+        values = [0.0, -0.0, 1e-12, -1.0, 1.0, 2.0]
+        d = np.array(list(itertools.product(values, repeat=3)))
+        evals, vecs = np.linalg.eigh(d[:, :, None] * np.eye(3))
+        order = dis._eigh_order(d)
+        got = np.take_along_axis(d, order, axis=-1)
+        np.testing.assert_array_equal(got, evals)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(evals))
+        np.testing.assert_array_equal(np.eye(3)[order].swapaxes(-2, -1), vecs)
 
     @pytest.mark.parametrize("d", [1e-12, -1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3])
     def test_closed_form_margin_matches_svd(self, d):

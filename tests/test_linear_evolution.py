@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -479,6 +480,64 @@ class TestConditioning:
         np.testing.assert_array_equal(prop.lam[:, 0], np.zeros(3))
         np.testing.assert_array_equal(prop.vec_columns[:, :, 1].T, np.diag([1.0, 1j, 1.0]))
         np.testing.assert_array_equal(prop.vecs_inv[1], np.diag([1.0, -1j, 1.0]))
+
+
+class TestClosedFormInverse:
+    """V_R^{-1} from R^T = S R S, S = diag(1, -1, 1), against LAPACK's inverse."""
+
+    NODES = np.unique(np.abs(lin.geometric_nodes(4096, 200.0, 1e-4)[0]))
+    # the inverse is within BOUND eps kappa_F(V) ||V^{-1}||_F of
+    # np.linalg.inv(V), and V^{-1} V within BOUND eps kappa_F(V) of I, where
+    # kappa_F(V) = ||V||_F ||V^{-1}||_F is the Frobenius condition number of
+    # the propagator's V = Q V_R; the lattice below reads at most 2.7 and 4.6
+    BOUND = 16.0
+
+    @pytest.mark.parametrize("kappa0", [0.0, 1e-4, 100.0])
+    @pytest.mark.parametrize("mu0", [0.0, 1e-3, 100.0])
+    @pytest.mark.parametrize("alpha0", [0.0, 1e-3, 100.0])
+    def test_lattice_matches_lapack_inverse(self, kappa0, mu0, alpha0):
+        # the corners of gamma, rho and theta at each (kappa0, mu0, alpha0),
+        # on the 2049 distinct |xi| of linear-decay's reference nodes (u
+        # enters neither R nor Q)
+        eps = np.finfo(float).eps
+        for gamma, rho, theta in itertools.product((1.01, 3.0), (0.2, 5.0), (0.2, 5.0)):
+            coeffs = sym.equilibrium_coefficients(
+                ideal_gas_eos(1.0, gamma, kappa0, mu0, alpha0), State(rho, 0.0, theta))
+            prop = lin.ModePropagator(coeffs, self.NODES)
+            vecs = prop.vec_columns.transpose(2, 1, 0)
+            want = np.linalg.inv(vecs)
+            size = np.linalg.norm(want, axis=(-2, -1))
+            kappa = np.linalg.norm(vecs, axis=(-2, -1)) * size
+            err = np.linalg.norm(prop.vecs_inv - want, axis=(-2, -1))
+            assert np.all(err <= self.BOUND * eps * kappa * size)
+            err = np.linalg.norm(prop.vecs_inv @ vecs - np.eye(3), axis=(-2, -1))
+            assert np.all(err <= self.BOUND * eps * kappa)
+            real_vecs = sym.real_form_eig(sym.real_form(coeffs, self.NODES)[0],
+                                          vectors=True)[1]
+            np.testing.assert_array_equal(prop.bad, lin._conditioned(real_vecs)[-1])
+
+    @pytest.mark.parametrize("generator", [
+        [[0.0, -0.75 ** 0.5, 0.0], [0.75 ** 0.5, 1.0, 1.5], [0.0, -1.5, 4.0]],
+        [[0.0, -1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 3.0]]])
+    def test_defective_form_flags_as_lapack_does(self, generator):
+        # the defective real forms of test_defective_generator_is_flagged:
+        # v^T S v of the double root's eigenvector is (nearly) 0
+        vecs = sym.real_form_eig(np.array([generator]), vectors=True)[1]
+        got, inv, bad = lin._real_form_inverse(vecs)
+        assert bad.tolist() == lin._conditioned(vecs)[-1].tolist() == [True]
+        np.testing.assert_array_equal(got, np.eye(3)[None])
+        np.testing.assert_array_equal(inv, np.eye(3)[None])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+    def test_non_finite_or_singular_eigenvectors_flag(self, value):
+        # a nan or inf entry, or a zero column (v^T S v = 0), reads an
+        # ill-conditioned entry, which is replaced by the identity
+        vecs = np.stack([np.eye(3, dtype=complex)] * 2)
+        vecs[1, :, 2] = value
+        got, inv, bad = lin._real_form_inverse(vecs)
+        assert bad.tolist() == [False, True]
+        np.testing.assert_array_equal(got, np.stack([np.eye(3)] * 2))
+        np.testing.assert_array_equal(inv, np.stack([np.eye(3)] * 2))
 
 
 class TestFoldedNorms:
