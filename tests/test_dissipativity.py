@@ -107,7 +107,7 @@ class TestGenuineCoupling:
     def assert_matches_loop(a0_of_xi, a_of_xi, b_of_xi, grid, flat=False):
         """The scan against the per-point loop: n_xi, the verdict, every
         margin (the minimum over the grid and at each point), worst_xi, and
-        the failures in order, their vectors equal up to sign (to 1e-14).
+        the failures in order, their vectors to 1e-14.
         Failing margins are roundoff, so their argmin is arbitrary; so is
         the argmin of a margin ``flat`` in |xi|, where the loop's margin at
         worst_xi is compared instead."""
@@ -123,7 +123,7 @@ class TestGenuineCoupling:
             np.testing.assert_equal(rep.worst_xi, ref.worst_xi)
         assert [x for x, _ in rep.failures] == [x for x, _ in ref.failures]
         for (_, v), (_, w) in zip(rep.failures, ref.failures):
-            np.testing.assert_allclose(v, np.copysign(1.0, v @ w) * w, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(v, w, rtol=0, atol=1e-14)
         # per-point margins, one single-point grid each
         for xi in grid[grid != 0.0]:
             got = dis.genuine_coupling_scan(a0_of_xi, a_of_xi, b_of_xi, [xi])
