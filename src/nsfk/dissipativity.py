@@ -160,8 +160,8 @@ def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callab
     every unit vector where B(xi) = 0).  Where every off-diagonal entry of
     the symmetrized stack is exactly 0.0, as in both triplets' xi^2 B and
     xi^2 Btilde, B(xi) is its own eigendecomposition and takes no ``eigh``:
-    its eigenvalues are its diagonal, in the order ``eigh`` returns them
-    (:func:`_eigh_order`), and its eigenvectors the matching unit vectors.
+    its eigenvalues are its diagonal, sorted ascending as ``eigh`` returns
+    them, and its eigenvectors the matching unit vectors.
     For each kernel vector V the pair
     {A0 V, A(xi) V} must have rank two.  The margin is the smaller singular
     value of the normalized pair [a, b] = [A0 V/|A0 V|, A(xi) V/|A(xi) V|]
@@ -183,9 +183,12 @@ def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callab
     if np.any(b[:, (0, 0, 1), (1, 2, 2)]):              # off the diagonal
         evals, v = np.linalg.eigh(b)
     else:
-        # a diagonal B is its own eigendecomposition, in eigh's order
+        # a diagonal B is its own eigendecomposition; eigh's selection sort
+        # can order tied entries otherwise, but moves two tied kernel
+        # entries apart only past a smaller, negative one, so for a positive
+        # semi-definite B the kernel vectors come in eigh's order
         d = np.diagonal(b, axis1=-2, axis2=-1)
-        order = _eigh_order(d)
+        order = np.argsort(d, axis=-1, kind="stable")
         evals = np.take_along_axis(d, order, axis=-1)
         v = np.zeros(shape)
         v[np.arange(len(d))[:, None], order, (0, 1, 2)] = 1.0
@@ -219,24 +222,6 @@ def genuine_coupling_scan(a0_of_xi: Callable, a_of_xi: Callable, b_of_xi: Callab
     return GenuineCouplingReport(
         passed=bool(not failures and xi.size > 0),
         min_margin=min_margin, worst_xi=worst_xi, failures=failures, n_xi=xi.size)
-
-
-def _eigh_order(d: np.ndarray) -> np.ndarray:
-    """The permutation (N, 3) that sorts each row of ``d`` ascending as
-    ``np.linalg.eigh`` orders the eigenvalues of diag(d): LAPACK's selection
-    sort swaps the first least entry to the front, then the last two if the
-    third is less than the second, so equal entries can leave index order.
-    Where eigh scales a stack whose norm is past about 1e146 (or below
-    1e-146) it rounds the smaller entries and can order ties among them
-    otherwise; the diagonal keeps them exact."""
-    rows = np.arange(len(d))
-    order = np.tile(np.arange(3), (len(d), 1))
-    first = (d[:, 1] < d[:, 0]).astype(np.intp)
-    first[d[:, 2] < np.minimum(d[:, 0], d[:, 1])] = 2
-    order[rows, first], order[:, 0] = 0, first
-    swap = d[rows, order[:, 2]] < d[rows, order[:, 1]]
-    order[swap, 1:] = order[swap, :0:-1]
-    return order
 
 
 def _column_max_abs(m: np.ndarray) -> np.ndarray:
