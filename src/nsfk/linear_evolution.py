@@ -13,29 +13,28 @@ is the Fourier-side realization of the anisotropic norm that gives the
 density one extra derivative.  For integrable initial data with
 What(0) != 0 the norm decays like (1 + t)^{-(ell/2 + 1/4)}.
 
-Matrix exponentials use a per-node eigendecomposition with a
-scaling-and-squaring fallback (scipy.linalg.expm, imported on first use)
-wherever the eigenvector matrix is ill-conditioned: its Frobenius condition
-number ||V|| ||V^{-1}|| exceeds a threshold or is nan, or it is singular (a
-defective generator); the mode propagator judges the real form's
-eigenvectors V_R alone.  The stepper's ``matrix_exponentials`` inverts V
-with ``np.linalg.inv``; the mode propagator forms V_R^{-1} in closed form,
-since R^T = S R S with S = diag(1, -1, 1) makes row j of V_R^{-1}
-(S v_j)^T / (v_j^T S v_j).  The mode propagator factors the real form
-R of the symbol (M = Q (i xi u + R) Q^{-1}, ``symbols.real_form``) instead
-of M, by ``symbols.real_form_eig``: R is tridiagonal, its eigenvalues come
-from its characteristic cubic (a real root bracketed in [0, b3 xi^2], found
-by safeguarded Newton on R divided by its largest |entry|, and a deflated
-quadratic) and its eigenvectors from the adjugate of lambda I - R, with no
-LAPACK call per matrix.  The eigenvalues are within 4e-15 of the spectral
-radius of 50-digit ones on the corners of the closure lattice.  The stepper's
-``matrix_exponentials`` still factors the complex generator with
-``np.linalg.eig``.  Since M(-i xi) = conj M(i xi), a node set is factored,
-and exp(-lambda t) taken, once per distinct |xi|, and the nodes xi < 0 take
-the conjugates; V^{-1} What(0) is formed once for all evaluation times.
-The decay fit evolves a node xi < 0 as |xi| with the mode conj What(xi),
-whose weighted norm is the same at every t, so the Hermitian spectrum of a
-real field is evolved on xi >= 0 only.
+The symbol is factored once, by ``ModePropagator``, for both the decay
+fit and the nonlinear stepper's integrating factor
+(``matrix_exponentials``).  It factors the real form R of the symbol
+(M = Q (i xi u + R) Q^{-1}, ``symbols.real_form``) by
+``symbols.real_form_eig``: R is tridiagonal, its eigenvalues come from its
+characteristic cubic (a real root bracketed in [0, b3 xi^2], found by
+safeguarded Newton on R divided by its largest |entry|, and a deflated
+quadratic) and its eigenvectors V_R from the adjugate of lambda I - R, with
+no LAPACK call per matrix.  The eigenvalues are within 4e-15 of the
+spectral radius of 50-digit ones on the corners of the closure lattice.
+V_R^{-1} is formed in closed form, since R^T = S R S with S = diag(1, -1, 1)
+makes row j of V_R^{-1} (S v_j)^T / (v_j^T S v_j), and takes one
+Newton-Schulz step where V_R is not well-conditioned.  A node whose V_R
+has a Frobenius condition number ||V_R|| ||V_R^{-1}|| above a threshold,
+or nan (a defective generator), takes scaling and squaring
+(scipy.linalg.expm, imported on first use) instead.  Since
+M(-i xi) = conj M(i xi), a node set is factored, and exp(-lambda t) taken,
+once per distinct |xi|, and the nodes xi < 0 take the conjugates;
+V^{-1} What(0) is formed once for all evaluation times.  The decay fit
+evolves a node xi < 0 as |xi| with the mode conj What(xi), whose weighted
+norm is the same at every t, so the Hermitian spectrum of a real field is
+evolved on xi >= 0 only.
 """
 
 from __future__ import annotations
@@ -65,6 +64,9 @@ _RESIDUAL_TOL = 0.1      # a decay fit with a larger log-residual is flagged
 # an eigenvector matrix with a larger Frobenius condition number (or nan)
 # takes the scaling-and-squaring fallback
 _COND_THRESHOLD = 1e4
+# a closed-form V_R^{-1} whose V_R has a larger Frobenius condition number
+# takes one Newton-Schulz step (the largest on configs/reference.ini is 3.16)
+_REFINE_COND = 10.0
 # exp(-x) < 2^-1075, half the least subnormal, rounds to 0.0 in binary64 for
 # every x > 745.14, so exp(-lambda t) is 0 wherever Re(lambda) t exceeds it
 _EXP_UNDERFLOW = 746.0
@@ -182,36 +184,6 @@ def csv_profile(path) -> SpectralProfile:
     return SpectralProfile(xi, np.gradient(xi), modes)
 
 
-def _conditioned(vecs: np.ndarray):
-    """(V, V^{-1}, bad) for a stack (..., 3, 3) of eigenvector matrices of
-    general generators (``matrix_exponentials``).
-
-    ``bad`` flags a V whose Frobenius condition number ||V|| ||V^{-1}|| is
-    not at most ``_COND_THRESHOLD``: a nan reads as ill-conditioned.  It is
-    formed from the one inverse of the stack, as ``np.linalg.cond`` forms
-    it, not from singular values, so a nearly singular V (the eigenvectors
-    of a defective generator, such as a Jordan block) reads huge or inf.  A
-    stack that ``np.linalg.inv`` rejects as exactly singular takes
-    ``np.linalg.cond``, which reads inf there, and is inverted again once
-    its flagged entries are replaced.  At a flagged entry V and V^{-1} are
-    the identity and callers use :func:`_expm_stack` instead.
-    """
-    try:
-        inv = np.linalg.inv(vecs)
-    except np.linalg.LinAlgError:
-        inv = None
-        cond = np.linalg.cond(vecs, "fro")
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            cond = (np.linalg.norm(vecs, "fro", axis=(-2, -1))
-                    * np.linalg.norm(inv, "fro", axis=(-2, -1)))
-    bad = ~(cond <= _COND_THRESHOLD)
-    flagged = bad[..., None, None]
-    vecs = np.where(flagged, np.eye(3), vecs)
-    inv = np.linalg.inv(vecs) if inv is None else np.where(flagged, np.eye(3), inv)
-    return vecs, inv, bad
-
-
 # S = diag(1, -1, 1), with R(xi)^T = S R(xi) S for every real form R
 _S = np.array([1.0, -1.0, 1.0])
 
@@ -226,9 +198,14 @@ def _real_form_inverse(vecs: np.ndarray):
     bilinear, not Hermitian: v_j is complex on a conjugate pair.
     Eigenvectors of distinct eigenvalues are S-orthogonal, so this is the
     inverse wherever the eigenvalues are simple, and at xi = 0, where
-    V_R = I.  ``bad`` flags as :func:`_conditioned` does, on the Frobenius
-    condition number ||V_R|| ||V_R^{-1}||: at a defective eigenvalue
-    v_j^T S v_j = 0, and the condition number reads inf or nan.
+    V_R = I.  Near a coalescing pair v_j^T S v_j is small and divides the
+    roundoff of v_j up, so where the Frobenius condition number
+    ||V_R|| ||V_R^{-1}|| exceeds ``_REFINE_COND`` the inverse X takes one
+    Newton-Schulz step X (2 I - V_R X), which squares its residual.
+    ``bad`` flags a condition number above ``_COND_THRESHOLD`` or nan: at a
+    defective eigenvalue v_j^T S v_j = 0, and it reads inf or nan.  At a
+    flagged entry V_R and V_R^{-1} are the identity, and callers use
+    :func:`_expm_stack` instead.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = 1.0 / (vecs[:, 0] * vecs[:, 0] - vecs[:, 1] * vecs[:, 1]
@@ -244,14 +221,11 @@ def _real_form_inverse(vecs: np.ndarray):
     bad = ~(cond <= _COND_THRESHOLD)
     if bad.any():
         vecs, inv = (np.where(bad[:, None, None], np.eye(3), m) for m in (vecs, inv))
+    refine = (cond > _REFINE_COND) & ~bad
+    if refine.any():
+        x = inv[refine]
+        inv[refine] = x @ (2.0 * np.eye(3) - vecs[refine] @ x)
     return vecs, inv, bad
-
-
-def _eigensystem(generators: np.ndarray):
-    """(lam, V, V^{-1}, bad) with G = V diag(lam) V^{-1} for a stack
-    (..., 3, 3); see :func:`_conditioned`."""
-    lam, vecs = np.linalg.eig(generators)
-    return (lam, *_conditioned(vecs))
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -266,7 +240,10 @@ def _expm_stack(generators: np.ndarray, t: float) -> np.ndarray:
 
 
 class ModePropagator:
-    """Eigendecompositions of M(i xi) over a node set, one per distinct |xi|.
+    """Eigendecompositions of M(i xi) over a node set, one per distinct |xi|:
+    the one factorization of the symbol, which both ``propagate`` (the decay
+    fit) and :func:`matrix_exponentials` (the stepper's integrating factor)
+    multiply out.
 
     M(i xi) = Q (i xi u + R) Q^{-1} with the real R and diagonal Q of
     :func:`~nsfk.symbols.real_form`, so one real eigendecomposition
@@ -287,11 +264,11 @@ class ModePropagator:
     conjugate of its mirror's exponentials, V and V^{-1}; nodes that are
     each their own distinct |xi| gather nothing.  Any node set works,
     symmetric in sign or not.  Modes evolve as V exp(-lambda t) V^{-1} What(0);
-    nodes whose V_R is ill-conditioned or defective (||V_R|| ||V_R^{-1}|| above
-    ``_COND_THRESHOLD`` or nan, as :func:`_conditioned` judges it;
-    V itself reads ill-conditioned at large |xi| from Q alone) fall back to
-    scaling-and-squaring per time, their generators M(i xi) formed
-    by :func:`~nsfk.symbols.evolution_symbol`.  The eigendecomposition path
+    nodes whose V_R is ill-conditioned or defective (``bad``, as
+    :func:`_real_form_inverse` judges it; V itself reads ill-conditioned at
+    large |xi| from Q alone) fall back to scaling and squaring per time
+    (:func:`_expm_stack`), their generators M(i xi) formed by
+    :func:`~nsfk.symbols.evolution_symbol`.  The eigendecomposition path
     satisfies the semigroup property to roundoff.
     """
 
@@ -397,17 +374,19 @@ def _conjugated(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return a
 
 
-def matrix_exponentials(generators: np.ndarray, t: float) -> np.ndarray:
-    """exp(-t G_k) for a stack (..., 3, 3) of generators.
+def matrix_exponentials(coeffs: EquilibriumCoefficients, xi_nodes: np.ndarray,
+                        t: float) -> np.ndarray:
+    """exp(-t M(i xi)) at each of ``xi_nodes``, a stack (nodes, 3, 3).
 
-    Eigendecomposition per matrix, with scaling-and-squaring for entries whose
-    eigenvector matrix is ill-conditioned.
+    The factors of a :class:`ModePropagator` of the nodes, multiplied out as
+    V diag(exp(-lambda t)) V^{-1}; its flagged nodes take scaling and
+    squaring.
     """
-    gen = np.asarray(generators)
-    lam, vecs, vecs_inv, bad = _eigensystem(gen)
-    out = np.einsum("...ij,...j,...jk->...ik", vecs, np.exp(-lam * t), vecs_inv)
-    if np.any(bad):
-        out[bad] = _expm_stack(gen[bad], t)
+    prop = ModePropagator(coeffs, xi_nodes)
+    out = np.einsum("jik,jk,kjl->kil", prop.vec_columns, prop._exponentials(t),
+                    prop.vecs_inv)
+    if np.any(prop.bad):
+        out[prop.bad] = _expm_stack(prop.bad_generators, t)
     return out
 
 

@@ -405,8 +405,12 @@ class IntegratingFactorRK4:
     scale of the perturbation.  The per-mode linearization of ``rhs`` around
     the equilibrium state is the symbol -M(i k) of the perturbation system
     taken to these variables, -T M(i k) T^-1 with T = dV/dU at Ubar, so the
-    integrating factor exp(-h T M T^-1) = T exp(-h M) T^-1 is assembled once
-    from the symbol machinery: one constant similarity per mode.  The
+    integrating factor exp(-h T M T^-1) = T exp(-h M) T^-1 is assembled once:
+    exp(-h M) at the retained wavenumbers from the linear side's one
+    factorization of the symbol (``linear_evolution.matrix_exponentials``,
+    a ``ModePropagator``'s V exp(-lambda h) V^-1), then one constant
+    similarity per mode.  The generator rows that ``_nonlinear`` applies
+    are T M T^-1 with M from ``evolution_symbol`` itself.  The
     nonlinear remainder (full right side minus the linearization) is the
     only term advanced by quadrature, which removes the dispersive
     dt ~ dx^3 restriction of fully explicit stepping.  The only integrating
@@ -438,12 +442,14 @@ class IntegratingFactorRK4:
         coeffs = equilibrium_coefficients(eos, equilibrium)
         # T = dV/dU at Ubar takes the symbol to (rho, m, theta)
         t = np.array([[1.0, 0.0, 0.0], [u, rho, 0.0], [0.0, 0.0, 1.0]])
-        gen = t @ evolution_symbol(coeffs, grid.k[:grid.modes]) @ np.linalg.inv(t)
+        t_inv = np.linalg.inv(t)
+        k = grid.k[:grid.modes]
         # kept as (3, 3, modes) with the column index first, the layout
         # _apply takes: [j, i, k] holds entry (i, j) of mode k
         self.generators, self.e_half = (
-            np.ascontiguousarray(a.transpose(2, 1, 0))
-            for a in (gen, matrix_exponentials(gen, 0.5 * self.dt)))
+            np.ascontiguousarray((t @ a @ t_inv).transpose(2, 1, 0))
+            for a in (evolution_symbol(coeffs, k),
+                      matrix_exponentials(coeffs, k, 0.5 * self.dt)))
         # the stage rates, e_half u0, e_half n1, the stage input and the
         # scratch of _apply, which rhs also writes
         self._a, self._b, self._c, self._v, self._x, self._tmp = np.zeros(

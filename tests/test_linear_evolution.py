@@ -191,11 +191,12 @@ class TestPropagation:
     def test_matrix_exponentials_against_scipy(self, ref_coeffs, monkeypatch):
         # threshold 0 flags every matrix, forcing the scaling-and-squaring path
         from scipy.linalg import expm
-        gen = sym.evolution_symbol(ref_coeffs, np.array([0.7, 3.0]))
+        xi = np.array([-3.0, 0.0, 0.7, 3.0])
+        gen = sym.evolution_symbol(ref_coeffs, xi)
         for cond_threshold in (1e4, 0.0):
             monkeypatch.setattr(lin, "_COND_THRESHOLD", cond_threshold)
-            ours = lin.matrix_exponentials(gen, 0.9)
-            for k in range(2):
+            ours = lin.matrix_exponentials(ref_coeffs, xi, 0.9)
+            for k in range(xi.size):
                 assert np.abs(ours[k] - expm(-0.9 * gen[k])).max() <= 1e-12
 
     def test_expm_fallback_matches_eigen_path(self, ref_coeffs, small_nodes,
@@ -289,7 +290,6 @@ class TestMirroredFactors:
         # about 1e8 or more, so the node takes scaling and squaring
         from scipy.linalg import expm
         gen = np.array(generator)
-        assert np.abs(lin.matrix_exponentials(gen, 0.5) - expm(-0.5 * gen)).max() <= 1e-13
         # injected as the real form R with Q = I and, since u = 0 makes
         # M = R, as the generator the flagged nodes are rebuilt from
         monkeypatch.setattr(lin, "real_form", lambda coeffs, xi: (
@@ -303,6 +303,8 @@ class TestMirroredFactors:
         (got,) = prop.propagate(modes, [0.5])
         want = modes @ expm(-0.5 * gen).T
         assert np.abs(got - want).max() <= 1e-13
+        assert np.abs(lin.matrix_exponentials(ref_coeffs, xi, 0.5)
+                      - expm(-0.5 * gen)).max() <= 1e-13
 
 
 class TestUnderflowingExponentials:
@@ -385,69 +387,30 @@ class TestUnderflowingExponentials:
 class TestConditioning:
     """The condition-number flag of the eigenvector stacks."""
 
-    @staticmethod
-    def counted(monkeypatch):
-        calls = []
-        for name in ("inv", "cond"):
-            fn = getattr(np.linalg, name)
-
-            def call(a, *args, _fn=fn, _name=name, **kwargs):
-                calls.append(_name)
-                return _fn(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, call)
-        return calls
-
-    def test_nonsingular_stack_is_inverted_once(self, ref_coeffs, small_nodes,
-                                                monkeypatch):
-        vecs = np.linalg.eig(sym.evolution_symbol(ref_coeffs, small_nodes[0]))[1]
-        calls = self.counted(monkeypatch)
-        got, inv, bad = lin._conditioned(vecs)
-        assert calls == ["inv"]
-        assert not np.any(bad)
-        np.testing.assert_array_equal(got, vecs)
-        np.testing.assert_array_equal(inv, np.linalg.inv(vecs))
-        np.testing.assert_array_equal(
-            np.linalg.norm(vecs, "fro", axis=(-2, -1))
-            * np.linalg.norm(inv, "fro", axis=(-2, -1)),
-            np.linalg.cond(vecs, "fro"))
-
-    def test_singular_stack_takes_cond(self, monkeypatch):
-        # inv refuses a stack holding an exactly singular matrix as a whole
-        vecs = np.stack([np.eye(3), np.ones((3, 3)), 2.0 * np.eye(3)])
-        calls = self.counted(monkeypatch)
-        got, inv, bad = lin._conditioned(vecs)
-        assert calls == ["inv", "cond", "inv"]
-        assert bad.tolist() == [False, True, False]
-        np.testing.assert_array_equal(got[1], np.eye(3))
-        np.testing.assert_array_equal(inv, np.stack([np.eye(3), np.eye(3),
-                                                     0.5 * np.eye(3)]))
-
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_eigenvectors_take_expm(self, ref_coeffs, monkeypatch, value):
         # a nan condition number is not <= the threshold, so it flags its
-        # entry as an inf one does, and the entry takes scaling and squaring
+        # node as an inf one does, and the node takes scaling and squaring
+        # in the propagator and in the stepper's factor alike
         from scipy.linalg import expm
-        vecs = np.stack([np.eye(3)] * 2)
-        vecs[1, 2, 0] = value
-        got, inv, bad = lin._conditioned(vecs)
-        assert bad.tolist() == [False, True]
-        np.testing.assert_array_equal(got, np.stack([np.eye(3)] * 2))
-        np.testing.assert_array_equal(inv, np.stack([np.eye(3)] * 2))
-        gen = sym.evolution_symbol(ref_coeffs, np.array([0.5, 1.0, 2.0, 4.0]))
-        eig = np.linalg.eig
+        factor = lin.real_form_eig
 
-        def spoiled(a):
-            # eigenvectors of the stack entries 1 and 2 spoiled by ``value``
-            lam, vecs = eig(a)
+        def spoiled(r, vectors):
+            # the eigenvectors of nodes 1 and 2 spoiled by ``value``
+            lam, vecs = factor(r, vectors=vectors)
             vecs[1:3, 0, 0] = value
             return lam, vecs
 
-        monkeypatch.setattr(np.linalg, "eig", spoiled)
-        assert lin._eigensystem(gen)[-1].tolist() == [False, True, True, False]
-        stacked = lin.matrix_exponentials(gen, 0.5)
+        monkeypatch.setattr(lin, "real_form_eig", spoiled)
+        xi = np.array([0.5, 1.0, 2.0, 4.0])
+        prop = lin.ModePropagator(ref_coeffs, xi)
+        assert prop.bad.tolist() == [False, True, True, False]
+        gen = sym.evolution_symbol(ref_coeffs, xi)
         want = np.array([expm(-0.5 * g) for g in gen])
-        assert np.abs(stacked - want).max() <= 1e-12
+        assert np.abs(lin.matrix_exponentials(ref_coeffs, xi, 0.5) - want).max() <= 1e-12
+        modes = TestMirroredFactors.random_modes(xi.size)
+        assert np.abs(at(prop, modes, 0.5)
+                      - np.einsum("kij,kj->ki", want, modes)).max() <= 1e-12
 
     def test_reference_nodes_are_unflagged(self, ref_coeffs):
         prop = lin.ModePropagator(ref_coeffs, lin.geometric_nodes()[0])
@@ -482,6 +445,11 @@ class TestConditioning:
         np.testing.assert_array_equal(prop.vecs_inv[1], np.diag([1.0, -1j, 1.0]))
 
 
+def lapack_flags(vecs):
+    """The fallback's flags from LAPACK's Frobenius condition numbers."""
+    return ~(np.linalg.cond(vecs, "fro") <= lin._COND_THRESHOLD)
+
+
 class TestClosedFormInverse:
     """V_R^{-1} from R^T = S R S, S = diag(1, -1, 1), against LAPACK's inverse."""
 
@@ -514,7 +482,7 @@ class TestClosedFormInverse:
             assert np.all(err <= self.BOUND * eps * kappa)
             real_vecs = sym.real_form_eig(sym.real_form(coeffs, self.NODES)[0],
                                           vectors=True)[1]
-            np.testing.assert_array_equal(prop.bad, lin._conditioned(real_vecs)[-1])
+            np.testing.assert_array_equal(prop.bad, lapack_flags(real_vecs))
 
     @pytest.mark.parametrize("generator", [
         [[0.0, -0.75 ** 0.5, 0.0], [0.75 ** 0.5, 1.0, 1.5], [0.0, -1.5, 4.0]],
@@ -524,7 +492,7 @@ class TestClosedFormInverse:
         # v^T S v of the double root's eigenvector is (nearly) 0
         vecs = sym.real_form_eig(np.array([generator]), vectors=True)[1]
         got, inv, bad = lin._real_form_inverse(vecs)
-        assert bad.tolist() == lin._conditioned(vecs)[-1].tolist() == [True]
+        assert bad.tolist() == lapack_flags(vecs).tolist() == [True]
         np.testing.assert_array_equal(got, np.eye(3)[None])
         np.testing.assert_array_equal(inv, np.eye(3)[None])
 

@@ -4,10 +4,12 @@ import tracemalloc
 import warnings
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
 from nsfk import convex_extension as cx
+from nsfk import linear_evolution as lin
 from nsfk import nonlinear_solver as nls
 from nsfk import symbols as sym
 from nsfk.linear_evolution import matrix_exponentials
@@ -304,6 +306,37 @@ class TestSteppers:
         for name in ("generators", "e_half"):
             assert getattr(stepper, name).shape == (3, 3, small_grid.n // 3 + 1)
 
+    # mode 354 of n = 4096, L = 400 at kappa0 = 0 (xi = 5.56) sits beside a
+    # coalescing pair: lambda = 25.268 +- 0.0245i, cond_F(V_R) = 484
+    @pytest.mark.parametrize("kappa0,u,extra", [(1.0, 0.0, ()), (0.0, 0.0, (354,)),
+                                                (1.0, 0.7, ())],
+                             ids=["reference", "kappa0=0", "u=0.7"])
+    def test_integrating_factor_matches_mpmath(self, kappa0, u, extra, monkeypatch):
+        # e_half against exp(-dt/2 T M T^-1) at 40 digits, on sampled
+        # retained modes of criterion 10's grid and step (measured: at most
+        # 4.6e-15, 7.1e-15 and 8.9e-15 relative).  Without the Newton-Schulz
+        # step on an ill-conditioned V_R the kappa0 = 0 mode is 1.9e-11 off
+        ubar, dt = State(1.0, u, 1.0), 0.02
+        eos = ideal_gas_eos(1.0, 5.0 / 3.0, kappa0, 1.0, 1.0)
+        grid = nls.SpectralGrid(n=4096, length=400.0)
+        modes = sorted({*np.linspace(0, grid.modes - 1, 8).astype(int), 978, *extra})
+        t, t_inv = to_v(ubar)
+        gen = t @ sym.evolution_symbol(sym.equilibrium_coefficients(eos, ubar),
+                                       grid.k[modes]) @ t_inv
+        with mpmath.workdps(40):
+            want = np.array([np.array(mpmath.expm(mpmath.matrix(g.tolist()) * (-0.5 * dt))
+                                      .tolist(), dtype=complex) for g in gen])
+        scale = np.abs(want).max(axis=(1, 2))
+
+        def errors():
+            e = nls.IntegratingFactorRK4(eos, ubar, grid, dt).e_half[:, :, modes]
+            return np.abs(e.transpose(2, 1, 0) - want).max(axis=(1, 2)) / scale
+
+        assert errors().max() <= 1e-13
+        if extra:
+            monkeypatch.setattr(lin, "_REFINE_COND", np.inf)
+            assert errors()[modes.index(354)] > 1e-12
+
     def test_buffered_step_matches_the_allocating_formula(self, ref_eos):
         # the Lawson RK4 step on the half-step factor E alone, written with
         # fresh arrays and (3, 3, K) products: the buffered step sums in the
@@ -435,9 +468,9 @@ class TestSteppers:
         stepper = nls.IntegratingFactorRK4(eos, ubar, grid, dt)
         uh = stepper.pack(f0)
 
-        gen = sym.evolution_symbol(sym.equilibrium_coefficients(eos, ubar),
-                                   grid.k[:grid.modes])
-        e = matrix_exponentials(gen, 0.5 * dt)
+        coeffs = sym.equilibrium_coefficients(eos, ubar)
+        gen = sym.evolution_symbol(coeffs, grid.k[:grid.modes])
+        e = matrix_exponentials(coeffs, grid.k[:grid.modes], 0.5 * dt)
         shift = grid.n * np.array([ubar.rho, ubar.u, ubar.theta])
 
         def apply(m, v):
@@ -566,9 +599,10 @@ class TestSteppers:
         def integrate(dt, factor_step=0.5):
             stepper = stepper_type(ref_eos, ubar, grid, dt)
             if factor_step != 0.5:
-                gen = stepper.generators.transpose(2, 1, 0)
-                stepper.e_half = np.ascontiguousarray(
-                    matrix_exponentials(gen, factor_step * dt).transpose(2, 1, 0))
+                t, t_inv = to_v(ubar)
+                e = matrix_exponentials(sym.equilibrium_coefficients(ref_eos, ubar),
+                                        grid.k[:grid.modes], factor_step * dt)
+                stepper.e_half = np.ascontiguousarray((t @ e @ t_inv).transpose(2, 1, 0))
             uh = stepper.pack(f0)
             for _ in range(int(round(t_final / dt))):
                 uh = stepper.step(uh)
@@ -757,11 +791,27 @@ class TestSteppers:
                                              sample_every):
         # stage 1 of the step after a sample compares its input with the
         # sample's spectrum and takes the pass; the pass is then gone, so
-        # stages 2-4, and the steps between samples, compare nothing
-        compared = []
-        array_equal = np.array_equal
-        monkeypatch.setattr(np, "array_equal",
-                            lambda *a: compared.append(array_equal(*a)) or compared[-1])
+        # stages 2-4, and the steps between samples, compare nothing.  Only
+        # the comparisons made inside a step are counted: the stepper's
+        # set-up makes its own
+        compared, stepping = [], []
+        array_equal, step = np.array_equal, nls.IntegratingFactorRK4.step
+
+        def counted(*a):
+            same = array_equal(*a)
+            if stepping:
+                compared.append(same)
+            return same
+
+        def counted_step(self, uh):
+            stepping.append(1)
+            try:
+                return step(self, uh)
+            finally:
+                stepping.pop()
+
+        monkeypatch.setattr(np, "array_equal", counted)
+        monkeypatch.setattr(nls.IntegratingFactorRK4, "step", counted_step)
         k = 6
         led = nls.run(ref_eos, State(1.0, 0.0, 1.0),
                       nls.PerturbationSpec(amplitude=1e-2, width=4.0),
